@@ -56,8 +56,12 @@ def _parse_assignments(text: str, what: str) -> dict:
 def _load_quiver(args):
     if not getattr(args, "quiver", None):
         return None
-    with open(args.quiver, "r", encoding="utf-8") as fh:
-        return parse_quiver(fh.read())
+    try:
+        with open(args.quiver, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise QuiverFormatError(str(exc)) from None
+    return parse_quiver(text)
 
 
 def _require_quiver(args):
@@ -266,9 +270,6 @@ def main(argv=None) -> int:
     except DimensionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -31,6 +31,11 @@ from .schedler import HeightConfiguration, QPAElement, SymElement, make_configur
 _SYMBOLS = set("+-*/.&[](),^'{}")
 
 
+def _is_word_char(ch: str) -> bool:
+    """ASCII letters, digits and '_': names and integers are ASCII only."""
+    return ch.isascii() and (ch.isalnum() or ch == "_")
+
+
 def tokenize(text: str):
     """Yield (kind, value, position) with kind in name/int/sym."""
     out = []
@@ -41,9 +46,9 @@ def tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isalnum() or ch == "_":
+        if _is_word_char(ch):
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and _is_word_char(text[j]):
                 j += 1
             chunk = text[i:j]
             out.append(("int" if chunk.isdigit() else "name", chunk, i))
@@ -79,6 +84,19 @@ class _Stream:
 
     def done(self):
         return self.k >= len(self.tokens)
+
+
+def _parse_rational(stream: _Stream, num: int) -> HBarPolynomial:
+    """The scalar num, or num/den when a '/' follows; den must be nonzero."""
+    if stream.peek()[1] != "/":
+        return HBarPolynomial.constant(num)
+    stream.next()
+    dkind, dval, dpos = stream.next()
+    if dkind != "int":
+        raise ExpressionError("expected a denominator", dpos)
+    if int(dval) == 0:
+        raise ExpressionError("division by zero", dpos)
+    return HBarPolynomial.constant(Fraction(num, int(dval)))
 
 
 # ---------------------------------------------------------------------------
@@ -132,16 +150,7 @@ class _Evaluator:
     def atom(self):
         kind, val, pos = self.stream.next()
         if kind == "int":
-            num = int(val)
-            if self.stream.peek()[1] == "/":
-                self.stream.next()
-                dkind, dval, dpos = self.stream.next()
-                if dkind != "int":
-                    raise ExpressionError("expected a denominator", dpos)
-                scalar = HBarPolynomial.constant(Fraction(num, int(dval)))
-            else:
-                scalar = HBarPolynomial.constant(num)
-            return self._maybe_power(_SCALAR, scalar)
+            return self._maybe_power(_SCALAR, _parse_rational(self.stream, int(val)))
         if kind == "name":
             return self._resolve_name(val, pos)
         if val == "(":
@@ -239,14 +248,7 @@ def _parse_scalar_tokens(stream: _Stream, quiver: Quiver):
     """Scalar factor: rational, h power, or a parenthesized scalar sum."""
     kind, val, pos = stream.next()
     if kind == "int":
-        num = int(val)
-        if stream.peek()[1] == "/":
-            stream.next()
-            dkind, dval, dpos = stream.next()
-            if dkind != "int":
-                raise ExpressionError("expected a denominator", dpos)
-            return HBarPolynomial.constant(Fraction(num, int(dval)))
-        return HBarPolynomial.constant(num)
+        return _parse_rational(stream, int(val))
     if kind == "name" and val == "h":
         power = 1
         if stream.peek()[1] == "^":

@@ -16,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import DimensionError, MismatchError
 from .linear import LinearCombination, add_into, fraction_coerce
@@ -147,38 +148,14 @@ def poisson(f: PolyElement, g: PolyElement) -> PolyElement:
 
 def path_matrix_entry(quiver: Quiver, dim, path: Path, row: int, col: int) -> PolyElement:
     """The (row, col) coordinate of the matrix-valued function of a path."""
+    dim = make_dimension_vector(quiver, dim)
     if path.is_trivial:
         n = dim[path.vertex]
         if not (1 <= row <= n and 1 <= col <= n):
             raise DimensionError("trivial path entry out of range")
         return PolyElement.constant(quiver, dim, 1 if row == col else 0)
-    letters = path.letters
-    acc = [(row, PolyElement.constant(quiver, dim, 1))]
-    for t, letter in enumerate(letters):
-        last = t == len(letters) - 1
-        nxt_range = (col,) if last else range(1, dim[letter.source(quiver)] + 1)
-        new_acc = []
-        for k_next in nxt_range:
-            for k_prev, poly in acc:
-                new_acc.append(
-                    (
-                        k_next,
-                        poly_mul(
-                            poly,
-                            PolyElement.coordinate(
-                                quiver, dim, letter.arrow, letter.starred, k_prev, k_next
-                            ),
-                        ),
-                    )
-                )
-        merged: dict = {}
-        for k_next, poly in new_acc:
-            merged[k_next] = merged.get(k_next, PolyElement(quiver, dim)) + poly
-        acc = list(merged.items())
-    total = PolyElement(quiver, dim)
-    for _, poly in acc:
-        total = total + poly
-    return total
+    word = tuple((letter, t) for t, letter in enumerate(path.letters))
+    return _contract_letters(quiver, dim, (word,), False, ((row,), (col,)))[row, col]
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +539,72 @@ def tau_kernel(quiver: Quiver, dim) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Index contraction
+
+
+def _contract(slots, ranges, unit, mul, free=()):
+    """Sum over all index variables of the product of the slot factors.
+
+    ``slots`` lists ``(entry, i, j)`` in multiplication order; its factor is
+    ``entry(k_i, k_j)`` and ``ranges[v]`` holds the values of variable v.
+    Each variable not in ``free`` is summed as soon as the last slot using
+    it has been multiplied, so tr(M_1 ... M_m) costs O(m d^3) products
+    instead of O(d^m).  Every free variable must occur in some slot.  The
+    result maps each assignment of the ``free`` variables to its entry.
+    """
+    last = {}
+    for t, (_, i, j) in enumerate(slots):
+        last[i] = last[j] = t
+    live = ()
+    sums = {(): unit}
+    for t, (entry, i, j) in enumerate(slots):
+        new = tuple(v for v in dict.fromkeys((i, j)) if v not in live)
+        grown = live + new
+        live = tuple(v for v in grown if v in free or last[v] > t)
+        at = [grown.index(v) for v in (i, j) + live]
+        out = {}
+        for key, acc in sums.items():
+            for ext in itertools.product(*(ranges[v] for v in new)):
+                ks = key + ext
+                term = mul(acc, entry(ks[at[0]], ks[at[1]]))
+                kept = tuple(ks[p] for p in at[2:])
+                out[kept] = out[kept] + term if kept in out else term
+        sums = out
+    return {
+        tuple(key[live.index(v)] for v in free): value for key, value in sums.items()
+    }
+
+
+def _contract_letters(quiver: Quiver, dim, words, quantum: bool, ends=None):
+    """Contract the letter matrices of words of (letter, height) pairs.
+
+    Factors multiply in height order: operator tokens when ``quantum``,
+    coordinates otherwise.  Without ``ends`` every word is a closed cycle
+    and the result is the trace.  With ``ends = (rows, cols)`` there is one
+    open word and the result maps (row, col) to that entry of its product.
+    """
+    ring, mul = (WeylElement, weyl_mul) if quantum else (PolyElement, poly_mul)
+    ranges, slots = [], []
+    for word in words:
+        first = len(ranges)
+        for t, (letter, height) in enumerate(word):
+            if quantum:
+                entry = partial(WeylElement.operator_token, quiver, dim, letter)
+            else:
+                entry = partial(PolyElement.coordinate, quiver, dim, letter.arrow, letter.starred)
+            nxt = t + 1 if ends else (t + 1) % len(word)
+            slots.append((height, (entry, first + t, first + nxt)))
+            ranges.append(range(1, dim[letter.target(quiver)] + 1))
+    slots = [slot for _, slot in sorted(slots, key=lambda hs: hs[0])]
+    unit = ring.constant(quiver, dim, 1)
+    if not ends:
+        return _contract(slots, ranges, unit, mul)[()]
+    ranges[0] = ends[0]
+    ranges.append(ends[1])
+    return _contract(slots, ranges, unit, mul, free=(0, len(ranges) - 1))
+
+
+# ---------------------------------------------------------------------------
 # Block matrices and the quantum moment operator
 
 
@@ -578,25 +621,6 @@ class BlockMatrix:
         return self.entries[row - 1][col - 1]
 
 
-def _quantum_word_entry(quiver, dim, pairs, row, col) -> WeylElement:
-    """Height-ordered operator entry of an open word of (letter, height) pairs."""
-    letters = [letter for letter, _ in pairs]
-    heights = [h for _, h in pairs]
-    m = len(letters)
-    inner_ranges = [range(1, dim[letters[t].source(quiver)] + 1) for t in range(m - 1)]
-    total = WeylElement(quiver, dim)
-    for chain in itertools.product(*inner_ranges):
-        ks = (row,) + chain + (col,)
-        ops = sorted(
-            (heights[t], letters[t], ks[t], ks[t + 1]) for t in range(m)
-        )
-        acc = WeylElement.constant(quiver, dim, 1)
-        for _, letter, r, c in ops:
-            acc = weyl_mul(acc, WeylElement.operator_token(quiver, dim, letter, r, c))
-        total = total + acc
-    return total
-
-
 def block_matrix(x, dim, mode: str = "classical") -> BlockMatrix:
     """Matrix-valued function (classical) or operator (quantum) of an element.
 
@@ -608,6 +632,7 @@ def block_matrix(x, dim, mode: str = "classical") -> BlockMatrix:
 
     if mode not in ("classical", "quantum"):
         raise ValueError(f"unknown mode {mode!r}")
+    quantum = mode == "quantum"
 
     if isinstance(x, PathAlgebraElement):
         quiver = x.quiver
@@ -617,36 +642,12 @@ def block_matrix(x, dim, mode: str = "classical") -> BlockMatrix:
         if len(endpoints) != 1:
             raise ValueError("element is not homogeneous between two vertices")
         (src, dst) = endpoints.pop()
-        rows, cols = dim[dst], dim[src]
-        entries = []
-        for row in range(1, rows + 1):
-            line = []
-            for col in range(1, cols + 1):
-                if mode == "classical":
-                    acc = PolyElement(quiver, dim)
-                    for path, coeff in x.items():
-                        acc = acc + path_matrix_entry(quiver, dim, path, row, col).scale(
-                            coeff.constant_term()
-                        )
-                else:
-                    acc = WeylElement(quiver, dim)
-                    for path, coeff in x.items():
-                        if path.is_trivial:
-                            entry = WeylElement.constant(
-                                quiver, dim, 1 if row == col else 0
-                            )
-                        else:
-                            pairs = tuple(
-                                (letter, k + 1) for k, letter in enumerate(path.letters)
-                            )
-                            entry = _quantum_word_entry(quiver, dim, pairs, row, col)
-                        acc = acc + entry.scale(coeff)
-                line.append(acc)
-            entries.append(tuple(line))
-        return BlockMatrix(src, dst, tuple(entries))
-
-    if isinstance(x, QPAElement):
-        if mode != "quantum":
+        words = [
+            (tuple((letter, t) for t, letter in enumerate(path.letters)), coeff)
+            for path, coeff in x.items()
+        ]
+    elif isinstance(x, QPAElement):
+        if not quantum:
             raise ValueError("height configurations only have quantum matrices")
         quiver = x.quiver
         vertices = set()
@@ -657,22 +658,48 @@ def block_matrix(x, dim, mode: str = "classical") -> BlockMatrix:
             vertices.add(comp[0][0].target(quiver))
         if len(vertices) != 1:
             raise ValueError("element is not homogeneous between two vertices")
-        vertex = vertices.pop()
-        n = dim[vertex]
-        entries = []
-        for row in range(1, n + 1):
-            line = []
-            for col in range(1, n + 1):
-                acc = WeylElement(quiver, dim)
-                for cfg, coeff in x.items():
-                    acc = acc + _quantum_word_entry(
-                        quiver, dim, cfg.components[0], row, col
-                    ).scale(coeff)
-                line.append(acc)
-            entries.append(tuple(line))
-        return BlockMatrix(vertex, vertex, tuple(entries))
+        src = dst = vertices.pop()
+        words = [(cfg.components[0], coeff) for cfg, coeff in x.items()]
+    else:
+        raise TypeError(f"cannot form a block matrix of {type(x).__name__}")
 
-    raise TypeError(f"cannot form a block matrix of {type(x).__name__}")
+    dim = make_dimension_vector(quiver, dim)
+    ring = WeylElement if quantum else PolyElement
+    rows, cols = range(1, dim[dst] + 1), range(1, dim[src] + 1)
+    entries = {(row, col): ring(quiver, dim) for row in rows for col in cols}
+    for word, coeff in words:
+        if word:
+            block = _contract_letters(quiver, dim, (word,), quantum, (rows, cols))
+        else:
+            block = {(row, row): ring.constant(quiver, dim, 1) for row in rows}
+        scalar = coeff if quantum else coeff.constant_term()
+        for key, value in block.items():
+            entries[key] = entries[key] + value.scale(scalar)
+    return BlockMatrix(
+        src, dst, tuple(tuple(entries[row, col] for col in cols) for row in rows)
+    )
+
+
+def _moment_entry(quiver: Quiver, dim, i: int, p: int, q: int, r=None) -> WeylElement:
+    """The (p, q) entry of the moment block at vertex i: signed two-letter
+    open chains [a][a'] for t(a) = i and [a'][a] for s(a) = i, height-1 factor
+    first, plus h r_i on the diagonal when r is given."""
+
+    def chain(word):
+        return _contract_letters(quiver, dim, (word,), True, ((p,), (q,)))[p, q]
+
+    acc = WeylElement(quiver, dim)
+    for ai, arrow in enumerate(quiver.arrows):
+        plain, starred = Letter(ai, False), Letter(ai, True)
+        if arrow.target == i:
+            acc = acc + chain(((plain, 1), (starred, 2)))
+        if arrow.source == i:
+            acc = acc - chain(((starred, 1), (plain, 2)))
+    if r is not None and p == q and r[i]:
+        acc = acc + WeylElement.constant(
+            quiver, dim, HBarPolynomial((0, fraction_coerce(r[i])))
+        )
+    return acc
 
 
 def moment_block_matrix(quiver: Quiver, dim, r=None) -> dict:
@@ -684,32 +711,11 @@ def moment_block_matrix(quiver: Quiver, dim, r=None) -> dict:
     """
     out = {}
     for i in range(len(quiver.vertices)):
-        n = dim[i]
-        entries = []
-        for p in range(1, n + 1):
-            line = []
-            for q in range(1, n + 1):
-                acc = WeylElement(quiver, dim)
-                for ai, arrow in enumerate(quiver.arrows):
-                    if arrow.target == i:
-                        for l in range(1, dim[arrow.source] + 1):
-                            acc = acc + weyl_mul(
-                                WeylElement.position(quiver, dim, ai, p, l),
-                                WeylElement.derivative(quiver, dim, ai, q, l),
-                            )
-                    if arrow.source == i:
-                        for l in range(1, dim[arrow.target] + 1):
-                            acc = acc - weyl_mul(
-                                WeylElement.derivative(quiver, dim, ai, l, p),
-                                WeylElement.position(quiver, dim, ai, l, q),
-                            )
-                if r is not None and p == q and r[i]:
-                    acc = acc + WeylElement.constant(
-                        quiver, dim, HBarPolynomial((0, fraction_coerce(r[i])))
-                    )
-                line.append(acc)
-            entries.append(tuple(line))
-        out[i] = BlockMatrix(i, i, tuple(entries))
+        indices = range(1, dim[i] + 1)
+        entries = tuple(
+            tuple(_moment_entry(quiver, dim, i, p, q, r) for q in indices) for p in indices
+        )
+        out[i] = BlockMatrix(i, i, entries)
     return out
 
 
@@ -717,8 +723,7 @@ def quantum_moment(quiver: Quiver, dim, v: GlElement, r=None) -> WeylElement:
     """tr of the moment block matrix against v (with the optional h r shift)."""
     if (quiver, tuple(dim)) != v._context():
         raise MismatchError("gl element disagrees on quiver or dimensions")
-    blocks = moment_block_matrix(quiver, dim, r)
     out = WeylElement(quiver, dim)
     for (i, p, q), c in v.items():
-        out = out + blocks[i][q, p].scale(c)
+        out = out + _moment_entry(quiver, dim, i, q, p, r).scale(c)
     return out

@@ -3,7 +3,9 @@
 The classical trace sends a necklace to the cyclically contracted product
 of its coordinate matrices; the quantum trace sends a height configuration
 to the same contraction with the operator factors multiplied in height
-order.  Around them sit the verification procedures: the trace is an
+order.  Both are one height-ordered contraction (``repspace._contract``),
+which sums each index as soon as the last factor using it has been
+multiplied.  Around them sit the verification procedures: the trace is an
 algebra map, the pre- and post-reduction squares commute, the quantum
 moment identity holds, and the reduction-ideal generators decompose over
 the shifted gl action with a solvable trace character.  All checks are by
@@ -12,7 +14,6 @@ exact equality; failures carry the residual element.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,9 +26,11 @@ from .repspace import (
     GlElement,
     PolyElement,
     WeylElement,
+    _contract_letters,
     chi_sign_variants,
     classical_symbol,
     gl_basis,
+    make_dimension_vector,
     poisson,
     quantum_moment,
     tau,
@@ -60,7 +63,7 @@ def trace_classical(x: HH0Element, dim) -> PolyElement:
     h = 0 (the classical side carries no deformation parameter).
     """
     quiver = x.quiver
-    dim = tuple(dim)
+    dim = make_dimension_vector(quiver, dim)
     out = PolyElement(quiver, dim)
     for necklace, coeff in x.items():
         c0 = coeff.constant_term()
@@ -69,15 +72,8 @@ def trace_classical(x: HH0Element, dim) -> PolyElement:
         if necklace.is_idempotent:
             out = out + PolyElement.constant(quiver, dim, c0 * dim[necklace.vertex])
             continue
-        letters = necklace.letters
-        m = len(letters)
-        ranges = [range(1, dim[l.target(quiver)] + 1) for l in letters]
-        for ks in itertools.product(*ranges):
-            mono: dict = {}
-            for t, letter in enumerate(letters):
-                var = (letter.arrow, letter.starred, ks[t], ks[(t + 1) % m])
-                mono[var] = mono.get(var, 0) + 1
-            out = out + PolyElement(quiver, dim, {tuple(sorted(mono.items())): c0})
+        word = tuple((letter, t) for t, letter in enumerate(necklace.letters))
+        out = out + _contract_letters(quiver, dim, (word,), False).scale(c0)
     return out
 
 
@@ -91,27 +87,7 @@ def trace_quantum_config(quiver: Quiver, dim, components, idempotents) -> WeylEl
     scalar = 1
     for v in idempotents:
         scalar *= dim[v]
-    slots = []  # (height, ci, pi)
-    for ci, comp in enumerate(components):
-        for pi, (_, h) in enumerate(comp):
-            slots.append((h, ci, pi))
-    slots.sort()
-    ranges = []
-    index_of = {}
-    for ci, comp in enumerate(components):
-        for pi, (letter, _) in enumerate(comp):
-            index_of[(ci, pi)] = len(ranges)
-            ranges.append(range(1, dim[letter.target(quiver)] + 1))
-    total = WeylElement(quiver, dim)
-    for ks in itertools.product(*ranges):
-        acc = WeylElement.constant(quiver, dim, 1)
-        for _, ci, pi in slots:
-            letter = components[ci][pi][0]
-            row = ks[index_of[(ci, pi)]]
-            col = ks[index_of[(ci, (pi + 1) % len(components[ci]))]]
-            acc = weyl_mul(acc, WeylElement.operator_token(quiver, dim, letter, row, col))
-        total = total + acc
-    total = total.scale(scalar)
+    total = _contract_letters(quiver, dim, components, True).scale(scalar)
     _TRACE_CACHE[key] = total
     return total
 
@@ -119,7 +95,8 @@ def trace_quantum_config(quiver: Quiver, dim, components, idempotents) -> WeylEl
 def trace_quantum(x: QPAElement, dim) -> WeylElement:
     """Quantum trace map, extended Q[h]-linearly over configurations."""
     quiver = x.quiver
-    out = WeylElement(quiver, tuple(dim))
+    dim = make_dimension_vector(quiver, dim)
+    out = WeylElement(quiver, dim)
     for cfg, coeff in x.items():
         out = out + trace_quantum_config(
             quiver, dim, cfg.components, cfg.idempotents
@@ -274,11 +251,13 @@ def verify_equivariance(v: GlElement, x: QPAElement, dim, name="invariance") -> 
 class IdealDecomposition:
     """Tr_q(generator) written as sum coeff * (tau + lambda tr - h chi)(direction).
 
-    ``pairs`` holds (coefficient, direction) with the coefficient a height-
-    ordered operator product of the cycle letters and the direction a single
-    negated elementary matrix; ``chi_value`` is the solved trace-character
-    coefficient at the generator's vertex (None when the generator gives no
-    constraint).  ``verified`` records the exact re-expansion check.
+    ``pairs`` holds one (entry, direction) pair per nonzero boundary pair
+    (l_first, l_last): the entry is that entry of the height-ordered
+    operator matrix product of the cycle letters, the direction the negated
+    elementary matrix -e_{l_first, l_last}; ``chi_value`` is the solved
+    trace-character coefficient at the generator's vertex (None when the
+    generator gives no constraint).  ``verified`` records the exact
+    re-expansion check.
     """
 
     quiver: Quiver
@@ -344,11 +323,11 @@ def decompose_ideal_image(
 ) -> IdealDecomposition:
     """Decompose Tr_q of a reduction-ideal generator over the gl action.
 
-    The coefficients are the operator products of the marked cycle's letters
-    taken in word (= height) order with free boundary indices, the directions
-    the matching -e_{l_first, l_last} at the marked vertex; the trace
-    character coefficient is solved for exactly and the decomposition is
-    re-expanded and compared with the traced generator.
+    The coefficient of each boundary pair (l_first, l_last) is that entry of
+    the operator matrix product of the marked cycle's letters, taken in word
+    (= height) order; its direction is -e_{l_first, l_last} at the marked
+    vertex.  The trace character coefficient is solved for exactly and the
+    decomposition is re-expanded and compared with the traced generator.
     """
     dim = tuple(dim)
     if params is None:
@@ -358,46 +337,28 @@ def decompose_ideal_image(
     target = trace_quantum(ideal_generator(quiver, p, vertex, mark, params), dim)
     lam_value = params.lam[vertex]
 
-    pairs = []
-    chain_data = []  # (coefficient, l_first, l_last)
-    if not word:
-        for l in range(1, dim[vertex] + 1):
-            coeff = WeylElement.constant(quiver, dim, 1)
-            pairs.append((coeff, GlElement.elementary(quiver, dim, vertex, l, l, -1)))
-            chain_data.append((coeff, l, l))
+    ends = range(1, dim[vertex] + 1)
+    if word:
+        cycle = tuple((letter, t) for t, letter in enumerate(word))
+        entries = _contract_letters(quiver, dim, (cycle,), True, (ends, ends))
     else:
-        ranges = [range(1, dim[l.target(quiver)] + 1) for l in word]
-        ranges.append(range(1, dim[vertex] + 1))
-        for chain in itertools.product(*ranges):
-            coeff = WeylElement.constant(quiver, dim, 1)
-            for t, letter in enumerate(word):
-                coeff = weyl_mul(
-                    coeff,
-                    WeylElement.operator_token(quiver, dim, letter, chain[t], chain[t + 1]),
-                )
-            direction = GlElement.elementary(
-                quiver, dim, vertex, chain[0], chain[-1], -1
-            )
-            pairs.append((coeff, direction))
-            chain_data.append((coeff, chain[0], chain[-1]))
-
-    base = WeylElement(quiver, dim)
-    trace_of_p = WeylElement(quiver, dim)
-    for (coeff, direction), (_, l_first, l_last) in zip(pairs, chain_data):
-        w = -tau(quiver, dim, GlElement.elementary(quiver, dim, vertex, l_first, l_last))
-        if l_first == l_last and lam_value:
-            w = w + WeylElement.constant(quiver, dim, -lam_value)
-        base = base + weyl_mul(coeff, w)
-        if l_first == l_last:
-            trace_of_p = trace_of_p + coeff
-
-    residual = target - base
-    h_trace = trace_of_p.scale(HBarPolynomial.h())
-    chi_value = _solve_scalar_ratio(residual, h_trace)
-    decomposition = IdealDecomposition(
-        quiver, dim, vertex, tuple(pairs), lam_value, chi_value, target, False
+        entries = {(l, l): WeylElement.constant(quiver, dim, 1) for l in ends}
+    pairs = tuple(
+        (coeff, GlElement.elementary(quiver, dim, vertex, l_first, l_last, -1))
+        for (l_first, l_last), coeff in sorted(entries.items(), key=lambda kv: kv[0])
+        if coeff
     )
-    if chi_value is not None:
+    decomposition = IdealDecomposition(
+        quiver, dim, vertex, pairs, lam_value, None, target, False
+    )
+    residual = target - decomposition.re_expand(Fraction(0))
+    trace_of_p = WeylElement(quiver, dim)
+    for l in ends:
+        trace_of_p = trace_of_p + entries[l, l]
+    decomposition.chi_value = _solve_scalar_ratio(
+        residual, trace_of_p.scale(HBarPolynomial.h())
+    )
+    if decomposition.chi_value is not None:
         decomposition.verified = (target - decomposition.re_expand()).is_zero()
     return decomposition
 

@@ -1,6 +1,16 @@
 import pytest
 
 from nhq.sampling import a2, a3p, jordan, two_loop
+from nhq.schedler import clear_straighten_cache
+from nhq.trace import clear_trace_cache
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Start every test with empty straighten and trace caches, so results
+    and acceptance timings do not depend on which tests ran before."""
+    clear_straighten_cache()
+    clear_trace_cache()
 
 
 @pytest.fixture

@@ -106,6 +106,24 @@ def test_exit_code_missing_file():
     assert code == 2
 
 
+def test_exit_code_division_by_zero(capsys):
+    code, _ = run("bracket", "-q", q("jordan"), "1/0*[x]", "[x]")
+    assert code == 2
+    assert "division by zero" in capsys.readouterr().err
+
+
+def test_exit_code_non_ascii_digit(capsys):
+    code, _ = run("bracket", "-q", q("jordan"), "\u00b2*[x]", "[x]")
+    assert code == 2
+    assert "unexpected character" in capsys.readouterr().err
+
+
+def test_exit_code_quiver_path_is_directory(capsys):
+    code, _ = run("bracket", "-q", DATA, "[x]", "[x]")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_suite_exit_codes_and_json():
     code, out = run(
         "verify", "lie", "--seed", "3", "--cases", "5", "--json"

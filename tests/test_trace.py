@@ -5,12 +5,16 @@ from fractions import Fraction
 import pytest
 
 from nhq import (
+    DimensionError,
     HBarPolynomial,
     HH0Element,
     Letter,
+    Path,
+    PathAlgebraElement,
     PolyElement,
     ReductionParameters,
     WeylElement,
+    block_matrix,
     canonical_necklace,
     classical_symbol,
     decompose_ideal_image,
@@ -19,6 +23,7 @@ from nhq import (
     lift_necklace,
     make_dimension_vector,
     make_params,
+    path_matrix_entry,
     qpa_mul,
     solve_chi,
     straighten,
@@ -71,6 +76,22 @@ def test_trace_classical_two_letter_expansion(J):
                 J, d, 0, False, i, j
             ) * PolyElement.coordinate(J, d, 0, True, j, i)
     assert trace_classical(x, d) == expected
+
+
+@pytest.mark.parametrize("dim", [(0,), (2, 5), ()])
+def test_trace_entry_points_reject_bad_dimension_vectors(J, dim):
+    path = Path((Letter(0, False), Letter(0, True)))
+    x = parse_hh0_element(J, "[x.x']")
+    X = parse_qpa_element(J, "(x,1)(x',2)")
+    calls = (
+        lambda: trace_classical(x, dim),
+        lambda: trace_quantum(X, dim),
+        lambda: block_matrix(PathAlgebraElement.of_path(J, path), dim, "quantum"),
+        lambda: path_matrix_entry(J, dim, path, 1, 1),
+    )
+    for call in calls:
+        with pytest.raises(DimensionError):
+            call()
 
 
 # -- quantum trace -----------------------------------------------------------
