@@ -72,7 +72,6 @@ from .schedler import (
     is_canonical,
     lift,
     lift_necklace,
-    make_component,
     make_configuration,
     make_params,
     make_sym_monomial,

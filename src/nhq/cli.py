@@ -33,8 +33,12 @@ from .necklace import double_bracket, moment_map, necklace_bracket
 from .quiver import parse_quiver
 from .repspace import make_dimension_vector
 from .schedler import make_params, qpa_comm, qpa_mul
-from .suites import SUITES
+from .suites import SUITE_OPTIONS, SUITES
 from .trace import kernel_constraint, solve_chi, trace_classical, trace_quantum
+
+
+#: cases run by the randomized verify suites when --cases is not given
+DEFAULT_CASES = 50
 
 
 def _parse_assignments(text: str, what: str) -> dict:
@@ -85,6 +89,30 @@ def _get_dim(args, quiver, required=True):
     return make_dimension_vector(quiver, int_pairs)
 
 
+def _get_params(args, quiver):
+    return make_params(
+        quiver,
+        _parse_assignments(args.r, "--r") if args.r else None,
+        _parse_assignments(args.lam, "--lambda") if args.lam else None,
+    )
+
+
+def _check_verify_flags(args) -> None:
+    """Reject each verify flag that the chosen suite would not read."""
+    for flag, option, value in (
+        ("--cases", "cases", args.cases),
+        ("--dim", "dim", args.dim),
+        ("--r", "params", args.r),
+        ("--lambda", "params", args.lam),
+    ):
+        if value is None:
+            continue
+        if option not in SUITE_OPTIONS[args.suite]:
+            raise ExpressionError(f"verify {args.suite} does not take {flag}")
+        if option != "cases" and not args.quiver:
+            raise ExpressionError(f"{flag} needs a quiver file (-q)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nhq",
@@ -103,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--lambda", dest="lam", help="moment deformation k=v,...")
         if suite:
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--cases", type=int, default=50)
+            p.add_argument("--cases", type=int)
 
     p = sub.add_parser("bracket", help="necklace Lie bracket of two classes")
     common(p)
@@ -216,18 +244,13 @@ def _dispatch(args) -> int:
         return 0
 
     if verb == "verify":
+        _check_verify_flags(args)
         quiver = _load_quiver(args)
-        dim = _get_dim(args, quiver, required=False) if quiver else None
-        params = None
-        if quiver and (args.r or args.lam):
-            params = make_params(
-                quiver,
-                _parse_assignments(args.r, "--r") if args.r else None,
-                _parse_assignments(args.lam, "--lambda") if args.lam else None,
-            )
+        dim = _get_dim(args, quiver, required=False)
+        params = _get_params(args, quiver) if args.r or args.lam else None
         suite_args = {
             "seed": args.seed,
-            "cases": args.cases,
+            "cases": DEFAULT_CASES if args.cases is None else args.cases,
             "quiver": quiver,
             "dim": dim,
             "params": params,
@@ -238,22 +261,14 @@ def _dispatch(args) -> int:
     if verb == "solve-chi":
         quiver = _require_quiver(args)
         dim = _get_dim(args, quiver)
-        params = make_params(
-            quiver,
-            _parse_assignments(args.r, "--r") if args.r else None,
-            _parse_assignments(args.lam, "--lambda") if args.lam else None,
-        )
+        params = _get_params(args, quiver)
         report, _ = solve_chi(quiver, dim, params)
         return _emit_reports([report], args.json)
 
     if verb == "kernel":
         quiver = _require_quiver(args)
         dim = _get_dim(args, quiver)
-        params = make_params(
-            quiver,
-            _parse_assignments(args.r, "--r") if args.r else None,
-            _parse_assignments(args.lam, "--lambda") if args.lam else None,
-        )
+        params = _get_params(args, quiver)
         report = kernel_constraint(quiver, dim, params)
         return _emit_reports([report], args.json)
 

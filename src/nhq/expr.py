@@ -21,7 +21,7 @@ from .necklace import (
     necklace_key,
 )
 from .quiver import Letter, Path, PathAlgebraElement, Quiver, path_mul
-from .repspace import GlElement, PolyElement, WeylElement
+from .repspace import PolyElement, WeylElement
 from .rings import HBarPolynomial
 from .schedler import HeightConfiguration, QPAElement, SymElement, make_configuration, straighten
 
@@ -681,18 +681,4 @@ def format_poly(x: PolyElement) -> str:
                 pieces.append(f"-{body}")
             else:
                 pieces.append(f"{coeff}*{body}")
-    return _join_terms(pieces)
-
-
-def format_gl(x: GlElement) -> str:
-    quiver = x.quiver
-    pieces = []
-    for (i, p, q), coeff in sorted(x.items()):
-        body = f"e^{quiver.vertices[i]}_{{{p},{q}}}"
-        if coeff == 1:
-            pieces.append(body)
-        elif coeff == -1:
-            pieces.append(f"-{body}")
-        else:
-            pieces.append(f"{coeff}*{body}")
     return _join_terms(pieces)

@@ -8,8 +8,6 @@ quiver, possibly a dimension vector) and their own products.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import MismatchError
 from .rings import HBarPolynomial
 
@@ -115,11 +113,3 @@ def add_into(data: dict, key, value) -> None:
         data[key] = value
     elif cur is not None:
         del data[key]
-
-
-def fraction_coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")

@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CompositionError, MismatchError
-from .linear import LinearCombination, add_into, fraction_coerce
+from .errors import CompositionError, ExpressionError, MismatchError
+from .linear import LinearCombination, add_into
 from .quiver import Letter, Path, PathAlgebraElement, Quiver, make_path, path_mul
-from .rings import HBarPolynomial
+from .rings import HBarPolynomial, as_fraction
 
 
 @dataclass(frozen=True)
@@ -249,8 +249,8 @@ def moment_map(quiver: Quiver, lam=None) -> MomentData:
     if lam:
         for name, value in lam.items():
             if not quiver.has_vertex(name):
-                raise ValueError(f"unknown vertex {name!r} in lambda")
-            lam_vec[quiver.vertex_index(name)] = fraction_coerce(value)
+                raise ExpressionError(f"unknown vertex {name!r} in lambda")
+            lam_vec[quiver.vertex_index(name)] = as_fraction(value)
     components = []
     for i in range(nv):
         terms = {}

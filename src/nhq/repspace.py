@@ -19,9 +19,9 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import DimensionError, MismatchError
-from .linear import LinearCombination, add_into, fraction_coerce
+from .linear import LinearCombination, add_into
 from .quiver import Letter, Path, PathAlgebraElement, Quiver
-from .rings import HBarPolynomial
+from .rings import HBarPolynomial, as_fraction
 
 
 def make_dimension_vector(quiver: Quiver, d) -> tuple[int, ...]:
@@ -68,7 +68,7 @@ class PolyElement(LinearCombination):
 
     __slots__ = ("quiver", "dim")
 
-    _coerce = staticmethod(fraction_coerce)
+    _coerce = staticmethod(as_fraction)
 
     def __init__(self, quiver: Quiver, dim, terms=None):
         object.__setattr__(self, "quiver", quiver)
@@ -312,7 +312,7 @@ class GlElement(LinearCombination):
 
     __slots__ = ("quiver", "dim")
 
-    _coerce = staticmethod(fraction_coerce)
+    _coerce = staticmethod(as_fraction)
 
     def __init__(self, quiver: Quiver, dim, terms=None):
         object.__setattr__(self, "quiver", quiver)
@@ -442,7 +442,7 @@ def chi_from_r(quiver: Quiver, dim, r=None) -> Character:
     nv = len(quiver.vertices)
     rvec = list(r) if r is not None else [Fraction(0)] * nv
     values = tuple(
-        Fraction(-_out_degree_weight(quiver, dim, k)) + fraction_coerce(rvec[k])
+        Fraction(-_out_degree_weight(quiver, dim, k)) + as_fraction(rvec[k])
         for k in range(nv)
     )
     return Character(quiver, values)
@@ -462,16 +462,16 @@ def chi_sign_variants(quiver: Quiver, dim, r=None) -> dict:
     return {
         "main": Character(
             quiver,
-            tuple(Fraction(-weights[k]) + fraction_coerce(rvec[k]) for k in range(nv)),
+            tuple(Fraction(-weights[k]) + as_fraction(rvec[k]) for k in range(nv)),
         ),
         "statement": Character(
             quiver,
-            tuple(Fraction(weights[k]) + fraction_coerce(rvec[k]) for k in range(nv)),
+            tuple(Fraction(weights[k]) + as_fraction(rvec[k]) for k in range(nv)),
         ),
         "proof_line": Character(
             quiver,
             tuple(
-                Fraction(-weights[k]) - outdeg[k] * fraction_coerce(rvec[k])
+                Fraction(-weights[k]) - outdeg[k] * as_fraction(rvec[k])
                 for k in range(nv)
             ),
         ),
@@ -697,7 +697,7 @@ def _moment_entry(quiver: Quiver, dim, i: int, p: int, q: int, r=None) -> WeylEl
             acc = acc - chain(((starred, 1), (plain, 2)))
     if r is not None and p == q and r[i]:
         acc = acc + WeylElement.constant(
-            quiver, dim, HBarPolynomial((0, fraction_coerce(r[i])))
+            quiver, dim, HBarPolynomial((0, as_fraction(r[i])))
         )
     return acc
 

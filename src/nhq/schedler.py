@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .errors import CompositionError, MismatchError
-from .linear import LinearCombination, add_into, fraction_coerce
+from .errors import CompositionError, ExpressionError, MismatchError
+from .linear import LinearCombination, add_into
 from .necklace import (
     Necklace,
     bracket_sign,
@@ -35,7 +36,7 @@ from .necklace import (
     necklace_key,
 )
 from .quiver import Letter, Quiver
-from .rings import HBarPolynomial
+from .rings import HBarPolynomial, as_fraction
 
 
 @dataclass(frozen=True)
@@ -67,15 +68,6 @@ def _normalize_raw(components, idempotents):
         normed.append(comp[start:] + comp[:start])
     normed.sort(key=lambda c: c[0][1])
     return tuple(normed), tuple(sorted(idempotents))
-
-
-def make_component(pairs) -> tuple:
-    """Linearize a cyclic (letter, height) word to start at its minimal height."""
-    pairs = tuple(pairs)
-    if not pairs:
-        raise CompositionError("a height component needs at least one letter")
-    start = min(range(len(pairs)), key=lambda k: pairs[k][1])
-    return pairs[start:] + pairs[:start]
 
 
 def make_configuration(quiver: Quiver, components, idempotents=()) -> HeightConfiguration:
@@ -172,12 +164,9 @@ _PICKERS = {
 _H = HBarPolynomial.h()
 _ONE = HBarPolynomial.one()
 
-# Results of default-strategy straightening, keyed by (quiver, comps, idems).
-_STRAIGHTEN_CACHE: dict = {}
-
-
-def clear_straighten_cache() -> None:
-    _STRAIGHTEN_CACHE.clear()
+#: Entries kept by each module-level cache (default-strategy normal forms
+#: here, quantum traces in ``trace``); the least recently used is evicted.
+CACHE_SIZE = 1 << 16
 
 
 def _inversion_count(seq) -> int:
@@ -187,37 +176,22 @@ def _inversion_count(seq) -> int:
     )
 
 
-def _straighten_raw(quiver, comps, idems, pick, rng, on_step, memo, parent_measure):
-    comps, idems = _normalize_raw(comps, idems)
-    use_global = pick is _PICKERS["first"] and on_step is None
-    key = (comps, idems)
-    if use_global:
-        cached = _STRAIGHTEN_CACHE.get((quiver, key))
-        if cached is not None:
-            return cached
-    if memo is not None:
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-
+def _rewrite(quiver, comps, idems, pick, rng, expand, on_step=None, parent_measure=None):
+    """Expand a normalized configuration over the normal-form basis.  Each
+    raw correction term goes through ``expand(comps, idems, measure)``;
+    ``measure`` is None unless ``on_step`` is set."""
     # The target normal-form height of every position is fixed once here;
     # the swap chain below strictly lowers the inversion count against it,
     # so the chain terminates no matter how rotation or block-order ties
     # were broken (ties only exist between identical words, for which all
     # choices produce the same normal form).
     target, necklaces = _canonical_targets(quiver, comps)
-    n_letters = sum(len(comp) for comp in comps)
     state = [list(comp) for comp in comps]
+    pos_of = {h: (ci, pi) for ci, comp in enumerate(state) for pi, (_, h) in enumerate(comp)}
+    n_letters = len(pos_of)
+    seq = [target[pos_of[h]] for h in range(1, n_letters + 1)]
     out: dict = {}
 
-    def height_sequence():
-        pos_of = {}
-        for ci, comp in enumerate(state):
-            for pi, (_, h) in enumerate(comp):
-                pos_of[h] = (ci, pi)
-        return pos_of, [target[pos_of[h]] for h in range(1, n_letters + 1)]
-
-    pos_of, seq = height_sequence()
     measure = (n_letters, _inversion_count(seq)) if on_step is not None else None
     if on_step is not None and parent_measure is not None:
         on_step(parent_measure, measure)
@@ -262,21 +236,15 @@ def _straighten_raw(quiver, comps, idems, pick, rng, on_step, memo, parent_measu
                 else:
                     new_idems.append(v.target(quiver))
             factor = _H if sign > 0 else -_H
-            for cfg, c in _straighten_raw(
-                quiver,
-                tuple(new_comps),
-                tuple(new_idems),
-                pick,
-                rng,
-                on_step,
-                memo,
-                measure,
-            ):
+            for cfg, c in expand(tuple(new_comps), tuple(new_idems), measure):
                 add_into(out, cfg, -(c * factor))
 
+        # The swap exchanges heights h and h + 1 between two positions, so
+        # the height lookup and the target sequence swap two entries each.
         state[ci][pi] = (u, h + 1)
         state[cj][pj] = (v, h)
-        pos_of, seq = height_sequence()
+        pos_of[h], pos_of[h + 1] = (cj, pj), (ci, pi)
+        seq[h - 1], seq[h] = seq[h], seq[h - 1]
         if on_step is not None:
             new_measure = (n_letters, _inversion_count(seq))
             on_step(measure, new_measure)
@@ -287,13 +255,26 @@ def _straighten_raw(quiver, comps, idems, pick, rng, on_step, memo, parent_measu
         canonical_configuration(quiver, necklaces, extra_idempotents=idems),
         _ONE,
     )
-    result = tuple(out.items())
+    return tuple(out.items())
 
-    if use_global:
-        _STRAIGHTEN_CACHE[(quiver, key)] = result
-    if memo is not None:
-        memo[key] = result
-    return result
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _normal_form(quiver, comps, idems):
+    """Default-strategy expansion of a normalized configuration; the one
+    cache behind ``straighten``, ``qpa_mul``, ``moment_lift`` and the ideal
+    generators."""
+    return _rewrite(
+        quiver, comps, idems, _PICKERS["first"], None,
+        lambda c, i, _: _straighten_parts(quiver, c, i),
+    )
+
+
+def _straighten_parts(quiver, comps, idems):
+    return _normal_form(quiver, *_normalize_raw(comps, idems))
+
+
+def clear_straighten_cache() -> None:
+    _normal_form.cache_clear()
 
 
 class QPAElement(LinearCombination):
@@ -345,21 +326,29 @@ def straighten(
     ("first", "last", "middle", or "random" with an ``rng``); all strategies
     produce the same element.  ``on_step`` receives the (letter count,
     inversion count) measure of parent and child at every rewrite edge.
+
+    The default strategy reads and fills the module's bounded LRU cache
+    (``clear_straighten_cache`` empties it).  Any other strategy memoizes in
+    a cache of its own call only, so confluence checks never see the shared
+    results; with ``on_step`` nothing is memoized and every edge is reported.
     """
     pick = _PICKERS[strategy]
     if strategy == "random" and rng is None:
         raise ValueError("strategy 'random' needs an rng")
-    memo = None if on_step is not None else {}
-    result = _straighten_raw(
-        quiver, cfg.components, cfg.idempotents, pick, rng, on_step, memo, None
-    )
-    return QPAElement(quiver, result)
+    if on_step is None and strategy == "first":
+        return QPAElement(quiver, _straighten_parts(quiver, cfg.components, cfg.idempotents))
+    if on_step is None:
+        @lru_cache(maxsize=None)
+        def normal_form(comps, idems):
+            return _rewrite(quiver, comps, idems, pick, rng, expand)
 
-
-def _straighten_parts(quiver, comps, idems):
-    return _straighten_raw(
-        quiver, comps, idems, _PICKERS["first"], None, None, {}, None
-    )
+        def expand(comps, idems, _):
+            return normal_form(*_normalize_raw(comps, idems))
+    else:
+        def expand(comps, idems, measure):
+            comps, idems = _normalize_raw(comps, idems)
+            return _rewrite(quiver, comps, idems, pick, rng, expand, on_step, measure)
+    return QPAElement(quiver, expand(cfg.components, cfg.idempotents, None))
 
 
 def qpa_mul(x: QPAElement, y: QPAElement) -> QPAElement:
@@ -494,8 +483,8 @@ def make_params(quiver: Quiver, r=None, lam=None) -> ReductionParameters:
         if mapping:
             for name, value in mapping.items():
                 if not quiver.has_vertex(name):
-                    raise ValueError(f"unknown vertex {name!r}")
-                out[quiver.vertex_index(name)] = fraction_coerce(value)
+                    raise ExpressionError(f"unknown vertex {name!r}")
+                out[quiver.vertex_index(name)] = as_fraction(value)
         return tuple(out)
 
     return ReductionParameters(vec(r), vec(lam))

@@ -357,3 +357,18 @@ SUITES = {
     "poisson": lambda args: suite_poisson(args.get("quiver"), args.get("dim")),
     "gauge": lambda args: suite_gauge(args.get("quiver"), args.get("dim")),
 }
+
+# The optional arguments each suite reads besides the seed and the quiver;
+# the command line rejects a flag for any other argument.
+SUITE_OPTIONS = {
+    "dirac": {"cases"},
+    "pbw": set(),
+    "lie": {"cases"},
+    "trace-hom": {"cases", "dim"},
+    "cubic": {"cases", "dim"},
+    "qmoment": {"dim"},
+    "ideal": {"dim", "params"},
+    "invariance": {"cases", "dim"},
+    "poisson": {"dim"},
+    "gauge": {"dim"},
+}

@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .linear import fraction_coerce
 from .necklace import HH0Element, Necklace
 from .quiver import Quiver
 from .repspace import (
@@ -38,8 +38,9 @@ from .repspace import (
     weyl_commutator,
     weyl_mul,
 )
-from .rings import HBarPolynomial
+from .rings import HBarPolynomial, as_fraction
 from .schedler import (
+    CACHE_SIZE,
     QPAElement,
     ReductionParameters,
     ideal_generator,
@@ -49,11 +50,9 @@ from .schedler import (
     SymElement,
 )
 
-_TRACE_CACHE: dict = {}
-
 
 def clear_trace_cache() -> None:
-    _TRACE_CACHE.clear()
+    _trace_config.cache_clear()
 
 
 def trace_classical(x: HH0Element, dim) -> PolyElement:
@@ -78,18 +77,21 @@ def trace_classical(x: HH0Element, dim) -> PolyElement:
 
 
 def trace_quantum_config(quiver: Quiver, dim, components, idempotents) -> WeylElement:
-    """Quantum trace of one raw configuration (need not be canonical)."""
-    dim = tuple(dim)
-    key = (quiver, dim, tuple(components), tuple(idempotents))
-    cached = _TRACE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Quantum trace of one raw configuration (need not be canonical).
+
+    Results are kept in a bounded LRU cache shared by every caller;
+    ``clear_trace_cache`` empties it.  The returned element is shared with
+    the cache, so callers must not mutate it.
+    """
+    return _trace_config(quiver, tuple(dim), tuple(components), tuple(idempotents))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _trace_config(quiver, dim, components, idempotents):
     scalar = 1
     for v in idempotents:
         scalar *= dim[v]
-    total = _contract_letters(quiver, dim, components, True).scale(scalar)
-    _TRACE_CACHE[key] = total
-    return total
+    return _contract_letters(quiver, dim, components, True).scale(scalar)
 
 
 def trace_quantum(x: QPAElement, dim) -> WeylElement:
@@ -216,7 +218,7 @@ def verify_quantum_moment(quiver: Quiver, dim, r=None, name="qmoment") -> Verifi
         if p == q:
             weight = Fraction(-sum(dim[a.target] for a in quiver.arrows if a.source == i))
             if r is not None:
-                weight += fraction_coerce(r[i])
+                weight += as_fraction(r[i])
             if weight:
                 rhs = rhs + WeylElement.constant(
                     quiver, dim, HBarPolynomial((0, weight))

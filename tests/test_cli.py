@@ -175,3 +175,44 @@ def test_kernel_cli():
     assert code == 0
     assert "-14 + 2*r_0 + 2*r_1 + 2*r_2 + r_inf = 0" in out
     assert "14 + 4*r_0 + 2*r_1 + 2*r_2 = 0" in out
+
+
+def test_unknown_vertex_in_parameters_exits_2(capsys):
+    for argv in (
+        ("kernel", "-q", q("a3p"), "--dim", "0=2,1=2,2=2,inf=1", "--r", "zz=1"),
+        ("solve-chi", "-q", q("a2"), "--dim", "1=1,2=1", "--lambda", "zz=1"),
+        ("moment", "-q", q("jordan"), "--lambda", "zz=5"),
+        ("verify", "ideal", "-q", q("jordan"), "--dim", "v=1", "--r", "zz=1"),
+    ):
+        code, out = run(*argv)
+        assert code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown vertex 'zz'") and err.count("\n") == 1
+        assert out == ""
+
+
+def test_verify_rejects_flags_the_suite_does_not_read(capsys):
+    cases = [
+        (("verify", "qmoment", "--r", "v=5"), "--r"),
+        (("verify", "cubic", "-q", q("jordan"), "--dim", "v=1", "--lambda", "v=1"), "--lambda"),
+        (("verify", "pbw", "--cases", "1"), "--cases"),
+        (("verify", "gauge", "--cases", "1"), "--cases"),
+        (("verify", "lie", "-q", q("jordan"), "--dim", "v=1"), "--dim"),
+        (("verify", "cubic", "--dim", "v=1"), "--dim"),
+        (("verify", "ideal", "--r", "v=1"), "--r"),
+    ]
+    for argv, flag in cases:
+        code, out = run(*argv)
+        assert code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err and err.count("\n") == 1, argv
+        assert out == ""
+
+
+def test_verify_accepts_the_flags_the_suite_reads():
+    code, out = run("verify", "ideal", "-q", q("jordan"), "--dim", "v=1", "--r", "v=1")
+    assert code == 0
+    assert "summary: 2 ok, 0 failed" in out
+    code, out = run("verify", "qmoment", "-q", q("jordan"), "--dim", "v=1", "--json")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 4
