@@ -111,6 +111,8 @@ def _check_verify_flags(args) -> None:
             raise ExpressionError(f"verify {args.suite} does not take {flag}")
         if option != "cases" and not args.quiver:
             raise ExpressionError(f"{flag} needs a quiver file (-q)")
+    if args.cases is not None and args.cases <= 0:
+        raise ExpressionError(f"--cases must be a positive integer, got {args.cases}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -510,10 +510,6 @@ def parse_poly_element(quiver: Quiver, dim, text: str) -> PolyElement:
 # Printers
 
 
-def format_fraction(c: Fraction) -> str:
-    return str(c)
-
-
 def format_hbar(p: HBarPolynomial) -> str:
     return str(p)
 
@@ -545,10 +541,6 @@ def _join_terms(pieces) -> str:
     return out
 
 
-def format_letter(quiver: Quiver, letter: Letter) -> str:
-    return letter.name(quiver)
-
-
 def format_path(quiver: Quiver, path: Path) -> str:
     if path.is_trivial:
         return "e" + quiver.vertices[path.vertex]
@@ -558,7 +550,7 @@ def format_path(quiver: Quiver, path: Path) -> str:
 def _path_key(path: Path):
     if path.is_trivial:
         return (0, path.vertex, ())
-    return (1, len(path.letters), tuple((l.arrow, l.starred) for l in path.letters))
+    return (1, len(path.letters), path.letters)
 
 
 def format_path_element(x: PathAlgebraElement) -> str:
@@ -611,14 +603,7 @@ def format_config(quiver: Quiver, cfg: HeightConfiguration) -> str:
 
 
 def _config_key(cfg: HeightConfiguration):
-    return (
-        cfg.letter_count,
-        len(cfg.components),
-        tuple(
-            tuple((l.arrow, l.starred, h) for l, h in comp) for comp in cfg.components
-        ),
-        cfg.idempotents,
-    )
+    return (cfg.letter_count, len(cfg.components), cfg.components, cfg.idempotents)
 
 
 def format_qpa(x: QPAElement) -> str:

@@ -46,9 +46,39 @@ def idempotent_class(vertex: int) -> Necklace:
 
 
 def minimal_rotation_offset(letters) -> int:
-    keys = [(l.arrow, l.starred) for l in letters]
-    n = len(keys)
-    return min(range(n), key=lambda o: keys[o:] + keys[:o])
+    """Least offset of the lexicographically minimal rotation, in O(n).
+
+    Duval's Lyndon factorisation (J. Algorithms 4, 1983) run over the
+    doubled word: the minimal rotation starts at the last run of equal
+    Lyndon factors that begins in the first copy.
+    """
+    s = tuple(letters) * 2
+    n = len(s) // 2
+    i = start = 0
+    while i < n:
+        start = i
+        j, k = i + 1, i
+        while j < 2 * n:
+            a, b = s[k], s[j]
+            if a == b:
+                k += 1
+            elif a < b:
+                k = i
+            else:
+                break
+            j += 1
+        while i <= k:
+            i += j - k
+    return start
+
+
+def _check_cyclic(quiver: Quiver, letters) -> None:
+    n = len(letters)
+    for k in range(n):
+        if letters[k].source(quiver) != letters[(k + 1) % n].target(quiver):
+            raise CompositionError(
+                f"word is not cyclically composable at position {k}"
+            )
 
 
 def canonical_necklace(quiver: Quiver, letters) -> Necklace:
@@ -56,12 +86,7 @@ def canonical_necklace(quiver: Quiver, letters) -> Necklace:
     letters = tuple(letters)
     if not letters:
         raise CompositionError("empty word; use idempotent_class for trivial cycles")
-    n = len(letters)
-    for k in range(n):
-        if letters[k].source(quiver) != letters[(k + 1) % n].target(quiver):
-            raise CompositionError(
-                f"word is not cyclically composable at position {k}"
-            )
+    _check_cyclic(quiver, letters)
     off = minimal_rotation_offset(letters)
     return Necklace(None, letters[off:] + letters[:off])
 
@@ -70,14 +95,7 @@ def necklace_key(n: Necklace):
     """Basis order: idempotent classes first by vertex, then (length, letters)."""
     if n.is_idempotent:
         return (0, n.vertex, ())
-    return (1, len(n.letters), tuple((l.arrow, l.starred) for l in n.letters))
-
-
-def necklace_vertex(quiver: Quiver, n: Necklace) -> int:
-    """Basepoint vertex of the class: the target of the leading letter."""
-    if n.is_idempotent:
-        return n.vertex
-    return n.letters[0].target(quiver)
+    return (1, len(n.letters), n.letters)
 
 
 class HH0Element(LinearCombination):
@@ -130,6 +148,11 @@ def necklace_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
     if x.quiver != y.quiver:
         raise MismatchError("necklace_bracket operands live over different quivers")
     quiver = x.quiver
+    # a merge of two composable cycles at a contracted pair is composable,
+    # so only the operands are checked
+    for operand in (x, y):
+        for n in operand.terms:
+            _check_cyclic(quiver, n.letters)
     out = {}
     for n1, c1 in x.items():
         if n1.is_idempotent:
@@ -147,7 +170,8 @@ def necklace_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
                         continue
                     merged = a[i + 1 :] + a[:i] + b[j + 1 :] + b[:j]
                     if merged:
-                        key = canonical_necklace(quiver, merged)
+                        off = minimal_rotation_offset(merged)
+                        key = Necklace(None, merged[off:] + merged[:off])
                     else:
                         key = idempotent_class(a[(i + 1) % len(a)].target(quiver))
                     add_into(out, key, coeff * s)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import CompositionError, MismatchError, QuiverFormatError
 from .linear import LinearCombination
@@ -69,12 +70,12 @@ class Quiver:
             yield Letter(i, True)
 
 
-@dataclass(frozen=True, order=True)
-class Letter:
+class Letter(NamedTuple):
     """A letter of the doubled quiver: an arrow or its reverse.
 
     The field order (arrow index, star flag) is also the total letter order
     used everywhere for canonical rotations; plain sorts before starred.
+    As a named tuple a letter compares and hashes as that pair, in C.
     """
 
     arrow: int

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 from nhq.cli import main
@@ -216,3 +218,24 @@ def test_verify_accepts_the_flags_the_suite_reads():
     code, out = run("verify", "qmoment", "-q", q("jordan"), "--dim", "v=1", "--json")
     assert code == 0
     assert len(out.strip().splitlines()) == 4
+
+
+def test_verify_rejects_a_non_positive_case_count(capsys):
+    for argv in (("verify", "dirac", "--cases", "-3"), ("verify", "lie", "--cases", "0")):
+        code, out = run(*argv)
+        assert code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--cases" in err and err.count("\n") == 1, argv
+        assert out == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nhq", "bracket", "-q", q("jordan"), "[x]", "[x']"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[ev]"

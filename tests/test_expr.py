@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhq import ExpressionError, HBarPolynomial, Letter, Path, PathAlgebraElement
 from nhq.expr import (
@@ -14,7 +16,13 @@ from nhq.expr import (
     parse_qpa_element,
     tokenize,
 )
-from nhq.sampling import random_configuration, random_hh0, random_path_element
+from nhq.sampling import (
+    random_coefficient,
+    random_configuration,
+    random_hh0,
+    random_path_element,
+    random_quiver,
+)
 from nhq.schedler import straighten
 
 H = HBarPolynomial.h()
@@ -103,6 +111,19 @@ def test_round_trip_hh0(J, A3P):
         for _ in range(15):
             x = random_hh0(rng, q)
             assert parse_hh0_element(q, format_hh0(x)) == x
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_round_trip_property_on_sampled_elements(seed):
+    rng = random.Random(seed)
+    q = random_quiver(rng)
+    x = random_hh0(rng, q, max_len=6, max_terms=4)
+    x = x.scale(random_coefficient(rng, with_h=True))
+    assert parse_hh0_element(q, format_hh0(x)) == x
+    p = random_path_element(rng, q, max_len=6, max_terms=4)
+    p = p.scale(random_coefficient(rng, with_h=True))
+    assert parse_path_element(q, format_path_element(p)) == p
 
 
 def test_round_trip_qpa(J, A2, A3P):
