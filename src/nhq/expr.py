@@ -667,3 +667,18 @@ def format_poly(x: PolyElement) -> str:
             else:
                 pieces.append(f"{coeff}*{body}")
     return _join_terms(pieces)
+
+
+_PRINTERS = {
+    PathAlgebraElement: format_path_element,
+    HH0Element: format_hh0,
+    SymElement: format_sym,
+    QPAElement: format_qpa,
+    WeylElement: format_weyl,
+    PolyElement: format_poly,
+}
+
+
+def format_element(x) -> str:
+    """The canonical printer of ``x``'s element type, e.g. for a residual."""
+    return _PRINTERS[type(x)](x)

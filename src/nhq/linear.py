@@ -3,7 +3,13 @@
 Every element type in the package is a finite map from basis keys to exact
 coefficients with no stored zeros; this base class holds the common add,
 subtract, and scale machinery.  Subclasses carry their own context (the
-quiver, possibly a dimension vector) and their own products.
+quiver, possibly a dimension vector) in their ``__slots__`` and their own
+products.
+
+The public constructors coerce every coefficient to the ring's type, drop
+zeros and validate their keys.  Arithmetic results skip all of that through
+``_with_terms``, which trusts its argument: a fresh dict whose values are
+nonzero and already of the ring's type, never another element's ``terms``.
 """
 
 from __future__ import annotations
@@ -38,13 +44,20 @@ class LinearCombination:
                     data[key] = val
         object.__setattr__(self, "terms", data)
 
-    # Subclass hooks -------------------------------------------------------
+    # Element context ------------------------------------------------------
 
     def _context(self) -> tuple:
-        return ()
+        """The subclass's own slot values: ``(quiver,)`` or ``(quiver, dim)``."""
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def _with_terms(self, terms) -> "LinearCombination":
-        raise NotImplementedError
+        """An element of the same type and context holding ``terms`` as given,
+        with no coercion or zero filtering (see the module docstring)."""
+        out = object.__new__(type(self))
+        for name in self.__slots__:
+            object.__setattr__(out, name, getattr(self, name))
+        object.__setattr__(out, "terms", terms)
+        return out
 
     def _check_compatible(self, other) -> None:
         if type(other) is not type(self) or self._context() != other._context():

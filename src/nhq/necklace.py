@@ -107,12 +107,6 @@ class HH0Element(LinearCombination):
         object.__setattr__(self, "quiver", quiver)
         super().__init__(terms)
 
-    def _context(self):
-        return (self.quiver,)
-
-    def _with_terms(self, terms):
-        return HH0Element(self.quiver, terms)
-
     @classmethod
     def of(cls, quiver: Quiver, necklace: Necklace, coeff=1) -> "HH0Element":
         return cls(quiver, {necklace: coeff})
@@ -132,7 +126,7 @@ def natural_projection(x: PathAlgebraElement) -> HH0Element:
 
 def bracket_sign(u: Letter, v: Letter) -> int:
     """{u, v} on letters: +1 when v = u', -1 when u = v', else 0."""
-    if v != u.star():
+    if u.arrow != v.arrow or u.starred == v.starred:
         return 0
     return -1 if u.starred else 1
 
@@ -175,7 +169,7 @@ def necklace_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
                     else:
                         key = idempotent_class(a[(i + 1) % len(a)].target(quiver))
                     add_into(out, key, coeff * s)
-    return HH0Element(quiver, out)
+    return x._with_terms(out)
 
 
 class TensorElement(LinearCombination):
@@ -187,15 +181,9 @@ class TensorElement(LinearCombination):
         object.__setattr__(self, "quiver", quiver)
         super().__init__(terms)
 
-    def _context(self):
-        return (self.quiver,)
-
-    def _with_terms(self, terms):
-        return TensorElement(self.quiver, terms)
-
     def swap(self) -> "TensorElement":
         """Exchange the tensor factors."""
-        return TensorElement(self.quiver, {(q, p): c for (p, q), c in self.items()})
+        return self._with_terms({(q, p): c for (p, q), c in self.items()})
 
     def mult(self) -> PathAlgebraElement:
         """Multiply the two factors together inside the path algebra."""

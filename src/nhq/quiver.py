@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import CompositionError, MismatchError, QuiverFormatError
-from .linear import LinearCombination
+from .linear import LinearCombination, add_into
 
 NAME_PATTERN = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -164,12 +164,6 @@ class PathAlgebraElement(LinearCombination):
         object.__setattr__(self, "quiver", quiver)
         super().__init__(terms)
 
-    def _context(self):
-        return (self.quiver,)
-
-    def _with_terms(self, terms):
-        return PathAlgebraElement(self.quiver, terms)
-
     @classmethod
     def zero(cls, quiver: Quiver) -> "PathAlgebraElement":
         return cls(quiver)
@@ -192,10 +186,7 @@ class PathAlgebraElement(LinearCombination):
             return path_mul(self, other)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        if isinstance(other, PathAlgebraElement):
-            return path_mul(other, self)
-        return self.scale(other)
+    __rmul__ = LinearCombination.scale
 
 
 def path_mul(x: PathAlgebraElement, y: PathAlgebraElement) -> PathAlgebraElement:
@@ -207,15 +198,9 @@ def path_mul(x: PathAlgebraElement, y: PathAlgebraElement) -> PathAlgebraElement
     for p, cp in x.items():
         for q, cq in y.items():
             pq = compose_paths(quiver, p, q)
-            if pq is None:
-                continue
-            cur = out.get(pq)
-            val = cp * cq if cur is None else cur + cp * cq
-            if val:
-                out[pq] = val
-            elif cur is not None:
-                del out[pq]
-    return PathAlgebraElement(quiver, out)
+            if pq is not None:
+                add_into(out, pq, cp * cq)
+    return x._with_terms(out)
 
 
 # ---------------------------------------------------------------------------

@@ -75,12 +75,6 @@ class PolyElement(LinearCombination):
         object.__setattr__(self, "dim", tuple(dim))
         super().__init__(terms)
 
-    def _context(self):
-        return (self.quiver, self.dim)
-
-    def _with_terms(self, terms):
-        return PolyElement(self.quiver, self.dim, terms)
-
     @classmethod
     def constant(cls, quiver, dim, c) -> "PolyElement":
         return cls(quiver, dim, {(): c})
@@ -95,7 +89,7 @@ class PolyElement(LinearCombination):
             return poly_mul(self, other)
         return self.scale(other)
 
-    __rmul__ = __mul__
+    __rmul__ = LinearCombination.scale
 
 
 def _merge_exponents(m1, m2):
@@ -112,7 +106,7 @@ def poly_mul(x: PolyElement, y: PolyElement) -> PolyElement:
     for m1, c1 in x.items():
         for m2, c2 in y.items():
             add_into(out, _merge_exponents(m1, m2), c1 * c2)
-    return PolyElement(x.quiver, x.dim, out)
+    return x._with_terms(out)
 
 
 def poly_partial(f: PolyElement, var) -> PolyElement:
@@ -123,7 +117,7 @@ def poly_partial(f: PolyElement, var) -> PolyElement:
                 continue
             rest = mono[:k] + ((w, exp - 1),) + mono[k + 1 :] if exp > 1 else mono[:k] + mono[k + 1 :]
             add_into(out, rest, coeff * exp)
-    return PolyElement(f.quiver, f.dim, out)
+    return f._with_terms(out)
 
 
 def poisson(f: PolyElement, g: PolyElement) -> PolyElement:
@@ -176,12 +170,6 @@ class WeylElement(LinearCombination):
         object.__setattr__(self, "dim", tuple(dim))
         super().__init__(terms)
 
-    def _context(self):
-        return (self.quiver, self.dim)
-
-    def _with_terms(self, terms):
-        return WeylElement(self.quiver, self.dim, terms)
-
     @classmethod
     def constant(cls, quiver, dim, c) -> "WeylElement":
         return cls(quiver, dim, {((), ()): c})
@@ -209,16 +197,13 @@ class WeylElement(LinearCombination):
             return weyl_mul(self, other)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        if isinstance(other, WeylElement):
-            return weyl_mul(other, self)
-        return self.scale(other)
+    __rmul__ = LinearCombination.scale
 
     def is_divisible_by_h(self) -> bool:
         return all(v.is_divisible_by_h() for v in self.terms.values())
 
     def div_h(self) -> "WeylElement":
-        return WeylElement(self.quiver, self.dim, {k: v.div_h() for k, v in self.items()})
+        return self._with_terms({k: v.div_h() for k, v in self.items()})
 
     def rees_degrees(self) -> set:
         """All h-grading degrees present: derivative count plus h power."""
@@ -280,7 +265,7 @@ def weyl_mul(x: WeylElement, y: WeylElement) -> WeylElement:
             c12 = c1 * c2
             for mono, k, factor in _weyl_mono_mul(m1, m2):
                 add_into(out, mono, (c12 * factor).shift(k))
-    return WeylElement(x.quiver, x.dim, out)
+    return x._with_terms(out)
 
 
 def weyl_commutator(x: WeylElement, y: WeylElement) -> WeylElement:
@@ -322,12 +307,6 @@ class GlElement(LinearCombination):
                 raise DimensionError(f"e^{i}_{{{p},{q}}} out of range")
         super().__init__(terms)
 
-    def _context(self):
-        return (self.quiver, self.dim)
-
-    def _with_terms(self, terms):
-        return GlElement(self.quiver, self.dim, terms)
-
     @classmethod
     def elementary(cls, quiver, dim, i, p, q, coeff=1) -> "GlElement":
         return cls(quiver, dim, {(i, p, q): coeff})
@@ -360,7 +339,7 @@ def gl_commutator(v: GlElement, w: GlElement) -> GlElement:
                 add_into(out, (i, p, t), a * b)
             if t == p:
                 add_into(out, (i, u, q), -(a * b))
-    return GlElement(v.quiver, v.dim, out)
+    return v._with_terms(out)
 
 
 def tau(quiver: Quiver, dim, v: GlElement) -> WeylElement:

@@ -286,12 +286,6 @@ class QPAElement(LinearCombination):
         object.__setattr__(self, "quiver", quiver)
         super().__init__(terms)
 
-    def _context(self):
-        return (self.quiver,)
-
-    def _with_terms(self, terms):
-        return QPAElement(self.quiver, terms)
-
     @classmethod
     def unit(cls, quiver: Quiver) -> "QPAElement":
         return cls(quiver, {HeightConfiguration((), ()): 1})
@@ -301,13 +295,10 @@ class QPAElement(LinearCombination):
             return qpa_mul(self, other)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        if isinstance(other, QPAElement):
-            return qpa_mul(other, self)
-        return self.scale(other)
+    __rmul__ = LinearCombination.scale
 
     def div_h(self) -> "QPAElement":
-        return QPAElement(self.quiver, {k: v.div_h() for k, v in self.items()})
+        return self._with_terms({k: v.div_h() for k, v in self.items()})
 
     def is_divisible_by_h(self) -> bool:
         return all(v.is_divisible_by_h() for v in self.terms.values())
@@ -368,7 +359,7 @@ def qpa_mul(x: QPAElement, y: QPAElement) -> QPAElement:
             coeff = cx * cy
             for cfg, c in _straighten_parts(quiver, comps, idems):
                 add_into(out, cfg, coeff * c)
-    return QPAElement(quiver, out)
+    return x._with_terms(out)
 
 
 def qpa_comm(x: QPAElement, y: QPAElement) -> QPAElement:
@@ -392,12 +383,6 @@ class SymElement(LinearCombination):
         object.__setattr__(self, "quiver", quiver)
         super().__init__(terms)
 
-    def _context(self):
-        return (self.quiver,)
-
-    def _with_terms(self, terms):
-        return SymElement(self.quiver, terms)
-
     @classmethod
     def of(cls, quiver: Quiver, necklaces, coeff=1) -> "SymElement":
         return cls(quiver, {make_sym_monomial(necklaces): coeff})
@@ -407,7 +392,7 @@ class SymElement(LinearCombination):
             return sym_mul(self, other)
         return self.scale(other)
 
-    __rmul__ = __mul__
+    __rmul__ = LinearCombination.scale
 
     def constant_part(self) -> "SymElement":
         """Reduce coefficients mod h."""
@@ -424,7 +409,7 @@ def sym_mul(x: SymElement, y: SymElement) -> SymElement:
     for m1, c1 in x.items():
         for m2, c2 in y.items():
             add_into(out, make_sym_monomial(m1 + m2), c1 * c2)
-    return SymElement(x.quiver, out)
+    return x._with_terms(out)
 
 
 def lift(m: SymElement) -> QPAElement:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .expr import format_element, format_necklace, format_poly
 from .necklace import double_bracket, necklace_bracket
 from .quiver import Letter, Path, PathAlgebraElement, Quiver
 from .repspace import (
@@ -61,10 +62,17 @@ from .trace import (
 )
 
 
-def _report(name: str, ok: bool, residual: str | None = None) -> VerificationReport:
-    if ok:
-        return VerificationReport(name, "verified")
-    return VerificationReport(name, "failed", residual=residual or "nonzero")
+def _report(name: str, differences) -> VerificationReport:
+    """Verified when every difference element is zero.  ``differences``
+    yields ``(note, difference)`` pairs; the first nonzero difference is the
+    failed report's residual, and its note (if any) says where it arose."""
+    for note, difference in differences:
+        if not difference.is_zero():
+            return VerificationReport(
+                name, "failed", residual=format_element(difference),
+                notes=(note,) if note else (),
+            )
+    return VerificationReport(name, "verified")
 
 
 def suite_dirac(seed: int, cases: int, quiver: Quiver | None = None) -> list:
@@ -78,12 +86,12 @@ def suite_dirac(seed: int, cases: int, quiver: Quiver | None = None) -> list:
         comm = qpa_comm(lift_necklace_combination(x), lift_necklace_combination(y))
         name = f"dirac[{k}]"
         if not comm.is_divisible_by_h():
-            reports.append(_report(name, False, "commutator not divisible by h"))
+            reports.append(_report(name, [("commutator is not divisible by h", comm)]))
             continue
         lhs = project(comm.div_h().scale(-1)).constant_part()
         rhs = lift_necklace_combination(necklace_bracket(x, y))
         rhs_sym = project(rhs).constant_part()
-        reports.append(_report(name, lhs == rhs_sym))
+        reports.append(_report(name, [(None, lhs - rhs_sym)]))
     return reports
 
 
@@ -100,7 +108,7 @@ def suite_pbw(
     for k in range(section_cases):
         q = quiver if quiver is not None else random_quiver(rng)
         m = random_sym_element(rng, q)
-        reports.append(_report(f"pbw-section[{k}]", project(lift(m)) == m))
+        reports.append(_report(f"pbw-section[{k}]", [(None, project(lift(m)) - m)]))
     for k in range(confluence_cases):
         q = quiver if quiver is not None else random_quiver(rng)
         cfg = random_configuration(rng, q, max_letters=8)
@@ -109,14 +117,17 @@ def suite_pbw(
             for strategy in ("first", "last", "middle")
         ]
         results.append(straighten(q, cfg, strategy="random", rng=random.Random(seed + k)))
-        ok = all(r == results[0] for r in results[1:])
-        reports.append(_report(f"pbw-confluence[{k}]", ok))
+        differences = [
+            (f"strategy {strategy} against first", r - results[0])
+            for strategy, r in zip(("last", "middle", "random"), results[1:])
+        ]
+        reports.append(_report(f"pbw-confluence[{k}]", differences))
     for k in range(assoc_cases):
         q = quiver if quiver is not None else random_quiver(rng)
         xs = [lift_necklace(q, random_necklace(rng, q, 4)) for _ in range(3)]
         lhs = qpa_mul(qpa_mul(xs[0], xs[1]), xs[2])
         rhs = qpa_mul(xs[0], qpa_mul(xs[1], xs[2]))
-        reports.append(_report(f"pbw-assoc[{k}]", lhs == rhs))
+        reports.append(_report(f"pbw-assoc[{k}]", [(None, lhs - rhs)]))
     return reports
 
 
@@ -135,7 +146,8 @@ def suite_lie(seed: int, cases: int, quiver: Quiver | None = None) -> list:
             + necklace_bracket(z, necklace_bracket(x, y))
             + necklace_bracket(y, necklace_bracket(z, x))
         )
-        reports.append(_report(f"lie[{k}]", anti.is_zero() and jac.is_zero()))
+        differences = [("antisymmetry", anti), ("Jacobi identity", jac)]
+        reports.append(_report(f"lie[{k}]", differences))
     return reports
 
 
@@ -224,19 +236,26 @@ def suite_ideal(
                 ReductionParameters(r, _orthogonal_lambda(d)),
             ]
         for pidx, prm in enumerate(param_list):
-            ok = True
-            for necklace, vertex, mark in enumerate_generators(q, max_len):
-                dec = decompose_ideal_image(q, d, necklace, vertex, mark, prm)
-                if dec.chi_value is None:
-                    if not (dec.target - dec.re_expand(Fraction(0))).is_zero():
-                        ok = False
-                elif not dec.verified:
-                    ok = False
-            reports.append(_report(f"ideal-decompose[{idx}.{pidx}]", ok))
+            reports.append(
+                _report(f"ideal-decompose[{idx}.{pidx}]", _ideal_differences(q, d, max_len, prm))
+            )
             chi_report, solved = solve_chi(q, d, prm)
             chi_report.name = f"ideal-chi[{idx}.{pidx}]"
             reports.append(chi_report)
     return reports
+
+
+def _ideal_differences(quiver: Quiver, dim, max_len: int, params):
+    """Traced generator minus its re-expansion, for each short generator
+    whose decomposition does not verify."""
+    for necklace, vertex, mark in enumerate_generators(quiver, max_len):
+        dec = decompose_ideal_image(quiver, dim, necklace, vertex, mark, params)
+        if not dec.verified:
+            note = (
+                f"generator {format_necklace(quiver, necklace)} at vertex "
+                f"{quiver.vertices[vertex]}, mark {mark}"
+            )
+            yield note, dec.target - dec.re_expand()
 
 
 def suite_invariance(seed: int, cases: int, quiver: Quiver | None = None, dim=None) -> list:
@@ -270,19 +289,20 @@ def suite_poisson(quiver: Quiver | None = None, dim=None) -> list:
         else [(q, d) for q in small_quivers() for d in all_dimension_vectors(q, 2)]
     )
     for idx, (q, d) in enumerate(targets):
-        ok = True
-        coords = list(_coordinate_vars(q, d))
-        for v1 in coords:
-            for v2 in coords:
-                direct = poisson(
-                    PolyElement.coordinate(q, d, *v1),
-                    PolyElement.coordinate(q, d, *v2),
-                )
-                via = _poisson_via_double_bracket(q, d, v1, v2)
-                if not (direct - via).is_zero():
-                    ok = False
-        reports.append(_report(f"poisson[{idx}]", ok))
+        reports.append(_report(f"poisson[{idx}]", _poisson_differences(q, d)))
     return reports
+
+
+def _poisson_differences(quiver: Quiver, dim):
+    """Each nonzero direct coordinate bracket minus its double-bracket evaluation."""
+    coords = list(_coordinate_vars(quiver, dim))
+    for v1 in coords:
+        for v2 in coords:
+            f1 = PolyElement.coordinate(quiver, dim, *v1)
+            f2 = PolyElement.coordinate(quiver, dim, *v2)
+            diff = poisson(f1, f2) - _poisson_via_double_bracket(quiver, dim, v1, v2)
+            if diff:
+                yield f"{{{format_poly(f1)}, {format_poly(f2)}}}", diff
 
 
 def _poisson_via_double_bracket(quiver: Quiver, dim, v1, v2) -> PolyElement:
@@ -309,27 +329,32 @@ def suite_gauge(quiver: Quiver | None = None, dim=None) -> list:
         else [(q, d) for q in (jordan(), a2(), two_loop()) for d in all_dimension_vectors(q, 2)]
     )
     for idx, (q, d) in enumerate(targets):
-        ok = True
-        for (i, p, qq) in gl_basis(q, d):
-            e = GlElement.elementary(q, d, i, qq, p)
-            t = tau(q, d, e)
-            for var in _coordinate_vars(q, d):
-                ai, starred, row, col = var
-                f = PolyElement.coordinate(q, d, *var)
-                if starred:
-                    lifted = WeylElement.derivative(q, d, ai, col, row)
-                else:
-                    lifted = WeylElement.position(q, d, ai, row, col)
-                comm = weyl_commutator(t, lifted)
-                if not comm.is_divisible_by_h():
-                    ok = False
-                    continue
-                induced = classical_symbol(comm.div_h())
-                direct = gauge_act(q, d, i, p, qq, f)
-                if not (induced - direct).is_zero():
-                    ok = False
-        reports.append(_report(f"gauge[{idx}]", ok))
+        reports.append(_report(f"gauge[{idx}]", _gauge_differences(q, d)))
     return reports
+
+
+def _gauge_differences(quiver: Quiver, dim):
+    """Each nonzero induced minus direct gauge action, per gl basis element
+    and coordinate; a tau commutator not divisible by h is itself the
+    difference."""
+    for (i, p, qq) in gl_basis(quiver, dim):
+        e = GlElement.elementary(quiver, dim, i, qq, p)
+        t = tau(quiver, dim, e)
+        for var in _coordinate_vars(quiver, dim):
+            ai, starred, row, col = var
+            f = PolyElement.coordinate(quiver, dim, *var)
+            if starred:
+                lifted = WeylElement.derivative(quiver, dim, ai, col, row)
+            else:
+                lifted = WeylElement.position(quiver, dim, ai, row, col)
+            comm = weyl_commutator(t, lifted)
+            if comm.is_divisible_by_h():
+                diff = classical_symbol(comm.div_h()) - gauge_act(quiver, dim, i, p, qq, f)
+                what = ""
+            else:
+                diff, what = comm, ": commutator is not divisible by h"
+            if diff:
+                yield f"e^{quiver.vertices[i]}_{{{qq},{p}}} on {format_poly(f)}{what}", diff
 
 
 SUITES = {

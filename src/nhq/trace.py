@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .expr import format_element
 from .necklace import HH0Element, Necklace
 from .quiver import Quiver
 from .repspace import (
@@ -158,14 +159,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _residual_str(element) -> str:
-    from .expr import format_weyl  # local import; expr pulls in many types
-
-    if isinstance(element, WeylElement):
-        return format_weyl(element)
-    return repr(element)
-
-
 def verify_trace_homomorphism(x: QPAElement, y: QPAElement, dim, name="trace-hom") -> VerificationReport:
     """Check Tr_q(x * y) = Tr_q(x) Tr_q(y) exactly."""
     lhs = trace_quantum(qpa_mul(x, y), dim)
@@ -173,7 +166,7 @@ def verify_trace_homomorphism(x: QPAElement, y: QPAElement, dim, name="trace-hom
     res = lhs - rhs
     if res.is_zero():
         return VerificationReport(name, "verified")
-    return VerificationReport(name, "failed", residual=_residual_str(res))
+    return VerificationReport(name, "failed", residual=format_element(res))
 
 
 def verify_cubic(x: HH0Element, y: HH0Element, dim, name="cubic") -> VerificationReport:
@@ -188,7 +181,7 @@ def verify_cubic(x: HH0Element, y: HH0Element, dim, name="cubic") -> Verificatio
     comm = weyl_commutator(tx, ty)
     if not comm.is_divisible_by_h():
         return VerificationReport(
-            name, "failed", residual=_residual_str(comm),
+            name, "failed", residual=format_element(comm),
             notes=("commutator is not divisible by h",),
         )
     lhs = classical_symbol(-comm.div_h())
@@ -196,9 +189,7 @@ def verify_cubic(x: HH0Element, y: HH0Element, dim, name="cubic") -> Verificatio
     res = lhs - rhs
     if res.is_zero():
         return VerificationReport(name, "verified")
-    from .expr import format_poly
-
-    return VerificationReport(name, "failed", residual=format_poly(res))
+    return VerificationReport(name, "failed", residual=format_element(res))
 
 
 def lift_necklace_combination(x: HH0Element) -> QPAElement:
@@ -232,7 +223,7 @@ def verify_quantum_moment(quiver: Quiver, dim, r=None, name="qmoment") -> Verifi
     return VerificationReport(
         name,
         "failed",
-        residual=_residual_str(res),
+        residual=format_element(res),
         notes=(f"first failing basis element e^{key[0]}_{{{key[1]},{key[2]}}}",),
     )
 
@@ -242,7 +233,7 @@ def verify_equivariance(v: GlElement, x: QPAElement, dim, name="invariance") -> 
     res = weyl_commutator(tau(x.quiver, dim, v), trace_quantum(x, dim))
     if res.is_zero():
         return VerificationReport(name, "verified")
-    return VerificationReport(name, "failed", residual=_residual_str(res))
+    return VerificationReport(name, "failed", residual=format_element(res))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +281,7 @@ class IdealDecomposition:
         return VerificationReport(
             name,
             "failed",
-            residual=_residual_str(self.target - self.re_expand()),
+            residual=format_element(self.target - self.re_expand()),
         )
 
 

@@ -19,11 +19,13 @@ from nhq.expr import (
 from nhq.sampling import (
     random_coefficient,
     random_configuration,
+    random_dimension,
     random_hh0,
     random_path_element,
     random_quiver,
 )
 from nhq.schedler import straighten
+from nhq.trace import lift_necklace_combination, trace_classical, trace_quantum
 
 H = HBarPolynomial.h()
 
@@ -124,6 +126,22 @@ def test_round_trip_property_on_sampled_elements(seed):
     p = random_path_element(rng, q, max_len=6, max_terms=4)
     p = p.scale(random_coefficient(rng, with_h=True))
     assert parse_path_element(q, format_path_element(p)) == p
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_round_trip_property_on_sampled_traces(seed):
+    from nhq.expr import parse_poly_element, parse_weyl_element
+
+    rng = random.Random(seed)
+    q = random_quiver(rng)
+    dim = random_dimension(rng, q, max_dim=2)
+    x = random_hh0(rng, q, max_len=4, max_terms=3)
+    c = random_coefficient(rng, with_h=True)
+    w = trace_quantum(lift_necklace_combination(x), dim).scale(c)
+    assert parse_weyl_element(q, dim, format_weyl(w)) == w
+    p = trace_classical(x, dim).scale(c.constant_term())
+    assert parse_poly_element(q, dim, format_poly(p)) == p
 
 
 def test_round_trip_qpa(J, A2, A3P):

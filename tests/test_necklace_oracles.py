@@ -3,7 +3,9 @@
 ``minimal_rotation_offset`` (Duval's algorithm) is compared with a minimum
 over all n rotations, and ``necklace_bracket`` (one composability check per
 operand, rotation per merge) with the bracket that canonicalised every merge
-through a full check and the brute-force rotation.
+through a full check and the brute-force rotation.  ``bracket_sign``, which
+compares letter fields, is checked against its definition through
+``Letter.star``.
 """
 
 import random
@@ -28,6 +30,13 @@ SETTINGS = settings(max_examples=300, derandomize=True, database=None, deadline=
 
 
 # -- references --------------------------------------------------------------
+
+
+def reference_bracket_sign(u: Letter, v: Letter) -> int:
+    """{u, v} on letters by its definition: +1 when v = u', -1 when u = v'."""
+    if v != u.star():
+        return 0
+    return -1 if u.starred else 1
 
 
 def brute_force_rotation_offset(letters) -> int:
@@ -61,7 +70,7 @@ def reference_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
             b = n2.letters
             for i, ai in enumerate(a):
                 for j, bj in enumerate(b):
-                    s = bracket_sign(ai, bj)
+                    s = reference_bracket_sign(ai, bj)
                     if s == 0:
                         continue
                     merged = a[i + 1 :] + a[:i] + b[j + 1 :] + b[:j]
@@ -120,6 +129,17 @@ def test_minimal_rotation_of_periodic_words_takes_the_least_offset():
 
 
 # -- necklace bracket --------------------------------------------------------
+
+
+def test_bracket_sign_matches_its_definition_on_every_letter_pair():
+    pairs = 0
+    for quiver in small_quivers():
+        letters = list(quiver.letters())
+        for u in letters:
+            for v in letters:
+                assert bracket_sign(u, v) == reference_bracket_sign(u, v), (u, v)
+                pairs += bool(bracket_sign(u, v))
+    assert pairs == 2 * sum(len(q.arrows) for q in small_quivers())
 
 
 def test_bracket_matches_reference_on_small_quivers():
