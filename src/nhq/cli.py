@@ -20,10 +20,10 @@ from .errors import (
 )
 from .expr import (
     format_hh0,
-    format_path,
     format_path_element,
     format_poly,
     format_qpa,
+    format_tensor,
     format_weyl,
     parse_hh0_element,
     parse_path_element,
@@ -202,16 +202,7 @@ def _dispatch(args) -> int:
         elif verb == "dbracket":
             x = parse_path_element(quiver, args.x)
             y = parse_path_element(quiver, args.y)
-            result = double_bracket(x, y)
-            pieces = []
-            from .expr import _coeff_body, _join_terms  # canonical term joiner
-
-            for (p1, p2), coeff in sorted(
-                result.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))
-            ):
-                body = f"{format_path(quiver, p1)} (x) {format_path(quiver, p2)}"
-                pieces.append(_coeff_body(coeff, body))
-            print(_join_terms(pieces))
+            print(format_tensor(double_bracket(x, y)))
         elif verb == "qmul":
             x = parse_qpa_element(quiver, args.x)
             y = parse_qpa_element(quiver, args.y)

@@ -11,12 +11,14 @@ re-parses to an equal element.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import ExpressionError
 from .necklace import (
     HH0Element,
     Necklace,
+    TensorElement,
     natural_projection,
     necklace_key,
 )
@@ -84,6 +86,29 @@ class _Stream:
 
     def done(self):
         return self.k >= len(self.tokens)
+
+
+def _read_exponent(stream: _Stream):
+    """Consume ``^n`` and return n, or None when no ``^`` follows."""
+    if stream.peek()[1] != "^":
+        return None
+    stream.next()
+    kind, val, pos = stream.next()
+    if kind != "int":
+        raise ExpressionError("expected an integer exponent", pos)
+    return int(val)
+
+
+def _power(x, n: int, one, mul):
+    """x^n by square-and-multiply; x^0 is ``one``, the unit of ``mul``."""
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return out
 
 
 def _parse_rational(stream: _Stream, num: int) -> HBarPolynomial:
@@ -166,23 +191,14 @@ class _Evaluator:
         raise ExpressionError(f"unexpected {val!r}", pos)
 
     def _maybe_power(self, kind, value):
-        if self.stream.peek()[1] != "^":
+        pos = self.stream.peek()[2]
+        exponent = _read_exponent(self.stream)
+        if exponent is None:
             return kind, value
-        _, _, pos = self.stream.next()
-        ekind, eval_, epos = self.stream.next()
-        if ekind != "int":
-            raise ExpressionError("expected an integer exponent", epos)
-        exponent = int(eval_)
         if kind == _SCALAR:
-            out = HBarPolynomial.one()
-            for _ in range(exponent):
-                out = out * value
-            return kind, out
+            return kind, _power(value, exponent, HBarPolynomial.one(), operator.mul)
         if kind == _PATH:
-            out = PathAlgebraElement.unit(self.quiver)
-            for _ in range(exponent):
-                out = path_mul(out, value)
-            return kind, out
+            return kind, _power(value, exponent, PathAlgebraElement.unit(self.quiver), path_mul)
         raise ExpressionError("exponent applies to scalars and paths only", pos)
 
     def _resolve_name(self, name, pos):
@@ -250,14 +266,8 @@ def _parse_scalar_tokens(stream: _Stream, quiver: Quiver):
     if kind == "int":
         return _parse_rational(stream, int(val))
     if kind == "name" and val == "h":
-        power = 1
-        if stream.peek()[1] == "^":
-            stream.next()
-            ekind, eval_, epos = stream.next()
-            if ekind != "int":
-                raise ExpressionError("expected an integer exponent", epos)
-            power = int(eval_)
-        return HBarPolynomial.h(power)
+        power = _read_exponent(stream)
+        return HBarPolynomial.h(1 if power is None else power)
     if val == "(":
         total = _parse_scalar_sum(stream, quiver)
         stream.expect(")")
@@ -398,6 +408,12 @@ def _parse_entry_indices(stream: _Stream):
     return int(rval), int(cval)
 
 
+def _with_exponent(stream: _Stream, factor, one):
+    """``factor``, raised to the exponent when ``^n`` follows."""
+    exponent = _read_exponent(stream)
+    return factor if exponent is None else _power(factor, exponent, one, operator.mul)
+
+
 def _parse_operator_sum(stream, quiver, dim, parse_factor, one):
     sign = 1
     if stream.peek()[1] == "-":
@@ -447,16 +463,7 @@ def parse_weyl_element(quiver: Quiver, dim, text: str) -> WeylElement:
             out = WeylElement.derivative(quiver, dim, quiver.arrow_index(name), row, col)
         else:
             return one.scale(_parse_scalar_tokens(stream, quiver))
-        if stream.peek()[1] == "^":
-            stream.next()
-            ekind, eval_, epos = stream.next()
-            if ekind != "int":
-                raise ExpressionError("expected an integer exponent", epos)
-            power = out
-            for _ in range(int(eval_) - 1):
-                power = power * out
-            out = power
-        return out
+        return _with_exponent(stream, out, one)
 
     result = _parse_operator_sum(stream, quiver, dim, factor, one)
     if not stream.done():
@@ -484,16 +491,7 @@ def parse_poly_element(quiver: Quiver, dim, text: str) -> PolyElement:
             out = PolyElement.coordinate(
                 quiver, dim, quiver.arrow_index(name), starred, row, col
             )
-            if stream.peek()[1] == "^":
-                stream.next()
-                ekind, eval_, epos = stream.next()
-                if ekind != "int":
-                    raise ExpressionError("expected an integer exponent", epos)
-                power = out
-                for _ in range(int(eval_) - 1):
-                    power = power * out
-                out = power
-            return out
+            return _with_exponent(stream, out, one)
         scalar = _parse_scalar_tokens(stream, quiver)
         if scalar.degree > 0:
             raise ExpressionError("polynomials have no h dependence", pos)
@@ -557,6 +555,14 @@ def format_path_element(x: PathAlgebraElement) -> str:
     pieces = [
         _coeff_body(coeff, format_path(x.quiver, path))
         for path, coeff in sorted(x.items(), key=lambda kv: _path_key(kv[0]))
+    ]
+    return _join_terms(pieces)
+
+
+def format_tensor(x: TensorElement) -> str:
+    pieces = [
+        _coeff_body(coeff, f"{format_path(x.quiver, p)} (x) {format_path(x.quiver, q)}")
+        for (p, q), coeff in sorted(x.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
     ]
     return _join_terms(pieces)
 
@@ -671,6 +677,7 @@ def format_poly(x: PolyElement) -> str:
 
 _PRINTERS = {
     PathAlgebraElement: format_path_element,
+    TensorElement: format_tensor,
     HH0Element: format_hh0,
     SymElement: format_sym,
     QPAElement: format_qpa,

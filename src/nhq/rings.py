@@ -1,8 +1,13 @@
 """Exact coefficient arithmetic: rationals and dense polynomials in h.
 
-Every identity in this package is checked by exact equality, so scalars are
-``fractions.Fraction`` values and the deformation parameter h stays a formal
-polynomial variable.  Nothing here ever becomes a float.
+Every identity in this package is checked by exact equality, and the
+deformation parameter h stays a formal polynomial variable.  Scalars are
+``int`` when integral and ``fractions.Fraction`` otherwise: almost every
+coefficient that normal ordering and straightening produce is an integer,
+and ``Fraction(2) == 2`` with the same hash and ``str``, so both forms
+compare, hash and print alike.  The accessors ``coefficient`` and
+``constant_term`` return a ``Fraction``, so a quotient of two of them is
+exact.  Nothing here ever becomes a float.
 """
 
 from __future__ import annotations
@@ -18,20 +23,48 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _exact(value):
+    """``value`` validated by ``as_fraction``, as an ``int`` when integral."""
+    if type(value) is int:
+        return value
+    value = as_fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 class HBarPolynomial:
     """Polynomial in h over the rationals, stored densely by degree.
 
     No trailing zero coefficients are kept; the zero polynomial has an empty
-    coefficient tuple.  Instances are immutable and hashable.
+    coefficient tuple.  Each coefficient is an ``int`` or a non-integral
+    ``Fraction``.  Instances are immutable and hashable.
+
+    The public constructor validates every coefficient.  Arithmetic results
+    skip that through ``_with_coeffs``, which trusts its argument.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        buf = [as_fraction(c) for c in coeffs]
+        buf = [_exact(c) for c in coeffs]
         while buf and buf[-1] == 0:
             buf.pop()
         object.__setattr__(self, "coeffs", tuple(buf))
+
+    @staticmethod
+    def _with_coeffs(buf) -> "HBarPolynomial":
+        """A polynomial holding ``buf``, a fresh list of ``int`` and
+        ``Fraction`` values made by this ring's arithmetic: trailing zeros
+        are trimmed and integral ``Fraction`` values become ``int``, with no
+        further validation."""
+        while buf and not buf[-1]:
+            buf.pop()
+        out = object.__new__(HBarPolynomial)
+        object.__setattr__(
+            out,
+            "coeffs",
+            tuple([c if type(c) is int or c.denominator != 1 else c.numerator for c in buf]),
+        )
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("HBarPolynomial is immutable")
@@ -56,7 +89,7 @@ class HBarPolynomial:
     def coerce(value) -> "HBarPolynomial":
         if isinstance(value, HBarPolynomial):
             return value
-        return HBarPolynomial((as_fraction(value),))
+        return HBarPolynomial((value,))
 
     # -- structure ---------------------------------------------------------
 
@@ -70,7 +103,7 @@ class HBarPolynomial:
 
     def coefficient(self, k: int) -> Fraction:
         if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+            return Fraction(self.coeffs[k])
         return Fraction(0)
 
     def constant_term(self) -> Fraction:
@@ -83,48 +116,56 @@ class HBarPolynomial:
         """Exact division by h; raises if the constant term is nonzero."""
         if not self.is_divisible_by_h():
             raise ArithmeticError(f"{self} is not divisible by h")
-        return HBarPolynomial(self.coeffs[1:])
+        return HBarPolynomial._with_coeffs(list(self.coeffs[1:]))
 
     def shift(self, k: int) -> "HBarPolynomial":
         """Multiply by h**k."""
         if not self.coeffs or k == 0:
             return self
-        return HBarPolynomial((0,) * k + self.coeffs)
+        return HBarPolynomial._with_coeffs([0] * k + list(self.coeffs))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "HBarPolynomial":
-        other = HBarPolynomial.coerce(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.coeffs, HBarPolynomial.coerce(other).coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return HBarPolynomial(out)
+        return HBarPolynomial._with_coeffs(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "HBarPolynomial":
-        return HBarPolynomial(tuple(-c for c in self.coeffs))
+        return HBarPolynomial._with_coeffs([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "HBarPolynomial":
-        return self + (-HBarPolynomial.coerce(other))
+        a, b = self.coeffs, HBarPolynomial.coerce(other).coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return HBarPolynomial._with_coeffs(out)
 
     def __rsub__(self, other) -> "HBarPolynomial":
-        return HBarPolynomial.coerce(other) + (-self)
+        return HBarPolynomial.coerce(other) - self
 
     def __mul__(self, other) -> "HBarPolynomial":
-        other = HBarPolynomial.coerce(other)
-        if not self.coeffs or not other.coeffs:
+        a = self.coeffs
+        if type(other) is int:
+            if not other:
+                return _ZERO
+            return HBarPolynomial._with_coeffs([c * other for c in a])
+        b = HBarPolynomial.coerce(other).coeffs
+        if not a or not b:
             return _ZERO
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if not x:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return HBarPolynomial(out)
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return HBarPolynomial._with_coeffs(out)
 
     __rmul__ = __mul__
 

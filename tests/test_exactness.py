@@ -1,0 +1,141 @@
+"""No float ever enters the exact arithmetic.
+
+``HBarPolynomial`` stores integral coefficients as ``int`` and the rest as
+``Fraction``; ``int / int`` would be a float, so the accessors hand out
+``Fraction`` values.  A spy checks every polynomial and every element
+built while the verify suites, the gl kernel and the reduction solvers run
+and while sampled Weyl and quantum-algebra products are formed.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from nhq.linear import LinearCombination
+from nhq.repspace import make_dimension_vector, tau_kernel, weyl_mul
+from nhq.rings import HBarPolynomial
+from nhq.sampling import (
+    a3p,
+    jordan,
+    random_configuration,
+    random_sym_element,
+    small_quivers,
+)
+from nhq.schedler import lift, qpa_mul
+from nhq.suites import SUITES
+from nhq.trace import kernel_constraint, solve_chi, trace_quantum, trace_quantum_config
+
+
+def _check_scalar(c) -> None:
+    assert type(c) is int or type(c) is Fraction, f"inexact coefficient {c!r}"
+
+
+def _check_value(value) -> None:
+    if isinstance(value, HBarPolynomial):
+        for c in value.coeffs:
+            _check_scalar(c)
+        if value.coeffs:
+            assert value.coeffs[-1] != 0
+        assert type(value.constant_term()) is Fraction
+    else:
+        _check_scalar(value)
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """Check every polynomial and element built; counts what it checked."""
+    seen = {"polynomials": 0, "elements": 0}
+    with_coeffs = HBarPolynomial._with_coeffs
+    poly_init = HBarPolynomial.__init__
+    lc_init = LinearCombination.__init__
+    with_terms = LinearCombination._with_terms
+
+    def check_poly(p):
+        seen["polynomials"] += 1
+        _check_value(p)
+        return p
+
+    def check_element(x):
+        seen["elements"] += 1
+        for value in x.terms.values():
+            _check_value(value)
+        return x
+
+    def spy_with_coeffs(buf):
+        return check_poly(with_coeffs(buf))
+
+    def spy_poly_init(self, coeffs=()):
+        poly_init(self, coeffs)
+        check_poly(self)
+
+    def spy_lc_init(self, terms=None):
+        lc_init(self, terms)
+        check_element(self)
+
+    def spy_with_terms(self, terms):
+        return check_element(with_terms(self, terms))
+
+    monkeypatch.setattr(HBarPolynomial, "_with_coeffs", staticmethod(spy_with_coeffs))
+    monkeypatch.setattr(HBarPolynomial, "__init__", spy_poly_init)
+    monkeypatch.setattr(LinearCombination, "__init__", spy_lc_init)
+    monkeypatch.setattr(LinearCombination, "_with_terms", spy_with_terms)
+    return seen
+
+
+def test_accessors_return_fractions():
+    p = HBarPolynomial((2, Fraction(3, 2), Fraction(4, 2)))
+    assert p.coeffs == (2, Fraction(3, 2), 2)
+    assert [type(c) for c in p.coeffs] == [int, Fraction, int]
+    for k in range(4):
+        assert type(p.coefficient(k)) is Fraction
+    assert type(HBarPolynomial.zero().constant_term()) is Fraction
+    assert type((p * 3).shift(1).coefficient(1)) is Fraction
+    assert type(p.shift(1).div_h().constant_term()) is Fraction
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_suites_stay_exact(spy, suite):
+    for quiver in small_quivers():
+        reports = SUITES[suite](
+            {"seed": 0, "cases": 2, "quiver": quiver, "dim": None, "params": None}
+        )
+        assert all(report.ok for report in reports)
+    assert spy["elements"]
+
+
+@pytest.mark.parametrize(
+    "quiver, dim",
+    [(a3p(), {"0": 2, "1": 2, "2": 2, "inf": 1}), (jordan(), {"v": 2})],
+    ids=["a3p-2221", "jordan-2"],
+)
+def test_reduction_solvers_stay_exact(spy, quiver, dim):
+    dim = make_dimension_vector(quiver, dim)
+    kernel = tau_kernel(quiver, dim)
+    assert kernel
+    for vec in kernel:
+        for value in vec.terms.values():
+            assert type(value) is Fraction
+    report, character = solve_chi(quiver, dim)
+    assert report.ok
+    for value in character.values:
+        assert type(value) is Fraction
+    assert kernel_constraint(quiver, dim).ok
+    assert spy["polynomials"] and spy["elements"]
+
+
+def test_sampled_products_stay_exact(spy):
+    rng = random.Random(3)
+    for quiver in small_quivers():
+        dim = tuple(2 if i == 0 else 1 for i in range(len(quiver.vertices)))
+        for _ in range(3):
+            x = lift(random_sym_element(rng, quiver, max_len=3))
+            y = lift(random_sym_element(rng, quiver, max_len=3))
+            for value in qpa_mul(x, y).terms.values():
+                _check_value(value)
+            cfg = random_configuration(rng, quiver, max_letters=4)
+            tx = trace_quantum_config(quiver, dim, cfg.components, cfg.idempotents)
+            ty = trace_quantum(y, dim)
+            for value in weyl_mul(tx, ty).terms.values():
+                _check_value(value)
+    assert spy["polynomials"] and spy["elements"]

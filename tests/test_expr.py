@@ -204,3 +204,53 @@ def test_format_hbar_round_trip_via_scalar_context(J):
     for value in values:
         elem = PathAlgebraElement(J, {key: value})
         assert parse_path_element(J, format_path_element(elem)) == elem
+
+
+# ---------------------------------------------------------------------------
+# Exponents: one reader, x^0 is the unit
+
+
+def test_zeroth_power_is_the_unit_in_every_parser(J, A3P):
+    from nhq.expr import parse_poly_element, parse_weyl_element
+    from nhq.repspace import PolyElement, WeylElement
+
+    assert parse_path_element(J, "x^0") == PathAlgebraElement.unit(J)
+    assert parse_path_element(A3P, "a0^0") == PathAlgebraElement.unit(A3P)
+    assert parse_path_element(J, "(x + 2*x')^0") == PathAlgebraElement.unit(J)
+    assert parse_path_element(J, "3^0") == PathAlgebraElement.unit(J)
+    weyl_one = WeylElement.constant(J, (2,), 1)
+    assert parse_weyl_element(J, (2,), "[x]_{1,2}^0") == weyl_one
+    assert parse_weyl_element(J, (2,), "d(x)_{2,1}^0") == weyl_one
+    assert parse_poly_element(J, (2,), "(x')_{1,2}^0") == PolyElement.constant(J, (2,), 1)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_powers_equal_repeated_products(J, A2, n):
+    from nhq.expr import parse_poly_element, parse_weyl_element
+
+    cases = [
+        (lambda text: parse_path_element(J, text), "(x + 2*x')"),
+        (lambda text: parse_path_element(J, text), "(x.x' - h)"),
+        (lambda text: parse_path_element(J, text), "(1/2)"),
+        (lambda text: parse_path_element(A2, text), "(a + e1)"),
+        (lambda text: parse_path_element(A2, text), "(a'.a - e1)"),
+        (lambda text: parse_weyl_element(J, (2,), text), "[x]_{1,2}"),
+        (lambda text: parse_weyl_element(J, (2,), text), "d(x)_{2,1}"),
+        (lambda text: parse_poly_element(J, (2,), text), "(x')_{1,2}"),
+    ]
+    for parse, factor in cases:
+        assert parse(f"{factor}^{n}") == parse("*".join([factor] * n)), factor
+
+
+def test_format_element_prints_tensors(J, A3P):
+    from nhq.expr import format_element, format_tensor
+    from nhq.necklace import double_bracket
+
+    x = parse_path_element(A3P, "a1.a0 - 2*h*a0")
+    y = parse_path_element(A3P, "a0'.a1'")
+    t = double_bracket(x, y)
+    assert format_element(t) == format_tensor(t)
+    assert format_element(t).count(" (x) ") == len(t.terms)
+    x, xs = parse_path_element(J, "x"), parse_path_element(J, "x'")
+    assert format_tensor(double_bracket(x, xs)) == "ev (x) ev"
+    assert format_tensor(double_bracket(x, x)) == "0"
