@@ -45,7 +45,6 @@ from .repspace import (
     PolyElement,
     WeylElement,
     block_matrix,
-    chi_from_r,
     chi_sign_variants,
     classical_symbol,
     gauge_act,

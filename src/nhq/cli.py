@@ -261,8 +261,12 @@ def _dispatch(args) -> int:
     if verb == "kernel":
         quiver = _require_quiver(args)
         dim = _get_dim(args, quiver)
-        params = _get_params(args, quiver)
-        report = kernel_constraint(quiver, dim, params)
+        _get_params(args, quiver)
+        if args.r:
+            raise ExpressionError("kernel does not take --r: its constraints are functions of r")
+        if args.lam:
+            raise ExpressionError("kernel does not take --lambda: the character does not depend on it")
+        report = kernel_constraint(quiver, dim)
         return _emit_reports([report], args.json)
 
     raise AssertionError(f"unhandled verb {verb}")

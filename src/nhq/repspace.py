@@ -416,21 +416,11 @@ def _out_degree_weight(quiver: Quiver, dim, k: int) -> int:
     return sum(dim[a.target] for a in quiver.arrows if a.source == k)
 
 
-def chi_from_r(quiver: Quiver, dim, r=None) -> Character:
-    """The reduction character: c_k = -sum_{s(a)=k} d_{t(a)} + r_k."""
-    nv = len(quiver.vertices)
-    rvec = list(r) if r is not None else [Fraction(0)] * nv
-    values = tuple(
-        Fraction(-_out_degree_weight(quiver, dim, k)) + as_fraction(rvec[k])
-        for k in range(nv)
-    )
-    return Character(quiver, values)
-
-
 def chi_sign_variants(quiver: Quiver, dim, r=None) -> dict:
     """The printed sign variants of the character, for reports.
 
-    ``main`` is the displayed closed form; ``statement`` flips the sign of
+    ``main`` is the displayed closed form, the reduction character
+    c_k = -sum_{s(a)=k} d_{t(a)} + r_k; ``statement`` flips the sign of
     the dimension sum; ``proof_line`` distributes the minus over both the
     dimension sum and r (which then picks up the out-degree multiplicity).
     """
@@ -459,7 +449,7 @@ def chi_sign_variants(quiver: Quiver, dim, r=None) -> dict:
 
 def rational_nullspace(matrix, ncols):
     """Basis of {x : A x = 0} over the rationals; A given as a list of rows."""
-    rows = [list(row) for row in matrix]
+    rows = [[as_fraction(c) for c in row] for row in matrix]
     nrows = len(rows)
     pivot_col_of_row = []
     lead = 0

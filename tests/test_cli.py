@@ -179,6 +179,16 @@ def test_kernel_cli():
     assert "14 + 4*r_0 + 2*r_1 + 2*r_2 = 0" in out
 
 
+def test_kernel_rejects_parameters_it_does_not_read(capsys):
+    # the constraints are functions of r, and the character is free of lambda
+    for flag in ("--r", "--lambda"):
+        code, out = run("kernel", "-q", q("jordan"), "--dim", "v=2", flag, "v=5")
+        assert code == 2, flag
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: kernel does not take {flag}:") and err.count("\n") == 1
+        assert out == ""
+
+
 def test_unknown_vertex_in_parameters_exits_2(capsys):
     for argv in (
         ("kernel", "-q", q("a3p"), "--dim", "0=2,1=2,2=2,inf=1", "--r", "zz=1"),

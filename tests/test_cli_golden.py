@@ -37,6 +37,8 @@ COMMANDS = [
     ["verify", "ideal", "-q", "jordan.json", "--dim", "v=2"],
     ["solve-chi", "-q", "a3p.json", "--dim", "0=1,1=1,2=1,inf=1", "--r", "0=1,1=1,2=1,inf=0"],
     ["kernel", "-q", "jordan.json", "--dim", "v=2"],
+    ["kernel", "-q", "a3p.json", "--dim", "0=2,1=2,2=2,inf=1"],
+    ["solve-chi", "-q", "a2.json", "--dim", "1=2,2=3", "--r", "1=1,2=-2", "--lambda", "1=3,2=-2"],
 ]
 
 

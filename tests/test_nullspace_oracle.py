@@ -1,6 +1,7 @@
 """``rational_nullspace`` against sympy's exact nullspace.
 
-sympy is a test-only oracle here; the library does not depend on it.
+sympy is a test-only oracle here; the library does not depend on it, and
+only the sympy comparison is skipped when it is missing.
 """
 
 from fractions import Fraction
@@ -10,8 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhq.repspace import rational_nullspace
-
-sympy = pytest.importorskip("sympy")
 
 _integers = st.integers(-4, 4).map(Fraction)
 _rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
@@ -33,6 +32,7 @@ def _matrices(draw):
 
 
 def _to_sympy(rows):
+    sympy = pytest.importorskip("sympy")
     return sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row] for row in rows])
 
 
@@ -49,3 +49,16 @@ def test_rational_nullspace_matches_sympy(case):
             assert sum((a * x for a, x in zip(row, vec)), Fraction(0)) == 0
     if basis:
         assert _to_sympy(basis).rank() == len(basis)
+
+
+def test_integer_rows_give_fraction_entries():
+    # int / int is a float in Python (-1.5 == Fraction(-3, 2) too), so the
+    # entry types are checked, not only their values
+    assert rational_nullspace([[2, 3]], 2) == [[Fraction(-3, 2), Fraction(1)]]
+    for rows, ncols in (([[2, 3]], 2), ([[1, 2, 0], [3, 1, 5]], 3), ([[0, 4]], 2)):
+        basis = rational_nullspace(rows, ncols)
+        assert basis
+        for vec in basis:
+            assert all(type(c) is Fraction for c in vec)  # never a float
+            for row in rows:
+                assert sum(a * x for a, x in zip(row, vec)) == 0
