@@ -88,6 +88,11 @@ class _Stream:
         return self.k >= len(self.tokens)
 
 
+#: Largest exponent ``^n`` the parsers accept.  A larger one is refused at
+#: parse time, before any power is formed.
+MAX_EXPONENT = 4096
+
+
 def _read_exponent(stream: _Stream):
     """Consume ``^n`` and return n, or None when no ``^`` follows."""
     if stream.peek()[1] != "^":
@@ -96,6 +101,9 @@ def _read_exponent(stream: _Stream):
     kind, val, pos = stream.next()
     if kind != "int":
         raise ExpressionError("expected an integer exponent", pos)
+    # compare lengths first: int() refuses strings past Python's digit limit
+    if len(val.lstrip("0")) > len(str(MAX_EXPONENT)) or int(val) > MAX_EXPONENT:
+        raise ExpressionError(f"exponent {val} is above the limit {MAX_EXPONENT}", pos)
     return int(val)
 
 

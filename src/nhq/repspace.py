@@ -16,7 +16,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .errors import DimensionError, MismatchError
 from .linear import LinearCombination, add_into
@@ -143,10 +142,10 @@ def poisson(f: PolyElement, g: PolyElement) -> PolyElement:
 def path_matrix_entry(quiver: Quiver, dim, path: Path, row: int, col: int) -> PolyElement:
     """The (row, col) coordinate of the matrix-valued function of a path."""
     dim = make_dimension_vector(quiver, dim)
+    rmax, cmax = dim[path.target(quiver)], dim[path.source(quiver)]
+    if not (1 <= row <= rmax and 1 <= col <= cmax):
+        raise DimensionError(f"path entry ({row},{col}) out of range for block {rmax}x{cmax}")
     if path.is_trivial:
-        n = dim[path.vertex]
-        if not (1 <= row <= n and 1 <= col <= n):
-            raise DimensionError("trivial path entry out of range")
         return PolyElement.constant(quiver, dim, 1 if row == col else 0)
     word = tuple((letter, t) for t, letter in enumerate(path.letters))
     return _contract_letters(quiver, dim, (word,), False, ((row,), (col,)))[row, col]
@@ -510,16 +509,62 @@ def tau_kernel(quiver: Quiver, dim) -> list:
 # ---------------------------------------------------------------------------
 # Index contraction
 
+#: Largest number of index assignments (the brute-force term count, the
+#: product of the index ranges) a contraction accepts.  The accumulated
+#: terms grow with this count, not with the O(m d^3) tuples visited, so a
+#: larger contraction is refused with DimensionError before any product.
+MAX_INDEX_ASSIGNMENTS = 1 << 20
 
-def _contract(slots, ranges, unit, mul, free=()):
-    """Sum over all index variables of the product of the slot factors.
 
-    ``slots`` lists ``(entry, i, j)`` in multiplication order; its factor is
+def _bump(mono, var):
+    """The sorted monomial ``mono`` times one more factor of ``var``."""
+    for k, (w, exp) in enumerate(mono):
+        if w == var:
+            return mono[:k] + ((var, exp + 1),) + mono[k + 1 :]
+        if var < w:
+            return mono[:k] + ((var, 1),) + mono[k:]
+    return mono + ((var, 1),)
+
+
+def _times_coordinate(acc, var, out) -> None:
+    """Add acc * var into the term dict ``out``, var a coordinate variable."""
+    for mono, c in acc.items():
+        add_into(out, _bump(mono, var), c)
+
+
+def _times_token(acc, token, out) -> None:
+    """Add acc * token into the term dict ``out``, normal-ordered.
+
+    ``token`` is ``(v, is_derivative)``.  A derivative appends d_v; a
+    position x_v moves left past d_v^b in ``der``: the monomial (pos, der)
+    gives (pos x_v, der) + b h (pos, der / d_v).
+    """
+    var, is_derivative = token
+    if is_derivative:
+        for (pos, der), c in acc.items():
+            add_into(out, (pos, _bump(der, var)), c)
+        return
+    for (pos, der), c in acc.items():
+        add_into(out, (_bump(pos, var), der), c)
+        for k, (w, b) in enumerate(der):
+            if w == var:
+                rest = der[:k] + ((var, b - 1),) if b > 1 else der[:k]
+                add_into(out, (pos, rest + der[k + 1 :]), (c * b).shift(1))
+                break
+
+
+def _contract(slots, ranges, unit, times, free=()):
+    """Sum over all index variables of the product of the slot tokens.
+
+    ``slots`` lists ``(entry, i, j)`` in multiplication order; its token is
     ``entry(k_i, k_j)`` and ``ranges[v]`` holds the values of variable v.
-    Each variable not in ``free`` is summed as soon as the last slot using
-    it has been multiplied, so tr(M_1 ... M_m) costs O(m d^3) products
-    instead of O(d^m).  Every free variable must occur in some slot.  The
-    result maps each assignment of the ``free`` variables to its entry.
+    Accumulators are raw term dicts starting from ``unit``, and
+    ``times(acc, token, out)`` adds acc * token into the dict ``out`` in
+    place.  Each variable not in ``free`` is summed as soon as the last
+    slot using it has been multiplied, so tr(M_1 ... M_m) costs O(m d^3)
+    token products instead of O(d^m).  Every free variable must occur in
+    some slot.  The result maps each assignment of the ``free`` variables
+    to the term dict of its entry.
     """
     last = {}
     for t, (_, i, j) in enumerate(slots):
@@ -535,42 +580,64 @@ def _contract(slots, ranges, unit, mul, free=()):
         for key, acc in sums.items():
             for ext in itertools.product(*(ranges[v] for v in new)):
                 ks = key + ext
-                term = mul(acc, entry(ks[at[0]], ks[at[1]]))
                 kept = tuple(ks[p] for p in at[2:])
-                out[kept] = out[kept] + term if kept in out else term
+                times(acc, entry(ks[at[0]], ks[at[1]]), out.setdefault(kept, {}))
         sums = out
     return {
         tuple(key[live.index(v)] for v in free): value for key, value in sums.items()
     }
 
 
+def _letter_entry(letter: Letter, quantum: bool):
+    """The token of the (row, col) entry of a letter's matrix: the
+    coordinate variable, or the operator token ``(v, is_derivative)`` with
+    [a']_{row,col} = d/d(a)_{col,row}."""
+    arrow, starred = letter
+    if not quantum:
+        return lambda row, col: (arrow, starred, row, col)
+    if starred:
+        return lambda row, col: ((arrow, col, row), True)
+    return lambda row, col: ((arrow, row, col), False)
+
+
 def _contract_letters(quiver: Quiver, dim, words, quantum: bool, ends=None):
     """Contract the letter matrices of words of (letter, height) pairs.
 
     Factors multiply in height order: operator tokens when ``quantum``,
-    coordinates otherwise.  Without ``ends`` every word is a closed cycle
-    and the result is the trace.  With ``ends = (rows, cols)`` there is one
-    open word and the result maps (row, col) to that entry of its product.
+    coordinates otherwise, each product taken in place on raw term dicts
+    by ``_times_token`` or ``_times_coordinate`` (tested against the
+    general ``weyl_mul`` and ``poly_mul``).  Without ``ends`` every word is
+    a closed cycle and the result is the trace.  With ``ends = (rows,
+    cols)`` there is one open word and the result maps (row, col) to that
+    entry of its product.  Raises DimensionError when the number of index
+    assignments exceeds ``MAX_INDEX_ASSIGNMENTS``.
     """
-    ring, mul = (WeylElement, weyl_mul) if quantum else (PolyElement, poly_mul)
     ranges, slots = [], []
     for word in words:
         first = len(ranges)
         for t, (letter, height) in enumerate(word):
-            if quantum:
-                entry = partial(WeylElement.operator_token, quiver, dim, letter)
-            else:
-                entry = partial(PolyElement.coordinate, quiver, dim, letter.arrow, letter.starred)
             nxt = t + 1 if ends else (t + 1) % len(word)
-            slots.append((height, (entry, first + t, first + nxt)))
+            slots.append((height, (_letter_entry(letter, quantum), first + t, first + nxt)))
             ranges.append(range(1, dim[letter.target(quiver)] + 1))
     slots = [slot for _, slot in sorted(slots, key=lambda hs: hs[0])]
-    unit = ring.constant(quiver, dim, 1)
+    if ends:
+        ranges[0] = ends[0]
+        ranges.append(ends[1])
+    assignments = math.prod(len(r) for r in ranges)
+    if assignments > MAX_INDEX_ASSIGNMENTS:
+        raise DimensionError(
+            f"contraction has {assignments} index assignments, "
+            f"above the limit {MAX_INDEX_ASSIGNMENTS}"
+        )
+    if quantum:
+        ring, unit, times = WeylElement, {((), ()): HBarPolynomial.one()}, _times_token
+    else:
+        ring, unit, times = PolyElement, {(): Fraction(1)}, _times_coordinate
+    zero = ring(quiver, dim)
     if not ends:
-        return _contract(slots, ranges, unit, mul)[()]
-    ranges[0] = ends[0]
-    ranges.append(ends[1])
-    return _contract(slots, ranges, unit, mul, free=(0, len(ranges) - 1))
+        return zero._with_terms(_contract(slots, ranges, unit, times)[()])
+    sums = _contract(slots, ranges, unit, times, free=(0, len(ranges) - 1))
+    return {key: zero._with_terms(terms) for key, terms in sums.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,13 @@ exact equality; failures carry the residual element.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .expr import format_element
+from .linear import add_into
 from .necklace import HH0Element, Necklace
 from .quiver import Quiver
 from .repspace import (
@@ -89,22 +91,26 @@ def trace_quantum_config(quiver: Quiver, dim, components, idempotents) -> WeylEl
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _trace_config(quiver, dim, components, idempotents):
-    scalar = 1
-    for v in idempotents:
-        scalar *= dim[v]
-    return _contract_letters(quiver, dim, components, True).scale(scalar)
+    traced = _contract_letters(quiver, dim, components, True)
+    scalar = math.prod(dim[v] for v in idempotents)
+    return traced if scalar == 1 else traced.scale(scalar)
 
 
 def trace_quantum(x: QPAElement, dim) -> WeylElement:
-    """Quantum trace map, extended Q[h]-linearly over configurations."""
+    """Quantum trace map, extended Q[h]-linearly over configurations.
+
+    Each configuration's trace is one token-by-token contraction
+    (``repspace._contract_letters``); the coefficient-weighted traces are
+    accumulated into a single term dict, leaving the cached traces intact.
+    """
     quiver = x.quiver
     dim = make_dimension_vector(quiver, dim)
-    out = WeylElement(quiver, dim)
+    out: dict = {}
     for cfg, coeff in x.items():
-        out = out + trace_quantum_config(
-            quiver, dim, cfg.components, cfg.idempotents
-        ).scale(coeff)
-    return out
+        traced = trace_quantum_config(quiver, dim, cfg.components, cfg.idempotents)
+        for mono, c in traced.items():
+            add_into(out, mono, c * coeff)
+    return WeylElement(quiver, dim)._with_terms(out)
 
 
 # ---------------------------------------------------------------------------

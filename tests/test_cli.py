@@ -3,9 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 
 from nhq.cli import main
+from nhq.expr import MAX_EXPONENT
+from nhq.repspace import MAX_INDEX_ASSIGNMENTS
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -249,3 +252,37 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[ev]"
+
+
+def test_oversized_contraction_is_refused_before_any_work(capsys):
+    # 8 letters at d = 12: the accumulated terms grow towards 12^8, so the
+    # command is refused up front instead of running for minutes
+    word = "(x',1)(x,2)(x,3)(x',4)(x,5)(x',6)(x,7)(x',8)"
+    t0 = time.perf_counter()
+    code, out = run("qtrace", "-q", q("jordan"), "--dim", "v=12", word)
+    assert time.perf_counter() - t0 < 10
+    assert code == 3
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: contraction has ") and err.count("\n") == 1
+    assert f"above the limit {MAX_INDEX_ASSIGNMENTS}" in err
+
+
+def test_oversized_exponent_is_refused_at_parse_time(capsys):
+    cases = (
+        ("bracket", "-q", q("jordan"), "h^300000000*[x]", "[x']"),
+        ("bracket", "-q", q("jordan"), "[x^4097]", "[x']"),
+        ("qmul", "-q", q("jordan"), "h^5000*(x,1)", "(x',1)"),
+    )
+    for argv in cases:
+        t0 = time.perf_counter()
+        code, out = run(*argv)
+        assert time.perf_counter() - t0 < 10, argv
+        assert code == 2, argv
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: position ") and err.count("\n") == 1, argv
+        assert f"above the limit {MAX_EXPONENT}" in err, argv
+    code, out = run("bracket", "-q", q("jordan"), f"h^{MAX_EXPONENT}*[x]", "[x']")
+    assert code == 0
+    assert out.strip() == f"h^{MAX_EXPONENT}*[ev]"

@@ -3,13 +3,20 @@
 The references below enumerate every index tuple and multiply the factors
 one by one, O(d^m) products per m-letter word.  The library contracts each
 index as soon as its last factor has been multiplied; both must give the
-same exact element.
+same exact element.  The in-place token products the kernel multiplies by
+are checked against the general ``weyl_mul`` and ``poly_mul``.
 """
 
 import itertools
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from nhq import (
+    DimensionError,
+    HBarPolynomial,
     HH0Element,
     PathAlgebraElement,
     PolyElement,
@@ -22,6 +29,10 @@ from nhq import (
     trace_quantum_config,
     weyl_mul,
 )
+from nhq import repspace
+from nhq.necklace import canonical_necklace
+from nhq.quiver import Letter
+from nhq.repspace import _letter_entry, _times_coordinate, _times_token, poly_mul
 from nhq.sampling import (
     a2,
     a3p,
@@ -170,3 +181,109 @@ def test_classical_trace_matches_commutative_enumeration():
             neck = random_necklace(rng, q, 5, allow_idempotent=False)
             expected = reference_trace_classical(q, d, neck.letters)
             assert trace_classical(HH0Element.of(q, neck), d) == expected
+
+
+# -- the in-place token products against the general products ----------------
+
+
+def _coordinates(q, d):
+    """(arrow, row, col) of every position coordinate of the representation space."""
+    return [
+        (ai, row, col)
+        for ai, a in enumerate(q.arrows)
+        for row in range(1, d[a.target] + 1)
+        for col in range(1, d[a.source] + 1)
+    ]
+
+
+@st.composite
+def _token_products(draw):
+    """A quiver, a dimension vector, an operator with exponents up to 3 and
+    Fraction times h-power coefficients, and one letter-matrix entry."""
+    q = draw(st.sampled_from(QUIVERS))
+    d = tuple(draw(st.integers(1, 2)) for _ in q.vertices)
+    coords = _coordinates(q, d)
+    exponents = st.dictionaries(st.sampled_from(coords), st.integers(1, 3), max_size=3)
+    coefficient = st.builds(
+        lambda c, k: HBarPolynomial((0,) * k + (c,)),
+        st.fractions(max_denominator=4).filter(bool),
+        st.integers(0, 2),
+    )
+    terms = draw(st.lists(st.tuples(exponents, exponents, coefficient), max_size=4))
+    x = WeylElement(
+        q, d, [((tuple(sorted(p.items())), tuple(sorted(r.items()))), c) for p, r, c in terms]
+    )
+    letter = draw(st.sampled_from(list(q.letters())))
+    row = draw(st.integers(1, d[letter.target(q)]))
+    col = draw(st.integers(1, d[letter.source(q)]))
+    return q, d, x, letter, row, col
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_token_products())
+def test_token_product_matches_weyl_mul(case):
+    q, d, x, letter, row, col = case
+    out: dict = {}
+    _times_token(x.terms, _letter_entry(letter, True)(row, col), out)
+    expected = weyl_mul(x, WeylElement.operator_token(q, d, letter, row, col))
+    assert WeylElement(q, d)._with_terms(out) == expected
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_token_products())
+def test_coordinate_product_matches_poly_mul(case):
+    # the drawn operator read as a polynomial: d(a)_{r,c} -> (a')_{c,r}, h = 1
+    q, d, x, letter, row, col = case
+    f = PolyElement(
+        q,
+        d,
+        [
+            (
+                tuple(sorted([((a, False, r, c), e) for (a, r, c), e in pos]
+                             + [((a, True, c, r), e) for (a, r, c), e in der])),
+                sum(coeff.coeffs),
+            )
+            for (pos, der), coeff in x.items()
+        ],
+    )
+    out: dict = {}
+    _times_coordinate(f.terms, _letter_entry(letter, False)(row, col), out)
+    coordinate = PolyElement.coordinate(q, d, letter.arrow, letter.starred, row, col)
+    assert PolyElement(q, d)._with_terms(out) == poly_mul(f, coordinate)
+
+
+def test_position_token_moves_past_a_derivative_power():
+    # d^3 x = x d^3 + 3 h d^2, by the token product and by weyl_mul
+    q, d = jordan(), (1,)
+    v = (0, 1, 1)
+    cube = WeylElement(q, d, {((), ((v, 3),)): 1})
+    out: dict = {}
+    _times_token(cube.terms, _letter_entry(Letter(0, False), True)(1, 1), out)
+    assert out == {(((v, 1),), ((v, 3),)): 1, ((), ((v, 2),)): HBarPolynomial((0, 3))}
+    assert cube._with_terms(out) == weyl_mul(cube, WeylElement.position(q, d, 0, 1, 1))
+
+
+# -- the up-front work bound ---------------------------------------------------
+
+
+def test_contraction_refuses_more_assignments_than_the_limit(monkeypatch):
+    J = jordan()
+    x, xs = Letter(0, False), Letter(0, True)
+    word = tuple((letter, t + 1) for t, letter in enumerate((xs, x, x, xs, x, xs, x, xs)))
+    with pytest.raises(DimensionError, match=f"above the limit {repspace.MAX_INDEX_ASSIGNMENTS}"):
+        trace_quantum_config(J, (12,), (word,), ())
+    with pytest.raises(DimensionError, match=r"has 2985984 index assignments"):
+        trace_classical(HH0Element.of(J, canonical_necklace(J, (x,) * 6)), (12,))
+    # the count is the product of the index ranges: 2^3 closed, and
+    # 2 rows * 2 inner * 2 cols open
+    monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", 8)
+    three = canonical_necklace(J, (x, xs, x))
+    assert trace_classical(HH0Element.of(J, three), (2,)) == reference_trace_classical(
+        J, (2,), three.letters
+    )
+    with pytest.raises(DimensionError, match="has 16 index assignments, above the limit 8"):
+        trace_classical(HH0Element.of(J, canonical_necklace(J, (x, xs, x, xs))), (2,))
+    two = PathAlgebraElement.of_path(J, make_path(J, (x, xs)))
+    block_matrix(two, (2,), "quantum")
+    with pytest.raises(DimensionError, match="has 16 index assignments"):
+        block_matrix(PathAlgebraElement.of_path(J, make_path(J, (x, xs, x))), (2,), "quantum")

@@ -267,10 +267,7 @@ def test_decompose_deformed_orthogonal_lambda(A2):
     params = make_params(A2, r={"1": 3, "2": -1}, lam=lam)
     for necklace, vertex, mark in enumerate_generators(A2, 2):
         dec = decompose_ideal_image(A2, d, necklace, vertex, mark, params)
-        if dec.chi_value is None:
-            assert (dec.target - dec.re_expand(Fraction(0))).is_zero()
-        else:
-            assert dec.verified
+        assert dec.verified
 
 
 def test_decompose_all_short_generators_jordan(J):
@@ -280,9 +277,7 @@ def test_decompose_all_short_generators_jordan(J):
         params = ReductionParameters(r, (Fraction(0),))
         for necklace, vertex, mark in enumerate_generators(J, 3):
             dec = decompose_ideal_image(J, d, necklace, vertex, mark, params)
-            assert dec.chi_value is None or dec.verified
-            if dec.chi_value is None:
-                assert (dec.target - dec.re_expand(Fraction(0))).is_zero()
+            assert dec.verified
 
 
 def test_solve_chi_jordan_matches_closed_form(J):
