@@ -23,7 +23,7 @@ from .necklace import (
     necklace_key,
 )
 from .quiver import Letter, Path, PathAlgebraElement, Quiver, path_mul
-from .repspace import PolyElement, WeylElement
+from .repspace import MAX_INDEX_ASSIGNMENTS, PolyElement, WeylElement
 from .rings import HBarPolynomial
 from .schedler import HeightConfiguration, QPAElement, SymElement, make_configuration, straighten
 
@@ -88,6 +88,15 @@ class _Stream:
         return self.k >= len(self.tokens)
 
 
+def _int_value(val: str, pos: int) -> int:
+    """The value of the integer token ``val`` at ``pos``.  ``int`` refuses a
+    literal past Python's digit limit (4,300 digits by default)."""
+    try:
+        return int(val)
+    except ValueError:
+        raise ExpressionError(f"integer literal of {len(val)} digits is too long", pos) from None
+
+
 #: Largest exponent ``^n`` the parsers accept.  A larger one is refused at
 #: parse time, before any power is formed.
 MAX_EXPONENT = 4096
@@ -101,10 +110,10 @@ def _read_exponent(stream: _Stream):
     kind, val, pos = stream.next()
     if kind != "int":
         raise ExpressionError("expected an integer exponent", pos)
-    # compare lengths first: int() refuses strings past Python's digit limit
-    if len(val.lstrip("0")) > len(str(MAX_EXPONENT)) or int(val) > MAX_EXPONENT:
+    n = _int_value(val, pos)
+    if n > MAX_EXPONENT:
         raise ExpressionError(f"exponent {val} is above the limit {MAX_EXPONENT}", pos)
-    return int(val)
+    return n
 
 
 def _power(x, n: int, one, mul):
@@ -119,6 +128,16 @@ def _power(x, n: int, one, mul):
     return out
 
 
+def _power_exceeds(base: int, n: int, limit: int) -> bool:
+    """Whether base**n > limit, without forming a power much past ``limit``."""
+    if base <= 1:
+        return False
+    # base**n >= 2**((bits - 1) * n), and limit < 2**limit.bit_length()
+    if (base.bit_length() - 1) * n > limit.bit_length():
+        return True
+    return base**n > limit
+
+
 def _parse_rational(stream: _Stream, num: int) -> HBarPolynomial:
     """The scalar num, or num/den when a '/' follows; den must be nonzero."""
     if stream.peek()[1] != "/":
@@ -127,9 +146,10 @@ def _parse_rational(stream: _Stream, num: int) -> HBarPolynomial:
     dkind, dval, dpos = stream.next()
     if dkind != "int":
         raise ExpressionError("expected a denominator", dpos)
-    if int(dval) == 0:
+    den = _int_value(dval, dpos)
+    if den == 0:
         raise ExpressionError("division by zero", dpos)
-    return HBarPolynomial.constant(Fraction(num, int(dval)))
+    return HBarPolynomial.constant(Fraction(num, den))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +203,7 @@ class _Evaluator:
     def atom(self):
         kind, val, pos = self.stream.next()
         if kind == "int":
-            return self._maybe_power(_SCALAR, _parse_rational(self.stream, int(val)))
+            return self._maybe_power(_SCALAR, _parse_rational(self.stream, _int_value(val, pos)))
         if kind == "name":
             return self._resolve_name(val, pos)
         if val == "(":
@@ -206,6 +226,13 @@ class _Evaluator:
         if kind == _SCALAR:
             return kind, _power(value, exponent, HBarPolynomial.one(), operator.mul)
         if kind == _PATH:
+            terms = len(value.terms)
+            if _power_exceeds(terms, exponent, MAX_INDEX_ASSIGNMENTS):
+                raise ExpressionError(
+                    f"path power expands to {terms}^{exponent} terms, "
+                    f"above the limit {MAX_INDEX_ASSIGNMENTS}",
+                    pos,
+                )
             return kind, _power(value, exponent, PathAlgebraElement.unit(self.quiver), path_mul)
         raise ExpressionError("exponent applies to scalars and paths only", pos)
 
@@ -272,7 +299,7 @@ def _parse_scalar_tokens(stream: _Stream, quiver: Quiver):
     """Scalar factor: rational, h power, or a parenthesized scalar sum."""
     kind, val, pos = stream.next()
     if kind == "int":
-        return _parse_rational(stream, int(val))
+        return _parse_rational(stream, _int_value(val, pos))
     if kind == "name" and val == "h":
         power = _read_exponent(stream)
         return HBarPolynomial.h(1 if power is None else power)
@@ -384,8 +411,9 @@ def _parse_config(stream: _Stream, quiver: Quiver):
                 if hkind != "int":
                     raise ExpressionError("expected an integer height", hpos)
                 stream.expect(")")
-                pairs.append((letter, int(hval)))
-                heights.append(int(hval))
+                height = _int_value(hval, hpos)
+                pairs.append((letter, height))
+                heights.append(height)
             components.append(tuple(pairs))
         else:
             raise ExpressionError("expected a height pair or idempotent factor", pos)
@@ -413,7 +441,7 @@ def _parse_entry_indices(stream: _Stream):
     if ckind != "int":
         raise ExpressionError("expected a column index", cpos)
     stream.expect("}")
-    return int(rval), int(cval)
+    return _int_value(rval, rpos), _int_value(cval, cpos)
 
 
 def _with_exponent(stream: _Stream, factor, one):

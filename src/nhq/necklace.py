@@ -131,6 +131,46 @@ def bracket_sign(u: Letter, v: Letter) -> int:
     return -1 if u.starred else 1
 
 
+def _period(word) -> int:
+    """Least p > 0 such that rotating ``word`` by p leaves it unchanged."""
+    n = len(word)
+    return next(p for p in range(1, n + 1) if n % p == 0 and word[p:] == word[: n - p])
+
+
+def _merge_counts(quiver: Quiver, a, b) -> dict:
+    """{Necklace: nonzero int}: the bracket of the cyclic words ``a`` and ``b``.
+
+    Letter a_i contracts only with b_j = a_i', so partners come from a
+    letter-to-positions index of ``b``.  The three counting rules of
+    ``necklace_bracket`` make every count a plain integer.
+    """
+    p, q = _period(a), _period(b)
+    mult = (len(a) // p) * (len(b) // q)
+    positions = {}
+    for j in range(q):
+        positions.setdefault(b[j], []).append(j)
+    counts = {}
+    for i in range(p):
+        ai = a[i]
+        for j in positions.get(ai.star(), ()):
+            # merge (i-1, j-1) links to (i, j): not the start of its chain
+            if a[i - 1] == b[j] and b[j - 1] == ai:
+                continue
+            length, u, v = 1, i, j
+            while a[(u + 1) % p] == b[v] and b[(v + 1) % q] == a[u]:
+                u, v, length = (u + 1) % p, (v + 1) % q, length + 1
+            if length % 2 == 0:
+                continue
+            merged = a[i + 1 :] + a[:i] + b[j + 1 :] + b[:j]
+            if merged:
+                off = minimal_rotation_offset(merged)
+                key = Necklace(None, merged[off:] + merged[:off])
+            else:
+                key = idempotent_class(a[(i + 1) % len(a)].target(quiver))
+            counts[key] = counts.get(key, 0) + (-mult if ai.starred else mult)
+    return {key: count for key, count in counts.items() if count}
+
+
 def necklace_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
     """Necklace Lie bracket: contract every letter pair (a_i, b_j) and merge.
 
@@ -138,6 +178,26 @@ def necklace_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
     {a_i, b_j} times the cycle a_{i+1}..a_{i-1} b_{j+1}..b_{j-1}; an empty
     merge leaves the idempotent class at the contraction vertex.  Brackets
     with idempotent classes vanish.
+
+    Each distinct merge is rotated once, by three exact counting rules
+    (indices are cyclic):
+
+    - Periods.  If a has period p and b period q, merges (i, j), (i+p, j)
+      and (i, j+q) are the same word with the same sign, so i runs over
+      one period of a and j over one period of b, with multiplicity
+      (k/p)(l/q).
+    - Telescoping chains.  When a_{i+1} = b_j and b_{j+1} = a_i, merges
+      (i, j) and (i+1, j+1) are the same cyclic word (b_j a_{i+2}..a_{i-1}
+      a_i b_{j+2}..b_{j-1} rotated) and their signs are opposite (a_{i+1}
+      = a_i').  So each diagonal chain of such links is walked once from
+      its start: an even chain cancels, an odd one counts once with the
+      sign of its start.  A closed loop has no start; its signs alternate
+      around it, so its length is even and it cancels.  The link rule
+      depends only on i mod p and j mod q, so the chains are walked on the
+      period-reduced grid.
+    - Integer multiplicities.  Signs and multiplicities add up as plain
+      ints per operand-term pair, and each nonzero count multiplies the
+      product of the two coefficients once.
     """
     if x.quiver != y.quiver:
         raise MismatchError("necklace_bracket operands live over different quivers")
@@ -151,24 +211,14 @@ def necklace_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
     for n1, c1 in x.items():
         if n1.is_idempotent:
             continue
-        a = n1.letters
         for n2, c2 in y.items():
             if n2.is_idempotent:
                 continue
-            b = n2.letters
-            coeff = c1 * c2
-            for i, ai in enumerate(a):
-                for j, bj in enumerate(b):
-                    s = bracket_sign(ai, bj)
-                    if s == 0:
-                        continue
-                    merged = a[i + 1 :] + a[:i] + b[j + 1 :] + b[:j]
-                    if merged:
-                        off = minimal_rotation_offset(merged)
-                        key = Necklace(None, merged[off:] + merged[:off])
-                    else:
-                        key = idempotent_class(a[(i + 1) % len(a)].target(quiver))
-                    add_into(out, key, coeff * s)
+            counts = _merge_counts(quiver, n1.letters, n2.letters)
+            if counts:
+                coeff = c1 * c2
+                for key, count in counts.items():
+                    add_into(out, key, coeff * count)
     return x._with_terms(out)
 
 

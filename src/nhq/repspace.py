@@ -215,15 +215,17 @@ class WeylElement(LinearCombination):
         return out
 
 
-def _weyl_mono_mul(m1, m2):
-    """Yield (monomial, h_power, integer factor) for a normal-ordered product."""
+def _weyl_mono_mul(m1, m2, contracted_only=False):
+    """Yield (monomial, h_power, integer factor) for a normal-ordered product;
+    with ``contracted_only``, only the terms with h_power >= 1."""
     pos1, der1 = m1
     pos2, der2 = m2
     d1 = dict(der1)
     p2 = dict(pos2)
     common = sorted(v for v in d1 if v in p2)
     if not common:
-        yield (_merge_exponents(pos1, pos2), _merge_exponents(der1, der2)), 0, 1
+        if not contracted_only:
+            yield (_merge_exponents(pos1, pos2), _merge_exponents(der1, der2)), 0, 1
         return
     per_var = []
     for v in common:
@@ -234,7 +236,10 @@ def _weyl_mono_mul(m1, m2):
                 for k in range(min(a, b) + 1)
             ]
         )
-    for combo in itertools.product(*per_var):
+    combos = itertools.product(*per_var)
+    if contracted_only:
+        next(combos)  # the first combination contracts nothing: h_power 0
+    for combo in combos:
         k_total = 0
         factor = 1
         d1p = dict(d1)
@@ -268,7 +273,22 @@ def weyl_mul(x: WeylElement, y: WeylElement) -> WeylElement:
 
 
 def weyl_commutator(x: WeylElement, y: WeylElement) -> WeylElement:
-    return weyl_mul(x, y) - weyl_mul(y, x)
+    """xy - yx.  The uncontracted (h_power 0) term of m1 m2 is the same
+    monomial as that of m2 m1, so only the contracted terms of each order
+    are formed; a monomial pair in which neither side's derivatives meet
+    the other side's positions commutes and costs no product."""
+    if x._context() != y._context():
+        raise MismatchError("operator operands disagree on quiver or dimensions")
+    out: dict = {}
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            terms = list(_weyl_mono_mul(m1, m2, True))
+            terms += [(mono, k, -f) for mono, k, f in _weyl_mono_mul(m2, m1, True)]
+            if terms:
+                c12 = c1 * c2
+                for mono, k, factor in terms:
+                    add_into(out, mono, (c12 * factor).shift(k))
+    return x._with_terms(out)
 
 
 def classical_symbol(op: WeylElement) -> PolyElement:

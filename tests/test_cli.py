@@ -286,3 +286,36 @@ def test_oversized_exponent_is_refused_at_parse_time(capsys):
     code, out = run("bracket", "-q", q("jordan"), f"h^{MAX_EXPONENT}*[x]", "[x']")
     assert code == 0
     assert out.strip() == f"h^{MAX_EXPONENT}*[ev]"
+
+
+def test_overlong_integer_literals_exit_2(capsys):
+    # int() refuses literals past Python's digit limit; each is an input error
+    long_int = "9" * 5000
+    cases = (
+        ("bracket", "-q", q("jordan"), f"{long_int}*[x]", "[x']"),
+        ("qmul", "-q", q("jordan"), f"(x,{long_int})", "(x',1)"),
+    )
+    for argv in cases:
+        code, out = run(*argv)
+        assert code == 2, argv
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: position ") and err.count("\n") == 1, argv
+        assert "integer literal of 5000 digits is too long" in err, argv
+
+
+def test_oversized_path_power_is_refused_before_expanding(capsys):
+    t0 = time.perf_counter()
+    code, out = run("bracket", "-q", q("jordan"), "[(x+x')^21]", "[x']")
+    assert time.perf_counter() - t0 < 10
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: position ") and err.count("\n") == 1
+    assert f"2^21 terms, above the limit {MAX_INDEX_ASSIGNMENTS}" in err
+    code, out = run("bracket", "-q", q("jordan"), "[x^4096]", "[x'.x']")
+    assert code == 0
+    assert out.strip() == "8192*[" + "x." * 4095 + "x']"
+    code, out = run("bracket", "-q", q("jordan"), "[(x+x')^3]", "[x]")
+    assert code == 0
+    assert out.strip() == "-3*[x.x] - 6*[x.x'] - 3*[x'.x']"

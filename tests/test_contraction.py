@@ -4,7 +4,9 @@ The references below enumerate every index tuple and multiply the factors
 one by one, O(d^m) products per m-letter word.  The library contracts each
 index as soon as its last factor has been multiplied; both must give the
 same exact element.  The in-place token products the kernel multiplies by
-are checked against the general ``weyl_mul`` and ``poly_mul``.
+are checked against the general ``weyl_mul`` and ``poly_mul``, and the
+commutator, which forms only contracted terms, against the difference of
+the two products.
 """
 
 import itertools
@@ -27,6 +29,7 @@ from nhq import (
     path_matrix_entry,
     trace_classical,
     trace_quantum_config,
+    weyl_commutator,
     weyl_mul,
 )
 from nhq import repspace
@@ -196,12 +199,8 @@ def _coordinates(q, d):
     ]
 
 
-@st.composite
-def _token_products(draw):
-    """A quiver, a dimension vector, an operator with exponents up to 3 and
-    Fraction times h-power coefficients, and one letter-matrix entry."""
-    q = draw(st.sampled_from(QUIVERS))
-    d = tuple(draw(st.integers(1, 2)) for _ in q.vertices)
+def _operators(q, d):
+    """Operators with exponents up to 3 and Fraction times h-power coefficients."""
     coords = _coordinates(q, d)
     exponents = st.dictionaries(st.sampled_from(coords), st.integers(1, 3), max_size=3)
     coefficient = st.builds(
@@ -209,14 +208,33 @@ def _token_products(draw):
         st.fractions(max_denominator=4).filter(bool),
         st.integers(0, 2),
     )
-    terms = draw(st.lists(st.tuples(exponents, exponents, coefficient), max_size=4))
-    x = WeylElement(
-        q, d, [((tuple(sorted(p.items())), tuple(sorted(r.items()))), c) for p, r, c in terms]
+    return st.lists(st.tuples(exponents, exponents, coefficient), max_size=4).map(
+        lambda terms: WeylElement(
+            q, d, [((tuple(sorted(p.items())), tuple(sorted(r.items()))), c) for p, r, c in terms]
+        )
     )
+
+
+def _spaces(draw):
+    q = draw(st.sampled_from(QUIVERS))
+    return q, tuple(draw(st.integers(1, 2)) for _ in q.vertices)
+
+
+@st.composite
+def _token_products(draw):
+    """A quiver, a dimension vector, an operator and one letter-matrix entry."""
+    q, d = _spaces(draw)
+    x = draw(_operators(q, d))
     letter = draw(st.sampled_from(list(q.letters())))
     row = draw(st.integers(1, d[letter.target(q)]))
     col = draw(st.integers(1, d[letter.source(q)]))
     return q, d, x, letter, row, col
+
+
+@st.composite
+def _operator_pairs(draw):
+    q, d = _spaces(draw)
+    return draw(_operators(q, d)), draw(_operators(q, d))
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -250,6 +268,13 @@ def test_coordinate_product_matches_poly_mul(case):
     _times_coordinate(f.terms, _letter_entry(letter, False)(row, col), out)
     coordinate = PolyElement.coordinate(q, d, letter.arrow, letter.starred, row, col)
     assert PolyElement(q, d)._with_terms(out) == poly_mul(f, coordinate)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_operator_pairs())
+def test_commutator_matches_the_difference_of_products(pair):
+    x, y = pair
+    assert weyl_commutator(x, y) == weyl_mul(x, y) - weyl_mul(y, x)
 
 
 def test_position_token_moves_past_a_derivative_power():

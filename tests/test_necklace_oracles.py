@@ -2,10 +2,10 @@
 
 ``minimal_rotation_offset`` (Duval's algorithm) is compared with a minimum
 over all n rotations, and ``necklace_bracket`` (one composability check per
-operand, rotation per merge) with the bracket that canonicalised every merge
-through a full check and the brute-force rotation.  ``bracket_sign``, which
-compares letter fields, is checked against its definition through
-``Letter.star``.
+operand, one rotation per odd telescoping chain on the period-reduced grid)
+with the bracket that canonicalised every merge through a full check and
+the brute-force rotation.  ``bracket_sign``, which compares letter fields,
+is checked against its definition through ``Letter.star``.
 """
 
 import random
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nhq.necklace
 from nhq import (
     CompositionError,
     HH0Element,
@@ -24,7 +25,14 @@ from nhq import (
 )
 from nhq.linear import add_into
 from nhq.necklace import bracket_sign, minimal_rotation_offset
-from nhq.sampling import random_hh0, small_quivers
+from nhq.rings import HBarPolynomial
+from nhq.sampling import (
+    jordan,
+    random_closed_word,
+    random_coefficient,
+    random_hh0,
+    small_quivers,
+)
 
 SETTINGS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
@@ -149,6 +157,90 @@ def test_bracket_matches_reference_on_small_quivers():
             x = random_hh0(rng, quiver, max_len=7, max_terms=3)
             y = random_hh0(rng, quiver, max_len=7, max_terms=3)
             assert necklace_bracket(x, y) == reference_bracket(x, y)
+
+
+def _operand_word(rng, quiver, kind):
+    """A closed word of one of the shapes the counting rules act on."""
+    w = random_closed_word(rng, quiver, 4)
+    c = rng.choice(list(quiver.letters()))
+    if kind == "power":
+        return w * rng.randint(1, 6)
+    if kind == "alternating":
+        return (c, c.star()) * rng.randint(1, 6)
+    # an alternating run in front of a closed word, so chains have starts
+    return (w[0], w[0].star()) * rng.randint(1, 4) + w
+
+
+@st.composite
+def structured_operands(draw):
+    """(x, y) on one of the small quivers: combinations of periodic powers
+    w^r, alternating words (c c')^m, alternating runs and idempotents."""
+    quiver = draw(st.sampled_from(small_quivers()))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["power", "alternating", "run", "idempotent"])
+
+    def operand():
+        terms = {}
+        for kind in draw(st.lists(kinds, min_size=1, max_size=3)):
+            if kind == "idempotent":
+                key = idempotent_class(rng.randrange(len(quiver.vertices)))
+            else:
+                key = nhq.canonical_necklace(quiver, _operand_word(rng, quiver, kind))
+            terms[key] = random_coefficient(rng, with_h=True)
+        return HH0Element(quiver, terms)
+
+    return operand(), operand()
+
+
+@SETTINGS
+@given(structured_operands())
+def test_bracket_matches_reference_on_periodic_and_alternating_operands(operands):
+    x, y = operands
+    assert necklace_bracket(x, y) == reference_bracket(x, y)
+
+
+def _count_rotations(monkeypatch):
+    calls = []
+    rotate = nhq.necklace.minimal_rotation_offset
+
+    def counted(letters):
+        calls.append(len(letters))
+        return rotate(letters)
+
+    monkeypatch.setattr(nhq.necklace, "minimal_rotation_offset", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60])
+def test_jordan_power_bracket_rotates_once(monkeypatch, n):
+    quiver = jordan()
+    x, xs = Letter(0, False), Letter(0, True)
+    a = HH0Element.of(quiver, Necklace(None, (x,) * n))
+    b = HH0Element.of(quiver, Necklace(None, (xs, xs)))
+    expected = HH0Element.of(quiver, Necklace(None, (x,) * (n - 1) + (xs,)), 2 * n)
+    calls = _count_rotations(monkeypatch)
+    assert necklace_bracket(a, b) == expected
+    assert len(calls) == 1
+    assert necklace_bracket(a, b) == reference_bracket(a, b)
+
+
+def test_long_jordan_pair_cancels_its_even_chains(monkeypatch):
+    """Two 50-letter words made of alternating runs: the diagonal chains
+    through the runs are long, the even ones cancel without a rotation and
+    each odd one is rotated once, into a term of its own."""
+    quiver = jordan()
+    x, xs = Letter(0, False), Letter(0, True)
+    a_word = (x, x) + (xs, x) * 10 + (xs,) * 3 + (x, xs) * 12 + (x,)
+    b_word = (xs, xs) + (x, xs) * 11 + (x,) * 2 + (xs, x) * 11 + (xs,) * 2
+    assert len(a_word) == len(b_word) == 50
+    a = HH0Element.of(quiver, nhq.canonical_necklace(quiver, a_word), HBarPolynomial((2, 1)))
+    b = HH0Element.of(quiver, nhq.canonical_necklace(quiver, b_word), -3)
+    pairs = sum(bool(bracket_sign(u, v)) for u in a_word for v in b_word)
+    calls = _count_rotations(monkeypatch)
+    got = necklace_bracket(a, b)
+    assert got == reference_bracket(a, b)
+    assert len(calls) == len(got.terms)
+    assert 8 * len(calls) < pairs
 
 
 def test_bracket_rejects_hand_built_non_composable_operands(A2):
