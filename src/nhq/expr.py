@@ -12,9 +12,10 @@ re-parses to an equal element.
 from __future__ import annotations
 
 import operator
+import sys
 from fractions import Fraction
 
-from .errors import ExpressionError
+from .errors import DimensionError, ExpressionError
 from .necklace import (
     HH0Element,
     Necklace,
@@ -128,16 +129,6 @@ def _power(x, n: int, one, mul):
     return out
 
 
-def _power_exceeds(base: int, n: int, limit: int) -> bool:
-    """Whether base**n > limit, without forming a power much past ``limit``."""
-    if base <= 1:
-        return False
-    # base**n >= 2**((bits - 1) * n), and limit < 2**limit.bit_length()
-    if (base.bit_length() - 1) * n > limit.bit_length():
-        return True
-    return base**n > limit
-
-
 def _parse_rational(stream: _Stream, num: int) -> HBarPolynomial:
     """The scalar num, or num/den when a '/' follows; den must be nonzero."""
     if stream.peek()[1] != "/":
@@ -226,14 +217,18 @@ class _Evaluator:
         if kind == _SCALAR:
             return kind, _power(value, exponent, HBarPolynomial.one(), operator.mul)
         if kind == _PATH:
-            terms = len(value.terms)
-            if _power_exceeds(terms, exponent, MAX_INDEX_ASSIGNMENTS):
-                raise ExpressionError(
-                    f"path power expands to {terms}^{exponent} terms, "
-                    f"above the limit {MAX_INDEX_ASSIGNMENTS}",
-                    pos,
-                )
-            return kind, _power(value, exponent, PathAlgebraElement.unit(self.quiver), path_mul)
+
+            def bounded_mul(a, b):
+                # the product has at most |a|*|b| terms; refuse it unformed
+                if len(a.terms) * len(b.terms) > MAX_INDEX_ASSIGNMENTS:
+                    raise ExpressionError(
+                        f"path power needs a product of {len(a.terms)}*{len(b.terms)} "
+                        f"terms, above the limit {MAX_INDEX_ASSIGNMENTS}",
+                        pos,
+                    )
+                return path_mul(a, b)
+
+            return kind, _power(value, exponent, PathAlgebraElement.unit(self.quiver), bounded_mul)
         raise ExpressionError("exponent applies to scalars and paths only", pos)
 
     def _resolve_name(self, name, pos):
@@ -544,8 +539,17 @@ def parse_poly_element(quiver: Quiver, dim, text: str) -> PolyElement:
 # Printers
 
 
-def format_hbar(p: HBarPolynomial) -> str:
-    return str(p)
+def format_hbar(p) -> str:
+    """The text of a coefficient, an h-polynomial or a rational.  ``str``
+    of an int refuses more digits than Python's limit (4,300 by default);
+    such a coefficient is refused with DimensionError."""
+    try:
+        return str(p)
+    except ValueError:
+        raise DimensionError(
+            f"coefficient has more than {sys.get_int_max_str_digits()} digits, "
+            "above the limit for printing"
+        ) from None
 
 
 def _is_single_term(p: HBarPolynomial) -> bool:
@@ -559,8 +563,8 @@ def _coeff_body(p: HBarPolynomial, body: str) -> str:
     if p == -HBarPolynomial.one():
         return f"-{body}"
     if _is_single_term(p):
-        return f"{p}*{body}"
-    return f"({p})*{body}"
+        return f"{format_hbar(p)}*{body}"
+    return f"({format_hbar(p)})*{body}"
 
 
 def _join_terms(pieces) -> str:
@@ -653,7 +657,8 @@ def format_qpa(x: QPAElement) -> str:
     for cfg, coeff in sorted(x.items(), key=lambda kv: _config_key(kv[0])):
         body = format_config(x.quiver, cfg)
         if body == "1":
-            pieces.append(format_hbar(coeff) if _is_single_term(coeff) or not coeff else f"({coeff})")
+            text = format_hbar(coeff)
+            pieces.append(text if _is_single_term(coeff) or not coeff else f"({text})")
         else:
             pieces.append(_coeff_body(coeff, body))
     return _join_terms(pieces)
@@ -679,9 +684,8 @@ def format_weyl(x: WeylElement) -> str:
         factors = [_format_opvar(quiver, v, e, False) for v, e in pos]
         factors += [_format_opvar(quiver, v, e, True) for v, e in der]
         if not factors:
-            pieces.append(
-                format_hbar(coeff) if _is_single_term(coeff) else f"({coeff})"
-            )
+            text = format_hbar(coeff)
+            pieces.append(text if _is_single_term(coeff) else f"({text})")
         else:
             pieces.append(_coeff_body(coeff, "*".join(factors)))
     return _join_terms(pieces)
@@ -699,7 +703,7 @@ def format_poly(x: PolyElement) -> str:
             body = f"({name})_{{{row},{col}}}"
             factors.append(body if exp == 1 else f"{body}^{exp}")
         if not factors:
-            pieces.append(str(coeff))
+            pieces.append(format_hbar(coeff))
         else:
             body = "*".join(factors)
             if coeff == 1:
@@ -707,7 +711,7 @@ def format_poly(x: PolyElement) -> str:
             elif coeff == -1:
                 pieces.append(f"-{body}")
             else:
-                pieces.append(f"{coeff}*{body}")
+                pieces.append(f"{format_hbar(coeff)}*{body}")
     return _join_terms(pieces)
 
 

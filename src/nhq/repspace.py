@@ -361,21 +361,30 @@ def gl_commutator(v: GlElement, w: GlElement) -> GlElement:
     return v._with_terms(out)
 
 
+def tau_pairs(quiver: Quiver, dim, i: int, p: int, q: int):
+    """The signed terms of tau(e^i_{p,q}) = sum sign * x_pos d_der, as
+    ``(sign, pos, der)`` coordinate keys: (1, (a, j, p), (a, j, q)) for each
+    arrow a with s(a) = i and (-1, (a, q, j), (a, p, j)) for t(a) = i, j
+    over the block at the arrow's other end.  Each term is already normal
+    ordered, position left of derivative."""
+    for ai, arrow in enumerate(quiver.arrows):
+        if arrow.source == i:
+            for j in range(1, dim[arrow.target] + 1):
+                yield 1, (ai, j, p), (ai, j, q)
+        if arrow.target == i:
+            for j in range(1, dim[arrow.source] + 1):
+                yield -1, (ai, q, j), (ai, p, j)
+
+
 def tau(quiver: Quiver, dim, v: GlElement) -> WeylElement:
     """Infinitesimal gl_d action as a first-order differential operator."""
     if (quiver, tuple(dim)) != v._context():
         raise MismatchError("gl element disagrees on quiver or dimensions")
     out: dict = {}
     for (i, p, q), c in v.items():
-        for ai, arrow in enumerate(quiver.arrows):
-            if arrow.source == i:
-                for j in range(1, dim[arrow.target] + 1):
-                    mono = ((((ai, j, p), 1),), (((ai, j, q), 1),))
-                    add_into(out, mono, HBarPolynomial.constant(c))
-            if arrow.target == i:
-                for j in range(1, dim[arrow.source] + 1):
-                    mono = ((((ai, q, j), 1),), (((ai, p, j), 1),))
-                    add_into(out, mono, HBarPolynomial.constant(-c))
+        signed = {1: HBarPolynomial.constant(c), -1: HBarPolynomial.constant(-c)}
+        for sign, pos, der in tau_pairs(quiver, dim, i, p, q):
+            add_into(out, (((pos, 1),), ((der, 1),)), signed[sign])
     return WeylElement(quiver, dim, out)
 
 
@@ -467,26 +476,39 @@ def chi_sign_variants(quiver: Quiver, dim, r=None) -> dict:
 
 
 def rational_nullspace(matrix, ncols):
-    """Basis of {x : A x = 0} over the rationals; A given as a list of rows."""
-    rows = [[as_fraction(c) for c in row] for row in matrix]
+    """Basis of {x : A x = 0} over the rationals; A given as a list of rows.
+
+    Gauss-Jordan elimination on sparse rows ``{col: Fraction}`` holding the
+    nonzero entries only, so each elimination step touches only the pivot
+    row's nonzero columns.  The reduced echelon form is unique, so the
+    basis (one vector per free column) does not depend on the storage.
+    """
+    rows = [
+        {col: v for col, c in enumerate(row) if (v := as_fraction(c))} for row in matrix
+    ]
     nrows = len(rows)
     pivot_col_of_row = []
     lead = 0
     for col in range(ncols):
-        pivot = None
-        for r in range(lead, nrows):
-            if rows[r][col] != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(lead, nrows) if col in rows[r]), None)
         if pivot is None:
             continue
         rows[lead], rows[pivot] = rows[pivot], rows[lead]
         pv = rows[lead][col]
-        rows[lead] = [c / pv for c in rows[lead]]
+        if pv != 1:
+            rows[lead] = {c: v / pv for c, v in rows[lead].items()}
+        pivot_row = rows[lead]
         for r in range(nrows):
-            if r != lead and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [c - factor * d for c, d in zip(rows[r], rows[lead])]
+            row = rows[r]
+            factor = row.get(col)
+            if r == lead or factor is None:
+                continue
+            for c, v in pivot_row.items():
+                value = row.get(c, 0) - factor * v
+                if value:
+                    row[c] = value
+                else:
+                    del row[c]
         pivot_col_of_row.append(col)
         lead += 1
         if lead == nrows:
@@ -499,7 +521,7 @@ def rational_nullspace(matrix, ncols):
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
         for r, pc in enumerate(pivot_col_of_row):
-            vec[pc] = -rows[r][free]
+            vec[pc] = -rows[r].get(free, Fraction(0))
         basis.append(vec)
     return basis
 

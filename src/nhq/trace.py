@@ -30,6 +30,7 @@ from .repspace import (
     PolyElement,
     WeylElement,
     _contract_letters,
+    _times_token,
     chi_sign_variants,
     classical_symbol,
     gl_basis,
@@ -38,6 +39,7 @@ from .repspace import (
     quantum_moment,
     tau,
     tau_kernel,
+    tau_pairs,
     weyl_commutator,
     weyl_mul,
 )
@@ -253,18 +255,21 @@ class IdealDecomposition:
     trace-character coefficient at the generator's vertex (None when no
     value of it makes the decomposition exact).
 
-    ``re_expand(c)`` is affine in c with slope h Tr_q(p), Tr_q(p) the sum of
-    the diagonal entries, so the exact ratio solve for ``chi_value`` already
-    checks target == re_expand(chi_value): ``verified`` is the ratio check.
-    Re-expanding and comparing is kept as a test oracle in
-    ``tests/test_reduction_oracles.py``.
+    ``expansion`` is the re-expansion at chi = 0, sum entry * tau(direction)
+    - lambda Tr_q(p), and ``trace_of_p`` is Tr_q(p), the sum of the diagonal
+    entries.  ``re_expand(c)`` is the affine expansion + c h Tr_q(p), so the
+    exact ratio solve for ``chi_value`` already checks target ==
+    re_expand(chi_value): ``verified`` is the ratio check.  Re-expanding
+    through ``weyl_mul`` and ``tau`` and comparing is kept as a test oracle
+    in ``tests/test_reduction_oracles.py``.
     """
 
     quiver: Quiver
     dim: tuple
     vertex: int
     pairs: tuple
-    lam_value: Fraction
+    expansion: WeylElement
+    trace_of_p: WeylElement
     chi_value: Fraction | None
     target: WeylElement
 
@@ -274,16 +279,9 @@ class IdealDecomposition:
 
     def re_expand(self, chi_value=None) -> WeylElement:
         cv = self.chi_value if chi_value is None else chi_value
-        cv = Fraction(0) if cv is None else cv
-        out = WeylElement(self.quiver, self.dim)
-        for coeff, direction in self.pairs:
-            w = tau(self.quiver, self.dim, direction)
-            tr_dir = _gl_block_trace(direction, self.vertex)
-            const = HBarPolynomial((self.lam_value * tr_dir, -cv * tr_dir))
-            if const:
-                w = w + WeylElement.constant(self.quiver, self.dim, const)
-            out = out + weyl_mul(coeff, w)
-        return out
+        if not cv:
+            return self.expansion
+        return self.expansion + self.trace_of_p.scale(HBarPolynomial((0, cv)))
 
     def report(self, name="ideal") -> VerificationReport:
         if self.verified:
@@ -293,14 +291,6 @@ class IdealDecomposition:
             "failed",
             residual=format_element(self.target - self.re_expand()),
         )
-
-
-def _gl_block_trace(v: GlElement, vertex: int) -> Fraction:
-    total = Fraction(0)
-    for (i, p, q), c in v.items():
-        if i == vertex and p == q:
-            total += c
-    return total
 
 
 def _solve_scalar_ratio(lhs: WeylElement, rhs: WeylElement):
@@ -316,6 +306,25 @@ def _solve_scalar_ratio(lhs: WeylElement, rhs: WeylElement):
     return None
 
 
+def _tau_expansion(quiver: Quiver, dim, vertex: int, entries) -> dict:
+    """sum_{l1,l2} M_{l1,l2} tau(-e_{l1,l2}) as a raw term dict.
+
+    Each term sign * x_pos d_der of tau(e_{l1,l2}) (``tau_pairs``) is
+    normal ordered, so M x_pos d_der is M times the position token, then
+    times the derivative token, both products in place on M's term dict.
+    """
+    signed = {1: {}, -1: {}}
+    for (l_first, l_last), entry in entries:
+        for sign, pos, der in tau_pairs(quiver, dim, vertex, l_first, l_last):
+            moved: dict = {}
+            _times_token(entry.terms, (pos, False), moved)
+            _times_token(moved, (der, True), signed[-sign])
+    out = signed[1]
+    for mono, c in signed[-1].items():
+        add_into(out, mono, -c)
+    return out
+
+
 def decompose_ideal_image(
     quiver: Quiver,
     dim,
@@ -329,10 +338,13 @@ def decompose_ideal_image(
     The coefficient of each boundary pair (l_first, l_last) is that entry of
     the operator matrix product of the marked cycle's letters, taken in word
     (= height) order; its direction is -e_{l_first, l_last} at the marked
-    vertex.  The trace character coefficient is the exact ratio of
+    vertex.  The re-expansion at chi = 0 is built from those entries by
+    token products: each normal-ordered term x d of tau(direction)
+    multiplies the entry's term dict in place, and lambda enters once, as
+    -lambda Tr_q(p).  The trace character coefficient is the exact ratio of
     target - re_expand(0) to h Tr_q(p); re-expansion is affine in it with
     exactly that slope, so the ratio exists precisely when the re-expansion
-    equals the traced generator, and one re-expansion at 0 suffices.
+    equals the traced generator.
     """
     dim = tuple(dim)
     if params is None:
@@ -340,28 +352,39 @@ def decompose_ideal_image(
         params = ReductionParameters(zero, zero)
     word = marked_word(quiver, p, vertex, mark)
     target = trace_quantum(ideal_generator(quiver, p, vertex, mark, params), dim)
-    lam_value = params.lam[vertex]
 
     ends = range(1, dim[vertex] + 1)
     if word:
         cycle = tuple((letter, t) for t, letter in enumerate(word))
         entries = _contract_letters(quiver, dim, (cycle,), True, (ends, ends))
     else:
-        entries = {(l, l): WeylElement.constant(quiver, dim, 1) for l in ends}
+        unit = WeylElement.constant(quiver, dim, 1)
+        entries = {(l, l): unit for l in ends}
+    entries = sorted(
+        ((key, coeff) for key, coeff in entries.items() if coeff), key=lambda kv: kv[0]
+    )
     pairs = tuple(
         (coeff, GlElement.elementary(quiver, dim, vertex, l_first, l_last, -1))
-        for (l_first, l_last), coeff in sorted(entries.items(), key=lambda kv: kv[0])
-        if coeff
+        for (l_first, l_last), coeff in entries
     )
-    decomposition = IdealDecomposition(quiver, dim, vertex, pairs, lam_value, None, target)
-    residual = target - decomposition.re_expand(Fraction(0))
-    trace_of_p = WeylElement(quiver, dim)
-    for l in ends:
-        trace_of_p = trace_of_p + entries[l, l]
-    decomposition.chi_value = _solve_scalar_ratio(
-        residual, trace_of_p.scale(HBarPolynomial.h())
+    trace_of_p: dict = {}
+    for (l_first, l_last), coeff in entries:
+        if l_first == l_last:
+            for mono, c in coeff.items():
+                add_into(trace_of_p, mono, c)
+    expansion = _tau_expansion(quiver, dim, vertex, entries)
+    lam = params.lam[vertex]
+    if lam:
+        for mono, c in trace_of_p.items():
+            add_into(expansion, mono, c * -lam)
+    zero = WeylElement(quiver, dim)
+    expansion, trace_of_p = zero._with_terms(expansion), zero._with_terms(trace_of_p)
+    chi_value = _solve_scalar_ratio(
+        target - expansion, trace_of_p.scale(HBarPolynomial.h())
     )
-    return decomposition
+    return IdealDecomposition(
+        quiver, dim, vertex, pairs, expansion, trace_of_p, chi_value, target
+    )
 
 
 def _closed_necklaces(quiver: Quiver, max_len: int):

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -312,10 +313,39 @@ def test_oversized_path_power_is_refused_before_expanding(capsys):
     assert out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: position ") and err.count("\n") == 1
-    assert f"2^21 terms, above the limit {MAX_INDEX_ASSIGNMENTS}" in err
+    # x^5 (32 terms) times x^16 (2^16 terms) is the first product past the limit
+    assert f"product of 32*65536 terms, above the limit {MAX_INDEX_ASSIGNMENTS}" in err
     code, out = run("bracket", "-q", q("jordan"), "[x^4096]", "[x'.x']")
     assert code == 0
     assert out.strip() == "8192*[" + "x." * 4095 + "x']"
     code, out = run("bracket", "-q", q("jordan"), "[(x+x')^3]", "[x]")
     assert code == 0
     assert out.strip() == "-3*[x.x] - 6*[x.x'] - 3*[x'.x']"
+
+
+def test_path_power_bound_counts_the_terms_it_forms(capsys):
+    # (x+ev)^n has n+1 terms: the bound follows the terms each product
+    # forms, not the 2^n words of the expansion
+    code, out = run("bracket", "-q", q("jordan"), "[(x+ev)^21]", "[x']")
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    # [x^k]·[x'] = k [x^(k-1)], so the result is sum_k C(21,k) k [x^(k-1)]
+    pieces = [
+        f"{math.comb(21, k) * k}*[{'.'.join('x' * (k - 1)) or 'ev'}]" for k in range(1, 22)
+    ]
+    assert out.strip() == " + ".join(pieces)
+
+
+def test_oversized_coefficient_output_exits_3(capsys):
+    # 99^4096 has 8,174 digits: it parses, and the bracket is computed, but
+    # int refuses to print more than its digit limit
+    code, out = run("bracket", "-q", q("jordan"), "99^4096*[x]", "[x']")
+    assert code == 3
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err == (
+        f"error: coefficient has more than {sys.get_int_max_str_digits()} digits, "
+        "above the limit for printing\n"
+    )
+    assert run("bracket", "-q", q("jordan"), "99^2048*[x]", "[x']")[0] == 0
