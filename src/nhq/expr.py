@@ -33,6 +33,11 @@ from .schedler import HeightConfiguration, QPAElement, SymElement, make_configur
 
 _SYMBOLS = set("+-*/.&[](),^'{}")
 
+#: Deepest bracket nesting the tokenizer accepts.  The parsers descend one
+#: level per bracket, so deeper input is refused before it can exhaust the
+#: interpreter's recursion limit.
+MAX_NESTING = 100
+
 
 def _is_word_char(ch: str) -> bool:
     """ASCII letters, digits and '_': names and integers are ASCII only."""
@@ -44,6 +49,7 @@ def tokenize(text: str):
     out = []
     i = 0
     n = len(text)
+    depth = 0
     while i < n:
         ch = text[i]
         if ch.isspace():
@@ -58,6 +64,12 @@ def tokenize(text: str):
             i = j
             continue
         if ch in _SYMBOLS:
+            if ch in "([{":
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise ExpressionError(f"brackets nest deeper than {MAX_NESTING} levels", i)
+            elif ch in ")]}":
+                depth -= 1
             out.append(("sym", ch, i))
             i += 1
             continue
@@ -184,12 +196,12 @@ class _Evaluator:
             kind, value = self._mul(kind, value, rkind, rvalue, pos)
 
     def unary(self):
-        _, tval, _ = self.stream.peek()
-        if tval == "-":
+        negate = False
+        while self.stream.peek()[1] == "-":
             self.stream.next()
-            kind, value = self.unary()
-            return kind, -value
-        return self.atom()
+            negate = not negate
+        kind, value = self.atom()
+        return (kind, -value) if negate else (kind, value)
 
     def atom(self):
         kind, val, pos = self.stream.next()
@@ -439,6 +451,15 @@ def _parse_entry_indices(stream: _Stream):
     return _int_value(rval, rpos), _int_value(cval, cpos)
 
 
+def _entry(make, pos, *args):
+    """``make(*args)``, one matrix-entry factor; an index outside its block
+    is an error in the text at ``pos``."""
+    try:
+        return make(*args)
+    except DimensionError as exc:
+        raise ExpressionError(str(exc), pos) from None
+
+
 def _with_exponent(stream: _Stream, factor, one):
     """``factor``, raised to the exponent when ``^n`` follows."""
     exponent = _read_exponent(stream)
@@ -482,7 +503,9 @@ def parse_weyl_element(quiver: Quiver, dim, text: str) -> WeylElement:
                 raise ExpressionError(f"unknown arrow {name!r}", npos)
             stream.expect("]")
             row, col = _parse_entry_indices(stream)
-            out = WeylElement.position(quiver, dim, quiver.arrow_index(name), row, col)
+            out = _entry(
+                WeylElement.position, pos, quiver, dim, quiver.arrow_index(name), row, col
+            )
         elif kind == "name" and val == "d" and stream.peek(1)[1] == "(":
             stream.next()
             stream.expect("(")
@@ -491,7 +514,9 @@ def parse_weyl_element(quiver: Quiver, dim, text: str) -> WeylElement:
                 raise ExpressionError(f"unknown arrow {name!r}", npos)
             stream.expect(")")
             row, col = _parse_entry_indices(stream)
-            out = WeylElement.derivative(quiver, dim, quiver.arrow_index(name), row, col)
+            out = _entry(
+                WeylElement.derivative, pos, quiver, dim, quiver.arrow_index(name), row, col
+            )
         else:
             return one.scale(_parse_scalar_tokens(stream, quiver))
         return _with_exponent(stream, out, one)
@@ -519,9 +544,8 @@ def parse_poly_element(quiver: Quiver, dim, text: str) -> PolyElement:
                 starred = True
             stream.expect(")")
             row, col = _parse_entry_indices(stream)
-            out = PolyElement.coordinate(
-                quiver, dim, quiver.arrow_index(name), starred, row, col
-            )
+            index = quiver.arrow_index(name)
+            out = _entry(PolyElement.coordinate, pos, quiver, dim, index, starred, row, col)
             return _with_exponent(stream, out, one)
         scalar = _parse_scalar_tokens(stream, quiver)
         if scalar.degree > 0:

@@ -18,6 +18,16 @@ its two arcs as a symmetric product (same component), empty pieces turning
 into idempotent factors.  Each swap lowers the inversion count against the
 normal-form height order and each correction has two fewer letters, so the
 recursion terminates; confluence is a tested invariant, not an assumption.
+
+Every correction costs one factor +-h and exactly two letters, so in the
+expansion of an N-letter configuration the coefficient of an n-letter term
+is an integer times h^((N - n)/2).  The rewriting kernel therefore works on
+plain ``int`` coefficients with the power of h implied by the letter count,
+and the straighten cache holds ``(cfg, int)`` pairs; ``_normal_terms`` is
+the one boundary that restores h^((N - n)/2) for ``straighten``,
+``qpa_mul``, ``moment_lift`` and ``ideal_generator``.  A correction drops
+the letters at heights h and h + 1 of a configuration with heights 1..N,
+so it is renumbered by moving the heights above h + 1 down by two.
 """
 
 from __future__ import annotations
@@ -50,7 +60,7 @@ class HeightConfiguration:
 
     @property
     def letter_count(self) -> int:
-        return sum(len(c) for c in self.components)
+        return sum(map(len, self.components))
 
     @property
     def is_unit(self) -> bool:
@@ -111,42 +121,39 @@ def canonical_configuration(quiver: Quiver, necklaces, extra_idempotents=()) -> 
     comps = []
     t = 1
     for neck in words:
-        comps.append(tuple((letter, t + k) for k, letter in enumerate(neck.letters)))
-        t += len(neck.letters)
+        n = len(neck.letters)
+        comps.append(tuple(zip(neck.letters, range(t, t + n))))
+        t += n
     return HeightConfiguration(tuple(comps), tuple(idems))
 
 
 def _canonical_targets(quiver: Quiver, comps):
-    """Map each (component, position) to its normal-form height."""
+    """The normal-form height of the letter at each height 1..N of a
+    normalized configuration (entry h - 1 for height h), and the necklaces
+    of its blocks in normal-form order."""
     blocks = []
     for ci, comp in enumerate(comps):
-        word = tuple(letter for (letter, _) in comp)
+        word = tuple([letter for (letter, _) in comp])
         off = minimal_rotation_offset(word)
         neck = Necklace(None, word[off:] + word[:off])
+        # ci is unique, so the necklace itself is never compared
         blocks.append((necklace_key(neck), comp[0][1], ci, off, neck))
-    blocks.sort(key=lambda b: (b[0], b[1]))
-    target = {}
+    blocks.sort()
+    seq = [0] * sum(map(len, comps))
     necklaces = []
     t = 1
     for _, _, ci, off, neck in blocks:
-        n = len(comps[ci])
+        comp = comps[ci]
         necklaces.append(neck)
-        for k in range(n):
-            target[(ci, (off + k) % n)] = t
+        for _, h in comp[off:] + comp[:off]:
+            seq[h - 1] = t
             t += 1
-    return target, necklaces
+    return seq, necklaces
 
 
 def is_canonical(quiver: Quiver, cfg: HeightConfiguration) -> bool:
-    comps = cfg.components
-    if not comps:
-        return True
-    target, _ = _canonical_targets(quiver, comps)
-    for ci, comp in enumerate(comps):
-        for pi, (_, h) in enumerate(comp):
-            if target[(ci, pi)] != h:
-                return False
-    return True
+    seq, _ = _canonical_targets(quiver, cfg.components)
+    return seq == list(range(1, len(seq) + 1))
 
 
 def _arc_length(a: int, b: int, n: int) -> int:
@@ -161,7 +168,6 @@ _PICKERS = {
     "random": lambda invs, rng: rng.choice(invs),
 }
 
-_H = HBarPolynomial.h()
 _ONE = HBarPolynomial.one()
 
 #: Entries kept by each module-level cache (default-strategy normal forms
@@ -169,32 +175,43 @@ _ONE = HBarPolynomial.one()
 CACHE_SIZE = 1 << 16
 
 
-def _inversion_count(seq) -> int:
-    n = len(seq)
-    return sum(
-        1 for i in range(n) for j in range(i + 1, n) if seq[i] > seq[j]
-    )
+def _drop_pair(pieces, idems, h):
+    """Normalize a correction term cut from a configuration with heights
+    1..N by dropping the letters at heights h and h + 1: heights above h + 1
+    move down by two, each piece is rotated to start at its minimal height
+    (swaps move the minimum, so kept components need it too) and the pieces
+    are sorted by that height.  Equal to ``_normalize_raw`` on the same
+    input, without its sort and rank table."""
+    comps = []
+    for piece in pieces:
+        # renumbering keeps the order of heights, so the minimum stays put
+        heights = [k for (_, k) in piece]
+        start = heights.index(min(heights))
+        piece = piece[start:] + piece[:start]
+        comps.append(tuple([(letter, k - 2 if k > h else k) for (letter, k) in piece]))
+    comps.sort(key=_start_height)
+    return tuple(comps), tuple(sorted(idems))
 
 
-def _rewrite(quiver, comps, idems, pick, rng, expand, on_step=None, parent_measure=None):
-    """Expand a normalized configuration over the normal-form basis.  Each
-    raw correction term goes through ``expand(comps, idems, measure)``;
-    ``measure`` is None unless ``on_step`` is set."""
+def _start_height(comp):
+    return comp[0][1]
+
+
+def _rewrite(quiver, comps, idems, pick, rng, normal_form):
+    """Expand a normalized configuration of N letters over the normal-form
+    basis as ``(cfg, c)`` pairs with ``int`` c: the coefficient of an
+    n-letter cfg is c*h^((N - n)/2).  ``normal_form(quiver, comps, idems)``
+    expands each normalized correction term the same way."""
     # The target normal-form height of every position is fixed once here;
     # the swap chain below strictly lowers the inversion count against it,
     # so the chain terminates no matter how rotation or block-order ties
     # were broken (ties only exist between identical words, for which all
     # choices produce the same normal form).
-    target, necklaces = _canonical_targets(quiver, comps)
+    seq, necklaces = _canonical_targets(quiver, comps)
     state = [list(comp) for comp in comps]
     pos_of = {h: (ci, pi) for ci, comp in enumerate(state) for pi, (_, h) in enumerate(comp)}
-    n_letters = len(pos_of)
-    seq = [target[pos_of[h]] for h in range(1, n_letters + 1)]
+    n_letters = len(seq)
     out: dict = {}
-
-    measure = (n_letters, _inversion_count(seq)) if on_step is not None else None
-    if on_step is not None and parent_measure is not None:
-        on_step(parent_measure, measure)
 
     while True:
         inverted = [h for h in range(1, n_letters) if seq[h - 1] > seq[h]]
@@ -209,35 +226,32 @@ def _rewrite(quiver, comps, idems, pick, rng, expand, on_step=None, parent_measu
         sign = bracket_sign(u, v)
         if sign:
             # Correction: drop the two contracted letters from the pre-swap
-            # configuration, keeping every other letter's height.
+            # configuration.  It costs one factor -sign*h and two letters,
+            # which is what keeps every coefficient a bare int.
+            pieces = [c for k, c in enumerate(state) if k != ci and k != cj]
+            new_idems = list(idems)
             if ci != cj:
                 len_i, len_j = len(state[ci]), len(state[cj])
-                rem_i = [state[ci][(pi + 1 + k) % len_i] for k in range(len_i - 1)]
-                rem_j = [state[cj][(pj + 1 + k) % len_j] for k in range(len_j - 1)]
-                merged = tuple(rem_i + rem_j)
-                new_comps = [tuple(c) for k, c in enumerate(state) if k not in (ci, cj)]
-                new_idems = list(idems)
+                merged = [state[ci][(pi + 1 + k) % len_i] for k in range(len_i - 1)]
+                merged += [state[cj][(pj + 1 + k) % len_j] for k in range(len_j - 1)]
                 if merged:
-                    new_comps.append(merged)
+                    pieces.append(merged)
                 else:
                     new_idems.append(u.target(quiver))
             else:
                 n = len(state[ci])
                 arc_b = [state[ci][(pi + 1 + k) % n] for k in range(_arc_length(pi, pj, n))]
                 arc_a = [state[ci][(pj + 1 + k) % n] for k in range(_arc_length(pj, pi, n))]
-                new_comps = [tuple(c) for k, c in enumerate(state) if k != ci]
-                new_idems = list(idems)
                 if arc_a:
-                    new_comps.append(tuple(arc_a))
+                    pieces.append(arc_a)
                 else:
                     new_idems.append(u.target(quiver))
                 if arc_b:
-                    new_comps.append(tuple(arc_b))
+                    pieces.append(arc_b)
                 else:
                     new_idems.append(v.target(quiver))
-            factor = _H if sign > 0 else -_H
-            for cfg, c in expand(tuple(new_comps), tuple(new_idems), measure):
-                add_into(out, cfg, -(c * factor))
+            for cfg, c in normal_form(quiver, *_drop_pair(pieces, new_idems, h)):
+                add_into(out, cfg, -sign * c)
 
         # The swap exchanges heights h and h + 1 between two positions, so
         # the height lookup and the target sequence swap two entries each.
@@ -245,16 +259,8 @@ def _rewrite(quiver, comps, idems, pick, rng, expand, on_step=None, parent_measu
         state[cj][pj] = (v, h)
         pos_of[h], pos_of[h + 1] = (cj, pj), (ci, pi)
         seq[h - 1], seq[h] = seq[h], seq[h - 1]
-        if on_step is not None:
-            new_measure = (n_letters, _inversion_count(seq))
-            on_step(measure, new_measure)
-            measure = new_measure
 
-    add_into(
-        out,
-        canonical_configuration(quiver, necklaces, extra_idempotents=idems),
-        _ONE,
-    )
+    add_into(out, canonical_configuration(quiver, necklaces, extra_idempotents=idems), 1)
     return tuple(out.items())
 
 
@@ -262,15 +268,21 @@ def _rewrite(quiver, comps, idems, pick, rng, expand, on_step=None, parent_measu
 def _normal_form(quiver, comps, idems):
     """Default-strategy expansion of a normalized configuration; the one
     cache behind ``straighten``, ``qpa_mul``, ``moment_lift`` and the ideal
-    generators."""
-    return _rewrite(
-        quiver, comps, idems, _PICKERS["first"], None,
-        lambda c, i, _: _straighten_parts(quiver, c, i),
-    )
+    generators.  Entries are ``(cfg, int)`` pairs, as ``_rewrite`` makes
+    them."""
+    return _rewrite(quiver, comps, idems, _PICKERS["first"], None, _normal_form)
 
 
-def _straighten_parts(quiver, comps, idems):
-    return _normal_form(quiver, *_normalize_raw(comps, idems))
+def _normal_terms(quiver, comps, idems, scale=_ONE, normal_form=_normal_form):
+    """``scale`` times the normal form of a normalized configuration, as
+    ``(cfg, HBarPolynomial)`` pairs: the one place where the kernel's int
+    coefficient c of an n-letter cfg gets back its h^((N - n)/2), N being
+    the letter count of ``comps``."""
+    n_letters = sum(map(len, comps))
+    return [
+        (cfg, scale.scaled_shift(c, (n_letters - cfg.letter_count) >> 1))
+        for cfg, c in normal_form(quiver, comps, idems)
+    ]
 
 
 def clear_straighten_cache() -> None:
@@ -309,41 +321,39 @@ def straighten(
     cfg: HeightConfiguration,
     strategy: str = "first",
     rng=None,
-    on_step=None,
 ) -> QPAElement:
     """Expand a configuration over the PBW normal-form basis.
 
     ``strategy`` picks which inverted adjacent height pair is rewritten next
     ("first", "last", "middle", or "random" with an ``rng``); all strategies
-    produce the same element.  ``on_step`` receives the (letter count,
-    inversion count) measure of parent and child at every rewrite edge.
+    produce the same element.
 
     The default strategy reads and fills the module's bounded LRU cache
     (``clear_straighten_cache`` empties it).  Any other strategy memoizes in
     a cache of its own call only, so confluence checks never see the shared
-    results; with ``on_step`` nothing is memoized and every edge is reported.
+    results.
     """
-    pick = _PICKERS[strategy]
+    pick = _PICKERS.get(strategy)
+    if pick is None:
+        raise ValueError(
+            f"unknown strategy {strategy!r}; expected one of {', '.join(_PICKERS)}"
+        )
     if strategy == "random" and rng is None:
         raise ValueError("strategy 'random' needs an rng")
-    if on_step is None and strategy == "first":
-        return QPAElement(quiver, _straighten_parts(quiver, cfg.components, cfg.idempotents))
-    if on_step is None:
-        @lru_cache(maxsize=None)
-        def normal_form(comps, idems):
-            return _rewrite(quiver, comps, idems, pick, rng, expand)
-
-        def expand(comps, idems, _):
-            return normal_form(*_normalize_raw(comps, idems))
+    if strategy == "first":
+        normal_form = _normal_form
     else:
-        def expand(comps, idems, measure):
-            comps, idems = _normalize_raw(comps, idems)
-            return _rewrite(quiver, comps, idems, pick, rng, expand, on_step, measure)
-    return QPAElement(quiver, expand(cfg.components, cfg.idempotents, None))
+        @lru_cache(maxsize=None)
+        def normal_form(quiver, comps, idems):
+            return _rewrite(quiver, comps, idems, pick, rng, normal_form)
+
+    comps, idems = _normalize_raw(cfg.components, cfg.idempotents)
+    return QPAElement(quiver, _normal_terms(quiver, comps, idems, normal_form=normal_form))
 
 
 def qpa_mul(x: QPAElement, y: QPAElement) -> QPAElement:
-    """Stack y above x: shift y's heights past x's, then straighten."""
+    """Stack y above x: shift y's heights past x's, then straighten.  The
+    stacked components are normalized already: x's start below y's."""
     if x.quiver != y.quiver:
         raise MismatchError("qpa_mul operands live over different quivers")
     quiver = x.quiver
@@ -355,10 +365,9 @@ def qpa_mul(x: QPAElement, y: QPAElement) -> QPAElement:
                 tuple((letter, h + shift) for (letter, h) in comp)
                 for comp in cfg_y.components
             )
-            idems = cfg_x.idempotents + cfg_y.idempotents
-            coeff = cx * cy
-            for cfg, c in _straighten_parts(quiver, comps, idems):
-                add_into(out, cfg, coeff * c)
+            idems = tuple(sorted(cfg_x.idempotents + cfg_y.idempotents))
+            for cfg, c in _normal_terms(quiver, comps, idems, cx * cy):
+                add_into(out, cfg, c)
     return x._with_terms(out)
 
 
@@ -442,9 +451,12 @@ def moment_lift(quiver: Quiver) -> QPAElement:
     out: dict = {}
     for ai in range(len(quiver.arrows)):
         plain, starred = Letter(ai, False), Letter(ai, True)
-        for word, sign in ((((plain, 1), (starred, 2)), 1), (((starred, 1), (plain, 2)), -1)):
-            for cfg, c in _straighten_parts(quiver, (word,), ()):
-                add_into(out, cfg, c * sign)
+        for word, scale in (
+            (((plain, 1), (starred, 2)), _ONE),
+            (((starred, 1), (plain, 2)), -_ONE),
+        ):
+            for cfg, c in _normal_terms(quiver, (word,), (), scale):
+                add_into(out, cfg, c)
     return QPAElement(quiver, out)
 
 
@@ -517,17 +529,17 @@ def ideal_generator(
         plain, starred = Letter(ai, False), Letter(ai, True)
         if arrow.target == vertex:
             comp = base + ((plain, v + 1), (starred, v + 2))
-            for cfg, c in _straighten_parts(quiver, (comp,), ()):
+            for cfg, c in _normal_terms(quiver, (comp,), ()):
                 add_into(out, cfg, c)
         if arrow.source == vertex:
             comp = base + ((starred, v + 1), (plain, v + 2))
-            for cfg, c in _straighten_parts(quiver, (comp,), ()):
-                add_into(out, cfg, -c)
+            for cfg, c in _normal_terms(quiver, (comp,), (), -_ONE):
+                add_into(out, cfg, c)
     tail = HBarPolynomial((-params.lam[vertex], params.r[vertex]))
     if tail:
         if v:
-            for cfg, c in _straighten_parts(quiver, (base,), ()):
-                add_into(out, cfg, c * tail)
+            for cfg, c in _normal_terms(quiver, (base,), (), tail):
+                add_into(out, cfg, c)
         else:
             add_into(out, HeightConfiguration((), (vertex,)), tail)
     return QPAElement(quiver, out)

@@ -28,6 +28,16 @@ def test_repeated_default_straighten_is_a_cache_hit(L2):
     assert (after.misses, after.currsize) == (info.misses, info.currsize)
 
 
+def test_straighten_cache_holds_int_coefficients(L2):
+    cfg = _two_loop_cfg(L2)
+    result = straighten(L2, cfg)
+    info = _normal_form.cache_info()
+    entry = _normal_form(L2, cfg.components, cfg.idempotents)
+    assert _normal_form.cache_info().hits == info.hits + 1
+    assert len(entry) == len(result.terms) > 1
+    assert all(type(c) is int for _, c in entry)
+
+
 def test_clear_straighten_cache_empties_it(L2):
     straighten(L2, _two_loop_cfg(L2))
     assert _normal_form.cache_info().currsize > 0

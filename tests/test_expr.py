@@ -4,8 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhq import ExpressionError, HBarPolynomial, Letter, Path, PathAlgebraElement
+from nhq import (
+    CompositionError,
+    ExpressionError,
+    HBarPolynomial,
+    Letter,
+    Path,
+    PathAlgebraElement,
+)
 from nhq.expr import (
+    MAX_NESTING,
     format_hh0,
     format_path_element,
     format_poly,
@@ -13,7 +21,9 @@ from nhq.expr import (
     format_weyl,
     parse_hh0_element,
     parse_path_element,
+    parse_poly_element,
     parse_qpa_element,
+    parse_weyl_element,
     tokenize,
 )
 from nhq.sampling import (
@@ -23,6 +33,7 @@ from nhq.sampling import (
     random_hh0,
     random_path_element,
     random_quiver,
+    small_quivers,
 )
 from nhq.schedler import straighten
 from nhq.trace import lift_necklace_combination, trace_classical, trace_quantum
@@ -131,8 +142,6 @@ def test_round_trip_property_on_sampled_elements(seed):
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_round_trip_property_on_sampled_traces(seed):
-    from nhq.expr import parse_poly_element, parse_weyl_element
-
     rng = random.Random(seed)
     q = random_quiver(rng)
     dim = random_dimension(rng, q, max_dim=2)
@@ -142,6 +151,64 @@ def test_round_trip_property_on_sampled_traces(seed):
     assert parse_weyl_element(q, dim, format_weyl(w)) == w
     p = trace_classical(x, dim).scale(c.constant_term())
     assert parse_poly_element(q, dim, format_poly(p)) == p
+
+
+#: Pieces of the grammar of every parser, with the names the small quivers use.
+_GRAMMAR_TOKENS = [
+    "x", "x'", "y", "a", "b'", "ev", "e1", "e2", "h", "d", "_",
+    "(", ")", "[", "]", "{", "}", ",", "+", "-", "*", "/", ".", "&", "^", "'",
+    " ", "0", "1", "2", "3", "12",
+]
+
+#: Whole factors of each grammar (paths, classes, scalars, height pairs,
+#: operator and coordinate entries, some outside a 2x2 block), joined below
+#: by the operators of every grammar.
+_FACTORS = [
+    "x", "x'", "y", "a'", "b", "ev", "e1", "e2", "h", "h^2", "2", "3/2", "0",
+    "[x.x']", "[a.a']", "(x+ev)^3", "x^0", "(x,1)", "(x',2)", "(a,1)(a',2)",
+    "(y,2)(x,1)", "[x]_{1,2}", "[x]_{3,1}", "d(x)_{2,2}", "d(a)_{1,0}",
+    "(x)_{1,1}", "(a')_{2,1}", "(b)_{1,5}",
+]
+_JOINS = ["+", "-", "*", ".", "&", " ", ""]
+
+_TEXTS = st.one_of(
+    st.text(max_size=40),
+    st.lists(st.sampled_from(_GRAMMAR_TOKENS), max_size=30).map("".join),
+    st.lists(st.tuples(st.sampled_from(_JOINS), st.sampled_from(_FACTORS)), min_size=1, max_size=6)
+    .map(lambda pieces: "".join(j + f for j, f in pieces)),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(small_quivers()), _TEXTS)
+def test_every_parser_returns_an_element_or_a_parse_error(quiver, text):
+    dim = (2,) * len(quiver.vertices)
+    parsers = (
+        parse_path_element,
+        parse_hh0_element,
+        parse_qpa_element,
+        lambda q, t: parse_weyl_element(q, dim, t),
+        lambda q, t: parse_poly_element(q, dim, t),
+    )
+    for parse in parsers:
+        try:
+            parse(quiver, text)
+        except (ExpressionError, CompositionError):
+            pass
+
+
+def test_parse_errors_for_deep_nesting_and_entries_outside_the_block(J):
+    deep = "(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1)
+    for parse in (parse_path_element, parse_qpa_element):
+        with pytest.raises(ExpressionError, match="nest deeper"):
+            parse(J, deep)
+    ok = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_path_element(J, ok) == parse_path_element(J, "x")
+    assert parse_path_element(J, "-" * 5000 + "x") == parse_path_element(J, "x")
+    with pytest.raises(ExpressionError, match=r"position 4: .*out of range for block 2x2"):
+        parse_weyl_element(J, (2,), "h * [x]_{3,1}")
+    with pytest.raises(ExpressionError, match=r"position 0: .*out of range"):
+        parse_poly_element(J, (2,), "(x')_{1,0}")
 
 
 def test_round_trip_qpa(J, A2, A3P):
@@ -169,7 +236,6 @@ def test_round_trip_weyl_and_poly(J, A2):
     import random as _r
 
     from nhq import WeylElement, classical_symbol, weyl_mul
-    from nhq.expr import parse_poly_element, parse_weyl_element
 
     rng = _r.Random(54)
     for q, d in ((J, (2,)), (A2, (2, 1))):
@@ -211,7 +277,6 @@ def test_format_hbar_round_trip_via_scalar_context(J):
 
 
 def test_zeroth_power_is_the_unit_in_every_parser(J, A3P):
-    from nhq.expr import parse_poly_element, parse_weyl_element
     from nhq.repspace import PolyElement, WeylElement
 
     assert parse_path_element(J, "x^0") == PathAlgebraElement.unit(J)
@@ -226,8 +291,6 @@ def test_zeroth_power_is_the_unit_in_every_parser(J, A3P):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_powers_equal_repeated_products(J, A2, n):
-    from nhq.expr import parse_poly_element, parse_weyl_element
-
     cases = [
         (lambda text: parse_path_element(J, text), "(x + 2*x')"),
         (lambda text: parse_path_element(J, text), "(x.x' - h)"),

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhq import (
     CompositionError,
@@ -24,14 +26,17 @@ from nhq import (
     project,
     qpa_comm,
     qpa_mul,
+    schedler,
     straighten,
 )
 from nhq.expr import format_qpa, parse_qpa_element
 from nhq.sampling import (
+    random_coefficient,
     random_configuration,
     random_necklace,
     random_quiver,
     random_sym_element,
+    small_quivers,
 )
 from nhq.schedler import sym_mul
 from nhq.trace import lift_necklace_combination
@@ -133,18 +138,57 @@ def test_straighten_confluence_randomized():
         assert all(r == results[0] for r in results[1:])
 
 
-def test_straighten_measure_strictly_decreases():
+def _inversions(seq) -> int:
+    return sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j])
+
+
+def test_straighten_measure_strictly_decreases(monkeypatch):
+    """(letters, inversions) falls on every swap edge and every correction
+    edge of the full rewrite tree.  The wrapped ``_rewrite`` follows each
+    swap through the picker it is handed, checks that the kernel's inverted
+    pairs are the descents of the tracked target sequence, and expands every
+    correction unmemoized, so no edge hides behind a cache."""
+    rewrite = schedler._rewrite
+    edges = {"swap": 0, "correction": 0}
+
+    def watched(quiver, comps, idems, pick, rng, normal_form):
+        seq = schedler._canonical_targets(quiver, comps)[0]
+        measure = [(len(seq), _inversions(seq))]
+
+        def tracking_pick(inverted, rng):
+            assert inverted == [h for h in range(1, len(seq)) if seq[h - 1] > seq[h]]
+            h = pick(inverted, rng)
+            parent = (len(seq), _inversions(seq))
+            measure[0] = parent
+            seq[h - 1], seq[h] = seq[h], seq[h - 1]
+            child = (len(seq), _inversions(seq))
+            assert child < parent
+            edges["swap"] += 1
+            return h
+
+        def correction(quiver, comps, idems):
+            # called between a pick and its swap, so measure[0] is the parent
+            child_seq = schedler._canonical_targets(quiver, comps)[0]
+            assert (len(child_seq), _inversions(child_seq)) < measure[0]
+            edges["correction"] += 1
+            return schedler._rewrite(quiver, comps, idems, pick, rng, correction)
+
+        return rewrite(quiver, comps, idems, tracking_pick, rng, correction)
+
+    monkeypatch.setattr(schedler, "_rewrite", watched)
     rng = random.Random(22)
     for _ in range(15):
         q = random_quiver(rng)
         cfg = random_configuration(rng, q, max_letters=7)
-        steps = []
+        for strategy in ("first", "last"):
+            straighten(q, cfg, strategy=strategy)
+    assert edges["swap"] > 0 and edges["correction"] > 0
 
-        def watch(parent, child):
-            steps.append((parent, child))
 
-        straighten(q, cfg, on_step=watch)
-        assert all(child < parent for parent, child in steps)
+def test_straighten_rejects_unknown_strategy(J):
+    cfg = _cfg(J, ((Letter(0, True), 1), (Letter(0, False), 2)))
+    with pytest.raises(ValueError, match="'bogus'.*first, last, middle, random"):
+        straighten(J, cfg, strategy="bogus")
 
 
 def test_straighten_periodic_word_terminates(L2):
@@ -348,10 +392,13 @@ def test_ideal_generator_mark_validation(A2):
         ideal_generator(A2, idempotent_class(0), 1, 0)
 
 
-def test_qpa_round_trip_printing(J, A3P):
-    rng = random.Random(27)
-    for q in (J, A3P):
-        for _ in range(10):
-            cfg = random_configuration(rng, q, max_letters=6)
-            elem = straighten(q, cfg)
-            assert parse_qpa_element(q, format_qpa(elem)) == elem
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_qpa_round_trip_printing(seed):
+    rng = random.Random(seed)
+    for quiver in small_quivers():
+        x = QPAElement(quiver)
+        for _ in range(rng.randint(1, 3)):
+            cfg = random_configuration(rng, quiver, max_letters=6, max_idempotents=2)
+            x = x + straighten(quiver, cfg).scale(random_coefficient(rng, with_h=True))
+        assert parse_qpa_element(quiver, format_qpa(x)) == x
