@@ -14,6 +14,7 @@ from __future__ import annotations
 import operator
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .errors import DimensionError, ExpressionError
 from .necklace import (
@@ -129,16 +130,40 @@ def _read_exponent(stream: _Stream):
     return n
 
 
-def _power(x, n: int, one, mul):
-    """x^n by square-and-multiply; x^0 is ``one``, the unit of ``mul``."""
+def _term_count(x) -> int:
+    """Nonzero terms of an element, nonzero coefficients of an h-polynomial;
+    a rational is one term."""
+    if isinstance(x, Fraction):
+        return 1
+    if isinstance(x, HBarPolynomial):
+        return sum(1 for c in x.coeffs if c)
+    return len(x.terms)
+
+
+def _power(x, n: int, one, pos: int, mul=operator.mul):
+    """x^n by square-and-multiply; x^0 is ``one``, the unit of ``mul``.
+    A product of more than MAX_INDEX_ASSIGNMENTS term pairs is refused
+    before it is formed, as an error in the text at ``pos``."""
     out = one
     while n:
         if n & 1:
-            out = mul(out, x)
+            out = _bounded_product(out, x, pos, mul)
         n >>= 1
         if n:
-            x = mul(x, x)
+            x = _bounded_product(x, x, pos, mul)
     return out
+
+
+def _bounded_product(a, b, pos: int, mul):
+    # the product has at most |a|*|b| terms; refuse it unformed
+    size_a, size_b = _term_count(a), _term_count(b)
+    if size_a * size_b > MAX_INDEX_ASSIGNMENTS:
+        raise ExpressionError(
+            f"power needs a product of {size_a}*{size_b} terms, "
+            f"above the limit {MAX_INDEX_ASSIGNMENTS}",
+            pos,
+        )
+    return mul(a, b)
 
 
 def _parse_rational(stream: _Stream, num: int) -> HBarPolynomial:
@@ -155,6 +180,63 @@ def _parse_rational(stream: _Stream, num: int) -> HBarPolynomial:
     return HBarPolynomial.constant(Fraction(num, den))
 
 
+def _letter(stream: _Stream, quiver: Quiver) -> Letter:
+    """Consume an arrow name the caller has checked, and a ' that stars it."""
+    _, name, _ = stream.next()
+    starred = stream.peek()[1] == "'"
+    if starred:
+        stream.next()
+    return Letter(quiver.arrow_index(name), starred)
+
+
+# ---------------------------------------------------------------------------
+# The grammar skeleton: every sum and product is a left fold
+
+
+def _fold(stream: _Stream, ops, operand, combine, acc=None):
+    """Left fold over the binary operators ``ops``: each operator ``op`` at
+    ``pos`` makes ``acc = combine(acc, op, operand(), pos)``.  ``acc``
+    starts at a first ``operand()`` unless given."""
+    if acc is None:
+        acc = operand()
+    while stream.peek()[1] in ops:
+        _, op, pos = stream.next()
+        acc = combine(acc, op, operand(), pos)
+    return acc
+
+
+def _add_or_subtract(acc, op, rhs, pos):
+    return acc + (rhs if op == "+" else -rhs)
+
+
+def _multiply(acc, op, rhs, pos):
+    return acc * rhs
+
+
+def _signed_sum(stream: _Stream, term):
+    """``[-] term (+|- term)*``: a minus may lead the sum, not a factor in it."""
+    negate = stream.peek()[1] == "-"
+    if negate:
+        stream.next()
+    first = term()
+    return _fold(stream, ("+", "-"), term, _add_or_subtract, -first if negate else first)
+
+
+def _sum_of_products(stream: _Stream, factor):
+    """A signed sum of products ``factor() * factor() * ...``."""
+    return _signed_sum(stream, partial(_fold, stream, ("*",), factor, _multiply))
+
+
+def _parse_all(text: str, parse):
+    """``parse(stream)`` on the tokens of ``text``, which must use them all."""
+    stream = _Stream(tokenize(text), len(text))
+    value = parse(stream)
+    if not stream.done():
+        _, val, pos = stream.peek()
+        raise ExpressionError(f"unexpected trailing {val!r}", pos)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Algebra expressions (paths and necklace classes)
 
@@ -162,38 +244,17 @@ _SCALAR, _PATH, _HH0 = "scalar", "path", "hh0"
 
 
 class _Evaluator:
-    def __init__(self, quiver: Quiver, text: str):
-        self.quiver = quiver
-        self.stream = _Stream(tokenize(text), len(text))
+    """Values are (kind, element) pairs; a minus may stand before any factor."""
 
-    def run(self):
-        value = self.expr()
-        if not self.stream.done():
-            _, val, pos = self.stream.peek()
-            raise ExpressionError(f"unexpected trailing {val!r}", pos)
-        return value
+    def __init__(self, quiver: Quiver, stream: _Stream):
+        self.quiver = quiver
+        self.stream = stream
 
     def expr(self):
-        kind, value = self.term()
-        while True:
-            tkind, tval, _ = self.stream.peek()
-            if tval not in ("+", "-"):
-                return kind, value
-            self.stream.next()
-            rkind, rvalue = self.term()
-            if tval == "-":
-                rvalue = -rvalue
-            kind, value = self._add(kind, value, rkind, rvalue)
+        return _fold(self.stream, ("+", "-"), self.term, self._add)
 
     def term(self):
-        kind, value = self.unary()
-        while True:
-            _, tval, pos = self.stream.peek()
-            if tval not in ("*", "."):
-                return kind, value
-            self.stream.next()
-            rkind, rvalue = self.unary()
-            kind, value = self._mul(kind, value, rkind, rvalue, pos)
+        return _fold(self.stream, ("*", "."), self.unary, self._mul)
 
     def unary(self):
         negate = False
@@ -204,11 +265,12 @@ class _Evaluator:
         return (kind, -value) if negate else (kind, value)
 
     def atom(self):
-        kind, val, pos = self.stream.next()
-        if kind == "int":
-            return self._maybe_power(_SCALAR, _parse_rational(self.stream, _int_value(val, pos)))
+        kind, val, pos = self.stream.peek()
         if kind == "name":
             return self._resolve_name(val, pos)
+        self.stream.next()
+        if kind == "int":
+            return self._maybe_power(_SCALAR, _parse_rational(self.stream, _int_value(val, pos)))
         if val == "(":
             inner = self.expr()
             self.stream.expect(")")
@@ -227,40 +289,32 @@ class _Evaluator:
         if exponent is None:
             return kind, value
         if kind == _SCALAR:
-            return kind, _power(value, exponent, HBarPolynomial.one(), operator.mul)
+            return kind, _power(value, exponent, HBarPolynomial.one(), pos)
         if kind == _PATH:
-
-            def bounded_mul(a, b):
-                # the product has at most |a|*|b| terms; refuse it unformed
-                if len(a.terms) * len(b.terms) > MAX_INDEX_ASSIGNMENTS:
-                    raise ExpressionError(
-                        f"path power needs a product of {len(a.terms)}*{len(b.terms)} "
-                        f"terms, above the limit {MAX_INDEX_ASSIGNMENTS}",
-                        pos,
-                    )
-                return path_mul(a, b)
-
-            return kind, _power(value, exponent, PathAlgebraElement.unit(self.quiver), bounded_mul)
+            one = PathAlgebraElement.unit(self.quiver)
+            return kind, _power(value, exponent, one, pos, path_mul)
         raise ExpressionError("exponent applies to scalars and paths only", pos)
 
     def _resolve_name(self, name, pos):
         quiver = self.quiver
         if name == "h" and not quiver.has_arrow("h"):
+            self.stream.next()
             return self._maybe_power(_SCALAR, HBarPolynomial.h())
         if quiver.has_arrow(name):
-            letter = Letter(quiver.arrow_index(name), False)
-            if self.stream.peek()[1] == "'":
-                self.stream.next()
-                letter = letter.star()
+            letter = _letter(self.stream, quiver)
             return self._maybe_power(
                 _PATH, PathAlgebraElement.of_path(quiver, Path((letter,)))
             )
         if name.startswith("e") and quiver.has_vertex(name[1:]):
+            self.stream.next()
             vertex = quiver.vertex_index(name[1:])
             return (_PATH, PathAlgebraElement.trivial(quiver, vertex))
         raise ExpressionError(f"unknown name {name!r}", pos)
 
-    def _add(self, k1, v1, k2, v2):
+    def _add(self, left, op, right, pos):
+        (k1, v1), (k2, v2) = left, right
+        if op == "-":
+            v2 = -v2
         if k1 == k2:
             return k1, v1 + v2
         if {k1, k2} == {_SCALAR, _PATH}:
@@ -270,7 +324,8 @@ class _Evaluator:
             return _PATH, a + b
         raise ExpressionError("cannot add a necklace class to a path or scalar")
 
-    def _mul(self, k1, v1, k2, v2, pos):
+    def _mul(self, left, op, right, pos):
+        (k1, v1), (k2, v2) = left, right
         if k1 == _SCALAR and k2 == _SCALAR:
             return _SCALAR, v1 * v2
         if k1 == _SCALAR:
@@ -282,8 +337,12 @@ class _Evaluator:
         raise ExpressionError("necklace classes have no product", pos)
 
 
+def _evaluate(quiver: Quiver, text: str):
+    return _parse_all(text, lambda stream: _Evaluator(quiver, stream).expr())
+
+
 def parse_path_element(quiver: Quiver, text: str) -> PathAlgebraElement:
-    kind, value = _Evaluator(quiver, text).run()
+    kind, value = _evaluate(quiver, text)
     if kind == _PATH:
         return value
     if kind == _SCALAR:
@@ -292,7 +351,7 @@ def parse_path_element(quiver: Quiver, text: str) -> PathAlgebraElement:
 
 
 def parse_hh0_element(quiver: Quiver, text: str) -> HH0Element:
-    kind, value = _Evaluator(quiver, text).run()
+    kind, value = _evaluate(quiver, text)
     if kind != _HH0:
         raise ExpressionError("expected a necklace-class expression like [x.y']")
     return value
@@ -311,31 +370,10 @@ def _parse_scalar_tokens(stream: _Stream, quiver: Quiver):
         power = _read_exponent(stream)
         return HBarPolynomial.h(1 if power is None else power)
     if val == "(":
-        total = _parse_scalar_sum(stream, quiver)
+        total = _sum_of_products(stream, partial(_parse_scalar_tokens, stream, quiver))
         stream.expect(")")
         return total
     raise ExpressionError(f"expected a scalar, found {val!r}", pos)
-
-
-def _parse_scalar_sum(stream: _Stream, quiver: Quiver):
-    sign = 1
-    if stream.peek()[1] == "-":
-        stream.next()
-        sign = -1
-    total = _parse_scalar_product(stream, quiver) * sign
-    while stream.peek()[1] in ("+", "-"):
-        _, op, _ = stream.next()
-        piece = _parse_scalar_product(stream, quiver)
-        total = total + (piece if op == "+" else -piece)
-    return total
-
-
-def _parse_scalar_product(stream: _Stream, quiver: Quiver):
-    total = _parse_scalar_tokens(stream, quiver)
-    while stream.peek()[1] == "*":
-        stream.next()
-        total = total * _parse_scalar_tokens(stream, quiver)
-    return total
 
 
 def _looks_like_height_pair(stream: _Stream, quiver: Quiver) -> bool:
@@ -350,44 +388,31 @@ def _looks_like_height_pair(stream: _Stream, quiver: Quiver) -> bool:
 
 def parse_qpa_element(quiver: Quiver, text: str) -> QPAElement:
     """Parse a quantum-algebra expression and normalize it."""
-    stream = _Stream(tokenize(text), len(text))
-    total = QPAElement(quiver)
-    sign = 1
-    if stream.peek()[1] == "-":
-        stream.next()
-        sign = -1
-    total = total + _parse_qpa_term(stream, quiver).scale(sign)
-    while not stream.done():
-        _, op, pos = stream.next()
-        if op not in ("+", "-"):
-            raise ExpressionError(f"unexpected {op!r}", pos)
-        piece = _parse_qpa_term(stream, quiver)
-        total = total + (piece if op == "+" else -piece)
-    return total
+    return _parse_all(
+        text, lambda stream: _signed_sum(stream, partial(_parse_qpa_term, stream, quiver))
+    )
 
 
 def _parse_qpa_term(stream: _Stream, quiver: Quiver) -> QPAElement:
-    coeff = HBarPolynomial.one()
-    config = None
-    while True:
+    configs = []
+
+    def factor():
+        # a configuration is a factor of coefficient one
         kind, val, pos = stream.peek()
         if val == "(" and _looks_like_height_pair(stream, quiver) or (
             kind == "name" and val.startswith("e") and quiver.has_vertex(val[1:])
         ):
-            if config is not None:
+            if configs:
                 raise ExpressionError("one configuration per summand", pos)
-            config = _parse_config(stream, quiver)
-        else:
-            coeff = coeff * _parse_scalar_tokens(stream, quiver)
-        nxt = stream.peek()[1]
-        if nxt == "*":
-            stream.next()
-            continue
-        break
-    if config is None:
+            configs.append(_parse_config(stream, quiver))
+            return HBarPolynomial.one()
+        return _parse_scalar_tokens(stream, quiver)
+
+    coeff = _fold(stream, ("*",), factor, _multiply)
+    if not configs:
         cfg = HeightConfiguration((), ())
         return QPAElement(quiver, {cfg: coeff})
-    components, idempotents, heights = config
+    components, idempotents, heights = configs[0]
     n = sum(len(c) for c in components)
     if sorted(heights) != list(range(1, n + 1)):
         raise ExpressionError(f"heights must be a permutation of 1..{n}")
@@ -408,11 +433,7 @@ def _parse_config(stream: _Stream, quiver: Quiver):
             pairs = []
             while stream.peek()[1] == "(" and _looks_like_height_pair(stream, quiver):
                 stream.next()
-                _, name, npos = stream.next()
-                letter = Letter(quiver.arrow_index(name), False)
-                if stream.peek()[1] == "'":
-                    stream.next()
-                    letter = letter.star()
+                letter = _letter(stream, quiver)
                 stream.expect(",")
                 hkind, hval, hpos = stream.next()
                 if hkind != "int":
@@ -462,101 +483,55 @@ def _entry(make, pos, *args):
 
 def _with_exponent(stream: _Stream, factor, one):
     """``factor``, raised to the exponent when ``^n`` follows."""
+    pos = stream.peek()[2]
     exponent = _read_exponent(stream)
-    return factor if exponent is None else _power(factor, exponent, one, operator.mul)
-
-
-def _parse_operator_sum(stream, quiver, dim, parse_factor, one):
-    sign = 1
-    if stream.peek()[1] == "-":
-        stream.next()
-        sign = -1
-    total = _parse_operator_term(stream, quiver, dim, parse_factor, one).scale(sign)
-    while stream.peek()[1] in ("+", "-"):
-        _, op, _ = stream.next()
-        piece = _parse_operator_term(stream, quiver, dim, parse_factor, one)
-        total = total + (piece if op == "+" else -piece)
-    return total
-
-
-def _parse_operator_term(stream, quiver, dim, parse_factor, one):
-    acc = one
-    while True:
-        acc = acc * parse_factor(stream)
-        if stream.peek()[1] == "*":
-            stream.next()
-            continue
-        return acc
+    return factor if exponent is None else _power(factor, exponent, one, pos)
 
 
 def parse_weyl_element(quiver: Quiver, dim, text: str) -> WeylElement:
     """Parse operator syntax: [a]_{p,q} tokens, d(a)_{p,q} derivatives, h."""
-    stream = _Stream(tokenize(text), len(text))
     one = WeylElement.constant(quiver, dim, 1)
 
     def factor(stream):
         kind, val, pos = stream.peek()
         if val == "[":
-            stream.next()
-            nkind, name, npos = stream.next()
-            if nkind != "name" or not quiver.has_arrow(name):
-                raise ExpressionError(f"unknown arrow {name!r}", npos)
-            stream.expect("]")
-            row, col = _parse_entry_indices(stream)
-            out = _entry(
-                WeylElement.position, pos, quiver, dim, quiver.arrow_index(name), row, col
-            )
+            make, close = WeylElement.position, "]"
         elif kind == "name" and val == "d" and stream.peek(1)[1] == "(":
+            make, close = WeylElement.derivative, ")"
             stream.next()
-            stream.expect("(")
-            nkind, name, npos = stream.next()
-            if nkind != "name" or not quiver.has_arrow(name):
-                raise ExpressionError(f"unknown arrow {name!r}", npos)
-            stream.expect(")")
-            row, col = _parse_entry_indices(stream)
-            out = _entry(
-                WeylElement.derivative, pos, quiver, dim, quiver.arrow_index(name), row, col
-            )
         else:
             return one.scale(_parse_scalar_tokens(stream, quiver))
+        stream.next()  # the opening bracket
+        nkind, name, npos = stream.next()
+        if nkind != "name" or not quiver.has_arrow(name):
+            raise ExpressionError(f"unknown arrow {name!r}", npos)
+        stream.expect(close)
+        row, col = _parse_entry_indices(stream)
+        out = _entry(make, pos, quiver, dim, quiver.arrow_index(name), row, col)
         return _with_exponent(stream, out, one)
 
-    result = _parse_operator_sum(stream, quiver, dim, factor, one)
-    if not stream.done():
-        _, val, pos = stream.peek()
-        raise ExpressionError(f"unexpected trailing {val!r}", pos)
-    return result
+    return _parse_all(text, lambda stream: _sum_of_products(stream, partial(factor, stream)))
 
 
 def parse_poly_element(quiver: Quiver, dim, text: str) -> PolyElement:
     """Parse coordinate syntax: (a)_{p,q} and (a')_{p,q} factors."""
-    stream = _Stream(tokenize(text), len(text))
     one = PolyElement.constant(quiver, dim, 1)
 
     def factor(stream):
         kind, val, pos = stream.peek()
         if val == "(" and stream.peek(1)[0] == "name" and quiver.has_arrow(stream.peek(1)[1]):
             stream.next()
-            _, name, _ = stream.next()
-            starred = False
-            if stream.peek()[1] == "'":
-                stream.next()
-                starred = True
+            letter = _letter(stream, quiver)
             stream.expect(")")
             row, col = _parse_entry_indices(stream)
-            index = quiver.arrow_index(name)
-            out = _entry(PolyElement.coordinate, pos, quiver, dim, index, starred, row, col)
+            out = _entry(PolyElement.coordinate, pos, quiver, dim, *letter, row, col)
             return _with_exponent(stream, out, one)
         scalar = _parse_scalar_tokens(stream, quiver)
         if scalar.degree > 0:
             raise ExpressionError("polynomials have no h dependence", pos)
         return one.scale(scalar.constant_term())
 
-    result = _parse_operator_sum(stream, quiver, dim, factor, one)
-    if not stream.done():
-        _, val, pos = stream.peek()
-        raise ExpressionError(f"unexpected trailing {val!r}", pos)
-    return result
+    return _parse_all(text, lambda stream: _sum_of_products(stream, partial(factor, stream)))
 
 
 # ---------------------------------------------------------------------------
@@ -576,31 +551,28 @@ def format_hbar(p) -> str:
         ) from None
 
 
-def _is_single_term(p: HBarPolynomial) -> bool:
-    return sum(1 for c in p.coeffs if c) == 1
-
-
-def _coeff_body(p: HBarPolynomial, body: str) -> str:
-    """Render p * body with minimal punctuation; p must be printable inline."""
-    if p == HBarPolynomial.one():
+def _coeff_body(p, body: str) -> str:
+    """Render p * body with minimal punctuation; p is an h-polynomial or a
+    rational.  An empty body is the unit: the coefficient stands alone."""
+    if body and p == 1:
         return body
-    if p == -HBarPolynomial.one():
+    if body and p == -1:
         return f"-{body}"
-    if _is_single_term(p):
-        return f"{format_hbar(p)}*{body}"
-    return f"({format_hbar(p)})*{body}"
+    text = format_hbar(p) if _term_count(p) == 1 else f"({format_hbar(p)})"
+    return f"{text}*{body}" if body else text
 
 
-def _join_terms(pieces) -> str:
+def _format_terms(x, body, key) -> str:
+    """The terms of ``x`` in the order of ``key`` of their basis elements,
+    each its coefficient times ``body`` of the basis element; 0 when none."""
+    pieces = [
+        _coeff_body(coeff, body(basis))
+        for basis, coeff in sorted(x.items(), key=lambda kv: key(kv[0]))
+    ]
     if not pieces:
         return "0"
-    out = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
-            out += " - " + piece[1:]
-        else:
-            out += " + " + piece
-    return out
+    signed = (f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in pieces[1:])
+    return pieces[0] + "".join(signed)
 
 
 def format_path(quiver: Quiver, path: Path) -> str:
@@ -616,19 +588,14 @@ def _path_key(path: Path):
 
 
 def format_path_element(x: PathAlgebraElement) -> str:
-    pieces = [
-        _coeff_body(coeff, format_path(x.quiver, path))
-        for path, coeff in sorted(x.items(), key=lambda kv: _path_key(kv[0]))
-    ]
-    return _join_terms(pieces)
+    return _format_terms(x, partial(format_path, x.quiver), _path_key)
 
 
 def format_tensor(x: TensorElement) -> str:
-    pieces = [
-        _coeff_body(coeff, f"{format_path(x.quiver, p)} (x) {format_path(x.quiver, q)}")
-        for (p, q), coeff in sorted(x.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
-    ]
-    return _join_terms(pieces)
+    def body(pq):
+        return f"{format_path(x.quiver, pq[0])} (x) {format_path(x.quiver, pq[1])}"
+
+    return _format_terms(x, body, lambda pq: (str(pq[0]), str(pq[1])))
 
 
 def format_necklace(quiver: Quiver, n: Necklace) -> str:
@@ -638,11 +605,7 @@ def format_necklace(quiver: Quiver, n: Necklace) -> str:
 
 
 def format_hh0(x: HH0Element) -> str:
-    pieces = [
-        _coeff_body(coeff, format_necklace(x.quiver, necklace))
-        for necklace, coeff in sorted(x.items(), key=lambda kv: necklace_key(kv[0]))
-    ]
-    return _join_terms(pieces)
+    return _format_terms(x, partial(format_necklace, x.quiver), necklace_key)
 
 
 def format_sym_monomial(quiver: Quiver, monomial) -> str:
@@ -652,13 +615,11 @@ def format_sym_monomial(quiver: Quiver, monomial) -> str:
 
 
 def format_sym(x: SymElement) -> str:
-    pieces = [
-        _coeff_body(coeff, format_sym_monomial(x.quiver, monomial))
-        for monomial, coeff in sorted(
-            x.items(), key=lambda kv: tuple(necklace_key(n) for n in kv[0])
-        )
-    ]
-    return _join_terms(pieces)
+    return _format_terms(
+        x,
+        partial(format_sym_monomial, x.quiver),
+        lambda monomial: tuple(necklace_key(n) for n in monomial),
+    )
 
 
 def format_config(quiver: Quiver, cfg: HeightConfiguration) -> str:
@@ -677,15 +638,10 @@ def _config_key(cfg: HeightConfiguration):
 
 
 def format_qpa(x: QPAElement) -> str:
-    pieces = []
-    for cfg, coeff in sorted(x.items(), key=lambda kv: _config_key(kv[0])):
-        body = format_config(x.quiver, cfg)
-        if body == "1":
-            text = format_hbar(coeff)
-            pieces.append(text if _is_single_term(coeff) or not coeff else f"({text})")
-        else:
-            pieces.append(_coeff_body(coeff, body))
-    return _join_terms(pieces)
+    def body(cfg):
+        return "" if cfg.is_unit else format_config(x.quiver, cfg)
+
+    return _format_terms(x, body, _config_key)
 
 
 def _format_opvar(quiver: Quiver, var, exp: int, derivative: bool) -> str:
@@ -696,47 +652,28 @@ def _format_opvar(quiver: Quiver, var, exp: int, derivative: bool) -> str:
 
 
 def format_weyl(x: WeylElement) -> str:
-    quiver = x.quiver
-    pieces = []
-    for (pos, der), coeff in sorted(
-        x.items(),
-        key=lambda kv: (
-            sum(e for _, e in kv[0][0]) + sum(e for _, e in kv[0][1]),
-            kv[0],
-        ),
-    ):
-        factors = [_format_opvar(quiver, v, e, False) for v, e in pos]
-        factors += [_format_opvar(quiver, v, e, True) for v, e in der]
-        if not factors:
-            text = format_hbar(coeff)
-            pieces.append(text if _is_single_term(coeff) else f"({text})")
-        else:
-            pieces.append(_coeff_body(coeff, "*".join(factors)))
-    return _join_terms(pieces)
+    def body(op):
+        pos, der = op
+        factors = [_format_opvar(x.quiver, v, e, False) for v, e in pos]
+        factors += [_format_opvar(x.quiver, v, e, True) for v, e in der]
+        return "*".join(factors)
+
+    def key(op):
+        return (sum(e for _, e in op[0]) + sum(e for _, e in op[1]), op)
+
+    return _format_terms(x, body, key)
 
 
 def format_poly(x: PolyElement) -> str:
-    quiver = x.quiver
-    pieces = []
-    for mono, coeff in sorted(
-        x.items(), key=lambda kv: (sum(e for _, e in kv[0]), kv[0])
-    ):
+    def body(mono):
         factors = []
         for (arrow, starred, row, col), exp in mono:
-            name = quiver.arrows[arrow].name + ("'" if starred else "")
-            body = f"({name})_{{{row},{col}}}"
-            factors.append(body if exp == 1 else f"{body}^{exp}")
-        if not factors:
-            pieces.append(format_hbar(coeff))
-        else:
-            body = "*".join(factors)
-            if coeff == 1:
-                pieces.append(body)
-            elif coeff == -1:
-                pieces.append(f"-{body}")
-            else:
-                pieces.append(f"{format_hbar(coeff)}*{body}")
-    return _join_terms(pieces)
+            name = x.quiver.arrows[arrow].name + ("'" if starred else "")
+            factor = f"({name})_{{{row},{col}}}"
+            factors.append(factor if exp == 1 else f"{factor}^{exp}")
+        return "*".join(factors)
+
+    return _format_terms(x, body, lambda mono: (sum(e for _, e in mono), mono))
 
 
 _PRINTERS = {

@@ -517,10 +517,7 @@ def ideal_generator(
     times p, plus h r_i times p; everything is returned in normal form.
     """
     if params is None:
-        params = ReductionParameters(
-            (Fraction(0),) * len(quiver.vertices),
-            (Fraction(0),) * len(quiver.vertices),
-        )
+        params = make_params(quiver)
     word = marked_word(quiver, p, vertex, mark)
     v = len(word)
     base = tuple((letter, k + 1) for k, letter in enumerate(word))

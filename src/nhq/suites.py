@@ -75,6 +75,16 @@ def _report(name: str, differences) -> VerificationReport:
     return VerificationReport(name, "verified")
 
 
+def _targets(quiver: Quiver | None, dim, named) -> list:
+    """The (quiver, dim) cases of a suite: ``quiver`` at ``dim``, or at each
+    dimension vector up to 2 when no dim is given; without a quiver, each of
+    the ``named`` quivers at each dimension vector up to 2."""
+    if quiver is None:
+        return [(q, d) for q in named for d in all_dimension_vectors(q, 2)]
+    dims = [dim] if dim is not None else all_dimension_vectors(quiver, 2)
+    return [(quiver, d) for d in dims]
+
+
 def suite_dirac(seed: int, cases: int, quiver: Quiver | None = None) -> list:
     """project((-1/h)[lift x, lift y]) mod h equals the necklace bracket."""
     rng = random.Random(seed)
@@ -182,15 +192,7 @@ def suite_qmoment(seed: int, cases: int = 3, quiver: Quiver | None = None, dim=N
     """The quantum moment identity on the named quivers (or a given one)."""
     rng = random.Random(seed)
     reports = []
-    targets = []
-    if quiver is not None:
-        dims = [dim] if dim is not None else all_dimension_vectors(quiver, 2)
-        targets = [(quiver, d) for d in dims]
-    else:
-        for q in (jordan(), a2(), a3p()):
-            for d in all_dimension_vectors(q, 2):
-                targets.append((q, d))
-    for idx, (q, d) in enumerate(targets):
+    for idx, (q, d) in enumerate(_targets(quiver, dim, (jordan(), a2(), a3p()))):
         reports.append(verify_quantum_moment(q, d, name=f"qmoment[{idx}]"))
         for j in range(cases):
             r = tuple(Fraction(rng.randint(-3, 3)) for _ in q.vertices)
@@ -220,11 +222,7 @@ def suite_ideal(
     """Decompose every short reduction-ideal generator and solve the character."""
     rng = random.Random(seed)
     reports = []
-    if quiver is not None:
-        targets = [(quiver, d) for d in ([dim] if dim is not None else all_dimension_vectors(quiver, 2))]
-    else:
-        targets = [(q, d) for q in (jordan(), a2()) for d in all_dimension_vectors(q, 2)]
-    for idx, (q, d) in enumerate(targets):
+    for idx, (q, d) in enumerate(_targets(quiver, dim, (jordan(), a2()))):
         nv = len(q.vertices)
         if params is not None:
             param_list = [params]
@@ -283,12 +281,7 @@ def _coordinate_vars(quiver: Quiver, dim):
 def suite_poisson(quiver: Quiver | None = None, dim=None) -> list:
     """The coordinate bracket agrees with its double-bracket evaluation."""
     reports = []
-    targets = (
-        [(quiver, d) for d in ([dim] if dim is not None else all_dimension_vectors(quiver, 2))]
-        if quiver is not None
-        else [(q, d) for q in small_quivers() for d in all_dimension_vectors(q, 2)]
-    )
-    for idx, (q, d) in enumerate(targets):
+    for idx, (q, d) in enumerate(_targets(quiver, dim, small_quivers())):
         reports.append(_report(f"poisson[{idx}]", _poisson_differences(q, d)))
     return reports
 
@@ -323,12 +316,7 @@ def _poisson_via_double_bracket(quiver: Quiver, dim, v1, v2) -> PolyElement:
 def suite_gauge(quiver: Quiver | None = None, dim=None) -> list:
     """gauge_act(i,p,q,-) equals the action induced by tau(e^i_{q,p})."""
     reports = []
-    targets = (
-        [(quiver, d) for d in ([dim] if dim is not None else all_dimension_vectors(quiver, 2))]
-        if quiver is not None
-        else [(q, d) for q in (jordan(), a2(), two_loop()) for d in all_dimension_vectors(q, 2)]
-    )
-    for idx, (q, d) in enumerate(targets):
+    for idx, (q, d) in enumerate(_targets(quiver, dim, (jordan(), a2(), two_loop()))):
         reports.append(_report(f"gauge[{idx}]", _gauge_differences(q, d)))
     return reports
 

@@ -50,6 +50,7 @@ from .schedler import (
     ReductionParameters,
     ideal_generator,
     lift,
+    make_params,
     marked_word,
     qpa_mul,
     SymElement,
@@ -348,8 +349,7 @@ def decompose_ideal_image(
     """
     dim = tuple(dim)
     if params is None:
-        zero = (Fraction(0),) * len(quiver.vertices)
-        params = ReductionParameters(zero, zero)
+        params = make_params(quiver)
     word = marked_word(quiver, p, vertex, mark)
     target = trace_quantum(ideal_generator(quiver, p, vertex, mark, params), dim)
 
@@ -436,8 +436,7 @@ def solve_chi(
     """
     dim = tuple(dim)
     if params is None:
-        zero = (Fraction(0),) * len(quiver.vertices)
-        params = ReductionParameters(zero, zero)
+        params = make_params(quiver)
     values: dict[int, set] = {i: set() for i in range(len(quiver.vertices))}
     all_verified = True
     for necklace, vertex, mark in enumerate_generators(quiver, max_len):

@@ -336,6 +336,25 @@ def test_path_power_bound_counts_the_terms_it_forms(capsys):
     assert out.strip() == " + ".join(pieces)
 
 
+def test_scalar_power_bound_counts_nonzero_coefficients(capsys):
+    # (1+h)^1024 has 1025 coefficients, so squaring it is refused unformed
+    t0 = time.perf_counter()
+    code, out = run("bracket", "-q", q("jordan"), "(1+h)^4096*[x]", "[x']")
+    assert time.perf_counter() - t0 < 10
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == (
+        "error: position 5: power needs a product of 1025*1025 terms, "
+        f"above the limit {MAX_INDEX_ASSIGNMENTS}\n"
+    )
+    # a power of a one-term scalar stays 1x1 at every step
+    code, out = run("bracket", "-q", q("jordan"), "h^4096*[x]", "[x']")
+    assert (code, out.strip()) == (0, "h^4096*[ev]")
+    code, out = run("bracket", "-q", q("jordan"), "(1+h)^1024*[x]", "[x']")
+    assert code == 0
+    assert out.startswith("(1 + 1024*h + 523776*h^2 + ") and out.endswith(" + h^1024)*[ev]\n")
+
+
 def test_oversized_coefficient_output_exits_3(capsys):
     # 99^4096 has 8,174 digits: it parses, and the bracket is computed, but
     # int refuses to print more than its digit limit

@@ -39,6 +39,10 @@ COMMANDS = [
     ["kernel", "-q", "jordan.json", "--dim", "v=2"],
     ["kernel", "-q", "a3p.json", "--dim", "0=2,1=2,2=2,inf=1"],
     ["solve-chi", "-q", "a2.json", "--dim", "1=2,2=3", "--r", "1=1,2=-2", "--lambda", "1=3,2=-2"],
+    ["verify", "qmoment", "-q", "jordan.json"],
+    ["verify", "qmoment"],
+    ["verify", "gauge", "-q", "a2.json"],
+    ["verify", "gauge", "-q", "a2.json", "--dim", "1=1,2=2"],
 ]
 
 
