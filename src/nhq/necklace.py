@@ -12,12 +12,21 @@ sends a framed gauge term (left, vertex, right) to left * w_vertex * right.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CompositionError, ExpressionError, MismatchError
+from .errors import CompositionError, DimensionError, ExpressionError, MismatchError
 from .linear import LinearCombination, add_into
-from .quiver import Letter, Path, PathAlgebraElement, Quiver, make_path, path_mul
+from .quiver import (
+    Letter,
+    Path,
+    PathAlgebraElement,
+    Quiver,
+    compose_paths,
+    make_path,
+    path_mul,
+)
 from .rings import HBarPolynomial, as_fraction
 
 
@@ -45,31 +54,55 @@ def idempotent_class(vertex: int) -> Necklace:
     return Necklace(vertex, ())
 
 
-def minimal_rotation_offset(letters) -> int:
-    """Least offset of the lexicographically minimal rotation, in O(n).
+def _code(letters) -> str:
+    """A word as one character per letter, ``chr(2*arrow + starred)``.
 
-    Duval's Lyndon factorisation (J. Algorithms 4, 1983) run over the
-    doubled word: the minimal rotation starts at the last run of equal
-    Lyndon factors that begins in the first copy.
+    Code order is the letter order, and the partner of code c (the letter
+    with the other star) is ``chr(ord(c) ^ 1)``.
     """
-    s = tuple(letters) * 2
-    n = len(s) // 2
-    i = start = 0
-    while i < n:
-        start = i
-        j, k = i + 1, i
-        while j < 2 * n:
-            a, b = s[k], s[j]
-            if a == b:
-                k += 1
-            elif a < b:
-                k = i
-            else:
-                break
-            j += 1
-        while i <= k:
-            i += j - k
-    return start
+    return "".join([chr(2 * letter[0] + letter[1]) for letter in letters])
+
+
+def _rotation_start(s: str) -> int:
+    """Least offset of the least rotation of the nonempty coded word ``s``.
+
+    That rotation begins with the longest cyclic run c^R of the least code
+    c, so only the starts of such runs are candidates (one when c occurs
+    once).  Their rotations are compared as str slices, in C; strict <
+    keeps the least offset.
+    """
+    c = min(s)
+    if s.count(c) == 1:
+        return s.find(c)
+    n = len(s)
+    ss = s + s
+    run = c
+    while len(run) < n and run + c in ss:
+        run += c
+    r = len(run)
+    if r == n:
+        return 0
+    best = i = ss.find(run)
+    least = ss[i : i + n]
+    # runs of length r are disjoint; only starts in the first copy count
+    i = ss.find(run, i + r, n - 1 + r)
+    while i >= 0:
+        rotation = ss[i : i + n]
+        if rotation < least:
+            best, least = i, rotation
+        i = ss.find(run, i + r, n - 1 + r)
+    return best
+
+
+def minimal_rotation_offset(letters) -> int:
+    """Least offset of the lexicographically minimal rotation of a word.
+
+    The letters are coded one character each (``_code``) and the rotation
+    is found by ``_rotation_start``'s longest-run candidate search.  An
+    empty word has offset 0.
+    """
+    s = _code(letters)
+    return _rotation_start(s) if s else 0
 
 
 def _check_cyclic(quiver: Quiver, letters) -> None:
@@ -131,28 +164,31 @@ def bracket_sign(u: Letter, v: Letter) -> int:
     return -1 if u.starred else 1
 
 
-def _period(word) -> int:
-    """Least p > 0 such that rotating ``word`` by p leaves it unchanged."""
-    n = len(word)
-    return next(p for p in range(1, n + 1) if n % p == 0 and word[p:] == word[: n - p])
+def _period(s: str) -> int:
+    """Least p > 0 such that rotating the coded word ``s`` by p leaves it
+    unchanged."""
+    return (s + s).find(s, 1)
 
 
-def _merge_counts(quiver: Quiver, a, b) -> dict:
-    """{Necklace: nonzero int}: the bracket of the cyclic words ``a`` and ``b``.
+def _merge_counts(a: str, p: int, b: str, q: int) -> dict:
+    """{coded merge in least rotation: nonzero int}: the bracket of the
+    coded cyclic words ``a`` and ``b`` of periods ``p`` and ``q``.
 
-    Letter a_i contracts only with b_j = a_i', so partners come from a
-    letter-to-positions index of ``b``.  The three counting rules of
-    ``necklace_bracket`` make every count a plain integer.
+    Code a_i contracts only with its partner in ``b``, so partners come
+    from a partner-to-positions index of ``b``.  The three counting rules
+    of ``necklace_bracket`` make every count a plain integer.  An empty
+    merge is keyed by "".
     """
-    p, q = _period(a), _period(b)
-    mult = (len(a) // p) * (len(b) // q)
-    positions = {}
+    k, l = len(a), len(b)
+    mult = (k // p) * (l // q)
+    partners = {}
     for j in range(q):
-        positions.setdefault(b[j], []).append(j)
+        partners.setdefault(chr(ord(b[j]) ^ 1), []).append(j)
+    aa, bb = a + a, b + b
     counts = {}
     for i in range(p):
         ai = a[i]
-        for j in positions.get(ai.star(), ()):
+        for j in partners.get(ai, ()):
             # merge (i-1, j-1) links to (i, j): not the start of its chain
             if a[i - 1] == b[j] and b[j - 1] == ai:
                 continue
@@ -161,14 +197,30 @@ def _merge_counts(quiver: Quiver, a, b) -> dict:
                 u, v, length = (u + 1) % p, (v + 1) % q, length + 1
             if length % 2 == 0:
                 continue
-            merged = a[i + 1 :] + a[:i] + b[j + 1 :] + b[:j]
+            merged = aa[i + 1 : i + k] + bb[j + 1 : j + l]
             if merged:
-                off = minimal_rotation_offset(merged)
-                key = Necklace(None, merged[off:] + merged[:off])
-            else:
-                key = idempotent_class(a[(i + 1) % len(a)].target(quiver))
-            counts[key] = counts.get(key, 0) + (-mult if ai.starred else mult)
+                off = _rotation_start(merged)
+                merged = merged[off:] + merged[:off]
+            counts[merged] = counts.get(merged, 0) + (-mult if ord(ai) & 1 else mult)
     return {key: count for key, count in counts.items() if count}
+
+
+#: Most letters the merges of one necklace bracket may hold, as counted by
+#: ``_merge_letters``.  Output and time grow with this count, so a larger
+#: bracket is refused with DimensionError before any merge is formed.
+MAX_MERGE_LETTERS = 1 << 24
+
+
+def _merge_letters(xs, ys) -> int:
+    """Letters the merges of two lists of coded terms can hold: for each
+    term pair, the contracting code pairs of one period of each word (the
+    grid the bracket walks) times the k + l - 2 letters of a merge."""
+    total = 0
+    for a, _, ca, _ in xs:
+        for b, _, cb, _ in ys:
+            pairs = sum([m * cb[chr(ord(c) ^ 1)] for c, m in ca.items()])
+            total += pairs * (len(a) + len(b) - 2)
+    return total
 
 
 def necklace_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
@@ -178,6 +230,13 @@ def necklace_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
     {a_i, b_j} times the cycle a_{i+1}..a_{i-1} b_{j+1}..b_{j-1}; an empty
     merge leaves the idempotent class at the contraction vertex.  Brackets
     with idempotent classes vanish.
+
+    Each operand term is coded once as a str (``_code``).  Merges are str
+    slices, rotated by ``_rotation_start`` and counted under their coded
+    key; each distinct key is decoded to a ``Necklace`` once, at the end,
+    through the operands' own letters.  A bracket whose merges could hold
+    more than ``MAX_MERGE_LETTERS`` letters raises ``DimensionError``
+    before any merge is formed.
 
     Each distinct merge is rotated once, by three exact counting rules
     (indices are cyclic):
@@ -207,19 +266,44 @@ def necklace_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
     for operand in (x, y):
         for n in operand.terms:
             _check_cyclic(quiver, n.letters)
-    out = {}
-    for n1, c1 in x.items():
-        if n1.is_idempotent:
-            continue
-        for n2, c2 in y.items():
-            if n2.is_idempotent:
+    # a merge holds only operand letters, so their codes decode every key
+    letter = {}
+
+    def coded(element):
+        """(code, period, codes of one period, coefficient) per cycle term."""
+        out = []
+        for n, c in element.items():
+            if n.is_idempotent:
                 continue
-            counts = _merge_counts(quiver, n1.letters, n2.letters)
+            s = _code(n.letters)
+            letter.update(zip(s, n.letters))
+            p = _period(s)
+            out.append((s, p, Counter(s[:p]), c))
+        return out
+
+    xs, ys = coded(x), coded(y)
+    work = _merge_letters(xs, ys)
+    if work > MAX_MERGE_LETTERS:
+        raise DimensionError(
+            f"bracket merges hold up to {work} letters, above the limit {MAX_MERGE_LETTERS}"
+        )
+    out = {}
+    for a, p, _, c1 in xs:
+        for b, q, _, c2 in ys:
+            counts = _merge_counts(a, p, b, q)
             if counts:
                 coeff = c1 * c2
                 for key, count in counts.items():
+                    if not key:
+                        # only two one-letter words merge to nothing
+                        key = idempotent_class(letter[a].target(quiver))
                     add_into(out, key, coeff * count)
-    return x._with_terms(out)
+    terms = {}
+    for key, coeff in out.items():
+        if isinstance(key, str):
+            key = Necklace(None, tuple(map(letter.__getitem__, key)))
+        terms[key] = coeff
+    return x._with_terms(terms)
 
 
 class TensorElement(LinearCombination):
@@ -237,13 +321,13 @@ class TensorElement(LinearCombination):
 
     def mult(self) -> PathAlgebraElement:
         """Multiply the two factors together inside the path algebra."""
-        out = PathAlgebraElement.zero(self.quiver)
+        quiver = self.quiver
+        out = {}
         for (p, q), c in self.items():
-            out = out + path_mul(
-                PathAlgebraElement.of_path(self.quiver, p, c),
-                PathAlgebraElement.of_path(self.quiver, q),
-            )
-        return out
+            pq = compose_paths(quiver, p, q)
+            if pq is not None:
+                add_into(out, pq, c)
+        return PathAlgebraElement.zero(quiver)._with_terms(out)
 
 
 def double_bracket(x: PathAlgebraElement, y: PathAlgebraElement) -> TensorElement:
@@ -357,7 +441,7 @@ def xi(g: GaugeExpression, m: MomentData) -> PathAlgebraElement:
     if g.quiver != m.quiver:
         raise MismatchError("gauge expression and moment data disagree on the quiver")
     quiver = g.quiver
-    out = PathAlgebraElement.zero(quiver)
+    out = {}
     for coeff, left, vertex, right in g.entries:
         piece = path_mul(
             path_mul(
@@ -366,5 +450,6 @@ def xi(g: GaugeExpression, m: MomentData) -> PathAlgebraElement:
             ),
             PathAlgebraElement.of_path(quiver, right),
         )
-        out = out + piece
-    return out
+        for path, c in piece.items():
+            add_into(out, path, c)
+    return PathAlgebraElement.zero(quiver)._with_terms(out)

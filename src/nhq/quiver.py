@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -18,6 +19,10 @@ from .errors import CompositionError, MismatchError, QuiverFormatError
 from .linear import LinearCombination, add_into
 
 NAME_PATTERN = re.compile(r"[A-Za-z0-9_]+\Z")
+
+#: most arrows a quiver may have: the necklace bracket codes each letter as
+#: one character, chr(2*arrow + starred), and chr stops at sys.maxunicode
+MAX_ARROWS = (sys.maxunicode + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -247,6 +252,11 @@ def parse_quiver(text: str) -> Quiver:
         vertices.append(name)
     raw_arrows = doc["arrows"]
     _require(isinstance(raw_arrows, list), "expected a list", "arrows")
+    _require(
+        len(raw_arrows) <= MAX_ARROWS,
+        f"{len(raw_arrows)} arrows, above the limit {MAX_ARROWS}",
+        "arrows",
+    )
     arrows = []
     seen_arrows = set()
     vindex = {v: i for i, v in enumerate(vertices)}

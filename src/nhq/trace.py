@@ -69,17 +69,18 @@ def trace_classical(x: HH0Element, dim) -> PolyElement:
     """
     quiver = x.quiver
     dim = make_dimension_vector(quiver, dim)
-    out = PolyElement(quiver, dim)
+    out = {}
     for necklace, coeff in x.items():
         c0 = coeff.constant_term()
         if c0 == 0:
             continue
         if necklace.is_idempotent:
-            out = out + PolyElement.constant(quiver, dim, c0 * dim[necklace.vertex])
+            add_into(out, (), c0 * dim[necklace.vertex])
             continue
         word = tuple((letter, t) for t, letter in enumerate(necklace.letters))
-        out = out + _contract_letters(quiver, dim, (word,), False).scale(c0)
-    return out
+        for monomial, c in _contract_letters(quiver, dim, (word,), False).items():
+            add_into(out, monomial, c * c0)
+    return PolyElement(quiver, dim)._with_terms(out)
 
 
 def trace_quantum_config(quiver: Quiver, dim, components, idempotents) -> WeylElement:

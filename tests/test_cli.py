@@ -2,13 +2,16 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
 
 from nhq.cli import main
+import nhq.quiver
 from nhq.expr import MAX_EXPONENT
+from nhq.necklace import MAX_MERGE_LETTERS
 from nhq.repspace import MAX_INDEX_ASSIGNMENTS
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -368,3 +371,45 @@ def test_oversized_coefficient_output_exits_3(capsys):
         "above the limit for printing\n"
     )
     assert run("bracket", "-q", q("jordan"), "99^2048*[x]", "[x']")[0] == 0
+
+
+def _two_loop_words(n, seed):
+    """Two seeded random necklaces of n letters on the two-loop quiver."""
+    rng = random.Random(seed)
+    return [[rng.choice(("x", "x'", "y", "y'")) for _ in range(n)] for _ in range(2)]
+
+
+def test_oversized_bracket_is_refused_before_any_merge(capsys):
+    # two 400-letter words contract about 400^2/4 letter pairs, each merge
+    # holding 798 letters: the bracket would run for half a minute
+    a, b = _two_loop_words(400, 1)
+    partners = (("x", "x'"), ("x'", "x"), ("y", "y'"), ("y'", "y"))
+    pairs = sum(a.count(u) * b.count(v) for u, v in partners)
+    t0 = time.perf_counter()
+    code, out = run("bracket", "-q", q("two_loop"), f"[{'.'.join(a)}]", f"[{'.'.join(b)}]")
+    assert time.perf_counter() - t0 < 10
+    assert code == 3
+    assert out == ""
+    assert capsys.readouterr().err == (
+        f"error: bracket merges hold up to {pairs * 798} letters, "
+        f"above the limit {MAX_MERGE_LETTERS}\n"
+    )
+    # at 200 letters the bracket is admitted; every term has 398 letters
+    a, b = _two_loop_words(200, 1)
+    code, out = run("bracket", "-q", q("two_loop"), f"[{'.'.join(a)}]", f"[{'.'.join(b)}]")
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    words = out[out.index("[") :].split("[")[1:]
+    assert len(words) > 1000
+    assert all(w[: w.index("]")].count(".") == 397 for w in words)
+
+
+def test_quiver_with_more_arrows_than_letter_codes_exits_2(monkeypatch, capsys):
+    # a letter is coded as chr(2*arrow + starred), so the arrow count is
+    # bounded by the code range; the limit is lowered to test the refusal
+    monkeypatch.setattr(nhq.quiver, "MAX_ARROWS", 1)
+    code, out = run("bracket", "-q", q("two_loop"), "[x]", "[x']")
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == "error: arrows: 2 arrows, above the limit 1\n"
+    assert run("bracket", "-q", q("jordan"), "[x]", "[x']") == (0, "[ev]\n")

@@ -43,6 +43,13 @@ COMMANDS = [
     ["verify", "qmoment"],
     ["verify", "gauge", "-q", "a2.json"],
     ["verify", "gauge", "-q", "a2.json", "--dim", "1=1,2=2"],
+    ["bracket", "-q", "jordan.json", "[x]", "[x']"],
+    ["bracket", "-q", "two_loop.json", "[x.y'.x.y'] + 2*[y.y.y]", "[x'.y.x'.y.x'.y] - h*[y'.y'] + [y'.x.y'.x]"],
+    [
+        "bracket", "-q", "jordan.json",
+        "3*[x.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'] + h*[x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x']",
+        "[x'.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'] - [x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x']",
+    ],
 ]
 
 

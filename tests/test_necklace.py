@@ -20,7 +20,16 @@ from nhq import (
     xi,
 )
 from nhq.expr import format_hh0, parse_hh0_element, parse_path_element
-from nhq.sampling import random_hh0, random_path_element, random_quiver
+from nhq.repspace import PolyElement
+from nhq.sampling import (
+    random_dimension,
+    random_hh0,
+    random_path_element,
+    random_quiver,
+    random_word,
+    small_quivers,
+)
+from nhq.trace import trace_classical
 
 
 def _cls(quiver, *letters):
@@ -279,3 +288,63 @@ def test_hh0_printing_round_trip(J, A3P):
         for _ in range(10):
             x = random_hh0(rng, q, max_len=4)
             assert parse_hh0_element(q, format_hh0(x)) == x
+
+
+# -- sums accumulated in one term dict ---------------------------------------
+
+
+def _fold(zero, pieces):
+    """A sum formed as before, one new element per piece."""
+    out = zero
+    for piece in pieces:
+        out = out + piece
+    return out
+
+
+def _framed_entry(rng, quiver):
+    """(coeff, left, vertex, right) with left starting and right ending at vertex."""
+    left = Path(random_word(rng, quiver, 3)) if rng.random() < 0.8 else None
+    vertex = left.source(quiver) if left else rng.randrange(len(quiver.vertices))
+    left = left or Path.trivial(vertex)
+    words = (random_word(rng, quiver, 3) for _ in range(10))
+    right = next((Path(w) for w in words if w[0].target(quiver) == vertex), Path.trivial(vertex))
+    return (rng.randint(-3, 3) or 1, left, vertex, right)
+
+
+def test_term_dict_sums_match_the_fold():
+    """``TensorElement.mult``, ``xi`` and ``trace_classical`` add their pieces
+    into one dict; the result, term order included, is the old fold's."""
+    rng = random.Random(1313)
+    checked = 0
+    for quiver in small_quivers():
+        zero = PathAlgebraElement.zero(quiver)
+        one = lambda path, c=1: PathAlgebraElement.of_path(quiver, path, c)
+        data = moment_map(quiver, {quiver.vertices[0]: 2})
+        for _ in range(15):
+            t = double_bracket(random_path_element(rng, quiver), random_path_element(rng, quiver))
+            old = _fold(zero, (path_mul(one(p, c), one(q)) for (p, q), c in t.items()))
+            new = t.mult()
+            assert new == old and list(new.terms) == list(old.terms)
+
+            entries = [_framed_entry(rng, quiver) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.3:
+                # a negated copy cancels its frame's terms
+                entries.append((-entries[0][0],) + entries[0][1:])
+            g = make_gauge_expression(quiver, entries)
+            pieces = (
+                path_mul(path_mul(one(l, c), data.components[v]), one(r))
+                for c, l, v, r in g.entries
+            )
+            old, new = _fold(zero, pieces), xi(g, data)
+            assert new == old and list(new.terms) == list(old.terms)
+
+            h = random_hh0(rng, quiver, max_len=5, max_terms=5)
+            dim = random_dimension(rng, quiver)
+            pieces = (
+                trace_classical(HH0Element.of(quiver, n), dim).scale(c.constant_term())
+                for n, c in h.items()
+            )
+            old, new = _fold(PolyElement(quiver, dim), pieces), trace_classical(h, dim)
+            assert new == old and list(new.terms) == list(old.terms)
+            checked += bool(old.terms)
+    assert checked > 40

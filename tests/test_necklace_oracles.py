@@ -1,14 +1,17 @@
-"""Linear-time necklace canonicalisation checked against brute-force references.
+"""Necklace canonicalisation checked against reference algorithms.
 
-``minimal_rotation_offset`` (Duval's algorithm) is compared with a minimum
-over all n rotations, and ``necklace_bracket`` (one composability check per
-operand, one rotation per odd telescoping chain on the period-reduced grid)
-with the bracket that canonicalised every merge through a full check and
-the brute-force rotation.  ``bracket_sign``, which compares letter fields,
+The rotation kernel ``_rotation_start`` (longest-run candidate search on
+coded words) and ``minimal_rotation_offset`` are compared with Duval's
+Lyndon-factorisation loop and with a minimum over all n rotations, and
+``necklace_bracket`` (one composability check per operand, one rotation
+per odd telescoping chain on the period-reduced grid) with the bracket that
+canonicalised every merge through a full check and the brute-force
+rotation.  ``bracket_sign``, which compares letter fields,
 is checked against its definition through ``Letter.star``.
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +27,8 @@ from nhq import (
     necklace_bracket,
 )
 from nhq.linear import add_into
-from nhq.necklace import bracket_sign, minimal_rotation_offset
+from nhq.necklace import _code, _rotation_start, bracket_sign, minimal_rotation_offset
+from nhq.quiver import MAX_ARROWS
 from nhq.rings import HBarPolynomial
 from nhq.sampling import (
     jordan,
@@ -45,6 +49,31 @@ def reference_bracket_sign(u: Letter, v: Letter) -> int:
     if v != u.star():
         return 0
     return -1 if u.starred else 1
+
+
+def duval_rotation_offset(letters) -> int:
+    """Least offset of the minimal rotation, in O(n): Duval's Lyndon
+    factorisation (J. Algorithms 4, 1983) run over the doubled word; the
+    minimal rotation starts at the last run of equal Lyndon factors that
+    begins in the first copy."""
+    s = tuple(letters) * 2
+    n = len(s) // 2
+    i = start = 0
+    while i < n:
+        start = i
+        j, k = i + 1, i
+        while j < 2 * n:
+            a, b = s[k], s[j]
+            if a == b:
+                k += 1
+            elif a < b:
+                k = i
+            else:
+                break
+            j += 1
+        while i <= k:
+            i += j - k
+    return start
 
 
 def brute_force_rotation_offset(letters) -> int:
@@ -126,6 +155,55 @@ def test_minimal_rotation_is_rotation_invariant(word, shift):
     assert _rotate(rotated, minimal_rotation_offset(rotated)) == canonical
 
 
+#: arrow indices for the kernel property: low ones, and the highest the code covers
+ARROWS = (0, 1, 2, 1000, MAX_ARROWS - 2, MAX_ARROWS - 1)
+
+
+@st.composite
+def shaped_words(draw):
+    """Words of the shapes the longest-run search treats apart: random,
+    all-equal, periodic, alternating (c c')^m with an optional defect, and
+    words whose longest run of the least letter wraps around the end."""
+    arrows = draw(st.lists(st.sampled_from(ARROWS), min_size=1, max_size=3, unique=True))
+    letter = st.builds(Letter, st.sampled_from(arrows), st.booleans())
+    shape = draw(st.sampled_from(["random", "equal", "periodic", "alternating", "wrap"]))
+    if shape == "random":
+        return tuple(draw(st.lists(letter, min_size=1, max_size=40)))
+    if shape == "equal":
+        return (draw(letter),) * draw(st.integers(1, 40))
+    if shape == "periodic":
+        base = draw(st.lists(letter, min_size=1, max_size=6))
+        return tuple(base) * draw(st.integers(1, 40 // len(base)))
+    c = draw(letter)
+    if shape == "alternating":
+        word = (c, c.star()) * draw(st.integers(1, 20))
+        return word + tuple(draw(st.lists(letter, max_size=2)))
+    pool = draw(st.lists(letter, min_size=1, max_size=10)) + [c, c.star()]
+    least = min(pool)
+    middle = tuple(l for l in pool if l != least)
+    head, tail = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return (least,) * head + middle + (least,) * tail
+
+
+@SETTINGS
+@given(shaped_words())
+def test_rotation_kernel_matches_duval_and_brute_force(word):
+    expected = brute_force_rotation_offset(word)
+    assert duval_rotation_offset(word) == expected
+    assert _rotation_start(_code(word)) == expected
+    assert minimal_rotation_offset(word) == expected
+
+
+def test_code_keeps_the_letter_order_and_pairs_partners():
+    letters = sorted(Letter(a, s) for a in ARROWS for s in (False, True))
+    codes = [_code((l,)) for l in letters]
+    assert codes == sorted(codes) and len(set(codes)) == len(codes)
+    for l, c in zip(letters, codes):
+        assert _code((l.star(),)) == chr(ord(c) ^ 1)
+    # the highest arrow a quiver may have still has a code
+    assert _code((Letter(MAX_ARROWS - 1, True),)) == chr(sys.maxunicode)
+
+
 def test_minimal_rotation_of_periodic_words_takes_the_least_offset():
     x, xs, y, ys = Letter(0, False), Letter(0, True), Letter(1, False), Letter(1, True)
     for n in (1, 2, 7, 40):
@@ -201,13 +279,13 @@ def test_bracket_matches_reference_on_periodic_and_alternating_operands(operands
 
 def _count_rotations(monkeypatch):
     calls = []
-    rotate = nhq.necklace.minimal_rotation_offset
+    rotate = nhq.necklace._rotation_start
 
-    def counted(letters):
-        calls.append(len(letters))
-        return rotate(letters)
+    def counted(s):
+        calls.append(len(s))
+        return rotate(s)
 
-    monkeypatch.setattr(nhq.necklace, "minimal_rotation_offset", counted)
+    monkeypatch.setattr(nhq.necklace, "_rotation_start", counted)
     return calls
 
 
