@@ -100,7 +100,16 @@ class LinearCombination:
         return self._with_terms(out)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check_compatible(other)
+        out = dict(self.terms)
+        for key, val in other.terms.items():
+            cur = out.get(key)
+            val = -val if cur is None else cur - val
+            if val:
+                out[key] = val
+            elif cur is not None:
+                del out[key]
+        return self._with_terms(out)
 
     def __neg__(self):
         return self._with_terms({k: -v for k, v in self.terms.items()})

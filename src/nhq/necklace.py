@@ -205,22 +205,28 @@ def _merge_counts(a: str, p: int, b: str, q: int) -> dict:
     return {key: count for key, count in counts.items() if count}
 
 
-#: Most letters the merges of one necklace bracket may hold, as counted by
-#: ``_merge_letters``.  Output and time grow with this count, so a larger
-#: bracket is refused with DimensionError before any merge is formed.
+#: Most letters the merges of one necklace bracket, or the tensor terms of
+#: one double bracket, may hold, as counted by ``_check_merge_letters``.
+#: Output and time grow with this count, so a larger bracket is refused with
+#: DimensionError before any merge is formed.
 MAX_MERGE_LETTERS = 1 << 24
 
 
-def _merge_letters(xs, ys) -> int:
-    """Letters the merges of two lists of coded terms can hold: for each
-    term pair, the contracting code pairs of one period of each word (the
-    grid the bracket walks) times the k + l - 2 letters of a merge."""
+def _check_merge_letters(xs, ys, what: str) -> None:
+    """Refuse the bracket of two lists of coded terms ``(code, period,
+    Counter of one period's codes, coefficient)`` whose merges could hold
+    more than ``MAX_MERGE_LETTERS`` letters: for each term pair, the
+    contracting code pairs of the grid the bracket walks times the k + l - 2
+    letters of a merge."""
     total = 0
     for a, _, ca, _ in xs:
         for b, _, cb, _ in ys:
             pairs = sum([m * cb[chr(ord(c) ^ 1)] for c, m in ca.items()])
             total += pairs * (len(a) + len(b) - 2)
-    return total
+    if total > MAX_MERGE_LETTERS:
+        raise DimensionError(
+            f"{what} hold up to {total} letters, above the limit {MAX_MERGE_LETTERS}"
+        )
 
 
 def necklace_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
@@ -282,11 +288,7 @@ def necklace_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
         return out
 
     xs, ys = coded(x), coded(y)
-    work = _merge_letters(xs, ys)
-    if work > MAX_MERGE_LETTERS:
-        raise DimensionError(
-            f"bracket merges hold up to {work} letters, above the limit {MAX_MERGE_LETTERS}"
-        )
+    _check_merge_letters(xs, ys, "bracket merges")
     out = {}
     for a, p, _, c1 in xs:
         for b, q, _, c2 in ys:
@@ -337,11 +339,26 @@ def double_bracket(x: PathAlgebraElement, y: PathAlgebraElement) -> TensorElemen
     letter table is
         sum_{i,j} {p_i, q_j} (q_{<j} e p_{>i}) tensor (p_{<i} e q_{>j}),
     which is the unique extension by the Leibniz rule in the second slot and
-    the twisted antisymmetry in the first.
+    the twisted antisymmetry in the first.  Each contracting letter pair
+    forms one term of k + l - 2 letters, so a double bracket whose terms
+    could hold more than ``MAX_MERGE_LETTERS`` letters raises
+    ``DimensionError`` before any term is formed; paths have no rotations,
+    so the count runs over all letters, not one period.
     """
     if x.quiver != y.quiver:
         raise MismatchError("double_bracket operands live over different quivers")
     quiver = x.quiver
+
+    def coded(element):
+        """(code, length, codes, coefficient) per nontrivial path term."""
+        out = []
+        for p, c in element.items():
+            if not p.is_trivial:
+                s = _code(p.letters)
+                out.append((s, len(s), Counter(s), c))
+        return out
+
+    _check_merge_letters(coded(x), coded(y), "double bracket terms")
     out = {}
     for p, cp in x.items():
         if p.is_trivial:

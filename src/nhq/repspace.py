@@ -558,6 +558,15 @@ def tau_kernel(quiver: Quiver, dim) -> list:
 MAX_INDEX_ASSIGNMENTS = 1 << 20
 
 
+def _check_assignments(assignments: int) -> None:
+    """Refuse ``assignments`` index assignments above the limit."""
+    if assignments > MAX_INDEX_ASSIGNMENTS:
+        raise DimensionError(
+            f"contraction has {assignments} index assignments, "
+            f"above the limit {MAX_INDEX_ASSIGNMENTS}"
+        )
+
+
 def _bump(mono, var):
     """The sorted monomial ``mono`` times one more factor of ``var``."""
     for k, (w, exp) in enumerate(mono):
@@ -665,12 +674,7 @@ def _contract_letters(quiver: Quiver, dim, words, quantum: bool, ends=None):
     if ends:
         ranges[0] = ends[0]
         ranges.append(ends[1])
-    assignments = math.prod(len(r) for r in ranges)
-    if assignments > MAX_INDEX_ASSIGNMENTS:
-        raise DimensionError(
-            f"contraction has {assignments} index assignments, "
-            f"above the limit {MAX_INDEX_ASSIGNMENTS}"
-        )
+    _check_assignments(math.prod(len(r) for r in ranges))
     if quantum:
         ring, unit, times = WeylElement, {((), ()): HBarPolynomial.one()}, _times_token
     else:
@@ -763,21 +767,22 @@ def _moment_entry(quiver: Quiver, dim, i: int, p: int, q: int, r=None) -> WeylEl
     open chains [a][a'] for t(a) = i and [a'][a] for s(a) = i, height-1 factor
     first, plus h r_i on the diagonal when r is given."""
 
-    def chain(word):
-        return _contract_letters(quiver, dim, (word,), True, ((p,), (q,)))[p, q]
+    out: dict = {}
 
-    acc = WeylElement(quiver, dim)
+    def add_chain(word, sign):
+        chain = _contract_letters(quiver, dim, (word,), True, ((p,), (q,)))[p, q]
+        for mono, c in chain.items():
+            add_into(out, mono, c if sign > 0 else -c)
+
     for ai, arrow in enumerate(quiver.arrows):
         plain, starred = Letter(ai, False), Letter(ai, True)
         if arrow.target == i:
-            acc = acc + chain(((plain, 1), (starred, 2)))
+            add_chain(((plain, 1), (starred, 2)), 1)
         if arrow.source == i:
-            acc = acc - chain(((starred, 1), (plain, 2)))
+            add_chain(((starred, 1), (plain, 2)), -1)
     if r is not None and p == q and r[i]:
-        acc = acc + WeylElement.constant(
-            quiver, dim, HBarPolynomial((0, as_fraction(r[i])))
-        )
-    return acc
+        add_into(out, ((), ()), HBarPolynomial((0, as_fraction(r[i]))))
+    return WeylElement(quiver, dim)._with_terms(out)
 
 
 def moment_block_matrix(quiver: Quiver, dim, r=None) -> dict:
@@ -801,7 +806,9 @@ def quantum_moment(quiver: Quiver, dim, v: GlElement, r=None) -> WeylElement:
     """tr of the moment block matrix against v (with the optional h r shift)."""
     if (quiver, tuple(dim)) != v._context():
         raise MismatchError("gl element disagrees on quiver or dimensions")
-    out = WeylElement(quiver, dim)
+    out: dict = {}
     for (i, p, q), c in v.items():
-        out = out + _moment_entry(quiver, dim, i, q, p, r).scale(c)
-    return out
+        c = HBarPolynomial.coerce(c)
+        for mono, coeff in _moment_entry(quiver, dim, i, q, p, r).items():
+            add_into(out, mono, coeff * c)
+    return WeylElement(quiver, dim)._with_terms(out)

@@ -22,13 +22,14 @@ from functools import lru_cache
 
 from .expr import format_element
 from .linear import add_into
-from .necklace import HH0Element, Necklace
+from .necklace import HH0Element, Necklace, canonical_necklace, idempotent_class, necklace_key
 from .quiver import Quiver
 from .repspace import (
     Character,
     GlElement,
     PolyElement,
     WeylElement,
+    _check_assignments,
     _contract_letters,
     _times_token,
     chi_sign_variants,
@@ -43,7 +44,7 @@ from .repspace import (
     weyl_commutator,
     weyl_mul,
 )
-from .rings import HBarPolynomial
+from .rings import ONE, HBarPolynomial
 from .schedler import (
     CACHE_SIZE,
     QPAElement,
@@ -104,11 +105,24 @@ def trace_quantum(x: QPAElement, dim) -> WeylElement:
     """Quantum trace map, extended Q[h]-linearly over configurations.
 
     Each configuration's trace is one token-by-token contraction
-    (``repspace._contract_letters``); the coefficient-weighted traces are
-    accumulated into a single term dict, leaving the cached traces intact.
+    (``repspace._contract_letters``), kept in the trace cache.  One
+    configuration with coefficient 1 returns its cached trace itself, so
+    the result must not be mutated.  A sum's index assignments are added up
+    against ``MAX_INDEX_ASSIGNMENTS`` before any is contracted, and its
+    weighted traces are accumulated into one fresh term dict.
     """
     quiver = x.quiver
     dim = make_dimension_vector(quiver, dim)
+    if len(x.terms) == 1:  # its contraction checks the budget
+        ((cfg, coeff),) = x.items()
+        traced = trace_quantum_config(quiver, dim, cfg.components, cfg.idempotents)
+        return traced if coeff == ONE else traced.scale(coeff)
+    _check_assignments(
+        sum(
+            math.prod([dim[l.target(quiver)] for comp in cfg.components for l, _ in comp])
+            for cfg in x.terms
+        )
+    )
     out: dict = {}
     for cfg, coeff in x.items():
         traced = trace_quantum_config(quiver, dim, cfg.components, cfg.idempotents)
@@ -173,10 +187,9 @@ def verify_trace_homomorphism(x: QPAElement, y: QPAElement, dim, name="trace-hom
     """Check Tr_q(x * y) = Tr_q(x) Tr_q(y) exactly."""
     lhs = trace_quantum(qpa_mul(x, y), dim)
     rhs = weyl_mul(trace_quantum(x, dim), trace_quantum(y, dim))
-    res = lhs - rhs
-    if res.is_zero():
+    if lhs == rhs:
         return VerificationReport(name, "verified")
-    return VerificationReport(name, "failed", residual=format_element(res))
+    return VerificationReport(name, "failed", residual=format_element(lhs - rhs))
 
 
 def verify_cubic(x: HH0Element, y: HH0Element, dim, name="cubic") -> VerificationReport:
@@ -196,10 +209,9 @@ def verify_cubic(x: HH0Element, y: HH0Element, dim, name="cubic") -> Verificatio
         )
     lhs = classical_symbol(-comm.div_h())
     rhs = poisson(trace_classical(x, dim), trace_classical(y, dim))
-    res = lhs - rhs
-    if res.is_zero():
+    if lhs == rhs:
         return VerificationReport(name, "verified")
-    return VerificationReport(name, "failed", residual=format_element(res))
+    return VerificationReport(name, "failed", residual=format_element(lhs - rhs))
 
 
 def lift_necklace_combination(x: HH0Element) -> QPAElement:
@@ -213,25 +225,20 @@ def verify_quantum_moment(quiver: Quiver, dim, r=None, name="qmoment") -> Verifi
     c_i = -(weighted out-degree of i) + r_i."""
     dim = tuple(dim)
     chi = chi_sign_variants(quiver, dim, r)["main"].values
-    failures = []
     for (i, p, q) in gl_basis(quiver, dim):
         e = GlElement.elementary(quiver, dim, i, p, q)
         lhs = quantum_moment(quiver, dim, e, r)
         rhs = -tau(quiver, dim, e)
         if p == q and chi[i]:
             rhs = rhs + WeylElement.constant(quiver, dim, HBarPolynomial((0, chi[i])))
-        res = lhs - rhs
-        if not res.is_zero():
-            failures.append(((i, p, q), res))
-    if not failures:
-        return VerificationReport(name, "verified")
-    (key, res) = failures[0]
-    return VerificationReport(
-        name,
-        "failed",
-        residual=format_element(res),
-        notes=(f"first failing basis element e^{key[0]}_{{{key[1]},{key[2]}}}",),
-    )
+        if lhs != rhs:
+            return VerificationReport(
+                name,
+                "failed",
+                residual=format_element(lhs - rhs),
+                notes=(f"first failing basis element e^{i}_{{{p},{q}}}",),
+            )
+    return VerificationReport(name, "verified")
 
 
 def verify_equivariance(v: GlElement, x: QPAElement, dim, name="invariance") -> VerificationReport:
@@ -259,11 +266,11 @@ class IdealDecomposition:
 
     ``expansion`` is the re-expansion at chi = 0, sum entry * tau(direction)
     - lambda Tr_q(p), and ``trace_of_p`` is Tr_q(p), the sum of the diagonal
-    entries.  ``re_expand(c)`` is the affine expansion + c h Tr_q(p), so the
-    exact ratio solve for ``chi_value`` already checks target ==
-    re_expand(chi_value): ``verified`` is the ratio check.  Re-expanding
-    through ``weyl_mul`` and ``tau`` and comparing is kept as a test oracle
-    in ``tests/test_reduction_oracles.py``.
+    entries.  ``re_expand(c)`` is the affine expansion + c h Tr_q(p).
+    ``verified`` means target == re_expand(chi_value); ``chi_value`` is None
+    exactly when that comparison fails.  Re-expanding through ``weyl_mul``
+    and ``tau`` and comparing is kept as a test oracle in
+    ``tests/test_reduction_oracles.py``.
     """
 
     quiver: Quiver
@@ -293,19 +300,6 @@ class IdealDecomposition:
             "failed",
             residual=format_element(self.target - self.re_expand()),
         )
-
-
-def _solve_scalar_ratio(lhs: WeylElement, rhs: WeylElement):
-    """Find the rational c with lhs = c * rhs, or None when impossible."""
-    if rhs.is_zero():
-        return Fraction(0) if lhs.is_zero() else None
-    mono, coeff = next(iter(sorted(rhs.items(), key=lambda kv: kv[0])))
-    k = next(i for i, c in enumerate(coeff.coeffs) if c)
-    num = lhs.coefficient(mono).coefficient(k)
-    c = num / coeff.coefficient(k)
-    if (lhs - rhs.scale(c)).is_zero():
-        return c
-    return None
 
 
 def _tau_expansion(quiver: Quiver, dim, vertex: int, entries) -> dict:
@@ -343,10 +337,9 @@ def decompose_ideal_image(
     vertex.  The re-expansion at chi = 0 is built from those entries by
     token products: each normal-ordered term x d of tau(direction)
     multiplies the entry's term dict in place, and lambda enters once, as
-    -lambda Tr_q(p).  The trace character coefficient is the exact ratio of
-    target - re_expand(0) to h Tr_q(p); re-expansion is affine in it with
-    exactly that slope, so the ratio exists precisely when the re-expansion
-    equals the traced generator.
+    -lambda Tr_q(p).  Re-expansion is affine in chi with slope h Tr_q(p),
+    so chi is read at the least monomial of Tr_q(p), one h-degree above its
+    first nonzero one, and verified by comparing target with re_expand(chi).
     """
     dim = tuple(dim)
     if params is None:
@@ -380,12 +373,19 @@ def decompose_ideal_image(
             add_into(expansion, mono, c * -lam)
     zero = WeylElement(quiver, dim)
     expansion, trace_of_p = zero._with_terms(expansion), zero._with_terms(trace_of_p)
-    chi_value = _solve_scalar_ratio(
-        target - expansion, trace_of_p.scale(HBarPolynomial.h())
-    )
-    return IdealDecomposition(
+    chi_value = Fraction(0)
+    if trace_of_p:
+        mono = min(trace_of_p.terms)
+        coeff = trace_of_p.terms[mono]
+        k = next(i for i, c in enumerate(coeff.coeffs) if c)
+        gap = target.coefficient(mono) - expansion.coefficient(mono)
+        chi_value = gap.coefficient(k + 1) / coeff.coefficient(k)
+    dec = IdealDecomposition(
         quiver, dim, vertex, pairs, expansion, trace_of_p, chi_value, target
     )
+    if target != dec.re_expand():
+        dec.chi_value = None
+    return dec
 
 
 def _closed_necklaces(quiver: Quiver, max_len: int):
@@ -394,8 +394,6 @@ def _closed_necklaces(quiver: Quiver, max_len: int):
 
     def extend(word, start_vertex):
         if word and word[-1].source(quiver) == start_vertex:
-            from .necklace import canonical_necklace
-
             found.add(canonical_necklace(quiver, word))
         if len(word) == max_len:
             return
@@ -406,18 +404,12 @@ def _closed_necklaces(quiver: Quiver, max_len: int):
 
     for v in range(len(quiver.vertices)):
         extend([], v)
-    from .necklace import necklace_key
-
     return sorted(found, key=necklace_key)
 
 
 def enumerate_generators(quiver: Quiver, max_len: int = 2):
     """(necklace, vertex, mark) index of reduction-ideal generators."""
-    from .necklace import idempotent_class
-
-    out = []
-    for i in range(len(quiver.vertices)):
-        out.append((idempotent_class(i), i, 0))
+    out = [(idempotent_class(i), i, 0) for i in range(len(quiver.vertices))]
     for necklace in _closed_necklaces(quiver, max_len):
         for mark, letter in enumerate(necklace.letters):
             out.append((necklace, letter.source(quiver), mark))

@@ -272,6 +272,23 @@ def test_oversized_contraction_is_refused_before_any_work(capsys):
     assert f"above the limit {MAX_INDEX_ASSIGNMENTS}" in err
 
 
+def test_oversized_trace_sum_is_refused_before_any_contraction(capsys):
+    # at d = 6 the word straightens to 13 configurations; the 8-letter one
+    # alone is above the limit, and the others used to be traced for
+    # seconds before it was refused.  The budget is Σ 6^letters of them all.
+    word = "(x',1)(x,2)(x,3)(x',4)(x,5)(x',6)(x,7)(x',8)"
+    t0 = time.perf_counter()
+    code, out = run("qtrace", "-q", q("jordan"), "--dim", "v=6", word)
+    assert time.perf_counter() - t0 < 1
+    assert code == 3
+    assert out == ""
+    assignments = 6**8 + 4 * 6**6 + 5 * 6**4 + 3 * 6**2
+    assert capsys.readouterr().err == (
+        f"error: contraction has {assignments} index assignments, "
+        f"above the limit {MAX_INDEX_ASSIGNMENTS}\n"
+    )
+
+
 def test_oversized_exponent_is_refused_at_parse_time(capsys):
     cases = (
         ("bracket", "-q", q("jordan"), "h^300000000*[x]", "[x']"),
@@ -402,6 +419,31 @@ def test_oversized_bracket_is_refused_before_any_merge(capsys):
     words = out[out.index("[") :].split("[")[1:]
     assert len(words) > 1000
     assert all(w[: w.index("]")].count(".") == 397 for w in words)
+
+
+def test_oversized_double_bracket_is_refused_before_any_term(capsys):
+    # paths have no rotations: every contracting letter pair of the two
+    # 400-letter paths forms a tensor term of 798 letters
+    a, b = _two_loop_words(400, 1)
+    partners = (("x", "x'"), ("x'", "x"), ("y", "y'"), ("y'", "y"))
+    pairs = sum(a.count(u) * b.count(v) for u, v in partners)
+    t0 = time.perf_counter()
+    code, out = run("dbracket", "-q", q("two_loop"), ".".join(a), ".".join(b))
+    assert time.perf_counter() - t0 < 1
+    assert code == 3
+    assert out == ""
+    assert capsys.readouterr().err == (
+        f"error: double bracket terms hold up to {pairs * 798} letters, "
+        f"above the limit {MAX_MERGE_LETTERS}\n"
+    )
+    # at 200 letters the double bracket is admitted: one term per pair
+    a, b = _two_loop_words(200, 1)
+    pairs = sum(a.count(u) * b.count(v) for u, v in partners)
+    assert pairs * 398 <= MAX_MERGE_LETTERS
+    code, out = run("dbracket", "-q", q("two_loop"), ".".join(a), ".".join(b))
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert out.count(" (x) ") > 1000
 
 
 def test_quiver_with_more_arrows_than_letter_codes_exits_2(monkeypatch, capsys):

@@ -50,6 +50,9 @@ COMMANDS = [
         "3*[x.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'] + h*[x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x']",
         "[x'.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'] - [x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x']",
     ],
+    # a quantum trace of one configuration (scaled) and of a sum of two
+    ["qtrace", "-q", "two_loop.json", "--dim", "v=2", "2*h*(x,1)(y,2)(x',3)(y',4)"],
+    ["qtrace", "-q", "two_loop.json", "--dim", "v=2", "(x,1)(y,2)(x',3)(y',4) - 1/2*(y,1)(y,2)"],
 ]
 
 

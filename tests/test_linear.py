@@ -120,6 +120,10 @@ def test_arithmetic_results_hold_clean_coefficients():
                 zero = x.scale(0)
                 for result in (x + y, x - y, -x, x - x, x + zero, x.scale(_scalar(rng, x)), zero):
                     _check_clean(result, x, y)
+                # subtraction is one pass, with no negated copy of y
+                for a, b in ((x, y), (y, x), (x, x), (x, zero), (zero, x)):
+                    _check_clean(a - b, a, b)
+                    assert a - b == a + (-b)
                 for product in products:
                     result = product(x, y)
                     assert type(result) is type(x)

@@ -12,6 +12,7 @@ from nhq import (
     Path,
     PathAlgebraElement,
     PolyElement,
+    QPAElement,
     ReductionParameters,
     WeylElement,
     block_matrix,
@@ -21,6 +22,7 @@ from nhq import (
     idempotent_class,
     kernel_constraint,
     lift_necklace,
+    make_configuration,
     make_dimension_vector,
     make_params,
     path_matrix_entry,
@@ -39,13 +41,17 @@ from nhq import (
 from nhq.expr import parse_hh0_element, parse_qpa_element
 from nhq.quiver import make_quiver
 from nhq.sampling import (
+    a3p,
+    jordan,
     random_configuration,
     random_dimension,
     random_gl,
     random_necklace,
     random_quiver,
+    two_loop,
 )
-from nhq.trace import enumerate_generators
+from nhq.trace import clear_trace_cache, enumerate_generators
+from test_contraction import reference_trace_quantum_config
 
 H = HBarPolynomial.h()
 
@@ -132,6 +138,83 @@ def test_trace_quantum_invariant_under_single_rewrite():
         direct = trace_quantum_config(q, d, cfg.components, cfg.idempotents)
         normal = trace_quantum(straighten(q, cfg), d)
         assert direct == normal
+
+
+def _per_configuration_sum(x, d):
+    """Tr_q of x configuration by configuration, each traced by enumerating
+    every index tuple and multiplying through ``weyl_mul``."""
+    total = WeylElement(x.quiver, d)
+    for cfg, coeff in x.items():
+        traced = reference_trace_quantum_config(x.quiver, d, cfg.components, cfg.idempotents)
+        total = total + traced.scale(coeff)
+    return total
+
+
+@pytest.mark.parametrize("coeff", [1, 2, H, 1 + H], ids=["1", "2", "h", "1+h"])
+def test_trace_quantum_of_one_configuration(coeff):
+    rng = random.Random(f"one configuration {coeff}")
+    for q in (jordan(), two_loop(), a3p()):
+        for _ in range(4):
+            d = random_dimension(rng, q, max_dim=3)
+            cfg = random_configuration(rng, q, max_letters=5, max_idempotents=2)
+            x = QPAElement(q, {cfg: coeff})
+            cached = trace_quantum_config(q, d, cfg.components, cfg.idempotents)
+            unscaled = dict(cached.terms)
+            traced = trace_quantum(x, d)
+            assert traced == _per_configuration_sum(x, d)
+            # coefficient 1 passes the cached trace through; a scaled call
+            # leaves the cache entry as it was
+            assert (traced is cached) == (coeff == 1)
+            assert trace_quantum_config(q, d, cfg.components, cfg.idempotents) is cached
+            assert cached.terms == unscaled
+
+
+def test_trace_quantum_of_idempotent_factors(J, A2):
+    for q, d in ((J, (3,)), (A2, (2, 3))):
+        for idempotents, coeff in (((0,), 1), ((0, len(d) - 1), 1 + H), ((), 2 * H)):
+            x = QPAElement(q, {make_configuration(q, (), idempotents): coeff})
+            scalar = 1
+            for v in idempotents:
+                scalar *= d[v]
+            assert trace_quantum(x, d) == WeylElement.constant(q, d, coeff * scalar)
+            assert trace_quantum(x, d) == _per_configuration_sum(x, d)
+
+
+def test_trace_quantum_of_sums_is_the_per_configuration_sum():
+    rng = random.Random(2014)
+    coeffs = (1, 2, -1, H, 1 + H, Fraction(1, 2) - H)
+    for q in (jordan(), two_loop(), a3p()):
+        for _ in range(4):
+            d = random_dimension(rng, q, max_dim=2)
+            x = QPAElement(q)
+            while len(x.terms) < 3:
+                cfg = random_configuration(rng, q, max_letters=5, max_idempotents=2)
+                x = x + QPAElement(q, {cfg: rng.choice(coeffs)})
+            cached = lambda cfg: trace_quantum_config(q, d, cfg.components, cfg.idempotents)
+            before = {cfg: dict(cached(cfg).terms) for cfg in x.terms}
+            assert trace_quantum(x, d) == _per_configuration_sum(x, d)
+            assert all(cached(cfg).terms == terms for cfg, terms in before.items())
+
+
+def test_trace_quantum_budget_covers_the_whole_sum(J, monkeypatch):
+    # each configuration is under the limit, their sum is not
+    from nhq import repspace
+
+    d = (2,)
+    a, a_star = Letter(0, False), Letter(0, True)
+    words = ((a, a_star, a), (a_star, a), (a,))
+    cfgs = [make_configuration(J, [tuple((l, t + 1) for t, l in enumerate(w))]) for w in words]
+    x = QPAElement(J, {cfg: 1 for cfg in cfgs})
+    monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", 2**3 + 2**2 + 2)
+    assert trace_quantum(x, d) == _per_configuration_sum(x, d)
+    monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", 2**3 + 2**2 + 1)
+    with pytest.raises(DimensionError, match="has 14 index assignments, above the limit 13"):
+        trace_quantum(x, d)
+    # a lone configuration is held to the same limit by its contraction
+    clear_trace_cache()
+    monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", 2**2)
+    with pytest.raises(DimensionError, match="has 8 index assignments"):
+        trace_quantum(QPAElement(J, {cfgs[0]: 1}), d)
 
 
 def test_trace_hom_unit(J):
@@ -343,3 +426,84 @@ def test_report_verified_requires_zero_residual():
 
     with pytest.raises(ValueError):
         VerificationReport("bad", "verified", residual="x")
+
+
+# -- failure paths -------------------------------------------------------------
+#
+# Each check compares its two sides and forms their difference only for a
+# failed report.  A monkeypatched side makes each check fail, and the report
+# must print exactly the residual text below.
+
+
+def test_failed_trace_homomorphism_carries_its_residual(J, monkeypatch):
+    from nhq import trace
+
+    d = (2,)
+    monkeypatch.setattr(trace, "weyl_mul", lambda a, b: weyl_mul(a, b).scale(1 + H))
+    X, Y = parse_qpa_element(J, "(x',1)"), parse_qpa_element(J, "2*(x,1)")
+    report = verify_trace_homomorphism(X, Y, d)
+    assert report.status == "failed"
+    assert report.residual == RESIDUALS["trace-hom"]
+
+
+def test_failed_cubic_carries_its_residual(J, monkeypatch):
+    from nhq import trace
+    from nhq.repspace import poisson
+
+    d = (2,)
+    bump = PolyElement.coordinate(J, d, 0, True, 2, 1, Fraction(1, 2))
+    monkeypatch.setattr(trace, "poisson", lambda f, g: poisson(f, g).scale(2) + bump)
+    x, y = parse_hh0_element(J, "[x.x']"), parse_hh0_element(J, "3*[x]")
+    report = verify_cubic(x, y, d)
+    assert report.status == "failed"
+    assert report.residual == RESIDUALS["cubic"]
+
+
+def test_failed_quantum_moment_carries_its_first_residual(A2, monkeypatch):
+    from nhq import trace
+    from nhq.repspace import quantum_moment
+
+    d = (2, 2)
+
+    def broken(q, dim, v, r=None):
+        out = quantum_moment(q, dim, v, r)
+        if (0, 1, 2) in v.terms:
+            out = out + WeylElement.derivative(q, dim, 0, 2, 1, 1 - H)
+        return out
+
+    monkeypatch.setattr(trace, "quantum_moment", broken)
+    report = verify_quantum_moment(A2, d, (Fraction(1), Fraction(-2)))
+    assert report.status == "failed"
+    assert report.residual == RESIDUALS["qmoment"]
+    assert report.notes == ("first failing basis element e^0_{1,2}",)
+
+
+def test_failed_decomposition_carries_its_residual(J, monkeypatch):
+    from nhq import trace
+
+    d = (2,)
+    true_trace = trace.trace_quantum
+    # an h-degree-one term away from the least monomial of Tr_q(p): chi is
+    # read as before, and the comparison with the re-expansion fails
+    bump = WeylElement.position(J, d, 0, 2, 2, 2 * H)
+    monkeypatch.setattr(trace, "trace_quantum", lambda x, dd: true_trace(x, dd) + bump)
+    cycle = canonical_necklace(J, (Letter(0, False), Letter(0, True)))
+    dec = decompose_ideal_image(J, d, cycle, 0, 1)
+    assert dec.chi_value is None and not dec.verified
+    report = dec.report()
+    assert report.status == "failed"
+    assert report.residual == RESIDUALS["ideal"]
+
+
+RESIDUALS = {
+    "trace-hom": (
+        "-4*h^2 - 2*h*[x]_{1,1}*d(x)_{1,1} - 2*h*[x]_{1,1}*d(x)_{2,2} "
+        "- 2*h*[x]_{2,2}*d(x)_{1,1} - 2*h*[x]_{2,2}*d(x)_{2,2}"
+    ),
+    "cubic": "3*(x)_{1,1} + 3*(x)_{2,2} - 1/2*(x')_{2,1}",
+    "qmoment": "(1 - h)*d(a)_{2,1}",
+    "ideal": (
+        "2*h*[x]_{2,2} - 2*h*[x]_{1,1}*d(x)_{1,1} - 2*h*[x]_{1,2}*d(x)_{1,2} "
+        "- 2*h*[x]_{2,1}*d(x)_{2,1} - 2*h*[x]_{2,2}*d(x)_{2,2}"
+    ),
+}
