@@ -591,11 +591,40 @@ def format_path_element(x: PathAlgebraElement) -> str:
     return _format_terms(x, partial(format_path, x.quiver), _path_key)
 
 
-def format_tensor(x: TensorElement) -> str:
-    def body(pq):
-        return f"{format_path(x.quiver, pq[0])} (x) {format_path(x.quiver, pq[1])}"
+class _PerLetter(dict):
+    """``text(letter)`` of each letter, made on its first lookup."""
 
-    return _format_terms(x, body, lambda pq: (str(pq[0]), str(pq[1])))
+    def __init__(self, text):
+        super().__init__()
+        self.text = text
+
+    def __missing__(self, letter):
+        value = self[letter] = self.text(letter)
+        return value
+
+
+def _path_repr(path: Path, reprs: _PerLetter) -> str:
+    """``str(path)``, the dataclass repr, joined from cached letter reprs."""
+    letters = path.letters
+    inner = ", ".join(map(reprs.__getitem__, letters)) + ("," if len(letters) == 1 else "")
+    return f"Path(letters=({inner}), vertex={path.vertex!r})"
+
+
+def format_tensor(x: TensorElement) -> str:
+    """Terms in the order of the ``str`` of their two paths.  Each letter's
+    name and repr is made once per printed tensor."""
+    quiver = x.quiver
+    names, reprs = _PerLetter(lambda letter: letter.name(quiver)), _PerLetter(repr)
+
+    def text(path):
+        if path.is_trivial:
+            return format_path(quiver, path)
+        return ".".join(map(names.__getitem__, path.letters))
+
+    def key(pq):
+        return _path_repr(pq[0], reprs), _path_repr(pq[1], reprs)
+
+    return _format_terms(x, lambda pq: f"{text(pq[0])} (x) {text(pq[1])}", key)
 
 
 def format_necklace(quiver: Quiver, n: Necklace) -> str:

@@ -16,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DimensionError, MismatchError
 from .linear import LinearCombination, add_into
@@ -128,15 +129,15 @@ def poisson(f: PolyElement, g: PolyElement) -> PolyElement:
         for mono, _ in element.items():
             for (arrow, starred, row, col), _exp in mono:
                 coords.add((arrow, row, col) if not starred else (arrow, col, row))
-    out = PolyElement(f.quiver, f.dim)
+    out: dict = {}
     for arrow, row, col in sorted(coords):
         pos = (arrow, False, row, col)
         mom = (arrow, True, col, row)
-        out = out + (
-            poly_mul(poly_partial(f, pos), poly_partial(g, mom))
-            - poly_mul(poly_partial(f, mom), poly_partial(g, pos))
-        )
-    return out
+        for mono, c in poly_mul(poly_partial(f, pos), poly_partial(g, mom)).items():
+            add_into(out, mono, c)
+        for mono, c in poly_mul(poly_partial(f, mom), poly_partial(g, pos)).items():
+            add_into(out, mono, -c)
+    return f._with_terms(out)
 
 
 def path_matrix_entry(quiver: Quiver, dim, path: Path, row: int, col: int) -> PolyElement:
@@ -154,9 +155,22 @@ def path_matrix_entry(quiver: Quiver, dim, path: Path, row: int, col: int) -> Po
 # ---------------------------------------------------------------------------
 # The Rees-Weyl algebra
 
-# Weyl monomial: (positions, derivatives), each a sorted tuple of
-# ((arrow, row, col), exp); a derivative is keyed by the coordinate it
-# differentiates, so d(a)_{r,c} pairs with (a)_{r,c}.
+# Weyl monomial, the key of a term: (positions, derivatives), each a sorted
+# tuple of ((arrow, row, col), exp); a derivative is keyed by the coordinate
+# it differentiates, so d(a)_{r,c} pairs with (a)_{r,c}.
+#
+# Inside an index contraction (``_contract``) a monomial of either ring is
+# one int.  With the n coordinates (arrow, row, col) of the arrows the
+# contraction uses in sorted order and a field width w, bits [k w, (k + 1) w) hold the exponent of coordinate k and
+# bits [(n + k) w, (n + k + 1) w) that of its derivative, for polynomials
+# that of its conjugate (a')_{c,r}.  Multiplying by a token adds one unit to
+# one field.  w is the bit length of the number of token products the
+# contraction makes; each product raises one exponent by at most one, so no
+# exponent exceeds that number and no field carries into the next.  The
+# quantum coefficients are ints with the power of h implied: a product adds
+# one factor, a Rees correction drops a position and a derivative and gains
+# one h, so a key of degree n made by m products stands for c h^((m - n) / 2).
+# Each result is unpacked to the tuple form once (``_Codec.unpack``).
 
 
 class WeylElement(LinearCombination):
@@ -567,61 +581,152 @@ def _check_assignments(assignments: int) -> None:
         )
 
 
-def _bump(mono, var):
-    """The sorted monomial ``mono`` times one more factor of ``var``."""
-    for k, (w, exp) in enumerate(mono):
-        if w == var:
-            return mono[:k] + ((var, exp + 1),) + mono[k + 1 :]
-        if var < w:
-            return mono[:k] + ((var, 1),) + mono[k:]
-    return mono + ((var, 1),)
+@lru_cache(maxsize=256)
+def _coordinate_fields(quiver: Quiver, dim: tuple, arrows: tuple) -> tuple:
+    """The coordinates (arrow, row, col) of the sorted ``arrows`` in sorted
+    order, the field number of each, and the polynomial variables of the
+    low and the high fields."""
+    coords = tuple(
+        (ai, row, col)
+        for ai in arrows
+        for row in range(1, dim[quiver.arrows[ai].target] + 1)
+        for col in range(1, dim[quiver.arrows[ai].source] + 1)
+    )
+    plain = tuple((a, False, row, col) for a, row, col in coords)
+    starred = tuple((a, True, col, row) for a, row, col in coords)
+    return coords, {v: k for k, v in enumerate(coords)}, (plain, starred)
 
 
-def _times_coordinate(acc, var, out) -> None:
-    """Add acc * var into the term dict ``out``, var a coordinate variable."""
-    for mono, c in acc.items():
-        add_into(out, _bump(mono, var), c)
+class _Codec:
+    """The packed monomials of one contraction (see the comment above
+    ``WeylElement``) and their unpacking to the tuple form.
 
-
-def _times_token(acc, token, out) -> None:
-    """Add acc * token into the term dict ``out``, normal-ordered.
-
-    ``token`` is ``(v, is_derivative)``.  A derivative appends d_v; a
-    position x_v moves left past d_v^b in ``der``: the monomial (pos, der)
-    gives (pos x_v, der) + b h (pos, der / d_v).
+    Only the coordinates of ``arrows`` get fields, so a key grows with the
+    arrows a contraction uses, not with the quiver.  ``factors`` is the
+    most tokens any key is multiplied by.  Each of them raises one exponent
+    by at most one, so no exponent exceeds ``factors`` and a field of
+    ``factors.bit_length()`` bits holds it without carrying into the next.
+    The unpacking memos live as long as the codec, one contraction.
     """
-    var, is_derivative = token
-    if is_derivative:
-        for (pos, der), c in acc.items():
-            add_into(out, (pos, _bump(der, var)), c)
+
+    __slots__ = ("quantum", "field", "width", "mask", "split", "_names", "_halves", "_coeffs")
+
+    def __init__(self, quiver: Quiver, dim, arrows, factors: int, quantum: bool):
+        coords, self.field, variables = _coordinate_fields(
+            quiver, tuple(dim), tuple(sorted(arrows))
+        )
+        self.quantum = quantum
+        self.width = max(factors.bit_length(), 1)
+        self.mask = (1 << self.width) - 1
+        self.split = len(coords) * self.width
+        self._names = (coords, coords) if quantum else variables
+        self._halves = ({}, {})
+        self._coeffs = {}
+
+    def position(self, var):
+        """The token of the coordinate ``var`` = (arrow, row, col); quantum,
+        it carries the shift of the field of d_var for the Rees correction."""
+        at = self.field[var] * self.width
+        return 1 << at, (self.split + at if self.quantum else None)
+
+    def derivative(self, var):
+        """The token of d_var, classically of the coordinate conjugate to var."""
+        return 1 << (self.split + self.field[var] * self.width), None
+
+    def entry(self, letter: Letter):
+        """The token of the (row, col) entry of a letter's matrix, with
+        [a']_{row,col} = d/d(a)_{col,row} and, classically, (a')_{row,col}
+        in the field of d(a)_{col,row}."""
+        arrow, starred = letter
+        if starred:
+            return lambda row, col: self.derivative((arrow, col, row))
+        return lambda row, col: self.position((arrow, row, col))
+
+    def _decode(self, bits: int, high: int):
+        """The sorted (var, exp) tuple of one half of a key, and its degree;
+        only the nonzero fields are visited."""
+        names, width, mask = self._names[high], self.width, self.mask
+        found, degree = [], 0
+        while bits:
+            k = ((bits & -bits).bit_length() - 1) // width
+            exp = bits >> k * width & mask
+            bits ^= exp << k * width
+            found.append((names[k], exp))
+            degree += exp
+        return tuple(found), degree
+
+    def unpack(self, terms: dict, factors: int) -> dict:
+        """The packed term dict ``terms``, made by ``factors`` token
+        products, in the ring's tuple form.  A quantum key of degree n
+        stands for its coefficient times h^((factors - n) / 2).  Each half
+        of a key is decoded once per codec."""
+        out = {}
+        low, split, decode = (1 << self.split) - 1, self.split, self._decode
+        lows, highs = self._halves
+        coeffs = self._coeffs
+        for key, c in terms.items():
+            bits = key & low
+            pos = lows.get(bits)
+            if pos is None:
+                pos = lows[bits] = decode(bits, 0)
+            bits = key >> split
+            der = highs.get(bits)
+            if der is None:
+                der = highs[bits] = decode(bits, 1)
+            if not self.quantum:
+                out[tuple(sorted(pos[0] + der[0])) if der[0] else pos[0]] = Fraction(c)
+                continue
+            power = (factors - pos[1] - der[1]) >> 1
+            coeff = coeffs.get((c, power))
+            if coeff is None:
+                coeff = coeffs[c, power] = HBarPolynomial._with_coeffs([0] * power + [c])
+            out[pos[0], der[0]] = coeff
+        return out
+
+
+def _times(acc: dict, token, mask: int, out: dict) -> None:
+    """Add acc * token into ``out``, both packed term dicts.
+
+    A token ``(unit, shift)`` multiplies a key by adding ``unit``.  A
+    quantum position x_v carries the shift of d_v's field: x_v moves left
+    past d_v^b, so the key also gives b h (key / d_v), one unit less in
+    that field, its h implied by the lower degree.  Every coefficient of a
+    contraction is a positive int, so no sum here cancels.
+    """
+    unit, shift = token
+    get = out.get
+    if shift is None:
+        for key, c in acc.items():
+            key += unit
+            out[key] = get(key, 0) + c
         return
-    for (pos, der), c in acc.items():
-        add_into(out, (_bump(pos, var), der), c)
-        for k, (w, b) in enumerate(der):
-            if w == var:
-                rest = der[:k] + ((var, b - 1),) if b > 1 else der[:k]
-                add_into(out, (pos, rest + der[k + 1 :]), (c * b).shift(1))
-                break
+    drop = 1 << shift
+    for key, c in acc.items():
+        k = key + unit
+        out[k] = get(k, 0) + c
+        b = key >> shift & mask
+        if b:
+            k = key - drop
+            out[k] = get(k, 0) + c * b
 
 
-def _contract(slots, ranges, unit, times, free=()):
+def _contract(slots, ranges, mask: int, free=()):
     """Sum over all index variables of the product of the slot tokens.
 
     ``slots`` lists ``(entry, i, j)`` in multiplication order; its token is
     ``entry(k_i, k_j)`` and ``ranges[v]`` holds the values of variable v.
-    Accumulators are raw term dicts starting from ``unit``, and
-    ``times(acc, token, out)`` adds acc * token into the dict ``out`` in
-    place.  Each variable not in ``free`` is summed as soon as the last
-    slot using it has been multiplied, so tr(M_1 ... M_m) costs O(m d^3)
-    token products instead of O(d^m).  Every free variable must occur in
-    some slot.  The result maps each assignment of the ``free`` variables
-    to the term dict of its entry.
+    Accumulators are packed term dicts starting from the unit ``{0: 1}``,
+    multiplied in place by ``_times``.  Each variable not in ``free`` is
+    summed as soon as the last slot using it has been multiplied, so
+    tr(M_1 ... M_m) costs O(m d^3) token products instead of O(d^m).  Every
+    free variable must occur in some slot.  The result maps each assignment
+    of the ``free`` variables to the packed term dict of its entry.
     """
     last = {}
     for t, (_, i, j) in enumerate(slots):
         last[i] = last[j] = t
     live = ()
-    sums = {(): unit}
+    sums = {(): {0: 1}}
     for t, (entry, i, j) in enumerate(slots):
         new = tuple(v for v in dict.fromkeys((i, j)) if v not in live)
         grown = live + new
@@ -632,58 +737,57 @@ def _contract(slots, ranges, unit, times, free=()):
             for ext in itertools.product(*(ranges[v] for v in new)):
                 ks = key + ext
                 kept = tuple(ks[p] for p in at[2:])
-                times(acc, entry(ks[at[0]], ks[at[1]]), out.setdefault(kept, {}))
+                _times(acc, entry(ks[at[0]], ks[at[1]]), mask, out.setdefault(kept, {}))
         sums = out
     return {
         tuple(key[live.index(v)] for v in free): value for key, value in sums.items()
     }
 
 
-def _letter_entry(letter: Letter, quantum: bool):
-    """The token of the (row, col) entry of a letter's matrix: the
-    coordinate variable, or the operator token ``(v, is_derivative)`` with
-    [a']_{row,col} = d/d(a)_{col,row}."""
-    arrow, starred = letter
-    if not quantum:
-        return lambda row, col: (arrow, starred, row, col)
-    if starred:
-        return lambda row, col: ((arrow, col, row), True)
-    return lambda row, col: ((arrow, row, col), False)
+def _contract_packed(
+    quiver: Quiver, dim, words, quantum: bool, ends=None, arrows=frozenset(), extra: int = 0
+):
+    """The contraction of ``_contract_letters`` on packed keys: returns its
+    codec, with fields for the words' arrows and ``arrows`` and sized for
+    ``extra`` more token products than the words have letters, and the
+    packed sums of ``_contract``."""
+    ranges, slots = [], []
+    for word in words:
+        first = len(ranges)
+        for t, (letter, height) in enumerate(word):
+            nxt = t + 1 if ends else (t + 1) % len(word)
+            slots.append((height, (letter, first + t, first + nxt)))
+            ranges.append(range(1, dim[letter.target(quiver)] + 1))
+    slots.sort(key=lambda hs: hs[0])
+    if ends:
+        ranges[0] = ends[0]
+        ranges.append(ends[1])
+    _check_assignments(math.prod(len(r) for r in ranges))
+    arrows = arrows.union(letter.arrow for _, (letter, _, _) in slots)
+    codec = _Codec(quiver, dim, arrows, len(slots) + extra, quantum)
+    slots = [(codec.entry(letter), i, j) for _, (letter, i, j) in slots]
+    free = (0, len(ranges) - 1) if ends else ()
+    return codec, _contract(slots, ranges, codec.mask, free)
 
 
 def _contract_letters(quiver: Quiver, dim, words, quantum: bool, ends=None):
     """Contract the letter matrices of words of (letter, height) pairs.
 
     Factors multiply in height order: operator tokens when ``quantum``,
-    coordinates otherwise, each product taken in place on raw term dicts
-    by ``_times_token`` or ``_times_coordinate`` (tested against the
-    general ``weyl_mul`` and ``poly_mul``).  Without ``ends`` every word is
-    a closed cycle and the result is the trace.  With ``ends = (rows,
-    cols)`` there is one open word and the result maps (row, col) to that
-    entry of its product.  Raises DimensionError when the number of index
+    coordinates otherwise.  The products run on packed keys
+    (``_contract_packed``), and each result is unpacked once, here, into a
+    ``WeylElement`` or ``PolyElement``.  Without ``ends`` every word is a
+    closed cycle and the result is the trace.  With ``ends = (rows, cols)``
+    there is one open word and the result maps (row, col) to that entry of
+    its product.  Raises DimensionError when the number of index
     assignments exceeds ``MAX_INDEX_ASSIGNMENTS``.
     """
-    ranges, slots = [], []
-    for word in words:
-        first = len(ranges)
-        for t, (letter, height) in enumerate(word):
-            nxt = t + 1 if ends else (t + 1) % len(word)
-            slots.append((height, (_letter_entry(letter, quantum), first + t, first + nxt)))
-            ranges.append(range(1, dim[letter.target(quiver)] + 1))
-    slots = [slot for _, slot in sorted(slots, key=lambda hs: hs[0])]
-    if ends:
-        ranges[0] = ends[0]
-        ranges.append(ends[1])
-    _check_assignments(math.prod(len(r) for r in ranges))
-    if quantum:
-        ring, unit, times = WeylElement, {((), ()): HBarPolynomial.one()}, _times_token
-    else:
-        ring, unit, times = PolyElement, {(): Fraction(1)}, _times_coordinate
-    zero = ring(quiver, dim)
+    codec, sums = _contract_packed(quiver, dim, words, quantum, ends)
+    factors = sum(len(word) for word in words)
+    zero = (WeylElement if quantum else PolyElement)(quiver, dim)
     if not ends:
-        return zero._with_terms(_contract(slots, ranges, unit, times)[()])
-    sums = _contract(slots, ranges, unit, times, free=(0, len(ranges) - 1))
-    return {key: zero._with_terms(terms) for key, terms in sums.items()}
+        return zero._with_terms(codec.unpack(sums[()], factors))
+    return {key: zero._with_terms(codec.unpack(terms, factors)) for key, terms in sums.items()}
 
 
 # ---------------------------------------------------------------------------

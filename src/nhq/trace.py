@@ -30,8 +30,10 @@ from .repspace import (
     PolyElement,
     WeylElement,
     _check_assignments,
+    _Codec,
     _contract_letters,
-    _times_token,
+    _contract_packed,
+    _times,
     chi_sign_variants,
     classical_symbol,
     gl_basis,
@@ -302,23 +304,42 @@ class IdealDecomposition:
         )
 
 
-def _tau_expansion(quiver: Quiver, dim, vertex: int, entries) -> dict:
-    """sum_{l1,l2} M_{l1,l2} tau(-e_{l1,l2}) as a raw term dict.
+def _tau_expansion(quiver: Quiver, dim, vertex: int, codec: _Codec, entries) -> dict:
+    """sum_{l1,l2} M_{l1,l2} tau(-e_{l1,l2}) as a packed term dict.
 
-    Each term sign * x_pos d_der of tau(e_{l1,l2}) (``tau_pairs``) is
-    normal ordered, so M x_pos d_der is M times the position token, then
-    times the derivative token, both products in place on M's term dict.
+    ``entries`` holds the packed entries M_{l1,l2}.  Each term sign * x_pos
+    d_der of tau(e_{l1,l2}) (``tau_pairs``) is normal ordered, so M x_pos
+    d_der is M times the position token, then times the derivative token,
+    both products in place; ``codec`` is sized for these two products.
     """
     signed = {1: {}, -1: {}}
     for (l_first, l_last), entry in entries:
         for sign, pos, der in tau_pairs(quiver, dim, vertex, l_first, l_last):
             moved: dict = {}
-            _times_token(entry.terms, (pos, False), moved)
-            _times_token(moved, (der, True), signed[-sign])
+            _times(entry, codec.position(pos), codec.mask, moved)
+            _times(moved, codec.derivative(der), codec.mask, signed[-sign])
     out = signed[1]
-    for mono, c in signed[-1].items():
-        add_into(out, mono, -c)
+    for key, c in signed[-1].items():
+        add_into(out, key, -c)
     return out
+
+
+def _boundary_entries(quiver: Quiver, dim, vertex: int, word):
+    """The nonzero entries ((l_first, l_last), packed terms) of the operator
+    matrix product of ``word``'s letters in word order, sorted by key, and
+    their codec, with fields for the arrows of tau at ``vertex`` and sized
+    for the two token products of a tau term on top of the word's letters."""
+    ends = range(1, dim[vertex] + 1)
+    at_vertex = frozenset(
+        ai for ai, a in enumerate(quiver.arrows) if vertex in (a.source, a.target)
+    )
+    if not word:
+        return _Codec(quiver, dim, at_vertex, 2, True), [((l, l), {0: 1}) for l in ends]
+    cycle = tuple((letter, t) for t, letter in enumerate(word))
+    codec, entries = _contract_packed(
+        quiver, dim, (cycle,), True, (ends, ends), at_vertex, extra=2
+    )
+    return codec, sorted((kv for kv in entries.items() if kv[1]), key=lambda kv: kv[0])
 
 
 def decompose_ideal_image(
@@ -336,7 +357,7 @@ def decompose_ideal_image(
     (= height) order; its direction is -e_{l_first, l_last} at the marked
     vertex.  The re-expansion at chi = 0 is built from those entries by
     token products: each normal-ordered term x d of tau(direction)
-    multiplies the entry's term dict in place, and lambda enters once, as
+    multiplies the entry's packed term dict, and lambda enters once, as
     -lambda Tr_q(p).  Re-expansion is affine in chi with slope h Tr_q(p),
     so chi is read at the least monomial of Tr_q(p), one h-degree above its
     first nonzero one, and verified by comparing target with re_expand(chi).
@@ -347,31 +368,27 @@ def decompose_ideal_image(
     word = marked_word(quiver, p, vertex, mark)
     target = trace_quantum(ideal_generator(quiver, p, vertex, mark, params), dim)
 
-    ends = range(1, dim[vertex] + 1)
-    if word:
-        cycle = tuple((letter, t) for t, letter in enumerate(word))
-        entries = _contract_letters(quiver, dim, (cycle,), True, (ends, ends))
-    else:
-        unit = WeylElement.constant(quiver, dim, 1)
-        entries = {(l, l): unit for l in ends}
-    entries = sorted(
-        ((key, coeff) for key, coeff in entries.items() if coeff), key=lambda kv: kv[0]
-    )
+    m = len(word)
+    codec, entries = _boundary_entries(quiver, dim, vertex, word)
+    zero = WeylElement(quiver, dim)
     pairs = tuple(
-        (coeff, GlElement.elementary(quiver, dim, vertex, l_first, l_last, -1))
-        for (l_first, l_last), coeff in entries
+        (
+            zero._with_terms(codec.unpack(terms, m)),
+            GlElement.elementary(quiver, dim, vertex, l_first, l_last, -1),
+        )
+        for (l_first, l_last), terms in entries
     )
-    trace_of_p: dict = {}
-    for (l_first, l_last), coeff in entries:
+    diagonal: dict = {}
+    for (l_first, l_last), terms in entries:
         if l_first == l_last:
-            for mono, c in coeff.items():
-                add_into(trace_of_p, mono, c)
-    expansion = _tau_expansion(quiver, dim, vertex, entries)
+            for key, c in terms.items():
+                diagonal[key] = diagonal.get(key, 0) + c
+    trace_of_p = codec.unpack(diagonal, m)
+    expansion = codec.unpack(_tau_expansion(quiver, dim, vertex, codec, entries), m + 2)
     lam = params.lam[vertex]
     if lam:
         for mono, c in trace_of_p.items():
             add_into(expansion, mono, c * -lam)
-    zero = WeylElement(quiver, dim)
     expansion, trace_of_p = zero._with_terms(expansion), zero._with_terms(trace_of_p)
     chi_value = Fraction(0)
     if trace_of_p:

@@ -3,10 +3,12 @@
 The references below enumerate every index tuple and multiply the factors
 one by one, O(d^m) products per m-letter word.  The library contracts each
 index as soon as its last factor has been multiplied; both must give the
-same exact element.  The in-place token products the kernel multiplies by
-are checked against the general ``weyl_mul`` and ``poly_mul``, and the
-commutator, which forms only contracted terms, against the difference of
-the two products.
+same exact element.  The library multiplies monomials packed into ints;
+the tuple-keyed kernel it replaced (``contraction_oracle``) must give the
+same elements, also where an exponent fills its bit field.  The tuple
+token products are checked against the general ``weyl_mul`` and
+``poly_mul``, and the commutator, which forms only contracted terms,
+against the difference of the two products.
 """
 
 import itertools
@@ -34,8 +36,8 @@ from nhq import (
 )
 from nhq import repspace
 from nhq.necklace import canonical_necklace
-from nhq.quiver import Letter
-from nhq.repspace import _letter_entry, _times_coordinate, _times_token, poly_mul
+from nhq.quiver import Letter, make_quiver
+from nhq.repspace import poly_mul
 from nhq.sampling import (
     a2,
     a3p,
@@ -44,8 +46,11 @@ from nhq.sampling import (
     random_dimension,
     random_necklace,
     random_word,
+    small_quivers,
     two_loop,
 )
+import contraction_oracle
+from contraction_oracle import letter_entry, times_coordinate, times_token
 
 
 def reference_trace_quantum_config(quiver, dim, components, idempotents):
@@ -242,7 +247,7 @@ def _operator_pairs(draw):
 def test_token_product_matches_weyl_mul(case):
     q, d, x, letter, row, col = case
     out: dict = {}
-    _times_token(x.terms, _letter_entry(letter, True)(row, col), out)
+    times_token(x.terms, letter_entry(letter, True)(row, col), out)
     expected = weyl_mul(x, WeylElement.operator_token(q, d, letter, row, col))
     assert WeylElement(q, d)._with_terms(out) == expected
 
@@ -265,7 +270,7 @@ def test_coordinate_product_matches_poly_mul(case):
         ],
     )
     out: dict = {}
-    _times_coordinate(f.terms, _letter_entry(letter, False)(row, col), out)
+    times_coordinate(f.terms, letter_entry(letter, False)(row, col), out)
     coordinate = PolyElement.coordinate(q, d, letter.arrow, letter.starred, row, col)
     assert PolyElement(q, d)._with_terms(out) == poly_mul(f, coordinate)
 
@@ -283,9 +288,88 @@ def test_position_token_moves_past_a_derivative_power():
     v = (0, 1, 1)
     cube = WeylElement(q, d, {((), ((v, 3),)): 1})
     out: dict = {}
-    _times_token(cube.terms, _letter_entry(Letter(0, False), True)(1, 1), out)
+    times_token(cube.terms, letter_entry(Letter(0, False), True)(1, 1), out)
     assert out == {(((v, 1),), ((v, 3),)): 1, ((), ((v, 2),)): HBarPolynomial((0, 3))}
     assert cube._with_terms(out) == weyl_mul(cube, WeylElement.position(q, d, 0, 1, 1))
+
+
+# -- the packed kernel against the tuple kernel --------------------------------
+
+
+@st.composite
+def _contractions(draw):
+    """Closed configurations or one open word with its ends, on a quiver of
+    ``small_quivers()``, for the quantum or the classical ring."""
+    q = draw(st.sampled_from(small_quivers()))
+    d = tuple(draw(st.integers(1, 3)) for _ in q.vertices)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    quantum = draw(st.booleans())
+    if draw(st.booleans()):
+        cfg = random_configuration(rng, q, max_letters=6, max_idempotents=0)
+        return q, d, cfg.components, quantum, None
+    word = random_word(rng, q, max_len=5)
+    heights = list(range(1, len(word) + 1))
+    rng.shuffle(heights)
+    ends = (range(1, d[word[0].target(q)] + 1), range(1, d[word[-1].source(q)] + 1))
+    return q, d, (tuple(zip(word, heights)),), quantum, ends
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_contractions())
+def test_packed_contraction_matches_the_tuple_kernel(case):
+    q, d, words, quantum, ends = case
+    expected = contraction_oracle.contract_letters(q, d, words, quantum, ends)
+    assert repspace._contract_letters(q, d, words, quantum, ends) == expected
+
+
+def _jordan_word(text):
+    """Letters of a Jordan word such as "x'x'x", heights in word order."""
+    letters = [Letter(0, True) if t == "x'" else Letter(0, False) for t in text.split()]
+    return tuple((letter, t + 1) for t, letter in enumerate(letters))
+
+
+@pytest.mark.parametrize(
+    "text,width,packed",
+    [
+        # Jordan at d = 1 has one coordinate: x^a d^b is the key a + (b << w)
+        (" ".join(["x"] * 7), 3, {7: 1}),
+        (" ".join(["x"] * 8), 4, {8: 1}),
+        (" ".join(["x'"] * 15), 4, {15 << 4: 1}),
+        (" ".join(["x'"] * 16), 5, {16 << 5: 1}),
+        # the Rees correction reads the top of a full-width exponent:
+        # d^b x = x d^b + b h d^(b-1), its h implied by the degree
+        (" ".join(["x'"] * 7 + ["x"]), 4, {1 + (7 << 4): 1, 6 << 4: 7}),
+        (" ".join(["x'"] * 15 + ["x"]), 5, {1 + (15 << 5): 1, 14 << 5: 15}),
+        (" ".join(["x'"] + ["x"] * 7), 4, None),
+        (" ".join(["x"] * 3 + ["x'"] * 4), 3, None),
+        (" ".join(["x'", "x"] * 4), 4, None),
+    ],
+)
+def test_exponents_that_fill_a_field(text, width, packed):
+    J, d = jordan(), (1,)
+    word = _jordan_word(text)
+    letters = [letter for letter, _ in word]
+    codec, sums = repspace._contract_packed(J, d, (word,), True)
+    assert codec.width == width
+    if packed is not None:
+        assert sums == {(): packed}
+    quantum = repspace._contract_letters(J, d, (word,), True)
+    assert quantum == contraction_oracle.contract_letters(J, d, (word,), True)
+    assert quantum == reference_trace_quantum_config(J, d, (word,), ())
+    classical = repspace._contract_letters(J, d, (word,), False)
+    assert classical == contraction_oracle.contract_letters(J, d, (word,), False)
+    assert classical == reference_trace_classical(J, d, letters)
+
+
+def test_fields_only_for_the_arrows_a_contraction_uses():
+    # a key holds the coordinates of the word's arrows, not of the quiver
+    many = make_quiver(["v"], [(f"a{i}", "v", "v") for i in range(1000)])
+    word = ((Letter(999, True), 1), (Letter(3, False), 2), (Letter(999, False), 3))
+    for quantum in (True, False):
+        codec, _ = repspace._contract_packed(many, (2,), (word,), quantum)
+        assert codec.split == 2 * 4 * codec.width  # two arrows of four coordinates
+        expected = contraction_oracle.contract_letters(many, (2,), (word,), quantum)
+        assert repspace._contract_letters(many, (2,), (word,), quantum) == expected
 
 
 # -- the up-front work bound ---------------------------------------------------

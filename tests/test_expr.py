@@ -317,3 +317,34 @@ def test_format_element_prints_tensors(J, A3P):
     x, xs = parse_path_element(J, "x"), parse_path_element(J, "x'")
     assert format_tensor(double_bracket(x, xs)) == "ev (x) ev"
     assert format_tensor(double_bracket(x, x)) == "0"
+
+
+def test_tensor_term_order_is_the_order_of_the_path_strs():
+    # twelve vertices and arrows, so that arrow=10 sorts before arrow=2 and
+    # vertex=10 before vertex=2 in the dataclass reprs
+    from nhq.expr import _PerLetter, _path_repr, format_path, format_tensor
+    from nhq.necklace import TensorElement
+    from nhq.quiver import make_quiver
+    from nhq.sampling import random_word
+
+    names = [f"v{i}" for i in range(12)]
+    quiver = make_quiver(
+        names,
+        [(f"a{i}", names[i], names[(i + 1) % 12]) for i in range(12)] + [("z", "v3", "v3")],
+    )
+    rng = random.Random(1515)
+    paths = [Path.trivial(v) for v in range(12)]
+    paths += [Path((letter,)) for letter in quiver.letters()]
+    paths += [Path(tuple(random_word(rng, quiver, max_len=6))) for _ in range(300)]
+    paths += [Path(p.letters[:1]) for p in paths[-50:]]  # one-letter prefixes
+    reprs = _PerLetter(repr)
+    assert [_path_repr(p, reprs) for p in paths] == [str(p) for p in paths]
+    assert sorted(paths, key=lambda p: _path_repr(p, reprs)) == sorted(paths, key=str)
+    rng.shuffle(paths)
+    t = TensorElement(quiver, {(p, q): rng.randint(1, 3) for p, q in zip(paths, paths[::-1])})
+    old = " + ".join(
+        f"{c}*{format_path(quiver, p)} (x) {format_path(quiver, q)}" if c != 1
+        else f"{format_path(quiver, p)} (x) {format_path(quiver, q)}"
+        for (p, q), c in sorted(t.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
+    )
+    assert format_tensor(t) == old

@@ -7,9 +7,10 @@ These tests keep the checks those shortcuts replace: re-expanding each
 decomposition and comparing it with the traced generator, and re-solving
 the character at every unit r.  The library re-expands by multiplying each
 entry's terms by the position and derivative tokens of tau's normal-ordered
-pairs (``repspace.tau_pairs``); the general route it replaced, a sum of
-``weyl_mul(entry, tau(direction) + constant)``, is the oracle here, with
-tau written out arrow by arrow.
+pairs (``repspace.tau_pairs``), on packed keys; the general route it
+replaced, a sum of ``weyl_mul(entry, tau(direction) + constant)``, is the
+oracle here, with tau written out arrow by arrow, and so is the same token
+route on tuple keys (``contraction_oracle``).
 """
 
 import random
@@ -33,10 +34,14 @@ from nhq import (
     trace,
     weyl_mul,
 )
+from nhq import repspace
 from nhq.expr import format_element
-from nhq.repspace import _times_token, tau_pairs
+from nhq.repspace import tau_pairs
 from nhq.sampling import a2, a3p, all_dimension_vectors, jordan, small_quivers, two_loop
+from nhq.schedler import marked_word
 from nhq.trace import enumerate_generators
+import contraction_oracle
+from contraction_oracle import times_token
 
 
 def reference_tau(quiver, dim, v):
@@ -134,9 +139,90 @@ def test_tau_pairs_rebuild_tau(case):
     for (i, p, q), c in v.items():
         for sign, pos, der in tau_pairs(quiver, dim, i, p, q):
             moved: dict = {}
-            _times_token({((), ()): HBarPolynomial.constant(c * sign)}, (pos, False), moved)
-            _times_token(moved, (der, True), out)
+            times_token({((), ()): HBarPolynomial.constant(c * sign)}, (pos, False), moved)
+            times_token(moved, (der, True), out)
     assert WeylElement(quiver, dim, out) == expected
+
+
+def _tuple_decomposition(dec, p, mark, lam):
+    """The entries and the expansion at chi = 0 of ``dec``, by the tuple
+    kernel: the open-word entries of the marked cycle, and the tau route
+    of their terms minus lambda times their trace."""
+    quiver, dim, vertex = dec.quiver, dec.dim, dec.vertex
+    word = marked_word(quiver, p, vertex, mark)
+    ends = range(1, dim[vertex] + 1)
+    if word:
+        cycle = tuple((letter, t) for t, letter in enumerate(word))
+        entries = contraction_oracle.contract_letters(quiver, dim, (cycle,), True, (ends, ends))
+    else:
+        entries = {(l, l): WeylElement.constant(quiver, dim, 1) for l in ends}
+    entries = sorted((key, e) for key, e in entries.items() if e)
+    expansion = contraction_oracle.tau_expansion(quiver, dim, vertex, entries)
+    expansion = WeylElement(quiver, dim, expansion)
+    trace_of_p = WeylElement(quiver, dim)
+    for (l_first, l_last), e in entries:
+        if l_first == l_last:
+            trace_of_p = trace_of_p + e
+    return [e for _, e in entries], expansion - trace_of_p.scale(lam)
+
+
+def _assert_matches_tuple_kernel(quiver, dim, p, vertex, mark, params):
+    dec = decompose_ideal_image(quiver, dim, p, vertex, mark, params)
+    lam = Fraction(0) if params is None else params.lam[vertex]
+    entries, expansion = _tuple_decomposition(dec, p, mark, lam)
+    assert [entry for entry, _ in dec.pairs] == entries
+    assert dec.expansion == expansion
+    return dec
+
+
+@st.composite
+def _generators(draw):
+    quiver = draw(st.sampled_from(small_quivers()))
+    dim = tuple(draw(st.integers(1, 2)) for _ in quiver.vertices)
+    generators = enumerate_generators(quiver, 3)
+    p, vertex, mark = draw(st.sampled_from(generators))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    params = draw(st.sampled_from([None, _seeded_params(rng, len(quiver.vertices))]))
+    return quiver, dim, p, vertex, mark, params
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_generators())
+def test_packed_decomposition_matches_the_tuple_kernel(case):
+    _assert_matches_tuple_kernel(*case)
+
+
+@pytest.mark.parametrize("starred", [True, False])
+def test_a_tau_term_raises_an_exponent_above_the_letter_count(starred):
+    # the (1, 1) entry of a 7-letter Jordan power holds one coordinate to the
+    # 7th; the tau terms of e_{1,1} at j = 1 raise it to the 8th, in a field
+    # sized for the 9 token products of entry and tau term
+    quiver, dim, m = jordan(), (2,), 7
+    codec, entries = trace._boundary_entries(quiver, dim, 0, (Letter(0, starred),) * m)
+    assert codec.width == 4
+    packed = dict(entries)[1, 1]
+    zero = WeylElement(quiver, dim)
+    entry = zero._with_terms(codec.unpack(packed, m))
+    tops = []
+    for _sign, pos, der in tau_pairs(quiver, dim, 0, 1, 1):
+        moved: dict = {}
+        out: dict = {}
+        repspace._times(packed, codec.position(pos), codec.mask, moved)
+        repspace._times(moved, codec.derivative(der), codec.mask, out)
+        term = weyl_mul(
+            WeylElement.position(quiver, dim, *pos), WeylElement.derivative(quiver, dim, *der)
+        )
+        product = zero._with_terms(codec.unpack(out, m + 2))
+        assert product == weyl_mul(entry, term)
+        tops.append(max(e for mono in product.terms for half in mono for _, e in half))
+    assert max(tops) == m + 1
+    # the decomposition of that power and of mixed words, by both kernels
+    power, other = [Letter(0, starred)] * m, [Letter(0, not starred)]
+    for letters in (power, power[1:] + other):
+        p = canonical_necklace(quiver, letters)
+        dec = _assert_matches_tuple_kernel(quiver, dim, p, 0, 0, None)
+        assert dec.verified
+        assert dec.re_expand() == reference_re_expand(dec, Fraction(0), dec.chi_value)
 
 
 @pytest.mark.parametrize(
