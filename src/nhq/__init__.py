@@ -9,6 +9,7 @@ from .errors import (
     ExpressionError,
     MismatchError,
     QuiverFormatError,
+    WorkLimitError,
 )
 from .necklace import (
     GaugeExpression,

@@ -30,3 +30,8 @@ class MismatchError(ValueError):
 
 class DimensionError(ValueError):
     """Matrix index out of range or incompatible dimension vectors."""
+
+
+class WorkLimitError(DimensionError):
+    """A computation would exceed one of the package's work limits.  It is
+    a ``DimensionError``, so the CLI exits 3 on it."""

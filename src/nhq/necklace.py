@@ -344,10 +344,18 @@ def double_bracket(x: PathAlgebraElement, y: PathAlgebraElement) -> TensorElemen
     could hold more than ``MAX_MERGE_LETTERS`` letters raises
     ``DimensionError`` before any term is formed; paths have no rotations,
     so the count runs over all letters, not one period.
+
+    Each operand term is coded once as a str (``_code``); p_i contracts
+    only with its partner code, found in a partner-to-positions index of q.
+    Tensor terms are counted per operand-term pair under coded keys, an
+    empty factor keyed by its vertex, and each distinct factor is decoded
+    to a ``Path`` once, at the end.
     """
     if x.quiver != y.quiver:
         raise MismatchError("double_bracket operands live over different quivers")
     quiver = x.quiver
+    # a term holds only operand letters, so their codes decode every key
+    letter = {}
 
     def coded(element):
         """(code, length, codes, coefficient) per nontrivial path term."""
@@ -355,37 +363,43 @@ def double_bracket(x: PathAlgebraElement, y: PathAlgebraElement) -> TensorElemen
         for p, c in element.items():
             if not p.is_trivial:
                 s = _code(p.letters)
+                letter.update(zip(s, p.letters))
                 out.append((s, len(s), Counter(s), c))
         return out
 
-    _check_merge_letters(coded(x), coded(y), "double bracket terms")
+    xs, ys = coded(x), coded(y)
+    _check_merge_letters(xs, ys, "double bracket terms")
+    # the empty factors of a contraction of code c sit at its source and target
+    ends = {c: (u.source(quiver), u.target(quiver)) for c, u in letter.items()}
+    indexed = []
+    for b, _, _, cb in ys:
+        partners = {}
+        for j, c in enumerate(b):
+            partners.setdefault(chr(ord(c) ^ 1), []).append(j)
+        indexed.append((b, partners, cb))
     out = {}
-    for p, cp in x.items():
-        if p.is_trivial:
-            continue
-        for q, cq in y.items():
-            if q.is_trivial:
-                continue
-            coeff = cp * cq
-            for i, pi in enumerate(p.letters):
-                for j, qj in enumerate(q.letters):
-                    s = bracket_sign(pi, qj)
-                    if s == 0:
-                        continue
-                    first_letters = q.letters[:j] + p.letters[i + 1 :]
-                    second_letters = p.letters[:i] + q.letters[j + 1 :]
-                    first = (
-                        Path(first_letters)
-                        if first_letters
-                        else Path.trivial(pi.source(quiver))
-                    )
-                    second = (
-                        Path(second_letters)
-                        if second_letters
-                        else Path.trivial(pi.target(quiver))
-                    )
-                    add_into(out, (first, second), coeff * s)
-    return TensorElement(quiver, out)
+    for a, _, _, ca in xs:
+        for b, partners, cb in indexed:
+            counts = {}
+            for i, c in enumerate(a):
+                js = partners.get(c)
+                if js is None:
+                    continue
+                sign = -1 if ord(c) & 1 else 1
+                source, target = ends[c]
+                head, tail = a[i + 1 :], a[:i]
+                for j in js:
+                    key = (b[:j] + head or source, tail + b[j + 1 :] or target)
+                    counts[key] = counts.get(key, 0) + sign
+            coeff = ca * cb
+            for key, count in counts.items():
+                if count:
+                    add_into(out, key, coeff * count)
+    paths = {
+        f: Path(tuple(map(letter.__getitem__, f))) if isinstance(f, str) else Path.trivial(f)
+        for f in {f for pair in out for f in pair}
+    }
+    return TensorElement(quiver)._with_terms({(paths[p], paths[q]): c for (p, q), c in out.items()})
 
 
 # ---------------------------------------------------------------------------

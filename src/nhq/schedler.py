@@ -22,12 +22,22 @@ recursion terminates; confluence is a tested invariant, not an assumption.
 Every correction costs one factor +-h and exactly two letters, so in the
 expansion of an N-letter configuration the coefficient of an n-letter term
 is an integer times h^((N - n)/2).  The rewriting kernel therefore works on
-plain ``int`` coefficients with the power of h implied by the letter count,
-and the straighten cache holds ``(cfg, int)`` pairs; ``_normal_terms`` is
-the one boundary that restores h^((N - n)/2) for ``straighten``,
+plain ``int`` coefficients with the power of h implied by the letter count.
+It also works on coded configurations: a normalized configuration is the
+triple (codes, heights, idempotents) of one ``str`` per component (one
+character per letter, ``necklace._code``), one tuple of ``int`` heights per
+component and the sorted idempotent vertices.  The straighten cache holds
+``(coded configuration, int)`` pairs, which hold only ``str`` and ``int``:
+CPython stops tracking such tuples, so full garbage collections skip the
+cache.  A ``HeightConfiguration`` is built only at the one boundary,
+``_normal_terms``, which also restores h^((N - n)/2) for ``straighten``,
 ``qpa_mul``, ``moment_lift`` and ``ideal_generator``.  A correction drops
 the letters at heights h and h + 1 of a configuration with heights 1..N,
 so it is renumbered by moving the heights above h + 1 down by two.
+
+Each call of those four counts the height swaps the kernel computes for it
+(cached normal forms cost none) and is refused with ``WorkLimitError``
+past ``MAX_REWRITES``: the normal form of a long word can take minutes.
 """
 
 from __future__ import annotations
@@ -36,13 +46,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CompositionError, ExpressionError, MismatchError
+from .errors import CompositionError, ExpressionError, MismatchError, WorkLimitError
 from .linear import LinearCombination, add_into
 from .necklace import (
     Necklace,
+    _code,
+    _rotation_start,
     bracket_sign,
     idempotent_class,
-    minimal_rotation_offset,
     necklace_key,
 )
 from .quiver import Letter, Quiver
@@ -67,17 +78,68 @@ class HeightConfiguration:
         return not self.components and not self.idempotents
 
 
-def _normalize_raw(components, idempotents):
-    comps = [tuple(comp) for comp in components]
-    heights = sorted(h for comp in comps for (_, h) in comp)
-    rank = {h: k + 1 for k, h in enumerate(heights)}
-    normed = []
-    for comp in comps:
-        comp = tuple((letter, rank[h]) for (letter, h) in comp)
-        start = min(range(len(comp)), key=lambda k: comp[k][1])
-        normed.append(comp[start:] + comp[:start])
-    normed.sort(key=lambda c: c[0][1])
-    return tuple(normed), tuple(sorted(idempotents))
+#: Entries kept by each module-level cache (default-strategy normal forms
+#: here, quantum traces in ``trace``); the least recently used is evicted.
+CACHE_SIZE = 1 << 16
+
+#: Most height swaps the kernel may compute for one call of ``straighten``,
+#: ``qpa_mul``, ``moment_lift`` or ``ideal_generator``; past it the call
+#: raises ``WorkLimitError``.  With cold caches, the benchmark and the golden
+#: CLI set need at most about 2,000 swaps per call; an alternating Jordan
+#: word of 18 letters with shuffled heights needs about 147,000 and one of
+#: 20 letters about 450,000 (2 s and 6 s of work).
+MAX_REWRITES = 1 << 18
+
+#: Quivers whose code tables are kept (``_quiver_key``, ``_code_tables``).
+_QUIVER_TABLES = 64
+
+
+@lru_cache(maxsize=_QUIVER_TABLES)
+def _quiver_key(quiver: Quiver) -> str:
+    """The straighten cache's name for a quiver: the target vertex of each
+    letter code, in code order, comma-separated.  A normal form depends on
+    the quiver only through these targets (the idempotent factor a
+    correction leaves), so quivers with the same targets share entries."""
+    return ",".join([str(letter.target(quiver)) for letter in quiver.letters()])
+
+
+@lru_cache(maxsize=_QUIVER_TABLES)
+def _code_tables(qkey: str):
+    """The target vertex of each code point and the ``Letter`` of each code
+    character, for the quiver named ``qkey``."""
+    targets = tuple(map(int, qkey.split(","))) if qkey else ()
+    return targets, {chr(k): Letter(k >> 1, bool(k & 1)) for k in range(len(targets))}
+
+
+def _encode(components):
+    """(codes, heights) of components of (letter, height) pairs."""
+    return (
+        tuple([_code([letter for letter, _ in comp]) for comp in components]),
+        tuple([tuple([h for _, h in comp]) for comp in components]),
+    )
+
+
+def _decode(letter, key) -> HeightConfiguration:
+    """The configuration of a coded one, through a code-to-``Letter`` table."""
+    codes, heights, idems = key
+    return HeightConfiguration(
+        tuple([tuple(zip(map(letter.__getitem__, s), hs)) for s, hs in zip(codes, heights)]),
+        idems,
+    )
+
+
+def _normalize(codes, heights, idems):
+    """The normalized coded configuration of distinct positive heights:
+    heights ranked to 1..N, each component rotated to start at its minimal
+    height, components sorted by that height, idempotents sorted."""
+    rank = {h: k for k, h in enumerate(sorted([h for hs in heights for h in hs]), 1)}
+    comps = []
+    for s, hs in zip(codes, heights):
+        hs = [rank[h] for h in hs]
+        start = hs.index(min(hs))
+        comps.append((hs[start], s[start:] + s[:start], tuple(hs[start:] + hs[:start])))
+    comps.sort()
+    return tuple([c[1] for c in comps]), tuple([c[2] for c in comps]), tuple(sorted(idems))
 
 
 def make_configuration(quiver: Quiver, components, idempotents=()) -> HeightConfiguration:
@@ -106,8 +168,8 @@ def make_configuration(quiver: Quiver, components, idempotents=()) -> HeightConf
     for v in idempotents:
         if not (0 <= v < len(quiver.vertices)):
             raise CompositionError(f"unknown vertex index {v} in idempotent factor")
-    comps_n, idems_n = _normalize_raw(comps, idempotents)
-    return HeightConfiguration(comps_n, idems_n)
+    key = _normalize(*_encode(comps), idempotents)
+    return _decode(_code_tables(_quiver_key(quiver))[1], key)
 
 
 def canonical_configuration(quiver: Quiver, necklaces, extra_idempotents=()) -> HeightConfiguration:
@@ -127,38 +189,32 @@ def canonical_configuration(quiver: Quiver, necklaces, extra_idempotents=()) -> 
     return HeightConfiguration(tuple(comps), tuple(idems))
 
 
-def _canonical_targets(quiver: Quiver, comps):
+def _canonical_targets(codes, heights):
     """The normal-form height of the letter at each height 1..N of a
-    normalized configuration (entry h - 1 for height h), and the necklaces
-    of its blocks in normal-form order."""
+    normalized coded configuration (entry h - 1 for height h), and the
+    codes of its blocks in normal-form order, each in least rotation.
+
+    Code order is the letter order, so blocks sort by (length, least
+    rotation) as ``necklace_key`` sorts their necklaces; equal words keep
+    the order of their starting heights."""
     blocks = []
-    for ci, comp in enumerate(comps):
-        word = tuple([letter for (letter, _) in comp])
-        off = minimal_rotation_offset(word)
-        neck = Necklace(None, word[off:] + word[:off])
-        # ci is unique, so the necklace itself is never compared
-        blocks.append((necklace_key(neck), comp[0][1], ci, off, neck))
+    for ci, s in enumerate(codes):
+        off = _rotation_start(s)
+        blocks.append((len(s), s[off:] + s[:off], heights[ci][0], ci, off))
     blocks.sort()
-    seq = [0] * sum(map(len, comps))
-    necklaces = []
+    seq = [0] * sum(map(len, codes))
     t = 1
-    for _, _, ci, off, neck in blocks:
-        comp = comps[ci]
-        necklaces.append(neck)
-        for _, h in comp[off:] + comp[:off]:
+    for _, _, _, ci, off in blocks:
+        hs = heights[ci]
+        for h in hs[off:] + hs[:off]:
             seq[h - 1] = t
             t += 1
-    return seq, necklaces
+    return seq, tuple([block[1] for block in blocks])
 
 
 def is_canonical(quiver: Quiver, cfg: HeightConfiguration) -> bool:
-    seq, _ = _canonical_targets(quiver, cfg.components)
+    seq, _ = _canonical_targets(*_encode(cfg.components))
     return seq == list(range(1, len(seq) + 1))
-
-
-def _arc_length(a: int, b: int, n: int) -> int:
-    """Number of positions strictly between a and b, walking forward mod n."""
-    return (b - a - 1) % n
 
 
 _PICKERS = {
@@ -170,48 +226,51 @@ _PICKERS = {
 
 _ONE = HBarPolynomial.one()
 
-#: Entries kept by each module-level cache (default-strategy normal forms
-#: here, quantum traces in ``trace``); the least recently used is evicted.
-CACHE_SIZE = 1 << 16
+#: Height swaps left to the running top-level call (see ``_normal_terms``).
+#: Module state, because the memoized recursion passes only cache keys.
+_rewrites_left = [MAX_REWRITES]
 
 
 def _drop_pair(pieces, idems, h):
     """Normalize a correction term cut from a configuration with heights
-    1..N by dropping the letters at heights h and h + 1: heights above h + 1
-    move down by two, each piece is rotated to start at its minimal height
-    (swaps move the minimum, so kept components need it too) and the pieces
-    are sorted by that height.  Equal to ``_normalize_raw`` on the same
-    input, without its sort and rank table."""
+    1..N by dropping the letters at heights h and h + 1.  ``pieces`` are
+    (code, heights) pairs: heights above h + 1 move down by two, each piece
+    is rotated to start at its minimal height (swaps move the minimum, so
+    kept components need it too) and the pieces are sorted by that height.
+    Equal to ``_normalize`` on the same input, without its sort and rank
+    table."""
     comps = []
-    for piece in pieces:
+    for s, hs in pieces:
         # renumbering keeps the order of heights, so the minimum stays put
-        heights = [k for (_, k) in piece]
-        start = heights.index(min(heights))
-        piece = piece[start:] + piece[:start]
-        comps.append(tuple([(letter, k - 2 if k > h else k) for (letter, k) in piece]))
-    comps.sort(key=_start_height)
-    return tuple(comps), tuple(sorted(idems))
+        start = hs.index(min(hs))
+        if start:
+            s = s[start:] + s[:start]
+            hs = hs[start:] + hs[:start]
+        comps.append((hs[0], s, tuple([k - 2 if k > h else k for k in hs])))
+    comps.sort()
+    return tuple([c[1] for c in comps]), tuple([c[2] for c in comps]), tuple(sorted(idems))
 
 
-def _start_height(comp):
-    return comp[0][1]
-
-
-def _rewrite(quiver, comps, idems, pick, rng, normal_form):
-    """Expand a normalized configuration of N letters over the normal-form
-    basis as ``(cfg, c)`` pairs with ``int`` c: the coefficient of an
-    n-letter cfg is c*h^((N - n)/2).  ``normal_form(quiver, comps, idems)``
-    expands each normalized correction term the same way."""
+def _rewrite(qkey, codes, heights, idems, pick, rng, normal_form):
+    """Expand a normalized coded configuration of N letters over the
+    normal-form basis as ``(coded cfg, c)`` pairs with ``int`` c: the
+    coefficient of an n-letter cfg is c*h^((N - n)/2).
+    ``normal_form(qkey, codes, heights, idems)`` expands each normalized
+    correction term the same way."""
+    targets, letter = _code_tables(qkey)
     # The target normal-form height of every position is fixed once here;
     # the swap chain below strictly lowers the inversion count against it,
     # so the chain terminates no matter how rotation or block-order ties
     # were broken (ties only exist between identical words, for which all
     # choices produce the same normal form).
-    seq, necklaces = _canonical_targets(quiver, comps)
-    state = [list(comp) for comp in comps]
-    pos_of = {h: (ci, pi) for ci, comp in enumerate(state) for pi, (_, h) in enumerate(comp)}
+    seq, necklaces = _canonical_targets(codes, heights)
+    state = [list(hs) for hs in heights]
+    pos_of = {h: (ci, pi) for ci, hs in enumerate(heights) for pi, h in enumerate(hs)}
     n_letters = len(seq)
-    out: dict = {}
+    n_comps = len(codes)
+    out: dict = {}  # zeros are dropped at the end
+    get = out.get
+    swaps = 0
 
     while True:
         inverted = [h for h in range(1, n_letters) if seq[h - 1] > seq[h]]
@@ -220,69 +279,92 @@ def _rewrite(quiver, comps, idems, pick, rng, normal_form):
         h = pick(inverted, rng)
         ci, pi = pos_of[h]
         cj, pj = pos_of[h + 1]
-        u = state[ci][pi][0]
-        v = state[cj][pj][0]
+        u = codes[ci][pi]
+        v = codes[cj][pj]
+        swaps += 1
 
-        sign = bracket_sign(u, v)
+        sign = bracket_sign(letter[u], letter[v])
         if sign:
             # Correction: drop the two contracted letters from the pre-swap
             # configuration.  It costs one factor -sign*h and two letters,
             # which is what keeps every coefficient a bare int.
-            pieces = [c for k, c in enumerate(state) if k != ci and k != cj]
+            pieces = [(codes[k], state[k]) for k in range(n_comps) if k != ci and k != cj]
             new_idems = list(idems)
+            a, ha = codes[ci], state[ci]
             if ci != cj:
-                len_i, len_j = len(state[ci]), len(state[cj])
-                merged = [state[ci][(pi + 1 + k) % len_i] for k in range(len_i - 1)]
-                merged += [state[cj][(pj + 1 + k) % len_j] for k in range(len_j - 1)]
+                b, hb = codes[cj], state[cj]
+                merged = a[pi + 1 :] + a[:pi] + b[pj + 1 :] + b[:pj]
                 if merged:
-                    pieces.append(merged)
+                    pieces.append((merged, ha[pi + 1 :] + ha[:pi] + hb[pj + 1 :] + hb[:pj]))
                 else:
-                    new_idems.append(u.target(quiver))
+                    new_idems.append(targets[ord(u)])
             else:
-                n = len(state[ci])
-                arc_b = [state[ci][(pi + 1 + k) % n] for k in range(_arc_length(pi, pj, n))]
-                arc_a = [state[ci][(pj + 1 + k) % n] for k in range(_arc_length(pj, pi, n))]
-                if arc_a:
-                    pieces.append(arc_a)
+                # the arcs strictly between the two letters, each way round
+                n = len(a)
+                aa, hh = a + a, ha + ha
+                len_b, len_a = (pj - pi - 1) % n, (pi - pj - 1) % n
+                if len_a:
+                    pieces.append((aa[pj + 1 : pj + 1 + len_a], hh[pj + 1 : pj + 1 + len_a]))
                 else:
-                    new_idems.append(u.target(quiver))
-                if arc_b:
-                    pieces.append(arc_b)
+                    new_idems.append(targets[ord(u)])
+                if len_b:
+                    pieces.append((aa[pi + 1 : pi + 1 + len_b], hh[pi + 1 : pi + 1 + len_b]))
                 else:
-                    new_idems.append(v.target(quiver))
-            for cfg, c in normal_form(quiver, *_drop_pair(pieces, new_idems, h)):
-                add_into(out, cfg, -sign * c)
+                    new_idems.append(targets[ord(v)])
+            for key, c in normal_form(qkey, *_drop_pair(pieces, new_idems, h)):
+                out[key] = get(key, 0) - sign * c
 
         # The swap exchanges heights h and h + 1 between two positions, so
         # the height lookup and the target sequence swap two entries each.
-        state[ci][pi] = (u, h + 1)
-        state[cj][pj] = (v, h)
+        state[ci][pi] = h + 1
+        state[cj][pj] = h
         pos_of[h], pos_of[h + 1] = (cj, pj), (ci, pi)
         seq[h - 1], seq[h] = seq[h], seq[h - 1]
 
-    add_into(out, canonical_configuration(quiver, necklaces, extra_idempotents=idems), 1)
-    return tuple(out.items())
+    # corrections charged themselves as they returned; this form's own
+    # swaps are charged last, so a refusal leaves only finished forms cached
+    left = _rewrites_left[0] - swaps
+    if left < 0:
+        raise WorkLimitError(f"straightening needs more rewrites than the limit {MAX_REWRITES}")
+    _rewrites_left[0] = left
+    t = 1
+    blocks = []
+    for s in necklaces:
+        blocks.append(tuple(range(t, t + len(s))))
+        t += len(s)
+    # corrections have fewer letters, so this key is new
+    out[necklaces, tuple(blocks), idems] = 1
+    return tuple([(key, c) for key, c in out.items() if c])
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _normal_form(quiver, comps, idems):
-    """Default-strategy expansion of a normalized configuration; the one
-    cache behind ``straighten``, ``qpa_mul``, ``moment_lift`` and the ideal
-    generators.  Entries are ``(cfg, int)`` pairs, as ``_rewrite`` makes
-    them."""
-    return _rewrite(quiver, comps, idems, _PICKERS["first"], None, _normal_form)
+def _normal_form(qkey, codes, heights, idems):
+    """Default-strategy expansion of a normalized coded configuration; the
+    one cache behind ``straighten``, ``qpa_mul``, ``moment_lift`` and the
+    ideal generators.  Keys and entries hold only ``str`` and ``int``:
+    ``(coded cfg, int)`` pairs, as ``_rewrite`` makes them."""
+    return _rewrite(qkey, codes, heights, idems, _PICKERS["first"], None, _normal_form)
 
 
-def _normal_terms(quiver, comps, idems, scale=_ONE, normal_form=_normal_form):
-    """``scale`` times the normal form of a normalized configuration, as
-    ``(cfg, HBarPolynomial)`` pairs: the one place where the kernel's int
-    coefficient c of an n-letter cfg gets back its h^((N - n)/2), N being
-    the letter count of ``comps``."""
-    n_letters = sum(map(len, comps))
-    return [
-        (cfg, scale.scaled_shift(c, (n_letters - cfg.letter_count) >> 1))
-        for cfg, c in normal_form(quiver, comps, idems)
-    ]
+def _normal_terms(quiver, configs, normal_form=_normal_form) -> dict:
+    """{HeightConfiguration: HBarPolynomial}: the sum over ``configs`` of
+    ``scale`` times the normal form of a normalized coded configuration
+    ``(codes, heights, idems, scale)``.
+
+    This is the one decode boundary.  The kernel's int coefficient c of an
+    n-letter term gets back its h^((N - n)/2), N being the letter count of
+    its configuration; terms are summed under their coded keys, and each
+    distinct key is decoded once.  The kernel may compute ``MAX_REWRITES``
+    height swaps for all of ``configs`` together."""
+    qkey = _quiver_key(quiver)
+    _rewrites_left[0] = MAX_REWRITES
+    out: dict = {}
+    for codes, heights, idems, scale in configs:
+        n_letters = sum(map(len, codes))
+        for key, c in normal_form(qkey, codes, heights, idems):
+            add_into(out, key, scale.scaled_shift(c, (n_letters - sum(map(len, key[0]))) >> 1))
+    letter = _code_tables(qkey)[1]
+    return {_decode(letter, key): c for key, c in out.items()}
 
 
 def clear_straighten_cache() -> None:
@@ -300,7 +382,7 @@ class QPAElement(LinearCombination):
 
     @classmethod
     def unit(cls, quiver: Quiver) -> "QPAElement":
-        return cls(quiver, {HeightConfiguration((), ()): 1})
+        return cls(quiver, {canonical_configuration(quiver, ()): 1})
 
     def __mul__(self, other):
         if isinstance(other, QPAElement):
@@ -331,7 +413,8 @@ def straighten(
     The default strategy reads and fills the module's bounded LRU cache
     (``clear_straighten_cache`` empties it).  Any other strategy memoizes in
     a cache of its own call only, so confluence checks never see the shared
-    results.
+    results.  Past ``MAX_REWRITES`` height swaps the call raises
+    ``WorkLimitError``.
     """
     pick = _PICKERS.get(strategy)
     if pick is None:
@@ -344,31 +427,31 @@ def straighten(
         normal_form = _normal_form
     else:
         @lru_cache(maxsize=None)
-        def normal_form(quiver, comps, idems):
-            return _rewrite(quiver, comps, idems, pick, rng, normal_form)
+        def normal_form(qkey, codes, heights, idems):
+            return _rewrite(qkey, codes, heights, idems, pick, rng, normal_form)
 
-    comps, idems = _normalize_raw(cfg.components, cfg.idempotents)
-    return QPAElement(quiver, _normal_terms(quiver, comps, idems, normal_form=normal_form))
+    coded = _normalize(*_encode(cfg.components), cfg.idempotents)
+    return QPAElement(quiver, _normal_terms(quiver, [(*coded, _ONE)], normal_form))
 
 
 def qpa_mul(x: QPAElement, y: QPAElement) -> QPAElement:
-    """Stack y above x: shift y's heights past x's, then straighten.  The
-    stacked components are normalized already: x's start below y's."""
+    """Stack y above x: shift y's heights past x's, then straighten.  Each
+    operand term is coded once; the stacked components are normalized
+    already: x's start below y's."""
     if x.quiver != y.quiver:
         raise MismatchError("qpa_mul operands live over different quivers")
-    quiver = x.quiver
-    out: dict = {}
-    for cfg_x, cx in x.items():
-        shift = cfg_x.letter_count
-        for cfg_y, cy in y.items():
-            comps = cfg_x.components + tuple(
-                tuple((letter, h + shift) for (letter, h) in comp)
-                for comp in cfg_y.components
-            )
-            idems = tuple(sorted(cfg_x.idempotents + cfg_y.idempotents))
-            for cfg, c in _normal_terms(quiver, comps, idems, cx * cy):
-                add_into(out, cfg, c)
-    return x._with_terms(out)
+    ys = [(*_encode(cfg.components), cfg.idempotents, c) for cfg, c in y.items()]
+
+    def stacked():
+        for cfg_x, cx in x.items():
+            codes_x, heights_x = _encode(cfg_x.components)
+            shift = sum(map(len, codes_x))
+            for codes_y, heights_y, idems_y, cy in ys:
+                heights = heights_x + tuple([tuple([h + shift for h in hs]) for hs in heights_y])
+                idems = tuple(sorted(cfg_x.idempotents + idems_y))
+                yield codes_x + codes_y, heights, idems, cx * cy
+
+    return x._with_terms(_normal_terms(x.quiver, stacked()))
 
 
 def qpa_comm(x: QPAElement, y: QPAElement) -> QPAElement:
@@ -448,16 +531,12 @@ def project(x: QPAElement) -> SymElement:
 
 def moment_lift(quiver: Quiver) -> QPAElement:
     """The standard quantum moment element sum_a (a,1)(a',2) - (a',1)(a,2)."""
-    out: dict = {}
+    configs = []
     for ai in range(len(quiver.arrows)):
-        plain, starred = Letter(ai, False), Letter(ai, True)
-        for word, scale in (
-            (((plain, 1), (starred, 2)), _ONE),
-            (((starred, 1), (plain, 2)), -_ONE),
-        ):
-            for cfg, c in _normal_terms(quiver, (word,), (), scale):
-                add_into(out, cfg, c)
-    return QPAElement(quiver, out)
+        word = _code((Letter(ai, False), Letter(ai, True)))
+        configs.append(((word,), ((1, 2),), (), _ONE))
+        configs.append(((word[::-1],), ((1, 2),), (), -_ONE))
+    return QPAElement(quiver, _normal_terms(quiver, configs))
 
 
 # ---------------------------------------------------------------------------
@@ -518,25 +597,20 @@ def ideal_generator(
     """
     if params is None:
         params = make_params(quiver)
-    word = marked_word(quiver, p, vertex, mark)
-    v = len(word)
-    base = tuple((letter, k + 1) for k, letter in enumerate(word))
-    out: dict = {}
+    base = _code(marked_word(quiver, p, vertex, mark))
+    v = len(base)
+    spliced = (tuple(range(1, v + 3)),)
+    configs = []
     for ai, arrow in enumerate(quiver.arrows):
-        plain, starred = Letter(ai, False), Letter(ai, True)
+        pair = _code((Letter(ai, False), Letter(ai, True)))
         if arrow.target == vertex:
-            comp = base + ((plain, v + 1), (starred, v + 2))
-            for cfg, c in _normal_terms(quiver, (comp,), ()):
-                add_into(out, cfg, c)
+            configs.append(((base + pair,), spliced, (), _ONE))
         if arrow.source == vertex:
-            comp = base + ((starred, v + 1), (plain, v + 2))
-            for cfg, c in _normal_terms(quiver, (comp,), (), -_ONE):
-                add_into(out, cfg, c)
+            configs.append(((base + pair[::-1],), spliced, (), -_ONE))
     tail = HBarPolynomial((-params.lam[vertex], params.r[vertex]))
     if tail:
         if v:
-            for cfg, c in _normal_terms(quiver, (base,), (), tail):
-                add_into(out, cfg, c)
+            configs.append(((base,), (tuple(range(1, v + 1)),), (), tail))
         else:
-            add_into(out, HeightConfiguration((), (vertex,)), tail)
-    return QPAElement(quiver, out)
+            configs.append(((), (), (vertex,), tail))
+    return QPAElement(quiver, _normal_terms(quiver, configs))

@@ -1,11 +1,37 @@
+import gc
 import importlib
 import pkgutil
 import random
 
+import pytest
+
 import nhq
-from nhq import Letter, make_configuration, straighten, trace_quantum_config
-from nhq.sampling import random_configuration
-from nhq.schedler import CACHE_SIZE, _normal_form, clear_straighten_cache
+import nhq.schedler as schedler
+from nhq import (
+    HBarPolynomial,
+    Letter,
+    QPAElement,
+    WorkLimitError,
+    ideal_generator,
+    lift_necklace,
+    make_configuration,
+    moment_lift,
+    qpa_comm,
+    qpa_mul,
+    straighten,
+    trace_quantum_config,
+)
+from nhq.sampling import random_configuration, random_necklace, small_quivers
+from nhq.schedler import (
+    CACHE_SIZE,
+    _code_tables,
+    _decode,
+    _encode,
+    _normal_form,
+    _normal_terms,
+    _quiver_key,
+    clear_straighten_cache,
+)
 from nhq.trace import _trace_config, clear_trace_cache
 
 
@@ -32,7 +58,7 @@ def test_straighten_cache_holds_int_coefficients(L2):
     cfg = _two_loop_cfg(L2)
     result = straighten(L2, cfg)
     info = _normal_form.cache_info()
-    entry = _normal_form(L2, cfg.components, cfg.idempotents)
+    entry = _normal_form(_quiver_key(L2), *_encode(cfg.components), cfg.idempotents)
     assert _normal_form.cache_info().hits == info.hits + 1
     assert len(entry) == len(result.terms) > 1
     assert all(type(c) is int for _, c in entry)
@@ -75,3 +101,63 @@ def test_every_module_cache_is_bounded():
         assert maxsize is not None, name
     sizes = dict(caches)
     assert sizes["schedler._normal_form"] == sizes["trace._trace_config"] == CACHE_SIZE
+
+
+def _cache_entries(cache):
+    """(key, value) of every entry of an ``lru_cache``: the keys are read
+    from the cache dict the wrapper hands the collector, and a hit returns
+    the stored value itself."""
+    (table,) = [
+        d for d in gc.get_referents(cache)
+        if isinstance(d, dict) and d and type(next(iter(d.values()))).__name__ == "_lru_list_elem"
+    ]
+    return [(key, cache(*key)) for key in list(table)]
+
+
+def test_straighten_cache_is_not_tracked_by_the_collector():
+    """Keys and values of the straighten cache hold only str and int, so
+    CPython stops tracking them and full collections skip the cache.  A
+    tuple holding a ``Letter`` (a named tuple) is never untracked."""
+    rng = random.Random(7)
+    for quiver in small_quivers():
+        # the pbw shapes: shuffled configurations, products and commutators
+        # of lifted necklaces; and the other two straightening entry points
+        for _ in range(3):
+            straighten(quiver, random_configuration(rng, quiver, max_letters=8, max_idempotents=1))
+        x, y, z = (lift_necklace(quiver, random_necklace(rng, quiver, 4)) for _ in range(3))
+        qpa_mul(qpa_mul(x, y), z)
+        qpa_comm(x, y)
+        moment_lift(quiver)
+        p = random_necklace(rng, quiver, 3, allow_idempotent=False)
+        ideal_generator(quiver, p, p.letters[0].source(quiver), 0)
+    # A collection untracks a tuple only when its items are untracked, and
+    # it meets a container before the items it holds, so each collection
+    # untracks one level of nesting: a value nests five deep (entries,
+    # pair, coded cfg, heights, one component's heights).
+    for _ in range(5):
+        gc.collect()
+    entries = _cache_entries(_normal_form)
+    assert len(entries) == _normal_form.cache_info().currsize > 100
+    assert not any(gc.is_tracked(key) or gc.is_tracked(value) for key, value in entries)
+
+
+def test_rewrite_budget_refuses_and_leaves_a_correct_cache(J, monkeypatch):
+    x = Letter(0, False)
+    word = (x.star(), x, x, x.star(), x.star(), x, x.star(), x)
+    cfg = make_configuration(J, [tuple(zip(word, (5, 2, 8, 1, 6, 3, 7, 4)))])
+    expected = straighten(J, cfg, strategy="last")
+    clear_straighten_cache()
+    monkeypatch.setattr(schedler, "MAX_REWRITES", 20)
+    with pytest.raises(WorkLimitError, match="straightening needs more rewrites than the limit 20"):
+        straighten(J, cfg)
+    # the refused call cached the corrections it finished, and nothing else
+    entries = _cache_entries(_normal_form)
+    top = (_quiver_key(J), *_encode(cfg.components), cfg.idempotents)
+    assert entries and top not in dict(entries)
+    monkeypatch.undo()
+    letter = _code_tables(_quiver_key(J))[1]
+    for (_, *coded), _ in entries:
+        cached = QPAElement(J, _normal_terms(J, [(*coded, HBarPolynomial.one())]))
+        assert cached == straighten(J, _decode(letter, coded), strategy="last")
+    assert straighten(J, cfg) == expected
+    assert straighten(J, cfg, strategy="random", rng=random.Random(1)) == expected

@@ -13,6 +13,7 @@ import nhq.quiver
 from nhq.expr import MAX_EXPONENT
 from nhq.necklace import MAX_MERGE_LETTERS
 from nhq.repspace import MAX_INDEX_ASSIGNMENTS
+from nhq.schedler import MAX_REWRITES, clear_straighten_cache
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -394,6 +395,23 @@ def _two_loop_words(n, seed):
     """Two seeded random necklaces of n letters on the two-loop quiver."""
     rng = random.Random(seed)
     return [[rng.choice(("x", "x'", "y", "y'")) for _ in range(n)] for _ in range(2)]
+
+
+def test_straightening_past_the_rewrite_budget_exits_3(capsys):
+    # x'^12 stacked below x^12 is a 24-letter Jordan configuration in which
+    # every x' must pass every x; each of those swaps contracts a pair and
+    # leaves a 22-letter correction, so the product would run for minutes
+    x = "".join(f"(x',{k})" for k in range(1, 13))
+    y = "".join(f"(x,{k})" for k in range(1, 13))
+    clear_straighten_cache()
+    t0 = time.perf_counter()
+    code, out = run("qmul", "-q", q("jordan"), x, y)
+    assert time.perf_counter() - t0 < 10
+    assert code == 3
+    assert out == ""
+    assert capsys.readouterr().err == (
+        f"error: straightening needs more rewrites than the limit {MAX_REWRITES}\n"
+    )
 
 
 def test_oversized_bracket_is_refused_before_any_merge(capsys):

@@ -151,8 +151,8 @@ def test_straighten_measure_strictly_decreases(monkeypatch):
     rewrite = schedler._rewrite
     edges = {"swap": 0, "correction": 0}
 
-    def watched(quiver, comps, idems, pick, rng, normal_form):
-        seq = schedler._canonical_targets(quiver, comps)[0]
+    def watched(qkey, codes, heights, idems, pick, rng, normal_form):
+        seq = schedler._canonical_targets(codes, heights)[0]
         measure = [(len(seq), _inversions(seq))]
 
         def tracking_pick(inverted, rng):
@@ -166,14 +166,14 @@ def test_straighten_measure_strictly_decreases(monkeypatch):
             edges["swap"] += 1
             return h
 
-        def correction(quiver, comps, idems):
+        def correction(qkey, codes, heights, idems):
             # called between a pick and its swap, so measure[0] is the parent
-            child_seq = schedler._canonical_targets(quiver, comps)[0]
+            child_seq = schedler._canonical_targets(codes, heights)[0]
             assert (len(child_seq), _inversions(child_seq)) < measure[0]
             edges["correction"] += 1
-            return schedler._rewrite(quiver, comps, idems, pick, rng, correction)
+            return schedler._rewrite(qkey, codes, heights, idems, pick, rng, correction)
 
-        return rewrite(quiver, comps, idems, tracking_pick, rng, correction)
+        return rewrite(qkey, codes, heights, idems, tracking_pick, rng, correction)
 
     monkeypatch.setattr(schedler, "_rewrite", watched)
     rng = random.Random(22)

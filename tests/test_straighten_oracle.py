@@ -1,13 +1,16 @@
-"""The integer straightening kernel against the HBarPolynomial-valued one it
-replaced.
+"""The coded integer straightening kernel against the tuple route with
+HBarPolynomial coefficients that it replaced.
 
-``reference_straighten`` is the former route: every correction multiplies
-its expansion by -sign*h in the coefficient ring, and every correction term
-is renumbered by ``_normalize_raw`` (sort all heights, rank them, rotate,
-sort the components).  The library's kernel instead accumulates plain ints,
-renumbers a correction from its two dropped heights, and restores
-h^((N - n)/2) once, at the boundary.  Both must agree exactly on every
-public entry point.
+``reference_straighten`` is the former route: configurations are tuples of
+(Letter, height) pairs, every correction multiplies its expansion by
+-sign*h in the coefficient ring, and every correction term is renumbered by
+``normalize_raw`` (sort all heights, rank them, rotate, sort the
+components).  The library's kernel instead works on coded configurations
+(one str of letter codes and one tuple of int heights per component),
+accumulates plain ints, renumbers a correction from its two dropped
+heights, and decodes and restores h^((N - n)/2) once, at the boundary.
+Both must agree exactly on every public entry point, and both must take
+the same rewrite tree: the same height swaps, in the same order.
 """
 
 import random
@@ -27,8 +30,9 @@ from nhq import (
     qpa_mul,
     straighten,
 )
+import nhq.schedler as schedler
 from nhq.linear import add_into
-from nhq.necklace import bracket_sign
+from nhq.necklace import Necklace, bracket_sign, minimal_rotation_offset, necklace_key
 from nhq.sampling import (
     random_coefficient,
     random_configuration,
@@ -37,11 +41,10 @@ from nhq.sampling import (
 )
 from nhq.schedler import (
     _PICKERS,
-    _arc_length,
-    _canonical_targets,
     _drop_pair,
-    _normalize_raw,
+    _encode,
     canonical_configuration,
+    clear_straighten_cache,
     marked_word,
 )
 
@@ -50,12 +53,57 @@ H = HBarPolynomial.h()
 STRATEGIES = ("first", "last", "middle", "random")
 
 
-def reference_rewrite(quiver, comps, idems, pick, rng, memo):
-    """HBarPolynomial-valued expansion of a normalized configuration."""
+def normalize_raw(components, idempotents):
+    """Heights ranked to 1..N, each component rotated to start at its
+    minimal height, components sorted by it."""
+    comps = [tuple(comp) for comp in components]
+    heights = sorted(h for comp in comps for (_, h) in comp)
+    rank = {h: k + 1 for k, h in enumerate(heights)}
+    normed = []
+    for comp in comps:
+        comp = tuple((letter, rank[h]) for (letter, h) in comp)
+        start = min(range(len(comp)), key=lambda k: comp[k][1])
+        normed.append(comp[start:] + comp[:start])
+    normed.sort(key=lambda c: c[0][1])
+    return tuple(normed), tuple(sorted(idempotents))
+
+
+def canonical_targets(comps):
+    """The normal-form height of the letter at each height 1..N of
+    normalized tuple components, and the necklaces of its blocks in
+    normal-form order."""
+    blocks = []
+    for ci, comp in enumerate(comps):
+        word = tuple([letter for (letter, _) in comp])
+        off = minimal_rotation_offset(word)
+        neck = Necklace(None, word[off:] + word[:off])
+        # ci is unique, so the necklace itself is never compared
+        blocks.append((necklace_key(neck), comp[0][1], ci, off, neck))
+    blocks.sort()
+    seq = [0] * sum(map(len, comps))
+    necklaces = []
+    t = 1
+    for _, _, ci, off, neck in blocks:
+        comp = comps[ci]
+        necklaces.append(neck)
+        for _, h in comp[off:] + comp[:off]:
+            seq[h - 1] = t
+            t += 1
+    return seq, necklaces
+
+
+def arc_length(a: int, b: int, n: int) -> int:
+    """Number of positions strictly between a and b, walking forward mod n."""
+    return (b - a - 1) % n
+
+
+def reference_rewrite(quiver, comps, idems, pick, rng, memo, swaps=None):
+    """HBarPolynomial-valued expansion of a normalized configuration; each
+    height swap is appended to ``swaps`` as the pair of letters it moves."""
     key = (comps, idems)
     if key in memo:
         return memo[key]
-    seq, necklaces = _canonical_targets(quiver, comps)
+    seq, necklaces = canonical_targets(comps)
     state = [list(comp) for comp in comps]
     pos_of = {h: (ci, pi) for ci, comp in enumerate(state) for pi, (_, h) in enumerate(comp)}
     n_letters = len(seq)
@@ -69,6 +117,8 @@ def reference_rewrite(quiver, comps, idems, pick, rng, memo):
         cj, pj = pos_of[h + 1]
         u = state[ci][pi][0]
         v = state[cj][pj][0]
+        if swaps is not None:
+            swaps.append((u, v))
         sign = bracket_sign(u, v)
         if sign:
             if ci != cj:
@@ -84,8 +134,8 @@ def reference_rewrite(quiver, comps, idems, pick, rng, memo):
                     new_idems.append(u.target(quiver))
             else:
                 n = len(state[ci])
-                arc_b = [state[ci][(pi + 1 + k) % n] for k in range(_arc_length(pi, pj, n))]
-                arc_a = [state[ci][(pj + 1 + k) % n] for k in range(_arc_length(pj, pi, n))]
+                arc_b = [state[ci][(pi + 1 + k) % n] for k in range(arc_length(pi, pj, n))]
+                arc_a = [state[ci][(pj + 1 + k) % n] for k in range(arc_length(pj, pi, n))]
                 new_comps = [tuple(c) for k, c in enumerate(state) if k != ci]
                 new_idems = list(idems)
                 if arc_a:
@@ -98,7 +148,7 @@ def reference_rewrite(quiver, comps, idems, pick, rng, memo):
                     new_idems.append(v.target(quiver))
             factor = H if sign > 0 else -H
             sub = reference_rewrite(
-                quiver, *_normalize_raw(new_comps, new_idems), pick, rng, memo
+                quiver, *normalize_raw(new_comps, new_idems), pick, rng, memo, swaps
             )
             for cfg, c in sub:
                 add_into(out, cfg, -(c * factor))
@@ -115,8 +165,9 @@ def reference_rewrite(quiver, comps, idems, pick, rng, memo):
     return memo[key]
 
 
-def reference_straighten(quiver, comps, idems):
-    out = reference_rewrite(quiver, *_normalize_raw(comps, idems), _PICKERS["first"], None, {})
+def reference_straighten(quiver, comps, idems, strategy="first", rng=None, swaps=None):
+    comps, idems = normalize_raw(comps, idems)
+    out = reference_rewrite(quiver, comps, idems, _PICKERS[strategy], rng, {}, swaps)
     return QPAElement(quiver, dict(out))
 
 
@@ -250,8 +301,8 @@ def _check_ideal_generator(quiver, seed):
 @SETTINGS
 @given(seeds)
 def test_drop_pair_equals_normalize_raw(seed):
-    """Renumbering a correction from its two dropped heights gives the same
-    cache key as the full sort-and-rank normalization."""
+    """Renumbering a coded correction from its two dropped heights gives
+    the coded form of the tuple route's full sort-and-rank normalization."""
     for quiver in QUIVERS:
         _check_drop_pair(quiver, seed)
 
@@ -277,4 +328,37 @@ def _check_drop_pair(quiver, seed):
             pieces.append(kept[r:] + kept[:r])
     rng.shuffle(pieces)
     idems = list(cfg.idempotents) + [rng.randrange(len(quiver.vertices))]
-    assert _drop_pair(pieces, idems, h) == _normalize_raw(pieces, idems)
+    comps, idems_n = normalize_raw(pieces, idems)
+    coded = [(code, list(hs)) for code, hs in zip(*_encode(pieces))]
+    assert _drop_pair(coded, idems, h) == (*_encode(comps), idems_n)
+
+
+@SETTINGS
+@given(seeds)
+def test_coded_route_takes_the_tuple_oracles_rewrite_tree(seed):
+    """For the first and the random strategy, the coded kernel's normal form
+    equals the tuple oracle's, and its height swaps (the calls of
+    schedler's ``bracket_sign``, one per swap) are the oracle's, letter
+    pair by letter pair.  The shared cache is cleared first, so the first
+    strategy computes every normal form it needs."""
+    for quiver in QUIVERS:
+        rng = random.Random(seed)
+        cfg = random_configuration(rng, quiver, max_letters=8, max_idempotents=2)
+        for strategy in ("first", "random"):
+            expected_swaps, swaps = [], []
+            expected = reference_straighten(
+                quiver, cfg.components, cfg.idempotents, strategy, random.Random(seed), expected_swaps
+            )
+
+            def counted(u, v):
+                swaps.append((u, v))
+                return bracket_sign(u, v)
+
+            clear_straighten_cache()
+            schedler.bracket_sign = counted
+            try:
+                got = straighten(quiver, cfg, strategy=strategy, rng=random.Random(seed))
+            finally:
+                schedler.bracket_sign = bracket_sign
+            assert got == expected, strategy
+            assert swaps == expected_swaps, strategy
