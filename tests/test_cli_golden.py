@@ -53,6 +53,15 @@ COMMANDS = [
     # a quantum trace of one configuration (scaled) and of a sum of two
     ["qtrace", "-q", "two_loop.json", "--dim", "v=2", "2*h*(x,1)(y,2)(x',3)(y',4)"],
     ["qtrace", "-q", "two_loop.json", "--dim", "v=2", "(x,1)(y,2)(x',3)(y',4) - 1/2*(y,1)(y,2)"],
+    # the remaining verify suites, each at a small fixed seed
+    ["verify", "pbw", "--seed", "1"],
+    ["verify", "lie", "--cases", "5", "--seed", "3"],
+    ["verify", "trace-hom", "--cases", "4", "--seed", "3"],
+    ["verify", "cubic", "--cases", "3", "--seed", "7"],
+    ["verify", "invariance", "--cases", "4", "--seed", "3"],
+    ["verify", "poisson", "-q", "jordan.json"],
+    # both dimension vectors, both parameter sets
+    ["verify", "ideal", "-q", "a2.json"],
 ]
 
 
