@@ -54,3 +54,88 @@ def test_dirac_failure_reports_the_sym_residual(monkeypatch):
 def test_passing_cases_carry_no_residual():
     for report in suites.suite_lie(seed=11, cases=3) + suites.suite_dirac(seed=5, cases=3):
         assert report.status == "verified" and report.residual is None and not report.notes
+
+
+# -- failure paths of the remaining suites -------------------------------------
+# Each check is broken on one side; the report must name the first failing
+# pair's residual, lhs - rhs in canonical printed form, and its note.
+
+from nhq.repspace import gauge_act, poisson, weyl_commutator  # noqa: E402
+from nhq.sampling import a2, jordan  # noqa: E402
+from nhq.schedler import qpa_mul, straighten  # noqa: E402
+
+
+def test_pbw_section_failure(monkeypatch):
+    monkeypatch.setattr(suites, "project", lambda x: project(x).scale(2))
+    reports = suites.suite_pbw(4, section_cases=3, confluence_cases=0, assoc_cases=0)
+    assert [r.status for r in reports] == ["failed"] * 3
+    assert reports[0].to_text() == (
+        "pbw-section[0]: failed\n  residual: -2/3*[a0.a1.a0'] & [a0'.a1'.a0'.a2]"
+    )
+    assert reports[2].residual == "(-1 - 2*h)*[a0'.a0'] & [a0.a0'.a0']"
+
+
+def test_pbw_confluence_failure_names_the_strategy(monkeypatch):
+    def broken(q, cfg, strategy="first", rng=None):
+        out = straighten(q, cfg, strategy=strategy, rng=rng)
+        return out.scale(2) if strategy == "middle" else out
+
+    monkeypatch.setattr(suites, "straighten", broken)
+    reports = suites.suite_pbw(4, section_cases=0, confluence_cases=2, assoc_cases=0)
+    assert reports[0].residual == "(a1',1) & ev0"
+    assert reports[1].residual == "h*(a1,1) & (a1,2)(a1',3) + (a0,1)(a1,2)(a0',3)(a1,4)(a1',5)"
+    assert all(r.notes == ("strategy middle against first",) for r in reports)
+
+
+def test_pbw_assoc_failure(monkeypatch):
+    # (xy + x)z + (xy + x) - (x(yz + y) + x) = xz
+    monkeypatch.setattr(suites, "qpa_mul", lambda x, y: qpa_mul(x, y) + x)
+    reports = suites.suite_pbw(4, section_cases=0, confluence_cases=0, assoc_cases=2)
+    assert reports[0].to_text() == (
+        "pbw-assoc[0]: failed\n  residual: (a0',1)(a1',2)(a2',3)(a1,4) & ev0"
+    )
+    assert reports[1].residual == "(a0,1)(a0,2)(a0',3)(a0',4) & (a0,5)(a0',6)(a1,7)(a1',8)"
+
+
+def test_poisson_failure_names_the_coordinate_pair(monkeypatch):
+    monkeypatch.setattr(suites, "poisson", lambda f, g: poisson(f, g).scale(2))
+    (report,) = suites.suite_poisson(jordan(), (2,))
+    assert report.to_text() == (
+        "poisson[0]: failed\n  residual: 1\n  note: {(x)_{1,1}, (x')_{1,1}}"
+    )
+
+
+def test_gauge_failure_names_the_basis_element_and_coordinate(monkeypatch):
+    monkeypatch.setattr(
+        suites, "gauge_act", lambda q, d, i, p, qq, f: gauge_act(q, d, i, p, qq, f) + f
+    )
+    (report,) = suites.suite_gauge(a2(), (1, 2))
+    assert report.to_text() == (
+        "gauge[0]: failed\n  residual: -(a)_{1,1}\n  note: e^1_{1,1} on (a)_{1,1}"
+    )
+
+
+def test_gauge_commutator_not_divisible_by_h_is_the_residual(monkeypatch):
+    monkeypatch.setattr(suites, "weyl_commutator", lambda t, x: weyl_commutator(t, x) + x)
+    (report,) = suites.suite_gauge(a2(), (1, 2))
+    assert report.residual == "(1 + h)*[a]_{1,1}"
+    assert report.notes == ("e^1_{1,1} on (a)_{1,1}: commutator is not divisible by h",)
+
+
+def test_ideal_failure_names_the_generator(monkeypatch):
+    from nhq import trace
+    from nhq.repspace import WeylElement
+    from nhq.rings import HBarPolynomial
+
+    d = (2,)
+    true_trace = trace.trace_quantum
+    bump = WeylElement.position(jordan(), d, 0, 2, 2, 2 * HBarPolynomial.h())
+    monkeypatch.setattr(trace, "trace_quantum", lambda x, dd: true_trace(x, dd) + bump)
+    decompose, chi = suites.suite_ideal(0, quiver=jordan(), dim=d)[:2]
+    assert decompose.to_text() == (
+        "ideal-decompose[0.0]: failed\n  residual: 2*h + 2*h*[x]_{2,2}\n"
+        "  note: generator [ev] at vertex v, mark 0"
+    )
+    assert chi.to_text() == (
+        "ideal-chi[0.0]: failed\n  note: inconsistent or undetermined character: {'v': []}"
+    )

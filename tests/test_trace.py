@@ -6,6 +6,7 @@ import pytest
 
 from nhq import (
     DimensionError,
+    GlElement,
     HBarPolynomial,
     HH0Element,
     Letter,
@@ -495,12 +496,43 @@ def test_failed_decomposition_carries_its_residual(J, monkeypatch):
     assert report.residual == RESIDUALS["ideal"]
 
 
+
+def test_cubic_commutator_not_divisible_by_h_is_the_residual(J, monkeypatch):
+    from nhq import trace
+    from nhq.repspace import weyl_commutator
+
+    # an h-free term in the commutator: the whole commutator is the residual
+    monkeypatch.setattr(trace, "weyl_commutator", lambda a, b: weyl_commutator(a, b) + a)
+    x, y = parse_hh0_element(J, "[x.x']"), parse_hh0_element(J, "3*[x]")
+    report = verify_cubic(x, y, (2,))
+    assert report.status == "failed"
+    assert report.residual == RESIDUALS["cubic-not-divisible"]
+    assert report.notes == ("commutator is not divisible by h",)
+
+
+def test_failed_equivariance_carries_the_commutator(J, monkeypatch):
+    from nhq import trace
+
+    d = (2,)
+    true_trace = trace.trace_quantum
+    bump = WeylElement.position(J, d, 0, 1, 2)
+    monkeypatch.setattr(trace, "trace_quantum", lambda x, dd: true_trace(x, dd) + bump)
+    v = GlElement.elementary(J, d, 0, 1, 1)
+    report = verify_equivariance(v, parse_qpa_element(J, "(x',1)(x,2)"), d)
+    assert report.status == "failed"
+    assert report.residual == "-h*[x]_{1,2}" and report.notes == ()
+
+
 RESIDUALS = {
     "trace-hom": (
         "-4*h^2 - 2*h*[x]_{1,1}*d(x)_{1,1} - 2*h*[x]_{1,1}*d(x)_{2,2} "
         "- 2*h*[x]_{2,2}*d(x)_{1,1} - 2*h*[x]_{2,2}*d(x)_{2,2}"
     ),
     "cubic": "3*(x)_{1,1} + 3*(x)_{2,2} - 1/2*(x')_{2,1}",
+    "cubic-not-divisible": (
+        "3*h*[x]_{1,1} + 3*h*[x]_{2,2} + [x]_{1,1}*d(x)_{1,1} + [x]_{1,2}*d(x)_{1,2} "
+        "+ [x]_{2,1}*d(x)_{2,1} + [x]_{2,2}*d(x)_{2,2}"
+    ),
     "qmoment": "(1 - h)*d(a)_{2,1}",
     "ideal": (
         "2*h*[x]_{2,2} - 2*h*[x]_{1,1}*d(x)_{1,1} - 2*h*[x]_{1,2}*d(x)_{1,2} "
