@@ -33,7 +33,7 @@ from .necklace import double_bracket, moment_map, necklace_bracket
 from .quiver import parse_quiver
 from .repspace import make_dimension_vector
 from .schedler import make_params, qpa_comm, qpa_mul
-from .suites import SUITE_OPTIONS, SUITES
+from .suites import SUITES
 from .trace import kernel_constraint, solve_chi, trace_classical, trace_quantum
 
 
@@ -100,6 +100,7 @@ def _get_params(args, quiver):
 def _check_verify_flags(args) -> None:
     """Reject each verify flag that the chosen suite would not read."""
     for flag, option, value in (
+        ("--seed", "seed", args.seed),
         ("--cases", "cases", args.cases),
         ("--dim", "dim", args.dim),
         ("--r", "params", args.r),
@@ -107,12 +108,31 @@ def _check_verify_flags(args) -> None:
     ):
         if value is None:
             continue
-        if option not in SUITE_OPTIONS[args.suite]:
+        if option not in SUITES[args.suite].options:
             raise ExpressionError(f"verify {args.suite} does not take {flag}")
-        if option != "cases" and not args.quiver:
+        if option not in ("seed", "cases") and not args.quiver:
             raise ExpressionError(f"{flag} needs a quiver file (-q)")
     if args.cases is not None and args.cases <= 0:
         raise ExpressionError(f"--cases must be a positive integer, got {args.cases}")
+
+
+#: verb -> (help, operand parser, operation, printer, reads --dim).  A verb
+#: that reads --dim takes one operand and passes the dimension vector after
+#: it; the others take two operands.
+OPERATIONS = {
+    "bracket": ("necklace Lie bracket of two classes",
+                parse_hh0_element, necklace_bracket, format_hh0, False),
+    "dbracket": ("double bracket of two path elements",
+                 parse_path_element, double_bracket, format_tensor, False),
+    "qmul": ("product in the quantum path algebra",
+             parse_qpa_element, qpa_mul, format_qpa, False),
+    "qcomm": ("commutator in the quantum path algebra",
+              parse_qpa_element, qpa_comm, format_qpa, False),
+    "trace": ("classical trace of a necklace class",
+              parse_hh0_element, trace_classical, format_poly, True),
+    "qtrace": ("quantum trace of a configuration",
+               parse_qpa_element, trace_quantum, format_weyl, True),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,36 +152,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--r", help="order-h weights k=v,...")
             p.add_argument("--lambda", dest="lam", help="moment deformation k=v,...")
         if suite:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=int)
             p.add_argument("--cases", type=int)
 
-    p = sub.add_parser("bracket", help="necklace Lie bracket of two classes")
-    common(p)
-    p.add_argument("x")
-    p.add_argument("y")
-
-    p = sub.add_parser("dbracket", help="double bracket of two path elements")
-    common(p)
-    p.add_argument("x")
-    p.add_argument("y")
-
-    p = sub.add_parser("qmul", help="product in the quantum path algebra")
-    common(p)
-    p.add_argument("x")
-    p.add_argument("y")
-
-    p = sub.add_parser("qcomm", help="commutator in the quantum path algebra")
-    common(p)
-    p.add_argument("x")
-    p.add_argument("y")
-
-    p = sub.add_parser("trace", help="classical trace of a necklace class")
-    common(p, dim=True)
-    p.add_argument("x")
-
-    p = sub.add_parser("qtrace", help="quantum trace of a configuration")
-    common(p, dim=True)
-    p.add_argument("x")
+    for verb, (help_text, _, _, _, reads_dim) in OPERATIONS.items():
+        p = sub.add_parser(verb, help=help_text)
+        common(p, dim=reads_dim)
+        p.add_argument("x")
+        if not reads_dim:
+            p.add_argument("y")
 
     p = sub.add_parser("moment", help="the moment element and its components")
     common(p, params=True)
@@ -191,44 +190,25 @@ def _emit_reports(reports, as_json: bool) -> int:
     return 1 if failed else 0
 
 
+def _operate(args) -> int:
+    """Run an operation verb: the quiver, then --dim, then the operands."""
+    _, parse, operate, printer, reads_dim = OPERATIONS[args.verb]
+    quiver = _require_quiver(args)
+    dim = (_get_dim(args, quiver),) if reads_dim else ()
+    texts = (args.x,) if reads_dim else (args.x, args.y)
+    print(printer(operate(*[parse(quiver, text) for text in texts], *dim)))
+    return 0
+
+
 def _dispatch(args) -> int:
     verb = args.verb
-    if verb in ("bracket", "dbracket", "qmul", "qcomm"):
-        quiver = _require_quiver(args)
-        if verb == "bracket":
-            x = parse_hh0_element(quiver, args.x)
-            y = parse_hh0_element(quiver, args.y)
-            print(format_hh0(necklace_bracket(x, y)))
-        elif verb == "dbracket":
-            x = parse_path_element(quiver, args.x)
-            y = parse_path_element(quiver, args.y)
-            print(format_tensor(double_bracket(x, y)))
-        elif verb == "qmul":
-            x = parse_qpa_element(quiver, args.x)
-            y = parse_qpa_element(quiver, args.y)
-            print(format_qpa(qpa_mul(x, y)))
-        else:
-            x = parse_qpa_element(quiver, args.x)
-            y = parse_qpa_element(quiver, args.y)
-            print(format_qpa(qpa_comm(x, y)))
-        return 0
-
-    if verb == "trace":
-        quiver = _require_quiver(args)
-        dim = _get_dim(args, quiver)
-        x = parse_hh0_element(quiver, args.x)
-        print(format_poly(trace_classical(x, dim)))
-        return 0
-
-    if verb == "qtrace":
-        quiver = _require_quiver(args)
-        dim = _get_dim(args, quiver)
-        x = parse_qpa_element(quiver, args.x)
-        print(format_weyl(trace_quantum(x, dim)))
-        return 0
+    if verb in OPERATIONS:
+        return _operate(args)
 
     if verb == "moment":
         quiver = _require_quiver(args)
+        if args.r:
+            raise ExpressionError("moment does not take --r: r enters only the quantum reduction")
         lam = _parse_assignments(args.lam, "--lambda") if args.lam else None
         data = moment_map(quiver, lam)
         print(f"w = {format_path_element(data.element)}")
@@ -242,7 +222,7 @@ def _dispatch(args) -> int:
         dim = _get_dim(args, quiver, required=False)
         params = _get_params(args, quiver) if args.r or args.lam else None
         suite_args = {
-            "seed": args.seed,
+            "seed": 0 if args.seed is None else args.seed,
             "cases": DEFAULT_CASES if args.cases is None else args.cases,
             "quiver": quiver,
             "dim": dim,

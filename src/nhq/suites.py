@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
-from .expr import format_element, format_necklace, format_poly
+from .expr import format_necklace, format_poly
 from .necklace import double_bracket, necklace_bracket
 from .quiver import Letter, Path, PathAlgebraElement, Quiver
 from .repspace import (
@@ -50,29 +51,17 @@ from .schedler import (
     straighten,
 )
 from .trace import (
-    VerificationReport,
+    compare_report,
     decompose_ideal_image,
     enumerate_generators,
     lift_necklace_combination,
-    solve_chi,
+    over_h,
+    solve_chi_from,
     verify_cubic,
     verify_equivariance,
     verify_quantum_moment,
     verify_trace_homomorphism,
 )
-
-
-def _report(name: str, differences) -> VerificationReport:
-    """Verified when every difference element is zero.  ``differences``
-    yields ``(note, difference)`` pairs; the first nonzero difference is the
-    failed report's residual, and its note (if any) says where it arose."""
-    for note, difference in differences:
-        if not difference.is_zero():
-            return VerificationReport(
-                name, "failed", residual=format_element(difference),
-                notes=(note,) if note else (),
-            )
-    return VerificationReport(name, "verified")
 
 
 def _targets(quiver: Quiver | None, dim, named) -> list:
@@ -85,6 +74,14 @@ def _targets(quiver: Quiver | None, dim, named) -> list:
     return [(quiver, d) for d in dims]
 
 
+def _drawn_cases(rng, cases: int, quiver: Quiver | None, dim):
+    """Index, quiver and dim of each trace case, each drawn from ``rng``
+    unless given; a case is drawn when the caller asks for it."""
+    for k in range(cases):
+        q = quiver if quiver is not None else random_quiver(rng, 2, 2)
+        yield k, q, dim if dim is not None else random_dimension(rng, q)
+
+
 def suite_dirac(seed: int, cases: int, quiver: Quiver | None = None) -> list:
     """project((-1/h)[lift x, lift y]) mod h equals the necklace bracket."""
     rng = random.Random(seed)
@@ -94,14 +91,11 @@ def suite_dirac(seed: int, cases: int, quiver: Quiver | None = None) -> list:
         x = random_hh0(rng, q, max_len=5)
         y = random_hh0(rng, q, max_len=5)
         comm = qpa_comm(lift_necklace_combination(x), lift_necklace_combination(y))
-        name = f"dirac[{k}]"
-        if not comm.is_divisible_by_h():
-            reports.append(_report(name, [("commutator is not divisible by h", comm)]))
-            continue
-        lhs = project(comm.div_h().scale(-1)).constant_part()
-        rhs = lift_necklace_combination(necklace_bracket(x, y))
-        rhs_sym = project(rhs).constant_part()
-        reports.append(_report(name, [(None, lhs - rhs_sym)]))
+        pair = over_h(None, comm, lambda c: (
+            project(c.scale(-1)).constant_part(),
+            project(lift_necklace_combination(necklace_bracket(x, y))).constant_part(),
+        ))
+        reports.append(compare_report(f"dirac[{k}]", [pair]))
     return reports
 
 
@@ -118,7 +112,7 @@ def suite_pbw(
     for k in range(section_cases):
         q = quiver if quiver is not None else random_quiver(rng)
         m = random_sym_element(rng, q)
-        reports.append(_report(f"pbw-section[{k}]", [(None, project(lift(m)) - m)]))
+        reports.append(compare_report(f"pbw-section[{k}]", [(None, project(lift(m)), m)]))
     for k in range(confluence_cases):
         q = quiver if quiver is not None else random_quiver(rng)
         cfg = random_configuration(rng, q, max_letters=8)
@@ -127,17 +121,17 @@ def suite_pbw(
             for strategy in ("first", "last", "middle")
         ]
         results.append(straighten(q, cfg, strategy="random", rng=random.Random(seed + k)))
-        differences = [
-            (f"strategy {strategy} against first", r - results[0])
+        pairs = [
+            (f"strategy {strategy} against first", r, results[0])
             for strategy, r in zip(("last", "middle", "random"), results[1:])
         ]
-        reports.append(_report(f"pbw-confluence[{k}]", differences))
+        reports.append(compare_report(f"pbw-confluence[{k}]", pairs))
     for k in range(assoc_cases):
         q = quiver if quiver is not None else random_quiver(rng)
-        xs = [lift_necklace(q, random_necklace(rng, q, 4)) for _ in range(3)]
+        xs = [_lifted_necklace(rng, q) for _ in range(3)]
         lhs = qpa_mul(qpa_mul(xs[0], xs[1]), xs[2])
         rhs = qpa_mul(xs[0], qpa_mul(xs[1], xs[2]))
-        reports.append(_report(f"pbw-assoc[{k}]", [(None, lhs - rhs)]))
+        reports.append(compare_report(f"pbw-assoc[{k}]", [(None, lhs, rhs)]))
     return reports
 
 
@@ -150,14 +144,13 @@ def suite_lie(seed: int, cases: int, quiver: Quiver | None = None) -> list:
         x = random_hh0(rng, q, max_len=5)
         y = random_hh0(rng, q, max_len=5)
         z = random_hh0(rng, q, max_len=5)
-        anti = necklace_bracket(x, y) + necklace_bracket(y, x)
-        jac = (
-            necklace_bracket(x, necklace_bracket(y, z))
-            + necklace_bracket(z, necklace_bracket(x, y))
-            + necklace_bracket(y, necklace_bracket(z, x))
-        )
-        differences = [("antisymmetry", anti), ("Jacobi identity", jac)]
-        reports.append(_report(f"lie[{k}]", differences))
+        xy = necklace_bracket(x, y)
+        jacobi = necklace_bracket(x, necklace_bracket(y, z)) + necklace_bracket(z, xy)
+        pairs = [
+            ("antisymmetry", xy, -necklace_bracket(y, x)),
+            ("Jacobi identity", jacobi, -necklace_bracket(y, necklace_bracket(z, x))),
+        ]
+        reports.append(compare_report(f"lie[{k}]", pairs))
     return reports
 
 
@@ -166,22 +159,20 @@ def suite_trace_hom(
 ) -> list:
     rng = random.Random(seed)
     reports = []
-    for k in range(cases):
-        q = quiver if quiver is not None else random_quiver(rng, 2, 2)
-        d = dim if dim is not None else random_dimension(rng, q)
-        x = lift_necklace(q, random_necklace(rng, q, 4))
-        y = lift_necklace(q, random_necklace(rng, q, 4))
-        rep = verify_trace_homomorphism(x, y, d, name=f"trace-hom[{k}]")
-        reports.append(rep)
+    for k, q, d in _drawn_cases(rng, cases, quiver, dim):
+        x, y = _lifted_necklace(rng, q), _lifted_necklace(rng, q)
+        reports.append(verify_trace_homomorphism(x, y, d, name=f"trace-hom[{k}]"))
     return reports
+
+
+def _lifted_necklace(rng, quiver: Quiver):
+    return lift_necklace(quiver, random_necklace(rng, quiver, 4))
 
 
 def suite_cubic(seed: int, cases: int, quiver: Quiver | None = None, dim=None) -> list:
     rng = random.Random(seed)
     reports = []
-    for k in range(cases):
-        q = quiver if quiver is not None else random_quiver(rng, 2, 2)
-        d = dim if dim is not None else random_dimension(rng, q)
+    for k, q, d in _drawn_cases(rng, cases, quiver, dim):
         x = random_hh0(rng, q, max_len=4, max_terms=1)
         y = random_hh0(rng, q, max_len=4, max_terms=1)
         reports.append(verify_cubic(x, y, d, name=f"cubic[{k}]"))
@@ -219,7 +210,10 @@ def suite_ideal(
     max_len: int = 3,
     params: ReductionParameters | None = None,
 ) -> list:
-    """Decompose every short reduction-ideal generator and solve the character."""
+    """Decompose every short reduction-ideal generator and solve the character.
+
+    Each generator is decomposed once per parameter set; the character is
+    read from those of length at most 2, as ``solve_chi`` reads it."""
     rng = random.Random(seed)
     reports = []
     for idx, (q, d) in enumerate(_targets(quiver, dim, (jordan(), a2()))):
@@ -233,69 +227,74 @@ def suite_ideal(
                 ReductionParameters(r, zero),
                 ReductionParameters(r, _orthogonal_lambda(d)),
             ]
+        generators = enumerate_generators(q, max(max_len, 2))
         for pidx, prm in enumerate(param_list):
-            reports.append(
-                _report(f"ideal-decompose[{idx}.{pidx}]", _ideal_differences(q, d, max_len, prm))
+            decompositions = [
+                (generator, decompose_ideal_image(q, d, *generator, prm))
+                for generator in generators
+            ]
+            unequal = (
+                (_generator_note(q, generator), dec.target, dec.re_expand())
+                for generator, dec in decompositions
+                if len(generator[0].letters) <= max_len and not dec.verified
             )
-            chi_report, solved = solve_chi(q, d, prm)
-            chi_report.name = f"ideal-chi[{idx}.{pidx}]"
-            reports.append(chi_report)
+            reports.append(compare_report(f"ideal-decompose[{idx}.{pidx}]", unequal))
+            short = [dec for generator, dec in decompositions if len(generator[0].letters) <= 2]
+            reports.append(solve_chi_from(q, d, prm.r, short, f"ideal-chi[{idx}.{pidx}]")[0])
     return reports
 
 
-def _ideal_differences(quiver: Quiver, dim, max_len: int, params):
-    """Traced generator minus its re-expansion, for each short generator
-    whose decomposition does not verify."""
-    for necklace, vertex, mark in enumerate_generators(quiver, max_len):
-        dec = decompose_ideal_image(quiver, dim, necklace, vertex, mark, params)
-        if not dec.verified:
-            note = (
-                f"generator {format_necklace(quiver, necklace)} at vertex "
-                f"{quiver.vertices[vertex]}, mark {mark}"
-            )
-            yield note, dec.target - dec.re_expand()
+def _generator_note(quiver: Quiver, generator) -> str:
+    necklace, vertex, mark = generator
+    return (
+        f"generator {format_necklace(quiver, necklace)} at vertex "
+        f"{quiver.vertices[vertex]}, mark {mark}"
+    )
 
 
 def suite_invariance(seed: int, cases: int, quiver: Quiver | None = None, dim=None) -> list:
     rng = random.Random(seed)
     reports = []
-    for k in range(cases):
-        q = quiver if quiver is not None else random_quiver(rng, 2, 2)
-        d = dim if dim is not None else random_dimension(rng, q)
+    for k, q, d in _drawn_cases(rng, cases, quiver, dim):
         v = random_gl(rng, q, d)
-        x = lift_necklace(q, random_necklace(rng, q, 4))
-        reports.append(verify_equivariance(v, x, d, name=f"invariance[{k}]"))
+        reports.append(verify_equivariance(v, _lifted_necklace(rng, q), d, name=f"invariance[{k}]"))
     return reports
 
 
-def _coordinate_vars(quiver: Quiver, dim):
+def _coordinates(quiver: Quiver, dim) -> list:
+    """Each coordinate (ai, starred, row, col) with its function and printed
+    name."""
+    out = []
     for ai, arrow in enumerate(quiver.arrows):
         for starred in (False, True):
             rmax = dim[arrow.source] if starred else dim[arrow.target]
             cmax = dim[arrow.target] if starred else dim[arrow.source]
             for row in range(1, rmax + 1):
                 for col in range(1, cmax + 1):
-                    yield (ai, starred, row, col)
+                    var = (ai, starred, row, col)
+                    f = PolyElement.coordinate(quiver, dim, *var)
+                    out.append((var, f, format_poly(f)))
+    return out
 
 
 def suite_poisson(quiver: Quiver | None = None, dim=None) -> list:
     """The coordinate bracket agrees with its double-bracket evaluation."""
-    reports = []
-    for idx, (q, d) in enumerate(_targets(quiver, dim, small_quivers())):
-        reports.append(_report(f"poisson[{idx}]", _poisson_differences(q, d)))
-    return reports
+    return [
+        compare_report(f"poisson[{idx}]", _poisson_pairs(q, d))
+        for idx, (q, d) in enumerate(_targets(quiver, dim, small_quivers()))
+    ]
 
 
-def _poisson_differences(quiver: Quiver, dim):
-    """Each nonzero direct coordinate bracket minus its double-bracket evaluation."""
-    coords = list(_coordinate_vars(quiver, dim))
-    for v1 in coords:
-        for v2 in coords:
-            f1 = PolyElement.coordinate(quiver, dim, *v1)
-            f2 = PolyElement.coordinate(quiver, dim, *v2)
-            diff = poisson(f1, f2) - _poisson_via_double_bracket(quiver, dim, v1, v2)
-            if diff:
-                yield f"{{{format_poly(f1)}, {format_poly(f2)}}}", diff
+def _poisson_pairs(quiver: Quiver, dim):
+    """Each direct coordinate bracket against its double-bracket evaluation."""
+    coords = _coordinates(quiver, dim)
+    for v1, f1, name1 in coords:
+        for v2, f2, name2 in coords:
+            yield (
+                f"{{{name1}, {name2}}}",
+                poisson(f1, f2),
+                _poisson_via_double_bracket(quiver, dim, v1, v2),
+            )
 
 
 def _poisson_via_double_bracket(quiver: Quiver, dim, v1, v2) -> PolyElement:
@@ -315,73 +314,53 @@ def _poisson_via_double_bracket(quiver: Quiver, dim, v1, v2) -> PolyElement:
 
 def suite_gauge(quiver: Quiver | None = None, dim=None) -> list:
     """gauge_act(i,p,q,-) equals the action induced by tau(e^i_{q,p})."""
-    reports = []
-    for idx, (q, d) in enumerate(_targets(quiver, dim, (jordan(), a2(), two_loop()))):
-        reports.append(_report(f"gauge[{idx}]", _gauge_differences(q, d)))
-    return reports
+    return [
+        compare_report(f"gauge[{idx}]", _gauge_pairs(q, d))
+        for idx, (q, d) in enumerate(_targets(quiver, dim, (jordan(), a2(), two_loop())))
+    ]
 
 
-def _gauge_differences(quiver: Quiver, dim):
-    """Each nonzero induced minus direct gauge action, per gl basis element
-    and coordinate; a tau commutator not divisible by h is itself the
-    difference."""
+def _gauge_pairs(quiver: Quiver, dim):
+    """Per gl basis element and coordinate, the symbol of the tau commutator
+    over h against the direct gauge action."""
+    coords = [
+        (f, name, WeylElement.derivative(quiver, dim, ai, col, row) if starred
+         else WeylElement.position(quiver, dim, ai, row, col))
+        for (ai, starred, row, col), f, name in _coordinates(quiver, dim)
+    ]
     for (i, p, qq) in gl_basis(quiver, dim):
-        e = GlElement.elementary(quiver, dim, i, qq, p)
-        t = tau(quiver, dim, e)
-        for var in _coordinate_vars(quiver, dim):
-            ai, starred, row, col = var
-            f = PolyElement.coordinate(quiver, dim, *var)
-            if starred:
-                lifted = WeylElement.derivative(quiver, dim, ai, col, row)
-            else:
-                lifted = WeylElement.position(quiver, dim, ai, row, col)
-            comm = weyl_commutator(t, lifted)
-            if comm.is_divisible_by_h():
-                diff = classical_symbol(comm.div_h()) - gauge_act(quiver, dim, i, p, qq, f)
-                what = ""
-            else:
-                diff, what = comm, ": commutator is not divisible by h"
-            if diff:
-                yield f"e^{quiver.vertices[i]}_{{{qq},{p}}} on {format_poly(f)}{what}", diff
+        t = tau(quiver, dim, GlElement.elementary(quiver, dim, i, qq, p))
+        for f, name, lifted in coords:
+            yield over_h(
+                f"e^{quiver.vertices[i]}_{{{qq},{p}}} on {name}",
+                weyl_commutator(t, lifted),
+                lambda c: (classical_symbol(c), gauge_act(quiver, dim, i, p, qq, f)),
+            )
+
+
+class Suite(NamedTuple):
+    """A verify suite: its function and the keyword arguments it reads
+    besides the quiver.  The command line rejects a flag for any other."""
+
+    function: Callable[..., list]
+    options: tuple
+
+    def __call__(self, args: dict) -> list:
+        """Run on ``args["quiver"]`` and the options the suite reads."""
+        return self.function(
+            quiver=args.get("quiver"), **{option: args[option] for option in self.options}
+        )
 
 
 SUITES = {
-    "dirac": lambda args: suite_dirac(args["seed"], args["cases"], args.get("quiver")),
-    "pbw": lambda args: suite_pbw(args["seed"], quiver=args.get("quiver")),
-    "lie": lambda args: suite_lie(args["seed"], args["cases"], args.get("quiver")),
-    "trace-hom": lambda args: suite_trace_hom(
-        args["seed"], args["cases"], args.get("quiver"), args.get("dim")
-    ),
-    "cubic": lambda args: suite_cubic(
-        args["seed"], args["cases"], args.get("quiver"), args.get("dim")
-    ),
-    "qmoment": lambda args: suite_qmoment(
-        args["seed"], quiver=args.get("quiver"), dim=args.get("dim")
-    ),
-    "ideal": lambda args: suite_ideal(
-        args["seed"],
-        quiver=args.get("quiver"),
-        dim=args.get("dim"),
-        params=args.get("params"),
-    ),
-    "invariance": lambda args: suite_invariance(
-        args["seed"], args["cases"], args.get("quiver"), args.get("dim")
-    ),
-    "poisson": lambda args: suite_poisson(args.get("quiver"), args.get("dim")),
-    "gauge": lambda args: suite_gauge(args.get("quiver"), args.get("dim")),
-}
-
-# The optional arguments each suite reads besides the seed and the quiver;
-# the command line rejects a flag for any other argument.
-SUITE_OPTIONS = {
-    "dirac": {"cases"},
-    "pbw": set(),
-    "lie": {"cases"},
-    "trace-hom": {"cases", "dim"},
-    "cubic": {"cases", "dim"},
-    "qmoment": {"dim"},
-    "ideal": {"dim", "params"},
-    "invariance": {"cases", "dim"},
-    "poisson": {"dim"},
-    "gauge": {"dim"},
+    "dirac": Suite(suite_dirac, ("seed", "cases")),
+    "pbw": Suite(suite_pbw, ("seed",)),
+    "lie": Suite(suite_lie, ("seed", "cases")),
+    "trace-hom": Suite(suite_trace_hom, ("seed", "cases", "dim")),
+    "cubic": Suite(suite_cubic, ("seed", "cases", "dim")),
+    "qmoment": Suite(suite_qmoment, ("seed", "dim")),
+    "ideal": Suite(suite_ideal, ("seed", "dim", "params")),
+    "invariance": Suite(suite_invariance, ("seed", "cases", "dim")),
+    "poisson": Suite(suite_poisson, ("dim",)),
+    "gauge": Suite(suite_gauge, ("dim",)),
 }

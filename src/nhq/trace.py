@@ -185,35 +185,56 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def compare_report(name: str, pairs) -> VerificationReport:
+    """Verified when ``lhs == rhs`` for each ``(note, lhs, rhs)`` of ``pairs``.
+
+    ``pairs`` is drawn lazily and the first unequal pair ends the check: only
+    then is ``lhs - rhs`` formed, as the failed report's residual, with the
+    note (if any) saying where it arose.
+    """
+    for note, lhs, rhs in pairs:
+        if lhs != rhs:
+            return VerificationReport(
+                name, "failed", residual=format_element(lhs - rhs),
+                notes=(note,) if note else (),
+            )
+    return VerificationReport(name, "verified")
+
+
+def over_h(note, comm, sides) -> tuple:
+    """The ``(note, lhs, rhs)`` pair of a check on ``comm / h``.
+
+    ``sides(comm / h)`` gives its two sides.  When h does not divide
+    ``comm`` (a Rees-grading fact, so a hard failure), ``comm`` itself is
+    compared with zero and the note says so.
+    """
+    if comm.is_divisible_by_h():
+        return (note, *sides(comm.div_h()))
+    why = "commutator is not divisible by h"
+    return (f"{note}: {why}" if note else why, comm, comm.scale(0))
+
+
 def verify_trace_homomorphism(x: QPAElement, y: QPAElement, dim, name="trace-hom") -> VerificationReport:
     """Check Tr_q(x * y) = Tr_q(x) Tr_q(y) exactly."""
     lhs = trace_quantum(qpa_mul(x, y), dim)
     rhs = weyl_mul(trace_quantum(x, dim), trace_quantum(y, dim))
-    if lhs == rhs:
-        return VerificationReport(name, "verified")
-    return VerificationReport(name, "failed", residual=format_element(lhs - rhs))
+    return compare_report(name, [(None, lhs, rhs)])
 
 
 def verify_cubic(x: HH0Element, y: HH0Element, dim, name="cubic") -> VerificationReport:
     """The pre-reduction square: quantum-commutator over h against Poisson.
 
-    Computes C = [Tr_q(lift x), Tr_q(lift y)], insists C is divisible by h
-    (a Rees-grading fact, so a hard failure otherwise), and compares the
-    classical symbol of -C/h with {Tr x, Tr y}.
+    Computes C = [Tr_q(lift x), Tr_q(lift y)], insists C is divisible by h,
+    and compares the classical symbol of -C/h with {Tr x, Tr y}.
     """
     tx = trace_quantum(lift_necklace_combination(x), dim)
     ty = trace_quantum(lift_necklace_combination(y), dim)
-    comm = weyl_commutator(tx, ty)
-    if not comm.is_divisible_by_h():
-        return VerificationReport(
-            name, "failed", residual=format_element(comm),
-            notes=("commutator is not divisible by h",),
-        )
-    lhs = classical_symbol(-comm.div_h())
-    rhs = poisson(trace_classical(x, dim), trace_classical(y, dim))
-    if lhs == rhs:
-        return VerificationReport(name, "verified")
-    return VerificationReport(name, "failed", residual=format_element(lhs - rhs))
+    pair = over_h(
+        None,
+        weyl_commutator(tx, ty),
+        lambda c: (classical_symbol(-c), poisson(trace_classical(x, dim), trace_classical(y, dim))),
+    )
+    return compare_report(name, [pair])
 
 
 def lift_necklace_combination(x: HH0Element) -> QPAElement:
@@ -227,28 +248,23 @@ def verify_quantum_moment(quiver: Quiver, dim, r=None, name="qmoment") -> Verifi
     c_i = -(weighted out-degree of i) + r_i."""
     dim = tuple(dim)
     chi = chi_sign_variants(quiver, dim, r)["main"].values
-    for (i, p, q) in gl_basis(quiver, dim):
-        e = GlElement.elementary(quiver, dim, i, p, q)
-        lhs = quantum_moment(quiver, dim, e, r)
-        rhs = -tau(quiver, dim, e)
-        if p == q and chi[i]:
-            rhs = rhs + WeylElement.constant(quiver, dim, HBarPolynomial((0, chi[i])))
-        if lhs != rhs:
-            return VerificationReport(
-                name,
-                "failed",
-                residual=format_element(lhs - rhs),
-                notes=(f"first failing basis element e^{i}_{{{p},{q}}}",),
-            )
-    return VerificationReport(name, "verified")
+
+    def pairs():
+        for (i, p, q) in gl_basis(quiver, dim):
+            e = GlElement.elementary(quiver, dim, i, p, q)
+            lhs = quantum_moment(quiver, dim, e, r)
+            rhs = -tau(quiver, dim, e)
+            if p == q and chi[i]:
+                rhs = rhs + WeylElement.constant(quiver, dim, HBarPolynomial((0, chi[i])))
+            yield f"first failing basis element e^{i}_{{{p},{q}}}", lhs, rhs
+
+    return compare_report(name, pairs())
 
 
 def verify_equivariance(v: GlElement, x: QPAElement, dim, name="invariance") -> VerificationReport:
     """[tau(v), Tr_q(x)] = 0: quantum traces are gl-invariant."""
-    res = weyl_commutator(tau(x.quiver, dim, v), trace_quantum(x, dim))
-    if res.is_zero():
-        return VerificationReport(name, "verified")
-    return VerificationReport(name, "failed", residual=format_element(res))
+    comm = weyl_commutator(tau(x.quiver, dim, v), trace_quantum(x, dim))
+    return compare_report(name, [(None, comm, comm.scale(0))])
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +311,8 @@ class IdealDecomposition:
         return self.expansion + self.trace_of_p.scale(HBarPolynomial((0, cv)))
 
     def report(self, name="ideal") -> VerificationReport:
-        if self.verified:
-            return VerificationReport(name, "verified")
-        return VerificationReport(
-            name,
-            "failed",
-            residual=format_element(self.target - self.re_expand()),
-        )
+        unequal = () if self.verified else ((None, self.target, self.re_expand()),)
+        return compare_report(name, unequal)
 
 
 def _tau_expansion(quiver: Quiver, dim, vertex: int, codec: _Codec, entries) -> dict:
@@ -447,14 +458,25 @@ def solve_chi(
     dim = tuple(dim)
     if params is None:
         params = make_params(quiver)
+    decompositions = (
+        decompose_ideal_image(quiver, dim, necklace, vertex, mark, params)
+        for necklace, vertex, mark in enumerate_generators(quiver, max_len)
+    )
+    return solve_chi_from(quiver, dim, params.r, decompositions)
+
+
+def solve_chi_from(
+    quiver: Quiver, dim, r, decompositions, name="solve-chi"
+) -> tuple[VerificationReport, Character | None]:
+    """The trace character that ``solve_chi`` reads off ``decompositions``,
+    the generators' decompositions at order-h weights ``r``."""
     values: dict[int, set] = {i: set() for i in range(len(quiver.vertices))}
     all_verified = True
-    for necklace, vertex, mark in enumerate_generators(quiver, max_len):
-        dec = decompose_ideal_image(quiver, dim, necklace, vertex, mark, params)
+    for dec in decompositions:
         if not dec.verified:
             all_verified = False
             continue
-        values[vertex].add(dec.chi_value)
+        values[dec.vertex].add(dec.chi_value)
 
     names = quiver.vertices
     if not all_verified or any(len(v) != 1 for v in values.values()):
@@ -463,14 +485,14 @@ def solve_chi(
         }
         return (
             VerificationReport(
-                "solve-chi",
+                name,
                 "failed",
                 notes=(f"inconsistent or undetermined character: {detail}",),
             ),
             None,
         )
     solved = Character(quiver, tuple(values[i].pop() for i in range(len(names))))
-    variants = chi_sign_variants(quiver, dim, params.r)
+    variants = chi_sign_variants(quiver, dim, r)
     notes = []
     for label, variant in variants.items():
         if variant.values == solved.values:
@@ -482,7 +504,7 @@ def solve_chi(
             notes.append(f"differs from closed form '{label}' ({body})")
     return (
         VerificationReport(
-            "solve-chi",
+            name,
             "solved",
             character={names[i]: str(solved.values[i]) for i in range(len(names))},
             notes=tuple(notes),

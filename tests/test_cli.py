@@ -84,6 +84,15 @@ def test_moment_deformed():
     assert out.splitlines()[0] == "w = -5*ev + x.x' - x'.x"
 
 
+def test_moment_rejects_r(capsys):
+    # the moment element reads only --lambda
+    code, out = run("moment", "-q", q("jordan"), "--r", "v=1")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: moment does not take --r") and err.count("\n") == 1
+    assert out == ""
+
+
 def test_round_trip_of_printed_output():
     from nhq.expr import parse_qpa_element
     from nhq.quiver import parse_quiver
@@ -220,6 +229,8 @@ def test_verify_rejects_flags_the_suite_does_not_read(capsys):
         (("verify", "lie", "-q", q("jordan"), "--dim", "v=1"), "--dim"),
         (("verify", "cubic", "--dim", "v=1"), "--dim"),
         (("verify", "ideal", "--r", "v=1"), "--r"),
+        (("verify", "poisson", "--seed", "9"), "--seed"),
+        (("verify", "gauge", "-q", q("a2"), "--seed", "0"), "--seed"),
     ]
     for argv, flag in cases:
         code, out = run(*argv)
