@@ -112,6 +112,9 @@ def _check_verify_flags(args) -> None:
             raise ExpressionError(f"verify {args.suite} does not take {flag}")
         if option not in ("seed", "cases") and not args.quiver:
             raise ExpressionError(f"{flag} needs a quiver file (-q)")
+    if args.seed is not None and (args.r is not None or args.lam is not None):
+        # given parameters, the suite draws nothing from its generator
+        raise ExpressionError(f"verify {args.suite} does not take --seed with --r or --lambda")
     if args.cases is not None and args.cases <= 0:
         raise ExpressionError(f"--cases must be a positive integer, got {args.cases}")
 

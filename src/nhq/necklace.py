@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import CompositionError, DimensionError, ExpressionError, MismatchError
 from .linear import LinearCombination, add_into
@@ -30,28 +31,22 @@ from .quiver import (
 from .rings import HBarPolynomial, as_fraction
 
 
-@dataclass(frozen=True)
-class Necklace:
-    """A cyclic word in minimal rotation, or the class of a trivial path.
+class _LetterTable(dict):
+    """code character -> ``Letter``, filled on first use.
 
-    ``letters`` empty means the idempotent class at ``vertex``; otherwise
-    ``vertex`` is None and ``letters`` is the lexicographically minimal
-    rotation under the total letter order.
+    A code needs no quiver to decode: code o is ``Letter(o >> 1, bool(o &
+    1))``.  Each letter is built once and shared by every decoded word.
     """
 
-    vertex: int | None
-    letters: tuple[Letter, ...]
+    __slots__ = ()
 
-    @property
-    def is_idempotent(self) -> bool:
-        return not self.letters
-
-    def __len__(self) -> int:
-        return len(self.letters)
+    def __missing__(self, c: str) -> Letter:
+        o = ord(c)
+        letter = self[c] = Letter(o >> 1, bool(o & 1))
+        return letter
 
 
-def idempotent_class(vertex: int) -> Necklace:
-    return Necklace(vertex, ())
+_LETTER = _LetterTable()
 
 
 def _code(letters) -> str:
@@ -61,6 +56,77 @@ def _code(letters) -> str:
     with the other star) is ``chr(ord(c) ^ 1)``.
     """
     return "".join([chr(2 * letter[0] + letter[1]) for letter in letters])
+
+
+class Necklace:
+    """A cyclic word in minimal rotation, or the class of a trivial path.
+
+    ``letters`` empty means the idempotent class at ``vertex``; otherwise
+    ``vertex`` is None and ``letters`` is the lexicographically minimal
+    rotation under the total letter order.
+
+    A necklace is keyed by its letter code ``code`` (``_code``, one
+    character per letter): equality and hash read ``(vertex, code)``, so
+    hashing one reuses the str's cached hash.  Necklaces built from a code
+    (``_coded``), as the bracket's results are, decode their ``letters`` on
+    first read.  ``vertex``, ``code`` and ``letters`` are read-only.
+    """
+
+    __slots__ = ("_vertex", "_code", "_letters")
+
+    def __init__(self, vertex: int | None, letters):
+        letters = tuple(letters)
+        self._vertex = vertex
+        self._code = _code(letters)
+        self._letters = letters
+
+    @property
+    def vertex(self) -> int | None:
+        return self._vertex
+
+    @property
+    def code(self) -> str:
+        return self._code
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        letters = self._letters
+        if letters is None:
+            letters = self._letters = tuple(map(_LETTER.__getitem__, self._code))
+        return letters
+
+    @property
+    def is_idempotent(self) -> bool:
+        return not self._code
+
+    def __len__(self) -> int:
+        return len(self._code)
+
+    def __eq__(self, other):
+        if type(other) is not Necklace:
+            return NotImplemented
+        return self._code == other._code and self._vertex == other._vertex
+
+    def __hash__(self):
+        return hash((self._vertex, self._code))
+
+    def __repr__(self) -> str:
+        return f"Necklace(vertex={self._vertex!r}, letters={self.letters!r})"
+
+
+def _coded(code: str, vertex: int | None = None) -> Necklace:
+    """The necklace of a coded word in least rotation (``vertex`` None) or,
+    with ``code`` empty, the idempotent class at ``vertex``; its letters
+    are decoded on first read."""
+    n = object.__new__(Necklace)
+    n._vertex = vertex
+    n._code = code
+    n._letters = None
+    return n
+
+
+def idempotent_class(vertex: int) -> Necklace:
+    return _coded("", vertex)
 
 
 def _rotation_start(s: str) -> int:
@@ -105,10 +171,13 @@ def minimal_rotation_offset(letters) -> int:
     return _rotation_start(s) if s else 0
 
 
-def _check_cyclic(quiver: Quiver, letters) -> None:
-    n = len(letters)
+def _check_cyclic(quiver: Quiver, s: str) -> None:
+    """Raise CompositionError unless the coded word ``s`` is cyclically
+    composable; its letters come from the code -> ``Letter`` table."""
+    ends = {c: (_LETTER[c].source(quiver), _LETTER[c].target(quiver)) for c in set(s)}
+    n = len(s)
     for k in range(n):
-        if letters[k].source(quiver) != letters[(k + 1) % n].target(quiver):
+        if ends[s[k]][0] != ends[s[(k + 1) % n]][1]:
             raise CompositionError(
                 f"word is not cyclically composable at position {k}"
             )
@@ -116,19 +185,22 @@ def _check_cyclic(quiver: Quiver, letters) -> None:
 
 def canonical_necklace(quiver: Quiver, letters) -> Necklace:
     """Minimal rotation of a cyclically composable word."""
-    letters = tuple(letters)
-    if not letters:
+    s = _code(letters)
+    if not s:
         raise CompositionError("empty word; use idempotent_class for trivial cycles")
-    _check_cyclic(quiver, letters)
-    off = minimal_rotation_offset(letters)
-    return Necklace(None, letters[off:] + letters[:off])
+    _check_cyclic(quiver, s)
+    off = _rotation_start(s)
+    return _coded(s[off:] + s[:off])
 
 
 def necklace_key(n: Necklace):
-    """Basis order: idempotent classes first by vertex, then (length, letters)."""
-    if n.is_idempotent:
-        return (0, n.vertex, ())
-    return (1, len(n.letters), n.letters)
+    """Basis order: idempotent classes first by vertex, then (length, code).
+
+    Code order is the letter order, so cycles sort by (length, letters)."""
+    code = n._code
+    if not code:
+        return (0, n._vertex, "")
+    return (1, len(code), code)
 
 
 class HH0Element(LinearCombination):
@@ -237,10 +309,11 @@ def necklace_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
     merge leaves the idempotent class at the contraction vertex.  Brackets
     with idempotent classes vanish.
 
-    Each operand term is coded once as a str (``_code``).  Merges are str
-    slices, rotated by ``_rotation_start`` and counted under their coded
-    key; each distinct key is decoded to a ``Necklace`` once, at the end,
-    through the operands' own letters.  A bracket whose merges could hold
+    Each operand term is read as its code (``Necklace.code``), and
+    operands are checked on their codes, so none is decoded.  Merges are
+    str slices, rotated by ``_rotation_start`` and counted under their
+    coded key; the result holds necklaces built from those codes, whose
+    letters are decoded only when read.  A bracket whose merges could hold
     more than ``MAX_MERGE_LETTERS`` letters raises ``DimensionError``
     before any merge is formed.
 
@@ -260,9 +333,11 @@ def necklace_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
       around it, so its length is even and it cancels.  The link rule
       depends only on i mod p and j mod q, so the chains are walked on the
       period-reduced grid.
-    - Integer multiplicities.  Signs and multiplicities add up as plain
-      ints per operand-term pair, and each nonzero count multiplies the
-      product of the two coefficients once.
+    - Integer sums.  Signs and multiplicities add up as plain ints per
+      operand-term pair.  Each operand's coefficients are taken as int
+      polynomials over one common denominator, so every key's coefficient
+      sums as ints, one per power of h, and becomes one ``HBarPolynomial``
+      over the product of the two denominators at the end.
     """
     if x.quiver != y.quiver:
         raise MismatchError("necklace_bracket operands live over different quivers")
@@ -271,41 +346,46 @@ def necklace_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
     # so only the operands are checked
     for operand in (x, y):
         for n in operand.terms:
-            _check_cyclic(quiver, n.letters)
-    # a merge holds only operand letters, so their codes decode every key
-    letter = {}
-
-    def coded(element):
-        """(code, period, codes of one period, coefficient) per cycle term."""
-        out = []
-        for n, c in element.items():
-            if n.is_idempotent:
-                continue
-            s = _code(n.letters)
-            letter.update(zip(s, n.letters))
-            p = _period(s)
-            out.append((s, p, Counter(s[:p]), c))
-        return out
-
-    xs, ys = coded(x), coded(y)
+            _check_cyclic(quiver, n.code)
+    (xs, dx), (ys, dy) = _int_terms(x), _int_terms(y)
     _check_merge_letters(xs, ys, "bracket merges")
-    out = {}
-    for a, p, _, c1 in xs:
-        for b, q, _, c2 in ys:
+    # sums[k]: {key: numerator of its h^k coefficient over dx * dy}
+    degree = lambda terms: max([len(t[3].coeffs) - 1 for t in terms], default=0)
+    sums = [{} for _ in range(degree(xs) + degree(ys) + 1)]
+    for a, p, _, u in xs:
+        for b, q, _, v in ys:
             counts = _merge_counts(a, p, b, q)
-            if counts:
-                coeff = c1 * c2
-                for key, count in counts.items():
-                    if not key:
-                        # only two one-letter words merge to nothing
-                        key = idempotent_class(letter[a].target(quiver))
-                    add_into(out, key, coeff * count)
+            if "" in counts:
+                # only two one-letter words merge to nothing
+                counts[idempotent_class(_LETTER[a].target(quiver))] = counts.pop("")
+            for k, w in enumerate((u * v).coeffs):
+                if w:
+                    sums_k = sums[k]
+                    for key, count in counts.items():
+                        sums_k[key] = sums_k.get(key, 0) + w * count
+    den = dx * dy
     terms = {}
-    for key, coeff in out.items():
-        if isinstance(key, str):
-            key = Necklace(None, tuple(map(letter.__getitem__, key)))
-        terms[key] = coeff
+    for key in dict.fromkeys([key for sums_k in sums for key in sums_k]):
+        nums = [sums_k.get(key, 0) for sums_k in sums]
+        coeff = HBarPolynomial._with_coeffs(nums if den == 1 else [Fraction(m, den) for m in nums])
+        if coeff:
+            terms[_coded(key) if type(key) is str else key] = coeff
     return x._with_terms(terms)
+
+
+def _int_terms(element: HH0Element):
+    """The cycle terms of ``element`` as ``(code, period, Counter of one
+    period's codes, coefficient times d)``, and d, the least common
+    denominator of all its coefficients: so each term's coefficient is an
+    ``HBarPolynomial`` with ``int`` coefficients."""
+    d = lcm(*[c.denominator for coeff in element.terms.values() for c in coeff.coeffs])
+    out = []
+    for n, coeff in element.items():
+        s = n.code
+        if s:
+            p = _period(s)
+            out.append((s, p, Counter(s[:p]), coeff * d))
+    return out, d
 
 
 class TensorElement(LinearCombination):

@@ -231,6 +231,8 @@ def test_verify_rejects_flags_the_suite_does_not_read(capsys):
         (("verify", "ideal", "--r", "v=1"), "--r"),
         (("verify", "poisson", "--seed", "9"), "--seed"),
         (("verify", "gauge", "-q", q("a2"), "--seed", "0"), "--seed"),
+        (("verify", "ideal", "-q", q("jordan"), "--dim", "v=1", "--r", "v=1", "--seed", "5"), "--seed"),
+        (("verify", "ideal", "-q", q("a2"), "--lambda", "1=1,2=-1", "--seed", "0"), "--seed"),
     ]
     for argv, flag in cases:
         code, out = run(*argv)

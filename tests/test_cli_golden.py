@@ -11,6 +11,7 @@ the file with
 import io
 import json
 import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 
@@ -94,6 +95,32 @@ def test_golden_file_covers_every_command():
 def test_cli_output_matches_golden(argv):
     entry = next(e for e in _load() if e["argv"] == argv)
     assert _run(argv) == {"exit": entry["exit"], "stdout": entry["stdout"]}
+
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    """Necklaces hash by their str codes, and str hashes change with
+    PYTHONHASHSEED: the bracket, dbracket and verify lie commands print
+    their golden bytes under two hash seeds, each run in a fresh process."""
+    commands = ("bracket ", "dbracket ", "verify lie ")
+    entries = [e for e in _load() if " ".join(e["argv"]).startswith(commands)]
+    assert {e["argv"][0] for e in entries} == {"bracket", "dbracket", "verify"}
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
+    script = (
+        "import json, sys\n"
+        "from test_cli_golden import _run\n"
+        "print(json.dumps([_run(argv) for argv in json.load(sys.stdin)]))\n"
+    )
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            input=json.dumps([e["argv"] for e in entries]),
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        expected = [{"exit": e["exit"], "stdout": e["stdout"]} for e in entries]
+        assert json.loads(proc.stdout) == expected
 
 
 if __name__ == "__main__":

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,19 +10,23 @@ from nhq import (
     CompositionError,
     HH0Element,
     Letter,
+    Necklace,
     Path,
     PathAlgebraElement,
     canonical_necklace,
     double_bracket,
+    idempotent_class,
     make_gauge_expression,
     make_path,
     moment_map,
     natural_projection,
     necklace_bracket,
+    necklace_key,
     path_mul,
     xi,
 )
 from nhq.expr import format_hh0, parse_hh0_element, parse_path_element
+from nhq.necklace import _code, _coded
 from nhq.repspace import PolyElement
 from nhq.sampling import (
     random_dimension,
@@ -55,6 +62,66 @@ def test_canonical_necklace_rotation_oracle(A3P):
 def test_canonical_necklace_rejects_non_composable(A2):
     with pytest.raises(CompositionError):
         canonical_necklace(A2, (Letter(0, False), Letter(0, False)))
+
+
+# -- necklace identity -------------------------------------------------------
+
+#: the frozen dataclass ``Necklace`` was before it was keyed by its code
+_DataclassNecklace = dataclasses.make_dataclass(
+    "Necklace", [("vertex", object), ("letters", tuple)], frozen=True
+)
+
+
+def _least_rotations(quiver, max_len):
+    """The least rotation of every cyclically composable word of up to
+    ``max_len`` letters, by brute force over letter tuples."""
+    letters = list(quiver.letters())
+    found = set()
+    for n in range(1, max_len + 1):
+        for word in itertools.product(letters, repeat=n):
+            if all(word[k].source(quiver) == word[(k + 1) % n].target(quiver) for k in range(n)):
+                found.add(min(word[k:] + word[:k] for k in range(n)))
+    return sorted(found)
+
+
+def test_necklace_identity_is_its_code():
+    """Letter-built and code-built necklaces agree on equality, hash,
+    letters, length, basis order and repr, for every necklace of up to 6
+    letters on the small quivers; idempotent classes equal no cycle."""
+    for quiver in small_quivers():
+        words = _least_rotations(quiver, 6)
+        idems = [idempotent_class(v) for v in range(len(quiver.vertices))]
+        built, coded = [], []
+        for word in words:
+            n, m = Necklace(None, word), _coded(_code(word))
+            assert n == m and hash(n) == hash(m) and m in {n}
+            assert canonical_necklace(quiver, word[1:] + word[:1]) == n
+            assert m.letters == n.letters == word
+            assert all(type(l) is Letter and type(l.starred) is bool for l in m.letters)
+            assert len(m) == len(n) == len(word) and not m.is_idempotent
+            assert repr(m) == repr(n) == repr(_DataclassNecklace(None, word))
+            assert pickle.loads(pickle.dumps(m)) == m
+            built.append(n)
+            coded.append(m)
+        assert len(set(coded)) == len(words)
+        for v, e in enumerate(idems):
+            assert e == Necklace(v, ()) and hash(e) == hash(Necklace(v, ()))
+            assert e.is_idempotent and len(e) == 0 and e.letters == ()
+            assert repr(e) == repr(_DataclassNecklace(v, ()))
+            assert all(e != n for n in coded)
+        assert len(set(idems + coded)) == len(idems) + len(coded)
+        old_key = lambda n: (0, n.vertex, ()) if n.is_idempotent else (1, len(n.letters), n.letters)
+        everything = idems + coded
+        random.Random(len(everything)).shuffle(everything)
+        assert sorted(everything, key=necklace_key) == sorted(everything, key=old_key)
+
+
+def test_necklace_attributes_are_read_only():
+    n = _coded("\x00\x01")
+    for name, value in (("vertex", 0), ("code", "\x00"), ("letters", ())):
+        with pytest.raises(AttributeError):
+            setattr(n, name, value)
+    assert n.vertex is None and n.code == "\x00\x01"
 
 
 # -- necklace bracket --------------------------------------------------------

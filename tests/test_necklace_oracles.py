@@ -12,6 +12,7 @@ is checked against its definition through ``Letter.star``.
 
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from nhq import (
     Letter,
     Necklace,
     idempotent_class,
+    make_quiver,
     necklace_bracket,
 )
 from nhq.linear import add_into
@@ -32,6 +34,7 @@ from nhq.quiver import MAX_ARROWS
 from nhq.rings import HBarPolynomial
 from nhq.sampling import (
     jordan,
+    two_loop,
     random_closed_word,
     random_coefficient,
     random_hh0,
@@ -319,6 +322,71 @@ def test_long_jordan_pair_cancels_its_even_chains(monkeypatch):
     assert got == reference_bracket(a, b)
     assert len(calls) == len(got.terms)
     assert 8 * len(calls) < pairs
+
+
+# -- exact int sums over a common denominator ---------------------------------
+
+
+def _poly(*coeffs):
+    return HBarPolynomial([Fraction(c) for c in coeffs])
+
+
+#: the letters of the two-loop quiver by name
+_LOOP = {"x": Letter(0, False), "x'": Letter(0, True), "y": Letter(1, False), "y'": Letter(1, True)}
+
+
+def test_bracket_sums_h_powers_over_coprime_denominators():
+    """Coefficients with powers of h and coprime denominators on both
+    operands, so the common denominators and the per-power sums all act."""
+    quiver = two_loop()
+    cls = lambda word: nhq.canonical_necklace(quiver, [_LOOP[c] for c in word.split()])
+    x = HH0Element(quiver, {
+        cls("x x y'"): _poly("1/2", "1/3"),
+        cls("x y' y"): _poly(0, "-5/7"),
+        cls("x' y"): _poly("3/11", 0, "1/13"),
+    })
+    y = HH0Element(quiver, {
+        cls("x' y' y"): _poly(0, 0, "2/5"),
+        cls("x x' y"): _poly("7/9"),
+        cls("y x' x'"): _poly("-1/4", "3/8"),
+    })
+    got = necklace_bracket(x, y)
+    assert got == reference_bracket(x, y)
+    assert max(c.degree for c in got.terms.values()) == 4
+    assert any(type(c) is Fraction for p in got.terms.values() for c in p.coeffs)
+
+
+def test_bracket_drops_keys_whose_sums_cancel():
+    """[y] arises from {[xy], [x']} and {[x'y], [x]} with opposite signs and
+    equal coefficient products, so it cancels; [xy] stays."""
+    quiver = two_loop()
+    cls = lambda word: nhq.canonical_necklace(quiver, [_LOOP[c] for c in word.split()])
+    x = HH0Element(
+        quiver, {cls("x y"): _poly("1/2"), cls("x' y"): _poly("1/3"), cls("x x y"): _poly(0, 1)}
+    )
+    y = HH0Element(quiver, {cls("x"): _poly("3/5"), cls("x'"): _poly("2/5")})
+    got = necklace_bracket(x, y)
+    assert got == reference_bracket(x, y)
+    assert set(got.terms) == {cls("x y")}
+    assert got.terms[cls("x y")] == _poly(0, "4/5")
+    # with no term left, the bracket is zero
+    assert necklace_bracket(x - HH0Element.of(quiver, cls("x x y"), _poly(0, 1)), y).is_zero()
+
+
+def test_bracket_empty_merges_keep_their_own_vertices():
+    """Loops at two vertices: {[x], [x']} and {[y], [y']} merge to nothing,
+    each leaving the idempotent class of its own loop's vertex."""
+    quiver = make_quiver(["1", "2"], [("x", "1", "1"), ("a", "1", "2"), ("y", "2", "2")])
+    x, y = Letter(0, False), Letter(2, False)
+    cls = lambda *word: nhq.canonical_necklace(quiver, word)
+    u = HH0Element(quiver, {cls(x): _poly("1/2", 1), cls(y): _poly("2/3")})
+    v = HH0Element(quiver, {cls(x.star()): _poly(0, "3/7"), cls(y.star()): _poly(5)})
+    got = necklace_bracket(u, v)
+    assert got == reference_bracket(u, v)
+    assert got.terms == {
+        idempotent_class(0): _poly(0, "3/14", "3/7"),
+        idempotent_class(1): _poly("10/3"),
+    }
 
 
 def test_bracket_rejects_hand_built_non_composable_operands(A2):
