@@ -429,28 +429,22 @@ def double_bracket(x: PathAlgebraElement, y: PathAlgebraElement) -> TensorElemen
     only with its partner code, found in a partner-to-positions index of q.
     Tensor terms are counted per operand-term pair under coded keys, an
     empty factor keyed by its vertex, and each distinct factor is decoded
-    to a ``Path`` once, at the end.
+    to a ``Path`` once, at the end, through ``_LETTER``.
     """
     if x.quiver != y.quiver:
         raise MismatchError("double_bracket operands live over different quivers")
     quiver = x.quiver
-    # a term holds only operand letters, so their codes decode every key
-    letter = {}
 
     def coded(element):
         """(code, length, codes, coefficient) per nontrivial path term."""
-        out = []
-        for p, c in element.items():
-            if not p.is_trivial:
-                s = _code(p.letters)
-                letter.update(zip(s, p.letters))
-                out.append((s, len(s), Counter(s), c))
-        return out
+        words = [(_code(p.letters), c) for p, c in element.items() if not p.is_trivial]
+        return [(s, len(s), Counter(s), c) for s, c in words]
 
     xs, ys = coded(x), coded(y)
     _check_merge_letters(xs, ys, "double bracket terms")
     # the empty factors of a contraction of code c sit at its source and target
-    ends = {c: (u.source(quiver), u.target(quiver)) for c, u in letter.items()}
+    letters = {c for _, _, counts, _ in xs for c in counts}
+    ends = {c: (_LETTER[c].source(quiver), _LETTER[c].target(quiver)) for c in letters}
     indexed = []
     for b, _, _, cb in ys:
         partners = {}
@@ -476,7 +470,7 @@ def double_bracket(x: PathAlgebraElement, y: PathAlgebraElement) -> TensorElemen
                 if count:
                     add_into(out, key, coeff * count)
     paths = {
-        f: Path(tuple(map(letter.__getitem__, f))) if isinstance(f, str) else Path.trivial(f)
+        f: Path(tuple(map(_LETTER.__getitem__, f))) if isinstance(f, str) else Path.trivial(f)
         for f in {f for pair in out for f in pair}
     }
     return TensorElement(quiver)._with_terms({(paths[p], paths[q]): c for (p, q), c in out.items()})

@@ -20,8 +20,9 @@ from .linear import LinearCombination, add_into
 
 NAME_PATTERN = re.compile(r"[A-Za-z0-9_]+\Z")
 
-#: most arrows a quiver may have: the necklace bracket codes each letter as
-#: one character, chr(2*arrow + starred), and chr stops at sys.maxunicode
+#: most arrows a quiver may have: every coded layer (necklaces, both brackets,
+#: height configurations and their caches) codes a letter as one character,
+#: chr(2*arrow + starred), and chr stops at sys.maxunicode
 MAX_ARROWS = (sys.maxunicode + 1) // 2
 
 

@@ -642,7 +642,7 @@ class _Codec:
             return lambda row, col: self.derivative((arrow, col, row))
         return lambda row, col: self.position((arrow, row, col))
 
-    def _decode(self, bits: int, high: int):
+    def _unpack_half(self, bits: int, high: int):
         """The sorted (var, exp) tuple of one half of a key, and its degree;
         only the nonzero fields are visited."""
         names, width, mask = self._names[high], self.width, self.mask
@@ -661,7 +661,7 @@ class _Codec:
         stands for its coefficient times h^((factors - n) / 2).  Each half
         of a key is decoded once per codec."""
         out = {}
-        low, split, decode = (1 << self.split) - 1, self.split, self._decode
+        low, split, decode = (1 << self.split) - 1, self.split, self._unpack_half
         lows, highs = self._halves
         coeffs = self._coeffs
         for key, c in terms.items():
@@ -838,7 +838,7 @@ def block_matrix(x, dim, mode: str = "classical") -> BlockMatrix:
         quiver = x.quiver
         vertices = set()
         for cfg in x.terms:
-            if len(cfg.components) != 1 or cfg.idempotents:
+            if len(cfg.codes) != 1 or cfg.idempotents:
                 raise ValueError("quantum matrix needs single-component terms")
             comp = cfg.components[0]
             vertices.add(comp[0][0].target(quiver))

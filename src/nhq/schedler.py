@@ -23,17 +23,18 @@ Every correction costs one factor +-h and exactly two letters, so in the
 expansion of an N-letter configuration the coefficient of an n-letter term
 is an integer times h^((N - n)/2).  The rewriting kernel therefore works on
 plain ``int`` coefficients with the power of h implied by the letter count.
-It also works on coded configurations: a normalized configuration is the
-triple (codes, heights, idempotents) of one ``str`` per component (one
+A configuration has one form from straightening to the trace cache, its
+coded key (codes, heights, idempotents): one ``str`` per component (one
 character per letter, ``necklace._code``), one tuple of ``int`` heights per
-component and the sorted idempotent vertices.  The straighten cache holds
-``(coded configuration, int)`` pairs, which hold only ``str`` and ``int``:
-CPython stops tracking such tuples, so full garbage collections skip the
-cache.  A ``HeightConfiguration`` is built only at the one boundary,
-``_normal_terms``, which also restores h^((N - n)/2) for ``straighten``,
-``qpa_mul``, ``moment_lift`` and ``ideal_generator``.  A correction drops
-the letters at heights h and h + 1 of a configuration with heights 1..N,
-so it is renumbered by moving the heights above h + 1 down by two.
+component and the sorted idempotent vertices.  A ``HeightConfiguration``
+stores that key and decodes its ``Letter``s only when read; the kernel and
+the straighten cache work on bare keys.  The cache holds ``(key, int)``
+pairs, which hold only ``str`` and ``int``: CPython stops tracking such
+tuples, so full garbage collections skip the cache.  ``_normal_terms``
+restores h^((N - n)/2) for ``straighten``, ``qpa_mul``, ``moment_lift``
+and ``ideal_generator``.  A correction drops the letters at heights h and
+h + 1 of a configuration with heights 1..N, so it is renumbered by moving
+the heights above h + 1 down by two.
 
 Each call of those four counts the height swaps the kernel computes for it
 (cached normal forms cost none) and is refused with ``WorkLimitError``
@@ -49,8 +50,10 @@ from functools import lru_cache
 from .errors import CompositionError, ExpressionError, MismatchError, WorkLimitError
 from .linear import LinearCombination, add_into
 from .necklace import (
+    _LETTER,
     Necklace,
     _code,
+    _coded,
     _rotation_start,
     bracket_sign,
     idempotent_class,
@@ -60,22 +63,51 @@ from .quiver import Letter, Quiver
 from .rings import HBarPolynomial, as_fraction
 
 
-@dataclass(frozen=True)
 class HeightConfiguration:
     """Normalized configuration: components of (letter, height) pairs plus
     idempotent factors.  Heights are exactly 1..N; each component starts at
-    its minimal height; components are sorted by starting height."""
+    its minimal height; components are sorted by starting height.
 
-    components: tuple[tuple[tuple[Letter, int], ...], ...]
-    idempotents: tuple[int, ...]
+    It stores the kernel's key ``(codes, heights, idempotents)``, which
+    equality and hash read; ``components`` decodes it through
+    ``necklace._LETTER`` on each read, so a configuration holds no
+    ``Letter``.  ``_config`` builds one from a key.  Attributes are read-only.
+    """
+
+    __slots__ = ("_key",)
+
+    def __init__(self, components, idempotents):
+        comps = [tuple(comp) for comp in components]
+        codes = tuple([_code([letter for letter, _ in comp]) for comp in comps])
+        heights = tuple([tuple([h for _, h in comp]) for comp in comps])
+        self._key = (codes, heights, tuple(idempotents))
+
+    codes = property(lambda self: self._key[0])
+    heights = property(lambda self: self._key[1])
+    idempotents = property(lambda self: self._key[2])
+    letter_count = property(lambda self: sum(map(len, self._key[0])))
+    is_unit = property(lambda self: not self._key[0] and not self._key[2])
 
     @property
-    def letter_count(self) -> int:
-        return sum(map(len, self.components))
+    def components(self) -> tuple[tuple[tuple[Letter, int], ...], ...]:
+        codes, heights, _ = self._key
+        return tuple([tuple(zip(map(_LETTER.__getitem__, s), hs)) for s, hs in zip(codes, heights)])
 
-    @property
-    def is_unit(self) -> bool:
-        return not self.components and not self.idempotents
+    def __eq__(self, other):
+        return self._key == other._key if type(other) is HeightConfiguration else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return f"HeightConfiguration(components={self.components!r}, idempotents={self.idempotents!r})"
+
+
+def _config(key) -> HeightConfiguration:
+    """The configuration of a coded key ``(codes, heights, idempotents)``."""
+    cfg = object.__new__(HeightConfiguration)
+    cfg._key = key
+    return cfg
 
 
 #: Entries kept by each module-level cache (default-strategy normal forms
@@ -90,7 +122,7 @@ CACHE_SIZE = 1 << 16
 #: 20 letters about 450,000 (2 s and 6 s of work).
 MAX_REWRITES = 1 << 18
 
-#: Quivers whose code tables are kept (``_quiver_key``, ``_code_tables``).
+#: Quivers whose code tables are kept (``_quiver_key``, ``_targets``).
 _QUIVER_TABLES = 64
 
 
@@ -104,28 +136,9 @@ def _quiver_key(quiver: Quiver) -> str:
 
 
 @lru_cache(maxsize=_QUIVER_TABLES)
-def _code_tables(qkey: str):
-    """The target vertex of each code point and the ``Letter`` of each code
-    character, for the quiver named ``qkey``."""
-    targets = tuple(map(int, qkey.split(","))) if qkey else ()
-    return targets, {chr(k): Letter(k >> 1, bool(k & 1)) for k in range(len(targets))}
-
-
-def _encode(components):
-    """(codes, heights) of components of (letter, height) pairs."""
-    return (
-        tuple([_code([letter for letter, _ in comp]) for comp in components]),
-        tuple([tuple([h for _, h in comp]) for comp in components]),
-    )
-
-
-def _decode(letter, key) -> HeightConfiguration:
-    """The configuration of a coded one, through a code-to-``Letter`` table."""
-    codes, heights, idems = key
-    return HeightConfiguration(
-        tuple([tuple(zip(map(letter.__getitem__, s), hs)) for s, hs in zip(codes, heights)]),
-        idems,
-    )
+def _targets(qkey: str) -> tuple[int, ...]:
+    """The target vertex of each code point, for the quiver named ``qkey``."""
+    return tuple(map(int, qkey.split(","))) if qkey else ()
 
 
 def _normalize(codes, heights, idems):
@@ -168,8 +181,8 @@ def make_configuration(quiver: Quiver, components, idempotents=()) -> HeightConf
     for v in idempotents:
         if not (0 <= v < len(quiver.vertices)):
             raise CompositionError(f"unknown vertex index {v} in idempotent factor")
-    key = _normalize(*_encode(comps), idempotents)
-    return _decode(_code_tables(_quiver_key(quiver))[1], key)
+    cfg = HeightConfiguration(comps, idempotents)
+    return _config(_normalize(cfg.codes, cfg.heights, cfg.idempotents))
 
 
 def canonical_configuration(quiver: Quiver, necklaces, extra_idempotents=()) -> HeightConfiguration:
@@ -180,13 +193,17 @@ def canonical_configuration(quiver: Quiver, necklaces, extra_idempotents=()) -> 
     idems = sorted(
         [n.vertex for n in necklaces if n.is_idempotent] + list(extra_idempotents)
     )
-    comps = []
-    t = 1
-    for neck in words:
-        n = len(neck.letters)
-        comps.append(tuple(zip(neck.letters, range(t, t + n))))
-        t += n
-    return HeightConfiguration(tuple(comps), tuple(idems))
+    codes = tuple([neck.code for neck in words])
+    return _config((codes, _blocks(codes), tuple(idems)))
+
+
+def _blocks(codes):
+    """The heights of words ``codes`` stacked in order: 1..N, block by block."""
+    t, blocks = 1, []
+    for s in codes:
+        blocks.append(tuple(range(t, t + len(s))))
+        t += len(s)
+    return tuple(blocks)
 
 
 def _canonical_targets(codes, heights):
@@ -213,7 +230,7 @@ def _canonical_targets(codes, heights):
 
 
 def is_canonical(quiver: Quiver, cfg: HeightConfiguration) -> bool:
-    seq, _ = _canonical_targets(*_encode(cfg.components))
+    seq, _ = _canonical_targets(cfg.codes, cfg.heights)
     return seq == list(range(1, len(seq) + 1))
 
 
@@ -257,7 +274,7 @@ def _rewrite(qkey, codes, heights, idems, pick, rng, normal_form):
     coefficient of an n-letter cfg is c*h^((N - n)/2).
     ``normal_form(qkey, codes, heights, idems)`` expands each normalized
     correction term the same way."""
-    targets, letter = _code_tables(qkey)
+    targets = _targets(qkey)
     # The target normal-form height of every position is fixed once here;
     # the swap chain below strictly lowers the inversion count against it,
     # so the chain terminates no matter how rotation or block-order ties
@@ -283,7 +300,7 @@ def _rewrite(qkey, codes, heights, idems, pick, rng, normal_form):
         v = codes[cj][pj]
         swaps += 1
 
-        sign = bracket_sign(letter[u], letter[v])
+        sign = bracket_sign(_LETTER[u], _LETTER[v])
         if sign:
             # Correction: drop the two contracted letters from the pre-swap
             # configuration.  It costs one factor -sign*h and two letters,
@@ -327,13 +344,8 @@ def _rewrite(qkey, codes, heights, idems, pick, rng, normal_form):
     if left < 0:
         raise WorkLimitError(f"straightening needs more rewrites than the limit {MAX_REWRITES}")
     _rewrites_left[0] = left
-    t = 1
-    blocks = []
-    for s in necklaces:
-        blocks.append(tuple(range(t, t + len(s))))
-        t += len(s)
     # corrections have fewer letters, so this key is new
-    out[necklaces, tuple(blocks), idems] = 1
+    out[necklaces, _blocks(necklaces), idems] = 1
     return tuple([(key, c) for key, c in out.items() if c])
 
 
@@ -351,11 +363,11 @@ def _normal_terms(quiver, configs, normal_form=_normal_form) -> dict:
     ``scale`` times the normal form of a normalized coded configuration
     ``(codes, heights, idems, scale)``.
 
-    This is the one decode boundary.  The kernel's int coefficient c of an
-    n-letter term gets back its h^((N - n)/2), N being the letter count of
-    its configuration; terms are summed under their coded keys, and each
-    distinct key is decoded once.  The kernel may compute ``MAX_REWRITES``
-    height swaps for all of ``configs`` together."""
+    The kernel's int coefficient c of an n-letter term gets back its
+    h^((N - n)/2), N being the letter count of its configuration; terms are
+    summed under their coded keys, each of which becomes the key of one
+    configuration.  The kernel may compute ``MAX_REWRITES`` height swaps
+    for all of ``configs`` together."""
     qkey = _quiver_key(quiver)
     _rewrites_left[0] = MAX_REWRITES
     out: dict = {}
@@ -363,8 +375,7 @@ def _normal_terms(quiver, configs, normal_form=_normal_form) -> dict:
         n_letters = sum(map(len, codes))
         for key, c in normal_form(qkey, codes, heights, idems):
             add_into(out, key, scale.scaled_shift(c, (n_letters - sum(map(len, key[0]))) >> 1))
-    letter = _code_tables(qkey)[1]
-    return {_decode(letter, key): c for key, c in out.items()}
+    return {_config(key): c for key, c in out.items()}
 
 
 def clear_straighten_cache() -> None:
@@ -430,21 +441,20 @@ def straighten(
         def normal_form(qkey, codes, heights, idems):
             return _rewrite(qkey, codes, heights, idems, pick, rng, normal_form)
 
-    coded = _normalize(*_encode(cfg.components), cfg.idempotents)
+    coded = _normalize(cfg.codes, cfg.heights, cfg.idempotents)
     return QPAElement(quiver, _normal_terms(quiver, [(*coded, _ONE)], normal_form))
 
 
 def qpa_mul(x: QPAElement, y: QPAElement) -> QPAElement:
-    """Stack y above x: shift y's heights past x's, then straighten.  Each
-    operand term is coded once; the stacked components are normalized
-    already: x's start below y's."""
+    """Stack y above x: shift y's heights past x's, then straighten.  The
+    stacked components are normalized already: x's start below y's."""
     if x.quiver != y.quiver:
         raise MismatchError("qpa_mul operands live over different quivers")
-    ys = [(*_encode(cfg.components), cfg.idempotents, c) for cfg, c in y.items()]
+    ys = [(cfg.codes, cfg.heights, cfg.idempotents, c) for cfg, c in y.items()]
 
     def stacked():
         for cfg_x, cx in x.items():
-            codes_x, heights_x = _encode(cfg_x.components)
+            codes_x, heights_x = cfg_x.codes, cfg_x.heights
             shift = sum(map(len, codes_x))
             for codes_y, heights_y, idems_y, cy in ys:
                 heights = heights_x + tuple([tuple([h + shift for h in hs]) for hs in heights_y])
@@ -520,10 +530,7 @@ def project(x: QPAElement) -> SymElement:
     """Forget heights; inverse of lift on normal forms."""
     out: dict = {}
     for cfg, coeff in x.items():
-        necklaces = [
-            Necklace(None, tuple(letter for (letter, _) in comp))
-            for comp in cfg.components
-        ]
+        necklaces = [_coded(s) for s in cfg.codes]
         necklaces += [idempotent_class(v) for v in cfg.idempotents]
         add_into(out, make_sym_monomial(necklaces), coeff)
     return SymElement(x.quiver, out)

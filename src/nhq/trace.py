@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .expr import format_element
 from .linear import add_into
-from .necklace import HH0Element, Necklace, canonical_necklace, idempotent_class, necklace_key
+from .necklace import _LETTER, HH0Element, Necklace, canonical_necklace, idempotent_class, necklace_key
 from .quiver import Quiver
 from .repspace import (
     Character,
@@ -49,6 +49,7 @@ from .repspace import (
 from .rings import ONE, HBarPolynomial
 from .schedler import (
     CACHE_SIZE,
+    HeightConfiguration,
     QPAElement,
     ReductionParameters,
     ideal_generator,
@@ -93,13 +94,14 @@ def trace_quantum_config(quiver: Quiver, dim, components, idempotents) -> WeylEl
     ``clear_trace_cache`` empties it.  The returned element is shared with
     the cache, so callers must not mutate it.
     """
-    return _trace_config(quiver, tuple(dim), tuple(components), tuple(idempotents))
+    return _trace_config(quiver, tuple(dim), HeightConfiguration(components, idempotents))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _trace_config(quiver, dim, components, idempotents):
-    traced = _contract_letters(quiver, dim, components, True)
-    scalar = math.prod(dim[v] for v in idempotents)
+def _trace_config(quiver, dim, cfg):
+    """The trace cache, keyed by a configuration: it is decoded on a miss."""
+    traced = _contract_letters(quiver, dim, cfg.components, True)
+    scalar = math.prod(dim[v] for v in cfg.idempotents)
     return traced if scalar == 1 else traced.scale(scalar)
 
 
@@ -117,18 +119,13 @@ def trace_quantum(x: QPAElement, dim) -> WeylElement:
     dim = make_dimension_vector(quiver, dim)
     if len(x.terms) == 1:  # its contraction checks the budget
         ((cfg, coeff),) = x.items()
-        traced = trace_quantum_config(quiver, dim, cfg.components, cfg.idempotents)
+        traced = _trace_config(quiver, dim, cfg)
         return traced if coeff == ONE else traced.scale(coeff)
-    _check_assignments(
-        sum(
-            math.prod([dim[l.target(quiver)] for comp in cfg.components for l, _ in comp])
-            for cfg in x.terms
-        )
-    )
+    sizes = lambda cfg: [dim[_LETTER[c].target(quiver)] for s in cfg.codes for c in s]
+    _check_assignments(sum([math.prod(sizes(cfg)) for cfg in x.terms]))
     out: dict = {}
     for cfg, coeff in x.items():
-        traced = trace_quantum_config(quiver, dim, cfg.components, cfg.idempotents)
-        for mono, c in traced.items():
+        for mono, c in _trace_config(quiver, dim, cfg).items():
             add_into(out, mono, c * coeff)
     return WeylElement(quiver, dim)._with_terms(out)
 

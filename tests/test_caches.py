@@ -24,9 +24,7 @@ from nhq import (
 from nhq.sampling import random_configuration, random_necklace, small_quivers
 from nhq.schedler import (
     CACHE_SIZE,
-    _code_tables,
-    _decode,
-    _encode,
+    _config,
     _normal_form,
     _normal_terms,
     _quiver_key,
@@ -58,7 +56,7 @@ def test_straighten_cache_holds_int_coefficients(L2):
     cfg = _two_loop_cfg(L2)
     result = straighten(L2, cfg)
     info = _normal_form.cache_info()
-    entry = _normal_form(_quiver_key(L2), *_encode(cfg.components), cfg.idempotents)
+    entry = _normal_form(_quiver_key(L2), cfg.codes, cfg.heights, cfg.idempotents)
     assert _normal_form.cache_info().hits == info.hits + 1
     assert len(entry) == len(result.terms) > 1
     assert all(type(c) is int for _, c in entry)
@@ -116,20 +114,21 @@ def _cache_entries(cache):
 
 def test_straighten_cache_is_not_tracked_by_the_collector():
     """Keys and values of the straighten cache hold only str and int, so
-    CPython stops tracking them and full collections skip the cache.  A
+    CPython stops tracking them and full collections skip the cache; so do
+    the codes and heights that key the terms of every ``QPAElement``.  A
     tuple holding a ``Letter`` (a named tuple) is never untracked."""
     rng = random.Random(7)
+    elements = []
     for quiver in small_quivers():
         # the pbw shapes: shuffled configurations, products and commutators
         # of lifted necklaces; and the other two straightening entry points
         for _ in range(3):
-            straighten(quiver, random_configuration(rng, quiver, max_letters=8, max_idempotents=1))
+            cfg = random_configuration(rng, quiver, max_letters=8, max_idempotents=1)
+            elements.append(straighten(quiver, cfg))
         x, y, z = (lift_necklace(quiver, random_necklace(rng, quiver, 4)) for _ in range(3))
-        qpa_mul(qpa_mul(x, y), z)
-        qpa_comm(x, y)
-        moment_lift(quiver)
+        elements += [x, y, z, qpa_mul(qpa_mul(x, y), z), qpa_comm(x, y), moment_lift(quiver)]
         p = random_necklace(rng, quiver, 3, allow_idempotent=False)
-        ideal_generator(quiver, p, p.letters[0].source(quiver), 0)
+        elements.append(ideal_generator(quiver, p, p.letters[0].source(quiver), 0))
     # A collection untracks a tuple only when its items are untracked, and
     # it meets a container before the items it holds, so each collection
     # untracks one level of nesting: a value nests five deep (entries,
@@ -139,6 +138,9 @@ def test_straighten_cache_is_not_tracked_by_the_collector():
     entries = _cache_entries(_normal_form)
     assert len(entries) == _normal_form.cache_info().currsize > 100
     assert not any(gc.is_tracked(key) or gc.is_tracked(value) for key, value in entries)
+    keys = [cfg for element in elements for cfg in element.terms]
+    assert len(keys) > 100 and any(cfg.codes for cfg in keys)
+    assert not any(gc.is_tracked(cfg.codes) or gc.is_tracked(cfg.heights) for cfg in keys)
 
 
 def test_rewrite_budget_refuses_and_leaves_a_correct_cache(J, monkeypatch):
@@ -152,12 +154,11 @@ def test_rewrite_budget_refuses_and_leaves_a_correct_cache(J, monkeypatch):
         straighten(J, cfg)
     # the refused call cached the corrections it finished, and nothing else
     entries = _cache_entries(_normal_form)
-    top = (_quiver_key(J), *_encode(cfg.components), cfg.idempotents)
+    top = (_quiver_key(J), cfg.codes, cfg.heights, cfg.idempotents)
     assert entries and top not in dict(entries)
     monkeypatch.undo()
-    letter = _code_tables(_quiver_key(J))[1]
     for (_, *coded), _ in entries:
         cached = QPAElement(J, _normal_terms(J, [(*coded, HBarPolynomial.one())]))
-        assert cached == straighten(J, _decode(letter, coded), strategy="last")
+        assert cached == straighten(J, _config(tuple(coded)), strategy="last")
     assert straighten(J, cfg) == expected
     assert straighten(J, cfg, strategy="random", rng=random.Random(1)) == expected

@@ -99,12 +99,14 @@ def test_cli_output_matches_golden(argv):
 
 
 def test_output_does_not_depend_on_the_hash_seed():
-    """Necklaces hash by their str codes, and str hashes change with
-    PYTHONHASHSEED: the bracket, dbracket and verify lie commands print
-    their golden bytes under two hash seeds, each run in a fresh process."""
-    commands = ("bracket ", "dbracket ", "verify lie ")
+    """Necklaces and height configurations hash by their str codes, and str
+    hashes change with PYTHONHASHSEED: the bracket, dbracket, qmul, qcomm,
+    qtrace, verify lie and verify pbw commands print their golden bytes
+    under two hash seeds, each run in a fresh process."""
+    commands = ("bracket ", "dbracket ", "qmul ", "qcomm ", "qtrace ", "verify lie ", "verify pbw ")
     entries = [e for e in _load() if " ".join(e["argv"]).startswith(commands)]
-    assert {e["argv"][0] for e in entries} == {"bracket", "dbracket", "verify"}
+    verbs = {" ".join(e["argv"][: 2 if e["argv"][0] == "verify" else 1]) for e in entries}
+    assert verbs == {command.strip() for command in commands}
     here = os.path.dirname(os.path.abspath(__file__))
     path = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
     script = (

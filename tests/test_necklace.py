@@ -8,6 +8,7 @@ import pytest
 
 from nhq import (
     CompositionError,
+    HeightConfiguration,
     HH0Element,
     Letter,
     Necklace,
@@ -23,12 +24,15 @@ from nhq import (
     necklace_bracket,
     necklace_key,
     path_mul,
+    straighten,
     xi,
 )
 from nhq.expr import format_hh0, parse_hh0_element, parse_path_element
 from nhq.necklace import _code, _coded
+from nhq.schedler import _config
 from nhq.repspace import PolyElement
 from nhq.sampling import (
+    random_configuration,
     random_dimension,
     random_hh0,
     random_path_element,
@@ -114,6 +118,52 @@ def test_necklace_identity_is_its_code():
         everything = idems + coded
         random.Random(len(everything)).shuffle(everything)
         assert sorted(everything, key=necklace_key) == sorted(everything, key=old_key)
+
+
+#: the frozen dataclass ``HeightConfiguration`` was before it was keyed by
+#: its code
+_DataclassConfiguration = dataclasses.make_dataclass(
+    "HeightConfiguration", [("components", tuple), ("idempotents", tuple)], frozen=True
+)
+
+
+def test_configuration_identity_is_its_code():
+    """Letter-built and code-built configurations agree on equality, hash,
+    components, letter count, unit test, pickling and repr, for seeded
+    random configurations of the small quivers and their straightened
+    terms; every attribute is read-only."""
+    rng = random.Random(19)
+    for quiver in small_quivers():
+        configs = [
+            random_configuration(rng, quiver, max_letters=8, max_idempotents=2) for _ in range(8)
+        ]
+        configs += [term for cfg in list(configs) for term in straighten(quiver, cfg).terms]
+        configs.append(HeightConfiguration((), ()))
+        for cfg in configs:
+            comps, idems = cfg.components, cfg.idempotents
+            built = HeightConfiguration(comps, idems)
+            coded = _config((cfg.codes, cfg.heights, idems))
+            assert built == coded == cfg and hash(built) == hash(coded) == hash(cfg)
+            assert coded in {built} and built.codes == tuple(_code(l for l, _ in c) for c in comps)
+            assert built.heights == tuple(tuple(h for _, h in c) for c in comps)
+            # letters with int stars code alike and decode with bool stars
+            ints = [[(Letter(l.arrow, int(l.starred)), h) for l, h in comp] for comp in comps]
+            decoded = HeightConfiguration(ints, idems).components
+            assert coded.components == built.components == decoded == comps
+            assert all(
+                type(l) is Letter and type(l.starred) is bool and type(h) is int
+                for comp in decoded for l, h in comp
+            )
+            old = _DataclassConfiguration(comps, idems)
+            assert coded.letter_count == sum(map(len, old.components))
+            assert coded.is_unit == (not old.components and not old.idempotents)
+            assert repr(coded) == repr(built) == repr(old)
+            assert pickle.loads(pickle.dumps(coded)) == cfg
+            names = ("components", "idempotents", "codes", "heights", "letter_count", "is_unit", "x")
+            for name in names:
+                with pytest.raises(AttributeError):
+                    setattr(coded, name, ())
+        assert len(set(configs)) == len(set(map(repr, configs)))
 
 
 def test_necklace_attributes_are_read_only():

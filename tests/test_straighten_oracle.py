@@ -8,7 +8,7 @@ HBarPolynomial coefficients that it replaced.
 components).  The library's kernel instead works on coded configurations
 (one str of letter codes and one tuple of int heights per component),
 accumulates plain ints, renumbers a correction from its two dropped
-heights, and decodes and restores h^((N - n)/2) once, at the boundary.
+heights, and restores h^((N - n)/2) once, at the boundary.
 Both must agree exactly on every public entry point, and both must take
 the same rewrite tree: the same height swaps, in the same order.
 """
@@ -41,8 +41,8 @@ from nhq.sampling import (
 )
 from nhq.schedler import (
     _PICKERS,
+    HeightConfiguration,
     _drop_pair,
-    _encode,
     canonical_configuration,
     clear_straighten_cache,
     marked_word,
@@ -329,8 +329,9 @@ def _check_drop_pair(quiver, seed):
     rng.shuffle(pieces)
     idems = list(cfg.idempotents) + [rng.randrange(len(quiver.vertices))]
     comps, idems_n = normalize_raw(pieces, idems)
-    coded = [(code, list(hs)) for code, hs in zip(*_encode(pieces))]
-    assert _drop_pair(coded, idems, h) == (*_encode(comps), idems_n)
+    cut, expected = HeightConfiguration(pieces, ()), HeightConfiguration(comps, idems_n)
+    coded = [(code, list(hs)) for code, hs in zip(cut.codes, cut.heights)]
+    assert _drop_pair(coded, idems, h) == (expected.codes, expected.heights, idems_n)
 
 
 @SETTINGS
