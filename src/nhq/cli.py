@@ -146,9 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, dim=False, params=False, suite=False):
+    def common(p, dim=False, params=False, suite=False, reports=False):
         p.add_argument("-q", "--quiver", help="quiver file (JSON)")
-        p.add_argument("--json", action="store_true", help="machine-readable reports")
+        if reports:
+            p.add_argument("--json", action="store_true", help="machine-readable reports")
         if dim:
             p.add_argument("--dim", help="dimension vector k=v,...")
         if params:
@@ -169,14 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, params=True)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    common(p, dim=True, params=True, suite=True)
+    common(p, dim=True, params=True, suite=True, reports=True)
     p.add_argument("suite", choices=sorted(SUITES))
 
     p = sub.add_parser("solve-chi", help="solve the reduction character")
-    common(p, dim=True, params=True)
+    common(p, dim=True, params=True, reports=True)
 
     p = sub.add_parser("kernel", help="constraints on r from the kernel of tau")
-    common(p, dim=True, params=True)
+    common(p, dim=True, params=True, reports=True)
 
     return parser
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import CompositionError, DimensionError, ExpressionError, MismatchError
+from .errors import CompositionError, DimensionError, MismatchError
 from .linear import LinearCombination, add_into
 from .quiver import (
     Letter,
@@ -26,9 +26,11 @@ from .quiver import (
     Quiver,
     compose_paths,
     make_path,
+    moment_pairs,
     path_mul,
+    vertex_vector,
 )
-from .rings import HBarPolynomial, as_fraction
+from .rings import HBarPolynomial
 
 
 class _LetterTable(dict):
@@ -495,30 +497,19 @@ def moment_map(quiver: Quiver, lam=None) -> MomentData:
 
     ``lam`` maps vertex names to rationals; omitted vertices default to 0.
     """
-    nv = len(quiver.vertices)
-    lam_vec = [Fraction(0)] * nv
-    if lam:
-        for name, value in lam.items():
-            if not quiver.has_vertex(name):
-                raise ExpressionError(f"unknown vertex {name!r} in lambda")
-            lam_vec[quiver.vertex_index(name)] = as_fraction(value)
+    lam_vec = vertex_vector(quiver, lam)
     components = []
-    for i in range(nv):
+    for i in range(len(quiver.vertices)):
         terms = {}
-        for ai, arrow in enumerate(quiver.arrows):
-            plain = Letter(ai, False)
-            starred = Letter(ai, True)
-            if arrow.target == i:
-                add_into(terms, make_path(quiver, (plain, starred)), 1)
-            if arrow.source == i:
-                add_into(terms, make_path(quiver, (starred, plain)), -1)
+        for sign, first, second in moment_pairs(quiver, i):
+            add_into(terms, make_path(quiver, (first, second)), sign)
         if lam_vec[i]:
             add_into(terms, Path.trivial(i), -lam_vec[i])
         components.append(PathAlgebraElement(quiver, terms))
     total = PathAlgebraElement.zero(quiver)
     for comp in components:
         total = total + comp
-    return MomentData(quiver, tuple(lam_vec), total, tuple(components))
+    return MomentData(quiver, lam_vec, total, tuple(components))
 
 
 @dataclass(frozen=True)

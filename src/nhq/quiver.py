@@ -13,10 +13,12 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import CompositionError, MismatchError, QuiverFormatError
+from .errors import CompositionError, ExpressionError, MismatchError, QuiverFormatError
 from .linear import LinearCombination, add_into
+from .rings import as_fraction
 
 NAME_PATTERN = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -159,6 +161,28 @@ def compose_paths(quiver: Quiver, p: Path, q: Path) -> Path | None:
     if q.is_trivial:
         return p
     return Path(p.letters + q.letters)
+
+
+def moment_pairs(quiver: Quiver, vertex: int):
+    """The signed letter pairs of the moment map at ``vertex``, arrow by
+    arrow: (1, a, a') for t(a) = vertex and (-1, a', a) for s(a) = vertex.
+    Each pair is a two-letter word a a' (or a' a), the first letter leftmost."""
+    for ai, arrow in enumerate(quiver.arrows):
+        if arrow.target == vertex:
+            yield 1, Letter(ai, False), Letter(ai, True)
+        if arrow.source == vertex:
+            yield -1, Letter(ai, True), Letter(ai, False)
+
+
+def vertex_vector(quiver: Quiver, values) -> tuple[Fraction, ...]:
+    """The rationals of ``values``, a map from vertex names, as a tuple in
+    vertex order; a vertex it omits gets 0."""
+    out = [Fraction(0)] * len(quiver.vertices)
+    for name, value in (values or {}).items():
+        if not quiver.has_vertex(name):
+            raise ExpressionError(f"unknown vertex {name!r}")
+        out[quiver.vertex_index(name)] = as_fraction(value)
+    return tuple(out)
 
 
 class PathAlgebraElement(LinearCombination):

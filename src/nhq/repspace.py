@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .errors import DimensionError, MismatchError
 from .linear import LinearCombination, add_into
-from .quiver import Letter, Path, PathAlgebraElement, Quiver
+from .quiver import Letter, Path, PathAlgebraElement, Quiver, moment_pairs
 from .rings import HBarPolynomial, as_fraction
 
 
@@ -146,8 +146,6 @@ def path_matrix_entry(quiver: Quiver, dim, path: Path, row: int, col: int) -> Po
     rmax, cmax = dim[path.target(quiver)], dim[path.source(quiver)]
     if not (1 <= row <= rmax and 1 <= col <= cmax):
         raise DimensionError(f"path entry ({row},{col}) out of range for block {rmax}x{cmax}")
-    if path.is_trivial:
-        return PolyElement.constant(quiver, dim, 1 if row == col else 0)
     word = tuple((letter, t) for t, letter in enumerate(path.letters))
     return _contract_letters(quiver, dim, (word,), False, ((row,), (col,)))[row, col]
 
@@ -750,7 +748,9 @@ def _contract_packed(
     """The contraction of ``_contract_letters`` on packed keys: returns its
     codec, with fields for the words' arrows and ``arrows`` and sized for
     ``extra`` more token products than the words have letters, and the
-    packed sums of ``_contract``."""
+    packed sums of ``_contract``.  The empty open word is the identity
+    matrix: each (row, col) entry is the unit ``{0: 1}`` if row == col and
+    empty otherwise."""
     ranges, slots = [], []
     for word in words:
         first = len(ranges)
@@ -760,11 +760,13 @@ def _contract_packed(
             ranges.append(range(1, dim[letter.target(quiver)] + 1))
     slots.sort(key=lambda hs: hs[0])
     if ends:
-        ranges[0] = ends[0]
-        ranges.append(ends[1])
+        ranges = [ends[0], *ranges[1:], ends[1]]
     _check_assignments(math.prod(len(r) for r in ranges))
     arrows = arrows.union(letter.arrow for _, (letter, _, _) in slots)
     codec = _Codec(quiver, dim, arrows, len(slots) + extra, quantum)
+    if ends and not slots:
+        rows, cols = ends
+        return codec, {(r, c): {0: 1} if r == c else {} for r in rows for c in cols}
     slots = [(codec.entry(letter), i, j) for _, (letter, i, j) in slots]
     free = (0, len(ranges) - 1) if ends else ()
     return codec, _contract(slots, ranges, codec.mask, free)
@@ -788,6 +790,56 @@ def _contract_letters(quiver: Quiver, dim, words, quantum: bool, ends=None):
     if not ends:
         return zero._with_terms(codec.unpack(sums[()], factors))
     return {key: zero._with_terms(codec.unpack(terms, factors)) for key, terms in sums.items()}
+
+
+def _boundary_entries(quiver: Quiver, dim, vertex: int, word):
+    """The nonzero entries ((l_first, l_last), packed terms) of the operator
+    matrix product of ``word``'s letters in word order, sorted by key, and
+    their codec, with fields for the arrows of tau at ``vertex`` and sized
+    for the two token products of a tau term on top of the word's letters."""
+    ends = range(1, dim[vertex] + 1)
+    at_vertex = frozenset(
+        ai for ai, a in enumerate(quiver.arrows) if vertex in (a.source, a.target)
+    )
+    cycle = tuple((letter, t) for t, letter in enumerate(word))
+    codec, entries = _contract_packed(
+        quiver, dim, (cycle,), True, (ends, ends), at_vertex, extra=2
+    )
+    return codec, sorted((kv for kv in entries.items() if kv[1]), key=lambda kv: kv[0])
+
+
+def ideal_expansion(quiver: Quiver, dim, vertex: int, word):
+    """The operator side of a reduction-ideal generator's decomposition.
+
+    With M the operator matrix product of ``word``'s letters in word
+    (= height) order at the block of ``vertex``, returns the nonzero pairs
+    ((l_first, l_last), M_{l_first, l_last}) in key order, Tr_q(p) = the sum
+    of the diagonal entries, and sum M_{l1,l2} tau(-e_{l1,l2}); each is
+    unpacked once.  Each normal-ordered term sign * x_pos d_der of
+    tau(e_{l1,l2}) (``tau_pairs``) multiplies the packed entry by the
+    position token, then by the derivative token, both in place.
+    """
+    codec, entries = _boundary_entries(quiver, dim, vertex, word)
+    diagonal: dict = {}
+    signed = {1: {}, -1: {}}
+    for (l_first, l_last), terms in entries:
+        if l_first == l_last:
+            for key, c in terms.items():
+                diagonal[key] = diagonal.get(key, 0) + c
+        for sign, pos, der in tau_pairs(quiver, dim, vertex, l_first, l_last):
+            moved: dict = {}
+            _times(terms, codec.position(pos), codec.mask, moved)
+            _times(moved, codec.derivative(der), codec.mask, signed[-sign])
+    expansion = signed[1]
+    for key, c in signed[-1].items():
+        add_into(expansion, key, -c)
+    m = len(word)
+    zero = WeylElement(quiver, dim)
+    return (
+        [(key, zero._with_terms(codec.unpack(terms, m))) for key, terms in entries],
+        zero._with_terms(codec.unpack(diagonal, m)),
+        zero._with_terms(codec.unpack(expansion, m + 2)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -854,10 +906,7 @@ def block_matrix(x, dim, mode: str = "classical") -> BlockMatrix:
     rows, cols = range(1, dim[dst] + 1), range(1, dim[src] + 1)
     entries = {(row, col): ring(quiver, dim) for row in rows for col in cols}
     for word, coeff in words:
-        if word:
-            block = _contract_letters(quiver, dim, (word,), quantum, (rows, cols))
-        else:
-            block = {(row, row): ring.constant(quiver, dim, 1) for row in rows}
+        block = _contract_letters(quiver, dim, (word,), quantum, (rows, cols))
         scalar = coeff if quantum else coeff.constant_term()
         for key, value in block.items():
             entries[key] = entries[key] + value.scale(scalar)
@@ -868,22 +917,15 @@ def block_matrix(x, dim, mode: str = "classical") -> BlockMatrix:
 
 def _moment_entry(quiver: Quiver, dim, i: int, p: int, q: int, r=None) -> WeylElement:
     """The (p, q) entry of the moment block at vertex i: signed two-letter
-    open chains [a][a'] for t(a) = i and [a'][a] for s(a) = i, height-1 factor
-    first, plus h r_i on the diagonal when r is given."""
-
+    open chains [a][a'] for t(a) = i and [a'][a] for s(a) = i
+    (``moment_pairs``), height-1 factor first, plus h r_i on the diagonal
+    when r is given."""
     out: dict = {}
-
-    def add_chain(word, sign):
+    for sign, first, second in moment_pairs(quiver, i):
+        word = ((first, 1), (second, 2))
         chain = _contract_letters(quiver, dim, (word,), True, ((p,), (q,)))[p, q]
         for mono, c in chain.items():
             add_into(out, mono, c if sign > 0 else -c)
-
-    for ai, arrow in enumerate(quiver.arrows):
-        plain, starred = Letter(ai, False), Letter(ai, True)
-        if arrow.target == i:
-            add_chain(((plain, 1), (starred, 2)), 1)
-        if arrow.source == i:
-            add_chain(((starred, 1), (plain, 2)), -1)
     if r is not None and p == q and r[i]:
         add_into(out, ((), ()), HBarPolynomial((0, as_fraction(r[i]))))
     return WeylElement(quiver, dim)._with_terms(out)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CompositionError, ExpressionError, MismatchError, WorkLimitError
+from .errors import CompositionError, MismatchError, WorkLimitError
 from .linear import LinearCombination, add_into
 from .necklace import (
     _LETTER,
@@ -59,8 +59,8 @@ from .necklace import (
     idempotent_class,
     necklace_key,
 )
-from .quiver import Letter, Quiver
-from .rings import HBarPolynomial, as_fraction
+from .quiver import Letter, Quiver, moment_pairs, vertex_vector
+from .rings import HBarPolynomial
 
 
 class HeightConfiguration:
@@ -538,11 +538,11 @@ def project(x: QPAElement) -> SymElement:
 
 def moment_lift(quiver: Quiver) -> QPAElement:
     """The standard quantum moment element sum_a (a,1)(a',2) - (a',1)(a,2)."""
-    configs = []
-    for ai in range(len(quiver.arrows)):
-        word = _code((Letter(ai, False), Letter(ai, True)))
-        configs.append(((word,), ((1, 2),), (), _ONE))
-        configs.append(((word[::-1],), ((1, 2),), (), -_ONE))
+    configs = [
+        ((_code((first, second)),), ((1, 2),), (), _ONE if sign > 0 else -_ONE)
+        for i in range(len(quiver.vertices))
+        for sign, first, second in moment_pairs(quiver, i)
+    ]
     return QPAElement(quiver, _normal_terms(quiver, configs))
 
 
@@ -559,18 +559,7 @@ class ReductionParameters:
 
 
 def make_params(quiver: Quiver, r=None, lam=None) -> ReductionParameters:
-    nv = len(quiver.vertices)
-
-    def vec(mapping):
-        out = [Fraction(0)] * nv
-        if mapping:
-            for name, value in mapping.items():
-                if not quiver.has_vertex(name):
-                    raise ExpressionError(f"unknown vertex {name!r}")
-                out[quiver.vertex_index(name)] = as_fraction(value)
-        return tuple(out)
-
-    return ReductionParameters(vec(r), vec(lam))
+    return ReductionParameters(vertex_vector(quiver, r), vertex_vector(quiver, lam))
 
 
 def marked_word(quiver: Quiver, p: Necklace, vertex: int, mark: int):
@@ -607,13 +596,10 @@ def ideal_generator(
     base = _code(marked_word(quiver, p, vertex, mark))
     v = len(base)
     spliced = (tuple(range(1, v + 3)),)
-    configs = []
-    for ai, arrow in enumerate(quiver.arrows):
-        pair = _code((Letter(ai, False), Letter(ai, True)))
-        if arrow.target == vertex:
-            configs.append(((base + pair,), spliced, (), _ONE))
-        if arrow.source == vertex:
-            configs.append(((base + pair[::-1],), spliced, (), -_ONE))
+    configs = [
+        ((base + _code((first, second)),), spliced, (), _ONE if sign > 0 else -_ONE)
+        for sign, first, second in moment_pairs(quiver, vertex)
+    ]
     tail = HBarPolynomial((-params.lam[vertex], params.r[vertex]))
     if tail:
         if v:

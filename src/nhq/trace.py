@@ -8,8 +8,10 @@ which sums each index as soon as the last factor using it has been
 multiplied.  Around them sit the verification procedures: the trace is an
 algebra map, the pre- and post-reduction squares commute, the quantum
 moment identity holds, and the reduction-ideal generators decompose over
-the shifted gl action with a solvable trace character.  All checks are by
-exact equality; failures carry the residual element.
+the shifted gl action with a solvable trace character.  The operator side
+of that decomposition comes unpacked from ``repspace.ideal_expansion``;
+this module never sees the packed monomials of a contraction.  All checks
+are by exact equality; failures carry the residual element.
 """
 
 from __future__ import annotations
@@ -30,19 +32,16 @@ from .repspace import (
     PolyElement,
     WeylElement,
     _check_assignments,
-    _Codec,
     _contract_letters,
-    _contract_packed,
-    _times,
     chi_sign_variants,
     classical_symbol,
     gl_basis,
+    ideal_expansion,
     make_dimension_vector,
     poisson,
     quantum_moment,
     tau,
     tau_kernel,
-    tau_pairs,
     weyl_commutator,
     weyl_mul,
 )
@@ -312,44 +311,6 @@ class IdealDecomposition:
         return compare_report(name, unequal)
 
 
-def _tau_expansion(quiver: Quiver, dim, vertex: int, codec: _Codec, entries) -> dict:
-    """sum_{l1,l2} M_{l1,l2} tau(-e_{l1,l2}) as a packed term dict.
-
-    ``entries`` holds the packed entries M_{l1,l2}.  Each term sign * x_pos
-    d_der of tau(e_{l1,l2}) (``tau_pairs``) is normal ordered, so M x_pos
-    d_der is M times the position token, then times the derivative token,
-    both products in place; ``codec`` is sized for these two products.
-    """
-    signed = {1: {}, -1: {}}
-    for (l_first, l_last), entry in entries:
-        for sign, pos, der in tau_pairs(quiver, dim, vertex, l_first, l_last):
-            moved: dict = {}
-            _times(entry, codec.position(pos), codec.mask, moved)
-            _times(moved, codec.derivative(der), codec.mask, signed[-sign])
-    out = signed[1]
-    for key, c in signed[-1].items():
-        add_into(out, key, -c)
-    return out
-
-
-def _boundary_entries(quiver: Quiver, dim, vertex: int, word):
-    """The nonzero entries ((l_first, l_last), packed terms) of the operator
-    matrix product of ``word``'s letters in word order, sorted by key, and
-    their codec, with fields for the arrows of tau at ``vertex`` and sized
-    for the two token products of a tau term on top of the word's letters."""
-    ends = range(1, dim[vertex] + 1)
-    at_vertex = frozenset(
-        ai for ai, a in enumerate(quiver.arrows) if vertex in (a.source, a.target)
-    )
-    if not word:
-        return _Codec(quiver, dim, at_vertex, 2, True), [((l, l), {0: 1}) for l in ends]
-    cycle = tuple((letter, t) for t, letter in enumerate(word))
-    codec, entries = _contract_packed(
-        quiver, dim, (cycle,), True, (ends, ends), at_vertex, extra=2
-    )
-    return codec, sorted((kv for kv in entries.items() if kv[1]), key=lambda kv: kv[0])
-
-
 def decompose_ideal_image(
     quiver: Quiver,
     dim,
@@ -363,10 +324,9 @@ def decompose_ideal_image(
     The coefficient of each boundary pair (l_first, l_last) is that entry of
     the operator matrix product of the marked cycle's letters, taken in word
     (= height) order; its direction is -e_{l_first, l_last} at the marked
-    vertex.  The re-expansion at chi = 0 is built from those entries by
-    token products: each normal-ordered term x d of tau(direction)
-    multiplies the entry's packed term dict, and lambda enters once, as
-    -lambda Tr_q(p).  Re-expansion is affine in chi with slope h Tr_q(p),
+    vertex.  The entries, Tr_q(p) and sum entry * tau(direction) come from
+    ``repspace.ideal_expansion``; lambda enters once, as -lambda Tr_q(p),
+    giving the re-expansion at chi = 0.  Re-expansion is affine in chi with slope h Tr_q(p),
     so chi is read at the least monomial of Tr_q(p), one h-degree above its
     first nonzero one, and verified by comparing target with re_expand(chi).
     """
@@ -376,28 +336,14 @@ def decompose_ideal_image(
     word = marked_word(quiver, p, vertex, mark)
     target = trace_quantum(ideal_generator(quiver, p, vertex, mark, params), dim)
 
-    m = len(word)
-    codec, entries = _boundary_entries(quiver, dim, vertex, word)
-    zero = WeylElement(quiver, dim)
+    entries, trace_of_p, expansion = ideal_expansion(quiver, dim, vertex, word)
     pairs = tuple(
-        (
-            zero._with_terms(codec.unpack(terms, m)),
-            GlElement.elementary(quiver, dim, vertex, l_first, l_last, -1),
-        )
-        for (l_first, l_last), terms in entries
+        (entry, GlElement.elementary(quiver, dim, vertex, l_first, l_last, -1))
+        for (l_first, l_last), entry in entries
     )
-    diagonal: dict = {}
-    for (l_first, l_last), terms in entries:
-        if l_first == l_last:
-            for key, c in terms.items():
-                diagonal[key] = diagonal.get(key, 0) + c
-    trace_of_p = codec.unpack(diagonal, m)
-    expansion = codec.unpack(_tau_expansion(quiver, dim, vertex, codec, entries), m + 2)
     lam = params.lam[vertex]
     if lam:
-        for mono, c in trace_of_p.items():
-            add_into(expansion, mono, c * -lam)
-    expansion, trace_of_p = zero._with_terms(expansion), zero._with_terms(trace_of_p)
+        expansion = expansion - trace_of_p.scale(lam)
     chi_value = Fraction(0)
     if trace_of_p:
         mono = min(trace_of_p.terms)

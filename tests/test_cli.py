@@ -8,6 +8,8 @@ import sys
 import time
 from contextlib import redirect_stdout
 
+import pytest
+
 from nhq.cli import main
 import nhq.quiver
 from nhq.expr import MAX_EXPONENT
@@ -204,6 +206,31 @@ def test_kernel_rejects_parameters_it_does_not_read(capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: kernel does not take {flag}:") and err.count("\n") == 1
         assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bracket", "-q", q("jordan"), "[x]", "[x']"),
+        ("dbracket", "-q", q("jordan"), "x", "x'"),
+        ("qmul", "-q", q("jordan"), "(x',1)", "(x,1)"),
+        ("qcomm", "-q", q("jordan"), "(x',1)", "(x,1)"),
+        ("trace", "-q", q("jordan"), "--dim", "v=2", "[x.x']"),
+        ("qtrace", "-q", q("jordan"), "--dim", "v=2", "(x',1)(x,2)"),
+        ("moment", "-q", q("jordan")),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_verbs_without_reports_refuse_json(argv, capsys):
+    # only verify, solve-chi and kernel print reports, so only they take --json
+    assert run(*argv)[0] == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--json")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --json" in captured.err
 
 
 def test_unknown_vertex_in_parameters_exits_2(capsys):

@@ -36,11 +36,12 @@ from nhq import (
 )
 from nhq import repspace
 from nhq.necklace import canonical_necklace
-from nhq.quiver import Letter, make_quiver
+from nhq.quiver import Letter, Path, make_quiver
 from nhq.repspace import poly_mul
 from nhq.sampling import (
     a2,
     a3p,
+    all_dimension_vectors,
     jordan,
     random_configuration,
     random_dimension,
@@ -359,6 +360,28 @@ def test_exponents_that_fill_a_field(text, width, packed):
     classical = repspace._contract_letters(J, d, (word,), False)
     assert classical == contraction_oracle.contract_letters(J, d, (word,), False)
     assert classical == reference_trace_classical(J, d, letters)
+
+
+@pytest.mark.parametrize("quantum", [True, False], ids=["quantum", "classical"])
+def test_the_empty_open_word_is_the_identity(quantum):
+    ring = WeylElement if quantum else PolyElement
+    for quiver in small_quivers():
+        for dim in all_dimension_vectors(quiver, 2):
+            one = ring.constant(quiver, dim, 1)
+            for v in range(len(quiver.vertices)):
+                ends = range(1, dim[v] + 1)
+                codec, sums = repspace._contract_packed(quiver, dim, ((),), quantum, (ends, ends))
+                assert sums == {(r, c): {0: 1} if r == c else {} for r in ends for c in ends}
+                block = repspace._contract_letters(quiver, dim, ((),), quantum, (ends, ends))
+                zero = ring(quiver, dim)
+                assert block == {(r, c): one if r == c else zero for r in ends for c in ends}
+                # the trivial path's matrix is the same identity
+                idempotent = PathAlgebraElement.trivial(quiver, v)
+                matrix = block_matrix(idempotent, dim, "quantum" if quantum else "classical")
+                assert matrix.entries == tuple(tuple(block[r, c] for c in ends) for r in ends)
+                if not quantum:
+                    for r, c in block:
+                        assert path_matrix_entry(quiver, dim, Path.trivial(v), r, c) == block[r, c]
 
 
 def test_fields_only_for_the_arrows_a_contraction_uses():

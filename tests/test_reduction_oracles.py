@@ -5,9 +5,10 @@
 once because it is affine in r (unit slope) and independent of lambda.
 These tests keep the checks those shortcuts replace: re-expanding each
 decomposition and comparing it with the traced generator, and re-solving
-the character at every unit r.  The library re-expands by multiplying each
-entry's terms by the position and derivative tokens of tau's normal-ordered
-pairs (``repspace.tau_pairs``), on packed keys; the general route it
+the character at every unit r.  The library re-expands
+(``repspace.ideal_expansion``) by multiplying each entry's terms by the
+position and derivative tokens of tau's normal-ordered pairs
+(``repspace.tau_pairs``), on packed keys; the general route it
 replaced, a sum of ``weyl_mul(entry, tau(direction) + constant)``, is the
 oracle here, with tau written out arrow by arrow, and so is the same token
 route on tuple keys (``contraction_oracle``).
@@ -198,7 +199,7 @@ def test_a_tau_term_raises_an_exponent_above_the_letter_count(starred):
     # 7th; the tau terms of e_{1,1} at j = 1 raise it to the 8th, in a field
     # sized for the 9 token products of entry and tau term
     quiver, dim, m = jordan(), (2,), 7
-    codec, entries = trace._boundary_entries(quiver, dim, 0, (Letter(0, starred),) * m)
+    codec, entries = repspace._boundary_entries(quiver, dim, 0, (Letter(0, starred),) * m)
     assert codec.width == 4
     packed = dict(entries)[1, 1]
     zero = WeylElement(quiver, dim)
