@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import CompositionError, DimensionError, MismatchError
+from .errors import CompositionError, DimensionError, MismatchError, WorkLimitError
 from .linear import LinearCombination, add_into
 from .quiver import (
     Letter,
@@ -282,7 +282,7 @@ def _merge_counts(a: str, p: int, b: str, q: int) -> dict:
 #: Most letters the merges of one necklace bracket, or the tensor terms of
 #: one double bracket, may hold, as counted by ``_check_merge_letters``.
 #: Output and time grow with this count, so a larger bracket is refused with
-#: DimensionError before any merge is formed.
+#: ``WorkLimitError`` (a ``DimensionError``) before any merge is formed.
 MAX_MERGE_LETTERS = 1 << 24
 
 
@@ -298,7 +298,7 @@ def _check_merge_letters(xs, ys, what: str) -> None:
             pairs = sum([m * cb[chr(ord(c) ^ 1)] for c, m in ca.items()])
             total += pairs * (len(a) + len(b) - 2)
     if total > MAX_MERGE_LETTERS:
-        raise DimensionError(
+        raise WorkLimitError(
             f"{what} hold up to {total} letters, above the limit {MAX_MERGE_LETTERS}"
         )
 
@@ -316,7 +316,7 @@ def necklace_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
     str slices, rotated by ``_rotation_start`` and counted under their
     coded key; the result holds necklaces built from those codes, whose
     letters are decoded only when read.  A bracket whose merges could hold
-    more than ``MAX_MERGE_LETTERS`` letters raises ``DimensionError``
+    more than ``MAX_MERGE_LETTERS`` letters raises ``WorkLimitError``
     before any merge is formed.
 
     Each distinct merge is rotated once, by three exact counting rules
@@ -424,7 +424,7 @@ def double_bracket(x: PathAlgebraElement, y: PathAlgebraElement) -> TensorElemen
     the twisted antisymmetry in the first.  Each contracting letter pair
     forms one term of k + l - 2 letters, so a double bracket whose terms
     could hold more than ``MAX_MERGE_LETTERS`` letters raises
-    ``DimensionError`` before any term is formed; paths have no rotations,
+    ``WorkLimitError`` before any term is formed; paths have no rotations,
     so the count runs over all letters, not one period.
 
     Each operand term is coded once as a str (``_code``); p_i contracts

@@ -6,22 +6,24 @@ reverses; quantum mode replaces (a')_{p,q} by the derivative d/d(a)_{q,p}
 with the Rees commutation rule [d/d(a)_{j,i}, (a)_{k,l}] = h d_{jk} d_{il}.
 Operators are stored normal-ordered, multiplications left of derivatives.
 The infinitesimal gl action tau, its kernel, gauge-element actions on
-coordinates, trace characters, and the blockwise quantum moment operator
-all live here.
+coordinates, trace characters, the blockwise quantum moment operator and
+the packed check of the reduction-ideal decomposition all live here.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .errors import DimensionError, MismatchError
+from .errors import DimensionError, MismatchError, WorkLimitError
 from .linear import LinearCombination, add_into
+from .necklace import _LETTER
 from .quiver import Letter, Path, PathAlgebraElement, Quiver, moment_pairs
 from .rings import HBarPolynomial, as_fraction
+from .schedler import CACHE_SIZE
 
 
 def make_dimension_vector(quiver: Quiver, d) -> tuple[int, ...]:
@@ -168,7 +170,8 @@ def path_matrix_entry(quiver: Quiver, dim, path: Path, row: int, col: int) -> Po
 # quantum coefficients are ints with the power of h implied: a product adds
 # one factor, a Rees correction drops a position and a derivative and gains
 # one h, so a key of degree n made by m products stands for c h^((m - n) / 2).
-# Each result is unpacked to the tuple form once (``_Codec.unpack``).
+# Each result is unpacked to the tuple form once (``_Codec.unpack``); those
+# of the reduction-ideal check only when a caller reads them.
 
 
 class WeylElement(LinearCombination):
@@ -566,14 +569,15 @@ def tau_kernel(quiver: Quiver, dim) -> list:
 #: Largest number of index assignments (the brute-force term count, the
 #: product of the index ranges) a contraction accepts.  The accumulated
 #: terms grow with this count, not with the O(m d^3) tuples visited, so a
-#: larger contraction is refused with DimensionError before any product.
+#: larger contraction is refused with ``WorkLimitError`` (a
+#: ``DimensionError``) before any product.
 MAX_INDEX_ASSIGNMENTS = 1 << 20
 
 
 def _check_assignments(assignments: int) -> None:
     """Refuse ``assignments`` index assignments above the limit."""
     if assignments > MAX_INDEX_ASSIGNMENTS:
-        raise DimensionError(
+        raise WorkLimitError(
             f"contraction has {assignments} index assignments, "
             f"above the limit {MAX_INDEX_ASSIGNMENTS}"
         )
@@ -604,15 +608,15 @@ class _Codec:
     most tokens any key is multiplied by.  Each of them raises one exponent
     by at most one, so no exponent exceeds ``factors`` and a field of
     ``factors.bit_length()`` bits holds it without carrying into the next.
-    The unpacking memos live as long as the codec, one contraction.
+    The unpacking memos live as long as the codec: one contraction, or
+    one reduction-ideal decomposition (``IdealImage``).
     """
 
-    __slots__ = ("quantum", "field", "width", "mask", "split", "_names", "_halves", "_coeffs")
+    __slots__ = ("quantum", "arrows", "field", "width", "mask", "split", "_names", "_halves", "_coeffs")
 
     def __init__(self, quiver: Quiver, dim, arrows, factors: int, quantum: bool):
-        coords, self.field, variables = _coordinate_fields(
-            quiver, tuple(dim), tuple(sorted(arrows))
-        )
+        self.arrows = tuple(sorted(arrows))
+        coords, self.field, variables = _coordinate_fields(quiver, tuple(dim), self.arrows)
         self.quantum = quantum
         self.width = max(factors.bit_length(), 1)
         self.mask = (1 << self.width) - 1
@@ -708,6 +712,25 @@ def _times(acc: dict, token, mask: int, out: dict) -> None:
             out[k] = get(k, 0) + c * b
 
 
+def _times_tau(acc: dict, sign: int, position, derivative, mask: int, out: dict) -> None:
+    """Add sign * acc * x_v * d_w into ``out``, for the quantum tokens of a
+    position x_v and a derivative d_w: ``_times`` by each in turn, in one
+    pass and with signed sums, so ``out`` may hold zeros."""
+    unit, shift = position
+    moved = derivative[0]  # the Rees correction keeps d_w and drops d_v
+    unit += moved
+    moved -= 1 << shift
+    get = out.get
+    for key, c in acc.items():
+        c *= sign
+        k = key + unit
+        out[k] = get(k, 0) + c
+        b = key >> shift & mask
+        if b:
+            k = key + moved
+            out[k] = get(k, 0) + c * b
+
+
 def _contract(slots, ranges, mask: int, free=()):
     """Sum over all index variables of the product of the slot tokens.
 
@@ -742,15 +765,12 @@ def _contract(slots, ranges, mask: int, free=()):
     }
 
 
-def _contract_packed(
-    quiver: Quiver, dim, words, quantum: bool, ends=None, arrows=frozenset(), extra: int = 0
-):
+def _contract_packed(quiver: Quiver, dim, words, quantum: bool, ends=None, codec=None):
     """The contraction of ``_contract_letters`` on packed keys: returns its
-    codec, with fields for the words' arrows and ``arrows`` and sized for
-    ``extra`` more token products than the words have letters, and the
-    packed sums of ``_contract``.  The empty open word is the identity
-    matrix: each (row, col) entry is the unit ``{0: 1}`` if row == col and
-    empty otherwise."""
+    codec (by default one with fields for the words' arrows, sized for
+    their letters) and the packed sums of ``_contract``.  The empty open
+    word is the identity matrix: each (row, col) entry is the unit
+    ``{0: 1}`` if row == col and empty otherwise."""
     ranges, slots = [], []
     for word in words:
         first = len(ranges)
@@ -762,8 +782,9 @@ def _contract_packed(
     if ends:
         ranges = [ends[0], *ranges[1:], ends[1]]
     _check_assignments(math.prod(len(r) for r in ranges))
-    arrows = arrows.union(letter.arrow for _, (letter, _, _) in slots)
-    codec = _Codec(quiver, dim, arrows, len(slots) + extra, quantum)
+    if codec is None:
+        arrows = {letter.arrow for _, (letter, _, _) in slots}
+        codec = _Codec(quiver, dim, arrows, len(slots), quantum)
     if ends and not slots:
         rows, cols = ends
         return codec, {(r, c): {0: 1} if r == c else {} for r in rows for c in cols}
@@ -781,7 +802,7 @@ def _contract_letters(quiver: Quiver, dim, words, quantum: bool, ends=None):
     ``WeylElement`` or ``PolyElement``.  Without ``ends`` every word is a
     closed cycle and the result is the trace.  With ``ends = (rows, cols)``
     there is one open word and the result maps (row, col) to that entry of
-    its product.  Raises DimensionError when the number of index
+    its product.  Raises ``WorkLimitError`` when the number of index
     assignments exceeds ``MAX_INDEX_ASSIGNMENTS``.
     """
     codec, sums = _contract_packed(quiver, dim, words, quantum, ends)
@@ -792,54 +813,192 @@ def _contract_letters(quiver: Quiver, dim, words, quantum: bool, ends=None):
     return {key: zero._with_terms(codec.unpack(terms, factors)) for key, terms in sums.items()}
 
 
+# ---------------------------------------------------------------------------
+# The reduction-ideal decomposition, packed and Rees-graded
+#
+# A generator at ``vertex`` with a v-letter marked word p is the spliced
+# part (N = v + 2 letters) plus (-lambda + h r) times p.  Straightening
+# (``schedler.ideal_normal_forms``) gives each part as {coded cfg: int}
+# with the power of h implied by the letter count, and the contraction
+# implies it by degree, so a key of degree k in the traced spliced part G
+# stands for c h^((N - k)/2) and one in the traced cycle P, in Tr_q(p) = T
+# and in the open-word entries for c h^((v - k)/2): G sits at grade N and
+# P, T at grade v.  The tau re-expansion E adds two tokens to each entry,
+# grade N.  All of them are int dicts in one codec, and the decomposition
+# target == re_expand(chi), split by grade, is two exact comparisons:
+# G + r P - E = chi T at grade N and, when lambda != 0, P = T at grade v.
+
+
 def _boundary_entries(quiver: Quiver, dim, vertex: int, word):
     """The nonzero entries ((l_first, l_last), packed terms) of the operator
     matrix product of ``word``'s letters in word order, sorted by key, and
     their codec, with fields for the arrows of tau at ``vertex`` and sized
-    for the two token products of a tau term on top of the word's letters."""
+    for the two token products of a tau term on top of the word's letters.
+    Every configuration of the generator of ``word`` at ``vertex`` packs
+    in the same codec: its letters are the word's and a moment pair's."""
     ends = range(1, dim[vertex] + 1)
-    at_vertex = frozenset(
-        ai for ai, a in enumerate(quiver.arrows) if vertex in (a.source, a.target)
-    )
+    arrows = {ai for ai, a in enumerate(quiver.arrows) if vertex in (a.source, a.target)}
+    arrows.update(letter.arrow for letter in word)
     cycle = tuple((letter, t) for t, letter in enumerate(word))
-    codec, entries = _contract_packed(
-        quiver, dim, (cycle,), True, (ends, ends), at_vertex, extra=2
-    )
+    codec = _Codec(quiver, dim, arrows, len(word) + 2, True)
+    _, entries = _contract_packed(quiver, dim, (cycle,), True, (ends, ends), codec)
     return codec, sorted((kv for kv in entries.items() if kv[1]), key=lambda kv: kv[0])
 
 
-def ideal_expansion(quiver: Quiver, dim, vertex: int, word):
-    """The operator side of a reduction-ideal generator's decomposition.
+@lru_cache(maxsize=CACHE_SIZE)
+def _packed_trace(quiver: Quiver, dim: tuple, arrows: tuple, width: int, cfg) -> tuple:
+    """Tr_q of the coded configuration ``cfg`` = (codes, heights, idems) as
+    ``(key, c)`` pairs, packed for the codec with fields for ``arrows`` of
+    ``width`` bits; a key of degree k in the trace of n letters stands for
+    the int c times h^((n - k)/2).  The values hold only ``int``, so
+    CPython stops tracking them; ``clear_packed_traces`` empties the cache."""
+    codes, heights, idems = cfg
+    words = [tuple(zip(map(_LETTER.__getitem__, s), hs)) for s, hs in zip(codes, heights)]
+    codec = _Codec(quiver, dim, arrows, (1 << width) - 1, True)
+    _, sums = _contract_packed(quiver, dim, words, True, codec=codec)
+    scalar = math.prod([dim[v] for v in idems])
+    return tuple([(key, c * scalar) for key, c in sums[()].items()])
 
-    With M the operator matrix product of ``word``'s letters in word
-    (= height) order at the block of ``vertex``, returns the nonzero pairs
-    ((l_first, l_last), M_{l_first, l_last}) in key order, Tr_q(p) = the sum
-    of the diagonal entries, and sum M_{l1,l2} tau(-e_{l1,l2}); each is
-    unpacked once.  Each normal-ordered term sign * x_pos d_der of
-    tau(e_{l1,l2}) (``tau_pairs``) multiplies the packed entry by the
-    position token, then by the derivative token, both in place.
+
+def clear_packed_traces() -> None:
+    _packed_trace.cache_clear()
+
+
+def _traced(quiver: Quiver, dim, codec: _Codec, terms: dict) -> dict:
+    """The sum of c Tr_q(cfg) over {coded cfg: c} ``terms``, one packed int
+    dict in ``codec``, zeros dropped; each trace comes from the cache."""
+    layout = (quiver, dim, codec.arrows, codec.width)
+    out: dict = {}
+    get = out.get
+    for cfg, c in terms.items():
+        for key, t in _packed_trace(*layout, cfg):
+            out[key] = get(key, 0) + c * t
+    return {key: c for key, c in out.items() if c}
+
+
+def _ratio(lhs: dict, base: dict):
+    """The chi with lhs = chi base on every key of two int dicts, or None;
+    chi = 0 when base is empty.  It is read at one key of base."""
+    if not base:
+        return None if lhs else Fraction(0)
+    k0 = next(iter(base))
+    a, b = base[k0], lhs.get(k0, 0)
+    for key in lhs.keys() | base.keys():
+        if lhs.get(key, 0) * a != b * base.get(key, 0):
+            return None
+    return Fraction(b) / a
+
+
+@dataclass(eq=False)
+class IdealImage:
+    """One reduction-ideal generator's decomposition in packed form.
+
+    ``v`` is the marked word's letter count; ``entries`` holds its nonzero
+    open-word entries ((l_first, l_last), packed terms) and ``spliced`` (G),
+    ``cycle`` (P, None when -lambda + h r is zero), ``diagonal`` (T) and
+    ``expanded`` (E) the packed int dicts of the comment above.
+    ``chi`` is the solved character value, None when no value makes the
+    decomposition exact.  The views ``target`` = Tr_q(generator),
+    ``pairs`` (each entry with its direction -e_{l_first, l_last}),
+    ``trace_of_p`` = Tr_q(p) and ``expansion`` = sum entry
+    tau(direction) - lambda Tr_q(p) are unpacked on their first read."""
+
+    quiver: Quiver
+    dim: tuple
+    vertex: int
+    r: Fraction
+    lam: Fraction
+    v: int
+    codec: _Codec
+    entries: list
+    spliced: dict
+    cycle: dict | None
+    diagonal: dict
+    expanded: dict
+    chi: Fraction | None = field(init=False)
+
+    def __post_init__(self):
+        # grade N, times the denominator of r: den (G - E) + num P = den chi T
+        num, den = self.r.numerator, self.r.denominator
+        lhs = {key: den * c for key, c in self.spliced.items()}
+        for key, c in self.expanded.items():
+            lhs[key] = lhs.get(key, 0) - den * c
+        if num:
+            for key, c in self.cycle.items():
+                lhs[key] = lhs.get(key, 0) + num * c
+        ratio = _ratio({key: c for key, c in lhs.items() if c}, self.diagonal)
+        # grade v: -lambda P = -lambda T
+        same_tail = not self.lam or self.cycle == self.diagonal
+        self.chi = ratio / den if ratio is not None and same_tail else None
+
+    def _unpack(self, top: dict, scale, low: dict) -> WeylElement:
+        """The element of ``top`` at grade v + 2 plus ``scale`` times ``low``
+        at grade v."""
+        terms = self.codec.unpack(top, self.v + 2)
+        if scale:
+            low = {key: scale * c for key, c in low.items()}
+            for mono, c in self.codec.unpack(low, self.v).items():
+                add_into(terms, mono, c)
+        return WeylElement(self.quiver, self.dim)._with_terms(terms)
+
+    @cached_property
+    def target(self) -> WeylElement:
+        top = dict(self.spliced)
+        if self.r:
+            for key, c in self.cycle.items():
+                add_into(top, key, self.r * c)
+        return self._unpack(top, -self.lam, self.cycle)
+
+    @cached_property
+    def expansion(self) -> WeylElement:
+        return self._unpack(self.expanded, -self.lam, self.diagonal)
+
+    @cached_property
+    def trace_of_p(self) -> WeylElement:
+        return self._unpack({}, 1, self.diagonal)
+
+    @cached_property
+    def pairs(self) -> tuple:
+        zero = WeylElement(self.quiver, self.dim)
+        return tuple(
+            (
+                zero._with_terms(self.codec.unpack(terms, self.v)),
+                GlElement.elementary(self.quiver, self.dim, self.vertex, l_first, l_last, -1),
+            )
+            for (l_first, l_last), terms in self.entries
+        )
+
+
+def ideal_image(quiver: Quiver, dim, vertex: int, word, spliced: dict, cycle, r, lam) -> IdealImage:
+    """The decomposition of the generator whose straightened parts are
+    ``spliced`` and ``cycle`` (``schedler.ideal_normal_forms`` of ``word``,
+    the marked cycle, at ``vertex``) with order-h weight ``r`` and
+    deformation ``lam`` at the vertex.
+
+    The index assignments of all the configurations it traces are added up
+    against ``MAX_INDEX_ASSIGNMENTS`` before any contraction, as
+    ``trace.trace_quantum`` does for a sum.  Each entry M_{l1,l2} is
+    multiplied by the normal-ordered terms x_pos d_der of tau(-e_{l1,l2})
+    (``tau_pairs``), the position token and then the derivative token, in
+    one pass over its packed terms (``_times_tau``).  Nothing is unpacked
+    until a view is read.
     """
+    letters = lambda cfg: [dim[_LETTER[c].target(quiver)] for s in cfg[0] for c in s]
+    traced = spliced.keys() | (cycle or {}).keys()
+    _check_assignments(sum([math.prod(letters(cfg)) for cfg in traced]))
     codec, entries = _boundary_entries(quiver, dim, vertex, word)
     diagonal: dict = {}
-    signed = {1: {}, -1: {}}
+    expansion: dict = {}
     for (l_first, l_last), terms in entries:
         if l_first == l_last:
             for key, c in terms.items():
                 diagonal[key] = diagonal.get(key, 0) + c
         for sign, pos, der in tau_pairs(quiver, dim, vertex, l_first, l_last):
-            moved: dict = {}
-            _times(terms, codec.position(pos), codec.mask, moved)
-            _times(moved, codec.derivative(der), codec.mask, signed[-sign])
-    expansion = signed[1]
-    for key, c in signed[-1].items():
-        add_into(expansion, key, -c)
-    m = len(word)
-    zero = WeylElement(quiver, dim)
-    return (
-        [(key, zero._with_terms(codec.unpack(terms, m))) for key, terms in entries],
-        zero._with_terms(codec.unpack(diagonal, m)),
-        zero._with_terms(codec.unpack(expansion, m + 2)),
-    )
+            _times_tau(terms, -sign, codec.position(pos), codec.derivative(der), codec.mask, expansion)
+    G = _traced(quiver, dim, codec, spliced)
+    P = _traced(quiver, dim, codec, cycle) if cycle is not None else None
+    E = {key: c for key, c in expansion.items() if c}
+    return IdealImage(quiver, dim, vertex, r, lam, len(word), codec, entries, G, P, diagonal, E)
 
 
 # ---------------------------------------------------------------------------

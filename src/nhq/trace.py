@@ -8,8 +8,9 @@ which sums each index as soon as the last factor using it has been
 multiplied.  Around them sit the verification procedures: the trace is an
 algebra map, the pre- and post-reduction squares commute, the quantum
 moment identity holds, and the reduction-ideal generators decompose over
-the shifted gl action with a solvable trace character.  The operator side
-of that decomposition comes unpacked from ``repspace.ideal_expansion``;
+the shifted gl action with a solvable trace character.  That decomposition
+is checked on packed monomials in ``repspace.ideal_image``, fed by the
+straightening kernel's int normal forms (``schedler.ideal_normal_forms``);
 this module never sees the packed monomials of a contraction.  All checks
 are by exact equality; failures carry the residual element.
 """
@@ -35,8 +36,9 @@ from .repspace import (
     _contract_letters,
     chi_sign_variants,
     classical_symbol,
+    clear_packed_traces,
     gl_basis,
-    ideal_expansion,
+    ideal_image,
     make_dimension_vector,
     poisson,
     quantum_moment,
@@ -51,7 +53,7 @@ from .schedler import (
     HeightConfiguration,
     QPAElement,
     ReductionParameters,
-    ideal_generator,
+    ideal_normal_forms,
     lift,
     make_params,
     marked_word,
@@ -61,7 +63,10 @@ from .schedler import (
 
 
 def clear_trace_cache() -> None:
+    """Empty both trace caches: ``_trace_config`` and the packed traces of
+    the reduction-ideal check (``repspace.clear_packed_traces``)."""
     _trace_config.cache_clear()
+    clear_packed_traces()
 
 
 def trace_classical(x: HH0Element, dim) -> PolyElement:
@@ -267,34 +272,43 @@ def verify_equivariance(v: GlElement, x: QPAElement, dim, name="invariance") -> 
 # The reduction-ideal decomposition and the trace character
 
 
-@dataclass
 class IdealDecomposition:
     """Tr_q(generator) written as sum coeff * (tau + lambda tr - h chi)(direction).
 
-    ``pairs`` holds one (entry, direction) pair per nonzero boundary pair
-    (l_first, l_last): the entry is that entry of the height-ordered
-    operator matrix product of the cycle letters, the direction the negated
-    elementary matrix -e_{l_first, l_last}; ``chi_value`` is the solved
-    trace-character coefficient at the generator's vertex (None when no
-    value of it makes the decomposition exact).
+    ``chi_value`` is the solved trace-character coefficient at the
+    generator's vertex, None when no value of it makes the decomposition
+    exact; ``verified`` means target == re_expand(chi_value).  The check
+    runs on the packed form (``repspace.ideal_image``), and the elements are
+    read-only views unpacked on their first read:
 
-    ``expansion`` is the re-expansion at chi = 0, sum entry * tau(direction)
-    - lambda Tr_q(p), and ``trace_of_p`` is Tr_q(p), the sum of the diagonal
-    entries.  ``re_expand(c)`` is the affine expansion + c h Tr_q(p).
-    ``verified`` means target == re_expand(chi_value); ``chi_value`` is None
-    exactly when that comparison fails.  Re-expanding through ``weyl_mul``
-    and ``tau`` and comparing is kept as a test oracle in
+    - ``target``: Tr_q of the straightened generator;
+    - ``pairs``: one (entry, direction) pair per nonzero boundary pair
+      (l_first, l_last): the entry is that entry of the height-ordered
+      operator matrix product of the cycle letters, the direction the
+      negated elementary matrix -e_{l_first, l_last};
+    - ``trace_of_p``: Tr_q(p), the sum of the diagonal entries;
+    - ``expansion``: the re-expansion at chi = 0, sum entry *
+      tau(direction) - lambda Tr_q(p).
+
+    ``re_expand(c)`` is the affine expansion + c h Tr_q(p).  The route
+    through ``trace_quantum(ideal_generator(...))``, and re-expanding
+    through ``weyl_mul`` and ``tau``, are kept as test oracles in
     ``tests/test_reduction_oracles.py``.
     """
 
-    quiver: Quiver
-    dim: tuple
-    vertex: int
-    pairs: tuple
-    expansion: WeylElement
-    trace_of_p: WeylElement
-    chi_value: Fraction | None
-    target: WeylElement
+    __slots__ = ("_image",)
+
+    def __init__(self, image):
+        self._image = image
+
+    quiver = property(lambda self: self._image.quiver)
+    dim = property(lambda self: self._image.dim)
+    vertex = property(lambda self: self._image.vertex)
+    chi_value = property(lambda self: self._image.chi)
+    target = property(lambda self: self._image.target)
+    pairs = property(lambda self: self._image.pairs)
+    trace_of_p = property(lambda self: self._image.trace_of_p)
+    expansion = property(lambda self: self._image.expansion)
 
     @property
     def verified(self) -> bool:
@@ -324,39 +338,23 @@ def decompose_ideal_image(
     The coefficient of each boundary pair (l_first, l_last) is that entry of
     the operator matrix product of the marked cycle's letters, taken in word
     (= height) order; its direction is -e_{l_first, l_last} at the marked
-    vertex.  The entries, Tr_q(p) and sum entry * tau(direction) come from
-    ``repspace.ideal_expansion``; lambda enters once, as -lambda Tr_q(p),
-    giving the re-expansion at chi = 0.  Re-expansion is affine in chi with slope h Tr_q(p),
-    so chi is read at the least monomial of Tr_q(p), one h-degree above its
-    first nonzero one, and verified by comparing target with re_expand(chi).
+    vertex.  The generator's two straightened parts
+    (``schedler.ideal_normal_forms``) go to ``repspace.ideal_image`` as
+    they leave the straightening kernel, and the target, the entries,
+    Tr_q(p) and the tau re-expansion stay packed there, with the power of h
+    implied by the Rees grading.  Re-expansion is affine in chi with slope
+    h Tr_q(p) and lambda enters once, as -lambda Tr_q(p), so target ==
+    re_expand(chi) is two exact comparisons, one per grade, and chi is read
+    off at one monomial of Tr_q(p).  Nothing is unpacked unless a caller
+    reads an element of the result.
     """
-    dim = tuple(dim)
     if params is None:
         params = make_params(quiver)
     word = marked_word(quiver, p, vertex, mark)
-    target = trace_quantum(ideal_generator(quiver, p, vertex, mark, params), dim)
-
-    entries, trace_of_p, expansion = ideal_expansion(quiver, dim, vertex, word)
-    pairs = tuple(
-        (entry, GlElement.elementary(quiver, dim, vertex, l_first, l_last, -1))
-        for (l_first, l_last), entry in entries
-    )
-    lam = params.lam[vertex]
-    if lam:
-        expansion = expansion - trace_of_p.scale(lam)
-    chi_value = Fraction(0)
-    if trace_of_p:
-        mono = min(trace_of_p.terms)
-        coeff = trace_of_p.terms[mono]
-        k = next(i for i, c in enumerate(coeff.coeffs) if c)
-        gap = target.coefficient(mono) - expansion.coefficient(mono)
-        chi_value = gap.coefficient(k + 1) / coeff.coefficient(k)
-    dec = IdealDecomposition(
-        quiver, dim, vertex, pairs, expansion, trace_of_p, chi_value, target
-    )
-    if target != dec.re_expand():
-        dec.chi_value = None
-    return dec
+    spliced, cycle = ideal_normal_forms(quiver, p, vertex, mark, params)
+    dim = make_dimension_vector(quiver, tuple(dim))
+    r, lam = params.r[vertex], params.lam[vertex]
+    return IdealDecomposition(ideal_image(quiver, dim, vertex, word, spliced, cycle, r, lam))
 
 
 def _closed_necklaces(quiver: Quiver, max_len: int):

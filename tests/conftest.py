@@ -31,3 +31,24 @@ def A3P():
 @pytest.fixture
 def L2():
     return two_loop()
+
+
+@pytest.fixture
+def wrong_spliced_int(monkeypatch):
+    """Make one int of every traced generator wrong, at the packed seam:
+    the spliced part G of each ``repspace.IdealImage`` gains 1 at the key
+    of x_w^N, w the codec's last coordinate and N the letters of the
+    spliced configurations, before the decomposition is solved.  That is
+    an h-free monomial of the target's top Rees grade with no derivative,
+    which no generator's trace holds and no chi can absorb."""
+    from nhq import repspace
+
+    solve = repspace.IdealImage.__post_init__
+
+    def bumped(self):
+        unit, _ = self.codec.position(max(self.codec.field))
+        key = unit * (self.v + 2)
+        self.spliced = {**self.spliced, key: self.spliced.get(key, 0) + 1}
+        solve(self)
+
+    monkeypatch.setattr(repspace.IdealImage, "__post_init__", bumped)

@@ -3,6 +3,8 @@ import importlib
 import pkgutil
 import random
 
+from fractions import Fraction
+
 import pytest
 
 import nhq
@@ -11,7 +13,10 @@ from nhq import (
     HBarPolynomial,
     Letter,
     QPAElement,
+    ReductionParameters,
     WorkLimitError,
+    canonical_necklace,
+    decompose_ideal_image,
     ideal_generator,
     lift_necklace,
     make_configuration,
@@ -30,7 +35,14 @@ from nhq.schedler import (
     _quiver_key,
     clear_straighten_cache,
 )
-from nhq.trace import _trace_config, clear_trace_cache
+from nhq.repspace import _packed_trace
+from nhq.trace import _trace_config, clear_trace_cache, enumerate_generators
+
+
+def params(quiver):
+    """Nonzero r and lambda at every vertex, so both parts are traced."""
+    nv = len(quiver.vertices)
+    return ReductionParameters((Fraction(1),) * nv, (Fraction(-2),) * nv)
 
 
 def _two_loop_cfg(quiver):
@@ -73,8 +85,11 @@ def test_clear_trace_cache_empties_it(J):
     x = Letter(0, False)
     trace_quantum_config(J, (2,), (((x.star(), 1), (x, 2)),), ())
     assert _trace_config.cache_info().currsize == 1
+    decompose_ideal_image(J, (2,), canonical_necklace(J, (x, x.star())), 0, 0)
+    assert _packed_trace.cache_info().currsize > 0
     clear_trace_cache()
     assert _trace_config.cache_info().currsize == 0
+    assert _packed_trace.cache_info().currsize == 0
 
 
 def test_other_strategies_leave_the_shared_cache_untouched(L2):
@@ -99,6 +114,7 @@ def test_every_module_cache_is_bounded():
         assert maxsize is not None, name
     sizes = dict(caches)
     assert sizes["schedler._normal_form"] == sizes["trace._trace_config"] == CACHE_SIZE
+    assert sizes["repspace._packed_trace"] == CACHE_SIZE
 
 
 def _cache_entries(cache):
@@ -115,7 +131,8 @@ def _cache_entries(cache):
 def test_straighten_cache_is_not_tracked_by_the_collector():
     """Keys and values of the straighten cache hold only str and int, so
     CPython stops tracking them and full collections skip the cache; so do
-    the codes and heights that key the terms of every ``QPAElement``.  A
+    the codes and heights that key the terms of every ``QPAElement`` and
+    the values of the packed trace cache of the ideal decompositions.  A
     tuple holding a ``Letter`` (a named tuple) is never untracked."""
     rng = random.Random(7)
     elements = []
@@ -129,6 +146,9 @@ def test_straighten_cache_is_not_tracked_by_the_collector():
         elements += [x, y, z, qpa_mul(qpa_mul(x, y), z), qpa_comm(x, y), moment_lift(quiver)]
         p = random_necklace(rng, quiver, 3, allow_idempotent=False)
         elements.append(ideal_generator(quiver, p, p.letters[0].source(quiver), 0))
+        dim = (2,) * len(quiver.vertices)
+        for necklace, vertex, mark in enumerate_generators(quiver, 2):
+            decompose_ideal_image(quiver, dim, necklace, vertex, mark, params(quiver))
     # A collection untracks a tuple only when its items are untracked, and
     # it meets a container before the items it holds, so each collection
     # untracks one level of nesting: a value nests five deep (entries,
@@ -138,6 +158,9 @@ def test_straighten_cache_is_not_tracked_by_the_collector():
     entries = _cache_entries(_normal_form)
     assert len(entries) == _normal_form.cache_info().currsize > 100
     assert not any(gc.is_tracked(key) or gc.is_tracked(value) for key, value in entries)
+    traces = _cache_entries(_packed_trace)
+    assert len(traces) == _packed_trace.cache_info().currsize > 100
+    assert not any(gc.is_tracked(value) for _, value in traces)
     keys = [cfg for element in elements for cfg in element.terms]
     assert len(keys) > 100 and any(cfg.codes for cfg in keys)
     assert not any(gc.is_tracked(cfg.codes) or gc.is_tracked(cfg.heights) for cfg in keys)

@@ -26,6 +26,7 @@ from nhq import (
     PolyElement,
     QPAElement,
     WeylElement,
+    WorkLimitError,
     block_matrix,
     make_path,
     path_matrix_entry,
@@ -419,3 +420,19 @@ def test_contraction_refuses_more_assignments_than_the_limit(monkeypatch):
     block_matrix(two, (2,), "quantum")
     with pytest.raises(DimensionError, match="has 16 index assignments"):
         block_matrix(PathAlgebraElement.of_path(J, make_path(J, (x, xs, x))), (2,), "quantum")
+
+
+def test_contraction_refusal_is_a_work_limit_error(monkeypatch):
+    J = jordan()
+    x, xs = Letter(0, False), Letter(0, True)
+    monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", 8)
+    four = HH0Element.of(J, canonical_necklace(J, (x, xs, x, xs)))
+    word = tuple((letter, t + 1) for t, letter in enumerate((xs, x, x, xs)))
+    for call in (
+        lambda: trace_classical(four, (2,)),
+        lambda: trace_quantum_config(J, (2,), (word,), ()),
+    ):
+        with pytest.raises(WorkLimitError) as info:
+            call()
+        assert isinstance(info.value, DimensionError)
+        assert str(info.value) == "contraction has 16 index assignments, above the limit 8"

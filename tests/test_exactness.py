@@ -4,7 +4,8 @@
 ``Fraction``; ``int / int`` would be a float, so the accessors hand out
 ``Fraction`` values.  A spy checks every polynomial and every element
 built while the verify suites, the gl kernel and the reduction solvers run
-and while sampled Weyl and quantum-algebra products are formed.
+and while sampled Weyl and quantum-algebra products are formed; the ideal
+suite's decompositions are made to unpack all their views for it.
 """
 
 import random
@@ -23,6 +24,7 @@ from nhq.sampling import (
     small_quivers,
 )
 from nhq.schedler import lift, qpa_mul
+from nhq import suites
 from nhq.suites import SUITES
 from nhq.trace import kernel_constraint, solve_chi, trace_quantum, trace_quantum_config
 
@@ -94,8 +96,21 @@ def test_accessors_return_fractions():
     assert type(p.shift(1).div_h().constant_term()) is Fraction
 
 
+def _reading_every_view(decompose):
+    """``decompose`` that reads every element view of its result, so the
+    spy sees them: a passing decomposition unpacks nothing otherwise."""
+
+    def read(*args):
+        dec = decompose(*args)
+        dec.target, dec.pairs, dec.trace_of_p, dec.re_expand()
+        return dec
+
+    return read
+
+
 @pytest.mark.parametrize("suite", sorted(SUITES))
-def test_verify_suites_stay_exact(spy, suite):
+def test_verify_suites_stay_exact(spy, suite, monkeypatch):
+    monkeypatch.setattr(suites, "decompose_ideal_image", _reading_every_view(suites.decompose_ideal_image))
     for quiver in small_quivers():
         reports = SUITES[suite](
             {"seed": 0, "cases": 2, "quiver": quiver, "dim": None, "params": None}

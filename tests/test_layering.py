@@ -1,10 +1,13 @@
 """The packed monomial format stays inside ``nhq.repspace``.
 
 The contraction kernel packs each monomial into one int (``_Codec``) and
-multiplies on those ints (``_times``, ``_contract``, ``_contract_packed``).
-Only ``repspace`` may know that format, so that changing it touches one
-module: no other module of the package imports those names or reads them
-off the ``repspace`` module.
+multiplies on those ints (``_times``, ``_times_tau``, ``_contract``,
+``_contract_packed``).  The reduction-ideal check keeps its traces,
+entries and re-expansion in that form (``_boundary_entries``,
+``_packed_trace``, ``_traced``, ``_ratio``), and an ``IdealImage`` holds
+them with their ``codec``.  Only ``repspace`` may know that format, so
+that changing it touches one module: no other module of the package
+imports those names or reads them as attributes.
 """
 
 import ast
@@ -13,7 +16,18 @@ import os
 import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "nhq")
-PACKED = {"_Codec", "_times", "_contract", "_contract_packed"}
+PACKED = {
+    "_Codec",
+    "_times",
+    "_times_tau",
+    "_contract",
+    "_contract_packed",
+    "_boundary_entries",
+    "_packed_trace",
+    "_traced",
+    "_ratio",
+    "codec",
+}
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
 
 
@@ -32,6 +46,7 @@ def test_the_check_sees_both_forms():
     assert packed_names_used("from .repspace import _Codec, tau\n") == {"_Codec"}
     assert packed_names_used("from . import repspace\nrepspace._times(a, b, c, d)\n") == {"_times"}
     assert packed_names_used("from .repspace import _contract_letters\n") == set()
+    assert packed_names_used("image = ideal_image(q, d, v, w, g, p, r, l)\nimage.codec\n") == {"codec"}
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "repspace.py"])

@@ -5,17 +5,23 @@
 once because it is affine in r (unit slope) and independent of lambda.
 These tests keep the checks those shortcuts replace: re-expanding each
 decomposition and comparing it with the traced generator, and re-solving
-the character at every unit r.  The library re-expands
-(``repspace.ideal_expansion``) by multiplying each entry's terms by the
-position and derivative tokens of tau's normal-ordered pairs
-(``repspace.tau_pairs``), on packed keys; the general route it
-replaced, a sum of ``weyl_mul(entry, tau(direction) + constant)``, is the
-oracle here, with tau written out arrow by arrow, and so is the same token
-route on tuple keys (``contraction_oracle``).
+the character at every unit r.
+
+The library checks a decomposition on packed int dicts, one per Rees grade
+(``repspace.ideal_image``), and unpacks its elements only when they are
+read.  The route it replaced is the oracle here: the target as
+``trace_quantum(ideal_generator(...))``, chi read with ``HBarPolynomial``
+arithmetic, and the entries and their re-expansion by the tuple kernel
+(``contraction_oracle``).  The library re-expands by multiplying each
+entry's terms by the position and derivative tokens of tau's
+normal-ordered pairs (``repspace.tau_pairs``); the general route, a sum of
+``weyl_mul(entry, tau(direction) + constant)``, is an oracle too, with
+tau written out arrow by arrow.
 """
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -29,10 +35,12 @@ from nhq import (
     WeylElement,
     canonical_necklace,
     decompose_ideal_image,
+    ideal_generator,
     kernel_constraint,
+    make_params,
     solve_chi,
     tau,
-    trace,
+    trace_quantum,
     weyl_mul,
 )
 from nhq import repspace
@@ -145,11 +153,17 @@ def test_tau_pairs_rebuild_tau(case):
     assert WeylElement(quiver, dim, out) == expected
 
 
-def _tuple_decomposition(dec, p, mark, lam):
-    """The entries and the expansion at chi = 0 of ``dec``, by the tuple
-    kernel: the open-word entries of the marked cycle, and the tau route
-    of their terms minus lambda times their trace."""
-    quiver, dim, vertex = dec.quiver, dec.dim, dec.vertex
+def oracle_decomposition(quiver, dim, p, vertex, mark, params):
+    """The decomposition by the route the packed check replaced.
+
+    The target is ``trace_quantum(ideal_generator(...))``, with
+    ``HBarPolynomial`` coefficients; the entries are the tuple kernel's
+    open-word entries of the marked cycle, and the expansion the tau route
+    of their terms minus lambda times their trace.  chi is read at the
+    least monomial of Tr_q(p), one h-degree above its first nonzero one,
+    and kept only when target == re_expand(chi)."""
+    params = make_params(quiver) if params is None else params
+    target = trace_quantum(ideal_generator(quiver, p, vertex, mark, params), dim)
     word = marked_word(quiver, p, vertex, mark)
     ends = range(1, dim[vertex] + 1)
     if word:
@@ -158,21 +172,41 @@ def _tuple_decomposition(dec, p, mark, lam):
     else:
         entries = {(l, l): WeylElement.constant(quiver, dim, 1) for l in ends}
     entries = sorted((key, e) for key, e in entries.items() if e)
-    expansion = contraction_oracle.tau_expansion(quiver, dim, vertex, entries)
-    expansion = WeylElement(quiver, dim, expansion)
+    expansion = WeylElement(quiver, dim, contraction_oracle.tau_expansion(quiver, dim, vertex, entries))
     trace_of_p = WeylElement(quiver, dim)
     for (l_first, l_last), e in entries:
         if l_first == l_last:
             trace_of_p = trace_of_p + e
-    return [e for _, e in entries], expansion - trace_of_p.scale(lam)
+    expansion = expansion - trace_of_p.scale(params.lam[vertex])
+    chi = Fraction(0)
+    if trace_of_p:
+        mono = min(trace_of_p.terms)
+        coeff = trace_of_p.terms[mono]
+        k = next(i for i, c in enumerate(coeff.coeffs) if c)
+        gap = target.coefficient(mono) - expansion.coefficient(mono)
+        chi = gap.coefficient(k + 1) / coeff.coefficient(k)
+    re_expanded = expansion + trace_of_p.scale(HBarPolynomial((0, chi)))
+    return SimpleNamespace(
+        target=target,
+        pairs=tuple(
+            (e, GlElement.elementary(quiver, dim, vertex, l_first, l_last, -1))
+            for (l_first, l_last), e in entries
+        ),
+        trace_of_p=trace_of_p,
+        expansion=expansion,
+        chi_value=chi if target == re_expanded else None,
+    )
 
 
-def _assert_matches_tuple_kernel(quiver, dim, p, vertex, mark, params):
+def _assert_matches_oracle(quiver, dim, p, vertex, mark, params):
     dec = decompose_ideal_image(quiver, dim, p, vertex, mark, params)
-    lam = Fraction(0) if params is None else params.lam[vertex]
-    entries, expansion = _tuple_decomposition(dec, p, mark, lam)
-    assert [entry for entry, _ in dec.pairs] == entries
-    assert dec.expansion == expansion
+    want = oracle_decomposition(quiver, dim, p, vertex, mark, params)
+    assert dec.target == want.target
+    assert dec.pairs == want.pairs
+    assert dec.trace_of_p == want.trace_of_p
+    assert dec.expansion == want.expansion
+    assert dec.chi_value == want.chi_value
+    assert dec.verified == (want.chi_value is not None)
     return dec
 
 
@@ -190,7 +224,27 @@ def _generators(draw):
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(_generators())
 def test_packed_decomposition_matches_the_tuple_kernel(case):
-    _assert_matches_tuple_kernel(*case)
+    _assert_matches_oracle(*case)
+
+
+def _nonzero_vectors(nv):
+    value = st.builds(Fraction, st.integers(1, 3) | st.integers(-3, -1), st.integers(1, 2))
+    return st.tuples(*[value] * nv)
+
+
+@pytest.mark.parametrize("kind", ["none", "r", "lambda", "both"])
+@pytest.mark.parametrize("quiver", small_quivers(), ids=lambda q: ",".join(a.name for a in q.arrows))
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_decomposition_equals_the_traced_generator_oracle(quiver, kind, data):
+    nv = len(quiver.vertices)
+    dim = data.draw(st.tuples(*[st.integers(1, 2)] * nv))
+    p, vertex, mark = data.draw(st.sampled_from(enumerate_generators(quiver, 3)))
+    zero = (Fraction(0),) * nv
+    r = data.draw(_nonzero_vectors(nv)) if kind in ("r", "both") else zero
+    lam = data.draw(_nonzero_vectors(nv)) if kind in ("lambda", "both") else zero
+    params = None if kind == "none" else ReductionParameters(r, lam)
+    assert _assert_matches_oracle(quiver, dim, p, vertex, mark, params).verified
 
 
 @pytest.mark.parametrize("starred", [True, False])
@@ -221,7 +275,7 @@ def test_a_tau_term_raises_an_exponent_above_the_letter_count(starred):
     power, other = [Letter(0, starred)] * m, [Letter(0, not starred)]
     for letters in (power, power[1:] + other):
         p = canonical_necklace(quiver, letters)
-        dec = _assert_matches_tuple_kernel(quiver, dim, p, 0, 0, None)
+        dec = _assert_matches_oracle(quiver, dim, p, 0, 0, None)
         assert dec.verified
         assert dec.re_expand() == reference_re_expand(dec, Fraction(0), dec.chi_value)
 
@@ -245,15 +299,9 @@ def test_character_is_affine_in_r_and_free_of_lambda(quiver, dim):
             assert tuple(s - b for s, b in zip(shifted.values, base.values)) == unit
 
 
-def test_a_target_outside_the_character_span_fails(monkeypatch):
+def test_a_target_outside_the_character_span_fails(wrong_spliced_int):
     quiver, dim = jordan(), (2,)
-    true_trace = trace.trace_quantum
-    # a constant (h^0) term cannot be a multiple of h Tr_q(p)
-    monkeypatch.setattr(
-        trace,
-        "trace_quantum",
-        lambda x, d: true_trace(x, d) + WeylElement.constant(quiver, tuple(d), 1),
-    )
+    # an h-free term without derivatives cannot be a multiple of h Tr_q(p)
     cycle = canonical_necklace(quiver, (Letter(0, False), Letter(0, True)))
     dec = decompose_ideal_image(quiver, dim, cycle, 0, 1)
     assert dec.chi_value is None
@@ -268,3 +316,28 @@ def test_a_target_outside_the_character_span_fails(monkeypatch):
     chi_report, chi = solve_chi(quiver, dim)
     assert chi is None and chi_report.status == "failed"
     assert kernel_constraint(quiver, dim).status == "failed"
+
+
+@pytest.mark.parametrize("r,lam", [(0, 1), (1, 0)], ids=["lambda", "r"])
+def test_a_wrong_int_in_the_traced_cycle_fails(monkeypatch, r, lam):
+    # P enters the target as (-lambda + h r) P: at the cycle's own grade
+    # through lambda, where it must equal Tr_q(p), and one grade up through r
+    solve = repspace.IdealImage.__post_init__
+
+    def bumped(self):
+        key = max(self.cycle)
+        self.cycle = {**self.cycle, key: self.cycle[key] + 1}
+        solve(self)
+
+    monkeypatch.setattr(repspace.IdealImage, "__post_init__", bumped)
+    quiver, dim = jordan(), (2,)
+    cycle = canonical_necklace(quiver, (Letter(0, False), Letter(0, True)))
+    params = ReductionParameters((Fraction(r),), (Fraction(lam),))
+    dec = decompose_ideal_image(quiver, dim, cycle, 0, 1, params)
+    assert dec.chi_value is None and not dec.verified
+    assert dec.report().residual == format_element(dec.target - dec.re_expand())
+    # the bump is one unit of x_{2,2} d_{2,2} in P
+    monkeypatch.undo()
+    x22 = ((0, 2, 2), 1)
+    bump = WeylElement(quiver, dim, {((x22,), (x22,)): HBarPolynomial((-lam, r))})
+    assert dec.target - decompose_ideal_image(quiver, dim, cycle, 0, 1, params).target == bump

@@ -16,6 +16,7 @@ from nhq import (
     QPAElement,
     ReductionParameters,
     WeylElement,
+    WorkLimitError,
     block_matrix,
     canonical_necklace,
     classical_symbol,
@@ -216,6 +217,48 @@ def test_trace_quantum_budget_covers_the_whole_sum(J, monkeypatch):
     monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", 2**2)
     with pytest.raises(DimensionError, match="has 8 index assignments"):
         trace_quantum(QPAElement(J, {cfgs[0]: 1}), d)
+
+
+def test_decomposition_budget_covers_every_traced_configuration(J, monkeypatch):
+    # the generator's traced configurations together are over the limit,
+    # each of them and the open word of p alone are not
+    from nhq import repspace, schedler
+
+    d = (2,)
+    x, xs = Letter(0, False), Letter(0, True)
+    p = canonical_necklace(J, (x, xs, x))
+    params = ReductionParameters((Fraction(1),), (Fraction(2),))
+    spliced, cycle = schedler.ideal_normal_forms(J, p, 0, 0, params)
+    traced = spliced.keys() | cycle.keys()
+    total = sum(2 ** sum(map(len, codes)) for codes, _, _ in traced)
+    assert total == 20 and max(2 ** sum(map(len, codes)) for codes, _, _ in traced) == 8
+    expected = decompose_ideal_image(J, d, p, 0, 0, params)
+    assert expected.verified
+    clear_trace_cache()
+    monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", total)
+    dec = decompose_ideal_image(J, d, p, 0, 0, params)
+    assert dec.chi_value == expected.chi_value and dec.target == expected.target
+    clear_trace_cache()
+    contractions = []
+    contract = repspace._contract
+    monkeypatch.setattr(repspace, "_contract", lambda *a, **k: contractions.append(a) or contract(*a, **k))
+    monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", total - 1)
+    with pytest.raises(WorkLimitError, match="has 20 index assignments, above the limit 19"):
+        decompose_ideal_image(J, d, p, 0, 0, params)
+    assert contractions == []
+
+
+def test_decomposition_keeps_the_rewrite_budget(J, monkeypatch):
+    from nhq import schedler
+
+    x, xs = Letter(0, False), Letter(0, True)
+    p = canonical_necklace(J, (x, xs, x))
+    params = ReductionParameters((Fraction(1),), (Fraction(2),))
+    monkeypatch.setattr(schedler, "MAX_REWRITES", 10)
+    with pytest.raises(WorkLimitError, match="straightening needs more rewrites than the limit 10"):
+        decompose_ideal_image(J, (2,), p, 0, 0, params)
+    monkeypatch.undo()
+    assert decompose_ideal_image(J, (2,), p, 0, 0, params).verified
 
 
 def test_trace_hom_unit(J):
@@ -479,22 +522,16 @@ def test_failed_quantum_moment_carries_its_first_residual(A2, monkeypatch):
     assert report.notes == ("first failing basis element e^0_{1,2}",)
 
 
-def test_failed_decomposition_carries_its_residual(J, monkeypatch):
-    from nhq import trace
-
+def test_failed_decomposition_carries_its_residual(J, wrong_spliced_int):
     d = (2,)
-    true_trace = trace.trace_quantum
-    # an h-degree-one term away from the least monomial of Tr_q(p): chi is
-    # read as before, and the comparison with the re-expansion fails
-    bump = WeylElement.position(J, d, 0, 2, 2, 2 * H)
-    monkeypatch.setattr(trace, "trace_quantum", lambda x, dd: true_trace(x, dd) + bump)
+    # x_{2,2}^4 at h^0 in the traced spliced part: no chi absorbs it, and
+    # the comparison with the re-expansion fails
     cycle = canonical_necklace(J, (Letter(0, False), Letter(0, True)))
     dec = decompose_ideal_image(J, d, cycle, 0, 1)
     assert dec.chi_value is None and not dec.verified
     report = dec.report()
     assert report.status == "failed"
     assert report.residual == RESIDUALS["ideal"]
-
 
 
 def test_cubic_commutator_not_divisible_by_h_is_the_residual(J, monkeypatch):
@@ -535,7 +572,7 @@ RESIDUALS = {
     ),
     "qmoment": "(1 - h)*d(a)_{2,1}",
     "ideal": (
-        "2*h*[x]_{2,2} - 2*h*[x]_{1,1}*d(x)_{1,1} - 2*h*[x]_{1,2}*d(x)_{1,2} "
-        "- 2*h*[x]_{2,1}*d(x)_{2,1} - 2*h*[x]_{2,2}*d(x)_{2,2}"
+        "-2*h*[x]_{1,1}*d(x)_{1,1} - 2*h*[x]_{1,2}*d(x)_{1,2} - 2*h*[x]_{2,1}*d(x)_{2,1} "
+        "- 2*h*[x]_{2,2}*d(x)_{2,2} + [x]_{2,2}^4"
     ),
 }
