@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -543,6 +543,7 @@ def rational_nullspace(matrix, ncols):
 
 def tau_kernel(quiver: Quiver, dim) -> list:
     """Exact basis of {v in gl_d : tau(v) = 0}."""
+    dim = make_dimension_vector(quiver, dim)
     basis = list(gl_basis(quiver, dim))
     columns = {}
     images = []
@@ -824,9 +825,19 @@ def _contract_letters(quiver: Quiver, dim, words, quantum: bool, ends=None):
 # stands for c h^((N - k)/2) and one in the traced cycle P, in Tr_q(p) = T
 # and in the open-word entries for c h^((v - k)/2): G sits at grade N and
 # P, T at grade v.  The tau re-expansion E adds two tokens to each entry,
-# grade N.  All of them are int dicts in one codec, and the decomposition
-# target == re_expand(chi), split by grade, is two exact comparisons:
-# G + r P - E = chi T at grade N and, when lambda != 0, P = T at grade v.
+# grade N.  All of them are int dicts in one codec, none depends on
+# (r, lambda), and the decomposition target == re_expand(chi), split by
+# grade, is two exact comparisons: G + r P - E = chi T at grade N and,
+# when lambda != 0, P = T at grade v.
+
+
+def _check_traces(quiver: Quiver, dim, configs) -> None:
+    """Refuse to trace the sum of the coded configurations ``configs``
+    (each given by its tuple of component codes) when their index
+    assignments, the product of the letters' block sizes for each, add up
+    to more than ``MAX_INDEX_ASSIGNMENTS``."""
+    sizes = lambda codes: [dim[_LETTER[c].target(quiver)] for s in codes for c in s]
+    _check_assignments(sum([math.prod(sizes(codes)) for codes in configs]))
 
 
 def _boundary_entries(quiver: Quiver, dim, vertex: int, word):
@@ -891,35 +902,38 @@ def _ratio(lhs: dict, base: dict):
 
 @dataclass(eq=False)
 class IdealImage:
-    """One reduction-ideal generator's decomposition in packed form.
+    """One reduction-ideal generator's decomposition in packed form, for
+    every (r, lambda) at once.
 
     ``v`` is the marked word's letter count; ``entries`` holds its nonzero
     open-word entries ((l_first, l_last), packed terms) and ``spliced`` (G),
-    ``cycle`` (P, None when -lambda + h r is zero), ``diagonal`` (T) and
-    ``expanded`` (E) the packed int dicts of the comment above.
-    ``chi`` is the solved character value, None when no value makes the
-    decomposition exact.  The views ``target`` = Tr_q(generator),
-    ``pairs`` (each entry with its direction -e_{l_first, l_last}),
-    ``trace_of_p`` = Tr_q(p) and ``expansion`` = sum entry
-    tau(direction) - lambda Tr_q(p) are unpacked on their first read."""
+    ``cycle`` (P), ``diagonal`` (T) and ``expanded`` (E) the packed int
+    dicts of the comment above.  ``chi(r, lam)`` solves the character value
+    at order-h weight r and deformation lam.  The views ``target(r, lam)``
+    = Tr_q(generator), ``expansion(lam)`` = sum entry tau(direction) -
+    lambda Tr_q(p), ``pairs`` (each entry with its direction
+    -e_{l_first, l_last}) and ``trace_of_p`` = Tr_q(p) are unpacked when
+    read, the last two once."""
 
     quiver: Quiver
     dim: tuple
     vertex: int
-    r: Fraction
-    lam: Fraction
     v: int
     codec: _Codec
     entries: list
     spliced: dict
-    cycle: dict | None
+    cycle: dict
     diagonal: dict
     expanded: dict
-    chi: Fraction | None = field(init=False)
 
-    def __post_init__(self):
+    def chi(self, r, lam) -> Fraction | None:
+        """The chi with target(r, lam) == expansion(lam) + chi h Tr_q(p),
+        None when no value makes the decomposition exact."""
+        # grade v: -lambda P = -lambda T
+        if lam and self.cycle != self.diagonal:
+            return None
         # grade N, times the denominator of r: den (G - E) + num P = den chi T
-        num, den = self.r.numerator, self.r.denominator
+        num, den = r.numerator, r.denominator
         lhs = {key: den * c for key, c in self.spliced.items()}
         for key, c in self.expanded.items():
             lhs[key] = lhs.get(key, 0) - den * c
@@ -927,9 +941,7 @@ class IdealImage:
             for key, c in self.cycle.items():
                 lhs[key] = lhs.get(key, 0) + num * c
         ratio = _ratio({key: c for key, c in lhs.items() if c}, self.diagonal)
-        # grade v: -lambda P = -lambda T
-        same_tail = not self.lam or self.cycle == self.diagonal
-        self.chi = ratio / den if ratio is not None and same_tail else None
+        return None if ratio is None else ratio / den
 
     def _unpack(self, top: dict, scale, low: dict) -> WeylElement:
         """The element of ``top`` at grade v + 2 plus ``scale`` times ``low``
@@ -941,17 +953,15 @@ class IdealImage:
                 add_into(terms, mono, c)
         return WeylElement(self.quiver, self.dim)._with_terms(terms)
 
-    @cached_property
-    def target(self) -> WeylElement:
+    def target(self, r, lam) -> WeylElement:
         top = dict(self.spliced)
-        if self.r:
+        if r:
             for key, c in self.cycle.items():
-                add_into(top, key, self.r * c)
-        return self._unpack(top, -self.lam, self.cycle)
+                add_into(top, key, r * c)
+        return self._unpack(top, -lam, self.cycle)
 
-    @cached_property
-    def expansion(self) -> WeylElement:
-        return self._unpack(self.expanded, -self.lam, self.diagonal)
+    def expansion(self, lam) -> WeylElement:
+        return self._unpack(self.expanded, -lam, self.diagonal)
 
     @cached_property
     def trace_of_p(self) -> WeylElement:
@@ -969,23 +979,20 @@ class IdealImage:
         )
 
 
-def ideal_image(quiver: Quiver, dim, vertex: int, word, spliced: dict, cycle, r, lam) -> IdealImage:
+def ideal_image(quiver: Quiver, dim, vertex: int, word, spliced: dict, cycle: dict) -> IdealImage:
     """The decomposition of the generator whose straightened parts are
     ``spliced`` and ``cycle`` (``schedler.ideal_normal_forms`` of ``word``,
-    the marked cycle, at ``vertex``) with order-h weight ``r`` and
-    deformation ``lam`` at the vertex.
+    the marked cycle, at ``vertex``).
 
-    The index assignments of all the configurations it traces are added up
-    against ``MAX_INDEX_ASSIGNMENTS`` before any contraction, as
-    ``trace.trace_quantum`` does for a sum.  Each entry M_{l1,l2} is
+    The index assignments of all the configurations it traces are charged
+    together (``_check_traces``) before any contraction, as
+    ``trace.trace_quantum`` charges a sum.  Each entry M_{l1,l2} is
     multiplied by the normal-ordered terms x_pos d_der of tau(-e_{l1,l2})
     (``tau_pairs``), the position token and then the derivative token, in
     one pass over its packed terms (``_times_tau``).  Nothing is unpacked
     until a view is read.
     """
-    letters = lambda cfg: [dim[_LETTER[c].target(quiver)] for s in cfg[0] for c in s]
-    traced = spliced.keys() | (cycle or {}).keys()
-    _check_assignments(sum([math.prod(letters(cfg)) for cfg in traced]))
+    _check_traces(quiver, dim, [codes for codes, _, _ in spliced.keys() | cycle.keys()])
     codec, entries = _boundary_entries(quiver, dim, vertex, word)
     diagonal: dict = {}
     expansion: dict = {}
@@ -996,9 +1003,9 @@ def ideal_image(quiver: Quiver, dim, vertex: int, word, spliced: dict, cycle, r,
         for sign, pos, der in tau_pairs(quiver, dim, vertex, l_first, l_last):
             _times_tau(terms, -sign, codec.position(pos), codec.derivative(der), codec.mask, expansion)
     G = _traced(quiver, dim, codec, spliced)
-    P = _traced(quiver, dim, codec, cycle) if cycle is not None else None
+    P = _traced(quiver, dim, codec, cycle)
     E = {key: c for key, c in expansion.items() if c}
-    return IdealImage(quiver, dim, vertex, r, lam, len(word), codec, entries, G, P, diagonal, E)
+    return IdealImage(quiver, dim, vertex, len(word), codec, entries, G, P, diagonal, E)
 
 
 # ---------------------------------------------------------------------------
@@ -1097,6 +1104,7 @@ def moment_block_matrix(quiver: Quiver, dim, r=None) -> dict:
     products ordered with the height-1 factor first, plus h r_i on the
     diagonal when r is given.
     """
+    dim = make_dimension_vector(quiver, dim)
     out = {}
     for i in range(len(quiver.vertices)):
         indices = range(1, dim[i] + 1)

@@ -33,7 +33,8 @@ pairs, which hold only ``str`` and ``int``: CPython stops tracking such
 tuples, so full garbage collections skip the cache.  ``_normal_terms``
 restores h^((N - n)/2) for ``straighten``, ``qpa_mul``, ``moment_lift``
 and ``ideal_generator``; ``ideal_normal_forms`` hands the int forms of a
-generator's two parts to the packed reduction-ideal check as they are.  A
+generator's two parts, which do not depend on (r, lambda), to the packed
+reduction-ideal check as they are, once for every parameter set.  A
 correction drops the letters at heights h and h + 1 of a configuration
 with heights 1..N, so it is renumbered by moving the heights above h + 1
 down by two.
@@ -119,10 +120,11 @@ CACHE_SIZE = 1 << 16
 
 #: Most height swaps the kernel may compute for one call of ``straighten``,
 #: ``qpa_mul``, ``moment_lift``, ``ideal_generator`` or
-#: ``ideal_normal_forms``; past it the call raises ``WorkLimitError``.  With
-#: cold caches, the benchmark and the golden CLI set need at most about
-#: 2,000 swaps per call; an alternating Jordan word of 18 letters with
-#: shuffled heights needs about 147,000 and one of 20 letters about 450,000
+#: ``ideal_normal_forms`` (one call per generator, whatever its
+#: parameters); past it the call raises ``WorkLimitError``.  With cold
+#: caches, the benchmark and the golden CLI set need at most about 2,000
+#: swaps per call; an alternating Jordan word of 18 letters with shuffled
+#: heights needs about 147,000 and one of 20 letters about 450,000
 #: (2 s and 6 s of work).
 MAX_REWRITES = 1 << 18
 
@@ -582,13 +584,11 @@ def marked_word(quiver: Quiver, p: Necklace, vertex: int, mark: int):
     return letters[mark + 1 :] + letters[: mark + 1]
 
 
-def _ideal_parts(quiver, p, vertex, mark, params):
+def _ideal_parts(quiver, p, vertex, mark):
     """A generator's configurations, coded: the spliced moment
     configurations as ``(codes, heights, idems, sign)`` with N = v + 2
-    letters, p's cycle of v letters (the idempotent factor at ``vertex``
-    when v = 0) and the tail -lambda + h r that multiplies the cycle."""
-    if params is None:
-        params = make_params(quiver)
+    letters and p's cycle of v letters (the idempotent factor at ``vertex``
+    when v = 0)."""
     base = _code(marked_word(quiver, p, vertex, mark))
     v = len(base)
     spliced = (tuple(range(1, v + 3)),)
@@ -597,7 +597,7 @@ def _ideal_parts(quiver, p, vertex, mark, params):
         for sign, first, second in moment_pairs(quiver, vertex)
     ]
     cycle = ((base,), (tuple(range(1, v + 1)),), ()) if v else ((), (), (vertex,))
-    return moments, cycle, HBarPolynomial((-params.lam[vertex], params.r[vertex]))
+    return moments, cycle
 
 
 def ideal_generator(
@@ -613,30 +613,27 @@ def ideal_generator(
     heights running in word order around the spliced cycle, minus lambda_i
     times p, plus h r_i times p; everything is returned in normal form.
     """
-    moments, cycle, tail = _ideal_parts(quiver, p, vertex, mark, params)
+    if params is None:
+        params = make_params(quiver)
+    moments, cycle = _ideal_parts(quiver, p, vertex, mark)
     configs = [(*cfg, _ONE if sign > 0 else -_ONE) for *cfg, sign in moments]
+    tail = HBarPolynomial((-params.lam[vertex], params.r[vertex]))
     if tail:
         configs.append((*cycle, tail))
     return QPAElement(quiver, _normal_terms(quiver, configs))
 
 
-def ideal_normal_forms(
-    quiver: Quiver,
-    p: Necklace,
-    vertex: int,
-    mark: int = 0,
-    params: ReductionParameters | None = None,
-) -> tuple:
-    """The two Rees-homogeneous parts of ``ideal_generator``, straightened
-    and left in the kernel's form: ``(spliced, cycle)``, each a dict
-    {coded cfg: nonzero int}.
+def ideal_normal_forms(quiver: Quiver, p: Necklace, vertex: int, mark: int = 0) -> tuple:
+    """The two Rees-homogeneous parts of every ``ideal_generator`` of (p,
+    marked visit), straightened and left in the kernel's form: ``(spliced,
+    cycle)``, each a dict {coded cfg: nonzero int}.
 
     With v the letters of p, an n-letter term c of ``spliced`` stands for
     c h^((v + 2 - n)/2) and one of ``cycle`` for c h^((v - n)/2); the
-    generator is spliced + (-lambda + h r) cycle.  ``cycle`` is None when
-    that tail is zero.  Both parts share one budget of ``MAX_REWRITES``
-    height swaps, as ``ideal_generator`` has."""
-    moments, cycle, tail = _ideal_parts(quiver, p, vertex, mark, params)
+    generator at parameters (r, lambda) is spliced + (-lambda + h r) cycle,
+    so neither part depends on them.  Both parts share one budget of
+    ``MAX_REWRITES`` height swaps, as ``ideal_generator`` has."""
+    moments, cycle = _ideal_parts(quiver, p, vertex, mark)
     qkey = _quiver_key(quiver)
     _rewrites_left[0] = MAX_REWRITES
 
@@ -647,4 +644,4 @@ def ideal_normal_forms(
                 out[key] = out.get(key, 0) + sign * c
         return {key: c for key, c in out.items() if c}
 
-    return summed(moments), (summed([(*cycle, 1)]) if tail else None)
+    return summed(moments), summed([(*cycle, 1)])

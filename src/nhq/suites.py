@@ -51,9 +51,10 @@ from .schedler import (
     straighten,
 )
 from .trace import (
+    IdealDecomposition,
     compare_report,
-    decompose_ideal_image,
     enumerate_generators,
+    generator_image,
     lift_necklace_combination,
     over_h,
     solve_chi_from,
@@ -212,8 +213,9 @@ def suite_ideal(
 ) -> list:
     """Decompose every short reduction-ideal generator and solve the character.
 
-    Each generator is decomposed once per parameter set; the character is
-    read from those of length at most 2, as ``solve_chi`` reads it."""
+    Each generator is decomposed once per (quiver, dim), and its image is
+    bound to each parameter set; the character is read from those of length
+    at most 2, as ``solve_chi`` reads it."""
     rng = random.Random(seed)
     reports = []
     for idx, (q, d) in enumerate(_targets(quiver, dim, (jordan(), a2()))):
@@ -228,10 +230,11 @@ def suite_ideal(
                 ReductionParameters(r, _orthogonal_lambda(d)),
             ]
         generators = enumerate_generators(q, max(max_len, 2))
+        images = [generator_image(q, d, *generator) for generator in generators]
         for pidx, prm in enumerate(param_list):
             decompositions = [
-                (generator, decompose_ideal_image(q, d, *generator, prm))
-                for generator in generators
+                (generator, IdealDecomposition(image, prm))
+                for generator, image in zip(generators, images)
             ]
             unequal = (
                 (_generator_note(q, generator), dec.target, dec.re_expand())

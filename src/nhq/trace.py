@@ -8,11 +8,13 @@ which sums each index as soon as the last factor using it has been
 multiplied.  Around them sit the verification procedures: the trace is an
 algebra map, the pre- and post-reduction squares commute, the quantum
 moment identity holds, and the reduction-ideal generators decompose over
-the shifted gl action with a solvable trace character.  That decomposition
-is checked on packed monomials in ``repspace.ideal_image``, fed by the
-straightening kernel's int normal forms (``schedler.ideal_normal_forms``);
-this module never sees the packed monomials of a contraction.  All checks
-are by exact equality; failures carry the residual element.
+the shifted gl action with a solvable trace character.  A generator is
+straightened (``schedler.ideal_normal_forms``) and traced into packed
+monomials (``repspace.ideal_image``) once, free of the parameters (r,
+lambda); an ``IdealDecomposition`` binds that image to one parameter set,
+so every set reads the same image.  This module never sees the packed
+monomials of a contraction.  All checks are by exact equality; failures
+carry the residual element.
 """
 
 from __future__ import annotations
@@ -21,18 +23,19 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .expr import format_element
 from .linear import add_into
-from .necklace import _LETTER, HH0Element, Necklace, canonical_necklace, idempotent_class, necklace_key
+from .necklace import HH0Element, Necklace, canonical_necklace, idempotent_class, necklace_key
 from .quiver import Quiver
 from .repspace import (
     Character,
     GlElement,
     PolyElement,
+    IdealImage,
     WeylElement,
-    _check_assignments,
+    _check_traces,
     _contract_letters,
     chi_sign_variants,
     classical_symbol,
@@ -55,7 +58,6 @@ from .schedler import (
     ReductionParameters,
     ideal_normal_forms,
     lift,
-    make_params,
     marked_word,
     qpa_mul,
     SymElement,
@@ -125,8 +127,7 @@ def trace_quantum(x: QPAElement, dim) -> WeylElement:
         ((cfg, coeff),) = x.items()
         traced = _trace_config(quiver, dim, cfg)
         return traced if coeff == ONE else traced.scale(coeff)
-    sizes = lambda cfg: [dim[_LETTER[c].target(quiver)] for s in cfg.codes for c in s]
-    _check_assignments(sum([math.prod(sizes(cfg)) for cfg in x.terms]))
+    _check_traces(quiver, dim, [cfg.codes for cfg in x.terms])
     out: dict = {}
     for cfg, coeff in x.items():
         for mono, c in _trace_config(quiver, dim, cfg).items():
@@ -247,7 +248,7 @@ def lift_necklace_combination(x: HH0Element) -> QPAElement:
 def verify_quantum_moment(quiver: Quiver, dim, r=None, name="qmoment") -> VerificationReport:
     """tr of the moment matrix equals -tau + h chi, chi the 'main' character
     c_i = -(weighted out-degree of i) + r_i."""
-    dim = tuple(dim)
+    dim = make_dimension_vector(quiver, dim)
     chi = chi_sign_variants(quiver, dim, r)["main"].values
 
     def pairs():
@@ -275,20 +276,21 @@ def verify_equivariance(v: GlElement, x: QPAElement, dim, name="invariance") -> 
 class IdealDecomposition:
     """Tr_q(generator) written as sum coeff * (tau + lambda tr - h chi)(direction).
 
-    ``chi_value`` is the solved trace-character coefficient at the
-    generator's vertex, None when no value of it makes the decomposition
-    exact; ``verified`` means target == re_expand(chi_value).  The check
-    runs on the packed form (``repspace.ideal_image``), and the elements are
-    read-only views unpacked on their first read:
+    One ``repspace.IdealImage`` bound to the order-h weight r and the
+    deformation lambda of ``params`` (zero by default) at its vertex.
+    ``chi_value`` is the solved trace-character coefficient there, None
+    when no value of it makes the decomposition exact; ``verified`` means
+    target == re_expand(chi_value).  The elements are views unpacked on
+    their first read, the last two shared by every binding of the image:
 
     - ``target``: Tr_q of the straightened generator;
+    - ``expansion``: the re-expansion at chi = 0, sum entry *
+      tau(direction) - lambda Tr_q(p);
     - ``pairs``: one (entry, direction) pair per nonzero boundary pair
       (l_first, l_last): the entry is that entry of the height-ordered
       operator matrix product of the cycle letters, the direction the
       negated elementary matrix -e_{l_first, l_last};
-    - ``trace_of_p``: Tr_q(p), the sum of the diagonal entries;
-    - ``expansion``: the re-expansion at chi = 0, sum entry *
-      tau(direction) - lambda Tr_q(p).
+    - ``trace_of_p``: Tr_q(p), the sum of the diagonal entries.
 
     ``re_expand(c)`` is the affine expansion + c h Tr_q(p).  The route
     through ``trace_quantum(ideal_generator(...))``, and re-expanding
@@ -296,19 +298,25 @@ class IdealDecomposition:
     ``tests/test_reduction_oracles.py``.
     """
 
-    __slots__ = ("_image",)
-
-    def __init__(self, image):
+    def __init__(self, image: IdealImage, params: ReductionParameters | None = None):
         self._image = image
+        v = image.vertex
+        self._r, self._lam = (params.r[v], params.lam[v]) if params else (0, 0)
+        self.chi_value = image.chi(self._r, self._lam)
 
     quiver = property(lambda self: self._image.quiver)
     dim = property(lambda self: self._image.dim)
     vertex = property(lambda self: self._image.vertex)
-    chi_value = property(lambda self: self._image.chi)
-    target = property(lambda self: self._image.target)
     pairs = property(lambda self: self._image.pairs)
     trace_of_p = property(lambda self: self._image.trace_of_p)
-    expansion = property(lambda self: self._image.expansion)
+
+    @cached_property
+    def target(self) -> WeylElement:
+        return self._image.target(self._r, self._lam)
+
+    @cached_property
+    def expansion(self) -> WeylElement:
+        return self._image.expansion(self._lam)
 
     @property
     def verified(self) -> bool:
@@ -325,6 +333,17 @@ class IdealDecomposition:
         return compare_report(name, unequal)
 
 
+def generator_image(quiver: Quiver, dim, p: Necklace, vertex: int, mark: int = 0) -> IdealImage:
+    """The ``repspace.IdealImage`` of the reduction-ideal generator of (p,
+    marked visit), free of (r, lambda): its two straightened parts
+    (``schedler.ideal_normal_forms``), traced as they leave the
+    straightening kernel, with the open-word entries of the marked cycle
+    and their tau re-expansion, all packed and Rees-graded."""
+    dim = make_dimension_vector(quiver, dim)
+    word = marked_word(quiver, p, vertex, mark)
+    return ideal_image(quiver, dim, vertex, word, *ideal_normal_forms(quiver, p, vertex, mark))
+
+
 def decompose_ideal_image(
     quiver: Quiver,
     dim,
@@ -333,28 +352,19 @@ def decompose_ideal_image(
     mark: int = 0,
     params: ReductionParameters | None = None,
 ) -> IdealDecomposition:
-    """Decompose Tr_q of a reduction-ideal generator over the gl action.
+    """Decompose Tr_q of a reduction-ideal generator over the gl action at
+    ``params``: its ``generator_image`` bound to them.
 
     The coefficient of each boundary pair (l_first, l_last) is that entry of
     the operator matrix product of the marked cycle's letters, taken in word
     (= height) order; its direction is -e_{l_first, l_last} at the marked
-    vertex.  The generator's two straightened parts
-    (``schedler.ideal_normal_forms``) go to ``repspace.ideal_image`` as
-    they leave the straightening kernel, and the target, the entries,
-    Tr_q(p) and the tau re-expansion stay packed there, with the power of h
-    implied by the Rees grading.  Re-expansion is affine in chi with slope
-    h Tr_q(p) and lambda enters once, as -lambda Tr_q(p), so target ==
-    re_expand(chi) is two exact comparisons, one per grade, and chi is read
-    off at one monomial of Tr_q(p).  Nothing is unpacked unless a caller
-    reads an element of the result.
+    vertex.  Re-expansion is affine in chi with slope h Tr_q(p) and lambda
+    enters once, as -lambda Tr_q(p), so target == re_expand(chi) is two
+    exact comparisons, one per Rees grade, and chi is read off at one
+    monomial of Tr_q(p).  Nothing is unpacked unless a caller reads an
+    element of the result.
     """
-    if params is None:
-        params = make_params(quiver)
-    word = marked_word(quiver, p, vertex, mark)
-    spliced, cycle = ideal_normal_forms(quiver, p, vertex, mark, params)
-    dim = make_dimension_vector(quiver, tuple(dim))
-    r, lam = params.r[vertex], params.lam[vertex]
-    return IdealDecomposition(ideal_image(quiver, dim, vertex, word, spliced, cycle, r, lam))
+    return IdealDecomposition(generator_image(quiver, dim, p, vertex, mark), params)
 
 
 def _closed_necklaces(quiver: Quiver, max_len: int):
@@ -396,21 +406,20 @@ def solve_chi(
     against the printed closed forms (all sign variants).  It is affine in
     r with unit slope and independent of lambda (see ``kernel_constraint``).
     """
-    dim = tuple(dim)
-    if params is None:
-        params = make_params(quiver)
+    dim = make_dimension_vector(quiver, dim)
     decompositions = (
-        decompose_ideal_image(quiver, dim, necklace, vertex, mark, params)
-        for necklace, vertex, mark in enumerate_generators(quiver, max_len)
+        decompose_ideal_image(quiver, dim, *generator, params)
+        for generator in enumerate_generators(quiver, max_len)
     )
-    return solve_chi_from(quiver, dim, params.r, decompositions)
+    return solve_chi_from(quiver, dim, None if params is None else params.r, decompositions)
 
 
 def solve_chi_from(
     quiver: Quiver, dim, r, decompositions, name="solve-chi"
 ) -> tuple[VerificationReport, Character | None]:
     """The trace character that ``solve_chi`` reads off ``decompositions``,
-    the generators' decompositions at order-h weights ``r``."""
+    the generators' decompositions at order-h weights ``r`` (zero when
+    None)."""
     values: dict[int, set] = {i: set() for i in range(len(quiver.vertices))}
     all_verified = True
     for dec in decompositions:
@@ -421,37 +430,19 @@ def solve_chi_from(
 
     names = quiver.vertices
     if not all_verified or any(len(v) != 1 for v in values.values()):
-        detail = {
-            names[i]: sorted(str(c) for c in v) for i, v in values.items()
-        }
-        return (
-            VerificationReport(
-                name,
-                "failed",
-                notes=(f"inconsistent or undetermined character: {detail}",),
-            ),
-            None,
-        )
+        detail = {names[i]: sorted(str(c) for c in v) for i, v in values.items()}
+        note = f"inconsistent or undetermined character: {detail}"
+        return VerificationReport(name, "failed", notes=(note,)), None
     solved = Character(quiver, tuple(values[i].pop() for i in range(len(names))))
-    variants = chi_sign_variants(quiver, dim, r)
     notes = []
-    for label, variant in variants.items():
+    for label, variant in chi_sign_variants(quiver, dim, r).items():
         if variant.values == solved.values:
             notes.append(f"matches closed form '{label}'")
         else:
-            body = ", ".join(
-                f"{names[i]}: {variant.values[i]}" for i in range(len(names))
-            )
+            body = ", ".join(f"{names[i]}: {c}" for i, c in enumerate(variant.values))
             notes.append(f"differs from closed form '{label}' ({body})")
-    return (
-        VerificationReport(
-            name,
-            "solved",
-            character={names[i]: str(solved.values[i]) for i in range(len(names))},
-            notes=tuple(notes),
-        ),
-        solved,
-    )
+    character = {names[i]: str(c) for i, c in enumerate(solved.values)}
+    return VerificationReport(name, "solved", character=character, notes=tuple(notes)), solved
 
 
 def _format_constraint(quiver: Quiver, constant: Fraction, r_coeffs) -> str:
@@ -481,7 +472,7 @@ def kernel_constraint(quiver: Quiver, dim) -> VerificationReport:
     constraint on r.  Re-solving at unit r_k and comparing is kept as a
     test oracle in ``tests/test_reduction_oracles.py``.
     """
-    dim = tuple(dim)
+    dim = make_dimension_vector(quiver, dim)
     nv = len(quiver.vertices)
     base_report, base = solve_chi(quiver, dim)
     if base is None:
@@ -494,13 +485,11 @@ def kernel_constraint(quiver: Quiver, dim) -> VerificationReport:
             sum((c for (i, p, q), c in vec.items() if i == k and p == q), Fraction(0))
             for k in range(nv)
         ]
-        constant = sum(
-            (base.values[k] * block_traces[k] for k in range(nv)), Fraction(0)
-        )
+        constant = sum((b * t for b, t in zip(base.values, block_traces)), Fraction(0))
         constraints.append(_format_constraint(quiver, constant, block_traces))
     from .sampling import a3p
 
-    if quiver == a3p() and tuple(dim) == (2, 2, 2, 1):
+    if quiver == a3p() and dim == (2, 2, 2, 1):
         notes.append(
             "reference constraint printed in the source example: "
             "14 + 4*r_0 + 2*r_1 + 2*r_2 = 0 "

@@ -38,17 +38,19 @@ def wrong_spliced_int(monkeypatch):
     """Make one int of every traced generator wrong, at the packed seam:
     the spliced part G of each ``repspace.IdealImage`` gains 1 at the key
     of x_w^N, w the codec's last coordinate and N the letters of the
-    spliced configurations, before the decomposition is solved.  That is
-    an h-free monomial of the target's top Rees grade with no derivative,
-    which no generator's trace holds and no chi can absorb."""
-    from nhq import repspace
+    spliced configurations, as the image leaves ``repspace.ideal_image``
+    and before any parameter set is bound to it.  That is an h-free
+    monomial of the target's top Rees grade with no derivative, which no
+    generator's trace holds and no chi can absorb."""
+    from nhq import trace
 
-    solve = repspace.IdealImage.__post_init__
+    image_of = trace.ideal_image
 
-    def bumped(self):
-        unit, _ = self.codec.position(max(self.codec.field))
-        key = unit * (self.v + 2)
-        self.spliced = {**self.spliced, key: self.spliced.get(key, 0) + 1}
-        solve(self)
+    def bumped(*args):
+        image = image_of(*args)
+        unit, _ = image.codec.position(max(image.codec.field))
+        key = unit * (image.v + 2)
+        image.spliced = {**image.spliced, key: image.spliced.get(key, 0) + 1}
+        return image
 
-    monkeypatch.setattr(repspace.IdealImage, "__post_init__", bumped)
+    monkeypatch.setattr(trace, "ideal_image", bumped)

@@ -63,6 +63,10 @@ COMMANDS = [
     ["verify", "poisson", "-q", "jordan.json"],
     # both dimension vectors, both parameter sets
     ["verify", "ideal", "-q", "a2.json"],
+    # the longest ideal path: 97 generators of the two-loop quiver
+    ["verify", "ideal", "-q", "two_loop.json", "--dim", "v=2"],
+    # one given parameter set with lambda != 0
+    ["verify", "ideal", "-q", "a2.json", "--dim", "1=2,2=1", "--r", "1=1,2=-1", "--lambda", "1=1,2=-2"],
 ]
 
 

@@ -96,12 +96,13 @@ def test_accessors_return_fractions():
     assert type(p.shift(1).div_h().constant_term()) is Fraction
 
 
-def _reading_every_view(decompose):
-    """``decompose`` that reads every element view of its result, so the
-    spy sees them: a passing decomposition unpacks nothing otherwise."""
+def _reading_every_view(bind):
+    """``bind`` (an image to a parameter set) that reads every element view
+    of its result, so the spy sees them: a passing decomposition unpacks
+    nothing otherwise."""
 
     def read(*args):
-        dec = decompose(*args)
+        dec = bind(*args)
         dec.target, dec.pairs, dec.trace_of_p, dec.re_expand()
         return dec
 
@@ -110,7 +111,7 @@ def _reading_every_view(decompose):
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_verify_suites_stay_exact(spy, suite, monkeypatch):
-    monkeypatch.setattr(suites, "decompose_ideal_image", _reading_every_view(suites.decompose_ideal_image))
+    monkeypatch.setattr(suites, "IdealDecomposition", _reading_every_view(suites.IdealDecomposition))
     for quiver in small_quivers():
         reports = SUITES[suite](
             {"seed": 0, "cases": 2, "quiver": quiver, "dim": None, "params": None}

@@ -46,7 +46,7 @@ def test_the_check_sees_both_forms():
     assert packed_names_used("from .repspace import _Codec, tau\n") == {"_Codec"}
     assert packed_names_used("from . import repspace\nrepspace._times(a, b, c, d)\n") == {"_times"}
     assert packed_names_used("from .repspace import _contract_letters\n") == set()
-    assert packed_names_used("image = ideal_image(q, d, v, w, g, p, r, l)\nimage.codec\n") == {"codec"}
+    assert packed_names_used("image = ideal_image(q, d, v, w, g, p)\nimage.codec\n") == {"codec"}
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "repspace.py"])

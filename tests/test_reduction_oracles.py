@@ -43,12 +43,12 @@ from nhq import (
     trace_quantum,
     weyl_mul,
 )
-from nhq import repspace
+from nhq import repspace, trace
 from nhq.expr import format_element
 from nhq.repspace import tau_pairs
 from nhq.sampling import a2, a3p, all_dimension_vectors, jordan, small_quivers, two_loop
 from nhq.schedler import marked_word
-from nhq.trace import enumerate_generators
+from nhq.trace import IdealDecomposition, enumerate_generators, generator_image
 import contraction_oracle
 from contraction_oracle import times_token
 
@@ -198,8 +198,9 @@ def oracle_decomposition(quiver, dim, p, vertex, mark, params):
     )
 
 
-def _assert_matches_oracle(quiver, dim, p, vertex, mark, params):
-    dec = decompose_ideal_image(quiver, dim, p, vertex, mark, params)
+def _assert_matches_oracle(quiver, dim, p, vertex, mark, params, dec=None):
+    if dec is None:
+        dec = decompose_ideal_image(quiver, dim, p, vertex, mark, params)
     want = oracle_decomposition(quiver, dim, p, vertex, mark, params)
     assert dec.target == want.target
     assert dec.pairs == want.pairs
@@ -241,10 +242,19 @@ def test_decomposition_equals_the_traced_generator_oracle(quiver, kind, data):
     dim = data.draw(st.tuples(*[st.integers(1, 2)] * nv))
     p, vertex, mark = data.draw(st.sampled_from(enumerate_generators(quiver, 3)))
     zero = (Fraction(0),) * nv
-    r = data.draw(_nonzero_vectors(nv)) if kind in ("r", "both") else zero
-    lam = data.draw(_nonzero_vectors(nv)) if kind in ("lambda", "both") else zero
-    params = None if kind == "none" else ReductionParameters(r, lam)
-    assert _assert_matches_oracle(quiver, dim, p, vertex, mark, params).verified
+    r, lam = data.draw(_nonzero_vectors(nv)), data.draw(_nonzero_vectors(nv))
+    cases = {
+        "none": None,
+        "r": ReductionParameters(r, zero),
+        "lambda": ReductionParameters(zero, lam),
+        "both": ReductionParameters(r, lam),
+    }
+    assert _assert_matches_oracle(quiver, dim, p, vertex, mark, cases[kind]).verified
+    # one parameter-free image, bound to each of the four parameter sets
+    image = generator_image(quiver, dim, p, vertex, mark)
+    for params in cases.values():
+        dec = IdealDecomposition(image, params)
+        assert _assert_matches_oracle(quiver, dim, p, vertex, mark, params, dec).verified
 
 
 @pytest.mark.parametrize("starred", [True, False])
@@ -322,14 +332,15 @@ def test_a_target_outside_the_character_span_fails(wrong_spliced_int):
 def test_a_wrong_int_in_the_traced_cycle_fails(monkeypatch, r, lam):
     # P enters the target as (-lambda + h r) P: at the cycle's own grade
     # through lambda, where it must equal Tr_q(p), and one grade up through r
-    solve = repspace.IdealImage.__post_init__
+    image_of = trace.ideal_image
 
-    def bumped(self):
-        key = max(self.cycle)
-        self.cycle = {**self.cycle, key: self.cycle[key] + 1}
-        solve(self)
+    def bumped(*args):
+        image = image_of(*args)
+        key = max(image.cycle)
+        image.cycle = {**image.cycle, key: image.cycle[key] + 1}
+        return image
 
-    monkeypatch.setattr(repspace.IdealImage, "__post_init__", bumped)
+    monkeypatch.setattr(trace, "ideal_image", bumped)
     quiver, dim = jordan(), (2,)
     cycle = canonical_necklace(quiver, (Letter(0, False), Letter(0, True)))
     params = ReductionParameters((Fraction(r),), (Fraction(lam),))

@@ -1,12 +1,17 @@
 """Failed verify-suite cases carry the formatted nonzero difference element."""
 
+import io
+import os
 import random
+from contextlib import redirect_stdout
 
 from nhq import necklace_bracket, project
-from nhq import suites
+from nhq import repspace, suites, trace
+from nhq.cli import main
 from nhq.expr import format_hh0, format_sym
 from nhq.sampling import random_hh0, random_quiver
-from nhq.trace import lift_necklace_combination
+from nhq.sampling import two_loop
+from nhq.trace import enumerate_generators, lift_necklace_combination
 
 
 def _drawn_pairs(seed, cases, draws):
@@ -132,3 +137,21 @@ def test_ideal_failure_names_the_generator(wrong_spliced_int):
     assert chi.to_text() == (
         "ideal-chi[0.0]: failed\n  note: inconsistent or undetermined character: {'v': []}"
     )
+
+
+def test_verify_ideal_decomposes_each_generator_once(monkeypatch):
+    # two parameter sets and two character solves read one image per
+    # generator: one straightening and one open-word contraction each
+    calls = {"ideal_normal_forms": 0, "_boundary_entries": 0}
+    for module, name in ((trace, "ideal_normal_forms"), (repspace, "_boundary_entries")):
+        def counted(*args, _f=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    path = os.path.join(os.path.dirname(__file__), "data", "two_loop.json")
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(["verify", "ideal", "-q", path, "--dim", "v=2"]) == 0
+    assert out.getvalue().endswith("summary: 4 ok, 0 failed\n")
+    assert len(enumerate_generators(two_loop(), 3)) == 97
+    assert calls == {"ideal_normal_forms": 97, "_boundary_entries": 97}

@@ -27,10 +27,12 @@ from nhq import (
     make_configuration,
     make_dimension_vector,
     make_params,
+    moment_block_matrix,
     path_matrix_entry,
     qpa_mul,
     solve_chi,
     straighten,
+    tau_kernel,
     trace_classical,
     trace_quantum,
     trace_quantum_config,
@@ -228,7 +230,7 @@ def test_decomposition_budget_covers_every_traced_configuration(J, monkeypatch):
     x, xs = Letter(0, False), Letter(0, True)
     p = canonical_necklace(J, (x, xs, x))
     params = ReductionParameters((Fraction(1),), (Fraction(2),))
-    spliced, cycle = schedler.ideal_normal_forms(J, p, 0, 0, params)
+    spliced, cycle = schedler.ideal_normal_forms(J, p, 0, 0)
     traced = spliced.keys() | cycle.keys()
     total = sum(2 ** sum(map(len, codes)) for codes, _, _ in traced)
     assert total == 20 and max(2 ** sum(map(len, codes)) for codes, _, _ in traced) == 8
@@ -364,6 +366,38 @@ def test_equivariance_randomized():
 
 
 # -- ideal decomposition and the character -----------------------------------
+
+
+_XXS = (Letter(0, False), Letter(0, True))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda q, d: decompose_ideal_image(q, d, canonical_necklace(q, _XXS), 0, 1).target,
+        lambda q, d: solve_chi(q, d),
+        lambda q, d: kernel_constraint(q, d),
+        lambda q, d: verify_quantum_moment(q, d),
+        lambda q, d: tau_kernel(q, d),
+        lambda q, d: moment_block_matrix(q, d),
+    ],
+    ids=[
+        "decompose_ideal_image", "solve_chi", "kernel_constraint",
+        "verify_quantum_moment", "tau_kernel", "moment_block_matrix",
+    ],
+)
+def test_dimension_vectors_are_validated_at_every_entry(J, call, monkeypatch):
+    from nhq import trace
+
+    assert call(J, {"v": 2}) == call(J, (2,))
+    straightened = []
+    normal_forms = trace.ideal_normal_forms
+    monkeypatch.setattr(trace, "ideal_normal_forms", lambda *a: straightened.append(a) or normal_forms(*a))
+    for bad in ((2, 2), (0,), (-1,)):
+        with pytest.raises(DimensionError):
+            call(J, bad)
+    # refused before any generator is straightened
+    assert straightened == []
 
 
 def test_decompose_idempotent_generator(J, A2):
