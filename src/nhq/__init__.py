@@ -33,6 +33,7 @@ from .quiver import (
     Path,
     PathAlgebraElement,
     Quiver,
+    make_dimension_vector,
     make_path,
     make_quiver,
     parse_quiver,
@@ -41,19 +42,14 @@ from .quiver import (
 )
 from .repspace import (
     BlockMatrix,
-    Character,
     GlElement,
     PolyElement,
     WeylElement,
-    block_matrix,
-    chi_sign_variants,
     classical_symbol,
     gauge_act,
     gl_basis,
     gl_commutator,
-    make_dimension_vector,
     moment_block_matrix,
-    path_matrix_entry,
     poisson,
     quantum_moment,
     tau,
@@ -82,10 +78,14 @@ from .schedler import (
     straighten,
 )
 from .trace import (
+    Character,
     IdealDecomposition,
     VerificationReport,
+    block_matrix,
+    chi_sign_variants,
     decompose_ideal_image,
     kernel_constraint,
+    path_matrix_entry,
     solve_chi,
     trace_classical,
     trace_quantum,

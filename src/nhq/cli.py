@@ -30,8 +30,7 @@ from .expr import (
     parse_qpa_element,
 )
 from .necklace import double_bracket, moment_map, necklace_bracket
-from .quiver import parse_quiver
-from .repspace import make_dimension_vector
+from .quiver import make_dimension_vector, parse_quiver
 from .schedler import make_params, qpa_comm, qpa_mul
 from .suites import SUITES
 from .trace import kernel_constraint, solve_chi, trace_classical, trace_quantum

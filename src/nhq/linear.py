@@ -10,12 +10,16 @@ The public constructors coerce every coefficient to the ring's type, drop
 zeros and validate their keys.  Arithmetic results skip all of that through
 ``_with_terms``, which trusts its argument: a fresh dict whose values are
 nonzero and already of the ring's type, never another element's ``terms``.
+The exact nullspace of a rational matrix (``rational_nullspace``) lives
+here too.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import MismatchError
-from .rings import HBarPolynomial
+from .rings import HBarPolynomial, as_fraction
 
 
 class LinearCombination:
@@ -71,7 +75,7 @@ class LinearCombination:
         return bool(self.terms)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     def items(self):
         return self.terms.items()
@@ -135,3 +139,54 @@ def add_into(data: dict, key, value) -> None:
         data[key] = value
     elif cur is not None:
         del data[key]
+
+
+def rational_nullspace(matrix, ncols):
+    """Basis of {x : A x = 0} over the rationals; A given as a list of rows.
+
+    Gauss-Jordan elimination on sparse rows ``{col: Fraction}`` holding the
+    nonzero entries only, so each elimination step touches only the pivot
+    row's nonzero columns.  The reduced echelon form is unique, so the
+    basis (one vector per free column) does not depend on the storage.
+    """
+    rows = [
+        {col: v for col, c in enumerate(row) if (v := as_fraction(c))} for row in matrix
+    ]
+    nrows = len(rows)
+    pivot_col_of_row = []
+    lead = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(lead, nrows) if col in rows[r]), None)
+        if pivot is None:
+            continue
+        rows[lead], rows[pivot] = rows[pivot], rows[lead]
+        pv = rows[lead][col]
+        if pv != 1:
+            rows[lead] = {c: v / pv for c, v in rows[lead].items()}
+        pivot_row = rows[lead]
+        for r in range(nrows):
+            row = rows[r]
+            factor = row.get(col)
+            if r == lead or factor is None:
+                continue
+            for c, v in pivot_row.items():
+                value = row.get(c, 0) - factor * v
+                if value:
+                    row[c] = value
+                else:
+                    del row[c]
+        pivot_col_of_row.append(col)
+        lead += 1
+        if lead == nrows:
+            break
+    pivot_cols = set(pivot_col_of_row)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, pc in enumerate(pivot_col_of_row):
+            vec[pc] = -rows[r].get(free, Fraction(0))
+        basis.append(vec)
+    return basis

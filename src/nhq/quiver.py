@@ -5,6 +5,7 @@ vertices and arrows (declaration order in the input file).  The doubled
 quiver adds a reverse letter a' for every arrow a; letters are represented
 as (arrow index, star flag) pairs so the star involution is structural.
 Words compose right to left: p*q is defined when source(p) = target(q).
+Dimension vectors are validated here (``make_dimension_vector``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import CompositionError, ExpressionError, MismatchError, QuiverFormatError
+from .errors import CompositionError, DimensionError, ExpressionError, MismatchError, QuiverFormatError
 from .linear import LinearCombination, add_into
 from .rings import as_fraction
 
@@ -41,6 +42,7 @@ class Quiver:
     arrows: tuple[Arrow, ...]
     _vertex_index: dict = field(default=None, compare=False, repr=False)
     _arrow_index: dict = field(default=None, compare=False, repr=False)
+    _hash: int = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -49,9 +51,11 @@ class Quiver:
         object.__setattr__(
             self, "_arrow_index", {a.name: i for i, a in enumerate(self.arrows)}
         )
+        # hashed once: the caches keyed by a quiver look it up on every call
+        object.__setattr__(self, "_hash", hash((self.vertices, self.arrows)))
 
     def __hash__(self):
-        return hash((self.vertices, self.arrows))
+        return self._hash
 
     def vertex_index(self, name: str) -> int:
         try:
@@ -183,6 +187,29 @@ def vertex_vector(quiver: Quiver, values) -> tuple[Fraction, ...]:
             raise ExpressionError(f"unknown vertex {name!r}")
         out[quiver.vertex_index(name)] = as_fraction(value)
     return tuple(out)
+
+
+def make_dimension_vector(quiver: Quiver, d) -> tuple[int, ...]:
+    """Dimension vector as a tuple indexed by vertex; every vertex required."""
+    if isinstance(d, dict):
+        missing = [v for v in quiver.vertices if v not in d]
+        if missing:
+            raise DimensionError(f"dimension vector misses vertices {missing}")
+        unknown = [v for v in d if not quiver.has_vertex(v)]
+        if unknown:
+            raise DimensionError(f"dimension vector names unknown vertices {unknown}")
+        vec = tuple(d[v] for v in quiver.vertices)
+    else:
+        vec = tuple(d)
+        if len(vec) != len(quiver.vertices):
+            raise DimensionError(
+                f"dimension vector has {len(vec)} entries for "
+                f"{len(quiver.vertices)} vertices"
+            )
+    for value in vec:
+        if not isinstance(value, int) or value < 1:
+            raise DimensionError(f"dimension {value!r} is not a positive integer")
+    return vec
 
 
 class PathAlgebraElement(LinearCombination):

@@ -4,10 +4,11 @@ representation space.
 Coordinates are matrix entries (a)_{p,q} of arrows and (a')_{p,q} of their
 reverses; quantum mode replaces (a')_{p,q} by the derivative d/d(a)_{q,p}
 with the Rees commutation rule [d/d(a)_{j,i}, (a)_{k,l}] = h d_{jk} d_{il}.
-Operators are stored normal-ordered, multiplications left of derivatives.
-The infinitesimal gl action tau, its kernel, gauge-element actions on
-coordinates, trace characters, the blockwise quantum moment operator and
-the packed check of the reduction-ideal decomposition all live here.
+Operators are stored normal-ordered, multiplications left of derivatives,
+and packed.  The infinitesimal gl action tau, its kernel, gauge-element
+actions on coordinates, the packed quantum traces, the blockwise quantum
+moment operator and the packed check of the reduction-ideal decomposition
+all live here.
 """
 
 from __future__ import annotations
@@ -19,34 +20,11 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import DimensionError, MismatchError, WorkLimitError
-from .linear import LinearCombination, add_into
+from .linear import LinearCombination, add_into, rational_nullspace
 from .necklace import _LETTER
-from .quiver import Letter, Path, PathAlgebraElement, Quiver, moment_pairs
-from .rings import HBarPolynomial, as_fraction
+from .quiver import Letter, Quiver, make_dimension_vector, moment_pairs
+from .rings import HBarPolynomial, _exact, as_fraction
 from .schedler import CACHE_SIZE
-
-
-def make_dimension_vector(quiver: Quiver, d) -> tuple[int, ...]:
-    """Dimension vector as a tuple indexed by vertex; every vertex required."""
-    if isinstance(d, dict):
-        missing = [v for v in quiver.vertices if v not in d]
-        if missing:
-            raise DimensionError(f"dimension vector misses vertices {missing}")
-        unknown = [v for v in d if not quiver.has_vertex(v)]
-        if unknown:
-            raise DimensionError(f"dimension vector names unknown vertices {unknown}")
-        vec = tuple(d[v] for v in quiver.vertices)
-    else:
-        vec = tuple(d)
-        if len(vec) != len(quiver.vertices):
-            raise DimensionError(
-                f"dimension vector has {len(vec)} entries for "
-                f"{len(quiver.vertices)} vertices"
-            )
-    for value in vec:
-        if not isinstance(value, int) or value < 1:
-            raise DimensionError(f"dimension {value!r} is not a positive integer")
-    return vec
 
 
 def _check_coord_bounds(quiver, dim, arrow, starred, row, col):
@@ -142,39 +120,102 @@ def poisson(f: PolyElement, g: PolyElement) -> PolyElement:
     return f._with_terms(out)
 
 
-def path_matrix_entry(quiver: Quiver, dim, path: Path, row: int, col: int) -> PolyElement:
-    """The (row, col) coordinate of the matrix-valued function of a path."""
-    dim = make_dimension_vector(quiver, dim)
-    rmax, cmax = dim[path.target(quiver)], dim[path.source(quiver)]
-    if not (1 <= row <= rmax and 1 <= col <= cmax):
-        raise DimensionError(f"path entry ({row},{col}) out of range for block {rmax}x{cmax}")
-    word = tuple((letter, t) for t, letter in enumerate(path.letters))
-    return _contract_letters(quiver, dim, (word,), False, ((row,), (col,)))[row, col]
-
-
 # ---------------------------------------------------------------------------
 # The Rees-Weyl algebra
 
-# Weyl monomial, the key of a term: (positions, derivatives), each a sorted
-# tuple of ((arrow, row, col), exp); a derivative is keyed by the coordinate
-# it differentiates, so d(a)_{r,c} pairs with (a)_{r,c}.
+# Weyl monomial, the key of a tuple term: (positions, derivatives), each a
+# sorted tuple of ((arrow, row, col), exp); a derivative is keyed by the
+# coordinate it differentiates, so d(a)_{r,c} pairs with (a)_{r,c}.
 #
-# Inside an index contraction (``_contract``) a monomial of either ring is
-# one int.  With the n coordinates (arrow, row, col) of the arrows the
-# contraction uses in sorted order and a field width w, bits [k w, (k + 1) w) hold the exponent of coordinate k and
-# bits [(n + k) w, (n + k + 1) w) that of its derivative, for polynomials
-# that of its conjugate (a')_{c,r}.  Multiplying by a token adds one unit to
-# one field.  w is the bit length of the number of token products the
-# contraction makes; each product raises one exponent by at most one, so no
-# exponent exceeds that number and no field carries into the next.  The
-# quantum coefficients are ints with the power of h implied: a product adds
-# one factor, a Rees correction drops a position and a derivative and gains
-# one h, so a key of degree n made by m products stands for c h^((m - n) / 2).
-# Each result is unpacked to the tuple form once (``_Codec.unpack``); those
-# of the reduction-ideal check only when a caller reads them.
+# A WeylElement holds its terms packed: one int key per monomial and power
+# of h, with an int or Fraction coefficient, in the layout of a ``_Codec``.
+# With the n coordinates (arrow, row, col) of the codec's arrows in sorted
+# order and a field width w, bits [k w, (k + 1) w) hold the exponent of
+# coordinate k, bits [(n + k) w, (n + k + 1) w) that of its derivative (for
+# polynomials, that of its conjugate (a')_{c,r}) and the bits from 2 n w on
+# the power of h: the h field, on top, so no power outgrows it.  A product
+# of monomials with nothing to contract is the sum of their keys; each
+# contraction of d_v with x_v drops one unit from both fields and adds one
+# to the h field.  w fits ``_top``, a bound on the exponents that products
+# add up, so no field carries into the next.  A binary operation on two
+# layouts re-packs both into their join (``_join``).
 
 
-class WeylElement(LinearCombination):
+class _PackedOperator(LinearCombination):
+    """The packed storage of ``WeylElement`` and its linear structure.
+
+    ``_codec``, ``_packed`` ({int key: nonzero int or Fraction}) and
+    ``_top`` live here, so an element's context stays its own ``__slots__``.
+    Each form is built from the other on its first read and kept: ``terms``
+    from the packed form, the packed form from a public constructor's
+    ``terms``.  Arithmetic reads and makes packed forms only.
+    """
+
+    __slots__ = ("_codec", "_packed", "_top")
+
+    def __getattr__(self, name):  # called for an unset slot
+        if name == "terms":
+            object.__setattr__(self, name, self._codec.unpack(self._packed))
+        elif name in _PackedOperator.__slots__:
+            for slot, value in zip(_PackedOperator.__slots__, _pack(self.quiver, self.dim, self.terms)):
+                object.__setattr__(self, slot, value)
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
+
+    def _like(self, packed: dict, top=None, codec=None) -> "WeylElement":
+        return _operator(self.quiver, self.dim, codec or self._codec, packed, top or self._top)
+
+    def __bool__(self) -> bool:
+        return bool(self._packed)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._context() != other._context():
+            return False
+        _, _, a, b = _join(self, other, False)
+        return a == b
+
+    def __add__(self, other, sign=1):
+        self._check_compatible(other)
+        codec, top, a, b = _join(self, other, False)
+        out = dict(a)
+        _add_scaled(out, b.items(), (sign,), 0)
+        return self._like({key: c for key, c in out.items() if c}, top, codec)
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        """Times a rational or an ``HBarPolynomial``: c h^j moves each key
+        j units up the h field."""
+        out: dict = {}
+        _add_scaled(out, self._packed.items(), HBarPolynomial.coerce(c).coeffs, self._codec.hunit)
+        return self._like({key: v for key, v in out.items() if v})
+
+    __rmul__ = scale
+
+    def is_divisible_by_h(self) -> bool:
+        hunit = self._codec.hunit
+        return all(key >= hunit for key in self._packed)
+
+    def div_h(self) -> "WeylElement":
+        if not self.is_divisible_by_h():
+            raise ArithmeticError("operator is not divisible by h")
+        return self._like({key - self._codec.hunit: c for key, c in self._packed.items()})
+
+    def rees_degrees(self) -> set:
+        """All h-grading degrees present: derivative count plus h power."""
+        codec = self._codec
+        tops = {key >> codec.split for key in self._packed}  # the derivative half and the h field
+        return {codec.degree(top & codec.low) + (top >> codec.split) for top in tops}
+
+
+class WeylElement(_PackedOperator):
     """Normal-ordered differential operator with Q[h] coefficients."""
 
     __slots__ = ("quiver", "dim")
@@ -211,115 +252,101 @@ class WeylElement(LinearCombination):
             return weyl_mul(self, other)
         return self.scale(other)
 
-    __rmul__ = LinearCombination.scale
 
-    def is_divisible_by_h(self) -> bool:
-        return all(v.is_divisible_by_h() for v in self.terms.values())
-
-    def div_h(self) -> "WeylElement":
-        return self._with_terms({k: v.div_h() for k, v in self.items()})
-
-    def rees_degrees(self) -> set:
-        """All h-grading degrees present: derivative count plus h power."""
-        out = set()
-        for (_, ders), coeff in self.items():
-            base = sum(exp for _, exp in ders)
-            for k, c in enumerate(coeff.coeffs):
-                if c:
-                    out.add(base + k)
-        return out
+def _operator(quiver: Quiver, dim, codec, packed: dict, top: int) -> WeylElement:
+    """The element of ``packed`` in ``codec``, exponents at most ``top``."""
+    out = object.__new__(WeylElement)
+    for name, value in zip(("quiver", "dim") + _PackedOperator.__slots__, (quiver, dim, codec, packed, top)):
+        object.__setattr__(out, name, value)
+    return out
 
 
-def _weyl_mono_mul(m1, m2, contracted_only=False):
-    """Yield (monomial, h_power, integer factor) for a normal-ordered product;
-    with ``contracted_only``, only the terms with h_power >= 1."""
-    pos1, der1 = m1
-    pos2, der2 = m2
-    d1 = dict(der1)
-    p2 = dict(pos2)
-    common = sorted(v for v in d1 if v in p2)
-    if not common:
-        if not contracted_only:
-            yield (_merge_exponents(pos1, pos2), _merge_exponents(der1, der2)), 0, 1
-        return
-    per_var = []
-    for v in common:
-        b, a = d1[v], p2[v]
-        per_var.append(
-            [
-                (k, math.comb(b, k) * math.comb(a, k) * math.factorial(k))
-                for k in range(min(a, b) + 1)
-            ]
-        )
-    combos = itertools.product(*per_var)
-    if contracted_only:
-        next(combos)  # the first combination contracts nothing: h_power 0
-    for combo in combos:
-        k_total = 0
-        factor = 1
-        d1p = dict(d1)
-        p2p = dict(p2)
-        for v, (k, c) in zip(common, combo):
-            k_total += k
-            factor *= c
-            d1p[v] -= k
-            p2p[v] -= k
-            if d1p[v] == 0:
-                del d1p[v]
-            if p2p[v] == 0:
-                del p2p[v]
-        mono = (
-            _merge_exponents(pos1, tuple(sorted(p2p.items()))),
-            _merge_exponents(tuple(sorted(d1p.items())), der2),
-        )
-        yield mono, k_total, factor
+def _pack(quiver: Quiver, dim, terms: dict) -> tuple:
+    """(codec, packed terms, top) of tuple Weyl ``terms``, in a codec with
+    fields for their arrows as wide as their largest exponent needs."""
+    exps = [(var, exp) for pos, der in terms for var, exp in pos + der]
+    top = max([exp for _, exp in exps], default=0)
+    codec = _codec(quiver, dim, tuple(sorted({var[0] for var, _ in exps})), _width(top), True)
+    packed: dict = {}
+    for (pos, der), coeff in terms.items():
+        key = sum([e * codec.position(v)[0] for v, e in pos] + [e * codec.derivative(v)[0] for v, e in der])
+        _add_scaled(packed, ((key, 1),), coeff.coeffs, codec.hunit)
+    return codec, packed, top
+
+
+def _join(x: WeylElement, y: WeylElement, product: bool) -> tuple:
+    """(codec, top, x's packed terms, y's) in the join of their layouts:
+    the union of their arrows, fields as wide as the wider one's and, for
+    a ``product``, wide enough for the sum of their tops."""
+    cx, cy = x._codec, y._codec
+    top = x._top + y._top if product else max(x._top, y._top)
+    width = max(cx.width, cy.width, top.bit_length())
+    if cx is cy and width == cx.width:
+        return cx, top, x._packed, y._packed
+    codec = _codec(x.quiver, x.dim, tuple(sorted({*cx.arrows, *cy.arrows})), width, True)
+    return codec, top, cx.repack(x._packed.items(), codec), cy.repack(y._packed.items(), codec)
+
+
+def _add_scaled(out: dict, pairs, coeffs, hunit: int) -> None:
+    """Add sum_j coeffs[j] h^j times the packed (key, c) ``pairs`` into
+    ``out``; h^j adds j units to the h field."""
+    get = out.get
+    for j, a in enumerate(coeffs):
+        if a:
+            shift = j * hunit
+            for key, c in pairs:
+                key += shift
+                out[key] = get(key, 0) + a * c
+
+
+def _normal_order(x: WeylElement, y: WeylElement, commutator: bool) -> WeylElement:
+    """x y, or x y - y x, on packed terms.  A pair of monomials gives the
+    sum of their keys and the contractions of the left one's derivatives
+    with the right one's positions.  In a commutator the sums cancel, the
+    other order's contractions are subtracted, and a pair whose derivative
+    fields miss the other's position fields both ways (one AND of their
+    nonzero-field masks each) is skipped."""
+    if x._context() != y._context():
+        raise MismatchError("operator operands disagree on quiver or dimensions")
+    codec, top, xs, ys = _join(x, y, True)
+    low, split, nonzero, contract = codec.low, codec.split, codec.nonzero, codec.contractions
+    right = [(k2, c2, p2 := k2 & low, d2 := k2 >> split & low, nonzero(p2), nonzero(d2)) for k2, c2 in ys.items()]
+    out: dict = {}
+    get = out.get
+    for k1, c1 in xs.items():
+        p1, d1 = k1 & low, k1 >> split & low
+        n1, m1 = nonzero(p1), nonzero(d1)
+        for k2, c2, p2, d2, n2, m2 in right:
+            xy, yx = m1 & n2, commutator and m2 & n1
+            if commutator and not (xy or yx):
+                continue
+            key, c = k1 + k2, c1 * c2
+            if not commutator:
+                out[key] = get(key, 0) + c
+            for step, f in contract(d1, p2, xy) if xy else ():
+                out[key - step] = get(key - step, 0) + c * f
+            for step, f in contract(d2, p1, yx) if yx else ():
+                out[key - step] = get(key - step, 0) - c * f
+    return x._like({key: c for key, c in out.items() if c}, top, codec)
 
 
 def weyl_mul(x: WeylElement, y: WeylElement) -> WeylElement:
-    if x._context() != y._context():
-        raise MismatchError("operator operands disagree on quiver or dimensions")
-    out: dict = {}
-    for m1, c1 in x.items():
-        for m2, c2 in y.items():
-            c12 = c1 * c2
-            for mono, k, factor in _weyl_mono_mul(m1, m2):
-                add_into(out, mono, (c12 * factor).shift(k))
-    return x._with_terms(out)
+    """The normal-ordered product x y."""
+    return _normal_order(x, y, False)
 
 
 def weyl_commutator(x: WeylElement, y: WeylElement) -> WeylElement:
-    """xy - yx.  The uncontracted (h_power 0) term of m1 m2 is the same
-    monomial as that of m2 m1, so only the contracted terms of each order
-    are formed; a monomial pair in which neither side's derivatives meet
-    the other side's positions commutes and costs no product."""
-    if x._context() != y._context():
-        raise MismatchError("operator operands disagree on quiver or dimensions")
-    out: dict = {}
-    for m1, c1 in x.items():
-        for m2, c2 in y.items():
-            terms = list(_weyl_mono_mul(m1, m2, True))
-            terms += [(mono, k, -f) for mono, k, f in _weyl_mono_mul(m2, m1, True)]
-            if terms:
-                c12 = c1 * c2
-                for mono, k, factor in terms:
-                    add_into(out, mono, (c12 * factor).shift(k))
-    return x._with_terms(out)
+    """xy - yx, from the contracted terms of each order only."""
+    return _normal_order(x, y, True)
 
 
 def classical_symbol(op: WeylElement) -> PolyElement:
-    """Set h to zero and read operators as coordinates: d(a)_{r,c} -> (a')_{c,r}."""
-    out: dict = {}
-    for (pos, ders), coeff in op.items():
-        c0 = coeff.constant_term()
-        if c0 == 0:
-            continue
-        mono: dict = {}
-        for (arrow, row, col), exp in pos:
-            mono[(arrow, False, row, col)] = mono.get((arrow, False, row, col), 0) + exp
-        for (arrow, row, col), exp in ders:
-            mono[(arrow, True, col, row)] = mono.get((arrow, True, col, row), 0) + exp
-        add_into(out, tuple(sorted(mono.items())), c0)
-    return PolyElement(op.quiver, op.dim, out)
+    """Set h to zero and read operators as coordinates: d(a)_{r,c} -> (a')_{c,r}.
+    Only the h-free keys are unpacked, in the polynomial codec of op's layout."""
+    codec = op._codec
+    symbol = _codec(op.quiver, op.dim, codec.arrows, codec.width, False)
+    terms = symbol.unpack({key: c for key, c in op._packed.items() if key < codec.hunit})
+    return PolyElement(op.quiver, op.dim)._with_terms(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +418,30 @@ def tau_pairs(quiver: Quiver, dim, i: int, p: int, q: int):
                 yield -1, (ai, q, j), (ai, p, j)
 
 
+def _arrows_at(quiver: Quiver, vertices) -> tuple:
+    """The arrows with an end in ``vertices``."""
+    return tuple(ai for ai, a in enumerate(quiver.arrows) if a.source in vertices or a.target in vertices)
+
+
+def _tau_terms(quiver: Quiver, dim, items, codec) -> dict:
+    """tau of the gl element of the ((i, p, q), c) ``items``, packed in
+    ``codec``: each term x_pos d_der is one key of two units."""
+    out: dict = {}
+    for (i, p, q), c in items:
+        c = _exact(c)
+        for sign, pos, der in tau_pairs(quiver, dim, i, p, q):
+            key = codec.position(pos)[0] + codec.derivative(der)[0]
+            out[key] = out.get(key, 0) + sign * c
+    return {key: c for key, c in out.items() if c}
+
+
 def tau(quiver: Quiver, dim, v: GlElement) -> WeylElement:
     """Infinitesimal gl_d action as a first-order differential operator."""
-    if (quiver, tuple(dim)) != v._context():
+    dim = tuple(dim)
+    if (quiver, dim) != v._context():
         raise MismatchError("gl element disagrees on quiver or dimensions")
-    out: dict = {}
-    for (i, p, q), c in v.items():
-        signed = {1: HBarPolynomial.constant(c), -1: HBarPolynomial.constant(-c)}
-        for sign, pos, der in tau_pairs(quiver, dim, i, p, q):
-            add_into(out, (((pos, 1),), ((der, 1),)), signed[sign])
-    return WeylElement(quiver, dim, out)
+    codec = _codec(quiver, dim, _arrows_at(quiver, {i for i, _, _ in v.terms}), 1, True)
+    return _operator(quiver, dim, codec, _tau_terms(quiver, dim, v.items(), codec), 1)
 
 
 def gauge_act(quiver: Quiver, dim, i: int, p: int, q: int, f: PolyElement) -> PolyElement:
@@ -436,127 +477,20 @@ def gauge_act(quiver: Quiver, dim, i: int, p: int, q: int, f: PolyElement) -> Po
     return PolyElement(quiver, dim, out)
 
 
-@dataclass(frozen=True)
-class Character:
-    """A functional sum_k c_k tr_k on gl_d."""
-
-    quiver: Quiver
-    values: tuple[Fraction, ...]
-
-    def evaluate(self, v: GlElement) -> Fraction:
-        total = Fraction(0)
-        for (i, p, q), c in v.items():
-            if p == q:
-                total += self.values[i] * c
-        return total
-
-    def __str__(self) -> str:
-        names = self.quiver.vertices
-        return " + ".join(f"({c})*tr_{names[i]}" for i, c in enumerate(self.values))
-
-
-def _out_degree_weight(quiver: Quiver, dim, k: int) -> int:
-    return sum(dim[a.target] for a in quiver.arrows if a.source == k)
-
-
-def chi_sign_variants(quiver: Quiver, dim, r=None) -> dict:
-    """The printed sign variants of the character, for reports.
-
-    ``main`` is the displayed closed form, the reduction character
-    c_k = -sum_{s(a)=k} d_{t(a)} + r_k; ``statement`` flips the sign of
-    the dimension sum; ``proof_line`` distributes the minus over both the
-    dimension sum and r (which then picks up the out-degree multiplicity).
-    """
-    nv = len(quiver.vertices)
-    rvec = list(r) if r is not None else [Fraction(0)] * nv
-    weights = [_out_degree_weight(quiver, dim, k) for k in range(nv)]
-    outdeg = [sum(1 for a in quiver.arrows if a.source == k) for k in range(nv)]
-    return {
-        "main": Character(
-            quiver,
-            tuple(Fraction(-weights[k]) + as_fraction(rvec[k]) for k in range(nv)),
-        ),
-        "statement": Character(
-            quiver,
-            tuple(Fraction(weights[k]) + as_fraction(rvec[k]) for k in range(nv)),
-        ),
-        "proof_line": Character(
-            quiver,
-            tuple(
-                Fraction(-weights[k]) - outdeg[k] * as_fraction(rvec[k])
-                for k in range(nv)
-            ),
-        ),
-    }
-
-
-def rational_nullspace(matrix, ncols):
-    """Basis of {x : A x = 0} over the rationals; A given as a list of rows.
-
-    Gauss-Jordan elimination on sparse rows ``{col: Fraction}`` holding the
-    nonzero entries only, so each elimination step touches only the pivot
-    row's nonzero columns.  The reduced echelon form is unique, so the
-    basis (one vector per free column) does not depend on the storage.
-    """
-    rows = [
-        {col: v for col, c in enumerate(row) if (v := as_fraction(c))} for row in matrix
-    ]
-    nrows = len(rows)
-    pivot_col_of_row = []
-    lead = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(lead, nrows) if col in rows[r]), None)
-        if pivot is None:
-            continue
-        rows[lead], rows[pivot] = rows[pivot], rows[lead]
-        pv = rows[lead][col]
-        if pv != 1:
-            rows[lead] = {c: v / pv for c, v in rows[lead].items()}
-        pivot_row = rows[lead]
-        for r in range(nrows):
-            row = rows[r]
-            factor = row.get(col)
-            if r == lead or factor is None:
-                continue
-            for c, v in pivot_row.items():
-                value = row.get(c, 0) - factor * v
-                if value:
-                    row[c] = value
-                else:
-                    del row[c]
-        pivot_col_of_row.append(col)
-        lead += 1
-        if lead == nrows:
-            break
-    pivot_cols = set(pivot_col_of_row)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivot_col_of_row):
-            vec[pc] = -rows[r].get(free, Fraction(0))
-        basis.append(vec)
-    return basis
-
-
 def tau_kernel(quiver: Quiver, dim) -> list:
     """Exact basis of {v in gl_d : tau(v) = 0}."""
     dim = make_dimension_vector(quiver, dim)
     basis = list(gl_basis(quiver, dim))
+    codec = _codec(quiver, dim, tuple(range(len(quiver.arrows))), 1, True)
+    images = [_tau_terms(quiver, dim, [(key, 1)], codec) for key in basis]
     columns = {}
-    images = []
-    for key in basis:
-        img = tau(quiver, dim, GlElement.elementary(quiver, dim, *key))
-        images.append(img)
-        for mono in img.terms:
-            columns.setdefault(mono, len(columns))
-    nrows = len(columns)
-    matrix = [[Fraction(0)] * len(basis) for _ in range(nrows)]
+    for img in images:
+        for key in img:
+            columns.setdefault(key, len(columns))
+    matrix = [[Fraction(0)] * len(basis) for _ in range(len(columns))]
     for b, img in enumerate(images):
-        for mono, coeff in img.items():
-            matrix[columns[mono]][b] = coeff.constant_term()
+        for key, c in img.items():
+            matrix[columns[key]][b] = c
     kernel = []
     for vec in rational_nullspace(matrix, len(basis)):
         terms = {key: c for key, c in zip(basis, vec) if c}
@@ -601,40 +535,44 @@ def _coordinate_fields(quiver: Quiver, dim: tuple, arrows: tuple) -> tuple:
 
 
 class _Codec:
-    """The packed monomials of one contraction (see the comment above
-    ``WeylElement``) and their unpacking to the tuple form.
+    """One layout of packed monomials (see the comment above
+    ``WeylElement``), quantum with the h field, and its unpacking to the
+    tuple form.  Only the coordinates of ``arrows`` get fields, so a key
+    grows with the arrows used, not with the quiver.  ``_codec`` makes one
+    per layout."""
 
-    Only the coordinates of ``arrows`` get fields, so a key grows with the
-    arrows a contraction uses, not with the quiver.  ``factors`` is the
-    most tokens any key is multiplied by.  Each of them raises one exponent
-    by at most one, so no exponent exceeds ``factors`` and a field of
-    ``factors.bit_length()`` bits holds it without carrying into the next.
-    The unpacking memos live as long as the codec: one contraction, or
-    one reduction-ideal decomposition (``IdealImage``).
-    """
+    __slots__ = ("quantum", "arrows", "field", "width", "mask", "split", "low", "hshift", "hunit",
+                 "_coords", "_names", "_ones", "_rest", "_high")
 
-    __slots__ = ("quantum", "arrows", "field", "width", "mask", "split", "_names", "_halves", "_coeffs")
-
-    def __init__(self, quiver: Quiver, dim, arrows, factors: int, quantum: bool):
-        self.arrows = tuple(sorted(arrows))
-        coords, self.field, variables = _coordinate_fields(quiver, tuple(dim), self.arrows)
+    def __init__(self, quiver: Quiver, dim: tuple, arrows: tuple, width: int, quantum: bool):
+        self.arrows = arrows
+        self._coords, self.field, variables = _coordinate_fields(quiver, dim, arrows)
         self.quantum = quantum
-        self.width = max(factors.bit_length(), 1)
-        self.mask = (1 << self.width) - 1
-        self.split = len(coords) * self.width
-        self._names = (coords, coords) if quantum else variables
-        self._halves = ({}, {})
-        self._coeffs = {}
+        self.width = width
+        self.mask = (1 << width) - 1
+        self.split = len(self._coords) * width
+        self.low = (1 << self.split) - 1
+        self.hshift = 2 * self.split
+        self.hunit = 1 << self.hshift
+        # the lowest bit of each field of a half, the bits below each top
+        # bit, and the top bits
+        self._ones = self.low // self.mask
+        self._rest, self._high = self._ones * ((1 << width - 1) - 1), self._ones << width - 1
+        self._names = (self._coords, self._coords) if quantum else variables
 
     def position(self, var):
-        """The token of the coordinate ``var`` = (arrow, row, col); quantum,
-        it carries the shift of the field of d_var for the Rees correction."""
+        """The token (unit, shift, drop) of the coordinate ``var`` = (arrow,
+        row, col); quantum, ``shift`` is that of d_var's field and ``drop``
+        the Rees correction's step: a unit off that field, one onto h's."""
         at = self.field[var] * self.width
-        return 1 << at, (self.split + at if self.quantum else None)
+        if not self.quantum:
+            return 1 << at, None, None
+        shift = self.split + at
+        return 1 << at, shift, (1 << shift) - self.hunit
 
     def derivative(self, var):
         """The token of d_var, classically of the coordinate conjugate to var."""
-        return 1 << (self.split + self.field[var] * self.width), None
+        return 1 << (self.split + self.field[var] * self.width), None, None
 
     def entry(self, letter: Letter):
         """The token of the (row, col) entry of a letter's matrix, with
@@ -645,65 +583,116 @@ class _Codec:
             return lambda row, col: self.derivative((arrow, col, row))
         return lambda row, col: self.position((arrow, row, col))
 
-    def _unpack_half(self, bits: int, high: int):
-        """The sorted (var, exp) tuple of one half of a key, and its degree;
-        only the nonzero fields are visited."""
-        names, width, mask = self._names[high], self.width, self.mask
-        found, degree = [], 0
+    def _fields(self, bits: int):
+        """(number, exponent) of each nonzero field of a half of a key."""
+        width, mask = self.width, self.mask
         while bits:
             k = ((bits & -bits).bit_length() - 1) // width
             exp = bits >> k * width & mask
             bits ^= exp << k * width
-            found.append((names[k], exp))
-            degree += exp
-        return tuple(found), degree
+            yield k, exp
 
-    def unpack(self, terms: dict, factors: int) -> dict:
-        """The packed term dict ``terms``, made by ``factors`` token
-        products, in the ring's tuple form.  A quantum key of degree n
-        stands for its coefficient times h^((factors - n) / 2).  Each half
-        of a key is decoded once per codec."""
-        out = {}
-        low, split, decode = (1 << self.split) - 1, self.split, self._unpack_half
-        lows, highs = self._halves
-        coeffs = self._coeffs
+    def nonzero(self, bits: int) -> int:
+        """The top bit of each nonzero field of a half of a key."""
+        rest = self._rest
+        return ((bits & rest) + rest | bits) & self._high
+
+    def degree(self, bits: int) -> int:
+        """The sum of the fields of a half of a key, one bit plane at a time."""
+        return sum([(bits & self._ones << b).bit_count() << b for b in range(self.width)])
+
+    def contractions(self, der: int, pos: int, common: int) -> list:
+        """(step, factor) of each term of moving the derivative half ``der``
+        past the position half ``pos`` that contracts some field v of the
+        nonzero mask ``common``, k_v >= 1 times: k_v units off both fields
+        and onto the h field, times C(der_v, k_v) C(pos_v, k_v) k_v!."""
+        mask, lift = self.mask, 1 + (1 << self.split)
+        per_field = []
+        while common:
+            bit = common & -common
+            common ^= bit
+            at = bit.bit_length() - self.width
+            b, a = der >> at & mask, pos >> at & mask
+            step = (lift << at) - self.hunit
+            per_field.append(
+                [(k * step, math.comb(b, k) * math.comb(a, k) * math.factorial(k)) for k in range(min(a, b) + 1)]
+            )
+        if len(per_field) == 1:
+            return per_field[0][1:]
+        combos = itertools.product(*per_field)
+        next(combos)  # the first combination contracts nothing
+        return [(sum([s for s, _ in combo]), math.prod([f for _, f in combo])) for combo in combos]
+
+    def repack(self, pairs, dst: "_Codec") -> dict:
+        """The packed (key, c) ``pairs`` as a dict in the layout of
+        ``dst``, whose arrows include this one's and whose fields are as
+        wide; each half is moved once per call."""
+        if dst is self:
+            return dict(pairs)
+        spots = [dst.field[var] * dst.width for var in self._coords]
+        memo, low, split, hshift, dsplit, dshift = {}, self.low, self.split, self.hshift, dst.split, dst.hshift
+
+        def move(bits):
+            found = memo.get(bits)
+            if found is None:
+                found = memo[bits] = sum([exp << spots[k] for k, exp in self._fields(bits)])
+            return found
+
+        return {move(key & low) + (move(key >> split & low) << dsplit) + (key >> hshift << dshift): c for key, c in pairs}
+
+    def unpack(self, terms: dict) -> dict:
+        """The packed ``terms`` in the ring's tuple form: Weyl terms with
+        ``HBarPolynomial`` coefficients, the powers of h of one monomial
+        summed, or polynomial terms with ``Fraction`` ones.  Each half of a
+        key and each coefficient is decoded once per call."""
+        (plain, starred), low, split, hshift = self._names, self.low, self.split, self.hshift
+        lows, highs, coeffs, out = {}, {}, {}, {}
         for key, c in terms.items():
             bits = key & low
             pos = lows.get(bits)
             if pos is None:
-                pos = lows[bits] = decode(bits, 0)
-            bits = key >> split
+                pos = lows[bits] = tuple([(plain[k], e) for k, e in self._fields(bits)])
+            bits = key >> split & low
             der = highs.get(bits)
             if der is None:
-                der = highs[bits] = decode(bits, 1)
+                der = highs[bits] = tuple([(starred[k], e) for k, e in self._fields(bits)])
             if not self.quantum:
-                out[tuple(sorted(pos[0] + der[0])) if der[0] else pos[0]] = Fraction(c)
+                out[tuple(sorted(pos + der)) if der else pos] = Fraction(c)
                 continue
-            power = (factors - pos[1] - der[1]) >> 1
+            power = key >> hshift
             coeff = coeffs.get((c, power))
             if coeff is None:
                 coeff = coeffs[c, power] = HBarPolynomial._with_coeffs([0] * power + [c])
-            out[pos[0], der[0]] = coeff
+            prev = out.setdefault((pos, der), coeff)
+            if prev is not coeff:  # another power of h of the same monomial
+                out[pos, der] = prev + coeff
         return out
+
+
+_codec = lru_cache(maxsize=256)(_Codec)
+
+
+def _width(top: int) -> int:
+    """The field width for exponents up to ``top``."""
+    return max(top.bit_length(), 1)
 
 
 def _times(acc: dict, token, mask: int, out: dict) -> None:
     """Add acc * token into ``out``, both packed term dicts.
 
-    A token ``(unit, shift)`` multiplies a key by adding ``unit``.  A
+    A token ``(unit, shift, drop)`` multiplies a key by adding ``unit``.  A
     quantum position x_v carries the shift of d_v's field: x_v moves left
-    past d_v^b, so the key also gives b h (key / d_v), one unit less in
-    that field, its h implied by the lower degree.  Every coefficient of a
-    contraction is a positive int, so no sum here cancels.
+    past d_v^b, so the key also gives b h (key / d_v), the key less
+    ``drop``.  Every coefficient of a contraction is a positive int, so no
+    sum here cancels.
     """
-    unit, shift = token
+    unit, shift, drop = token
     get = out.get
     if shift is None:
         for key, c in acc.items():
             key += unit
             out[key] = get(key, 0) + c
         return
-    drop = 1 << shift
     for key, c in acc.items():
         k = key + unit
         out[k] = get(k, 0) + c
@@ -717,10 +706,10 @@ def _times_tau(acc: dict, sign: int, position, derivative, mask: int, out: dict)
     """Add sign * acc * x_v * d_w into ``out``, for the quantum tokens of a
     position x_v and a derivative d_w: ``_times`` by each in turn, in one
     pass and with signed sums, so ``out`` may hold zeros."""
-    unit, shift = position
+    unit, shift, drop = position
     moved = derivative[0]  # the Rees correction keeps d_w and drops d_v
     unit += moved
-    moved -= 1 << shift
+    moved -= drop
     get = out.get
     for key, c in acc.items():
         c *= sign
@@ -784,8 +773,8 @@ def _contract_packed(quiver: Quiver, dim, words, quantum: bool, ends=None, codec
         ranges = [ends[0], *ranges[1:], ends[1]]
     _check_assignments(math.prod(len(r) for r in ranges))
     if codec is None:
-        arrows = {letter.arrow for _, (letter, _, _) in slots}
-        codec = _Codec(quiver, dim, arrows, len(slots), quantum)
+        arrows = tuple(sorted({letter.arrow for _, (letter, _, _) in slots}))
+        codec = _codec(quiver, tuple(dim), arrows, _width(len(slots)), quantum)
     if ends and not slots:
         rows, cols = ends
         return codec, {(r, c): {0: 1} if r == c else {} for r in rows for c in cols}
@@ -799,19 +788,20 @@ def _contract_letters(quiver: Quiver, dim, words, quantum: bool, ends=None):
 
     Factors multiply in height order: operator tokens when ``quantum``,
     coordinates otherwise.  The products run on packed keys
-    (``_contract_packed``), and each result is unpacked once, here, into a
-    ``WeylElement`` or ``PolyElement``.  Without ``ends`` every word is a
+    (``_contract_packed``); a ``WeylElement`` keeps them, and a
+    ``PolyElement`` is unpacked here.  Without ``ends`` every word is a
     closed cycle and the result is the trace.  With ``ends = (rows, cols)``
     there is one open word and the result maps (row, col) to that entry of
     its product.  Raises ``WorkLimitError`` when the number of index
     assignments exceeds ``MAX_INDEX_ASSIGNMENTS``.
     """
     codec, sums = _contract_packed(quiver, dim, words, quantum, ends)
-    factors = sum(len(word) for word in words)
-    zero = (WeylElement if quantum else PolyElement)(quiver, dim)
-    if not ends:
-        return zero._with_terms(codec.unpack(sums[()], factors))
-    return {key: zero._with_terms(codec.unpack(terms, factors)) for key, terms in sums.items()}
+    if quantum:
+        top = sum(len(word) for word in words)
+        make = lambda terms: _operator(quiver, dim, codec, terms, top)
+    else:
+        make = lambda terms: PolyElement(quiver, dim)._with_terms(codec.unpack(terms))
+    return make(sums[()]) if not ends else {key: make(terms) for key, terms in sums.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -820,15 +810,15 @@ def _contract_letters(quiver: Quiver, dim, words, quantum: bool, ends=None):
 # A generator at ``vertex`` with a v-letter marked word p is the spliced
 # part (N = v + 2 letters) plus (-lambda + h r) times p.  Straightening
 # (``schedler.ideal_normal_forms``) gives each part as {coded cfg: int}
-# with the power of h implied by the letter count, and the contraction
-# implies it by degree, so a key of degree k in the traced spliced part G
-# stands for c h^((N - k)/2) and one in the traced cycle P, in Tr_q(p) = T
-# and in the open-word entries for c h^((v - k)/2): G sits at grade N and
-# P, T at grade v.  The tau re-expansion E adds two tokens to each entry,
-# grade N.  All of them are int dicts in one codec, none depends on
-# (r, lambda), and the decomposition target == re_expand(chi), split by
-# grade, is two exact comparisons: G + r P - E = chi T at grade N and,
-# when lambda != 0, P = T at grade v.
+# with the power of h implied by the letter count: an n-letter term of the
+# spliced part stands for c h^((N - n)/2), which ``_traced`` adds to the h
+# field of its trace.  So the traced spliced part G sits at Rees grade N,
+# and the traced cycle P, Tr_q(p) = T and the open-word entries at grade
+# v.  The tau re-expansion E adds two tokens to each entry, grade N.  All
+# of them are int dicts in one codec, none depends on (r, lambda), and the
+# decomposition target == re_expand(chi), split by grade, is two exact
+# comparisons: G + r h P - E = chi h T at grade N and, when lambda != 0,
+# P = T at grade v.
 
 
 def _check_traces(quiver: Quiver, dim, configs) -> None:
@@ -851,7 +841,7 @@ def _boundary_entries(quiver: Quiver, dim, vertex: int, word):
     arrows = {ai for ai, a in enumerate(quiver.arrows) if vertex in (a.source, a.target)}
     arrows.update(letter.arrow for letter in word)
     cycle = tuple((letter, t) for t, letter in enumerate(word))
-    codec = _Codec(quiver, dim, arrows, len(word) + 2, True)
+    codec = _codec(quiver, dim, tuple(sorted(arrows)), _width(len(word) + 2), True)
     _, entries = _contract_packed(quiver, dim, (cycle,), True, (ends, ends), codec)
     return codec, sorted((kv for kv in entries.items() if kv[1]), key=lambda kv: kv[0])
 
@@ -860,12 +850,11 @@ def _boundary_entries(quiver: Quiver, dim, vertex: int, word):
 def _packed_trace(quiver: Quiver, dim: tuple, arrows: tuple, width: int, cfg) -> tuple:
     """Tr_q of the coded configuration ``cfg`` = (codes, heights, idems) as
     ``(key, c)`` pairs, packed for the codec with fields for ``arrows`` of
-    ``width`` bits; a key of degree k in the trace of n letters stands for
-    the int c times h^((n - k)/2).  The values hold only ``int``, so
-    CPython stops tracking them; ``clear_packed_traces`` empties the cache."""
+    ``width`` bits.  The values hold only ``int``, so CPython stops
+    tracking them."""
     codes, heights, idems = cfg
     words = [tuple(zip(map(_LETTER.__getitem__, s), hs)) for s, hs in zip(codes, heights)]
-    codec = _Codec(quiver, dim, arrows, (1 << width) - 1, True)
+    codec = _codec(quiver, dim, arrows, width, True)
     _, sums = _contract_packed(quiver, dim, words, True, codec=codec)
     scalar = math.prod([dim[v] for v in idems])
     return tuple([(key, c * scalar) for key, c in sums[()].items()])
@@ -875,14 +864,35 @@ def clear_packed_traces() -> None:
     _packed_trace.cache_clear()
 
 
-def _traced(quiver: Quiver, dim, codec: _Codec, terms: dict) -> dict:
-    """The sum of c Tr_q(cfg) over {coded cfg: c} ``terms``, one packed int
-    dict in ``codec``, zeros dropped; each trace comes from the cache."""
+def trace_configurations(quiver: Quiver, dim: tuple, terms) -> WeylElement:
+    """Tr_q of sum c cfg over the (coded cfg, c) pairs ``terms``, c in Q[h],
+    each trace from ``_packed_trace`` in its own letters' layout; a sum's
+    index assignments are charged together first (``_check_traces``).  The
+    result is a fresh element: reading its ``terms`` stores nothing."""
+    terms = list(terms)
+    if len(terms) > 1:
+        _check_traces(quiver, dim, [cfg[0] for cfg, _ in terms])
+    total = WeylElement(quiver, dim)
+    for cfg, c in terms:
+        letters = "".join(cfg[0])
+        layout = (quiver, dim, tuple(sorted({_LETTER[code].arrow for code in letters})), _width(len(letters)))
+        traced = _operator(quiver, dim, _codec(*layout, True), dict(_packed_trace(*layout, cfg)), len(letters))
+        traced = traced if c == 1 else traced.scale(c)
+        total = traced if len(terms) == 1 else total + traced
+    return total
+
+
+def _traced(quiver: Quiver, dim, codec: _Codec, terms: dict, letters: int) -> dict:
+    """The sum of c h^((letters - n)/2) Tr_q(cfg) over the n-letter coded
+    configurations of {coded cfg: c} ``terms``, packed in ``codec``, zeros
+    dropped; each trace comes from the cache."""
     layout = (quiver, dim, codec.arrows, codec.width)
     out: dict = {}
     get = out.get
     for cfg, c in terms.items():
+        shift = (letters - sum(map(len, cfg[0]))) // 2 * codec.hunit
         for key, t in _packed_trace(*layout, cfg):
+            key += shift
             out[key] = get(key, 0) + c * t
     return {key: c for key, c in out.items() if c}
 
@@ -912,8 +922,8 @@ class IdealImage:
     at order-h weight r and deformation lam.  The views ``target(r, lam)``
     = Tr_q(generator), ``expansion(lam)`` = sum entry tau(direction) -
     lambda Tr_q(p), ``pairs`` (each entry with its direction
-    -e_{l_first, l_last}) and ``trace_of_p`` = Tr_q(p) are unpacked when
-    read, the last two once."""
+    -e_{l_first, l_last}) and ``trace_of_p`` = Tr_q(p) are packed
+    elements, the last two made once."""
 
     quiver: Quiver
     dim: tuple
@@ -932,47 +942,39 @@ class IdealImage:
         # grade v: -lambda P = -lambda T
         if lam and self.cycle != self.diagonal:
             return None
-        # grade N, times the denominator of r: den (G - E) + num P = den chi T
-        num, den = r.numerator, r.denominator
+        # grade N, times the denominator of r: den (G - E) + num h P = den chi h T
+        num, den, h = r.numerator, r.denominator, self.codec.hunit
         lhs = {key: den * c for key, c in self.spliced.items()}
-        for key, c in self.expanded.items():
-            lhs[key] = lhs.get(key, 0) - den * c
-        if num:
-            for key, c in self.cycle.items():
-                lhs[key] = lhs.get(key, 0) + num * c
-        ratio = _ratio({key: c for key, c in lhs.items() if c}, self.diagonal)
+        _add_scaled(lhs, self.expanded.items(), (-den,), h)
+        _add_scaled(lhs, self.cycle.items(), (0, num), h)
+        base: dict = {}
+        _add_scaled(base, self.diagonal.items(), (0, 1), h)
+        ratio = _ratio({key: c for key, c in lhs.items() if c}, base)
         return None if ratio is None else ratio / den
 
-    def _unpack(self, top: dict, scale, low: dict) -> WeylElement:
-        """The element of ``top`` at grade v + 2 plus ``scale`` times ``low``
-        at grade v."""
-        terms = self.codec.unpack(top, self.v + 2)
-        if scale:
-            low = {key: scale * c for key, c in low.items()}
-            for mono, c in self.codec.unpack(low, self.v).items():
-                add_into(terms, mono, c)
-        return WeylElement(self.quiver, self.dim)._with_terms(terms)
+    def _element(self, top: dict, low=None, coeffs=()) -> WeylElement:
+        """The element of ``top`` plus sum_j coeffs[j] h^j times ``low``."""
+        if any(coeffs):
+            top = dict(top)
+            _add_scaled(top, low.items(), coeffs, self.codec.hunit)
+            top = {key: c for key, c in top.items() if c}
+        return _operator(self.quiver, self.dim, self.codec, top, self.v + 2)
 
     def target(self, r, lam) -> WeylElement:
-        top = dict(self.spliced)
-        if r:
-            for key, c in self.cycle.items():
-                add_into(top, key, r * c)
-        return self._unpack(top, -lam, self.cycle)
+        return self._element(self.spliced, self.cycle, (-lam, r))
 
     def expansion(self, lam) -> WeylElement:
-        return self._unpack(self.expanded, -lam, self.diagonal)
+        return self._element(self.expanded, self.diagonal, (-lam,))
 
     @cached_property
     def trace_of_p(self) -> WeylElement:
-        return self._unpack({}, 1, self.diagonal)
+        return self._element(self.diagonal)
 
     @cached_property
     def pairs(self) -> tuple:
-        zero = WeylElement(self.quiver, self.dim)
         return tuple(
             (
-                zero._with_terms(self.codec.unpack(terms, self.v)),
+                self._element(terms),
                 GlElement.elementary(self.quiver, self.dim, self.vertex, l_first, l_last, -1),
             )
             for (l_first, l_last), terms in self.entries
@@ -989,8 +991,7 @@ def ideal_image(quiver: Quiver, dim, vertex: int, word, spliced: dict, cycle: di
     ``trace.trace_quantum`` charges a sum.  Each entry M_{l1,l2} is
     multiplied by the normal-ordered terms x_pos d_der of tau(-e_{l1,l2})
     (``tau_pairs``), the position token and then the derivative token, in
-    one pass over its packed terms (``_times_tau``).  Nothing is unpacked
-    until a view is read.
+    one pass over its packed terms (``_times_tau``).
     """
     _check_traces(quiver, dim, [codes for codes, _, _ in spliced.keys() | cycle.keys()])
     codec, entries = _boundary_entries(quiver, dim, vertex, word)
@@ -1002,8 +1003,8 @@ def ideal_image(quiver: Quiver, dim, vertex: int, word, spliced: dict, cycle: di
                 diagonal[key] = diagonal.get(key, 0) + c
         for sign, pos, der in tau_pairs(quiver, dim, vertex, l_first, l_last):
             _times_tau(terms, -sign, codec.position(pos), codec.derivative(der), codec.mask, expansion)
-    G = _traced(quiver, dim, codec, spliced)
-    P = _traced(quiver, dim, codec, cycle)
+    G = _traced(quiver, dim, codec, spliced, len(word) + 2)
+    P = _traced(quiver, dim, codec, cycle, len(word))
     E = {key: c for key, c in expansion.items() if c}
     return IdealImage(quiver, dim, vertex, len(word), codec, entries, G, P, diagonal, E)
 
@@ -1025,76 +1026,20 @@ class BlockMatrix:
         return self.entries[row - 1][col - 1]
 
 
-def block_matrix(x, dim, mode: str = "classical") -> BlockMatrix:
-    """Matrix-valued function (classical) or operator (quantum) of an element.
-
-    Accepts a PathAlgebraElement homogeneous between two vertices, or (quantum
-    mode only) a QPAElement whose terms are single height components; for the
-    latter the entry operator products follow the heights.
-    """
-    from .schedler import QPAElement  # local import to avoid a cycle
-
-    if mode not in ("classical", "quantum"):
-        raise ValueError(f"unknown mode {mode!r}")
-    quantum = mode == "quantum"
-
-    if isinstance(x, PathAlgebraElement):
-        quiver = x.quiver
-        if not x.terms:
-            raise ValueError("cannot infer the block of the zero element")
-        endpoints = {(p.source(quiver), p.target(quiver)) for p in x.terms}
-        if len(endpoints) != 1:
-            raise ValueError("element is not homogeneous between two vertices")
-        (src, dst) = endpoints.pop()
-        words = [
-            (tuple((letter, t) for t, letter in enumerate(path.letters)), coeff)
-            for path, coeff in x.items()
-        ]
-    elif isinstance(x, QPAElement):
-        if not quantum:
-            raise ValueError("height configurations only have quantum matrices")
-        quiver = x.quiver
-        vertices = set()
-        for cfg in x.terms:
-            if len(cfg.codes) != 1 or cfg.idempotents:
-                raise ValueError("quantum matrix needs single-component terms")
-            comp = cfg.components[0]
-            vertices.add(comp[0][0].target(quiver))
-        if len(vertices) != 1:
-            raise ValueError("element is not homogeneous between two vertices")
-        src = dst = vertices.pop()
-        words = [(cfg.components[0], coeff) for cfg, coeff in x.items()]
-    else:
-        raise TypeError(f"cannot form a block matrix of {type(x).__name__}")
-
-    dim = make_dimension_vector(quiver, dim)
-    ring = WeylElement if quantum else PolyElement
-    rows, cols = range(1, dim[dst] + 1), range(1, dim[src] + 1)
-    entries = {(row, col): ring(quiver, dim) for row in rows for col in cols}
-    for word, coeff in words:
-        block = _contract_letters(quiver, dim, (word,), quantum, (rows, cols))
-        scalar = coeff if quantum else coeff.constant_term()
-        for key, value in block.items():
-            entries[key] = entries[key] + value.scale(scalar)
-    return BlockMatrix(
-        src, dst, tuple(tuple(entries[row, col] for col in cols) for row in rows)
-    )
-
-
-def _moment_entry(quiver: Quiver, dim, i: int, p: int, q: int, r=None) -> WeylElement:
-    """The (p, q) entry of the moment block at vertex i: signed two-letter
-    open chains [a][a'] for t(a) = i and [a'][a] for s(a) = i
-    (``moment_pairs``), height-1 factor first, plus h r_i on the diagonal
-    when r is given."""
+def _moment_entry(quiver: Quiver, dim, codec, i: int, p: int, q: int, r=None) -> dict:
+    """The (p, q) entry of the moment block at vertex i, packed in
+    ``codec`` (the arrows at i, fields for two token products): signed two-letter open chains [a][a'] for t(a) = i and
+    [a'][a] for s(a) = i (``moment_pairs``), height-1 factor first, plus
+    h r_i on the diagonal when r is given."""
     out: dict = {}
     for sign, first, second in moment_pairs(quiver, i):
         word = ((first, 1), (second, 2))
-        chain = _contract_letters(quiver, dim, (word,), True, ((p,), (q,)))[p, q]
-        for mono, c in chain.items():
-            add_into(out, mono, c if sign > 0 else -c)
+        _, chain = _contract_packed(quiver, dim, (word,), True, ((p,), (q,)), codec)
+        for key, c in chain[p, q].items():
+            out[key] = out.get(key, 0) + sign * c
     if r is not None and p == q and r[i]:
-        add_into(out, ((), ()), HBarPolynomial((0, as_fraction(r[i]))))
-    return WeylElement(quiver, dim)._with_terms(out)
+        out[codec.hunit] = out.get(codec.hunit, 0) + as_fraction(r[i])
+    return {key: c for key, c in out.items() if c}
 
 
 def moment_block_matrix(quiver: Quiver, dim, r=None) -> dict:
@@ -1107,9 +1052,10 @@ def moment_block_matrix(quiver: Quiver, dim, r=None) -> dict:
     dim = make_dimension_vector(quiver, dim)
     out = {}
     for i in range(len(quiver.vertices)):
-        indices = range(1, dim[i] + 1)
+        codec, indices = _codec(quiver, dim, _arrows_at(quiver, {i}), _width(2), True), range(1, dim[i] + 1)
         entries = tuple(
-            tuple(_moment_entry(quiver, dim, i, p, q, r) for q in indices) for p in indices
+            tuple(_operator(quiver, dim, codec, _moment_entry(quiver, dim, codec, i, p, q, r), 2) for q in indices)
+            for p in indices
         )
         out[i] = BlockMatrix(i, i, entries)
     return out
@@ -1117,11 +1063,12 @@ def moment_block_matrix(quiver: Quiver, dim, r=None) -> dict:
 
 def quantum_moment(quiver: Quiver, dim, v: GlElement, r=None) -> WeylElement:
     """tr of the moment block matrix against v (with the optional h r shift)."""
-    if (quiver, tuple(dim)) != v._context():
+    dim = tuple(dim)
+    if (quiver, dim) != v._context():
         raise MismatchError("gl element disagrees on quiver or dimensions")
+    codec = _codec(quiver, dim, _arrows_at(quiver, {i for i, _, _ in v.terms}), _width(2), True)
     out: dict = {}
     for (i, p, q), c in v.items():
-        c = HBarPolynomial.coerce(c)
-        for mono, coeff in _moment_entry(quiver, dim, i, q, p, r).items():
-            add_into(out, mono, coeff * c)
-    return WeylElement(quiver, dim)._with_terms(out)
+        entry = _moment_entry(quiver, dim, codec, i, q, p, r)
+        _add_scaled(out, entry.items(), HBarPolynomial.coerce(c).coeffs, codec.hunit)
+    return _operator(quiver, dim, codec, {key: c for key, c in out.items() if c}, 2)

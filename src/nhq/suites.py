@@ -21,7 +21,6 @@ from .repspace import (
     classical_symbol,
     gauge_act,
     gl_basis,
-    path_matrix_entry,
     poisson,
     tau,
     weyl_commutator,
@@ -57,6 +56,7 @@ from .trace import (
     generator_image,
     lift_necklace_combination,
     over_h,
+    path_matrix_entry,
     solve_chi_from,
     verify_cubic,
     verify_equivariance,

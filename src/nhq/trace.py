@@ -5,7 +5,9 @@ of its coordinate matrices; the quantum trace sends a height configuration
 to the same contraction with the operator factors multiplied in height
 order.  Both are one height-ordered contraction (``repspace._contract``),
 which sums each index as soon as the last factor using it has been
-multiplied.  Around them sit the verification procedures: the trace is an
+multiplied; the block matrices of path-algebra and height-configuration
+elements are its open-word entries.  Around them sit the verification
+procedures, with the trace characters they solve for: the trace is an
 algebra map, the pre- and post-reduction squares commute, the quantum
 moment identity holds, and the reduction-ideal generators decompose over
 the shifted gl action with a solvable trace character.  A generator is
@@ -20,24 +22,22 @@ carry the residual element.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
+from .errors import DimensionError
 from .expr import format_element
 from .linear import add_into
 from .necklace import HH0Element, Necklace, canonical_necklace, idempotent_class, necklace_key
-from .quiver import Quiver
+from .quiver import Path, PathAlgebraElement, Quiver
 from .repspace import (
-    Character,
+    BlockMatrix,
     GlElement,
     PolyElement,
     IdealImage,
     WeylElement,
-    _check_traces,
     _contract_letters,
-    chi_sign_variants,
     classical_symbol,
     clear_packed_traces,
     gl_basis,
@@ -47,12 +47,12 @@ from .repspace import (
     quantum_moment,
     tau,
     tau_kernel,
+    trace_configurations,
     weyl_commutator,
     weyl_mul,
 )
-from .rings import ONE, HBarPolynomial
+from .rings import ONE, HBarPolynomial, as_fraction
 from .schedler import (
-    CACHE_SIZE,
     HeightConfiguration,
     QPAElement,
     ReductionParameters,
@@ -65,9 +65,8 @@ from .schedler import (
 
 
 def clear_trace_cache() -> None:
-    """Empty both trace caches: ``_trace_config`` and the packed traces of
-    the reduction-ideal check (``repspace.clear_packed_traces``)."""
-    _trace_config.cache_clear()
+    """Empty the one trace cache, repspace's packed traces of coded
+    configurations (``repspace.clear_packed_traces``)."""
     clear_packed_traces()
 
 
@@ -93,46 +92,97 @@ def trace_classical(x: HH0Element, dim) -> PolyElement:
     return PolyElement(quiver, dim)._with_terms(out)
 
 
+def _coded(cfg: HeightConfiguration) -> tuple:
+    return cfg.codes, cfg.heights, cfg.idempotents
+
+
 def trace_quantum_config(quiver: Quiver, dim, components, idempotents) -> WeylElement:
     """Quantum trace of one raw configuration (need not be canonical).
 
-    Results are kept in a bounded LRU cache shared by every caller;
-    ``clear_trace_cache`` empties it.  The returned element is shared with
-    the cache, so callers must not mutate it.
+    The dimension vector is validated first (``make_dimension_vector``).
+    The packed trace is kept in repspace's bounded LRU cache of traces,
+    shared by every caller; ``clear_trace_cache`` empties it.
     """
-    return _trace_config(quiver, tuple(dim), HeightConfiguration(components, idempotents))
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _trace_config(quiver, dim, cfg):
-    """The trace cache, keyed by a configuration: it is decoded on a miss."""
-    traced = _contract_letters(quiver, dim, cfg.components, True)
-    scalar = math.prod(dim[v] for v in cfg.idempotents)
-    return traced if scalar == 1 else traced.scale(scalar)
+    dim = make_dimension_vector(quiver, dim)
+    cfg = HeightConfiguration(components, idempotents)
+    return trace_configurations(quiver, dim, [(_coded(cfg), ONE)])
 
 
 def trace_quantum(x: QPAElement, dim) -> WeylElement:
     """Quantum trace map, extended Q[h]-linearly over configurations.
 
-    Each configuration's trace is one token-by-token contraction
-    (``repspace._contract_letters``), kept in the trace cache.  One
-    configuration with coefficient 1 returns its cached trace itself, so
-    the result must not be mutated.  A sum's index assignments are added up
-    against ``MAX_INDEX_ASSIGNMENTS`` before any is contracted, and its
-    weighted traces are accumulated into one fresh term dict.
+    Each configuration's trace is one token-by-token contraction, packed
+    and kept in the trace cache (``repspace.trace_configurations``).  A
+    sum's index assignments are added up against ``MAX_INDEX_ASSIGNMENTS``
+    before any is contracted, and its weighted traces are accumulated into
+    one fresh packed element.
     """
-    quiver = x.quiver
+    dim = make_dimension_vector(x.quiver, dim)
+    return trace_configurations(x.quiver, dim, [(_coded(cfg), c) for cfg, c in x.items()])
+
+
+def path_matrix_entry(quiver: Quiver, dim, path: Path, row: int, col: int) -> PolyElement:
+    """The (row, col) coordinate of the matrix-valued function of a path."""
     dim = make_dimension_vector(quiver, dim)
-    if len(x.terms) == 1:  # its contraction checks the budget
-        ((cfg, coeff),) = x.items()
-        traced = _trace_config(quiver, dim, cfg)
-        return traced if coeff == ONE else traced.scale(coeff)
-    _check_traces(quiver, dim, [cfg.codes for cfg in x.terms])
-    out: dict = {}
-    for cfg, coeff in x.items():
-        for mono, c in _trace_config(quiver, dim, cfg).items():
-            add_into(out, mono, c * coeff)
-    return WeylElement(quiver, dim)._with_terms(out)
+    rmax, cmax = dim[path.target(quiver)], dim[path.source(quiver)]
+    if not (1 <= row <= rmax and 1 <= col <= cmax):
+        raise DimensionError(f"path entry ({row},{col}) out of range for block {rmax}x{cmax}")
+    word = tuple((letter, t) for t, letter in enumerate(path.letters))
+    return _contract_letters(quiver, dim, (word,), False, ((row,), (col,)))[row, col]
+
+
+def block_matrix(x, dim, mode: str = "classical") -> BlockMatrix:
+    """Matrix-valued function (classical) or operator (quantum) of an element.
+
+    Accepts a PathAlgebraElement homogeneous between two vertices, or (quantum
+    mode only) a QPAElement whose terms are single height components; for the
+    latter the entry operator products follow the heights.
+    """
+    if mode not in ("classical", "quantum"):
+        raise ValueError(f"unknown mode {mode!r}")
+    quantum = mode == "quantum"
+
+    if isinstance(x, PathAlgebraElement):
+        quiver = x.quiver
+        if not x.terms:
+            raise ValueError("cannot infer the block of the zero element")
+        endpoints = {(p.source(quiver), p.target(quiver)) for p in x.terms}
+        if len(endpoints) != 1:
+            raise ValueError("element is not homogeneous between two vertices")
+        (src, dst) = endpoints.pop()
+        words = [
+            (tuple((letter, t) for t, letter in enumerate(path.letters)), coeff)
+            for path, coeff in x.items()
+        ]
+    elif isinstance(x, QPAElement):
+        if not quantum:
+            raise ValueError("height configurations only have quantum matrices")
+        quiver = x.quiver
+        vertices = set()
+        for cfg in x.terms:
+            if len(cfg.codes) != 1 or cfg.idempotents:
+                raise ValueError("quantum matrix needs single-component terms")
+            comp = cfg.components[0]
+            vertices.add(comp[0][0].target(quiver))
+        if len(vertices) != 1:
+            raise ValueError("element is not homogeneous between two vertices")
+        src = dst = vertices.pop()
+        words = [(cfg.components[0], coeff) for cfg, coeff in x.items()]
+    else:
+        raise TypeError(f"cannot form a block matrix of {type(x).__name__}")
+
+    dim = make_dimension_vector(quiver, dim)
+    ring = WeylElement if quantum else PolyElement
+    rows, cols = range(1, dim[dst] + 1), range(1, dim[src] + 1)
+    entries = {(row, col): ring(quiver, dim) for row in rows for col in cols}
+    for word, coeff in words:
+        block = _contract_letters(quiver, dim, (word,), quantum, (rows, cols))
+        scalar = coeff if quantum else coeff.constant_term()
+        for key, value in block.items():
+            entries[key] = entries[key] + value.scale(scalar)
+    return BlockMatrix(
+        src, dst, tuple(tuple(entries[row, col] for col in cols) for row in rows)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +321,60 @@ def verify_equivariance(v: GlElement, x: QPAElement, dim, name="invariance") -> 
 
 # ---------------------------------------------------------------------------
 # The reduction-ideal decomposition and the trace character
+
+
+@dataclass(frozen=True)
+class Character:
+    """A functional sum_k c_k tr_k on gl_d."""
+
+    quiver: Quiver
+    values: tuple[Fraction, ...]
+
+    def evaluate(self, v: GlElement) -> Fraction:
+        total = Fraction(0)
+        for (i, p, q), c in v.items():
+            if p == q:
+                total += self.values[i] * c
+        return total
+
+    def __str__(self) -> str:
+        names = self.quiver.vertices
+        return " + ".join(f"({c})*tr_{names[i]}" for i, c in enumerate(self.values))
+
+
+def _out_degree_weight(quiver: Quiver, dim, k: int) -> int:
+    return sum(dim[a.target] for a in quiver.arrows if a.source == k)
+
+
+def chi_sign_variants(quiver: Quiver, dim, r=None) -> dict:
+    """The printed sign variants of the character, for reports.
+
+    ``main`` is the displayed closed form, the reduction character
+    c_k = -sum_{s(a)=k} d_{t(a)} + r_k; ``statement`` flips the sign of
+    the dimension sum; ``proof_line`` distributes the minus over both the
+    dimension sum and r (which then picks up the out-degree multiplicity).
+    """
+    nv = len(quiver.vertices)
+    rvec = list(r) if r is not None else [Fraction(0)] * nv
+    weights = [_out_degree_weight(quiver, dim, k) for k in range(nv)]
+    outdeg = [sum(1 for a in quiver.arrows if a.source == k) for k in range(nv)]
+    return {
+        "main": Character(
+            quiver,
+            tuple(Fraction(-weights[k]) + as_fraction(rvec[k]) for k in range(nv)),
+        ),
+        "statement": Character(
+            quiver,
+            tuple(Fraction(weights[k]) + as_fraction(rvec[k]) for k in range(nv)),
+        ),
+        "proof_line": Character(
+            quiver,
+            tuple(
+                Fraction(-weights[k]) - outdeg[k] * as_fraction(rvec[k])
+                for k in range(nv)
+            ),
+        ),
+    }
 
 
 class IdealDecomposition:

@@ -48,7 +48,7 @@ def wrong_spliced_int(monkeypatch):
 
     def bumped(*args):
         image = image_of(*args)
-        unit, _ = image.codec.position(max(image.codec.field))
+        unit = image.codec.position(max(image.codec.field))[0]
         key = unit * (image.v + 2)
         image.spliced = {**image.spliced, key: image.spliced.get(key, 0) + 1}
         return image

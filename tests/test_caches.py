@@ -36,7 +36,7 @@ from nhq.schedler import (
     clear_straighten_cache,
 )
 from nhq.repspace import _packed_trace
-from nhq.trace import _trace_config, clear_trace_cache, enumerate_generators
+from nhq.trace import clear_trace_cache, enumerate_generators, trace_quantum
 
 
 def params(quiver):
@@ -84,12 +84,37 @@ def test_clear_straighten_cache_empties_it(L2):
 def test_clear_trace_cache_empties_it(J):
     x = Letter(0, False)
     trace_quantum_config(J, (2,), (((x.star(), 1), (x, 2)),), ())
-    assert _trace_config.cache_info().currsize == 1
+    assert _packed_trace.cache_info().currsize == 1
     decompose_ideal_image(J, (2,), canonical_necklace(J, (x, x.star())), 0, 0)
-    assert _packed_trace.cache_info().currsize > 0
+    assert _packed_trace.cache_info().currsize > 1
     clear_trace_cache()
-    assert _trace_config.cache_info().currsize == 0
     assert _packed_trace.cache_info().currsize == 0
+
+
+def test_the_one_trace_cache_holds_untracked_ints_and_no_views():
+    """qtrace's shapes: traces of lifted necklaces of up to 8 letters at
+    d = 2, 3, alone and summed.  Reading the ``terms`` view of a returned
+    trace keeps the view on that element: every cached value stays a
+    tuple of int pairs, which the collector stops tracking, and the same
+    trace read again is a fresh element."""
+    rng = random.Random(11)
+    for quiver in small_quivers():
+        for length, d in ((8, 2), (5, 3)):
+            dim = (d,) * len(quiver.vertices)
+            x, y = (lift_necklace(quiver, random_necklace(rng, quiver, length)) for _ in range(2))
+            for element in (x, x + y):
+                first = trace_quantum(element, dim)
+                view = first.terms
+                again = trace_quantum(element, dim)
+                assert again is not first and again == first
+                assert again.terms == view and again.terms is not view
+    for _ in range(3):
+        gc.collect()
+    traces = _cache_entries(_packed_trace)
+    assert len(traces) == _packed_trace.cache_info().currsize >= 10
+    for _, value in traces:
+        assert type(value) is tuple and not gc.is_tracked(value)
+        assert all(type(key) is int and type(c) is int for key, c in value)
 
 
 def test_other_strategies_leave_the_shared_cache_untouched(L2):
@@ -113,8 +138,7 @@ def test_every_module_cache_is_bounded():
     for name, maxsize in caches:
         assert maxsize is not None, name
     sizes = dict(caches)
-    assert sizes["schedler._normal_form"] == sizes["trace._trace_config"] == CACHE_SIZE
-    assert sizes["repspace._packed_trace"] == CACHE_SIZE
+    assert sizes["schedler._normal_form"] == sizes["repspace._packed_trace"] == CACHE_SIZE
 
 
 def _cache_entries(cache):

@@ -339,9 +339,9 @@ def _jordan_word(text):
         (" ".join(["x'"] * 15), 4, {15 << 4: 1}),
         (" ".join(["x'"] * 16), 5, {16 << 5: 1}),
         # the Rees correction reads the top of a full-width exponent:
-        # d^b x = x d^b + b h d^(b-1), its h implied by the degree
-        (" ".join(["x'"] * 7 + ["x"]), 4, {1 + (7 << 4): 1, 6 << 4: 7}),
-        (" ".join(["x'"] * 15 + ["x"]), 5, {1 + (15 << 5): 1, 14 << 5: 15}),
+        # d^b x = x d^b + b h d^(b-1), its h in the h field from bit 2 w on
+        (" ".join(["x'"] * 7 + ["x"]), 4, {1 + (7 << 4): 1, (6 << 4) + (1 << 8): 7}),
+        (" ".join(["x'"] * 15 + ["x"]), 5, {1 + (15 << 5): 1, (14 << 5) + (1 << 10): 15}),
         (" ".join(["x'"] + ["x"] * 7), 4, None),
         (" ".join(["x"] * 3 + ["x'"] * 4), 3, None),
         (" ".join(["x'", "x"] * 4), 4, None),

@@ -5,7 +5,10 @@
 ``Fraction`` values.  A spy checks every polynomial and every element
 built while the verify suites, the gl kernel and the reduction solvers run
 and while sampled Weyl and quantum-algebra products are formed; the ideal
-suite's decompositions are made to unpack all their views for it.
+suite's decompositions are made to unpack all their views for it.  It also
+checks the packed coefficients of every operator made packed
+(``repspace._operator``) and every reduction-ideal image
+(``trace.ideal_image``): those paths build no polynomial at all.
 """
 
 import random
@@ -13,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from nhq import repspace, trace
 from nhq.linear import LinearCombination
 from nhq.repspace import make_dimension_vector, tau_kernel, weyl_mul
 from nhq.rings import HBarPolynomial
@@ -47,11 +51,13 @@ def _check_value(value) -> None:
 @pytest.fixture
 def spy(monkeypatch):
     """Check every polynomial and element built; counts what it checked."""
-    seen = {"polynomials": 0, "elements": 0}
+    seen = {"polynomials": 0, "elements": 0, "packed": 0}
     with_coeffs = HBarPolynomial._with_coeffs
     poly_init = HBarPolynomial.__init__
     lc_init = LinearCombination.__init__
     with_terms = LinearCombination._with_terms
+    operator = repspace._operator
+    image_of = trace.ideal_image
 
     def check_poly(p):
         seen["polynomials"] += 1
@@ -63,6 +69,21 @@ def spy(monkeypatch):
         for value in x.terms.values():
             _check_value(value)
         return x
+
+    def check_packed(*parts):
+        seen["packed"] += 1
+        for part in parts:
+            for c in part.values():
+                _check_scalar(c)
+
+    def spy_operator(quiver, dim, codec, packed, top):
+        check_packed(packed)
+        return operator(quiver, dim, codec, packed, top)
+
+    def spy_image(*args):
+        image = image_of(*args)
+        check_packed(image.spliced, image.cycle, image.diagonal, image.expanded, *dict(image.entries).values())
+        return image
 
     def spy_with_coeffs(buf):
         return check_poly(with_coeffs(buf))
@@ -82,6 +103,8 @@ def spy(monkeypatch):
     monkeypatch.setattr(HBarPolynomial, "__init__", spy_poly_init)
     monkeypatch.setattr(LinearCombination, "__init__", spy_lc_init)
     monkeypatch.setattr(LinearCombination, "_with_terms", spy_with_terms)
+    monkeypatch.setattr(repspace, "_operator", spy_operator)
+    monkeypatch.setattr(trace, "ideal_image", spy_image)
     return seen
 
 
@@ -137,7 +160,7 @@ def test_reduction_solvers_stay_exact(spy, quiver, dim):
     for value in character.values:
         assert type(value) is Fraction
     assert kernel_constraint(quiver, dim).ok
-    assert spy["polynomials"] and spy["elements"]
+    assert spy["packed"] and spy["elements"]
 
 
 def test_sampled_products_stay_exact(spy):

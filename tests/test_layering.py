@@ -5,9 +5,15 @@ multiplies on those ints (``_times``, ``_times_tau``, ``_contract``,
 ``_contract_packed``).  The reduction-ideal check keeps its traces,
 entries and re-expansion in that form (``_boundary_entries``,
 ``_packed_trace``, ``_traced``, ``_ratio``), and an ``IdealImage`` holds
-them with their ``codec``.  Only ``repspace`` may know that format, so
-that changing it touches one module: no other module of the package
-imports those names or reads them as attributes.
+them with their ``codec``.  A ``WeylElement`` holds its terms in that
+form too (``_codec``, ``_packed``), made by ``_operator`` and re-packed by
+``_join``.  Only ``repspace`` may know that format, so that changing it
+touches one module: no other module of the package imports those names
+or reads them as attributes.
+
+The tuple-keyed Weyl product (``_weyl_mono_mul``) is gone from the
+package: it is the oracle in ``tests/weyl_oracle.py``, and no module
+defines or names it.
 """
 
 import ast
@@ -27,18 +33,35 @@ PACKED = {
     "_traced",
     "_ratio",
     "codec",
+    "_codec",
+    "_packed",
+    "_operator",
+    "_join",
 }
+TUPLE_KERNEL = {"_weyl_mono_mul"}
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
 
 
-def packed_names_used(source: str) -> set:
-    """The names of ``PACKED`` that ``source`` imports or reads as attributes."""
+def packed_names_used(source: str, names=PACKED) -> set:
+    """The ``names`` (by default ``PACKED``) that ``source`` imports or
+    reads as attributes."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
-            found.update(alias.name for alias in node.names if alias.name in PACKED)
-        elif isinstance(node, ast.Attribute) and node.attr in PACKED:
+            found.update(alias.name for alias in node.names if alias.name in names)
+        elif isinstance(node, ast.Attribute) and node.attr in names:
             found.add(node.attr)
+    return found
+
+
+def names_anywhere(source: str, names) -> set:
+    """The ``names`` that ``source`` defines, names or imports."""
+    found = packed_names_used(source, names)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names:
+            found.add(node.name)
+        elif isinstance(node, ast.Name) and node.id in names:
+            found.add(node.id)
     return found
 
 
@@ -47,9 +70,18 @@ def test_the_check_sees_both_forms():
     assert packed_names_used("from . import repspace\nrepspace._times(a, b, c, d)\n") == {"_times"}
     assert packed_names_used("from .repspace import _contract_letters\n") == set()
     assert packed_names_used("image = ideal_image(q, d, v, w, g, p)\nimage.codec\n") == {"codec"}
+    assert packed_names_used("x = trace_quantum(c, d)\nx._packed\n") == {"_packed"}
+    assert names_anywhere("def _weyl_mono_mul(m1, m2):\n    pass\n", TUPLE_KERNEL) == TUPLE_KERNEL
+    assert names_anywhere("list(_weyl_mono_mul(a, b))\n", TUPLE_KERNEL) == TUPLE_KERNEL
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "repspace.py"])
 def test_only_repspace_knows_the_packed_format(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert packed_names_used(fh.read()) == set()
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_the_tuple_weyl_product_lives_in_the_tests(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert names_anywhere(fh.read(), TUPLE_KERNEL) == set()

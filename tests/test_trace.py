@@ -166,11 +166,11 @@ def test_trace_quantum_of_one_configuration(coeff):
             unscaled = dict(cached.terms)
             traced = trace_quantum(x, d)
             assert traced == _per_configuration_sum(x, d)
-            # coefficient 1 passes the cached trace through; a scaled call
-            # leaves the cache entry as it was
-            assert (traced is cached) == (coeff == 1)
-            assert trace_quantum_config(q, d, cfg.components, cfg.idempotents) is cached
-            assert cached.terms == unscaled
+            # every call returns a fresh element built from the cached packed
+            # trace, so a read view or a scaled call leaves the entry as it was
+            again = trace_quantum_config(q, d, cfg.components, cfg.idempotents)
+            assert traced is not cached and again is not cached
+            assert again == cached and again.terms == unscaled
 
 
 def test_trace_quantum_of_idempotent_factors(J, A2):
@@ -398,6 +398,27 @@ def test_dimension_vectors_are_validated_at_every_entry(J, call, monkeypatch):
             call(J, bad)
     # refused before any generator is straightened
     assert straightened == []
+
+
+_X = Letter(0, False)
+
+
+@pytest.mark.parametrize(
+    "components, idempotents",
+    [
+        ((((_X.star(), 1), (_X, 2)),), ()),
+        ((((_X, 2), (_X.star(), 3)), ((_X.star(), 1),)), (0,)),
+        ((), (0, 0)),
+    ],
+    ids=["x'x", "two-components", "idempotents"],
+)
+def test_trace_quantum_config_validates_its_dimension_vector(J, components, idempotents):
+    assert trace_quantum_config(J, {"v": 2}, components, idempotents) == trace_quantum_config(
+        J, (2,), components, idempotents
+    )
+    for bad in ((0,), (2, 2), (-1,), {"w": 2}):
+        with pytest.raises(DimensionError):
+            trace_quantum_config(J, bad, components, idempotents)
 
 
 def test_decompose_idempotent_generator(J, A2):
