@@ -4,11 +4,12 @@ representation space.
 Coordinates are matrix entries (a)_{p,q} of arrows and (a')_{p,q} of their
 reverses; quantum mode replaces (a')_{p,q} by the derivative d/d(a)_{q,p}
 with the Rees commutation rule [d/d(a)_{j,i}, (a)_{k,l}] = h d_{jk} d_{il}.
-Operators are stored normal-ordered, multiplications left of derivatives,
-and packed.  The infinitesimal gl action tau, its kernel, gauge-element
-actions on coordinates, the packed quantum traces, the blockwise quantum
-moment operator and the packed check of the reduction-ideal decomposition
-all live here.
+Polynomials and operators share one packed storage: (a')_{p,q} sits where
+d/d(a)_{q,p} does, and operators are normal-ordered, multiplications left
+of derivatives.  The infinitesimal gl action tau, its kernel, gauge-element
+actions on coordinates, the packed traces of both rings, the blockwise
+quantum moment operator and the packed check of the reduction-ideal
+decomposition all live here.
 """
 
 from __future__ import annotations
@@ -38,17 +39,43 @@ def _check_coord_bounds(quiver, dim, arrow, starred, row, col):
 
 
 # ---------------------------------------------------------------------------
-# Commutative coordinate polynomials
+# Packed elements: coordinate polynomials and the Rees-Weyl algebra
 
-# Polynomial variable: (arrow, starred, row, col); monomial: sorted ((var, exp), ...)
+# The tuple form of an element, its ``terms``: a Weyl monomial is
+# (positions, derivatives), each a sorted tuple of ((arrow, row, col), exp),
+# a derivative keyed by the coordinate it differentiates, so d(a)_{r,c}
+# pairs with (a)_{r,c}; a polynomial monomial is a sorted tuple of
+# ((arrow, starred, row, col), exp).
+#
+# Both rings hold their terms packed: one int key per monomial and power of
+# h, with an int or Fraction coefficient, in the layout of a ``_Codec``.
+# With the n coordinates (arrow, row, col) of the codec's arrows in sorted
+# order and a field width w, bits [k w, (k + 1) w) hold the exponent of
+# coordinate k, bits [(n + k) w, (n + k + 1) w) that of its derivative (in
+# a polynomial, that of its conjugate (a')_{c,r}) and the bits from 2 n w
+# on the power of h: the h field, on top, so no power outgrows it.  A
+# polynomial's keys all lie below it.  A product of monomials with nothing
+# to contract is the sum of their keys; each contraction of d_v with x_v
+# drops one unit from both fields and adds one to the h field.  w fits
+# ``_top``, a bound on the exponents that products add up, so no field
+# carries into the next.  A binary operation on two layouts re-packs both
+# into their join (``_join``).
 
 
-class PolyElement(LinearCombination):
-    """Polynomial on the cotangent space with exact rational coefficients."""
+class _PackedOperator(LinearCombination):
+    """The packed storage of ``WeylElement`` and ``PolyElement`` and their
+    linear structure.
 
-    __slots__ = ("quiver", "dim")
+    ``_codec``, ``_packed`` ({int key: nonzero int or Fraction}) and
+    ``_top`` live here, so an element's context stays its own ``__slots__``.
+    Each form is built from the other on its first read and kept: ``terms``
+    from the packed form, the packed form from a public constructor's
+    ``terms``.  Arithmetic reads and makes packed forms only.  Where the
+    rings differ, the class says which it is (``_quantum``) and reads a
+    scalar as the coefficients of its powers of h (``_scalars``).
+    """
 
-    _coerce = staticmethod(as_fraction)
+    __slots__ = ("_codec", "_packed", "_top")
 
     def __init__(self, quiver: Quiver, dim, terms=None):
         object.__setattr__(self, "quiver", quiver)
@@ -56,115 +83,25 @@ class PolyElement(LinearCombination):
         super().__init__(terms)
 
     @classmethod
-    def constant(cls, quiver, dim, c) -> "PolyElement":
-        return cls(quiver, dim, {(): c})
-
-    @classmethod
-    def coordinate(cls, quiver, dim, arrow, starred, row, col, coeff=1) -> "PolyElement":
-        _check_coord_bounds(quiver, dim, arrow, starred, row, col)
-        return cls(quiver, dim, {(((arrow, starred, row, col), 1),): coeff})
-
-    def __mul__(self, other):
-        if isinstance(other, PolyElement):
-            return poly_mul(self, other)
-        return self.scale(other)
-
-    __rmul__ = LinearCombination.scale
-
-
-def _merge_exponents(m1, m2):
-    out = dict(m1)
-    for var, exp in m2:
-        out[var] = out.get(var, 0) + exp
-    return tuple(sorted(out.items()))
-
-
-def poly_mul(x: PolyElement, y: PolyElement) -> PolyElement:
-    if x._context() != y._context():
-        raise MismatchError("polynomial operands disagree on quiver or dimensions")
-    out: dict = {}
-    for m1, c1 in x.items():
-        for m2, c2 in y.items():
-            add_into(out, _merge_exponents(m1, m2), c1 * c2)
-    return x._with_terms(out)
-
-
-def poly_partial(f: PolyElement, var) -> PolyElement:
-    out: dict = {}
-    for mono, coeff in f.items():
-        for k, (w, exp) in enumerate(mono):
-            if w != var:
-                continue
-            rest = mono[:k] + ((w, exp - 1),) + mono[k + 1 :] if exp > 1 else mono[:k] + mono[k + 1 :]
-            add_into(out, rest, coeff * exp)
-    return f._with_terms(out)
-
-
-def poisson(f: PolyElement, g: PolyElement) -> PolyElement:
-    """Symplectic bracket with {(a)_{ij}, (a')_{ji}} = 1 on conjugate pairs."""
-    if f._context() != g._context():
-        raise MismatchError("poisson operands disagree on quiver or dimensions")
-    coords = set()
-    for element in (f, g):
-        for mono, _ in element.items():
-            for (arrow, starred, row, col), _exp in mono:
-                coords.add((arrow, row, col) if not starred else (arrow, col, row))
-    out: dict = {}
-    for arrow, row, col in sorted(coords):
-        pos = (arrow, False, row, col)
-        mom = (arrow, True, col, row)
-        for mono, c in poly_mul(poly_partial(f, pos), poly_partial(g, mom)).items():
-            add_into(out, mono, c)
-        for mono, c in poly_mul(poly_partial(f, mom), poly_partial(g, pos)).items():
-            add_into(out, mono, -c)
-    return f._with_terms(out)
-
-
-# ---------------------------------------------------------------------------
-# The Rees-Weyl algebra
-
-# Weyl monomial, the key of a tuple term: (positions, derivatives), each a
-# sorted tuple of ((arrow, row, col), exp); a derivative is keyed by the
-# coordinate it differentiates, so d(a)_{r,c} pairs with (a)_{r,c}.
-#
-# A WeylElement holds its terms packed: one int key per monomial and power
-# of h, with an int or Fraction coefficient, in the layout of a ``_Codec``.
-# With the n coordinates (arrow, row, col) of the codec's arrows in sorted
-# order and a field width w, bits [k w, (k + 1) w) hold the exponent of
-# coordinate k, bits [(n + k) w, (n + k + 1) w) that of its derivative (for
-# polynomials, that of its conjugate (a')_{c,r}) and the bits from 2 n w on
-# the power of h: the h field, on top, so no power outgrows it.  A product
-# of monomials with nothing to contract is the sum of their keys; each
-# contraction of d_v with x_v drops one unit from both fields and adds one
-# to the h field.  w fits ``_top``, a bound on the exponents that products
-# add up, so no field carries into the next.  A binary operation on two
-# layouts re-packs both into their join (``_join``).
-
-
-class _PackedOperator(LinearCombination):
-    """The packed storage of ``WeylElement`` and its linear structure.
-
-    ``_codec``, ``_packed`` ({int key: nonzero int or Fraction}) and
-    ``_top`` live here, so an element's context stays its own ``__slots__``.
-    Each form is built from the other on its first read and kept: ``terms``
-    from the packed form, the packed form from a public constructor's
-    ``terms``.  Arithmetic reads and makes packed forms only.
-    """
-
-    __slots__ = ("_codec", "_packed", "_top")
+    def _from_packed(cls, quiver: Quiver, dim, codec, packed: dict, top: int):
+        """The element of ``packed`` in ``codec``, exponents at most ``top``."""
+        out = object.__new__(cls)
+        for name, value in zip(("quiver", "dim") + _PackedOperator.__slots__, (quiver, dim, codec, packed, top)):
+            object.__setattr__(out, name, value)
+        return out
 
     def __getattr__(self, name):  # called for an unset slot
         if name == "terms":
-            object.__setattr__(self, name, self._codec.unpack(self._packed))
+            object.__setattr__(self, name, self._codec.unpack(self._packed, self._quantum))
         elif name in _PackedOperator.__slots__:
-            for slot, value in zip(_PackedOperator.__slots__, _pack(self.quiver, self.dim, self.terms)):
+            for slot, value in zip(_PackedOperator.__slots__, _pack(self)):
                 object.__setattr__(self, slot, value)
         else:
             raise AttributeError(name)
         return getattr(self, name)
 
-    def _like(self, packed: dict, top=None, codec=None) -> "WeylElement":
-        return _operator(self.quiver, self.dim, codec or self._codec, packed, top or self._top)
+    def _like(self, packed: dict, top=None, codec=None):
+        return self._from_packed(self.quiver, self.dim, codec or self._codec, packed, top or self._top)
 
     def __bool__(self) -> bool:
         return bool(self._packed)
@@ -191,28 +128,12 @@ class _PackedOperator(LinearCombination):
         return self.scale(-1)
 
     def scale(self, c):
-        """Times a rational or an ``HBarPolynomial``: c h^j moves each key
-        j units up the h field."""
+        """Times a scalar: c h^j moves each key j units up the h field."""
         out: dict = {}
-        _add_scaled(out, self._packed.items(), HBarPolynomial.coerce(c).coeffs, self._codec.hunit)
+        _add_scaled(out, self._packed.items(), self._scalars(c), self._codec.hunit)
         return self._like({key: v for key, v in out.items() if v})
 
     __rmul__ = scale
-
-    def is_divisible_by_h(self) -> bool:
-        hunit = self._codec.hunit
-        return all(key >= hunit for key in self._packed)
-
-    def div_h(self) -> "WeylElement":
-        if not self.is_divisible_by_h():
-            raise ArithmeticError("operator is not divisible by h")
-        return self._like({key - self._codec.hunit: c for key, c in self._packed.items()})
-
-    def rees_degrees(self) -> set:
-        """All h-grading degrees present: derivative count plus h power."""
-        codec = self._codec
-        tops = {key >> codec.split for key in self._packed}  # the derivative half and the h field
-        return {codec.degree(top & codec.low) + (top >> codec.split) for top in tops}
 
 
 class WeylElement(_PackedOperator):
@@ -220,10 +141,8 @@ class WeylElement(_PackedOperator):
 
     __slots__ = ("quiver", "dim")
 
-    def __init__(self, quiver: Quiver, dim, terms=None):
-        object.__setattr__(self, "quiver", quiver)
-        object.__setattr__(self, "dim", tuple(dim))
-        super().__init__(terms)
+    _quantum = True
+    _scalars = staticmethod(lambda c: HBarPolynomial.coerce(c).coeffs)
 
     @classmethod
     def constant(cls, quiver, dim, c) -> "WeylElement":
@@ -252,29 +171,69 @@ class WeylElement(_PackedOperator):
             return weyl_mul(self, other)
         return self.scale(other)
 
+    def is_divisible_by_h(self) -> bool:
+        hunit = self._codec.hunit
+        return all(key >= hunit for key in self._packed)
 
-def _operator(quiver: Quiver, dim, codec, packed: dict, top: int) -> WeylElement:
-    """The element of ``packed`` in ``codec``, exponents at most ``top``."""
-    out = object.__new__(WeylElement)
-    for name, value in zip(("quiver", "dim") + _PackedOperator.__slots__, (quiver, dim, codec, packed, top)):
-        object.__setattr__(out, name, value)
-    return out
+    def div_h(self) -> "WeylElement":
+        if not self.is_divisible_by_h():
+            raise ArithmeticError("operator is not divisible by h")
+        return self._like({key - self._codec.hunit: c for key, c in self._packed.items()})
+
+    def rees_degrees(self) -> set:
+        """All h-grading degrees present: derivative count plus h power."""
+        codec = self._codec
+        tops = {key >> codec.split for key in self._packed}  # the derivative half and the h field
+        return {codec.degree(top & codec.low) + (top >> codec.split) for top in tops}
 
 
-def _pack(quiver: Quiver, dim, terms: dict) -> tuple:
-    """(codec, packed terms, top) of tuple Weyl ``terms``, in a codec with
-    fields for their arrows as wide as their largest exponent needs."""
+class PolyElement(_PackedOperator):
+    """Polynomial on the cotangent space with exact rational coefficients."""
+
+    __slots__ = ("quiver", "dim")
+
+    _quantum = False
+    _coerce = staticmethod(as_fraction)
+    _scalars = staticmethod(lambda c: (_exact(c),))  # a rational only: TypeError on Q[h]
+
+    @classmethod
+    def constant(cls, quiver, dim, c) -> "PolyElement":
+        return cls(quiver, dim, {(): c})
+
+    @classmethod
+    def coordinate(cls, quiver, dim, arrow, starred, row, col, coeff=1) -> "PolyElement":
+        _check_coord_bounds(quiver, dim, arrow, starred, row, col)
+        return cls(quiver, dim, {(((arrow, starred, row, col), 1),): coeff})
+
+    def __mul__(self, other):
+        if isinstance(other, PolyElement):
+            return poly_mul(self, other)
+        return self.scale(other)
+
+
+def _pack(x: _PackedOperator) -> tuple:
+    """(codec, packed terms, top) of ``x.terms``, in a codec with fields for
+    their arrows as wide as their largest exponent needs."""
+    terms = x.terms
+    if not x._quantum:  # (a')_{r,c} to the field of d(a)_{c,r}
+        terms = {
+            (
+                tuple([((a, r, c), e) for (a, starred, r, c), e in mono if not starred]),
+                tuple([((a, c, r), e) for (a, starred, r, c), e in mono if starred]),
+            ): coeff
+            for mono, coeff in terms.items()
+        }
     exps = [(var, exp) for pos, der in terms for var, exp in pos + der]
     top = max([exp for _, exp in exps], default=0)
-    codec = _codec(quiver, dim, tuple(sorted({var[0] for var, _ in exps})), _width(top), True)
+    codec = _codec(x.quiver, x.dim, tuple(sorted({var[0] for var, _ in exps})), _width(top))
     packed: dict = {}
     for (pos, der), coeff in terms.items():
         key = sum([e * codec.position(v)[0] for v, e in pos] + [e * codec.derivative(v)[0] for v, e in der])
-        _add_scaled(packed, ((key, 1),), coeff.coeffs, codec.hunit)
+        _add_scaled(packed, ((key, 1),), x._scalars(coeff), codec.hunit)
     return codec, packed, top
 
 
-def _join(x: WeylElement, y: WeylElement, product: bool) -> tuple:
+def _join(x: _PackedOperator, y: _PackedOperator, product: bool) -> tuple:
     """(codec, top, x's packed terms, y's) in the join of their layouts:
     the union of their arrows, fields as wide as the wider one's and, for
     a ``product``, wide enough for the sum of their tops."""
@@ -283,7 +242,7 @@ def _join(x: WeylElement, y: WeylElement, product: bool) -> tuple:
     width = max(cx.width, cy.width, top.bit_length())
     if cx is cy and width == cx.width:
         return cx, top, x._packed, y._packed
-    codec = _codec(x.quiver, x.dim, tuple(sorted({*cx.arrows, *cy.arrows})), width, True)
+    codec = _codec(x.quiver, x.dim, tuple(sorted({*cx.arrows, *cy.arrows})), width)
     return codec, top, cx.repack(x._packed.items(), codec), cy.repack(y._packed.items(), codec)
 
 
@@ -299,6 +258,13 @@ def _add_scaled(out: dict, pairs, coeffs, hunit: int) -> None:
                 out[key] = get(key, 0) + a * c
 
 
+def _halves(codec, terms: dict) -> list:
+    """(key, c, position half, derivative half, the nonzero-field mask of
+    each half) of every packed term."""
+    low, split, nonzero = codec.low, codec.split, codec.nonzero
+    return [(k, c, p := k & low, d := k >> split & low, nonzero(p), nonzero(d)) for k, c in terms.items()]
+
+
 def _normal_order(x: WeylElement, y: WeylElement, commutator: bool) -> WeylElement:
     """x y, or x y - y x, on packed terms.  A pair of monomials gives the
     sum of their keys and the contractions of the left one's derivatives
@@ -309,13 +275,10 @@ def _normal_order(x: WeylElement, y: WeylElement, commutator: bool) -> WeylEleme
     if x._context() != y._context():
         raise MismatchError("operator operands disagree on quiver or dimensions")
     codec, top, xs, ys = _join(x, y, True)
-    low, split, nonzero, contract = codec.low, codec.split, codec.nonzero, codec.contractions
-    right = [(k2, c2, p2 := k2 & low, d2 := k2 >> split & low, nonzero(p2), nonzero(d2)) for k2, c2 in ys.items()]
+    contract, right = codec.contractions, _halves(codec, ys)
     out: dict = {}
     get = out.get
-    for k1, c1 in xs.items():
-        p1, d1 = k1 & low, k1 >> split & low
-        n1, m1 = nonzero(p1), nonzero(d1)
+    for k1, c1, p1, d1, n1, m1 in _halves(codec, xs):
         for k2, c2, p2, d2, n2, m2 in right:
             xy, yx = m1 & n2, commutator and m2 & n1
             if commutator and not (xy or yx):
@@ -342,11 +305,52 @@ def weyl_commutator(x: WeylElement, y: WeylElement) -> WeylElement:
 
 def classical_symbol(op: WeylElement) -> PolyElement:
     """Set h to zero and read operators as coordinates: d(a)_{r,c} -> (a')_{c,r}.
-    Only the h-free keys are unpacked, in the polynomial codec of op's layout."""
-    codec = op._codec
-    symbol = _codec(op.quiver, op.dim, codec.arrows, codec.width, False)
-    terms = symbol.unpack({key: c for key, c in op._packed.items() if key < codec.hunit})
-    return PolyElement(op.quiver, op.dim)._with_terms(terms)
+    The polynomial keeps op's h-free keys, in op's codec."""
+    hunit = op._codec.hunit
+    packed = {key: c for key, c in op._packed.items() if key < hunit}
+    return PolyElement._from_packed(op.quiver, op.dim, op._codec, packed, op._top)
+
+
+def poly_mul(x: PolyElement, y: PolyElement) -> PolyElement:
+    """The product x y: each pair of monomials gives the sum of their keys."""
+    if x._context() != y._context():
+        raise MismatchError("polynomial operands disagree on quiver or dimensions")
+    codec, top, xs, ys = _join(x, y, True)
+    right = list(ys.items())
+    out: dict = {}
+    get = out.get
+    for k1, c1 in xs.items():
+        for k2, c2 in right:
+            key = k1 + k2
+            out[key] = get(key, 0) + c1 * c2
+    return x._like({key: c for key, c in out.items() if c}, top, codec)
+
+
+def poisson(f: PolyElement, g: PolyElement) -> PolyElement:
+    """Symplectic bracket with {(a)_{ij}, (a')_{ji}} = 1 on conjugate pairs.
+
+    Conjugates share a field number v.  A pair of monomials m1 m2 gives, for
+    each v where one holds (a)_{ij} and the other (a')_{ji}, (m1_v m2'_v -
+    m1'_v m2_v) times their product with one unit off both of v's fields:
+    the single contractions of a Weyl product, without their h."""
+    if f._context() != g._context():
+        raise MismatchError("poisson operands disagree on quiver or dimensions")
+    codec, top, fs, gs = _join(f, g, True)
+    mask, width, lift, right = codec.mask, codec.width, 1 + (1 << codec.split), _halves(codec, gs)
+    out: dict = {}
+    get = out.get
+    for k1, c1, p1, d1, n1, m1 in _halves(codec, fs):
+        for k2, c2, p2, d2, n2, m2 in right:
+            common = m1 & n2 | n1 & m2
+            while common:
+                bit = common & -common
+                common ^= bit
+                at = bit.bit_length() - width
+                factor = (p1 >> at & mask) * (d2 >> at & mask) - (d1 >> at & mask) * (p2 >> at & mask)
+                if factor:
+                    key = k1 + k2 - (lift << at)
+                    out[key] = get(key, 0) + c1 * c2 * factor
+    return f._like({key: c for key, c in out.items() if c}, top, codec)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +444,8 @@ def tau(quiver: Quiver, dim, v: GlElement) -> WeylElement:
     dim = tuple(dim)
     if (quiver, dim) != v._context():
         raise MismatchError("gl element disagrees on quiver or dimensions")
-    codec = _codec(quiver, dim, _arrows_at(quiver, {i for i, _, _ in v.terms}), 1, True)
-    return _operator(quiver, dim, codec, _tau_terms(quiver, dim, v.items(), codec), 1)
+    codec = _codec(quiver, dim, _arrows_at(quiver, {i for i, _, _ in v.terms}), 1)
+    return WeylElement._from_packed(quiver, dim, codec, _tau_terms(quiver, dim, v.items(), codec), 1)
 
 
 def gauge_act(quiver: Quiver, dim, i: int, p: int, q: int, f: PolyElement) -> PolyElement:
@@ -449,31 +453,26 @@ def gauge_act(quiver: Quiver, dim, i: int, p: int, q: int, f: PolyElement) -> Po
 
     On a coordinate of a letter x (plain or starred) the value is
     d_{s(x),i} d_{p,col} (x)_{row,q} - d_{t(x),i} d_{row,q} (x)_{p,col},
-    extended to polynomials by the Leibniz rule.
+    extended to polynomials by the Leibniz rule.  It reads the tuple form
+    of f, independent of the packed kernels it is checked against.
     """
     if not (1 <= p <= dim[i] and 1 <= q <= dim[i]):
         raise DimensionError(f"gauge indices ({p},{q}) out of range at vertex {i}")
-    out: dict = {}
+    out = []
     for mono, coeff in f.items():
-        for k, (var, exp) in enumerate(mono):
+        for var, exp in mono:
             arrow, starred, row, col = var
             letter = Letter(arrow, starred)
-            rest = (
-                mono[:k] + ((var, exp - 1),) + mono[k + 1 :]
-                if exp > 1
-                else mono[:k] + mono[k + 1 :]
-            )
             replacements = []
             if letter.source(quiver) == i and p == col:
                 replacements.append((1, (arrow, starred, row, q)))
             if letter.target(quiver) == i and row == q:
                 replacements.append((-1, (arrow, starred, p, col)))
             for sign, new_var in replacements:
-                add_into(
-                    out,
-                    _merge_exponents(rest, ((new_var, 1),)),
-                    coeff * exp * sign,
-                )
+                exps = dict(mono)
+                exps[var] -= 1
+                exps[new_var] = exps.get(new_var, 0) + 1
+                out.append((tuple(sorted((v, e) for v, e in exps.items() if e)), coeff * exp * sign))
     return PolyElement(quiver, dim, out)
 
 
@@ -481,7 +480,7 @@ def tau_kernel(quiver: Quiver, dim) -> list:
     """Exact basis of {v in gl_d : tau(v) = 0}."""
     dim = make_dimension_vector(quiver, dim)
     basis = list(gl_basis(quiver, dim))
-    codec = _codec(quiver, dim, tuple(range(len(quiver.arrows))), 1, True)
+    codec = _codec(quiver, dim, tuple(range(len(quiver.arrows))), 1)
     images = [_tau_terms(quiver, dim, [(key, 1)], codec) for key in basis]
     columns = {}
     for img in images:
@@ -536,18 +535,17 @@ def _coordinate_fields(quiver: Quiver, dim: tuple, arrows: tuple) -> tuple:
 
 class _Codec:
     """One layout of packed monomials (see the comment above
-    ``WeylElement``), quantum with the h field, and its unpacking to the
+    ``_PackedOperator``), shared by both rings, and its unpacking to either
     tuple form.  Only the coordinates of ``arrows`` get fields, so a key
     grows with the arrows used, not with the quiver.  ``_codec`` makes one
     per layout."""
 
-    __slots__ = ("quantum", "arrows", "field", "width", "mask", "split", "low", "hshift", "hunit",
-                 "_coords", "_names", "_ones", "_rest", "_high")
+    __slots__ = ("arrows", "field", "width", "mask", "split", "low", "hshift", "hunit",
+                 "_coords", "_variables", "_ones", "_rest", "_high")
 
-    def __init__(self, quiver: Quiver, dim: tuple, arrows: tuple, width: int, quantum: bool):
+    def __init__(self, quiver: Quiver, dim: tuple, arrows: tuple, width: int):
         self.arrows = arrows
-        self._coords, self.field, variables = _coordinate_fields(quiver, dim, arrows)
-        self.quantum = quantum
+        self._coords, self.field, self._variables = _coordinate_fields(quiver, dim, arrows)
         self.width = width
         self.mask = (1 << width) - 1
         self.split = len(self._coords) * width
@@ -558,30 +556,30 @@ class _Codec:
         # bit, and the top bits
         self._ones = self.low // self.mask
         self._rest, self._high = self._ones * ((1 << width - 1) - 1), self._ones << width - 1
-        self._names = (self._coords, self._coords) if quantum else variables
 
     def position(self, var):
-        """The token (unit, shift, drop) of the coordinate ``var`` = (arrow,
-        row, col); quantum, ``shift`` is that of d_var's field and ``drop``
-        the Rees correction's step: a unit off that field, one onto h's."""
+        """The operator token (unit, shift, drop) of the coordinate ``var`` =
+        (arrow, row, col): ``shift`` is that of d_var's field and ``drop``
+        the Rees correction's step, a unit off that field and one onto h's."""
         at = self.field[var] * self.width
-        if not self.quantum:
-            return 1 << at, None, None
         shift = self.split + at
         return 1 << at, shift, (1 << shift) - self.hunit
 
     def derivative(self, var):
-        """The token of d_var, classically of the coordinate conjugate to var."""
+        """The token of d_var, or in a polynomial of the coordinate
+        conjugate to var."""
         return 1 << (self.split + self.field[var] * self.width), None, None
 
-    def entry(self, letter: Letter):
+    def entry(self, letter: Letter, quantum: bool):
         """The token of the (row, col) entry of a letter's matrix, with
-        [a']_{row,col} = d/d(a)_{col,row} and, classically, (a')_{row,col}
-        in the field of d(a)_{col,row}."""
+        [a']_{row,col} = d/d(a)_{col,row} for an operator and, in a
+        polynomial, (a')_{row,col} in the field of d(a)_{col,row}."""
         arrow, starred = letter
         if starred:
             return lambda row, col: self.derivative((arrow, col, row))
-        return lambda row, col: self.position((arrow, row, col))
+        if quantum:
+            return lambda row, col: self.position((arrow, row, col))
+        return lambda row, col: (self.position((arrow, row, col))[0], None, None)
 
     def _fields(self, bits: int):
         """(number, exponent) of each nonzero field of a half of a key."""
@@ -640,12 +638,13 @@ class _Codec:
 
         return {move(key & low) + (move(key >> split & low) << dsplit) + (key >> hshift << dshift): c for key, c in pairs}
 
-    def unpack(self, terms: dict) -> dict:
-        """The packed ``terms`` in the ring's tuple form: Weyl terms with
-        ``HBarPolynomial`` coefficients, the powers of h of one monomial
-        summed, or polynomial terms with ``Fraction`` ones.  Each half of a
-        key and each coefficient is decoded once per call."""
-        (plain, starred), low, split, hshift = self._names, self.low, self.split, self.hshift
+    def unpack(self, terms: dict, quantum: bool) -> dict:
+        """The packed ``terms`` in the tuple form of their ring: Weyl terms
+        with ``HBarPolynomial`` coefficients, the powers of h of one
+        monomial summed, or polynomial terms with ``Fraction`` ones.  Each
+        half of a key and each coefficient is decoded once per call."""
+        plain, starred = (self._coords, self._coords) if quantum else self._variables
+        low, split, hshift = self.low, self.split, self.hshift
         lows, highs, coeffs, out = {}, {}, {}, {}
         for key, c in terms.items():
             bits = key & low
@@ -656,7 +655,7 @@ class _Codec:
             der = highs.get(bits)
             if der is None:
                 der = highs[bits] = tuple([(starred[k], e) for k, e in self._fields(bits)])
-            if not self.quantum:
+            if not quantum:
                 out[tuple(sorted(pos + der)) if der else pos] = Fraction(c)
                 continue
             power = key >> hshift
@@ -774,11 +773,11 @@ def _contract_packed(quiver: Quiver, dim, words, quantum: bool, ends=None, codec
     _check_assignments(math.prod(len(r) for r in ranges))
     if codec is None:
         arrows = tuple(sorted({letter.arrow for _, (letter, _, _) in slots}))
-        codec = _codec(quiver, tuple(dim), arrows, _width(len(slots)), quantum)
+        codec = _codec(quiver, tuple(dim), arrows, _width(len(slots)))
     if ends and not slots:
         rows, cols = ends
         return codec, {(r, c): {0: 1} if r == c else {} for r in rows for c in cols}
-    slots = [(codec.entry(letter), i, j) for _, (letter, i, j) in slots]
+    slots = [(codec.entry(letter, quantum), i, j) for _, (letter, i, j) in slots]
     free = (0, len(ranges) - 1) if ends else ()
     return codec, _contract(slots, ranges, codec.mask, free)
 
@@ -788,19 +787,16 @@ def _contract_letters(quiver: Quiver, dim, words, quantum: bool, ends=None):
 
     Factors multiply in height order: operator tokens when ``quantum``,
     coordinates otherwise.  The products run on packed keys
-    (``_contract_packed``); a ``WeylElement`` keeps them, and a
-    ``PolyElement`` is unpacked here.  Without ``ends`` every word is a
+    (``_contract_packed``), which the ``WeylElement`` or ``PolyElement``
+    results keep.  Without ``ends`` every word is a
     closed cycle and the result is the trace.  With ``ends = (rows, cols)``
     there is one open word and the result maps (row, col) to that entry of
     its product.  Raises ``WorkLimitError`` when the number of index
     assignments exceeds ``MAX_INDEX_ASSIGNMENTS``.
     """
     codec, sums = _contract_packed(quiver, dim, words, quantum, ends)
-    if quantum:
-        top = sum(len(word) for word in words)
-        make = lambda terms: _operator(quiver, dim, codec, terms, top)
-    else:
-        make = lambda terms: PolyElement(quiver, dim)._with_terms(codec.unpack(terms))
+    ring, top = WeylElement if quantum else PolyElement, sum(len(word) for word in words)
+    make = lambda terms: ring._from_packed(quiver, dim, codec, terms, top)
     return make(sums[()]) if not ends else {key: make(terms) for key, terms in sums.items()}
 
 
@@ -841,7 +837,7 @@ def _boundary_entries(quiver: Quiver, dim, vertex: int, word):
     arrows = {ai for ai, a in enumerate(quiver.arrows) if vertex in (a.source, a.target)}
     arrows.update(letter.arrow for letter in word)
     cycle = tuple((letter, t) for t, letter in enumerate(word))
-    codec = _codec(quiver, dim, tuple(sorted(arrows)), _width(len(word) + 2), True)
+    codec = _codec(quiver, dim, tuple(sorted(arrows)), _width(len(word) + 2))
     _, entries = _contract_packed(quiver, dim, (cycle,), True, (ends, ends), codec)
     return codec, sorted((kv for kv in entries.items() if kv[1]), key=lambda kv: kv[0])
 
@@ -854,7 +850,7 @@ def _packed_trace(quiver: Quiver, dim: tuple, arrows: tuple, width: int, cfg) ->
     tracking them."""
     codes, heights, idems = cfg
     words = [tuple(zip(map(_LETTER.__getitem__, s), hs)) for s, hs in zip(codes, heights)]
-    codec = _codec(quiver, dim, arrows, width, True)
+    codec = _codec(quiver, dim, arrows, width)
     _, sums = _contract_packed(quiver, dim, words, True, codec=codec)
     scalar = math.prod([dim[v] for v in idems])
     return tuple([(key, c * scalar) for key, c in sums[()].items()])
@@ -876,7 +872,7 @@ def trace_configurations(quiver: Quiver, dim: tuple, terms) -> WeylElement:
     for cfg, c in terms:
         letters = "".join(cfg[0])
         layout = (quiver, dim, tuple(sorted({_LETTER[code].arrow for code in letters})), _width(len(letters)))
-        traced = _operator(quiver, dim, _codec(*layout, True), dict(_packed_trace(*layout, cfg)), len(letters))
+        traced = WeylElement._from_packed(quiver, dim, _codec(*layout), dict(_packed_trace(*layout, cfg)), len(letters))
         traced = traced if c == 1 else traced.scale(c)
         total = traced if len(terms) == 1 else total + traced
     return total
@@ -958,7 +954,7 @@ class IdealImage:
             top = dict(top)
             _add_scaled(top, low.items(), coeffs, self.codec.hunit)
             top = {key: c for key, c in top.items() if c}
-        return _operator(self.quiver, self.dim, self.codec, top, self.v + 2)
+        return WeylElement._from_packed(self.quiver, self.dim, self.codec, top, self.v + 2)
 
     def target(self, r, lam) -> WeylElement:
         return self._element(self.spliced, self.cycle, (-lam, r))
@@ -1026,20 +1022,21 @@ class BlockMatrix:
         return self.entries[row - 1][col - 1]
 
 
-def _moment_entry(quiver: Quiver, dim, codec, i: int, p: int, q: int, r=None) -> dict:
-    """The (p, q) entry of the moment block at vertex i, packed in
-    ``codec`` (the arrows at i, fields for two token products): signed two-letter open chains [a][a'] for t(a) = i and
-    [a'][a] for s(a) = i (``moment_pairs``), height-1 factor first, plus
-    h r_i on the diagonal when r is given."""
-    out: dict = {}
+def _moment_block(quiver: Quiver, dim, codec, i: int, r=None) -> dict:
+    """The entries {(p, q): packed terms} of the moment block at vertex i,
+    packed in ``codec`` (with fields for the arrows at i, for two token
+    products): the signed two-letter open chains [a][a'] for t(a) = i and
+    [a'][a] for s(a) = i (``moment_pairs``), height-1 factor first, one
+    contraction per chain, plus h r_i on the diagonal when r is given."""
+    ends = range(1, dim[i] + 1)
+    block = {(p, q): {} for p in ends for q in ends}
     for sign, first, second in moment_pairs(quiver, i):
-        word = ((first, 1), (second, 2))
-        _, chain = _contract_packed(quiver, dim, (word,), True, ((p,), (q,)), codec)
-        for key, c in chain[p, q].items():
-            out[key] = out.get(key, 0) + sign * c
-    if r is not None and p == q and r[i]:
-        out[codec.hunit] = out.get(codec.hunit, 0) + as_fraction(r[i])
-    return {key: c for key, c in out.items() if c}
+        _, chain = _contract_packed(quiver, dim, (((first, 1), (second, 2)),), True, (ends, ends), codec)
+        for pq, terms in chain.items():
+            _add_scaled(block[pq], terms.items(), (sign,), 0)
+    for p in ends if r is not None and r[i] else ():
+        block[p, p][codec.hunit] = block[p, p].get(codec.hunit, 0) + as_fraction(r[i])
+    return {pq: {key: c for key, c in terms.items() if c} for pq, terms in block.items()}
 
 
 def moment_block_matrix(quiver: Quiver, dim, r=None) -> dict:
@@ -1052,10 +1049,10 @@ def moment_block_matrix(quiver: Quiver, dim, r=None) -> dict:
     dim = make_dimension_vector(quiver, dim)
     out = {}
     for i in range(len(quiver.vertices)):
-        codec, indices = _codec(quiver, dim, _arrows_at(quiver, {i}), _width(2), True), range(1, dim[i] + 1)
+        codec, indices = _codec(quiver, dim, _arrows_at(quiver, {i}), _width(2)), range(1, dim[i] + 1)
+        block = _moment_block(quiver, dim, codec, i, r)
         entries = tuple(
-            tuple(_operator(quiver, dim, codec, _moment_entry(quiver, dim, codec, i, p, q, r), 2) for q in indices)
-            for p in indices
+            tuple(WeylElement._from_packed(quiver, dim, codec, block[p, q], 2) for q in indices) for p in indices
         )
         out[i] = BlockMatrix(i, i, entries)
     return out
@@ -1066,9 +1063,10 @@ def quantum_moment(quiver: Quiver, dim, v: GlElement, r=None) -> WeylElement:
     dim = tuple(dim)
     if (quiver, dim) != v._context():
         raise MismatchError("gl element disagrees on quiver or dimensions")
-    codec = _codec(quiver, dim, _arrows_at(quiver, {i for i, _, _ in v.terms}), _width(2), True)
+    vertices = {i for i, _, _ in v.terms}
+    codec = _codec(quiver, dim, _arrows_at(quiver, vertices), _width(2))
+    blocks = {i: _moment_block(quiver, dim, codec, i, r) for i in vertices}
     out: dict = {}
     for (i, p, q), c in v.items():
-        entry = _moment_entry(quiver, dim, codec, i, q, p, r)
-        _add_scaled(out, entry.items(), HBarPolynomial.coerce(c).coeffs, codec.hunit)
-    return _operator(quiver, dim, codec, {key: c for key, c in out.items() if c}, 2)
+        _add_scaled(out, blocks[i][q, p].items(), HBarPolynomial.coerce(c).coeffs, codec.hunit)
+    return WeylElement._from_packed(quiver, dim, codec, {key: c for key, c in out.items() if c}, 2)

@@ -28,7 +28,6 @@ from functools import cached_property
 
 from .errors import DimensionError
 from .expr import format_element
-from .linear import add_into
 from .necklace import HH0Element, Necklace, canonical_necklace, idempotent_class, necklace_key
 from .quiver import Path, PathAlgebraElement, Quiver
 from .repspace import (
@@ -43,8 +42,8 @@ from .repspace import (
     gl_basis,
     ideal_image,
     make_dimension_vector,
+    moment_block_matrix,
     poisson,
-    quantum_moment,
     tau,
     tau_kernel,
     trace_configurations,
@@ -78,18 +77,18 @@ def trace_classical(x: HH0Element, dim) -> PolyElement:
     """
     quiver = x.quiver
     dim = make_dimension_vector(quiver, dim)
-    out = {}
+    total = PolyElement(quiver, dim)
     for necklace, coeff in x.items():
         c0 = coeff.constant_term()
         if c0 == 0:
             continue
         if necklace.is_idempotent:
-            add_into(out, (), c0 * dim[necklace.vertex])
-            continue
-        word = tuple((letter, t) for t, letter in enumerate(necklace.letters))
-        for monomial, c in _contract_letters(quiver, dim, (word,), False).items():
-            add_into(out, monomial, c * c0)
-    return PolyElement(quiver, dim)._with_terms(out)
+            traced = PolyElement.constant(quiver, dim, dim[necklace.vertex])
+        else:
+            word = tuple((letter, t) for t, letter in enumerate(necklace.letters))
+            traced = _contract_letters(quiver, dim, (word,), False)
+        total = total + traced.scale(c0)
+    return total
 
 
 def _coded(cfg: HeightConfiguration) -> tuple:
@@ -296,15 +295,17 @@ def lift_necklace_combination(x: HH0Element) -> QPAElement:
 
 
 def verify_quantum_moment(quiver: Quiver, dim, r=None, name="qmoment") -> VerificationReport:
-    """tr of the moment matrix equals -tau + h chi, chi the 'main' character
-    c_i = -(weighted out-degree of i) + r_i."""
+    """tr of the moment matrix against each gl basis element e^i_{p,q}, the
+    (q, p) entry of block i, equals -tau + h chi, chi the 'main' character
+    c_i = -(weighted out-degree of i) + r_i.  The blocks are formed once."""
     dim = make_dimension_vector(quiver, dim)
     chi = chi_sign_variants(quiver, dim, r)["main"].values
+    blocks = moment_block_matrix(quiver, dim, r)
 
     def pairs():
         for (i, p, q) in gl_basis(quiver, dim):
             e = GlElement.elementary(quiver, dim, i, p, q)
-            lhs = quantum_moment(quiver, dim, e, r)
+            lhs = blocks[i][q, p]
             rhs = -tau(quiver, dim, e)
             if p == q and chi[i]:
                 rhs = rhs + WeylElement.constant(quiver, dim, HBarPolynomial((0, chi[i])))

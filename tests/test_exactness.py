@@ -6,9 +6,10 @@
 built while the verify suites, the gl kernel and the reduction solvers run
 and while sampled Weyl and quantum-algebra products are formed; the ideal
 suite's decompositions are made to unpack all their views for it.  It also
-checks the packed coefficients of every operator made packed
-(``repspace._operator``) and every reduction-ideal image
-(``trace.ideal_image``): those paths build no polynomial at all.
+checks the packed coefficients of every operator or polynomial made
+packed (``repspace._PackedOperator._from_packed``) and every
+reduction-ideal image (``trace.ideal_image``): those paths build no
+polynomial in h at all.
 """
 
 import random
@@ -56,7 +57,7 @@ def spy(monkeypatch):
     poly_init = HBarPolynomial.__init__
     lc_init = LinearCombination.__init__
     with_terms = LinearCombination._with_terms
-    operator = repspace._operator
+    from_packed = repspace._PackedOperator._from_packed.__func__
     image_of = trace.ideal_image
 
     def check_poly(p):
@@ -76,9 +77,9 @@ def spy(monkeypatch):
             for c in part.values():
                 _check_scalar(c)
 
-    def spy_operator(quiver, dim, codec, packed, top):
+    def spy_from_packed(cls, quiver, dim, codec, packed, top):
         check_packed(packed)
-        return operator(quiver, dim, codec, packed, top)
+        return from_packed(cls, quiver, dim, codec, packed, top)
 
     def spy_image(*args):
         image = image_of(*args)
@@ -103,7 +104,7 @@ def spy(monkeypatch):
     monkeypatch.setattr(HBarPolynomial, "__init__", spy_poly_init)
     monkeypatch.setattr(LinearCombination, "__init__", spy_lc_init)
     monkeypatch.setattr(LinearCombination, "_with_terms", spy_with_terms)
-    monkeypatch.setattr(repspace, "_operator", spy_operator)
+    monkeypatch.setattr(repspace._PackedOperator, "_from_packed", classmethod(spy_from_packed))
     monkeypatch.setattr(trace, "ideal_image", spy_image)
     return seen
 

@@ -6,14 +6,16 @@ multiplies on those ints (``_times``, ``_times_tau``, ``_contract``,
 entries and re-expansion in that form (``_boundary_entries``,
 ``_packed_trace``, ``_traced``, ``_ratio``), and an ``IdealImage`` holds
 them with their ``codec``.  A ``WeylElement`` holds its terms in that
-form too (``_codec``, ``_packed``), made by ``_operator`` and re-packed by
-``_join``.  Only ``repspace`` may know that format, so that changing it
-touches one module: no other module of the package imports those names
-or reads them as attributes.
+form too (``_codec``, ``_packed``), and so does a ``PolyElement``: both
+are made by ``_from_packed`` and re-packed by ``_join``.  Only
+``repspace`` may know that format, so that changing it touches one
+module: no other module of the package imports those names or reads them
+as attributes.
 
-The tuple-keyed Weyl product (``_weyl_mono_mul``) is gone from the
-package: it is the oracle in ``tests/weyl_oracle.py``, and no module
-defines or names it.
+The tuple-keyed ring arithmetic is gone from the package: the Weyl
+product (``_weyl_mono_mul``), the monomial merge (``_merge_exponents``)
+and the partial derivative (``poly_partial``) are oracles in
+``tests/weyl_oracle.py``, and no module defines or names them.
 """
 
 import ast
@@ -35,10 +37,10 @@ PACKED = {
     "codec",
     "_codec",
     "_packed",
-    "_operator",
+    "_from_packed",
     "_join",
 }
-TUPLE_KERNEL = {"_weyl_mono_mul"}
+TUPLE_KERNEL = {"_weyl_mono_mul", "_merge_exponents", "poly_partial"}
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
 
 
@@ -71,8 +73,10 @@ def test_the_check_sees_both_forms():
     assert packed_names_used("from .repspace import _contract_letters\n") == set()
     assert packed_names_used("image = ideal_image(q, d, v, w, g, p)\nimage.codec\n") == {"codec"}
     assert packed_names_used("x = trace_quantum(c, d)\nx._packed\n") == {"_packed"}
-    assert names_anywhere("def _weyl_mono_mul(m1, m2):\n    pass\n", TUPLE_KERNEL) == TUPLE_KERNEL
-    assert names_anywhere("list(_weyl_mono_mul(a, b))\n", TUPLE_KERNEL) == TUPLE_KERNEL
+    assert names_anywhere("def _weyl_mono_mul(m1, m2):\n    pass\n", TUPLE_KERNEL) == {"_weyl_mono_mul"}
+    assert names_anywhere("list(_weyl_mono_mul(a, b))\n", TUPLE_KERNEL) == {"_weyl_mono_mul"}
+    assert names_anywhere("from .linear import _merge_exponents\n", TUPLE_KERNEL) == {"_merge_exponents"}
+    assert names_anywhere("x = repspace.poly_partial(f, v)\n", TUPLE_KERNEL) == {"poly_partial"}
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "repspace.py"])

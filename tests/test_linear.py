@@ -36,7 +36,7 @@ from nhq import (
     weyl_mul,
 )
 from nhq.linear import LinearCombination
-from nhq.repspace import poly_mul, poly_partial
+from nhq.repspace import poly_mul
 from nhq.sampling import (
     random_coefficient,
     random_dimension,
@@ -94,7 +94,6 @@ def _sampled_operands(rng, quiver):
     yield poly, [
         poly_mul,
         poisson,
-        lambda x, y: poly_partial(x, (0, False, 1, 1)),
         lambda x, y: x * coord,
         lambda x, y: Fraction(1, 2) * x,
     ]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nhq import (
+    BlockMatrix,
     DimensionError,
     GlElement,
     HBarPolynomial,
@@ -560,17 +561,18 @@ def test_failed_cubic_carries_its_residual(J, monkeypatch):
 
 def test_failed_quantum_moment_carries_its_first_residual(A2, monkeypatch):
     from nhq import trace
-    from nhq.repspace import quantum_moment
 
     d = (2, 2)
 
-    def broken(q, dim, v, r=None):
-        out = quantum_moment(q, dim, v, r)
-        if (0, 1, 2) in v.terms:
-            out = out + WeylElement.derivative(q, dim, 0, 2, 1, 1 - H)
-        return out
+    def broken(q, dim, r=None):
+        # the check reads tr(M e^0_{1,2}) as the (2, 1) entry of block 0
+        blocks = moment_block_matrix(q, dim, r)
+        rows = [list(row) for row in blocks[0].entries]
+        rows[1][0] = rows[1][0] + WeylElement.derivative(q, dim, 0, 2, 1, 1 - H)
+        blocks[0] = BlockMatrix(0, 0, tuple(map(tuple, rows)))
+        return blocks
 
-    monkeypatch.setattr(trace, "quantum_moment", broken)
+    monkeypatch.setattr(trace, "moment_block_matrix", broken)
     report = verify_quantum_moment(A2, d, (Fraction(1), Fraction(-2)))
     assert report.status == "failed"
     assert report.residual == RESIDUALS["qmoment"]

@@ -1,15 +1,15 @@
-"""The packed Rees-Weyl kernels against the tuple ring of ``weyl_oracle``.
+"""The packed kernels of both rings against the tuple rings of ``weyl_oracle``.
 
-A ``WeylElement`` keeps its terms packed and builds the tuple ``terms`` only
-when it is read.  Every packed operation is checked here through that
-view: products, commutators, sums, scaling by rationals and by
-polynomials in h, the Rees grading, division by h, the classical symbol,
-truth and equality.  The operands include terms that are not homogeneous
-in h, ``Fraction`` coefficients, and pairs packed in different layouts
-(other arrows, other field widths), which every binary operation re-packs
-into their join.  The field-boundary cases fill a field exactly, need one
-bit more, push the h field up, and meet on disjoint arrows of a quiver
-with 1,000 loops.
+A ``WeylElement`` or ``PolyElement`` keeps its terms packed and builds the
+tuple ``terms`` only when it is read.  Every packed operation is checked
+here through that view: products, commutators, Poisson brackets, sums,
+scaling by rationals and by polynomials in h, the Rees grading, division
+by h, the classical symbol, truth and equality.  The operands include
+terms that are not homogeneous in h, ``Fraction`` coefficients, and pairs
+packed in different layouts (other arrows, other field widths), which
+every binary operation re-packs into their join.  The field-boundary cases
+fill a field exactly, need one bit more, push the h field up, and meet on
+disjoint arrows of a quiver with 1,000 loops.
 """
 
 from fractions import Fraction
@@ -19,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weyl_oracle as oracle
-from nhq import HBarPolynomial, WeylElement, classical_symbol, weyl_commutator, weyl_mul
+from nhq import HBarPolynomial, PolyElement, WeylElement, classical_symbol, poisson, weyl_commutator, weyl_mul
 from nhq.quiver import make_quiver
+from nhq.repspace import poly_mul
 from nhq.sampling import jordan, small_quivers
 
 H = HBarPolynomial.h()
@@ -54,18 +55,54 @@ def _operators(q, d):
     return st.one_of(element, st.tuples(element, element).map(lambda xy: weyl_mul(*xy)))
 
 
+def _variables(q, d):
+    """The polynomial variables (arrow, starred, row, col): (a')_{r,c} has
+    the block shape of a's transpose."""
+    return [
+        (ai, starred, row, col)
+        for ai, a in enumerate(q.arrows)
+        for starred, rows, cols in ((False, a.target, a.source), (True, a.source, a.target))
+        for row in range(1, d[rows] + 1)
+        for col in range(1, d[cols] + 1)
+    ]
+
+
+def _polynomials(q, d):
+    """Up to four terms with exponents up to 4 and ``Fraction``
+    coefficients; half of them are a product of two such, so packed in a
+    product's layout."""
+    exponents = st.dictionaries(st.sampled_from(_variables(q, d)), st.integers(1, 4), max_size=3)
+    terms = st.lists(st.tuples(exponents, st.fractions(max_denominator=4).filter(bool)), max_size=4)
+    element = terms.map(lambda ts: PolyElement(q, d, [(tuple(sorted(m.items())), c) for m, c in ts]))
+    return st.one_of(element, st.tuples(element, element).map(lambda fg: poly_mul(*fg)))
+
+
 @st.composite
 def _cases(draw):
     q = draw(st.sampled_from(QUIVERS))
     d = tuple(draw(st.integers(1, 2)) for _ in q.vertices)
     scalar = st.one_of(st.fractions(max_denominator=4), _COEFFICIENTS)
-    return draw(_operators(q, d)), draw(_operators(q, d)), draw(scalar)
+    polys = (draw(_polynomials(q, d)), draw(_polynomials(q, d)), draw(st.fractions(max_denominator=4)))
+    return draw(_operators(q, d)), draw(_operators(q, d)), draw(scalar), polys
+
+
+def _check_polynomials(f, g, a):
+    F, G = f.terms, g.terms
+    assert poly_mul(f, g).terms == oracle.poly_mul(F, G)
+    assert (f * g).terms == oracle.poly_mul(F, G)
+    assert poisson(f, g).terms == oracle.poisson(F, G)
+    assert (f + g).terms == oracle.combine(F, G)
+    assert (f - g).terms == oracle.combine(F, G, -1)
+    assert (-f).terms == oracle.scale(F, -1)
+    assert f.scale(a).terms == oracle.scale(F, a) and (a * f).terms == oracle.scale(F, a)
+    assert bool(f) == bool(F) and (f == g) == (F == G)
+    assert (f + g) - g == f
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(_cases())
 def test_packed_kernels_match_the_tuple_ring(case):
-    x, y, c = case
+    x, y, c, polys = case
     X, Y = x.terms, y.terms
     assert weyl_mul(x, y).terms == oracle.weyl_mul(X, Y)
     assert weyl_commutator(x, y).terms == oracle.weyl_commutator(X, Y)
@@ -86,6 +123,9 @@ def test_packed_kernels_match_the_tuple_ring(case):
     assert (x == y) == (X == Y)
     # the same element in the join of two layouts
     assert (x + y) - y == x and (x - y).terms == oracle.combine(X, Y, -1)
+    # the polynomial ring, and the symbols of two operators as polynomials
+    _check_polynomials(*polys)
+    _check_polynomials(classical_symbol(x), classical_symbol(y), polys[2])
 
 
 def _mono(q, d, pos=(), der=(), c=1):
@@ -152,3 +192,41 @@ def test_operands_on_disjoint_arrows_of_a_thousand_loops():
     assert weyl_commutator(x, y).is_zero()
     assert (x + y).terms == oracle.combine(x.terms, y.terms)
     assert x != y and (x + y) - y == x
+
+
+def _poly(q, d, mono, c=1):
+    return PolyElement(q, d, {tuple(sorted(mono)): c})
+
+
+def test_polynomial_exponents_that_fill_a_field_and_need_one_more_bit():
+    q, d = jordan(), (2,)
+    x11, y12 = (0, False, 1, 1), (0, True, 1, 2)  # y12 = (x')_{1,2}, conjugate to (x)_{2,1}
+    x21 = (0, False, 2, 1)
+    f = _poly(q, d, [(x11, 3), (y12, 3)], Fraction(1, 2))
+    g = _poly(q, d, [(x11, 4), (y12, 4), (x21, 2)], 3)
+    p = poly_mul(f, g)
+    # 3 + 4 = 7 fills a field of three bits, next to a full one
+    assert (f._codec.width, g._codec.width, p._codec.width) == (2, 3, 3)
+    assert p.terms == {((x11, 7), (x21, 2), (y12, 7)): Fraction(3, 2)}
+    for a, b in ((f, g), (g, f), (g, g)):
+        _check_polynomials(a, b, Fraction(-2, 3))
+    # 4 + 4 = 8 needs a fourth bit
+    h = _poly(q, d, [(x11, 4), (x21, 1), (y12, 4)])
+    hh = poly_mul(h, h)
+    assert h._codec.width == 3 and hh._codec.width == 4
+    assert hh.terms == {((x11, 8), (x21, 2), (y12, 8)): Fraction(1)}
+    _check_polynomials(hh, h, Fraction(5))
+    # the bracket takes one unit off the full fields of conjugates
+    k = _poly(q, d, [((0, True, 1, 1), 1), (y12, 1)])
+    assert poisson(hh, k).terms == oracle.poisson(hh.terms, k.terms) != {}
+    _check_polynomials(hh, k, Fraction(1, 3))
+
+
+def test_polynomials_have_no_h():
+    f = _poly(jordan(), (1,), [((0, False, 1, 1), 2)])
+    for name in ("div_h", "rees_degrees", "is_divisible_by_h"):
+        assert not hasattr(f, name) and not hasattr(PolyElement, name)
+    with pytest.raises(TypeError):
+        f.scale(H)
+    with pytest.raises(TypeError):
+        f.scale(HBarPolynomial.one())

@@ -1,13 +1,17 @@
-"""The tuple-keyed Rees-Weyl ring, kept as an oracle for the packed kernels.
+"""The tuple-keyed Rees-Weyl ring and coordinate polynomial ring, kept as
+oracles for the packed kernels.
 
-``nhq.repspace`` stores an operator packed, one int per monomial and power
-of h.  Here the same ring works on the tuple form of its ``terms``: a
-monomial is ``(pos, der)``, each a sorted tuple of ``((arrow, row, col),
-exp)``, with ``HBarPolynomial`` coefficients.  A product of two monomials
-moves the left one's derivatives past the right one's positions by the
-binomial formula, d^b x^a = sum_k C(b, k) C(a, k) k! h^k x^(a-k) d^(b-k)
-for each shared coordinate.  Every function takes and returns tuple term
-dicts.
+``nhq.repspace`` stores an operator or a polynomial packed, one int per
+monomial and power of h.  Here the same rings work on the tuple form of
+their ``terms``.  A Weyl monomial is ``(pos, der)``, each a sorted tuple of
+``((arrow, row, col), exp)``, with ``HBarPolynomial`` coefficients.  A
+product of two monomials moves the left one's derivatives past the right
+one's positions by the binomial formula, d^b x^a = sum_k C(b, k) C(a, k)
+k! h^k x^(a-k) d^(b-k) for each shared coordinate.  A polynomial monomial
+is a sorted tuple of ``((arrow, starred, row, col), exp)`` with
+``Fraction`` coefficients; its Poisson bracket is the sum over conjugate
+pairs of products of partial derivatives.  Every function takes and
+returns tuple term dicts.
 """
 
 import itertools
@@ -15,7 +19,13 @@ import math
 from fractions import Fraction
 
 from nhq.linear import add_into
-from nhq.repspace import _merge_exponents
+
+
+def _merge_exponents(m1, m2):
+    out = dict(m1)
+    for var, exp in m2:
+        out[var] = out.get(var, 0) + exp
+    return tuple(sorted(out.items()))
 
 
 def weyl_mono_mul(m1, m2, contracted_only=False):
@@ -104,4 +114,41 @@ def classical_symbol(x: dict) -> dict:
             mono = [((a, False, r, c), e) for (a, r, c), e in pos]
             mono += [((a, True, c, r), e) for (a, r, c), e in ders]
             add_into(out, tuple(sorted(mono)), Fraction(coeff.constant_term()))
+    return out
+
+
+def poly_mul(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            add_into(out, _merge_exponents(m1, m2), c1 * c2)
+    return out
+
+
+def poly_partial(f: dict, var) -> dict:
+    out: dict = {}
+    for mono, coeff in f.items():
+        for k, (w, exp) in enumerate(mono):
+            if w != var:
+                continue
+            rest = mono[:k] + ((w, exp - 1),) + mono[k + 1 :] if exp > 1 else mono[:k] + mono[k + 1 :]
+            add_into(out, rest, coeff * exp)
+    return out
+
+
+def poisson(f: dict, g: dict) -> dict:
+    """Symplectic bracket with {(a)_{ij}, (a')_{ji}} = 1 on conjugate pairs."""
+    coords = set()
+    for element in (f, g):
+        for mono in element:
+            for (arrow, starred, row, col), _exp in mono:
+                coords.add((arrow, row, col) if not starred else (arrow, col, row))
+    out: dict = {}
+    for arrow, row, col in sorted(coords):
+        pos = (arrow, False, row, col)
+        mom = (arrow, True, col, row)
+        for mono, c in poly_mul(poly_partial(f, pos), poly_partial(g, mom)).items():
+            add_into(out, mono, c)
+        for mono, c in poly_mul(poly_partial(f, mom), poly_partial(g, pos)).items():
+            add_into(out, mono, -c)
     return out
