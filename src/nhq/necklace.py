@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import CompositionError, DimensionError, MismatchError, WorkLimitError
 from .linear import LinearCombination, add_into
@@ -185,14 +185,19 @@ def _check_cyclic(quiver: Quiver, s: str) -> None:
             )
 
 
-def canonical_necklace(quiver: Quiver, letters) -> Necklace:
-    """Minimal rotation of a cyclically composable word."""
+def _cycle_code(quiver: Quiver, letters) -> str:
+    """The code of the minimal rotation of a cyclically composable word."""
     s = _code(letters)
     if not s:
         raise CompositionError("empty word; use idempotent_class for trivial cycles")
     _check_cyclic(quiver, s)
     off = _rotation_start(s)
-    return _coded(s[off:] + s[:off])
+    return s[off:] + s[:off]
+
+
+def canonical_necklace(quiver: Quiver, letters) -> Necklace:
+    """Minimal rotation of a cyclically composable word."""
+    return _coded(_cycle_code(quiver, letters))
 
 
 def necklace_key(n: Necklace):
@@ -205,8 +210,27 @@ def necklace_key(n: Necklace):
     return (1, len(code), code)
 
 
-class HH0Element(LinearCombination):
-    """Element of HH0 of the path algebra: a Q[h]-combination of necklaces."""
+class _PackedSums(LinearCombination):
+    """Holds the packed storage of ``HH0Element`` below its own
+    ``__slots__``, so that its context stays the quiver alone."""
+
+    __slots__ = ("_sums", "_den")
+
+
+class HH0Element(_PackedSums):
+    """Element of HH0 of the path algebra: a Q[h]-combination of necklaces.
+
+    It is stored packed: ``_sums`` holds one dict per power of h, from the
+    key of each necklace (its code, or its vertex for an idempotent class,
+    so the two never collide) to a nonzero ``int`` numerator over the one
+    positive denominator ``_den``.  The form is canonical: ``_den`` and
+    the numerators share no factor, and no power past the last nonzero one
+    is kept.  Each form is built from the other on its first read and
+    kept: ``terms`` ({``Necklace``: ``HBarPolynomial``}) from the packed
+    form, the packed form from a public constructor's ``terms``.  ``+``,
+    ``-``, ``scale``, ``==``, the bracket and ``natural_projection`` read
+    and make packed forms only.
+    """
 
     __slots__ = ("quiver",)
 
@@ -218,17 +242,118 @@ class HH0Element(LinearCombination):
     def of(cls, quiver: Quiver, necklace: Necklace, coeff=1) -> "HH0Element":
         return cls(quiver, {necklace: coeff})
 
+    @staticmethod
+    def _from_sums(quiver: Quiver, sums, den: int) -> "HH0Element":
+        """The element of the packed ``(sums, den)`` of ``_canonical``."""
+        out = object.__new__(HH0Element)
+        object.__setattr__(out, "quiver", quiver)
+        object.__setattr__(out, "_sums", sums)
+        object.__setattr__(out, "_den", den)
+        return out
+
+    def __getattr__(self, name):  # called for an unset slot
+        if name == "terms":
+            object.__setattr__(self, name, _view(self._sums, self._den))
+        elif name in _PackedSums.__slots__:
+            pairs = [(n._code or n._vertex, c.coeffs) for n, c in self.terms.items()]
+            for slot, value in zip(_PackedSums.__slots__, _pack(pairs)):
+                object.__setattr__(self, slot, value)
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
+
+    def __bool__(self) -> bool:
+        return bool(self._sums)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not HH0Element:
+            return NotImplemented
+        return self.quiver == other.quiver and self._den == other._den and self._sums == other._sums
+
+    def __add__(self, other, sign=1):
+        self._check_compatible(other)
+        xs, ys, dx, dy = self._sums, other._sums, self._den, other._den
+        den = lcm(dx, dy)
+        fx, fy = den // dx, sign * (den // dy)
+        out = [{key: fx * m for key, m in sums_k.items()} for sums_k in xs]
+        out += [{} for _ in range(len(ys) - len(xs))]
+        for out_k, sums_k in zip(out, ys):
+            get = out_k.get
+            for key, m in sums_k.items():
+                out_k[key] = get(key, 0) + fy * m
+        return HH0Element._from_sums(self.quiver, *_canonical(out, den))
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    def __neg__(self):
+        sums = tuple([{key: -m for key, m in sums_k.items()} for sums_k in self._sums])
+        return HH0Element._from_sums(self.quiver, sums, self._den)
+
+    def scale(self, c):
+        """Times a rational or an ``HBarPolynomial``: its h^j part moves
+        each power j places up."""
+        coeffs = HBarPolynomial.coerce(c).coeffs
+        dc = lcm(*[a.denominator for a in coeffs])
+        nums = [a.numerator * (dc // a.denominator) for a in coeffs]
+        out = [{} for _ in range(len(self._sums) + len(nums) - 1)]
+        for j, a in enumerate(nums):
+            if a:
+                for out_k, sums_k in zip(out[j:], self._sums):
+                    get = out_k.get
+                    for key, m in sums_k.items():
+                        out_k[key] = get(key, 0) + a * m
+        return HH0Element._from_sums(self.quiver, *_canonical(out, self._den * dc))
+
+
+def _canonical(sums: list, den: int) -> tuple:
+    """The canonical packed form of the per-power dicts ``sums`` of
+    numerators over ``den``: zeros and trailing empty powers dropped, and
+    the common factor of ``den`` and every numerator divided out."""
+    sums = [{key: m for key, m in sums_k.items() if m} for sums_k in sums]
+    while sums and not sums[-1]:
+        sums.pop()
+    if den != 1:
+        g = gcd(den, *[m for sums_k in sums for m in sums_k.values()])
+        if g != 1:
+            den //= g
+            sums = [{key: m // g for key, m in sums_k.items()} for sums_k in sums]
+    return tuple(sums), den
+
+
+def _pack(pairs) -> tuple:
+    """The canonical packed form of the (necklace key, h-coefficients)
+    ``pairs``, a repeated key summed."""
+    den = lcm(*[c.denominator for _, coeffs in pairs for c in coeffs])
+    sums = [{} for _ in range(max([len(coeffs) for _, coeffs in pairs], default=0))]
+    for key, coeffs in pairs:
+        for sums_k, c in zip(sums, coeffs):
+            if c:
+                sums_k[key] = sums_k.get(key, 0) + c.numerator * (den // c.denominator)
+    return _canonical(sums, den)
+
+
+def _view(sums, den: int) -> dict:
+    """{``Necklace``: ``HBarPolynomial``} of a packed form; each necklace
+    is built from its key, its letters decoded only when read."""
+    terms = {}
+    for key in dict.fromkeys([key for sums_k in sums for key in sums_k]):
+        nums = [sums_k.get(key, 0) for sums_k in sums]
+        coeff = HBarPolynomial._with_coeffs(nums if den == 1 else [Fraction(m, den) for m in nums])
+        terms[_coded(key) if type(key) is str else idempotent_class(key)] = coeff
+    return terms
+
 
 def natural_projection(x: PathAlgebraElement) -> HH0Element:
     """Project the path algebra onto HH0: open paths die, cycles rotate."""
     quiver = x.quiver
-    out = {}
+    pairs = []
     for path, coeff in x.items():
         if path.is_trivial:
-            add_into(out, idempotent_class(path.vertex), coeff)
+            pairs.append((path.vertex, coeff.coeffs))
         elif path.source(quiver) == path.target(quiver):
-            add_into(out, canonical_necklace(quiver, path.letters), coeff)
-    return HH0Element(quiver, out)
+            pairs.append((_cycle_code(quiver, path.letters), coeff.coeffs))
+    return HH0Element._from_sums(quiver, *_pack(pairs))
 
 
 def bracket_sign(u: Letter, v: Letter) -> int:
@@ -311,13 +436,13 @@ def necklace_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
     merge leaves the idempotent class at the contraction vertex.  Brackets
     with idempotent classes vanish.
 
-    Each operand term is read as its code (``Necklace.code``), and
-    operands are checked on their codes, so none is decoded.  Merges are
-    str slices, rotated by ``_rotation_start`` and counted under their
-    coded key; the result holds necklaces built from those codes, whose
-    letters are decoded only when read.  A bracket whose merges could hold
-    more than ``MAX_MERGE_LETTERS`` letters raises ``WorkLimitError``
-    before any merge is formed.
+    Each operand is read in its packed form (``HH0Element``): its cycle
+    terms are codes with ``int`` numerators, checked on their codes, so no
+    necklace is built or decoded.  Merges are str slices, rotated by
+    ``_rotation_start`` and counted under their coded key, and the result
+    is packed under those keys.  A bracket whose merges could hold more
+    than ``MAX_MERGE_LETTERS`` letters raises ``WorkLimitError`` before
+    any merge is formed.
 
     Each distinct merge is rotated once, by three exact counting rules
     (indices are cyclic):
@@ -336,58 +461,51 @@ def necklace_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
       depends only on i mod p and j mod q, so the chains are walked on the
       period-reduced grid.
     - Integer sums.  Signs and multiplicities add up as plain ints per
-      operand-term pair.  Each operand's coefficients are taken as int
-      polynomials over one common denominator, so every key's coefficient
-      sums as ints, one per power of h, and becomes one ``HBarPolynomial``
-      over the product of the two denominators at the end.
+      operand-term pair.  Each operand holds ``int`` numerators over one
+      denominator, one per power of h, so every key's coefficient sums as
+      ints, one per power of h, over the product of the two denominators;
+      the result is that packed form after one common-factor reduction.
     """
     if x.quiver != y.quiver:
         raise MismatchError("necklace_bracket operands live over different quivers")
     quiver = x.quiver
+    (xs, dx), (ys, dy) = _int_terms(x), _int_terms(y)
     # a merge of two composable cycles at a contracted pair is composable,
     # so only the operands are checked
-    for operand in (x, y):
-        for n in operand.terms:
-            _check_cyclic(quiver, n.code)
-    (xs, dx), (ys, dy) = _int_terms(x), _int_terms(y)
+    for a, _, _, _ in xs + ys:
+        _check_cyclic(quiver, a)
     _check_merge_letters(xs, ys, "bracket merges")
     # sums[k]: {key: numerator of its h^k coefficient over dx * dy}
-    degree = lambda terms: max([len(t[3].coeffs) - 1 for t in terms], default=0)
-    sums = [{} for _ in range(degree(xs) + degree(ys) + 1)]
+    sums = [{} for _ in range(len(x._sums) + len(y._sums) - 1)]
     for a, p, _, u in xs:
         for b, q, _, v in ys:
             counts = _merge_counts(a, p, b, q)
             if "" in counts:
                 # only two one-letter words merge to nothing
-                counts[idempotent_class(_LETTER[a].target(quiver))] = counts.pop("")
-            for k, w in enumerate((u * v).coeffs):
-                if w:
-                    sums_k = sums[k]
+                counts[_LETTER[a].target(quiver)] = counts.pop("")
+            for i, ui in u:
+                for j, vj in v:
+                    w, sums_k = ui * vj, sums[i + j]
+                    get = sums_k.get
                     for key, count in counts.items():
-                        sums_k[key] = sums_k.get(key, 0) + w * count
-    den = dx * dy
-    terms = {}
-    for key in dict.fromkeys([key for sums_k in sums for key in sums_k]):
-        nums = [sums_k.get(key, 0) for sums_k in sums]
-        coeff = HBarPolynomial._with_coeffs(nums if den == 1 else [Fraction(m, den) for m in nums])
-        if coeff:
-            terms[_coded(key) if type(key) is str else key] = coeff
-    return x._with_terms(terms)
+                        sums_k[key] = get(key, 0) + w * count
+    return HH0Element._from_sums(quiver, *_canonical(sums, dx * dy))
 
 
 def _int_terms(element: HH0Element):
-    """The cycle terms of ``element`` as ``(code, period, Counter of one
-    period's codes, coefficient times d)``, and d, the least common
-    denominator of all its coefficients: so each term's coefficient is an
-    ``HBarPolynomial`` with ``int`` coefficients."""
-    d = lcm(*[c.denominator for coeff in element.terms.values() for c in coeff.coeffs])
+    """The cycle terms of ``element``'s packed form as ``(code, period,
+    Counter of one period's codes, ((power of h, numerator), ...))``, and
+    the denominator of every numerator."""
+    powers: dict = {}
+    for k, sums_k in enumerate(element._sums):
+        for key, m in sums_k.items():
+            if type(key) is str:
+                powers.setdefault(key, []).append((k, m))
     out = []
-    for n, coeff in element.items():
-        s = n.code
-        if s:
-            p = _period(s)
-            out.append((s, p, Counter(s[:p]), coeff * d))
-    return out, d
+    for s, u in powers.items():
+        p = _period(s)
+        out.append((s, p, Counter(s[:p]), u))
+    return out, element._den
 
 
 class TensorElement(LinearCombination):

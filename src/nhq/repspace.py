@@ -440,11 +440,14 @@ def _tau_terms(quiver: Quiver, dim, items, codec) -> dict:
 
 
 def tau(quiver: Quiver, dim, v: GlElement) -> WeylElement:
-    """Infinitesimal gl_d action as a first-order differential operator."""
+    """Infinitesimal gl_d action as a first-order differential operator.
+
+    Its fields are as wide as those of the moment blocks (top 2), which
+    ``verify qmoment`` compares it with, so neither side is re-packed."""
     dim = tuple(dim)
     if (quiver, dim) != v._context():
         raise MismatchError("gl element disagrees on quiver or dimensions")
-    codec = _codec(quiver, dim, _arrows_at(quiver, {i for i, _, _ in v.terms}), 1)
+    codec = _codec(quiver, dim, _arrows_at(quiver, {i for i, _, _ in v.terms}), _width(2))
     return WeylElement._from_packed(quiver, dim, codec, _tau_terms(quiver, dim, v.items(), codec), 1)
 
 

@@ -51,6 +51,8 @@ COMMANDS = [
         "3*[x.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'] + h*[x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x']",
         "[x'.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'] - [x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x'.x.x']",
     ],
+    # a result mixing an idempotent class, rational and h coefficients and cycles
+    ["bracket", "-q", "two_loop.json", "1/2*[x] + h*[x.y] - 3/4*[y.y.x']", "[x'] + 2/3*[x'.y'] + (1/3 - h)*[y'.x.x']"],
     # a quantum trace of one configuration (scaled) and of a sum of two
     ["qtrace", "-q", "two_loop.json", "--dim", "v=2", "2*h*(x,1)(y,2)(x',3)(y',4)"],
     ["qtrace", "-q", "two_loop.json", "--dim", "v=2", "(x,1)(y,2)(x',3)(y',4) - 1/2*(y,1)(y,2)"],

@@ -7,9 +7,10 @@ built while the verify suites, the gl kernel and the reduction solvers run
 and while sampled Weyl and quantum-algebra products are formed; the ideal
 suite's decompositions are made to unpack all their views for it.  It also
 checks the packed coefficients of every operator or polynomial made
-packed (``repspace._PackedOperator._from_packed``) and every
-reduction-ideal image (``trace.ideal_image``): those paths build no
-polynomial in h at all.
+packed (``repspace._PackedOperator._from_packed``), every HH0 element
+made packed (``necklace.HH0Element._from_sums``: ``int`` numerators over
+a positive ``int`` denominator) and every reduction-ideal image
+(``trace.ideal_image``): those paths build no polynomial in h at all.
 """
 
 import random
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from nhq import repspace, trace
+from nhq import HH0Element, repspace, trace
 from nhq.linear import LinearCombination
 from nhq.repspace import make_dimension_vector, tau_kernel, weyl_mul
 from nhq.rings import HBarPolynomial
@@ -58,6 +59,7 @@ def spy(monkeypatch):
     lc_init = LinearCombination.__init__
     with_terms = LinearCombination._with_terms
     from_packed = repspace._PackedOperator._from_packed.__func__
+    from_sums = HH0Element._from_sums
     image_of = trace.ideal_image
 
     def check_poly(p):
@@ -80,6 +82,12 @@ def spy(monkeypatch):
     def spy_from_packed(cls, quiver, dim, codec, packed, top):
         check_packed(packed)
         return from_packed(cls, quiver, dim, codec, packed, top)
+
+    def spy_from_sums(quiver, sums, den):
+        check_packed(*sums)
+        assert type(den) is int and den > 0
+        assert all(type(m) is int for sums_k in sums for m in sums_k.values())
+        return from_sums(quiver, sums, den)
 
     def spy_image(*args):
         image = image_of(*args)
@@ -105,6 +113,7 @@ def spy(monkeypatch):
     monkeypatch.setattr(LinearCombination, "__init__", spy_lc_init)
     monkeypatch.setattr(LinearCombination, "_with_terms", spy_with_terms)
     monkeypatch.setattr(repspace._PackedOperator, "_from_packed", classmethod(spy_from_packed))
+    monkeypatch.setattr(HH0Element, "_from_sums", staticmethod(spy_from_sums))
     monkeypatch.setattr(trace, "ideal_image", spy_image)
     return seen
 

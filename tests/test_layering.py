@@ -12,6 +12,11 @@ are made by ``_from_packed`` and re-packed by ``_join``.  Only
 module: no other module of the package imports those names or reads them
 as attributes.
 
+An ``HH0Element`` is packed too, in a form of its own: ``int``
+numerators per power of h over one denominator (``_sums``, ``_den``),
+made by ``_from_sums`` and read by the bracket through ``_int_terms``.
+Only ``necklace`` may know that form.
+
 The tuple-keyed ring arithmetic is gone from the package: the Weyl
 product (``_weyl_mono_mul``), the monomial merge (``_merge_exponents``)
 and the partial derivative (``poly_partial``) are oracles in
@@ -40,6 +45,7 @@ PACKED = {
     "_from_packed",
     "_join",
 }
+HH0_PACKED = {"_sums", "_den", "_from_sums", "_int_terms"}
 TUPLE_KERNEL = {"_weyl_mono_mul", "_merge_exponents", "poly_partial"}
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
 
@@ -73,6 +79,8 @@ def test_the_check_sees_both_forms():
     assert packed_names_used("from .repspace import _contract_letters\n") == set()
     assert packed_names_used("image = ideal_image(q, d, v, w, g, p)\nimage.codec\n") == {"codec"}
     assert packed_names_used("x = trace_quantum(c, d)\nx._packed\n") == {"_packed"}
+    assert packed_names_used("x = necklace_bracket(a, b)\nx._sums, x._den\n", HH0_PACKED) == {"_sums", "_den"}
+    assert packed_names_used("from .necklace import _int_terms, necklace_key\n", HH0_PACKED) == {"_int_terms"}
     assert names_anywhere("def _weyl_mono_mul(m1, m2):\n    pass\n", TUPLE_KERNEL) == {"_weyl_mono_mul"}
     assert names_anywhere("list(_weyl_mono_mul(a, b))\n", TUPLE_KERNEL) == {"_weyl_mono_mul"}
     assert names_anywhere("from .linear import _merge_exponents\n", TUPLE_KERNEL) == {"_merge_exponents"}
@@ -83,6 +91,12 @@ def test_the_check_sees_both_forms():
 def test_only_repspace_knows_the_packed_format(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert packed_names_used(fh.read()) == set()
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "necklace.py"])
+def test_only_necklace_knows_the_packed_hh0_form(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert packed_names_used(fh.read(), HH0_PACKED) == set()
 
 
 @pytest.mark.parametrize("module", MODULES)
