@@ -1,78 +1,46 @@
 """Sparse free-module elements shared by all the algebra layers.
 
-Every element type in the package is a finite map from basis keys to exact
-coefficients with no stored zeros; this base class holds the common add,
-subtract, and scale machinery.  Subclasses carry their own context (the
-quiver, possibly a dimension vector) in their ``__slots__`` and their own
-products.
-
-The public constructors coerce every coefficient to the ring's type, drop
-zeros and validate their keys.  Arithmetic results skip all of that through
-``_with_terms``, which trusts its argument: a fresh dict whose values are
-nonzero and already of the ring's type, never another element's ``terms``.
-The exact nullspace of a rational matrix (``rational_nullspace``) lives
-here too.
+Every element type is a finite map from basis keys to exact coefficients
+with no stored zeros.  ``LinearCombination`` holds what does not depend on
+the storage: the context in each subclass's own ``__slots__``, the
+compatibility check and the ``terms`` view.  ``_PackedSums`` is the one
+store of the elements keyed by combinatorial data; kernels reach it through
+``int_terms``, ``bilinear``, ``rekeyed`` and ``from_ints``.  The exact
+nullspace of a rational matrix (``rational_nullspace``) lives here too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import MismatchError
-from .rings import HBarPolynomial, as_fraction
+from .rings import HBarPolynomial, _exact, as_fraction
 
 
 class LinearCombination:
-    """Finite formal linear combination over an exact coefficient ring."""
+    """Finite formal linear combination over an exact coefficient ring: the
+    parts that do not depend on its storage."""
 
     __slots__ = ("terms",)
 
     #: coefficient coercion; subclasses with Fraction coefficients override
     _coerce = staticmethod(HBarPolynomial.coerce)
 
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for key, val in items:
-                val = self._coerce(val)
-                if not val:
-                    continue
-                if key in data:
-                    val = data[key] + val
-                    if val:
-                        data[key] = val
-                    else:
-                        del data[key]
-                else:
-                    data[key] = val
-        object.__setattr__(self, "terms", data)
-
-    # Element context ------------------------------------------------------
+    def __init__(self, *context):
+        """Set the subclass's context slots, in their order."""
+        for name, value in zip(self.__slots__, context):
+            object.__setattr__(self, name, value)
 
     def _context(self) -> tuple:
         """The subclass's own slot values: ``(quiver,)`` or ``(quiver, dim)``."""
         return tuple([getattr(self, name) for name in self.__slots__])
-
-    def _with_terms(self, terms) -> "LinearCombination":
-        """An element of the same type and context holding ``terms`` as given,
-        with no coercion or zero filtering (see the module docstring)."""
-        out = object.__new__(type(self))
-        for name in self.__slots__:
-            object.__setattr__(out, name, getattr(self, name))
-        object.__setattr__(out, "terms", terms)
-        return out
 
     def _check_compatible(self, other) -> None:
         if type(other) is not type(self) or self._context() != other._context():
             raise MismatchError(
                 f"incompatible operands: {type(self).__name__} vs {type(other).__name__}"
             )
-
-    # Generic structure ----------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def is_zero(self) -> bool:
         return not self
@@ -83,47 +51,6 @@ class LinearCombination:
     def coefficient(self, key):
         return self.terms.get(key, self._coerce(0))
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._context() == other._context() and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError(f"{type(self).__name__} is not hashable")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            cur = out.get(key)
-            val = val if cur is None else cur + val
-            if val:
-                out[key] = val
-            elif cur is not None:
-                del out[key]
-        return self._with_terms(out)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            cur = out.get(key)
-            val = -val if cur is None else cur - val
-            if val:
-                out[key] = val
-            elif cur is not None:
-                del out[key]
-        return self._with_terms(out)
-
-    def __neg__(self):
-        return self._with_terms({k: -v for k, v in self.terms.items()})
-
-    def scale(self, c):
-        c = self._coerce(c)
-        if not c:
-            return self._with_terms({})
-        return self._with_terms({k: v * c for k, v in self.terms.items()})
-
     def __repr__(self):
         if not self.terms:
             return f"{type(self).__name__}(0)"
@@ -131,14 +58,212 @@ class LinearCombination:
         return f"{type(self).__name__}({{{body}}})"
 
 
-def add_into(data: dict, key, value) -> None:
-    """Accumulate ``value`` at ``key`` in a coefficient dict, dropping zeros."""
-    cur = data.get(key)
-    value = value if cur is None else cur + value
-    if value:
-        data[key] = value
-    elif cur is not None:
-        del data[key]
+class _PackedSums(LinearCombination):
+    """The packed store of the elements keyed by combinatorial data:
+    necklaces, paths, path pairs, height configurations, Sym(HH0) monomials
+    and gl_d basis elements, each over a quiver.
+
+    ``_sums`` holds one dict per power of h, from each coded key to a
+    nonzero ``int`` numerator over the one positive denominator ``_den``.
+    The form is canonical: ``_den`` and the numerators share no factor, and
+    no power past the last nonzero one is kept.  A class contributes only
+    its key coding, a bijection that normalises nothing: ``_code_key``
+    sends a public key to its coded key and ``_public_key`` sends it back.
+    A public constructor keeps its (key, coefficients) pairs in ``_given``
+    and codes and packs them on the first read of the packed form, so that
+    a key's checks (a necklace's cyclic composability) run once per
+    element; ``terms`` is built from the packed form on its first read.  A
+    ``_rational`` class holds at most the power h^0, and its view and
+    ``coefficient`` are ``Fraction``s.  No kernel builds an
+    ``HBarPolynomial``: only the view does.
+    """
+
+    __slots__ = ("_sums", "_den", "_given")
+
+    _rational = False
+    #: the key coding: a public key to its coded key, and back (identity here)
+    _code_key = _public_key = staticmethod(lambda key: key)
+
+    def __init__(self, quiver, terms=None):
+        super().__init__(quiver)
+        items = terms.items() if isinstance(terms, dict) else terms or ()
+        object.__setattr__(self, "_given", [(key, self._scalars(c)) for key, c in items])
+
+    def _scalars(self, c) -> tuple:
+        """The scalar ``c`` as the coefficients of its powers of h: a
+        rational, or an ``HBarPolynomial`` unless the class is rational."""
+        return c.coeffs if isinstance(c, HBarPolynomial) and not self._rational else (_exact(c),)
+
+    @classmethod
+    def _from_sums(cls, context: tuple, sums: tuple, den: int):
+        """The element over ``context`` of the canonical packed ``(sums,
+        den)`` of ``_canonical``."""
+        out = object.__new__(cls)
+        for name, value in zip(cls.__slots__, context):
+            object.__setattr__(out, name, value)
+        object.__setattr__(out, "_sums", sums)
+        object.__setattr__(out, "_den", den)
+        return out
+
+    def __getattr__(self, name):  # called for an unset slot
+        if name == "terms":
+            object.__setattr__(self, name, _view(self._sums, self._den, self._public_key, self._rational))
+        elif name in ("_sums", "_den"):
+            sums, den = _pack([(self._code_key(key), coeffs) for key, coeffs in self._given])
+            object.__setattr__(self, "_sums", sums)
+            object.__setattr__(self, "_den", den)
+            object.__delattr__(self, "_given")
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
+
+    def __bool__(self) -> bool:
+        return bool(self._sums)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._context() == other._context() and self._den == other._den and self._sums == other._sums
+
+    def __add__(self, other, sign=1):
+        self._check_compatible(other)
+        den = lcm(self._den, other._den)
+        parts = [(self._sums, den // self._den, 0), (other._sums, sign * (den // other._den), 0)]
+        return self._summed(parts, den)
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    def __neg__(self):
+        return self._summed([(self._sums, -1, 0)], self._den)
+
+    def scale(self, c):
+        """Times a scalar: its h^j part moves each power j places up."""
+        coeffs = self._scalars(c)
+        dc = lcm(*[a.denominator for a in coeffs])
+        parts = [(self._sums, a.numerator * (dc // a.denominator), j) for j, a in enumerate(coeffs) if a]
+        return self._summed(parts, self._den * dc)
+
+    def is_divisible_by_h(self) -> bool:
+        return not self._sums or not self._sums[0]
+
+    def div_h(self):
+        if not self.is_divisible_by_h():
+            raise ArithmeticError(f"{type(self).__name__} is not divisible by h")
+        return self._from_sums(self._context(), self._sums[1:], self._den)
+
+    def constant_part(self):
+        """Reduce coefficients mod h."""
+        return from_ints(type(self), self._context(), self._sums[:1], self._den)
+
+    def _summed(self, parts, den: int):
+        """The element of this type and context whose numerators over
+        ``den`` sum ``factor`` times the packed ``sums`` moved ``shift``
+        powers of h up, over the ``(sums, factor, shift)`` ``parts``."""
+        out: list = []
+        for sums, factor, shift in parts:
+            out += [{} for _ in range(shift + len(sums) - len(out))]
+            for out_k, sums_k in zip(out[shift:], sums):
+                get = out_k.get
+                for key, m in sums_k.items():
+                    out_k[key] = get(key, 0) + factor * m
+        return from_ints(type(self), self._context(), out, den)
+
+
+def _canonical(sums: list, den: int) -> tuple:
+    """The canonical packed form of the per-power dicts ``sums`` of
+    numerators over ``den``: zeros and trailing empty powers dropped, and
+    the common factor of ``den`` and every numerator divided out."""
+    sums = [{key: m for key, m in sums_k.items() if m} for sums_k in sums]
+    while sums and not sums[-1]:
+        sums.pop()
+    if den != 1:
+        g = gcd(den, *[m for sums_k in sums for m in sums_k.values()])
+        if g != 1:
+            den //= g
+            sums = [{key: m // g for key, m in sums_k.items()} for sums_k in sums]
+    return tuple(sums), den
+
+
+def _pack(pairs) -> tuple:
+    """The canonical packed form of the (coded key, coefficients of the
+    powers of h) ``pairs``, a repeated key summed."""
+    den = lcm(*[c.denominator for _, coeffs in pairs for c in coeffs])
+    sums = [{} for _ in range(max([len(coeffs) for _, coeffs in pairs], default=0))]
+    for key, coeffs in pairs:
+        for sums_k, c in zip(sums, coeffs):
+            if c:
+                sums_k[key] = sums_k.get(key, 0) + c.numerator * (den // c.denominator)
+    return _canonical(sums, den)
+
+
+def _view(sums, den: int, public_key, rational: bool) -> dict:
+    """{public key: coefficient} of a packed form: an ``HBarPolynomial``,
+    or a ``Fraction`` for a ``rational`` class."""
+    if rational:
+        return {public_key(key): Fraction(m, den) for sums_k in sums for key, m in sums_k.items()}
+    terms = {}
+    for key in dict.fromkeys([key for sums_k in sums for key in sums_k]):
+        nums = [sums_k.get(key, 0) for sums_k in sums]
+        coeff = HBarPolynomial._with_coeffs(nums if den == 1 else [Fraction(m, den) for m in nums])
+        terms[public_key(key)] = coeff
+    return terms
+
+
+# ---------------------------------------------------------------------------
+# The kernels' access to packed forms
+
+
+def int_terms(x: _PackedSums) -> tuple:
+    """{coded key: [(power of h, numerator), ...]} of ``x``'s packed form,
+    and the denominator of every numerator."""
+    terms: dict = {}
+    for k, sums_k in enumerate(x._sums):
+        for key, m in sums_k.items():
+            terms.setdefault(key, []).append((k, m))
+    return terms, x._den
+
+
+def from_ints(cls, context: tuple, sums, den: int = 1):
+    """The element of ``cls`` over ``context`` whose numerators over
+    ``den`` are the per-power dicts ``sums``; zeros, empty top powers and
+    common factors are dropped.  The one constructor of kernel results."""
+    return cls._from_sums(context, *_canonical(sums, den))
+
+
+def bilinear(x: _PackedSums, y: _PackedSums, product) -> tuple:
+    """(sums, den) of the bilinear map sending each pair of coded keys
+    (kx, ky) to ``product(kx, ky)``, a dict {coded key: int} or None, on
+    ``x`` and ``y``: per-power numerators over the product of their
+    denominators, the powers of h of the two operands adding up."""
+    (xs, dx), (ys, dy) = int_terms(x), int_terms(y)
+    sums = [{} for _ in range(len(x._sums) + len(y._sums) - 1)]
+    for kx, u in xs.items():
+        for ky, v in ys.items():
+            counts = product(kx, ky)
+            if not counts:
+                continue
+            for i, a in u:
+                for j, b in v:
+                    w, sums_k = a * b, sums[i + j]
+                    get = sums_k.get
+                    for key, count in counts.items():
+                        sums_k[key] = get(key, 0) + w * count
+    return sums, dx * dy
+
+
+def rekeyed(x: _PackedSums, f) -> tuple:
+    """(sums, den) of ``x`` with each coded key sent to ``f(key)``, and
+    dropped where that is None; keys that meet are summed."""
+    out = []
+    for sums_k in x._sums:
+        out_k: dict = {}
+        for key, m in sums_k.items():
+            key = f(key)
+            if key is not None:
+                out_k[key] = out_k.get(key, 0) + m
+        out.append(out_k)
+    return out, x._den
 
 
 def rational_nullspace(matrix, ncols):

@@ -15,49 +15,26 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 from .errors import CompositionError, DimensionError, MismatchError, WorkLimitError
-from .linear import LinearCombination, add_into
+from .linear import _PackedSums, bilinear, from_ints, int_terms, rekeyed
 from .quiver import (
+    _LETTER,
     Letter,
     Path,
     PathAlgebraElement,
     Quiver,
-    compose_paths,
+    _code,
+    _code_path,
+    _compose,
+    _decode_path,
+    _ends,
     make_path,
     moment_pairs,
     path_mul,
     vertex_vector,
 )
 from .rings import HBarPolynomial
-
-
-class _LetterTable(dict):
-    """code character -> ``Letter``, filled on first use.
-
-    A code needs no quiver to decode: code o is ``Letter(o >> 1, bool(o &
-    1))``.  Each letter is built once and shared by every decoded word.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, c: str) -> Letter:
-        o = ord(c)
-        letter = self[c] = Letter(o >> 1, bool(o & 1))
-        return letter
-
-
-_LETTER = _LetterTable()
-
-
-def _code(letters) -> str:
-    """A word as one character per letter, ``chr(2*arrow + starred)``.
-
-    Code order is the letter order, and the partner of code c (the letter
-    with the other star) is ``chr(ord(c) ^ 1)``.
-    """
-    return "".join([chr(2 * letter[0] + letter[1]) for letter in letters])
 
 
 class Necklace:
@@ -116,19 +93,18 @@ class Necklace:
         return f"Necklace(vertex={self._vertex!r}, letters={self.letters!r})"
 
 
-def _coded(code: str, vertex: int | None = None) -> Necklace:
-    """The necklace of a coded word in least rotation (``vertex`` None) or,
-    with ``code`` empty, the idempotent class at ``vertex``; its letters
-    are decoded on first read."""
+def _coded(key) -> Necklace:
+    """The necklace of a coded key (``HH0Element``'s): a code in least
+    rotation, or the vertex of an idempotent class.  Its letters are
+    decoded on first read."""
     n = object.__new__(Necklace)
-    n._vertex = vertex
-    n._code = code
+    n._vertex, n._code = (None, key) if type(key) is str else (key, "")
     n._letters = None
     return n
 
 
 def idempotent_class(vertex: int) -> Necklace:
-    return _coded("", vertex)
+    return _coded(vertex)
 
 
 def _rotation_start(s: str) -> int:
@@ -175,8 +151,8 @@ def minimal_rotation_offset(letters) -> int:
 
 def _check_cyclic(quiver: Quiver, s: str) -> None:
     """Raise CompositionError unless the coded word ``s`` is cyclically
-    composable; its letters come from the code -> ``Letter`` table."""
-    ends = {c: (_LETTER[c].source(quiver), _LETTER[c].target(quiver)) for c in set(s)}
+    composable."""
+    ends = _ends(quiver)
     n = len(s)
     for k in range(n):
         if ends[s[k]][0] != ends[s[(k + 1) % n]][1]:
@@ -185,175 +161,68 @@ def _check_cyclic(quiver: Quiver, s: str) -> None:
             )
 
 
-def _cycle_code(quiver: Quiver, letters) -> str:
-    """The code of the minimal rotation of a cyclically composable word."""
-    s = _code(letters)
-    if not s:
-        raise CompositionError("empty word; use idempotent_class for trivial cycles")
-    _check_cyclic(quiver, s)
+def _least_rotation(s: str) -> str:
+    """The least rotation of the nonempty coded word ``s``."""
     off = _rotation_start(s)
     return s[off:] + s[:off]
 
 
 def canonical_necklace(quiver: Quiver, letters) -> Necklace:
     """Minimal rotation of a cyclically composable word."""
-    return _coded(_cycle_code(quiver, letters))
+    s = _code(letters)
+    if not s:
+        raise CompositionError("empty word; use idempotent_class for trivial cycles")
+    _check_cyclic(quiver, s)
+    return _coded(_least_rotation(s))
 
 
 def necklace_key(n: Necklace):
     """Basis order: idempotent classes first by vertex, then (length, code).
 
     Code order is the letter order, so cycles sort by (length, letters)."""
-    code = n._code
-    if not code:
-        return (0, n._vertex, "")
-    return (1, len(code), code)
+    return _key_order(n._code or n._vertex)
 
 
-class _PackedSums(LinearCombination):
-    """Holds the packed storage of ``HH0Element`` below its own
-    ``__slots__``, so that its context stays the quiver alone."""
-
-    __slots__ = ("_sums", "_den")
+def _key_order(key) -> tuple:
+    """``necklace_key`` of the necklace of a coded key (``HH0Element``)."""
+    return (1, len(key), key) if type(key) is str else (0, key, "")
 
 
 class HH0Element(_PackedSums):
     """Element of HH0 of the path algebra: a Q[h]-combination of necklaces.
 
-    It is stored packed: ``_sums`` holds one dict per power of h, from the
-    key of each necklace (its code, or its vertex for an idempotent class,
-    so the two never collide) to a nonzero ``int`` numerator over the one
-    positive denominator ``_den``.  The form is canonical: ``_den`` and
-    the numerators share no factor, and no power past the last nonzero one
-    is kept.  Each form is built from the other on its first read and
-    kept: ``terms`` ({``Necklace``: ``HBarPolynomial``}) from the packed
-    form, the packed form from a public constructor's ``terms``.  ``+``,
-    ``-``, ``scale``, ``==``, the bracket and ``natural_projection`` read
-    and make packed forms only.
+    Its coded key (``linear._PackedSums``) is a necklace's code, or its
+    vertex for an idempotent class, so the two never collide.  Coding a
+    public constructor's necklace checks that its word is cyclically
+    composable (``_check_cyclic``), once, when the element is first packed;
+    the bracket and ``natural_projection`` make only composable words and
+    check nothing.
     """
 
     __slots__ = ("quiver",)
-
-    def __init__(self, quiver: Quiver, terms=None):
-        object.__setattr__(self, "quiver", quiver)
-        super().__init__(terms)
 
     @classmethod
     def of(cls, quiver: Quiver, necklace: Necklace, coeff=1) -> "HH0Element":
         return cls(quiver, {necklace: coeff})
 
-    @staticmethod
-    def _from_sums(quiver: Quiver, sums, den: int) -> "HH0Element":
-        """The element of the packed ``(sums, den)`` of ``_canonical``."""
-        out = object.__new__(HH0Element)
-        object.__setattr__(out, "quiver", quiver)
-        object.__setattr__(out, "_sums", sums)
-        object.__setattr__(out, "_den", den)
-        return out
+    def _code_key(self, necklace: Necklace):
+        if necklace._code:
+            _check_cyclic(self.quiver, necklace._code)
+        return necklace._code or necklace._vertex
 
-    def __getattr__(self, name):  # called for an unset slot
-        if name == "terms":
-            object.__setattr__(self, name, _view(self._sums, self._den))
-        elif name in _PackedSums.__slots__:
-            pairs = [(n._code or n._vertex, c.coeffs) for n, c in self.terms.items()]
-            for slot, value in zip(_PackedSums.__slots__, _pack(pairs)):
-                object.__setattr__(self, slot, value)
-        else:
-            raise AttributeError(name)
-        return getattr(self, name)
-
-    def __bool__(self) -> bool:
-        return bool(self._sums)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not HH0Element:
-            return NotImplemented
-        return self.quiver == other.quiver and self._den == other._den and self._sums == other._sums
-
-    def __add__(self, other, sign=1):
-        self._check_compatible(other)
-        xs, ys, dx, dy = self._sums, other._sums, self._den, other._den
-        den = lcm(dx, dy)
-        fx, fy = den // dx, sign * (den // dy)
-        out = [{key: fx * m for key, m in sums_k.items()} for sums_k in xs]
-        out += [{} for _ in range(len(ys) - len(xs))]
-        for out_k, sums_k in zip(out, ys):
-            get = out_k.get
-            for key, m in sums_k.items():
-                out_k[key] = get(key, 0) + fy * m
-        return HH0Element._from_sums(self.quiver, *_canonical(out, den))
-
-    def __sub__(self, other):
-        return self.__add__(other, -1)
-
-    def __neg__(self):
-        sums = tuple([{key: -m for key, m in sums_k.items()} for sums_k in self._sums])
-        return HH0Element._from_sums(self.quiver, sums, self._den)
-
-    def scale(self, c):
-        """Times a rational or an ``HBarPolynomial``: its h^j part moves
-        each power j places up."""
-        coeffs = HBarPolynomial.coerce(c).coeffs
-        dc = lcm(*[a.denominator for a in coeffs])
-        nums = [a.numerator * (dc // a.denominator) for a in coeffs]
-        out = [{} for _ in range(len(self._sums) + len(nums) - 1)]
-        for j, a in enumerate(nums):
-            if a:
-                for out_k, sums_k in zip(out[j:], self._sums):
-                    get = out_k.get
-                    for key, m in sums_k.items():
-                        out_k[key] = get(key, 0) + a * m
-        return HH0Element._from_sums(self.quiver, *_canonical(out, self._den * dc))
-
-
-def _canonical(sums: list, den: int) -> tuple:
-    """The canonical packed form of the per-power dicts ``sums`` of
-    numerators over ``den``: zeros and trailing empty powers dropped, and
-    the common factor of ``den`` and every numerator divided out."""
-    sums = [{key: m for key, m in sums_k.items() if m} for sums_k in sums]
-    while sums and not sums[-1]:
-        sums.pop()
-    if den != 1:
-        g = gcd(den, *[m for sums_k in sums for m in sums_k.values()])
-        if g != 1:
-            den //= g
-            sums = [{key: m // g for key, m in sums_k.items()} for sums_k in sums]
-    return tuple(sums), den
-
-
-def _pack(pairs) -> tuple:
-    """The canonical packed form of the (necklace key, h-coefficients)
-    ``pairs``, a repeated key summed."""
-    den = lcm(*[c.denominator for _, coeffs in pairs for c in coeffs])
-    sums = [{} for _ in range(max([len(coeffs) for _, coeffs in pairs], default=0))]
-    for key, coeffs in pairs:
-        for sums_k, c in zip(sums, coeffs):
-            if c:
-                sums_k[key] = sums_k.get(key, 0) + c.numerator * (den // c.denominator)
-    return _canonical(sums, den)
-
-
-def _view(sums, den: int) -> dict:
-    """{``Necklace``: ``HBarPolynomial``} of a packed form; each necklace
-    is built from its key, its letters decoded only when read."""
-    terms = {}
-    for key in dict.fromkeys([key for sums_k in sums for key in sums_k]):
-        nums = [sums_k.get(key, 0) for sums_k in sums]
-        coeff = HBarPolynomial._with_coeffs(nums if den == 1 else [Fraction(m, den) for m in nums])
-        terms[_coded(key) if type(key) is str else idempotent_class(key)] = coeff
-    return terms
+    _public_key = staticmethod(_coded)
 
 
 def natural_projection(x: PathAlgebraElement) -> HH0Element:
     """Project the path algebra onto HH0: open paths die, cycles rotate."""
-    quiver = x.quiver
-    pairs = []
-    for path, coeff in x.items():
-        if path.is_trivial:
-            pairs.append((path.vertex, coeff.coeffs))
-        elif path.source(quiver) == path.target(quiver):
-            pairs.append((_cycle_code(quiver, path.letters), coeff.coeffs))
-    return HH0Element._from_sums(quiver, *_pack(pairs))
+    ends = _ends(x.quiver)
+
+    def cycle(p):
+        if type(p) is not str:
+            return p
+        return _least_rotation(p) if ends[p[-1]][0] == ends[p[0]][1] else None
+
+    return from_ints(HH0Element, (x.quiver,), *rekeyed(x, cycle))
 
 
 def bracket_sign(u: Letter, v: Letter) -> int:
@@ -411,15 +280,15 @@ def _merge_counts(a: str, p: int, b: str, q: int) -> dict:
 MAX_MERGE_LETTERS = 1 << 24
 
 
-def _check_merge_letters(xs, ys, what: str) -> None:
-    """Refuse the bracket of two lists of coded terms ``(code, period,
-    Counter of one period's codes, coefficient)`` whose merges could hold
-    more than ``MAX_MERGE_LETTERS`` letters: for each term pair, the
-    contracting code pairs of the grid the bracket walks times the k + l - 2
-    letters of a merge."""
+def _check_merge_letters(xs: dict, ys: dict, what: str) -> None:
+    """Refuse the bracket of two dicts of coded words {code: (period,
+    Counter of one period's codes)} whose merges could hold more than
+    ``MAX_MERGE_LETTERS`` letters: for each word pair, the contracting code
+    pairs of the grid the bracket walks times the k + l - 2 letters of a
+    merge."""
     total = 0
-    for a, _, ca, _ in xs:
-        for b, _, cb, _ in ys:
+    for a, (_, ca) in xs.items():
+        for b, (_, cb) in ys.items():
             pairs = sum([m * cb[chr(ord(c) ^ 1)] for c, m in ca.items()])
             total += pairs * (len(a) + len(b) - 2)
     if total > MAX_MERGE_LETTERS:
@@ -437,12 +306,14 @@ def necklace_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
     with idempotent classes vanish.
 
     Each operand is read in its packed form (``HH0Element``): its cycle
-    terms are codes with ``int`` numerators, checked on their codes, so no
-    necklace is built or decoded.  Merges are str slices, rotated by
-    ``_rotation_start`` and counted under their coded key, and the result
-    is packed under those keys.  A bracket whose merges could hold more
-    than ``MAX_MERGE_LETTERS`` letters raises ``WorkLimitError`` before
-    any merge is formed.
+    terms are codes with ``int`` numerators, so no necklace is built or
+    decoded.  Merges are str slices, rotated by ``_rotation_start`` and
+    counted under their coded key, and the result is packed under those
+    keys.  The operands' words were checked when they were packed, and a
+    merge of two composable cycles at a contracted pair is composable, so
+    nothing is checked here.  A bracket whose merges could hold more than
+    ``MAX_MERGE_LETTERS`` letters raises ``WorkLimitError`` before any
+    merge is formed.
 
     Each distinct merge is rotated once, by three exact counting rules
     (indices are cyclic):
@@ -469,67 +340,49 @@ def necklace_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
     if x.quiver != y.quiver:
         raise MismatchError("necklace_bracket operands live over different quivers")
     quiver = x.quiver
-    (xs, dx), (ys, dy) = _int_terms(x), _int_terms(y)
-    # a merge of two composable cycles at a contracted pair is composable,
-    # so only the operands are checked
-    for a, _, _, _ in xs + ys:
-        _check_cyclic(quiver, a)
+    xs, ys = _cycles(x), _cycles(y)
     _check_merge_letters(xs, ys, "bracket merges")
-    # sums[k]: {key: numerator of its h^k coefficient over dx * dy}
-    sums = [{} for _ in range(len(x._sums) + len(y._sums) - 1)]
-    for a, p, _, u in xs:
-        for b, q, _, v in ys:
-            counts = _merge_counts(a, p, b, q)
-            if "" in counts:
-                # only two one-letter words merge to nothing
-                counts[_LETTER[a].target(quiver)] = counts.pop("")
-            for i, ui in u:
-                for j, vj in v:
-                    w, sums_k = ui * vj, sums[i + j]
-                    get = sums_k.get
-                    for key, count in counts.items():
-                        sums_k[key] = get(key, 0) + w * count
-    return HH0Element._from_sums(quiver, *_canonical(sums, dx * dy))
+
+    def merges(a, b):
+        if type(a) is not str or type(b) is not str:
+            return None
+        counts = _merge_counts(a, xs[a][0], b, ys[b][0])
+        if "" in counts:
+            # only two one-letter words merge to nothing
+            counts[_LETTER[a].target(quiver)] = counts.pop("")
+        return counts
+
+    return from_ints(HH0Element, (quiver,), *bilinear(x, y, merges))
 
 
-def _int_terms(element: HH0Element):
-    """The cycle terms of ``element``'s packed form as ``(code, period,
-    Counter of one period's codes, ((power of h, numerator), ...))``, and
-    the denominator of every numerator."""
-    powers: dict = {}
-    for k, sums_k in enumerate(element._sums):
-        for key, m in sums_k.items():
-            if type(key) is str:
-                powers.setdefault(key, []).append((k, m))
-    out = []
-    for s, u in powers.items():
-        p = _period(s)
-        out.append((s, p, Counter(s[:p]), u))
-    return out, element._den
+def _cycles(element: HH0Element) -> dict:
+    """{code: (period, Counter of one period's codes)} of the cycle terms
+    of ``element``'s packed form."""
+    out = {}
+    for s in int_terms(element)[0]:
+        if type(s) is str:
+            p = _period(s)
+            out[s] = (p, Counter(s[:p]))
+    return out
 
 
-class TensorElement(LinearCombination):
-    """Element of (path algebra) tensor (path algebra), keyed by path pairs."""
+class TensorElement(_PackedSums):
+    """Element of (path algebra) tensor (path algebra), keyed by pairs of
+    coded paths (``quiver._code_path``)."""
 
     __slots__ = ("quiver",)
 
-    def __init__(self, quiver: Quiver, terms=None):
-        object.__setattr__(self, "quiver", quiver)
-        super().__init__(terms)
+    _code_key = staticmethod(lambda pair: (_code_path(pair[0]), _code_path(pair[1])))
+    _public_key = staticmethod(lambda pair: (_decode_path(pair[0]), _decode_path(pair[1])))
 
     def swap(self) -> "TensorElement":
         """Exchange the tensor factors."""
-        return self._with_terms({(q, p): c for (p, q), c in self.items()})
+        return from_ints(TensorElement, (self.quiver,), *rekeyed(self, lambda pq: (pq[1], pq[0])))
 
     def mult(self) -> PathAlgebraElement:
         """Multiply the two factors together inside the path algebra."""
-        quiver = self.quiver
-        out = {}
-        for (p, q), c in self.items():
-            pq = compose_paths(quiver, p, q)
-            if pq is not None:
-                add_into(out, pq, c)
-        return PathAlgebraElement.zero(quiver)._with_terms(out)
+        ends = _ends(self.quiver)
+        return from_ints(PathAlgebraElement, (self.quiver,), *rekeyed(self, lambda pq: _compose(ends, *pq)))
 
 
 def double_bracket(x: PathAlgebraElement, y: PathAlgebraElement) -> TensorElement:
@@ -545,55 +398,46 @@ def double_bracket(x: PathAlgebraElement, y: PathAlgebraElement) -> TensorElemen
     ``WorkLimitError`` before any term is formed; paths have no rotations,
     so the count runs over all letters, not one period.
 
-    Each operand term is coded once as a str (``_code``); p_i contracts
-    only with its partner code, found in a partner-to-positions index of q.
-    Tensor terms are counted per operand-term pair under coded keys, an
-    empty factor keyed by its vertex, and each distinct factor is decoded
-    to a ``Path`` once, at the end, through ``_LETTER``.
+    Each operand is read in its packed form, its paths coded as strs
+    (``quiver._code_path``); p_i contracts only with its partner code,
+    found in a partner-to-positions index of q.  Tensor terms are counted
+    per operand-term pair under coded keys, an empty factor keyed by its
+    vertex, and packed under those keys.
     """
     if x.quiver != y.quiver:
         raise MismatchError("double_bracket operands live over different quivers")
-    quiver = x.quiver
+    ends = _ends(x.quiver)
 
-    def coded(element):
-        """(code, length, codes, coefficient) per nontrivial path term."""
-        words = [(_code(p.letters), c) for p, c in element.items() if not p.is_trivial]
-        return [(s, len(s), Counter(s), c) for s, c in words]
+    def words(element):
+        """{code: (length, Counter of its codes)} per nontrivial path term."""
+        return {s: (len(s), Counter(s)) for s in int_terms(element)[0] if type(s) is str}
 
-    xs, ys = coded(x), coded(y)
+    xs, ys = words(x), words(y)
     _check_merge_letters(xs, ys, "double bracket terms")
-    # the empty factors of a contraction of code c sit at its source and target
-    letters = {c for _, _, counts, _ in xs for c in counts}
-    ends = {c: (_LETTER[c].source(quiver), _LETTER[c].target(quiver)) for c in letters}
-    indexed = []
-    for b, _, _, cb in ys:
-        partners = {}
+    partners = {}
+    for b in ys:
+        index = partners[b] = {}
         for j, c in enumerate(b):
-            partners.setdefault(chr(ord(c) ^ 1), []).append(j)
-        indexed.append((b, partners, cb))
-    out = {}
-    for a, _, _, ca in xs:
-        for b, partners, cb in indexed:
-            counts = {}
-            for i, c in enumerate(a):
-                js = partners.get(c)
-                if js is None:
-                    continue
-                sign = -1 if ord(c) & 1 else 1
-                source, target = ends[c]
-                head, tail = a[i + 1 :], a[:i]
-                for j in js:
-                    key = (b[:j] + head or source, tail + b[j + 1 :] or target)
-                    counts[key] = counts.get(key, 0) + sign
-            coeff = ca * cb
-            for key, count in counts.items():
-                if count:
-                    add_into(out, key, coeff * count)
-    paths = {
-        f: Path(tuple(map(_LETTER.__getitem__, f))) if isinstance(f, str) else Path.trivial(f)
-        for f in {f for pair in out for f in pair}
-    }
-    return TensorElement(quiver)._with_terms({(paths[p], paths[q]): c for (p, q), c in out.items()})
+            index.setdefault(chr(ord(c) ^ 1), []).append(j)
+
+    def terms(a, b):
+        if type(a) is not str or type(b) is not str:
+            return None
+        index, counts = partners[b], {}
+        for i, c in enumerate(a):
+            js = index.get(c)
+            if js is None:
+                continue
+            sign = -1 if ord(c) & 1 else 1
+            # the empty factors of a contraction of code c sit at its source and target
+            source, target = ends[c]
+            head, tail = a[i + 1 :], a[:i]
+            for j in js:
+                key = (b[:j] + head or source, tail + b[j + 1 :] or target)
+                counts[key] = counts.get(key, 0) + sign
+        return counts
+
+    return from_ints(TensorElement, (x.quiver,), *bilinear(x, y, terms))
 
 
 # ---------------------------------------------------------------------------
@@ -618,15 +462,10 @@ def moment_map(quiver: Quiver, lam=None) -> MomentData:
     lam_vec = vertex_vector(quiver, lam)
     components = []
     for i in range(len(quiver.vertices)):
-        terms = {}
-        for sign, first, second in moment_pairs(quiver, i):
-            add_into(terms, make_path(quiver, (first, second)), sign)
-        if lam_vec[i]:
-            add_into(terms, Path.trivial(i), -lam_vec[i])
+        terms = [(make_path(quiver, (first, second)), sign) for sign, first, second in moment_pairs(quiver, i)]
+        terms.append((Path.trivial(i), -lam_vec[i]))
         components.append(PathAlgebraElement(quiver, terms))
-    total = PathAlgebraElement.zero(quiver)
-    for comp in components:
-        total = total + comp
+    total = sum(components, PathAlgebraElement.zero(quiver))
     return MomentData(quiver, lam_vec, total, tuple(components))
 
 
@@ -655,15 +494,13 @@ def xi(g: GaugeExpression, m: MomentData) -> PathAlgebraElement:
     if g.quiver != m.quiver:
         raise MismatchError("gauge expression and moment data disagree on the quiver")
     quiver = g.quiver
-    out = {}
+    out = PathAlgebraElement.zero(quiver)
     for coeff, left, vertex, right in g.entries:
-        piece = path_mul(
+        out = out + path_mul(
             path_mul(
                 PathAlgebraElement.of_path(quiver, left, coeff),
                 m.components[vertex],
             ),
             PathAlgebraElement.of_path(quiver, right),
         )
-        for path, c in piece.items():
-            add_into(out, path, c)
-    return PathAlgebraElement.zero(quiver)._with_terms(out)
+    return out

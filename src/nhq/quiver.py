@@ -15,10 +15,11 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import CompositionError, DimensionError, ExpressionError, MismatchError, QuiverFormatError
-from .linear import LinearCombination, add_into
+from .linear import _PackedSums, bilinear, from_ints
 from .rings import as_fraction
 
 NAME_PATTERN = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -109,6 +110,39 @@ class Letter(NamedTuple):
         return base + "'" if self.starred else base
 
 
+class _LetterTable(dict):
+    """code character -> ``Letter``, filled on first use.
+
+    A code needs no quiver to decode: code o is ``Letter(o >> 1, bool(o &
+    1))``.  Each letter is built once and shared by every decoded word.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, c: str) -> Letter:
+        o = ord(c)
+        letter = self[c] = Letter(o >> 1, bool(o & 1))
+        return letter
+
+
+_LETTER = _LetterTable()
+
+
+def _code(letters) -> str:
+    """A word as one character per letter, ``chr(2*arrow + starred)``.
+
+    Code order is the letter order, and the partner of code c (the letter
+    with the other star) is ``chr(ord(c) ^ 1)``.
+    """
+    return "".join([chr(2 * letter[0] + letter[1]) for letter in letters])
+
+
+@lru_cache(maxsize=64)
+def _ends(quiver: "Quiver") -> dict:
+    """{letter code: (source vertex, target vertex)} of the doubled quiver."""
+    return {_code((letter,)): (letter.source(quiver), letter.target(quiver)) for letter in quiver.letters()}
+
+
 @dataclass(frozen=True)
 class Path:
     """A composable word in the doubled quiver, or a trivial path at a vertex.
@@ -156,17 +190,6 @@ def make_path(quiver: Quiver, letters) -> Path:
     return Path(letters)
 
 
-def compose_paths(quiver: Quiver, p: Path, q: Path) -> Path | None:
-    """p*q when source(p) = target(q); None when the product is zero."""
-    if p.source(quiver) != q.target(quiver):
-        return None
-    if p.is_trivial:
-        return q
-    if q.is_trivial:
-        return p
-    return Path(p.letters + q.letters)
-
-
 def moment_pairs(quiver: Quiver, vertex: int):
     """The signed letter pairs of the moment map at ``vertex``, arrow by
     arrow: (1, a, a') for t(a) = vertex and (-1, a', a) for s(a) = vertex.
@@ -212,14 +235,37 @@ def make_dimension_vector(quiver: Quiver, d) -> tuple[int, ...]:
     return vec
 
 
-class PathAlgebraElement(LinearCombination):
-    """Element of the path algebra of the doubled quiver over Q[h]."""
+def _code_path(path: Path):
+    """The coded key of a path: its letter code, or its vertex when trivial."""
+    return _code(path.letters) or path.vertex
+
+
+def _decode_path(key) -> Path:
+    """The path of a coded key of ``_code_path``."""
+    return Path(tuple(map(_LETTER.__getitem__, key))) if type(key) is str else Path.trivial(key)
+
+
+def _compose(ends: dict, p, q):
+    """The coded path p*q of the coded paths ``p`` and ``q`` (``_code_path``),
+    or None when source(p) != target(q); ``ends`` is the quiver's table of
+    ``_ends``."""
+    source = ends[p[-1]][0] if type(p) is str else p
+    target = ends[q[0]][1] if type(q) is str else q
+    if source != target:
+        return None
+    if type(p) is not str:
+        return q
+    return p + q if type(q) is str else p
+
+
+class PathAlgebraElement(_PackedSums):
+    """Element of the path algebra of the doubled quiver over Q[h], keyed
+    by coded paths (``_code_path``)."""
 
     __slots__ = ("quiver",)
 
-    def __init__(self, quiver: Quiver, terms=None):
-        object.__setattr__(self, "quiver", quiver)
-        super().__init__(terms)
+    _code_key = staticmethod(_code_path)
+    _public_key = staticmethod(_decode_path)
 
     @classmethod
     def zero(cls, quiver: Quiver) -> "PathAlgebraElement":
@@ -243,21 +289,21 @@ class PathAlgebraElement(LinearCombination):
             return path_mul(self, other)
         return self.scale(other)
 
-    __rmul__ = LinearCombination.scale
+    __rmul__ = _PackedSums.scale
 
 
 def path_mul(x: PathAlgebraElement, y: PathAlgebraElement) -> PathAlgebraElement:
-    """Bilinear extension of path concatenation; non-composable products vanish."""
+    """Bilinear extension of path concatenation; non-composable products
+    vanish.  Coded paths concatenate as strs."""
     if x.quiver != y.quiver:
         raise MismatchError("path_mul operands live over different quivers")
-    quiver = x.quiver
-    out = {}
-    for p, cp in x.items():
-        for q, cq in y.items():
-            pq = compose_paths(quiver, p, q)
-            if pq is not None:
-                add_into(out, pq, cp * cq)
-    return x._with_terms(out)
+    ends = _ends(x.quiver)
+
+    def product(p, q):
+        pq = _compose(ends, p, q)
+        return None if pq is None else {pq: 1}
+
+    return from_ints(PathAlgebraElement, (x.quiver,), *bilinear(x, y, product))
 
 
 # ---------------------------------------------------------------------------

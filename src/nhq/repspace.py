@@ -21,9 +21,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import DimensionError, MismatchError, WorkLimitError
-from .linear import LinearCombination, add_into, rational_nullspace
-from .necklace import _LETTER
-from .quiver import Letter, Quiver, make_dimension_vector, moment_pairs
+from .linear import LinearCombination, _PackedSums, bilinear, from_ints, rational_nullspace
+from .quiver import _LETTER, Letter, Quiver, make_dimension_vector, moment_pairs
 from .rings import HBarPolynomial, _exact, as_fraction
 from .schedler import CACHE_SIZE
 
@@ -68,19 +67,19 @@ class _PackedOperator(LinearCombination):
 
     ``_codec``, ``_packed`` ({int key: nonzero int or Fraction}) and
     ``_top`` live here, so an element's context stays its own ``__slots__``.
-    Each form is built from the other on its first read and kept: ``terms``
-    from the packed form, the packed form from a public constructor's
-    ``terms``.  Arithmetic reads and makes packed forms only.  Where the
-    rings differ, the class says which it is (``_quantum``) and reads a
-    scalar as the coefficients of its powers of h (``_scalars``).
+    A public constructor packs its terms at once; ``terms`` is built from
+    the packed form on its first read and kept.  Arithmetic reads and makes
+    packed forms only.  Where the rings differ, the class says which it is
+    (``_quantum``) and reads a scalar as the coefficients of its powers of
+    h (``_scalars``).
     """
 
     __slots__ = ("_codec", "_packed", "_top")
 
     def __init__(self, quiver: Quiver, dim, terms=None):
-        object.__setattr__(self, "quiver", quiver)
-        object.__setattr__(self, "dim", tuple(dim))
-        super().__init__(terms)
+        super().__init__(quiver, tuple(dim))
+        for slot, value in zip(_PackedOperator.__slots__, _pack(self, terms)):
+            object.__setattr__(self, slot, value)
 
     @classmethod
     def _from_packed(cls, quiver: Quiver, dim, codec, packed: dict, top: int):
@@ -91,14 +90,10 @@ class _PackedOperator(LinearCombination):
         return out
 
     def __getattr__(self, name):  # called for an unset slot
-        if name == "terms":
-            object.__setattr__(self, name, self._codec.unpack(self._packed, self._quantum))
-        elif name in _PackedOperator.__slots__:
-            for slot, value in zip(_PackedOperator.__slots__, _pack(self)):
-                object.__setattr__(self, slot, value)
-        else:
+        if name != "terms":
             raise AttributeError(name)
-        return getattr(self, name)
+        object.__setattr__(self, name, self._codec.unpack(self._packed, self._quantum))
+        return self.terms
 
     def _like(self, packed: dict, top=None, codec=None):
         return self._from_packed(self.quiver, self.dim, codec or self._codec, packed, top or self._top)
@@ -211,26 +206,32 @@ class PolyElement(_PackedOperator):
         return self.scale(other)
 
 
-def _pack(x: _PackedOperator) -> tuple:
-    """(codec, packed terms, top) of ``x.terms``, in a codec with fields for
-    their arrows as wide as their largest exponent needs."""
-    terms = x.terms
+def _pack(x: _PackedOperator, terms) -> tuple:
+    """(codec, packed terms, top) of a public constructor's ``terms`` (a
+    dict or (monomial, coefficient) pairs) for ``x``, in a codec with fields
+    for their arrows as wide as their largest exponent needs; zero
+    coefficients are dropped first."""
+    items = terms.items() if isinstance(terms, dict) else terms or ()
+    items = [(mono, coeffs) for mono, c in items if any(coeffs := x._scalars(c))]
     if not x._quantum:  # (a')_{r,c} to the field of d(a)_{c,r}
-        terms = {
+        items = [
             (
-                tuple([((a, r, c), e) for (a, starred, r, c), e in mono if not starred]),
-                tuple([((a, c, r), e) for (a, starred, r, c), e in mono if starred]),
-            ): coeff
-            for mono, coeff in terms.items()
-        }
-    exps = [(var, exp) for pos, der in terms for var, exp in pos + der]
+                (
+                    tuple([((a, r, c), e) for (a, starred, r, c), e in mono if not starred]),
+                    tuple([((a, c, r), e) for (a, starred, r, c), e in mono if starred]),
+                ),
+                coeffs,
+            )
+            for mono, coeffs in items
+        ]
+    exps = [(var, exp) for (pos, der), _ in items for var, exp in pos + der]
     top = max([exp for _, exp in exps], default=0)
     codec = _codec(x.quiver, x.dim, tuple(sorted({var[0] for var, _ in exps})), _width(top))
     packed: dict = {}
-    for (pos, der), coeff in terms.items():
+    for (pos, der), coeffs in items:
         key = sum([e * codec.position(v)[0] for v, e in pos] + [e * codec.derivative(v)[0] for v, e in der])
-        _add_scaled(packed, ((key, 1),), x._scalars(coeff), codec.hunit)
-    return codec, packed, top
+        _add_scaled(packed, ((key, 1),), coeffs, codec.hunit)
+    return codec, {key: c for key, c in packed.items() if c}, top
 
 
 def _join(x: _PackedOperator, y: _PackedOperator, product: bool) -> tuple:
@@ -357,20 +358,21 @@ def poisson(f: PolyElement, g: PolyElement) -> PolyElement:
 # gl_d, tau, characters
 
 
-class GlElement(LinearCombination):
-    """Element of gl_d: rational combination of elementary matrices e^i_{p,q}."""
+class GlElement(_PackedSums):
+    """Element of gl_d: rational combination of elementary matrices
+    e^i_{p,q}, keyed by (i, p, q) and held in the store's one power of h."""
 
     __slots__ = ("quiver", "dim")
 
     _coerce = staticmethod(as_fraction)
+    _rational = True
 
     def __init__(self, quiver: Quiver, dim, terms=None):
-        object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "dim", tuple(dim))
         for (i, p, q) in (terms or {}):
             if not (1 <= p <= self.dim[i] and 1 <= q <= self.dim[i]):
                 raise DimensionError(f"e^{i}_{{{p},{q}}} out of range")
-        super().__init__(terms)
+        super().__init__(quiver, terms)
 
     @classmethod
     def elementary(cls, quiver, dim, i, p, q, coeff=1) -> "GlElement":
@@ -395,16 +397,18 @@ def gl_basis(quiver: Quiver, dim):
 def gl_commutator(v: GlElement, w: GlElement) -> GlElement:
     if v._context() != w._context():
         raise MismatchError("gl operands disagree on quiver or dimensions")
-    out: dict = {}
-    for (i, p, q), a in v.items():
-        for (j, u, t), b in w.items():
-            if i != j:
-                continue
+
+    def bracket(a, b):
+        (i, p, q), (j, u, t) = a, b
+        counts: dict = {}
+        if i == j:
             if q == u:
-                add_into(out, (i, p, t), a * b)
+                counts[i, p, t] = 1
             if t == p:
-                add_into(out, (i, u, q), -(a * b))
-    return v._with_terms(out)
+                counts[i, u, q] = counts.get((i, u, q), 0) - 1
+        return counts
+
+    return from_ints(GlElement, v._context(), *bilinear(v, w, bracket))
 
 
 def tau_pairs(quiver: Quiver, dim, i: int, p: int, q: int):
@@ -871,14 +875,14 @@ def trace_configurations(quiver: Quiver, dim: tuple, terms) -> WeylElement:
     terms = list(terms)
     if len(terms) > 1:
         _check_traces(quiver, dim, [cfg[0] for cfg, _ in terms])
-    total = WeylElement(quiver, dim)
+    total = None
     for cfg, c in terms:
         letters = "".join(cfg[0])
         layout = (quiver, dim, tuple(sorted({_LETTER[code].arrow for code in letters})), _width(len(letters)))
         traced = WeylElement._from_packed(quiver, dim, _codec(*layout), dict(_packed_trace(*layout, cfg)), len(letters))
         traced = traced if c == 1 else traced.scale(c)
-        total = traced if len(terms) == 1 else total + traced
-    return total
+        total = traced if total is None else total + traced
+    return WeylElement(quiver, dim) if total is None else total
 
 
 def _traced(quiver: Quiver, dim, codec: _Codec, terms: dict, letters: int) -> dict:

@@ -25,19 +25,20 @@ is an integer times h^((N - n)/2).  The rewriting kernel therefore works on
 plain ``int`` coefficients with the power of h implied by the letter count.
 A configuration has one form from straightening to the trace cache, its
 coded key (codes, heights, idempotents): one ``str`` per component (one
-character per letter, ``necklace._code``), one tuple of ``int`` heights per
+character per letter, ``quiver._code``), one tuple of ``int`` heights per
 component and the sorted idempotent vertices.  A ``HeightConfiguration``
-stores that key and decodes its ``Letter``s only when read; the kernel and
-the straighten cache work on bare keys.  The cache holds ``(key, int)``
-pairs, which hold only ``str`` and ``int``: CPython stops tracking such
-tuples, so full garbage collections skip the cache.  ``_normal_terms``
-restores h^((N - n)/2) for ``straighten``, ``qpa_mul``, ``moment_lift``
-and ``ideal_generator``; ``ideal_normal_forms`` hands the int forms of a
-generator's two parts, which do not depend on (r, lambda), to the packed
-reduction-ideal check as they are, once for every parameter set.  A
-correction drops the letters at heights h and h + 1 of a configuration
-with heights 1..N, so it is renumbered by moving the heights above h + 1
-down by two.
+stores that key and decodes its ``Letter``s only when read; the kernel, the
+straighten cache and the packed sums of a ``QPAElement`` work on bare
+keys.  The cache holds ``(key, int)`` pairs, which hold only ``str`` and
+``int``: CPython stops tracking such tuples, so full garbage collections
+skip the cache.  ``_normal_terms`` turns the ints into packed sums,
+restoring h^((N - n)/2) as a shift of the power, for ``straighten``,
+``qpa_mul``, ``moment_lift`` and ``ideal_generator``;
+``ideal_normal_forms`` hands the int forms of a generator's two parts,
+which do not depend on (r, lambda), to the packed reduction-ideal check
+as they are, once for every parameter set.  A correction drops the
+letters at heights h and h + 1 of a configuration with heights 1..N, so
+it is renumbered by moving the heights above h + 1 down by two.
 
 Each call of those five counts the height swaps the kernel computes for it
 (cached normal forms cost none) and is refused with ``WorkLimitError``
@@ -49,21 +50,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import CompositionError, MismatchError, WorkLimitError
-from .linear import LinearCombination, add_into
+from .linear import _PackedSums, bilinear, from_ints, int_terms, rekeyed
 from .necklace import (
-    _LETTER,
     Necklace,
-    _code,
     _coded,
+    _key_order,
     _rotation_start,
     bracket_sign,
-    idempotent_class,
     necklace_key,
 )
-from .quiver import Letter, Quiver, moment_pairs, vertex_vector
-from .rings import HBarPolynomial
+from .quiver import _LETTER, Letter, Quiver, _code, moment_pairs, vertex_vector
 
 
 class HeightConfiguration:
@@ -73,7 +72,7 @@ class HeightConfiguration:
 
     It stores the kernel's key ``(codes, heights, idempotents)``, which
     equality and hash read; ``components`` decodes it through
-    ``necklace._LETTER`` on each read, so a configuration holds no
+    ``quiver._LETTER`` on each read, so a configuration holds no
     ``Letter``.  ``_config`` builds one from a key.  Attributes are read-only.
     """
 
@@ -193,14 +192,16 @@ def make_configuration(quiver: Quiver, components, idempotents=()) -> HeightConf
 
 def canonical_configuration(quiver: Quiver, necklaces, extra_idempotents=()) -> HeightConfiguration:
     """The PBW normal-form configuration of a multiset of necklaces."""
-    words = sorted(
-        (n for n in necklaces if not n.is_idempotent), key=necklace_key
-    )
-    idems = sorted(
-        [n.vertex for n in necklaces if n.is_idempotent] + list(extra_idempotents)
-    )
-    codes = tuple([neck.code for neck in words])
-    return _config((codes, _blocks(codes), tuple(idems)))
+    keys = [n.code or n.vertex for n in necklaces] + list(extra_idempotents)
+    return _config(_canonical_key(keys))
+
+
+def _canonical_key(keys) -> tuple:
+    """The coded PBW normal-form configuration of the necklace keys
+    ``keys`` (``HH0Element``'s): the words sorted as ``necklace_key``
+    sorts their necklaces, stacked block by block."""
+    codes = tuple(sorted([k for k in keys if type(k) is str], key=_key_order))
+    return codes, _blocks(codes), tuple(sorted([k for k in keys if type(k) is not str]))
 
 
 def _blocks(codes):
@@ -246,8 +247,6 @@ _PICKERS = {
     "middle": lambda invs, rng: invs[len(invs) // 2],
     "random": lambda invs, rng: rng.choice(invs),
 }
-
-_ONE = HBarPolynomial.one()
 
 #: Height swaps left to the running top-level call (see ``_normal_terms``).
 #: Module state, because the memoized recursion passes only cache keys.
@@ -364,38 +363,44 @@ def _normal_form(qkey, codes, heights, idems):
     return _rewrite(qkey, codes, heights, idems, _PICKERS["first"], None, _normal_form)
 
 
-def _normal_terms(quiver, configs, normal_form=_normal_form) -> dict:
-    """{HeightConfiguration: HBarPolynomial}: the sum over ``configs`` of
-    ``scale`` times the normal form of a normalized coded configuration
-    ``(codes, heights, idems, scale)``.
+def _normal_terms(quiver, configs, normal_form=_normal_form) -> list:
+    """Per power of h, {coded cfg: int numerator}: the sum over ``configs``
+    of ``scale`` times the normal form of a normalized coded configuration
+    ``(codes, heights, idems, scale)``, ``scale`` given as ((power of h,
+    int numerator), ...).
 
     The kernel's int coefficient c of an n-letter term gets back its
-    h^((N - n)/2), N being the letter count of its configuration; terms are
-    summed under their coded keys, each of which becomes the key of one
-    configuration.  The kernel may compute ``MAX_REWRITES`` height swaps
-    for all of ``configs`` together."""
+    h^((N - n)/2), N being the letter count of its configuration, as a
+    shift of its power; terms are summed under their coded keys.  The
+    kernel may compute ``MAX_REWRITES`` height swaps for all of
+    ``configs`` together."""
     qkey = _quiver_key(quiver)
     _rewrites_left[0] = MAX_REWRITES
-    out: dict = {}
+    sums: list = []
     for codes, heights, idems, scale in configs:
         n_letters = sum(map(len, codes))
+        top = max([k for k, _ in scale]) + n_letters // 2  # the highest power a term reaches
+        sums += [{} for _ in range(top + 1 - len(sums))]
         for key, c in normal_form(qkey, codes, heights, idems):
-            add_into(out, key, scale.scaled_shift(c, (n_letters - sum(map(len, key[0]))) >> 1))
-    return {_config(key): c for key, c in out.items()}
+            shift = (n_letters - sum(map(len, key[0]))) >> 1
+            for k, m in scale:
+                sums_k = sums[k + shift]
+                sums_k[key] = sums_k.get(key, 0) + m * c
+    return sums
 
 
 def clear_straighten_cache() -> None:
     _normal_form.cache_clear()
 
 
-class QPAElement(LinearCombination):
-    """Element of the quantum path algebra in PBW normal form."""
+class QPAElement(_PackedSums):
+    """Element of the quantum path algebra in PBW normal form, keyed by
+    coded configurations ``(codes, heights, idempotents)``."""
 
     __slots__ = ("quiver",)
 
-    def __init__(self, quiver: Quiver, terms=None):
-        object.__setattr__(self, "quiver", quiver)
-        super().__init__(terms)
+    _code_key = staticmethod(lambda cfg: cfg._key)
+    _public_key = staticmethod(_config)
 
     @classmethod
     def unit(cls, quiver: Quiver) -> "QPAElement":
@@ -406,13 +411,7 @@ class QPAElement(LinearCombination):
             return qpa_mul(self, other)
         return self.scale(other)
 
-    __rmul__ = LinearCombination.scale
-
-    def div_h(self) -> "QPAElement":
-        return self._with_terms({k: v.div_h() for k, v in self.items()})
-
-    def is_divisible_by_h(self) -> bool:
-        return all(v.is_divisible_by_h() for v in self.terms.values())
+    __rmul__ = _PackedSums.scale
 
 
 def straighten(
@@ -448,7 +447,7 @@ def straighten(
             return _rewrite(qkey, codes, heights, idems, pick, rng, normal_form)
 
     coded = _normalize(cfg.codes, cfg.heights, cfg.idempotents)
-    return QPAElement(quiver, _normal_terms(quiver, [(*coded, _ONE)], normal_form))
+    return from_ints(QPAElement, (quiver,), _normal_terms(quiver, [(*coded, ((0, 1),))], normal_form))
 
 
 def qpa_mul(x: QPAElement, y: QPAElement) -> QPAElement:
@@ -456,18 +455,17 @@ def qpa_mul(x: QPAElement, y: QPAElement) -> QPAElement:
     stacked components are normalized already: x's start below y's."""
     if x.quiver != y.quiver:
         raise MismatchError("qpa_mul operands live over different quivers")
-    ys = [(cfg.codes, cfg.heights, cfg.idempotents, c) for cfg, c in y.items()]
+    (xs, dx), (ys, dy) = int_terms(x), int_terms(y)
 
     def stacked():
-        for cfg_x, cx in x.items():
-            codes_x, heights_x = cfg_x.codes, cfg_x.heights
+        for (codes_x, heights_x, idems_x), u in xs.items():
             shift = sum(map(len, codes_x))
-            for codes_y, heights_y, idems_y, cy in ys:
+            for (codes_y, heights_y, idems_y), v in ys.items():
                 heights = heights_x + tuple([tuple([h + shift for h in hs]) for hs in heights_y])
-                idems = tuple(sorted(cfg_x.idempotents + idems_y))
-                yield codes_x + codes_y, heights, idems, cx * cy
+                scale = [(i + j, a * b) for i, a in u for j, b in v]
+                yield codes_x + codes_y, heights, tuple(sorted(idems_x + idems_y)), scale
 
-    return x._with_terms(_normal_terms(x.quiver, stacked()))
+    return from_ints(QPAElement, (x.quiver,), _normal_terms(x.quiver, stacked()), dx * dy)
 
 
 def qpa_comm(x: QPAElement, y: QPAElement) -> QPAElement:
@@ -482,14 +480,14 @@ def make_sym_monomial(necklaces) -> tuple:
     return tuple(sorted(necklaces, key=necklace_key))
 
 
-class SymElement(LinearCombination):
-    """Element of the symmetric algebra on HH0 over Q[h]."""
+class SymElement(_PackedSums):
+    """Element of the symmetric algebra on HH0 over Q[h], keyed by tuples
+    of coded necklaces (``HH0Element``'s keys)."""
 
     __slots__ = ("quiver",)
 
-    def __init__(self, quiver: Quiver, terms=None):
-        object.__setattr__(self, "quiver", quiver)
-        super().__init__(terms)
+    _code_key = staticmethod(lambda monomial: tuple([n.code or n.vertex for n in monomial]))
+    _public_key = staticmethod(lambda key: tuple(map(_coded, key)))
 
     @classmethod
     def of(cls, quiver: Quiver, necklaces, coeff=1) -> "SymElement":
@@ -500,32 +498,19 @@ class SymElement(LinearCombination):
             return sym_mul(self, other)
         return self.scale(other)
 
-    __rmul__ = LinearCombination.scale
-
-    def constant_part(self) -> "SymElement":
-        """Reduce coefficients mod h."""
-        return SymElement(
-            self.quiver,
-            {k: HBarPolynomial.constant(v.constant_term()) for k, v in self.items()},
-        )
+    __rmul__ = _PackedSums.scale
 
 
 def sym_mul(x: SymElement, y: SymElement) -> SymElement:
     if x.quiver != y.quiver:
         raise MismatchError("sym_mul operands live over different quivers")
-    out: dict = {}
-    for m1, c1 in x.items():
-        for m2, c2 in y.items():
-            add_into(out, make_sym_monomial(m1 + m2), c1 * c2)
-    return x._with_terms(out)
+    product = lambda m1, m2: {tuple(sorted(m1 + m2, key=_key_order)): 1}
+    return from_ints(SymElement, (x.quiver,), *bilinear(x, y, product))
 
 
 def lift(m: SymElement) -> QPAElement:
     """The PBW section: each sorted monomial goes to its canonical configuration."""
-    out = {}
-    for monomial, coeff in m.items():
-        add_into(out, canonical_configuration(m.quiver, monomial), coeff)
-    return QPAElement(m.quiver, out)
+    return from_ints(QPAElement, (m.quiver,), *rekeyed(m, _canonical_key))
 
 
 def lift_necklace(quiver: Quiver, n: Necklace) -> QPAElement:
@@ -534,22 +519,18 @@ def lift_necklace(quiver: Quiver, n: Necklace) -> QPAElement:
 
 def project(x: QPAElement) -> SymElement:
     """Forget heights; inverse of lift on normal forms."""
-    out: dict = {}
-    for cfg, coeff in x.items():
-        necklaces = [_coded(s) for s in cfg.codes]
-        necklaces += [idempotent_class(v) for v in cfg.idempotents]
-        add_into(out, make_sym_monomial(necklaces), coeff)
-    return SymElement(x.quiver, out)
+    monomial = lambda cfg: tuple(sorted(cfg[0] + cfg[2], key=_key_order))
+    return from_ints(SymElement, (x.quiver,), *rekeyed(x, monomial))
 
 
 def moment_lift(quiver: Quiver) -> QPAElement:
     """The standard quantum moment element sum_a (a,1)(a',2) - (a',1)(a,2)."""
     configs = [
-        ((_code((first, second)),), ((1, 2),), (), _ONE if sign > 0 else -_ONE)
+        ((_code((first, second)),), ((1, 2),), (), ((0, sign),))
         for i in range(len(quiver.vertices))
         for sign, first, second in moment_pairs(quiver, i)
     ]
-    return QPAElement(quiver, _normal_terms(quiver, configs))
+    return from_ints(QPAElement, (quiver,), _normal_terms(quiver, configs))
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +597,13 @@ def ideal_generator(
     if params is None:
         params = make_params(quiver)
     moments, cycle = _ideal_parts(quiver, p, vertex, mark)
-    configs = [(*cfg, _ONE if sign > 0 else -_ONE) for *cfg, sign in moments]
-    tail = HBarPolynomial((-params.lam[vertex], params.r[vertex]))
+    lam, r = params.lam[vertex], params.r[vertex]
+    den = lcm(lam.denominator, r.denominator)
+    configs = [(*cfg, ((0, sign * den),)) for *cfg, sign in moments]
+    tail = [(k, int(c * den)) for k, c in ((0, -lam), (1, r)) if c]
     if tail:
         configs.append((*cycle, tail))
-    return QPAElement(quiver, _normal_terms(quiver, configs))
+    return from_ints(QPAElement, (quiver,), _normal_terms(quiver, configs), den)
 
 
 def ideal_normal_forms(quiver: Quiver, p: Necklace, vertex: int, mark: int = 0) -> tuple:

@@ -590,8 +590,7 @@ def kernel_constraint(quiver: Quiver, dim) -> VerificationReport:
             sum((c for (i, p, q), c in vec.items() if i == k and p == q), Fraction(0))
             for k in range(nv)
         ]
-        constant = sum((b * t for b, t in zip(base.values, block_traces)), Fraction(0))
-        constraints.append(_format_constraint(quiver, constant, block_traces))
+        constraints.append(_format_constraint(quiver, base.evaluate(vec), block_traces))
     from .sampling import a3p
 
     if quiver == a3p() and dim == (2, 2, 2, 1):

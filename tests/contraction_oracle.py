@@ -12,7 +12,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from nhq.linear import add_into
+from linear_oracle import add_into
 from nhq.repspace import PolyElement, WeylElement, _check_assignments, tau_pairs
 from nhq.rings import HBarPolynomial
 
@@ -110,11 +110,10 @@ def contract_letters(quiver, dim, words, quantum: bool, ends=None):
         ring, unit, times = WeylElement, {((), ()): HBarPolynomial.one()}, times_token
     else:
         ring, unit, times = PolyElement, {(): Fraction(1)}, times_coordinate
-    zero = ring(quiver, dim)
     if not ends:
-        return zero._with_terms(contract(slots, ranges, unit, times)[()])
+        return ring(quiver, dim, contract(slots, ranges, unit, times)[()])
     sums = contract(slots, ranges, unit, times, free=(0, len(ranges) - 1))
-    return {key: zero._with_terms(terms) for key, terms in sums.items()}
+    return {key: ring(quiver, dim, terms) for key, terms in sums.items()}
 
 
 def tau_expansion(quiver, dim, vertex: int, entries) -> dict:

@@ -10,7 +10,6 @@ import pytest
 import nhq
 import nhq.schedler as schedler
 from nhq import (
-    HBarPolynomial,
     Letter,
     QPAElement,
     ReductionParameters,
@@ -26,6 +25,7 @@ from nhq import (
     straighten,
     trace_quantum_config,
 )
+from nhq.linear import from_ints
 from nhq.sampling import random_configuration, random_necklace, small_quivers
 from nhq.schedler import (
     CACHE_SIZE,
@@ -205,7 +205,7 @@ def test_rewrite_budget_refuses_and_leaves_a_correct_cache(J, monkeypatch):
     assert entries and top not in dict(entries)
     monkeypatch.undo()
     for (_, *coded), _ in entries:
-        cached = QPAElement(J, _normal_terms(J, [(*coded, HBarPolynomial.one())]))
+        cached = from_ints(QPAElement, (J,), _normal_terms(J, [(*coded, ((0, 1),))]))
         assert cached == straighten(J, _config(tuple(coded)), strategy="last")
     assert straighten(J, cfg) == expected
     assert straighten(J, cfg, strategy="random", rng=random.Random(1)) == expected

@@ -251,7 +251,7 @@ def test_token_product_matches_weyl_mul(case):
     out: dict = {}
     times_token(x.terms, letter_entry(letter, True)(row, col), out)
     expected = weyl_mul(x, WeylElement.operator_token(q, d, letter, row, col))
-    assert WeylElement(q, d)._with_terms(out) == expected
+    assert WeylElement(q, d, out) == expected
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -274,7 +274,7 @@ def test_coordinate_product_matches_poly_mul(case):
     out: dict = {}
     times_coordinate(f.terms, letter_entry(letter, False)(row, col), out)
     coordinate = PolyElement.coordinate(q, d, letter.arrow, letter.starred, row, col)
-    assert PolyElement(q, d)._with_terms(out) == poly_mul(f, coordinate)
+    assert PolyElement(q, d, out) == poly_mul(f, coordinate)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -292,7 +292,7 @@ def test_position_token_moves_past_a_derivative_power():
     out: dict = {}
     times_token(cube.terms, letter_entry(Letter(0, False), True)(1, 1), out)
     assert out == {(((v, 1),), ((v, 3),)): 1, ((), ((v, 2),)): HBarPolynomial((0, 3))}
-    assert cube._with_terms(out) == weyl_mul(cube, WeylElement.position(q, d, 0, 1, 1))
+    assert WeylElement(q, d, out) == weyl_mul(cube, WeylElement.position(q, d, 0, 1, 1))
 
 
 # -- the packed kernel against the tuple kernel --------------------------------

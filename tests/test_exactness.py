@@ -2,14 +2,15 @@
 
 ``HBarPolynomial`` stores integral coefficients as ``int`` and the rest as
 ``Fraction``; ``int / int`` would be a float, so the accessors hand out
-``Fraction`` values.  A spy checks every polynomial and every element
-built while the verify suites, the gl kernel and the reduction solvers run
-and while sampled Weyl and quantum-algebra products are formed; the ideal
-suite's decompositions are made to unpack all their views for it.  It also
-checks the packed coefficients of every operator or polynomial made
-packed (``repspace._PackedOperator._from_packed``), every HH0 element
-made packed (``necklace.HH0Element._from_sums``: ``int`` numerators over
-a positive ``int`` denominator) and every reduction-ideal image
+``Fraction`` values.  A spy checks every polynomial built and every element
+a public constructor builds while the verify suites, the gl kernel and the
+reduction solvers run and while sampled products of every element type are
+formed; the ideal suite's decompositions are made to unpack all their views
+for it.  It also checks the packed coefficients of every operator or
+polynomial made packed (``repspace._PackedOperator._from_packed``), of
+every keyed element made packed (``linear._PackedSums._from_sums``, the
+one constructor of all six keyed classes: ``int`` numerators over a
+positive ``int`` denominator) and of every reduction-ideal image
 (``trace.ideal_image``): those paths build no polynomial in h at all.
 """
 
@@ -18,18 +19,34 @@ from fractions import Fraction
 
 import pytest
 
-from nhq import HH0Element, repspace, trace
-from nhq.linear import LinearCombination
+from nhq import (
+    GlElement,
+    HH0Element,
+    PathAlgebraElement,
+    QPAElement,
+    SymElement,
+    TensorElement,
+    double_bracket,
+    gl_commutator,
+    necklace_bracket,
+    path_mul,
+    repspace,
+    trace,
+)
+from nhq.linear import _PackedSums
 from nhq.repspace import make_dimension_vector, tau_kernel, weyl_mul
 from nhq.rings import HBarPolynomial
 from nhq.sampling import (
     a3p,
     jordan,
     random_configuration,
+    random_gl,
+    random_hh0,
+    random_path_element,
     random_sym_element,
     small_quivers,
 )
-from nhq.schedler import lift, qpa_mul
+from nhq.schedler import lift, qpa_mul, sym_mul
 from nhq import suites
 from nhq.suites import SUITES
 from nhq.trace import kernel_constraint, solve_chi, trace_quantum, trace_quantum_config
@@ -53,13 +70,13 @@ def _check_value(value) -> None:
 @pytest.fixture
 def spy(monkeypatch):
     """Check every polynomial and element built; counts what it checked."""
-    seen = {"polynomials": 0, "elements": 0, "packed": 0}
+    seen = {"polynomials": 0, "elements": 0, "packed": 0, "keyed": set()}
     with_coeffs = HBarPolynomial._with_coeffs
     poly_init = HBarPolynomial.__init__
-    lc_init = LinearCombination.__init__
-    with_terms = LinearCombination._with_terms
+    keyed_init = _PackedSums.__init__
+    operator_init = repspace._PackedOperator.__init__
     from_packed = repspace._PackedOperator._from_packed.__func__
-    from_sums = HH0Element._from_sums
+    from_sums = _PackedSums._from_sums.__func__
     image_of = trace.ideal_image
 
     def check_poly(p):
@@ -83,11 +100,12 @@ def spy(monkeypatch):
         check_packed(packed)
         return from_packed(cls, quiver, dim, codec, packed, top)
 
-    def spy_from_sums(quiver, sums, den):
+    def spy_from_sums(cls, context, sums, den):
         check_packed(*sums)
         assert type(den) is int and den > 0
         assert all(type(m) is int for sums_k in sums for m in sums_k.values())
-        return from_sums(quiver, sums, den)
+        seen["keyed"].add(cls)
+        return from_sums(cls, context, sums, den)
 
     def spy_image(*args):
         image = image_of(*args)
@@ -101,19 +119,20 @@ def spy(monkeypatch):
         poly_init(self, coeffs)
         check_poly(self)
 
-    def spy_lc_init(self, terms=None):
-        lc_init(self, terms)
+    def spy_keyed_init(self, quiver, terms=None):
+        keyed_init(self, quiver, terms)
         check_element(self)
 
-    def spy_with_terms(self, terms):
-        return check_element(with_terms(self, terms))
+    def spy_operator_init(self, quiver, dim, terms=None):
+        operator_init(self, quiver, dim, terms)
+        check_element(self)
 
     monkeypatch.setattr(HBarPolynomial, "_with_coeffs", staticmethod(spy_with_coeffs))
     monkeypatch.setattr(HBarPolynomial, "__init__", spy_poly_init)
-    monkeypatch.setattr(LinearCombination, "__init__", spy_lc_init)
-    monkeypatch.setattr(LinearCombination, "_with_terms", spy_with_terms)
+    monkeypatch.setattr(_PackedSums, "__init__", spy_keyed_init)
+    monkeypatch.setattr(repspace._PackedOperator, "__init__", spy_operator_init)
     monkeypatch.setattr(repspace._PackedOperator, "_from_packed", classmethod(spy_from_packed))
-    monkeypatch.setattr(HH0Element, "_from_sums", staticmethod(spy_from_sums))
+    monkeypatch.setattr(_PackedSums, "_from_sums", classmethod(spy_from_sums))
     monkeypatch.setattr(trace, "ideal_image", spy_image)
     return seen
 
@@ -187,4 +206,17 @@ def test_sampled_products_stay_exact(spy):
             ty = trace_quantum(y, dim)
             for value in weyl_mul(tx, ty).terms.values():
                 _check_value(value)
+            p, q = (random_path_element(rng, quiver, max_len=3) for _ in range(2))
+            for product in (
+                necklace_bracket(random_hh0(rng, quiver, max_len=3), random_hh0(rng, quiver, max_len=3)),
+                double_bracket(p, q).mult(),
+                path_mul(p, q),
+                sym_mul(random_sym_element(rng, quiver), random_sym_element(rng, quiver)),
+                gl_commutator(random_gl(rng, quiver, dim), random_gl(rng, quiver, dim)),
+            ):
+                for value in product.terms.values():
+                    _check_value(value)
     assert spy["polynomials"] and spy["elements"]
+    # every keyed class has its products made through the one packed constructor
+    keyed = {HH0Element, PathAlgebraElement, TensorElement, QPAElement, SymElement, GlElement}
+    assert spy["keyed"] == keyed

@@ -4,27 +4,41 @@ An ``HH0Element`` keeps ``int`` numerators over one denominator, one dict
 per power of h keyed by necklace code (or vertex, for an idempotent
 class), and builds its ``{Necklace: HBarPolynomial}`` terms only when they
 are read.  Every packed operation is checked here through that view
-against the old route: term dicts summed, negated and scaled as
-``HBarPolynomial`` values, and the bracket of ``reference_bracket``, which
-canonicalises every merge of the two term dicts.  The operands carry
-``Fraction`` coefficients, powers of h and idempotent classes, and half of
-them are bracket results, so packed before any view exists.  The
-canonical-form cases pin that equal elements hold equal packed forms, and
-a spy pins that a Jacobi check builds neither a polynomial nor a necklace.
+against the old route (``linear_oracle``): term dicts summed, negated and
+scaled as ``HBarPolynomial`` values, and the bracket of
+``reference_bracket``, which canonicalises every merge of the two term
+dicts.  The operands carry ``Fraction`` coefficients, powers of h and
+idempotent classes, and half of them are bracket results, so packed before
+any view exists.  The canonical-form cases pin that equal elements hold
+equal packed forms, a spy pins that a Jacobi check builds neither a
+polynomial nor a necklace, and two cases pin that a word's cyclic
+composability is checked once, when a public constructor's element is
+packed, and never on bracket results.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nhq.necklace
-from nhq import HH0Element, Necklace, PathAlgebraElement, idempotent_class, natural_projection, necklace_bracket
+from linear_oracle import add, natural_projection as project, scale
+from nhq import (
+    CompositionError,
+    HH0Element,
+    Letter,
+    Necklace,
+    PathAlgebraElement,
+    idempotent_class,
+    natural_projection,
+    necklace_bracket,
+)
 from nhq.necklace import canonical_necklace
 from nhq.quiver import make_path
 from nhq.rings import HBarPolynomial
-from nhq.sampling import jordan, random_closed_word, small_quivers, two_loop
+from nhq.sampling import a2, jordan, random_closed_word, small_quivers, two_loop
 from test_necklace_oracles import reference_bracket
 
 H = HBarPolynomial.h()
@@ -35,36 +49,6 @@ _COEFFICIENTS = st.one_of(
     # several powers of h, some of them Fraction
     st.lists(st.fractions(max_denominator=4), min_size=1, max_size=3).map(HBarPolynomial).filter(bool),
 )
-
-
-# -- the old route ------------------------------------------------------------
-
-
-def combine(x: dict, y: dict, sign=1) -> dict:
-    """x + sign * y on ``{key: HBarPolynomial}`` dicts, zeros dropped."""
-    out = dict(x)
-    for key, c in y.items():
-        out[key] = out.get(key, HBarPolynomial.zero()) + c * sign
-        if not out[key]:
-            del out[key]
-    return out
-
-
-def scale(x: dict, c) -> dict:
-    c = HBarPolynomial.coerce(c)
-    return {key: v * c for key, v in x.items() if v * c}
-
-
-def project(quiver, p: PathAlgebraElement) -> dict:
-    """The natural projection on term dicts: trivial paths to their
-    idempotent classes, cycles to their necklaces, open paths dropped."""
-    out: dict = {}
-    for path, c in p.items():
-        if path.is_trivial:
-            out = combine(out, {idempotent_class(path.vertex): c})
-        elif path.source(quiver) == path.target(quiver):
-            out = combine(out, {canonical_necklace(quiver, path.letters): c})
-    return out
 
 
 # -- operands ----------------------------------------------------------------
@@ -108,8 +92,8 @@ def test_packed_operations_match_the_polynomial_route(case):
     q, (x, X), (y, Y), c, p = case
     assert x.terms == X and dict(x.items()) == X
     assert necklace_bracket(x, y).terms == reference_bracket(HH0Element(q, X), HH0Element(q, Y)).terms
-    assert (x + y).terms == combine(X, Y)
-    assert (x - y).terms == combine(X, Y, -1)
+    assert (x + y).terms == add(X, Y)
+    assert (x - y).terms == add(X, Y, -1)
     assert (-x).terms == scale(X, -1)
     assert x.scale(c).terms == scale(X, c)
     assert bool(x) == bool(X) and x.is_zero() == (not X)
@@ -117,7 +101,7 @@ def test_packed_operations_match_the_polynomial_route(case):
     assert x == HH0Element(q, X) and (x + y) - y == x
     for n in list(X) + [idempotent_class(0), Necklace(None, (nhq.Letter(0, False),) * 5)]:
         assert x.coefficient(n) == X.get(n, HBarPolynomial.zero())
-    assert natural_projection(p).terms == project(q, p)
+    assert natural_projection(p).terms == project(q, p.terms)
 
 
 # -- canonical form -----------------------------------------------------------
@@ -189,6 +173,7 @@ def test_a_jacobi_check_builds_no_polynomial_and_no_necklace(monkeypatch):
     monkeypatch.setattr(HBarPolynomial, "_with_coeffs", staticmethod(lambda buf: built.append(buf) or with_coeffs(buf)))
     monkeypatch.setattr(Necklace, "__init__", lambda self, *a: built.append(a) or necklace_init(self, *a))
     monkeypatch.setattr(nhq.necklace, "_coded", lambda *a: built.append(a) or coded(*a))
+    monkeypatch.setattr(HH0Element, "_public_key", staticmethod(lambda key: built.append(key) or coded(key)))
     br = necklace_bracket
     xy = br(x, y)
     anti = xy + br(y, x)
@@ -197,3 +182,44 @@ def test_a_jacobi_check_builds_no_polynomial_and_no_necklace(monkeypatch):
     assert built == []
     # the spies see the view when it is read
     assert xy.terms and built
+
+
+# -- the cyclic check ------------------------------------------------------------
+
+
+def test_a_non_composable_word_is_refused_when_its_element_is_packed():
+    """A hand-built necklace whose word does not close up is checked when
+    the element holding it is first packed, by the bracket or by ``+``."""
+    q = a2()
+    a = Letter(0, False)
+    bad = Necklace(None, (a, a.star(), a))
+    good = HH0Element.of(q, canonical_necklace(q, (a, a.star())))
+    for operation in (
+        lambda: necklace_bracket(HH0Element.of(q, bad), good),
+        lambda: necklace_bracket(good, HH0Element.of(q, bad)),
+        lambda: HH0Element.of(q, bad) + good,
+        lambda: good + HH0Element.of(q, bad),
+    ):
+        with pytest.raises(CompositionError):
+            operation()
+
+
+def test_bracket_results_are_never_checked_again(monkeypatch):
+    """The constructor-built operands of a Jacobi check are checked once
+    each; the brackets and sums of bracket results check nothing."""
+    q = two_loop()
+    x = HH0Element(q, {_loop(q, "x x' y"): Fraction(1, 2), _loop(q, "y'"): H})
+    y = HH0Element(q, {_loop(q, "x y y'"): Fraction(-2, 3), _loop(q, "x'"): 1 - H})
+    z = HH0Element(q, {_loop(q, "x y' x'"): Fraction(3, 5), _loop(q, "y y"): 2})
+    for element in (x, y, z):
+        assert element  # packed, and so checked
+    checked = []
+    check = nhq.necklace._check_cyclic
+    monkeypatch.setattr(nhq.necklace, "_check_cyclic", lambda *a: checked.append(a) or check(*a))
+    br = necklace_bracket
+    xy, yz, zx = br(x, y), br(y, z), br(z, x)
+    jac = br(x, yz) + br(z, xy) + br(y, zx)
+    assert xy and jac.is_zero() and (xy + br(y, x)).is_zero()
+    assert checked == []
+    # a public constructor's element is checked when it is packed
+    assert HH0Element(q, xy.terms) == xy and len(checked) == len([n for n in xy.terms if not n.is_idempotent])

@@ -12,10 +12,19 @@ are made by ``_from_packed`` and re-packed by ``_join``.  Only
 module: no other module of the package imports those names or reads them
 as attributes.
 
-An ``HH0Element`` is packed too, in a form of its own: ``int``
-numerators per power of h over one denominator (``_sums``, ``_den``),
-made by ``_from_sums`` and read by the bracket through ``_int_terms``.
-Only ``necklace`` may know that form.
+Every element keyed by combinatorial data (``HH0Element``,
+``PathAlgebraElement``, ``TensorElement``, ``QPAElement``, ``SymElement``,
+``GlElement``) is packed too, in one store of its own: ``int`` numerators
+per power of h over one denominator (``_sums``, ``_den``), a public
+constructor's pairs kept until packed (``_given``), made by ``_from_sums``
+and put in and out of canonical form by ``_canonical``, ``_pack`` and
+``_view`` (``_pack`` is not checked: ``repspace`` names its own packing
+so).  Only ``linear`` may know that form; the kernels of the other
+modules read and make it through the small API ``linear`` exports
+(``packed``, ``int_terms``, ``bilinear``, ``rekeyed``, ``from_ints``), so
+no other module names those.  The bracket's reading of packed necklaces
+(``_cycles``) and HH0's cyclic check of a public constructor's words
+(``_check_cyclic``) stay in ``necklace``.
 
 The tuple-keyed ring arithmetic is gone from the package: the Weyl
 product (``_weyl_mono_mul``), the monomial merge (``_merge_exponents``)
@@ -45,7 +54,8 @@ PACKED = {
     "_from_packed",
     "_join",
 }
-HH0_PACKED = {"_sums", "_den", "_from_sums", "_int_terms"}
+PACKED_SUMS = {"_sums", "_den", "_given", "_from_sums", "_canonical", "_view"}
+HH0_PACKED = {"_cycles", "_check_cyclic"}
 TUPLE_KERNEL = {"_weyl_mono_mul", "_merge_exponents", "poly_partial"}
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
 
@@ -79,8 +89,9 @@ def test_the_check_sees_both_forms():
     assert packed_names_used("from .repspace import _contract_letters\n") == set()
     assert packed_names_used("image = ideal_image(q, d, v, w, g, p)\nimage.codec\n") == {"codec"}
     assert packed_names_used("x = trace_quantum(c, d)\nx._packed\n") == {"_packed"}
-    assert packed_names_used("x = necklace_bracket(a, b)\nx._sums, x._den\n", HH0_PACKED) == {"_sums", "_den"}
-    assert packed_names_used("from .necklace import _int_terms, necklace_key\n", HH0_PACKED) == {"_int_terms"}
+    assert packed_names_used("x = necklace_bracket(a, b)\nx._sums, x._den\n", PACKED_SUMS) == {"_sums", "_den"}
+    assert packed_names_used("from .linear import _canonical, from_ints\n", PACKED_SUMS) == {"_canonical"}
+    assert packed_names_used("from .necklace import _cycles, necklace_key\n", HH0_PACKED) == {"_cycles"}
     assert names_anywhere("def _weyl_mono_mul(m1, m2):\n    pass\n", TUPLE_KERNEL) == {"_weyl_mono_mul"}
     assert names_anywhere("list(_weyl_mono_mul(a, b))\n", TUPLE_KERNEL) == {"_weyl_mono_mul"}
     assert names_anywhere("from .linear import _merge_exponents\n", TUPLE_KERNEL) == {"_merge_exponents"}
@@ -97,6 +108,12 @@ def test_only_repspace_knows_the_packed_format(module):
 def test_only_necklace_knows_the_packed_hh0_form(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert packed_names_used(fh.read(), HH0_PACKED) == set()
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "linear.py"])
+def test_only_linear_knows_the_packed_sums(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert packed_names_used(fh.read(), PACKED_SUMS) == set()
 
 
 @pytest.mark.parametrize("module", MODULES)

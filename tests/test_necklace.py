@@ -27,6 +27,7 @@ from nhq import (
     straighten,
     xi,
 )
+from linear_oracle import compose_paths
 from nhq.expr import format_hh0, parse_hh0_element, parse_path_element
 from nhq.necklace import _code, _coded
 from nhq.schedler import _config
@@ -284,16 +285,12 @@ def test_double_bracket_leibniz_in_second_argument():
         rhs_terms = {}
         for (p1, p2), coeff in double_bracket(a, b).items():
             for cp, cc in c.items():
-                from nhq.quiver import compose_paths
-
                 glued = compose_paths(q, p2, cp)
                 if glued is not None:
                     key = (p1, glued)
                     rhs_terms[key] = rhs_terms.get(key, 0) + coeff * cc
         for (p1, p2), coeff in double_bracket(a, c).items():
             for bp, bc in b.items():
-                from nhq.quiver import compose_paths
-
                 glued = compose_paths(q, bp, p1)
                 if glued is not None:
                     key = (glued, p2)

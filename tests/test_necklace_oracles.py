@@ -28,7 +28,7 @@ from nhq import (
     make_quiver,
     necklace_bracket,
 )
-from nhq.linear import add_into
+from linear_oracle import add_into
 from nhq.necklace import _code, _rotation_start, bracket_sign, minimal_rotation_offset
 from nhq.quiver import MAX_ARROWS
 from nhq.rings import HBarPolynomial

@@ -266,8 +266,7 @@ def test_a_tau_term_raises_an_exponent_above_the_letter_count(starred):
     codec, entries = repspace._boundary_entries(quiver, dim, 0, (Letter(0, starred),) * m)
     assert codec.width == 4
     packed = dict(entries)[1, 1]
-    zero = WeylElement(quiver, dim)
-    entry = zero._with_terms(codec.unpack(packed, True))
+    entry = WeylElement(quiver, dim, codec.unpack(packed, True))
     tops = []
     for _sign, pos, der in tau_pairs(quiver, dim, 0, 1, 1):
         moved: dict = {}
@@ -277,7 +276,7 @@ def test_a_tau_term_raises_an_exponent_above_the_letter_count(starred):
         term = weyl_mul(
             WeylElement.position(quiver, dim, *pos), WeylElement.derivative(quiver, dim, *der)
         )
-        product = zero._with_terms(codec.unpack(out, True))
+        product = WeylElement(quiver, dim, codec.unpack(out, True))
         assert product == weyl_mul(entry, term)
         tops.append(max(e for mono in product.terms for half in mono for _, e in half))
     assert max(tops) == m + 1

@@ -31,7 +31,7 @@ from nhq import (
     straighten,
 )
 import nhq.schedler as schedler
-from nhq.linear import add_into
+from linear_oracle import add_into
 from nhq.necklace import Necklace, bracket_sign, minimal_rotation_offset, necklace_key
 from nhq.sampling import (
     random_coefficient,

@@ -18,7 +18,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from nhq.linear import add_into
+from linear_oracle import add_into
 
 
 def _merge_exponents(m1, m2):
