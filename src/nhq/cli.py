@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     CompositionError,
@@ -137,7 +138,11 @@ OPERATIONS = {
 }
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every verb, built once per process: parsing
+    leaves it unchanged, and help formatters read the terminal width when
+    they print, not when the parser is built."""
     parser = argparse.ArgumentParser(
         prog="nhq",
         description="Exact computations in the necklace Lie algebra, the quantum "

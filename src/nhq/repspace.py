@@ -369,7 +369,8 @@ class GlElement(_PackedSums):
 
     def __init__(self, quiver: Quiver, dim, terms=None):
         object.__setattr__(self, "dim", tuple(dim))
-        for (i, p, q) in (terms or {}):
+        terms = list(terms.items() if isinstance(terms, dict) else terms or ())
+        for (i, p, q), _ in terms:
             if not (1 <= p <= self.dim[i] and 1 <= q <= self.dim[i]):
                 raise DimensionError(f"e^{i}_{{{p},{q}}} out of range")
         super().__init__(quiver, terms)
@@ -867,22 +868,31 @@ def clear_packed_traces() -> None:
     _packed_trace.cache_clear()
 
 
-def trace_configurations(quiver: Quiver, dim: tuple, terms) -> WeylElement:
-    """Tr_q of sum c cfg over the (coded cfg, c) pairs ``terms``, c in Q[h],
-    each trace from ``_packed_trace`` in its own letters' layout; a sum's
-    index assignments are charged together first (``_check_traces``).  The
-    result is a fresh element: reading its ``terms`` stores nothing."""
+def trace_configurations(quiver: Quiver, dim: tuple, terms, den: int = 1) -> WeylElement:
+    """Tr_q of sum c cfg over the (coded cfg, scale) pairs ``terms``, c the
+    sum of m h^k / ``den`` over the list ``scale`` of (k, m) pairs (``int``
+    numerators, as ``linear.int_terms`` reads them).  Each trace comes from
+    ``_packed_trace`` in its own letters' layout; a sum's index assignments
+    are charged together first (``_check_traces``).  The result is a fresh
+    element: reading its ``terms`` stores nothing."""
     terms = list(terms)
     if len(terms) > 1:
         _check_traces(quiver, dim, [cfg[0] for cfg, _ in terms])
     total = None
-    for cfg, c in terms:
+    for cfg, scale in terms:
         letters = "".join(cfg[0])
         layout = (quiver, dim, tuple(sorted({_LETTER[code].arrow for code in letters})), _width(len(letters)))
-        traced = WeylElement._from_packed(quiver, dim, _codec(*layout), dict(_packed_trace(*layout, cfg)), len(letters))
-        traced = traced if c == 1 else traced.scale(c)
+        codec, traced = _codec(*layout), _packed_trace(*layout, cfg)
+        if scale != [(0, 1)]:
+            out: dict = {}
+            for k, m in scale:
+                _add_scaled(out, traced, (0,) * k + (m,), codec.hunit)
+            traced = [(key, c) for key, c in out.items() if c]
+        traced = WeylElement._from_packed(quiver, dim, codec, dict(traced), len(letters))
         total = traced if total is None else total + traced
-    return WeylElement(quiver, dim) if total is None else total
+    if total is None:
+        return WeylElement(quiver, dim)
+    return total if den == 1 else total.scale(Fraction(1, den))
 
 
 def _traced(quiver: Quiver, dim, codec: _Codec, terms: dict, letters: int) -> dict:

@@ -18,6 +18,9 @@ its two arcs as a symmetric product (same component), empty pieces turning
 into idempotent factors.  Each swap lowers the inversion count against the
 normal-form height order and each correction has two fewer letters, so the
 recursion terminates; confluence is a tested invariant, not an assumption.
+The default strategy swaps the lowest inverted pair, which is insertion
+sort: it moves each letter down in one run, and only the swaps with the
+letter's partner contract anything.
 
 Every correction costs one factor +-h and exactly two letters, so in the
 expansion of an N-letter configuration the coefficient of an n-letter term
@@ -47,6 +50,7 @@ past ``MAX_REWRITES``: the normal form of a long word can take minutes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -122,9 +126,10 @@ CACHE_SIZE = 1 << 16
 #: ``ideal_normal_forms`` (one call per generator, whatever its
 #: parameters); past it the call raises ``WorkLimitError``.  With cold
 #: caches, the benchmark and the golden CLI set need at most about 2,000
-#: swaps per call; an alternating Jordan word of 18 letters with shuffled
-#: heights needs about 147,000 and one of 20 letters about 450,000
-#: (2 s and 6 s of work).
+#: swaps per call; an alternating Jordan word of 18 letters with heights
+#: shuffled by ``random.Random(0)`` needs 146,586 and one of 20 letters
+#: 450,106 (1.3 s and 4.2 s of work with cold caches on a 2-core Xeon,
+#: Python 3.11).
 MAX_REWRITES = 1 << 18
 
 #: Quivers whose code tables are kept (``_quiver_key``, ``_targets``).
@@ -278,7 +283,15 @@ def _rewrite(qkey, codes, heights, idems, pick, rng, normal_form):
     normal-form basis as ``(coded cfg, c)`` pairs with ``int`` c: the
     coefficient of an n-letter cfg is c*h^((N - n)/2).
     ``normal_form(qkey, codes, heights, idems)`` expands each normalized
-    correction term the same way."""
+    correction term the same way.
+
+    A pick moves the letter above a descent down past ``top - low``
+    letters, one height swap each.  The pickers swap once per pick, except
+    the default ``_PICKERS["first"]``: it always swaps the lowest descent,
+    which is insertion sort, so the letter's whole run down to its
+    insertion point is one pick.  On that route a free swap only lifts the
+    letter passed; ``bracket_sign`` is called at a contracting swap, with
+    the moving letter's partner, which costs a correction."""
     targets = _targets(qkey)
     # The target normal-form height of every position is fixed once here;
     # the swap chain below strictly lowers the inversion count against it,
@@ -286,62 +299,80 @@ def _rewrite(qkey, codes, heights, idems, pick, rng, normal_form):
     # were broken (ties only exist between identical words, for which all
     # choices produce the same normal form).
     seq, necklaces = _canonical_targets(codes, heights)
-    state = [list(hs) for hs in heights]
-    pos_of = {h: (ci, pi) for ci, hs in enumerate(heights) for pi, h in enumerate(hs)}
     n_letters = len(seq)
     n_comps = len(codes)
+    state = [list(hs) for hs in heights]
+    # (component, position) of the letter at each height, in height order
+    at = [None] * n_letters
+    for ci, hs in enumerate(heights):
+        for pi, h in enumerate(hs):
+            at[h - 1] = ci, pi
+    runs = pick is _PICKERS["first"]
     out: dict = {}  # zeros are dropped at the end
     get = out.get
     swaps = 0
+    top = 1  # on the default route, seq[:top] is sorted
 
     while True:
-        inverted = [h for h in range(1, n_letters) if seq[h - 1] > seq[h]]
-        if not inverted:
-            break
-        h = pick(inverted, rng)
-        ci, pi = pos_of[h]
-        cj, pj = pos_of[h + 1]
-        u = codes[ci][pi]
+        if runs:
+            while top < n_letters and seq[top - 1] < seq[top]:
+                top += 1
+            if top >= n_letters:
+                break
+            low = bisect_left(seq, seq[top], 0, top)
+        else:
+            inverted = [h for h in range(1, n_letters) if seq[h - 1] > seq[h]]
+            if not inverted:
+                break
+            top = pick(inverted, rng)
+            low = top - 1
+        # the letter v at height top + 1 swaps with the letter u below it,
+        # at heights top, top - 1, ..., low + 1 in turn
+        cj, pj = at[top]
         v = codes[cj][pj]
-        swaps += 1
-
-        sign = bracket_sign(_LETTER[u], _LETTER[v])
-        if sign:
-            # Correction: drop the two contracted letters from the pre-swap
-            # configuration.  It costs one factor -sign*h and two letters,
-            # which is what keeps every coefficient a bare int.
-            pieces = [(codes[k], state[k]) for k in range(n_comps) if k != ci and k != cj]
-            new_idems = list(idems)
-            a, ha = codes[ci], state[ci]
-            if ci != cj:
-                b, hb = codes[cj], state[cj]
-                merged = a[pi + 1 :] + a[:pi] + b[pj + 1 :] + b[:pj]
-                if merged:
-                    pieces.append((merged, ha[pi + 1 :] + ha[:pi] + hb[pj + 1 :] + hb[:pj]))
+        partner = chr(ord(v) ^ 1)
+        swaps += top - low
+        for h in range(top, low, -1):
+            ci, pi = at[h - 1]
+            u = codes[ci][pi]
+            sign = bracket_sign(_LETTER[u], _LETTER[v]) if u == partner or not runs else 0
+            if sign:
+                # Correction: drop the two contracted letters from the
+                # pre-swap configuration.  It costs one factor -sign*h and
+                # two letters, which is what keeps every coefficient a bare
+                # int.  Both letters are dropped, so v's height in ``state``
+                # is never read before the run ends.
+                pieces = [(codes[k], state[k]) for k in range(n_comps) if k != ci and k != cj]
+                new_idems = list(idems)
+                a, ha = codes[ci], state[ci]
+                if ci != cj:
+                    b, hb = codes[cj], state[cj]
+                    merged = a[pi + 1 :] + a[:pi] + b[pj + 1 :] + b[:pj]
+                    if merged:
+                        pieces.append((merged, ha[pi + 1 :] + ha[:pi] + hb[pj + 1 :] + hb[:pj]))
+                    else:
+                        new_idems.append(targets[ord(u)])
                 else:
-                    new_idems.append(targets[ord(u)])
-            else:
-                # the arcs strictly between the two letters, each way round
-                n = len(a)
-                aa, hh = a + a, ha + ha
-                len_b, len_a = (pj - pi - 1) % n, (pi - pj - 1) % n
-                if len_a:
-                    pieces.append((aa[pj + 1 : pj + 1 + len_a], hh[pj + 1 : pj + 1 + len_a]))
-                else:
-                    new_idems.append(targets[ord(u)])
-                if len_b:
-                    pieces.append((aa[pi + 1 : pi + 1 + len_b], hh[pi + 1 : pi + 1 + len_b]))
-                else:
-                    new_idems.append(targets[ord(v)])
-            for key, c in normal_form(qkey, *_drop_pair(pieces, new_idems, h)):
-                out[key] = get(key, 0) - sign * c
-
-        # The swap exchanges heights h and h + 1 between two positions, so
-        # the height lookup and the target sequence swap two entries each.
-        state[ci][pi] = h + 1
-        state[cj][pj] = h
-        pos_of[h], pos_of[h + 1] = (cj, pj), (ci, pi)
-        seq[h - 1], seq[h] = seq[h], seq[h - 1]
+                    # the arcs strictly between the two letters, each way round
+                    n = len(a)
+                    aa, hh = a + a, ha + ha
+                    len_b, len_a = (pj - pi - 1) % n, (pi - pj - 1) % n
+                    if len_a:
+                        pieces.append((aa[pj + 1 : pj + 1 + len_a], hh[pj + 1 : pj + 1 + len_a]))
+                    else:
+                        new_idems.append(targets[ord(u)])
+                    if len_b:
+                        pieces.append((aa[pi + 1 : pi + 1 + len_b], hh[pi + 1 : pi + 1 + len_b]))
+                    else:
+                        new_idems.append(targets[ord(v)])
+                for key, c in normal_form(qkey, *_drop_pair(pieces, new_idems, h)):
+                    out[key] = get(key, 0) - sign * c
+            state[ci][pi] = h + 1
+        # v lands at height low + 1: its target and its lookup entry move
+        # from top down to low, past the letters that moved up
+        state[cj][pj] = low + 1
+        seq.insert(low, seq.pop(top))
+        at.insert(low, at.pop(top))
 
     # corrections charged themselves as they returned; this form's own
     # swaps are charged last, so a refusal leaves only finished forms cached

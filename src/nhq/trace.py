@@ -28,6 +28,7 @@ from functools import cached_property
 
 from .errors import DimensionError
 from .expr import format_element
+from .linear import int_terms
 from .necklace import HH0Element, Necklace, canonical_necklace, idempotent_class, necklace_key
 from .quiver import Path, PathAlgebraElement, Quiver
 from .repspace import (
@@ -50,7 +51,7 @@ from .repspace import (
     weyl_commutator,
     weyl_mul,
 )
-from .rings import ONE, HBarPolynomial, as_fraction
+from .rings import HBarPolynomial, as_fraction
 from .schedler import (
     HeightConfiguration,
     QPAElement,
@@ -91,10 +92,6 @@ def trace_classical(x: HH0Element, dim) -> PolyElement:
     return total
 
 
-def _coded(cfg: HeightConfiguration) -> tuple:
-    return cfg.codes, cfg.heights, cfg.idempotents
-
-
 def trace_quantum_config(quiver: Quiver, dim, components, idempotents) -> WeylElement:
     """Quantum trace of one raw configuration (need not be canonical).
 
@@ -104,7 +101,7 @@ def trace_quantum_config(quiver: Quiver, dim, components, idempotents) -> WeylEl
     """
     dim = make_dimension_vector(quiver, dim)
     cfg = HeightConfiguration(components, idempotents)
-    return trace_configurations(quiver, dim, [(_coded(cfg), ONE)])
+    return trace_configurations(quiver, dim, [((cfg.codes, cfg.heights, cfg.idempotents), [(0, 1)])])
 
 
 def trace_quantum(x: QPAElement, dim) -> WeylElement:
@@ -117,7 +114,8 @@ def trace_quantum(x: QPAElement, dim) -> WeylElement:
     one fresh packed element.
     """
     dim = make_dimension_vector(x.quiver, dim)
-    return trace_configurations(x.quiver, dim, [(_coded(cfg), c) for cfg, c in x.items()])
+    terms, den = int_terms(x)
+    return trace_configurations(x.quiver, dim, terms.items(), den)
 
 
 def path_matrix_entry(quiver: Quiver, dim, path: Path, row: int, col: int) -> PolyElement:

@@ -513,3 +513,36 @@ def test_quiver_with_more_arrows_than_letter_codes_exits_2(monkeypatch, capsys):
     assert out == ""
     assert capsys.readouterr().err == "error: arrows: 2 arrows, above the limit 1\n"
     assert run("bracket", "-q", q("jordan"), "[x]", "[x']") == (0, "[ev]\n")
+
+
+def test_one_parser_serves_every_call_of_a_process(monkeypatch, capsys):
+    """``main`` builds its parser once per process.  Two verbs, an unknown
+    verb and a verb's --help, run in turn on that one parser, print what a
+    freshly built parser prints for each."""
+    import nhq.cli as cli
+
+    calls = (
+        ["bracket", "-q", q("jordan"), "[x]", "[x']"],
+        ["qtrace", "-q", q("jordan"), "--dim", "v=1", "(x',1)(x,2)"],
+        ["bogus"],
+        ["qmul", "--help"],
+    )
+
+    def outputs():
+        out = []
+        for argv in calls:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    cli.build_parser.cache_clear()
+    shared = outputs()
+    assert (cli.build_parser.cache_info().misses, cli.build_parser.cache_info().hits) == (1, 3)
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0]
+    assert "invalid choice: 'bogus'" in shared[2][2] and shared[3][1].startswith("usage: nhq qmul")
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert outputs() == shared

@@ -206,8 +206,7 @@ def test_keyed_elements_match_the_term_dict_oracle():
                 # a public constructor's element equals the packed one, and
                 # views its keys back as given
                 assert type(x)(*x._context(), X).terms == oracle.coerced(X, coerce) == X
-                if type(x) is not GlElement:  # gl reads a dict of terms only
-                    assert type(x)(*x._context(), list(X.items()) * 2) == x.scale(2)
+                assert type(x)(*x._context(), list(X.items()) * 2) == x.scale(2)
     assert seen == {HH0Element, TensorElement, PathAlgebraElement, GlElement, QPAElement, SymElement}
 
 

@@ -291,6 +291,14 @@ def test_character_evaluation(A2):
     assert chi.evaluate(v) == 2 * 2 - 3
 
 
+
+def test_gl_element_checks_every_key_of_a_dict_or_of_pairs(J):
+    """``GlElement`` refuses a key outside gl_d, whether its terms come as a
+    dict or as (key, coefficient) pairs, in a list or an iterator."""
+    for terms in ({(0, 3, 1): 1}, [((0, 1, 1), 1), ((0, 1, 3), 1)], iter([((0, 0, 1), 1)])):
+        with pytest.raises(DimensionError, match="out of range"):
+            GlElement(J, (2,), terms)
+
 # -- gauge action ------------------------------------------------------------
 
 

@@ -144,16 +144,26 @@ def _inversions(seq) -> int:
 
 def test_straighten_measure_strictly_decreases(monkeypatch):
     """(letters, inversions) falls on every swap edge and every correction
-    edge of the full rewrite tree.  The wrapped ``_rewrite`` follows each
-    swap through the picker it is handed, checks that the kernel's inverted
-    pairs are the descents of the tracked target sequence, and expands every
-    correction unmemoized, so no edge hides behind a cache."""
+    edge of the full rewrite tree.  The wrapped ``_rewrite`` expands every
+    correction unmemoized, and the straighten cache is cleared first, so no
+    edge hides behind a cache.
+
+    A one-swap picker ("last") is followed through the picker it is handed,
+    which checks that the kernel's inverted pairs are the descents of the
+    tracked target sequence.  The default picker moves each letter in one
+    insertion run, which no picker sees; there every swap removes exactly
+    one inversion, so a form's own swaps (the budget it charges, less what
+    its corrections charge) equal the inversions it starts from, and every
+    correction has two letters fewer than its parent."""
     rewrite = schedler._rewrite
-    edges = {"swap": 0, "correction": 0}
+    first = schedler._PICKERS["first"]
+    edges = {(route, kind): 0 for route in ("runs", "picks") for kind in ("swap", "correction")}
 
     def watched(qkey, codes, heights, idems, pick, rng, normal_form):
         seq = schedler._canonical_targets(codes, heights)[0]
         measure = [(len(seq), _inversions(seq))]
+        route = "runs" if pick is first else "picks"
+        nested = [0]
 
         def tracking_pick(inverted, rng):
             assert inverted == [h for h in range(1, len(seq)) if seq[h - 1] > seq[h]]
@@ -163,26 +173,40 @@ def test_straighten_measure_strictly_decreases(monkeypatch):
             seq[h - 1], seq[h] = seq[h], seq[h - 1]
             child = (len(seq), _inversions(seq))
             assert child < parent
-            edges["swap"] += 1
+            edges["picks", "swap"] += 1
             return h
 
         def correction(qkey, codes, heights, idems):
-            # called between a pick and its swap, so measure[0] is the parent
+            # on the one-swap route measure[0] is the parent, as this is
+            # called between a pick and its swap; on the runs route it is the
+            # form's starting measure, which bounds every parent's
             child_seq = schedler._canonical_targets(codes, heights)[0]
             assert (len(child_seq), _inversions(child_seq)) < measure[0]
-            edges["correction"] += 1
-            return schedler._rewrite(qkey, codes, heights, idems, pick, rng, correction)
+            assert len(child_seq) == len(seq) - 2
+            edges[route, "correction"] += 1
+            left = schedler._rewrites_left[0]
+            out = schedler._rewrite(qkey, codes, heights, idems, pick, rng, correction)
+            nested[0] += left - schedler._rewrites_left[0]
+            return out
 
-        return rewrite(qkey, codes, heights, idems, tracking_pick, rng, correction)
+        if route == "picks":
+            return rewrite(qkey, codes, heights, idems, tracking_pick, rng, correction)
+        left = schedler._rewrites_left[0]
+        out = rewrite(qkey, codes, heights, idems, pick, rng, correction)
+        own = left - schedler._rewrites_left[0] - nested[0]
+        assert own == measure[0][1]
+        edges["runs", "swap"] += own
+        return out
 
     monkeypatch.setattr(schedler, "_rewrite", watched)
+    schedler.clear_straighten_cache()
     rng = random.Random(22)
     for _ in range(15):
         q = random_quiver(rng)
         cfg = random_configuration(rng, q, max_letters=7)
         for strategy in ("first", "last"):
             straighten(q, cfg, strategy=strategy)
-    assert edges["swap"] > 0 and edges["correction"] > 0
+    assert all(edges.values()), edges
 
 
 def test_straighten_rejects_unknown_strategy(J):

@@ -13,6 +13,7 @@ Both must agree exactly on every public entry point, and both must take
 the same rewrite tree: the same height swaps, in the same order.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -338,10 +339,13 @@ def _check_drop_pair(quiver, seed):
 @given(seeds)
 def test_coded_route_takes_the_tuple_oracles_rewrite_tree(seed):
     """For the first and the random strategy, the coded kernel's normal form
-    equals the tuple oracle's, and its height swaps (the calls of
-    schedler's ``bracket_sign``, one per swap) are the oracle's, letter
-    pair by letter pair.  The shared cache is cleared first, so the first
-    strategy computes every normal form it needs."""
+    equals the tuple oracle's, and so do its height swaps, letter pair by
+    letter pair.  The random strategy calls schedler's ``bracket_sign`` once
+    per swap, so the spy sees every swap; the first strategy moves each
+    letter in one insertion run and calls it only at a contracting swap, so
+    the spy sees the oracle's swaps of nonzero sign, in order, and the
+    budget charged is the oracle's swap count.  The shared cache is cleared
+    first, so the first strategy computes every normal form it needs."""
     for quiver in QUIVERS:
         rng = random.Random(seed)
         cfg = random_configuration(rng, quiver, max_letters=8, max_idempotents=2)
@@ -362,4 +366,40 @@ def test_coded_route_takes_the_tuple_oracles_rewrite_tree(seed):
             finally:
                 schedler.bracket_sign = bracket_sign
             assert got == expected, strategy
-            assert swaps == expected_swaps, strategy
+            if strategy == "first":
+                assert swaps == [(u, v) for u, v in expected_swaps if bracket_sign(u, v)]
+                assert schedler.MAX_REWRITES - schedler._rewrites_left[0] == len(expected_swaps)
+            else:
+                assert swaps == expected_swaps, strategy
+
+
+def _one_swap_first(invs, rng):
+    """The first picker, but not the registered one: one swap per pick."""
+    return invs[0]
+
+
+def _expanded(quiver, coded, pick):
+    """``_rewrite`` of a coded configuration with ``pick`` at every level,
+    memoized for this call only, and the height swaps it charged."""
+
+    @functools.lru_cache(maxsize=None)
+    def normal_form(qkey, codes, heights, idems):
+        return schedler._rewrite(qkey, codes, heights, idems, pick, None, normal_form)
+
+    schedler._rewrites_left[0] = schedler.MAX_REWRITES
+    out = normal_form(schedler._quiver_key(quiver), *coded)
+    return out, schedler.MAX_REWRITES - schedler._rewrites_left[0]
+
+
+@SETTINGS
+@given(seeds)
+def test_insertion_runs_take_the_one_swap_route(seed):
+    """The default picker's insertion run makes, in one step, the swaps a
+    first-descent picker makes one pick at a time: the same ``(coded cfg,
+    c)`` tuples, in the same order, for the same number of height swaps."""
+    for quiver in QUIVERS:
+        rng = random.Random(seed)
+        cfg = random_configuration(rng, quiver, max_letters=9, max_idempotents=2)
+        coded = (cfg.codes, cfg.heights, cfg.idempotents)
+        runs = _expanded(quiver, coded, _PICKERS["first"])
+        assert runs == _expanded(quiver, coded, _one_swap_first)

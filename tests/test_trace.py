@@ -155,7 +155,9 @@ def _per_configuration_sum(x, d):
     return total
 
 
-@pytest.mark.parametrize("coeff", [1, 2, H, 1 + H], ids=["1", "2", "h", "1+h"])
+@pytest.mark.parametrize(
+    "coeff", [1, 2, H, 1 + H, Fraction(-2, 3) + H * H], ids=["1", "2", "h", "1+h", "-2/3+h^2"]
+)
 def test_trace_quantum_of_one_configuration(coeff):
     rng = random.Random(f"one configuration {coeff}")
     for q in (jordan(), two_loop(), a3p()):
