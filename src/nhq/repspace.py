@@ -709,25 +709,6 @@ def _times(acc: dict, token, mask: int, out: dict) -> None:
             out[k] = get(k, 0) + c * b
 
 
-def _times_tau(acc: dict, sign: int, position, derivative, mask: int, out: dict) -> None:
-    """Add sign * acc * x_v * d_w into ``out``, for the quantum tokens of a
-    position x_v and a derivative d_w: ``_times`` by each in turn, in one
-    pass and with signed sums, so ``out`` may hold zeros."""
-    unit, shift, drop = position
-    moved = derivative[0]  # the Rees correction keeps d_w and drops d_v
-    unit += moved
-    moved -= drop
-    get = out.get
-    for key, c in acc.items():
-        c *= sign
-        k = key + unit
-        out[k] = get(k, 0) + c
-        b = key >> shift & mask
-        if b:
-            k = key + moved
-            out[k] = get(k, 0) + c * b
-
-
 def _contract(slots, ranges, mask: int, free=()):
     """Sum over all index variables of the product of the slot tokens.
 
@@ -812,17 +793,20 @@ def _contract_letters(quiver: Quiver, dim, words, quantum: bool, ends=None):
 # The reduction-ideal decomposition, packed and Rees-graded
 #
 # A generator at ``vertex`` with a v-letter marked word p is the spliced
-# part (N = v + 2 letters) plus (-lambda + h r) times p.  Straightening
-# (``schedler.ideal_normal_forms``) gives each part as {coded cfg: int}
-# with the power of h implied by the letter count: an n-letter term of the
-# spliced part stands for c h^((N - n)/2), which ``_traced`` adds to the h
-# field of its trace.  So the traced spliced part G sits at Rees grade N,
-# and the traced cycle P, Tr_q(p) = T and the open-word entries at grade
-# v.  The tau re-expansion E adds two tokens to each entry, grade N.  All
-# of them are int dicts in one codec, none depends on (r, lambda), and the
-# decomposition target == re_expand(chi), split by grade, is two exact
-# comparisons: G + r h P - E = chi h T at grade N and, when lambda != 0,
-# P = T at grade v.
+# part (N = v + 2 letters) plus (-lambda + h r) times p.  Its check is four
+# sums {coded cfg: int} of closed configurations
+# (``schedler.ideal_normal_forms``), all traced through the
+# ``_packed_trace`` cache in one codec: the straightened spliced part G
+# and cycle P, p's word T = Tr_q(p), and the tau re-expansion E = sum
+# M_{l1,l2} tau(-e_{l1,l2}), M the open word's matrix.  Each tau term x d
+# closes the open word with one moment pair, the position token at height
+# v + 1 and the derivative at v + 2, so E is the sum of the traces of
+# those closed words.  An n-letter term c of an N'-letter part stands for
+# c h^((N' - n)/2), which ``_traced`` adds to the h field of its trace, so
+# G and E sit at Rees grade N, P and T at grade v.  None depends on (r,
+# lambda), and the decomposition target == re_expand(chi), split by
+# grade, is two exact comparisons: G + r h P - E = chi h T at grade N and,
+# when lambda != 0, P = T at grade v.
 
 
 def _check_traces(quiver: Quiver, dim, configs) -> None:
@@ -834,18 +818,21 @@ def _check_traces(quiver: Quiver, dim, configs) -> None:
     _check_assignments(sum([math.prod(sizes(codes)) for codes in configs]))
 
 
+def _ideal_codec(quiver: Quiver, dim, vertex: int, word) -> _Codec:
+    """The codec of every configuration of the generator of ``word`` at
+    ``vertex``: fields for the word's arrows and those of tau at
+    ``vertex``, sized for the word and one moment pair."""
+    arrows = set(_arrows_at(quiver, (vertex,))).union(letter.arrow for letter in word)
+    return _codec(quiver, dim, tuple(sorted(arrows)), _width(len(word) + 2))
+
+
 def _boundary_entries(quiver: Quiver, dim, vertex: int, word):
     """The nonzero entries ((l_first, l_last), packed terms) of the operator
     matrix product of ``word``'s letters in word order, sorted by key, and
-    their codec, with fields for the arrows of tau at ``vertex`` and sized
-    for the two token products of a tau term on top of the word's letters.
-    Every configuration of the generator of ``word`` at ``vertex`` packs
-    in the same codec: its letters are the word's and a moment pair's."""
+    their codec, ``_ideal_codec``."""
     ends = range(1, dim[vertex] + 1)
-    arrows = {ai for ai, a in enumerate(quiver.arrows) if vertex in (a.source, a.target)}
-    arrows.update(letter.arrow for letter in word)
     cycle = tuple((letter, t) for t, letter in enumerate(word))
-    codec = _codec(quiver, dim, tuple(sorted(arrows)), _width(len(word) + 2))
+    codec = _ideal_codec(quiver, dim, vertex, word)
     _, entries = _contract_packed(quiver, dim, (cycle,), True, (ends, ends), codec)
     return codec, sorted((kv for kv in entries.items() if kv[1]), key=lambda kv: kv[0])
 
@@ -928,26 +915,26 @@ class IdealImage:
     """One reduction-ideal generator's decomposition in packed form, for
     every (r, lambda) at once.
 
-    ``v`` is the marked word's letter count; ``entries`` holds its nonzero
-    open-word entries ((l_first, l_last), packed terms) and ``spliced`` (G),
-    ``cycle`` (P), ``diagonal`` (T) and ``expanded`` (E) the packed int
+    ``word`` is the marked word of v letters; ``spliced`` (G), ``cycle``
+    (P), ``diagonal`` (T) and ``expanded`` (E) are the traced packed int
     dicts of the comment above.  ``chi(r, lam)`` solves the character value
     at order-h weight r and deformation lam.  The views ``target(r, lam)``
     = Tr_q(generator), ``expansion(lam)`` = sum entry tau(direction) -
-    lambda Tr_q(p), ``pairs`` (each entry with its direction
-    -e_{l_first, l_last}) and ``trace_of_p`` = Tr_q(p) are packed
-    elements, the last two made once."""
+    lambda Tr_q(p), ``pairs`` (each nonzero open-word entry of the word
+    with its direction -e_{l_first, l_last}) and ``trace_of_p`` = Tr_q(p)
+    are packed elements, the last two made once; ``pairs`` is the only
+    view that contracts the open word."""
 
     quiver: Quiver
     dim: tuple
     vertex: int
-    v: int
+    word: tuple
     codec: _Codec
-    entries: list
     spliced: dict
     cycle: dict
     diagonal: dict
     expanded: dict
+    v = property(lambda self: len(self.word))
 
     def chi(self, r, lam) -> Fraction | None:
         """The chi with target(r, lam) == expansion(lam) + chi h Tr_q(p),
@@ -985,41 +972,33 @@ class IdealImage:
 
     @cached_property
     def pairs(self) -> tuple:
+        _, entries = _boundary_entries(self.quiver, self.dim, self.vertex, self.word)
         return tuple(
             (
                 self._element(terms),
                 GlElement.elementary(self.quiver, self.dim, self.vertex, l_first, l_last, -1),
             )
-            for (l_first, l_last), terms in self.entries
+            for (l_first, l_last), terms in entries
         )
 
 
-def ideal_image(quiver: Quiver, dim, vertex: int, word, spliced: dict, cycle: dict) -> IdealImage:
-    """The decomposition of the generator whose straightened parts are
-    ``spliced`` and ``cycle`` (``schedler.ideal_normal_forms`` of ``word``,
-    the marked cycle, at ``vertex``).
+def ideal_image(
+    quiver: Quiver, dim, vertex: int, word, spliced: dict, cycle: dict, diagonal: dict, expanded: dict
+) -> IdealImage:
+    """The decomposition of the generator of ``word``, the marked cycle, at
+    ``vertex``, from the four parts of ``schedler.ideal_normal_forms``.
 
-    The index assignments of all the configurations it traces are charged
-    together (``_check_traces``) before any contraction, as
-    ``trace.trace_quantum`` charges a sum.  Each entry M_{l1,l2} is
-    multiplied by the normal-ordered terms x_pos d_der of tau(-e_{l1,l2})
-    (``tau_pairs``), the position token and then the derivative token, in
-    one pass over its packed terms (``_times_tau``).
+    Each part is a sum of closed coded configurations, traced by
+    ``_traced`` in the codec of ``_ideal_codec``.  The index assignments of
+    all the configurations it traces are charged together
+    (``_check_traces``) before any contraction, as ``trace.trace_quantum``
+    charges a sum.
     """
-    _check_traces(quiver, dim, [codes for codes, _, _ in spliced.keys() | cycle.keys()])
-    codec, entries = _boundary_entries(quiver, dim, vertex, word)
-    diagonal: dict = {}
-    expansion: dict = {}
-    for (l_first, l_last), terms in entries:
-        if l_first == l_last:
-            for key, c in terms.items():
-                diagonal[key] = diagonal.get(key, 0) + c
-        for sign, pos, der in tau_pairs(quiver, dim, vertex, l_first, l_last):
-            _times_tau(terms, -sign, codec.position(pos), codec.derivative(der), codec.mask, expansion)
-    G = _traced(quiver, dim, codec, spliced, len(word) + 2)
-    P = _traced(quiver, dim, codec, cycle, len(word))
-    E = {key: c for key, c in expansion.items() if c}
-    return IdealImage(quiver, dim, vertex, len(word), codec, entries, G, P, diagonal, E)
+    parts = (spliced, cycle, diagonal, expanded)
+    _check_traces(quiver, dim, [codes for codes, _, _ in set().union(*parts)])
+    codec, v = _ideal_codec(quiver, dim, vertex, word), len(word)
+    G, P, T, E = (_traced(quiver, dim, codec, part, n) for part, n in zip(parts, (v + 2, v, v, v + 2)))
+    return IdealImage(quiver, dim, vertex, word, codec, G, P, T, E)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,8 @@ restoring h^((N - n)/2) as a shift of the power, for ``straighten``,
 ``qpa_mul``, ``moment_lift`` and ``ideal_generator``;
 ``ideal_normal_forms`` hands the int forms of a generator's two parts,
 which do not depend on (r, lambda), to the packed reduction-ideal check
-as they are, once for every parameter set.  A correction drops the
+as they are, once for every parameter set, with the closed words traced
+for Tr_q(p) and the tau re-expansion.  A correction drops the
 letters at heights h and h + 1 of a configuration with heights 1..N, so
 it is renumbered by moving the heights above h + 1 down by two.
 
@@ -599,17 +600,21 @@ def marked_word(quiver: Quiver, p: Necklace, vertex: int, mark: int):
 def _ideal_parts(quiver, p, vertex, mark):
     """A generator's configurations, coded: the spliced moment
     configurations as ``(codes, heights, idems, sign)`` with N = v + 2
-    letters and p's cycle of v letters (the idempotent factor at ``vertex``
-    when v = 0)."""
+    letters, p's cycle of v letters (the idempotent factor at ``vertex``
+    when v = 0), and {normalized cfg: sign} of the closed words whose
+    traces sum to the tau re-expansion E: p's word at heights 1..v and a
+    moment pair, its unstarred letter at v + 1 and starred one at v + 2."""
     base = _code(marked_word(quiver, p, vertex, mark))
     v = len(base)
-    spliced = (tuple(range(1, v + 3)),)
-    moments = [
-        ((base + _code((first, second)),), spliced, (), sign)
-        for sign, first, second in moment_pairs(quiver, vertex)
-    ]
-    cycle = ((base,), (tuple(range(1, v + 1)),), ()) if v else ((), (), (vertex,))
-    return moments, cycle
+    word = tuple(range(1, v + 1))
+    moments, closed = [], {}
+    for sign, first, second in moment_pairs(quiver, vertex):
+        codes = (base + _code((first, second)),)
+        moments.append((codes, (word + (v + 1, v + 2),), (), sign))
+        key = _normalize(codes, (word + ((v + 2, v + 1) if first.starred else (v + 1, v + 2)),), ())
+        closed[key] = closed.get(key, 0) + sign
+    cycle = ((base,), (word,), ()) if v else ((), (), (vertex,))
+    return moments, cycle, {key: c for key, c in closed.items() if c}
 
 
 def ideal_generator(
@@ -627,7 +632,7 @@ def ideal_generator(
     """
     if params is None:
         params = make_params(quiver)
-    moments, cycle = _ideal_parts(quiver, p, vertex, mark)
+    moments, cycle, _ = _ideal_parts(quiver, p, vertex, mark)
     lam, r = params.lam[vertex], params.r[vertex]
     den = lcm(lam.denominator, r.denominator)
     configs = [(*cfg, ((0, sign * den),)) for *cfg, sign in moments]
@@ -638,16 +643,20 @@ def ideal_generator(
 
 
 def ideal_normal_forms(quiver: Quiver, p: Necklace, vertex: int, mark: int = 0) -> tuple:
-    """The two Rees-homogeneous parts of every ``ideal_generator`` of (p,
-    marked visit), straightened and left in the kernel's form: ``(spliced,
-    cycle)``, each a dict {coded cfg: nonzero int}.
+    """The four parts of the reduction-ideal check of (p, marked visit) in
+    the kernel's form, each a dict {coded cfg: nonzero int}: ``(spliced,
+    cycle, diagonal, expanded)``.
 
-    With v the letters of p, an n-letter term c of ``spliced`` stands for
-    c h^((v + 2 - n)/2) and one of ``cycle`` for c h^((v - n)/2); the
-    generator at parameters (r, lambda) is spliced + (-lambda + h r) cycle,
-    so neither part depends on them.  Both parts share one budget of
-    ``MAX_REWRITES`` height swaps, as ``ideal_generator`` has."""
-    moments, cycle = _ideal_parts(quiver, p, vertex, mark)
+    ``spliced`` and ``cycle`` are the two Rees-homogeneous parts of every
+    ``ideal_generator`` of (p, marked visit), straightened.  With v the
+    letters of p, an n-letter term c of ``spliced`` stands for c h^((v + 2
+    - n)/2) and one of ``cycle`` for c h^((v - n)/2); the generator at
+    parameters (r, lambda) is spliced + (-lambda + h r) cycle, so neither
+    part depends on them.  Both share one budget of ``MAX_REWRITES``
+    height swaps, as ``ideal_generator`` has.  ``diagonal`` holds p's
+    marked word at heights 1..v, whose trace is Tr_q(p), and ``expanded``
+    the closed words of ``_ideal_parts``; these two are not straightened."""
+    moments, cycle, closed = _ideal_parts(quiver, p, vertex, mark)
     qkey = _quiver_key(quiver)
     _rewrites_left[0] = MAX_REWRITES
 
@@ -658,4 +667,4 @@ def ideal_normal_forms(quiver: Quiver, p: Necklace, vertex: int, mark: int = 0) 
                 out[key] = out.get(key, 0) + sign * c
         return {key: c for key, c in out.items() if c}
 
-    return summed(moments), summed([(*cycle, 1)])
+    return summed(moments), summed([(*cycle, 1)]), {cycle: 1}, closed

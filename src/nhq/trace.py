@@ -10,12 +10,15 @@ elements are its open-word entries.  Around them sit the verification
 procedures, with the trace characters they solve for: the trace is an
 algebra map, the pre- and post-reduction squares commute, the quantum
 moment identity holds, and the reduction-ideal generators decompose over
-the shifted gl action with a solvable trace character.  A generator is
-straightened (``schedler.ideal_normal_forms``) and traced into packed
-monomials (``repspace.ideal_image``) once, free of the parameters (r,
-lambda); an ``IdealDecomposition`` binds that image to one parameter set,
-so every set reads the same image.  This module never sees the packed
-monomials of a contraction.  All checks are by exact equality; failures
+the shifted gl action with a solvable trace character.  A generator's
+check is four sums of closed configurations
+(``schedler.ideal_normal_forms``): its two straightened parts, its marked
+word, and the closed words whose traces are its tau re-expansion.
+``repspace.ideal_image`` traces them into packed monomials once, free of
+the parameters (r, lambda), each trace through the one trace cache; an
+``IdealDecomposition`` binds that image to one parameter set, so every
+set reads the same image.  This module never sees the packed monomials
+of a contraction.  All checks are by exact equality; failures
 carry the residual element.
 """
 
@@ -392,8 +395,10 @@ class IdealDecomposition:
     - ``pairs``: one (entry, direction) pair per nonzero boundary pair
       (l_first, l_last): the entry is that entry of the height-ordered
       operator matrix product of the cycle letters, the direction the
-      negated elementary matrix -e_{l_first, l_last};
-    - ``trace_of_p``: Tr_q(p), the sum of the diagonal entries.
+      negated elementary matrix -e_{l_first, l_last}; the one view that
+      contracts the open word;
+    - ``trace_of_p``: Tr_q(p), the trace of the marked word, which is the
+      sum of the diagonal entries.
 
     ``re_expand(c)`` is the affine expansion + c h Tr_q(p).  The route
     through ``trace_quantum(ideal_generator(...))``, and re-expanding
@@ -438,10 +443,12 @@ class IdealDecomposition:
 
 def generator_image(quiver: Quiver, dim, p: Necklace, vertex: int, mark: int = 0) -> IdealImage:
     """The ``repspace.IdealImage`` of the reduction-ideal generator of (p,
-    marked visit), free of (r, lambda): its two straightened parts
-    (``schedler.ideal_normal_forms``), traced as they leave the
-    straightening kernel, with the open-word entries of the marked cycle
-    and their tau re-expansion, all packed and Rees-graded."""
+    marked visit), free of (r, lambda): the four parts of
+    ``schedler.ideal_normal_forms`` (its two straightened parts, traced as
+    they leave the straightening kernel, and the closed words of Tr_q(p)
+    and of the tau re-expansion), all traced through the one trace cache,
+    packed and Rees-graded.  A repeated generator whose traces are still
+    cached contracts nothing."""
     dim = make_dimension_vector(quiver, dim)
     word = marked_word(quiver, p, vertex, mark)
     return ideal_image(quiver, dim, vertex, word, *ideal_normal_forms(quiver, p, vertex, mark))
@@ -461,11 +468,12 @@ def decompose_ideal_image(
     The coefficient of each boundary pair (l_first, l_last) is that entry of
     the operator matrix product of the marked cycle's letters, taken in word
     (= height) order; its direction is -e_{l_first, l_last} at the marked
-    vertex.  Re-expansion is affine in chi with slope h Tr_q(p) and lambda
-    enters once, as -lambda Tr_q(p), so target == re_expand(chi) is two
-    exact comparisons, one per Rees grade, and chi is read off at one
-    monomial of Tr_q(p).  Nothing is unpacked unless a caller reads an
-    element of the result.
+    vertex.  Their sum of entry * tau(direction) is the trace of closed
+    words, the marked word followed by a moment pair.  Re-expansion is
+    affine in chi with slope h Tr_q(p) and lambda enters once, as -lambda
+    Tr_q(p), so target == re_expand(chi) is two exact comparisons, one per
+    Rees grade, and chi is read off at one monomial of Tr_q(p).  Nothing is
+    unpacked unless a caller reads an element of the result.
     """
     return IdealDecomposition(generator_image(quiver, dim, p, vertex, mark), params)
 

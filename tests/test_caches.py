@@ -36,7 +36,7 @@ from nhq.schedler import (
     clear_straighten_cache,
 )
 from nhq.repspace import _packed_trace
-from nhq.trace import clear_trace_cache, enumerate_generators, trace_quantum
+from nhq.trace import clear_trace_cache, enumerate_generators, generator_image, trace_quantum
 
 
 def params(quiver):
@@ -89,6 +89,30 @@ def test_clear_trace_cache_empties_it(J):
     assert _packed_trace.cache_info().currsize > 1
     clear_trace_cache()
     assert _packed_trace.cache_info().currsize == 0
+
+
+def test_a_repeated_generator_image_contracts_nothing(L2, monkeypatch):
+    # all four parts of an image are traced through the one trace cache, so
+    # the same generator again makes no contraction; the lazy ``pairs`` view
+    # contracts the open word on its first read only
+    from nhq import repspace
+
+    x, y = Letter(0, False), Letter(1, False)
+    p = canonical_necklace(L2, (x, y.star(), y, x.star()))
+    contractions = []
+    contract = repspace._contract
+    monkeypatch.setattr(repspace, "_contract", lambda *a: contractions.append(a) or contract(*a))
+    clear_trace_cache()
+    first = generator_image(L2, (2,), p, 0, 1)
+    assert contractions and all(free == () for *_, free in contractions)
+    contractions.clear()
+    again = generator_image(L2, (2,), p, 0, 1)
+    assert contractions == []
+    parts = lambda image: (image.spliced, image.cycle, image.diagonal, image.expanded)
+    assert parts(again) == parts(first) and all(parts(first))
+    pairs = again.pairs
+    assert [(len(slots), free) for slots, _, _, free in contractions] == [(4, (0, 4))]
+    assert again.pairs is pairs and len(contractions) == 1
 
 
 def test_the_one_trace_cache_holds_untracked_ints_and_no_views():

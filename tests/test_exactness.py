@@ -11,7 +11,8 @@ polynomial made packed (``repspace._PackedOperator._from_packed``), of
 every keyed element made packed (``linear._PackedSums._from_sums``, the
 one constructor of all six keyed classes: ``int`` numerators over a
 positive ``int`` denominator) and of every reduction-ideal image
-(``trace.ideal_image``): those paths build no polynomial in h at all.
+(``trace.ideal_image``: its four traced parts and the open-word entries
+of its ``pairs``): those paths build no polynomial in h at all.
 """
 
 import random
@@ -109,7 +110,8 @@ def spy(monkeypatch):
 
     def spy_image(*args):
         image = image_of(*args)
-        check_packed(image.spliced, image.cycle, image.diagonal, image.expanded, *dict(image.entries).values())
+        entries = [entry._packed for entry, _ in image.pairs]
+        check_packed(image.spliced, image.cycle, image.diagonal, image.expanded, *entries)
         return image
 
     def spy_with_coeffs(buf):

@@ -1,13 +1,14 @@
 """The packed monomial format stays inside ``nhq.repspace``.
 
 The contraction kernel packs each monomial into one int (``_Codec``) and
-multiplies on those ints (``_times``, ``_times_tau``, ``_contract``,
-``_contract_packed``).  The reduction-ideal check keeps its traces,
-entries and re-expansion in that form (``_boundary_entries``,
-``_packed_trace``, ``_traced``, ``_ratio``), and an ``IdealImage`` holds
-them with their ``codec``.  A ``WeylElement`` holds its terms in that
-form too (``_codec``, ``_packed``), and so does a ``PolyElement``: both
-are made by ``_from_packed`` and re-packed by ``_join``.  Only
+multiplies on those ints (``_times``, ``_contract``,
+``_contract_packed``).  The reduction-ideal check keeps its four traced
+parts in that form (``_packed_trace``, ``_traced``, ``_ratio``), and an
+``IdealImage`` holds them with their ``codec``; its lazy ``pairs`` view
+reads the open-word entries in that form (``_boundary_entries``).  A
+``WeylElement`` holds its terms in that form too (``_codec``,
+``_packed``), and so does a ``PolyElement``: both are made by
+``_from_packed`` and re-packed by ``_join``.  Only
 ``repspace`` may know that format, so that changing it touches one
 module: no other module of the package imports those names or reads them
 as attributes.
@@ -29,7 +30,11 @@ no other module names those.  The bracket's reading of packed necklaces
 The tuple-keyed ring arithmetic is gone from the package: the Weyl
 product (``_weyl_mono_mul``), the monomial merge (``_merge_exponents``)
 and the partial derivative (``poly_partial``) are oracles in
-``tests/weyl_oracle.py``, and no module defines or names them.
+``tests/weyl_oracle.py``, and no module defines or names them.  Nor does
+any module define or name the pass that multiplied each open-word entry
+by tau's tokens (``_times_tau``): the re-expansion E is a sum of traces
+of closed words, and the entries-times-tau route is the oracle
+``contraction_oracle.tau_expansion``.
 """
 
 import ast
@@ -41,7 +46,6 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 PACKED = {
     "_Codec",
     "_times",
-    "_times_tau",
     "_contract",
     "_contract_packed",
     "_boundary_entries",
@@ -57,6 +61,7 @@ PACKED = {
 PACKED_SUMS = {"_sums", "_den", "_given", "_from_sums", "_canonical", "_view"}
 HH0_PACKED = {"_cycles", "_check_cyclic"}
 TUPLE_KERNEL = {"_weyl_mono_mul", "_merge_exponents", "poly_partial"}
+RETIRED = TUPLE_KERNEL | {"_times_tau"}
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
 
 
@@ -96,6 +101,7 @@ def test_the_check_sees_both_forms():
     assert names_anywhere("list(_weyl_mono_mul(a, b))\n", TUPLE_KERNEL) == {"_weyl_mono_mul"}
     assert names_anywhere("from .linear import _merge_exponents\n", TUPLE_KERNEL) == {"_merge_exponents"}
     assert names_anywhere("x = repspace.poly_partial(f, v)\n", TUPLE_KERNEL) == {"poly_partial"}
+    assert names_anywhere("def _times_tau(acc, sign):\n    pass\n", RETIRED) == {"_times_tau"}
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "repspace.py"])
@@ -119,4 +125,4 @@ def test_only_linear_knows_the_packed_sums(module):
 @pytest.mark.parametrize("module", MODULES)
 def test_the_tuple_weyl_product_lives_in_the_tests(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
-        assert names_anywhere(fh.read(), TUPLE_KERNEL) == set()
+        assert names_anywhere(fh.read(), RETIRED) == set()

@@ -12,11 +12,13 @@ The library checks a decomposition on packed int dicts, one per Rees grade
 read.  The route it replaced is the oracle here: the target as
 ``trace_quantum(ideal_generator(...))``, chi read with ``HBarPolynomial``
 arithmetic, and the entries and their re-expansion by the tuple kernel
-(``contraction_oracle``).  The library re-expands by multiplying each
-entry's terms by the position and derivative tokens of tau's
-normal-ordered pairs (``repspace.tau_pairs``); the general route, a sum of
-``weyl_mul(entry, tau(direction) + constant)``, is an oracle too, with
-tau written out arrow by arrow.
+(``contraction_oracle``).  The library traces Tr_q(p) and the
+re-expansion as closed words, the marked word alone and followed by each
+moment pair; the entries route they replaced, each entry times the
+position and derivative tokens of tau's normal-ordered pairs
+(``repspace.tau_pairs``) and the diagonal entries summed, is the oracle
+for both.  The general route, a sum of ``weyl_mul(entry, tau(direction)
++ constant)``, is an oracle too, with tau written out arrow by arrow.
 """
 
 import random
@@ -153,6 +155,32 @@ def test_tau_pairs_rebuild_tau(case):
     assert WeylElement(quiver, dim, out) == expected
 
 
+def oracle_entries(quiver, dim, p, vertex, mark):
+    """The nonzero entries ((l_first, l_last), WeylElement) of the operator
+    matrix product of the marked word's letters in word order, sorted, by
+    the tuple kernel; the identity matrix for the empty word."""
+    word = marked_word(quiver, p, vertex, mark)
+    ends = range(1, dim[vertex] + 1)
+    if word:
+        cycle = tuple((letter, t) for t, letter in enumerate(word))
+        entries = contraction_oracle.contract_letters(quiver, dim, (cycle,), True, (ends, ends))
+    else:
+        entries = {(l, l): WeylElement.constant(quiver, dim, 1) for l in ends}
+    return sorted((key, e) for key, e in entries.items() if e)
+
+
+def oracle_re_expansion(quiver, dim, vertex, entries):
+    """(E, T) by the entries route: E = sum M_{l1,l2} tau(-e_{l1,l2}), each
+    entry times tau's position and derivative tokens, and T the sum of the
+    diagonal entries."""
+    expanded = WeylElement(quiver, dim, contraction_oracle.tau_expansion(quiver, dim, vertex, entries))
+    diagonal = WeylElement(quiver, dim)
+    for (l_first, l_last), e in entries:
+        if l_first == l_last:
+            diagonal = diagonal + e
+    return expanded, diagonal
+
+
 def oracle_decomposition(quiver, dim, p, vertex, mark, params):
     """The decomposition by the route the packed check replaced.
 
@@ -164,19 +192,8 @@ def oracle_decomposition(quiver, dim, p, vertex, mark, params):
     and kept only when target == re_expand(chi)."""
     params = make_params(quiver) if params is None else params
     target = trace_quantum(ideal_generator(quiver, p, vertex, mark, params), dim)
-    word = marked_word(quiver, p, vertex, mark)
-    ends = range(1, dim[vertex] + 1)
-    if word:
-        cycle = tuple((letter, t) for t, letter in enumerate(word))
-        entries = contraction_oracle.contract_letters(quiver, dim, (cycle,), True, (ends, ends))
-    else:
-        entries = {(l, l): WeylElement.constant(quiver, dim, 1) for l in ends}
-    entries = sorted((key, e) for key, e in entries.items() if e)
-    expansion = WeylElement(quiver, dim, contraction_oracle.tau_expansion(quiver, dim, vertex, entries))
-    trace_of_p = WeylElement(quiver, dim)
-    for (l_first, l_last), e in entries:
-        if l_first == l_last:
-            trace_of_p = trace_of_p + e
+    entries = oracle_entries(quiver, dim, p, vertex, mark)
+    expansion, trace_of_p = oracle_re_expansion(quiver, dim, vertex, entries)
     expansion = expansion - trace_of_p.scale(params.lam[vertex])
     chi = Fraction(0)
     if trace_of_p:
@@ -226,6 +243,19 @@ def _generators(draw):
 @given(_generators())
 def test_packed_decomposition_matches_the_tuple_kernel(case):
     _assert_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("quiver", small_quivers(), ids=lambda q: ",".join(a.name for a in q.arrows))
+def test_closed_word_traces_equal_the_entries_times_tau(quiver):
+    # the image traces T and E from closed words; the open-word entries,
+    # their diagonal sum and their tau re-expansion are the reference
+    for dim in all_dimension_vectors(quiver, 2):
+        for p, vertex, mark in enumerate_generators(quiver, 3):
+            image = generator_image(quiver, dim, p, vertex, mark)
+            entries = oracle_entries(quiver, dim, p, vertex, mark)
+            expanded, diagonal = oracle_re_expansion(quiver, dim, vertex, entries)
+            assert image.expansion(0) == expanded  # the element of ``image.expanded``
+            assert image.trace_of_p == diagonal  # the element of ``image.diagonal``
 
 
 def _nonzero_vectors(nv):

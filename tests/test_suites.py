@@ -141,9 +141,11 @@ def test_ideal_failure_names_the_generator(wrong_spliced_int):
 
 def test_verify_ideal_decomposes_each_generator_once(monkeypatch):
     # two parameter sets and two character solves read one image per
-    # generator: one straightening and one open-word contraction each
-    calls = {"ideal_normal_forms": 0, "_boundary_entries": 0}
-    for module, name in ((trace, "ideal_normal_forms"), (repspace, "_boundary_entries")):
+    # generator: one straightening and one image each, and no open-word
+    # contraction, which only the lazy ``pairs`` view makes
+    calls = {"ideal_normal_forms": 0, "ideal_image": 0, "_boundary_entries": 0}
+    modules = ((trace, "ideal_normal_forms"), (trace, "ideal_image"), (repspace, "_boundary_entries"))
+    for module, name in modules:
         def counted(*args, _f=getattr(module, name), _name=name):
             calls[_name] += 1
             return _f(*args)
@@ -154,4 +156,4 @@ def test_verify_ideal_decomposes_each_generator_once(monkeypatch):
         assert main(["verify", "ideal", "-q", path, "--dim", "v=2"]) == 0
     assert out.getvalue().endswith("summary: 4 ok, 0 failed\n")
     assert len(enumerate_generators(two_loop(), 3)) == 97
-    assert calls == {"ideal_normal_forms": 97, "_boundary_entries": 97}
+    assert calls == {"ideal_normal_forms": 97, "ideal_image": 97, "_boundary_entries": 0}

@@ -225,18 +225,19 @@ def test_trace_quantum_budget_covers_the_whole_sum(J, monkeypatch):
 
 
 def test_decomposition_budget_covers_every_traced_configuration(J, monkeypatch):
-    # the generator's traced configurations together are over the limit,
-    # each of them and the open word of p alone are not
+    # the generator's traced configurations (G, P, T and E) together are
+    # over the limit, each of them alone is not
     from nhq import repspace, schedler
 
     d = (2,)
     x, xs = Letter(0, False), Letter(0, True)
     p = canonical_necklace(J, (x, xs, x))
     params = ReductionParameters((Fraction(1),), (Fraction(2),))
-    spliced, cycle = schedler.ideal_normal_forms(J, p, 0, 0)
-    traced = spliced.keys() | cycle.keys()
+    parts = schedler.ideal_normal_forms(J, p, 0, 0)
+    assert len(parts) == 4 and all(parts)
+    traced = set().union(*parts)
     total = sum(2 ** sum(map(len, codes)) for codes, _, _ in traced)
-    assert total == 20 and max(2 ** sum(map(len, codes)) for codes, _, _ in traced) == 8
+    assert total == 92 and max(2 ** sum(map(len, codes)) for codes, _, _ in traced) == 32
     expected = decompose_ideal_image(J, d, p, 0, 0, params)
     assert expected.verified
     clear_trace_cache()
@@ -248,7 +249,7 @@ def test_decomposition_budget_covers_every_traced_configuration(J, monkeypatch):
     contract = repspace._contract
     monkeypatch.setattr(repspace, "_contract", lambda *a, **k: contractions.append(a) or contract(*a, **k))
     monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", total - 1)
-    with pytest.raises(WorkLimitError, match="has 20 index assignments, above the limit 19"):
+    with pytest.raises(WorkLimitError, match=f"has {total} index assignments, above the limit {total - 1}"):
         decompose_ideal_image(J, d, p, 0, 0, params)
     assert contractions == []
 
