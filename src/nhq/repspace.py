@@ -9,7 +9,9 @@ d/d(a)_{q,p} does, and operators are normal-ordered, multiplications left
 of derivatives.  The infinitesimal gl action tau, its kernel, gauge-element
 actions on coordinates, the packed traces of both rings, the blockwise
 quantum moment operator and the packed check of the reduction-ideal
-decomposition all live here.
+decomposition all live here.  Every trace, block matrix and moment block
+is a weighted sum of contractions of coded configurations, summed by one
+front-end, ``contracted``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import cached_property, lru_cache
 
 from .errors import DimensionError, MismatchError, WorkLimitError
 from .linear import LinearCombination, _PackedSums, bilinear, from_ints, rational_nullspace
-from .quiver import _LETTER, Letter, Quiver, make_dimension_vector, moment_pairs
+from .quiver import _LETTER, Letter, Quiver, _code, _ends, make_dimension_vector, moment_pairs
 from .rings import HBarPolynomial, _exact, as_fraction
 from .schedler import CACHE_SIZE
 
@@ -85,8 +87,7 @@ class _PackedOperator(LinearCombination):
     def _from_packed(cls, quiver: Quiver, dim, codec, packed: dict, top: int):
         """The element of ``packed`` in ``codec``, exponents at most ``top``."""
         out = object.__new__(cls)
-        for name, value in zip(("quiver", "dim") + _PackedOperator.__slots__, (quiver, dim, codec, packed, top)):
-            object.__setattr__(out, name, value)
+        out.quiver, out.dim, out._codec, out._packed, out._top = quiver, dim, codec, packed, top
         return out
 
     def __getattr__(self, name):  # called for an unset slot
@@ -113,7 +114,7 @@ class _PackedOperator(LinearCombination):
         self._check_compatible(other)
         codec, top, a, b = _join(self, other, False)
         out = dict(a)
-        _add_scaled(out, b.items(), (sign,), 0)
+        _add_scaled(out, b.items(), ((0, sign),), 0)
         return self._like({key: c for key, c in out.items() if c}, top, codec)
 
     def __sub__(self, other):
@@ -125,7 +126,7 @@ class _PackedOperator(LinearCombination):
     def scale(self, c):
         """Times a scalar: c h^j moves each key j units up the h field."""
         out: dict = {}
-        _add_scaled(out, self._packed.items(), self._scalars(c), self._codec.hunit)
+        _add_scaled(out, self._packed.items(), enumerate(self._scalars(c)), self._codec.hunit)
         return self._like({key: v for key, v in out.items() if v})
 
     __rmul__ = scale
@@ -230,7 +231,7 @@ def _pack(x: _PackedOperator, terms) -> tuple:
     packed: dict = {}
     for (pos, der), coeffs in items:
         key = sum([e * codec.position(v)[0] for v, e in pos] + [e * codec.derivative(v)[0] for v, e in der])
-        _add_scaled(packed, ((key, 1),), coeffs, codec.hunit)
+        _add_scaled(packed, ((key, 1),), enumerate(coeffs), codec.hunit)
     return codec, {key: c for key, c in packed.items() if c}, top
 
 
@@ -247,11 +248,11 @@ def _join(x: _PackedOperator, y: _PackedOperator, product: bool) -> tuple:
     return codec, top, cx.repack(x._packed.items(), codec), cy.repack(y._packed.items(), codec)
 
 
-def _add_scaled(out: dict, pairs, coeffs, hunit: int) -> None:
-    """Add sum_j coeffs[j] h^j times the packed (key, c) ``pairs`` into
-    ``out``; h^j adds j units to the h field."""
+def _add_scaled(out: dict, pairs, scale, hunit: int) -> None:
+    """Add sum a h^j over the (j, a) ``scale`` pairs times the packed (key,
+    c) ``pairs`` into ``out``; h^j adds j units to the h field."""
     get = out.get
-    for j, a in enumerate(coeffs):
+    for j, a in scale:
         if a:
             shift = j * hunit
             for key, c in pairs:
@@ -743,50 +744,115 @@ def _contract(slots, ranges, mask: int, free=()):
     }
 
 
-def _contract_packed(quiver: Quiver, dim, words, quantum: bool, ends=None, codec=None):
-    """The contraction of ``_contract_letters`` on packed keys: returns its
-    codec (by default one with fields for the words' arrows, sized for
-    their letters) and the packed sums of ``_contract``.  The empty open
-    word is the identity matrix: each (row, col) entry is the unit
-    ``{0: 1}`` if row == col and empty otherwise."""
-    ranges, slots = [], []
-    for word in words:
-        first = len(ranges)
-        for t, (letter, height) in enumerate(word):
-            nxt = t + 1 if ends else (t + 1) % len(word)
-            slots.append((height, (letter, first + t, first + nxt)))
-            ranges.append(range(1, dim[letter.target(quiver)] + 1))
-    slots.sort(key=lambda hs: hs[0])
+def _charge(quiver: Quiver, dim, letters, ends=None) -> None:
+    """Refuse to contract words whose index assignments add up to more
+    than ``MAX_INDEX_ASSIGNMENTS``; ``letters`` holds the letter codes of
+    each item's words as one str.  An item counts the product of its index
+    ranges: one per letter, the block size at its target; with ``ends`` =
+    (rows, cols) each item is one open word, its first range the rows and
+    one more range the cols."""
+    size = {code: dim[target] for code, (_, target) in _ends(quiver).items()}.__getitem__
     if ends:
-        ranges = [ends[0], *ranges[1:], ends[1]]
-    _check_assignments(math.prod(len(r) for r in ranges))
-    if codec is None:
-        arrows = tuple(sorted({letter.arrow for _, (letter, _, _) in slots}))
-        codec = _codec(quiver, tuple(dim), arrows, _width(len(slots)))
-    if ends and not slots:
+        corner = len(ends[0]) * len(ends[1])
+        total = sum([corner * math.prod(map(size, s[1:])) for s in letters])
+    else:
+        total = sum([math.prod(map(size, s)) for s in letters])
+    _check_assignments(total)
+
+
+def _contract_packed(quiver: Quiver, dim, codec: _Codec, cfg, quantum: bool, ends=None) -> dict:
+    """The packed sums of ``_contract`` for the coded configuration ``cfg``
+    = (codes, heights, idems) in ``codec``: its letter matrices multiply in
+    height order, operator tokens when ``quantum`` and coordinates
+    otherwise.  Without ``ends`` every word is a cycle and () maps to the
+    trace, times dim[v] for each idempotent factor v.  With ``ends`` =
+    (rows, cols) the one word is open and each (row, col) maps to that
+    entry of its product; the empty open word is the identity matrix, the
+    unit ``{0: 1}`` where row == col."""
+    codes, heights, idems = cfg
+    ranges, slots = [], []
+    for s, hs in zip(codes, heights):
+        first = len(ranges)
+        for t, (code, height) in enumerate(zip(s, hs)):
+            letter = _LETTER[code]
+            nxt = t + 1 if ends else (t + 1) % len(s)
+            slots.append((height, codec.entry(letter, quantum), first + t, first + nxt))
+            ranges.append(range(1, dim[letter.target(quiver)] + 1))
+    if ends:
         rows, cols = ends
-        return codec, {(r, c): {0: 1} if r == c else {} for r in rows for c in cols}
-    slots = [(codec.entry(letter, quantum), i, j) for _, (letter, i, j) in slots]
-    free = (0, len(ranges) - 1) if ends else ()
-    return codec, _contract(slots, ranges, codec.mask, free)
+        if not slots:
+            return {(r, c): {0: 1} if r == c else {} for r in rows for c in cols}
+        ranges = [rows, *ranges[1:], cols]
+    slots.sort(key=lambda slot: slot[0])
+    sums = _contract([slot[1:] for slot in slots], ranges, codec.mask, (0, len(ranges) - 1) if ends else ())
+    scalar = math.prod([dim[v] for v in idems])
+    return sums if scalar == 1 else {(): {key: c * scalar for key, c in sums[()].items()}}
 
 
-def _contract_letters(quiver: Quiver, dim, words, quantum: bool, ends=None):
-    """Contract the letter matrices of words of (letter, height) pairs.
+@lru_cache(maxsize=CACHE_SIZE)
+def _packed_trace(quiver: Quiver, dim: tuple, arrows: tuple, width: int, cfg) -> tuple:
+    """Tr_q of the coded configuration ``cfg`` = (codes, heights, idems) as
+    ``(key, c)`` pairs, packed for the codec with fields for ``arrows`` of
+    ``width`` bits.  The values hold only ``int``, so CPython stops
+    tracking them."""
+    return tuple(_contract_packed(quiver, dim, _codec(quiver, dim, arrows, width), cfg, True)[()].items())
 
-    Factors multiply in height order: operator tokens when ``quantum``,
-    coordinates otherwise.  The products run on packed keys
-    (``_contract_packed``), which the ``WeylElement`` or ``PolyElement``
-    results keep.  Without ``ends`` every word is a
-    closed cycle and the result is the trace.  With ``ends = (rows, cols)``
-    there is one open word and the result maps (row, col) to that entry of
-    its product.  Raises ``WorkLimitError`` when the number of index
-    assignments exceeds ``MAX_INDEX_ASSIGNMENTS``.
-    """
-    codec, sums = _contract_packed(quiver, dim, words, quantum, ends)
-    ring, top = WeylElement if quantum else PolyElement, sum(len(word) for word in words)
-    make = lambda terms: ring._from_packed(quiver, dim, codec, terms, top)
-    return make(sums[()]) if not ends else {key: make(terms) for key, terms in sums.items()}
+
+def clear_packed_traces() -> None:
+    _packed_trace.cache_clear()
+
+
+def contracted(quiver: Quiver, dim, items, quantum: bool, ends=None, codec=None):
+    """The weighted sum of contractions over the (coded configuration,
+    [(power of h, int numerator), ...]) ``items``, as ``linear.int_terms``
+    gives a ``QPAElement``'s: operator products when ``quantum``, and
+    otherwise coordinate products read at h = 0, an item's other powers
+    dropped.
+
+    Without ``ends`` every item is closed and the result is the element
+    sum m h^k Tr(cfg), an idempotent factor v scaling its item by dim[v].
+    With ``ends`` = (rows, cols) every item is one open word (one
+    component, no idempotents) and the result maps each (row, col) to that
+    entry of the sum of their matrices.  The index assignments of all the
+    items are charged together before any product (``_charge``).  Every
+    item is accumulated into one dict per entry in one ``codec``, by
+    default the one with fields for the items' arrows, sized for the
+    longest item.  Closed quantum items are read from the trace cache
+    ``_packed_trace`` in that codec's layout; the others contract
+    directly.  The results are fresh elements: reading their ``terms``
+    stores nothing in the cache."""
+    if quantum:
+        items = list(items)
+    else:
+        items = [(cfg, h0) for cfg, scale in items if (h0 := [(0, m) for k, m in scale if not k])]
+    letters = ["".join(cfg[0]) for cfg, _ in items]
+    _charge(quiver, dim, letters, ends)
+    top = max(map(len, letters), default=0)
+    if codec is None:
+        arrows = {_LETTER[c].arrow for c in set().union(*letters)}
+        codec = _codec(quiver, dim, tuple(sorted(arrows)), _width(top))
+    ring, hunit = WeylElement if quantum else PolyElement, codec.hunit
+    make = lambda terms: ring._from_packed(quiver, dim, codec, {key: c for key, c in terms.items() if c}, top)
+    if ends is None:
+        out: dict = {}
+        get = out.get
+        for cfg, scale in items:
+            if quantum:
+                traced = _packed_trace(quiver, dim, codec.arrows, codec.width, cfg)
+            else:
+                traced = _contract_packed(quiver, dim, codec, cfg, False)[()].items()
+            for k, m in scale:
+                shift = k * hunit
+                for key, c in traced:
+                    key += shift
+                    out[key] = get(key, 0) + m * c
+        return make(out)
+    rows, cols = ends
+    block = {(r, c): {} for r in rows for c in cols}
+    for cfg, scale in items:
+        for rc, terms in _contract_packed(quiver, dim, codec, cfg, quantum, ends).items():
+            _add_scaled(block[rc], terms.items(), scale, hunit)
+    return {rc: make(terms) for rc, terms in block.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -802,20 +868,11 @@ def _contract_letters(quiver: Quiver, dim, words, quantum: bool, ends=None):
 # closes the open word with one moment pair, the position token at height
 # v + 1 and the derivative at v + 2, so E is the sum of the traces of
 # those closed words.  An n-letter term c of an N'-letter part stands for
-# c h^((N' - n)/2), which ``_traced`` adds to the h field of its trace, so
-# G and E sit at Rees grade N, P and T at grade v.  None depends on (r,
+# c h^((N' - n)/2), an item of ``contracted`` with that power of h, so G
+# and E sit at Rees grade N, P and T at grade v.  None depends on (r,
 # lambda), and the decomposition target == re_expand(chi), split by
 # grade, is two exact comparisons: G + r h P - E = chi h T at grade N and,
 # when lambda != 0, P = T at grade v.
-
-
-def _check_traces(quiver: Quiver, dim, configs) -> None:
-    """Refuse to trace the sum of the coded configurations ``configs``
-    (each given by its tuple of component codes) when their index
-    assignments, the product of the letters' block sizes for each, add up
-    to more than ``MAX_INDEX_ASSIGNMENTS``."""
-    sizes = lambda codes: [dim[_LETTER[c].target(quiver)] for s in codes for c in s]
-    _check_assignments(sum([math.prod(sizes(codes)) for codes in configs]))
 
 
 def _ideal_codec(quiver: Quiver, dim, vertex: int, word) -> _Codec:
@@ -824,77 +881,6 @@ def _ideal_codec(quiver: Quiver, dim, vertex: int, word) -> _Codec:
     ``vertex``, sized for the word and one moment pair."""
     arrows = set(_arrows_at(quiver, (vertex,))).union(letter.arrow for letter in word)
     return _codec(quiver, dim, tuple(sorted(arrows)), _width(len(word) + 2))
-
-
-def _boundary_entries(quiver: Quiver, dim, vertex: int, word):
-    """The nonzero entries ((l_first, l_last), packed terms) of the operator
-    matrix product of ``word``'s letters in word order, sorted by key, and
-    their codec, ``_ideal_codec``."""
-    ends = range(1, dim[vertex] + 1)
-    cycle = tuple((letter, t) for t, letter in enumerate(word))
-    codec = _ideal_codec(quiver, dim, vertex, word)
-    _, entries = _contract_packed(quiver, dim, (cycle,), True, (ends, ends), codec)
-    return codec, sorted((kv for kv in entries.items() if kv[1]), key=lambda kv: kv[0])
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _packed_trace(quiver: Quiver, dim: tuple, arrows: tuple, width: int, cfg) -> tuple:
-    """Tr_q of the coded configuration ``cfg`` = (codes, heights, idems) as
-    ``(key, c)`` pairs, packed for the codec with fields for ``arrows`` of
-    ``width`` bits.  The values hold only ``int``, so CPython stops
-    tracking them."""
-    codes, heights, idems = cfg
-    words = [tuple(zip(map(_LETTER.__getitem__, s), hs)) for s, hs in zip(codes, heights)]
-    codec = _codec(quiver, dim, arrows, width)
-    _, sums = _contract_packed(quiver, dim, words, True, codec=codec)
-    scalar = math.prod([dim[v] for v in idems])
-    return tuple([(key, c * scalar) for key, c in sums[()].items()])
-
-
-def clear_packed_traces() -> None:
-    _packed_trace.cache_clear()
-
-
-def trace_configurations(quiver: Quiver, dim: tuple, terms, den: int = 1) -> WeylElement:
-    """Tr_q of sum c cfg over the (coded cfg, scale) pairs ``terms``, c the
-    sum of m h^k / ``den`` over the list ``scale`` of (k, m) pairs (``int``
-    numerators, as ``linear.int_terms`` reads them).  Each trace comes from
-    ``_packed_trace`` in its own letters' layout; a sum's index assignments
-    are charged together first (``_check_traces``).  The result is a fresh
-    element: reading its ``terms`` stores nothing."""
-    terms = list(terms)
-    if len(terms) > 1:
-        _check_traces(quiver, dim, [cfg[0] for cfg, _ in terms])
-    total = None
-    for cfg, scale in terms:
-        letters = "".join(cfg[0])
-        layout = (quiver, dim, tuple(sorted({_LETTER[code].arrow for code in letters})), _width(len(letters)))
-        codec, traced = _codec(*layout), _packed_trace(*layout, cfg)
-        if scale != [(0, 1)]:
-            out: dict = {}
-            for k, m in scale:
-                _add_scaled(out, traced, (0,) * k + (m,), codec.hunit)
-            traced = [(key, c) for key, c in out.items() if c]
-        traced = WeylElement._from_packed(quiver, dim, codec, dict(traced), len(letters))
-        total = traced if total is None else total + traced
-    if total is None:
-        return WeylElement(quiver, dim)
-    return total if den == 1 else total.scale(Fraction(1, den))
-
-
-def _traced(quiver: Quiver, dim, codec: _Codec, terms: dict, letters: int) -> dict:
-    """The sum of c h^((letters - n)/2) Tr_q(cfg) over the n-letter coded
-    configurations of {coded cfg: c} ``terms``, packed in ``codec``, zeros
-    dropped; each trace comes from the cache."""
-    layout = (quiver, dim, codec.arrows, codec.width)
-    out: dict = {}
-    get = out.get
-    for cfg, c in terms.items():
-        shift = (letters - sum(map(len, cfg[0]))) // 2 * codec.hunit
-        for key, t in _packed_trace(*layout, cfg):
-            key += shift
-            out[key] = get(key, 0) + c * t
-    return {key: c for key, c in out.items() if c}
 
 
 def _ratio(lhs: dict, base: dict):
@@ -945,10 +931,10 @@ class IdealImage:
         # grade N, times the denominator of r: den (G - E) + num h P = den chi h T
         num, den, h = r.numerator, r.denominator, self.codec.hunit
         lhs = {key: den * c for key, c in self.spliced.items()}
-        _add_scaled(lhs, self.expanded.items(), (-den,), h)
-        _add_scaled(lhs, self.cycle.items(), (0, num), h)
+        _add_scaled(lhs, self.expanded.items(), ((0, -den),), h)
+        _add_scaled(lhs, self.cycle.items(), ((1, num),), h)
         base: dict = {}
-        _add_scaled(base, self.diagonal.items(), (0, 1), h)
+        _add_scaled(base, self.diagonal.items(), ((1, 1),), h)
         ratio = _ratio({key: c for key, c in lhs.items() if c}, base)
         return None if ratio is None else ratio / den
 
@@ -956,7 +942,7 @@ class IdealImage:
         """The element of ``top`` plus sum_j coeffs[j] h^j times ``low``."""
         if any(coeffs):
             top = dict(top)
-            _add_scaled(top, low.items(), coeffs, self.codec.hunit)
+            _add_scaled(top, low.items(), enumerate(coeffs), self.codec.hunit)
             top = {key: c for key, c in top.items() if c}
         return WeylElement._from_packed(self.quiver, self.dim, self.codec, top, self.v + 2)
 
@@ -972,13 +958,13 @@ class IdealImage:
 
     @cached_property
     def pairs(self) -> tuple:
-        _, entries = _boundary_entries(self.quiver, self.dim, self.vertex, self.word)
+        ends = range(1, self.dim[self.vertex] + 1)
+        word = ((_code(self.word),), (tuple(range(1, self.v + 1)),), ())
+        entries = contracted(self.quiver, self.dim, [(word, ((0, 1),))], True, (ends, ends), self.codec)
         return tuple(
-            (
-                self._element(terms),
-                GlElement.elementary(self.quiver, self.dim, self.vertex, l_first, l_last, -1),
-            )
-            for (l_first, l_last), terms in entries
+            (entry, GlElement.elementary(self.quiver, self.dim, self.vertex, l_first, l_last, -1))
+            for (l_first, l_last), entry in sorted(entries.items(), key=lambda kv: kv[0])
+            if entry
         )
 
 
@@ -989,15 +975,19 @@ def ideal_image(
     ``vertex``, from the four parts of ``schedler.ideal_normal_forms``.
 
     Each part is a sum of closed coded configurations, traced by
-    ``_traced`` in the codec of ``_ideal_codec``.  The index assignments of
-    all the configurations it traces are charged together
-    (``_check_traces``) before any contraction, as ``trace.trace_quantum``
-    charges a sum.
+    ``contracted`` in the codec of ``_ideal_codec``, an n-letter term of an
+    N'-letter part at the power (N' - n)/2 of h.  The index assignments of
+    all the distinct configurations of the four parts are charged together
+    (``_charge``) before any contraction.
     """
     parts = (spliced, cycle, diagonal, expanded)
-    _check_traces(quiver, dim, [codes for codes, _, _ in set().union(*parts)])
+    _charge(quiver, dim, ["".join(codes) for codes, _, _ in set().union(*parts)])
     codec, v = _ideal_codec(quiver, dim, vertex, word), len(word)
-    G, P, T, E = (_traced(quiver, dim, codec, part, n) for part, n in zip(parts, (v + 2, v, v, v + 2)))
+    graded = lambda part, n: [(cfg, (((n - len("".join(cfg[0]))) // 2, c),)) for cfg, c in part.items()]
+    G, P, T, E = (
+        contracted(quiver, dim, graded(part, n), True, codec=codec)._packed
+        for part, n in zip(parts, (v + 2, v, v, v + 2))
+    )
     return IdealImage(quiver, dim, vertex, word, codec, G, P, T, E)
 
 
@@ -1022,17 +1012,16 @@ def _moment_block(quiver: Quiver, dim, codec, i: int, r=None) -> dict:
     """The entries {(p, q): packed terms} of the moment block at vertex i,
     packed in ``codec`` (with fields for the arrows at i, for two token
     products): the signed two-letter open chains [a][a'] for t(a) = i and
-    [a'][a] for s(a) = i (``moment_pairs``), height-1 factor first, one
-    contraction per chain, plus h r_i on the diagonal when r is given."""
+    [a'][a] for s(a) = i (``moment_pairs``), height-1 factor first, summed
+    by one ``contracted``, plus h r_i on the diagonal when r is given."""
     ends = range(1, dim[i] + 1)
-    block = {(p, q): {} for p in ends for q in ends}
-    for sign, first, second in moment_pairs(quiver, i):
-        _, chain = _contract_packed(quiver, dim, (((first, 1), (second, 2)),), True, (ends, ends), codec)
-        for pq, terms in chain.items():
-            _add_scaled(block[pq], terms.items(), (sign,), 0)
+    chains = [(((_code(pair),), ((1, 2),), ()), ((0, sign),)) for sign, *pair in moment_pairs(quiver, i)]
+    block = {pq: entry._packed for pq, entry in contracted(quiver, dim, chains, True, (ends, ends), codec).items()}
     for p in ends if r is not None and r[i] else ():
-        block[p, p][codec.hunit] = block[p, p].get(codec.hunit, 0) + as_fraction(r[i])
-    return {pq: {key: c for key, c in terms.items() if c} for pq, terms in block.items()}
+        diagonal = block[p, p]
+        diagonal[codec.hunit] = diagonal.get(codec.hunit, 0) + as_fraction(r[i])
+        block[p, p] = {key: c for key, c in diagonal.items() if c}
+    return block
 
 
 def moment_block_matrix(quiver: Quiver, dim, r=None) -> dict:
@@ -1064,5 +1053,5 @@ def quantum_moment(quiver: Quiver, dim, v: GlElement, r=None) -> WeylElement:
     blocks = {i: _moment_block(quiver, dim, codec, i, r) for i in vertices}
     out: dict = {}
     for (i, p, q), c in v.items():
-        _add_scaled(out, blocks[i][q, p].items(), HBarPolynomial.coerce(c).coeffs, codec.hunit)
+        _add_scaled(out, blocks[i][q, p].items(), enumerate(HBarPolynomial.coerce(c).coeffs), codec.hunit)
     return WeylElement._from_packed(quiver, dim, codec, {key: c for key, c in out.items() if c}, 2)

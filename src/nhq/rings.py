@@ -124,10 +124,6 @@ class HBarPolynomial:
             return self
         return HBarPolynomial._with_coeffs([0] * k + list(self.coeffs))
 
-    def scaled_shift(self, c: int, k: int) -> "HBarPolynomial":
-        """Multiply by the monomial c*h**k, for an ``int`` c, in one pass."""
-        return HBarPolynomial._with_coeffs([0] * k + [x * c for x in self.coeffs])
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "HBarPolynomial":
@@ -215,6 +211,3 @@ class HBarPolynomial:
 
 _ZERO = HBarPolynomial()
 _ONE = HBarPolynomial((1,))
-H = HBarPolynomial.h()
-ONE = _ONE
-ZERO = _ZERO

@@ -60,6 +60,7 @@ from math import lcm
 from .errors import CompositionError, MismatchError, WorkLimitError
 from .linear import _PackedSums, bilinear, from_ints, int_terms, rekeyed
 from .necklace import (
+    HH0Element,
     Necklace,
     _coded,
     _key_order,
@@ -543,6 +544,13 @@ def sym_mul(x: SymElement, y: SymElement) -> SymElement:
 def lift(m: SymElement) -> QPAElement:
     """The PBW section: each sorted monomial goes to its canonical configuration."""
     return from_ints(QPAElement, (m.quiver,), *rekeyed(m, _canonical_key))
+
+
+def lift_necklace_combination(x: HH0Element) -> QPAElement:
+    """Embed an HH0 element into the quantum path algebra degree-one part:
+    each coded necklace goes straight to its canonical configuration, the
+    lift of the monomial of that necklace alone."""
+    return from_ints(QPAElement, (x.quiver,), *rekeyed(x, lambda key: _canonical_key((key,))))
 
 
 def lift_necklace(quiver: Quiver, n: Necklace) -> QPAElement:

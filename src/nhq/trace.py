@@ -6,7 +6,10 @@ to the same contraction with the operator factors multiplied in height
 order.  Both are one height-ordered contraction (``repspace._contract``),
 which sums each index as soon as the last factor using it has been
 multiplied; the block matrices of path-algebra and height-configuration
-elements are its open-word entries.  Around them sit the verification
+elements are its open-word entries.  Every one of them is a weighted sum
+that ``repspace.contracted`` charges and accumulates at once, from the
+coded keys and ``int`` numerators of ``linear.int_terms``; this module
+only divides by the common denominator.  Around them sit the verification
 procedures, with the trace characters they solve for: the trace is an
 algebra map, the pre- and post-reduction squares commute, the quantum
 moment identity holds, and the reduction-ideal generators decompose over
@@ -33,16 +36,16 @@ from .errors import DimensionError
 from .expr import format_element
 from .linear import int_terms
 from .necklace import HH0Element, Necklace, canonical_necklace, idempotent_class, necklace_key
-from .quiver import Path, PathAlgebraElement, Quiver
+from .quiver import Path, PathAlgebraElement, Quiver, _code, _ends
 from .repspace import (
     BlockMatrix,
     GlElement,
     PolyElement,
     IdealImage,
     WeylElement,
-    _contract_letters,
     classical_symbol,
     clear_packed_traces,
+    contracted,
     gl_basis,
     ideal_image,
     make_dimension_vector,
@@ -50,7 +53,6 @@ from .repspace import (
     poisson,
     tau,
     tau_kernel,
-    trace_configurations,
     weyl_commutator,
     weyl_mul,
 )
@@ -60,10 +62,9 @@ from .schedler import (
     QPAElement,
     ReductionParameters,
     ideal_normal_forms,
-    lift,
+    lift_necklace_combination,
     marked_word,
     qpa_mul,
-    SymElement,
 )
 
 
@@ -73,26 +74,22 @@ def clear_trace_cache() -> None:
     clear_packed_traces()
 
 
+def _over(x, den: int):
+    """``x`` divided by the common denominator ``den`` of its items."""
+    return x if den == 1 else x.scale(Fraction(1, den))
+
+
 def trace_classical(x: HH0Element, dim) -> PolyElement:
     """Classical trace: cyclic index contraction of coordinate matrices.
 
-    Idempotent classes go to the block dimension; coefficients are read at
-    h = 0 (the classical side carries no deformation parameter).
+    Each necklace is contracted as its canonical configuration, read at
+    h = 0 (the classical side carries no deformation parameter), so an
+    idempotent class goes to its block dimension.  The whole sum is charged
+    and accumulated at once (``repspace.contracted``).
     """
-    quiver = x.quiver
-    dim = make_dimension_vector(quiver, dim)
-    total = PolyElement(quiver, dim)
-    for necklace, coeff in x.items():
-        c0 = coeff.constant_term()
-        if c0 == 0:
-            continue
-        if necklace.is_idempotent:
-            traced = PolyElement.constant(quiver, dim, dim[necklace.vertex])
-        else:
-            word = tuple((letter, t) for t, letter in enumerate(necklace.letters))
-            traced = _contract_letters(quiver, dim, (word,), False)
-        total = total + traced.scale(c0)
-    return total
+    dim = make_dimension_vector(x.quiver, dim)
+    terms, den = int_terms(lift_necklace_combination(x))
+    return _over(contracted(x.quiver, dim, terms.items(), False), den)
 
 
 def trace_quantum_config(quiver: Quiver, dim, components, idempotents) -> WeylElement:
@@ -104,21 +101,30 @@ def trace_quantum_config(quiver: Quiver, dim, components, idempotents) -> WeylEl
     """
     dim = make_dimension_vector(quiver, dim)
     cfg = HeightConfiguration(components, idempotents)
-    return trace_configurations(quiver, dim, [((cfg.codes, cfg.heights, cfg.idempotents), [(0, 1)])])
+    return contracted(quiver, dim, [((cfg.codes, cfg.heights, cfg.idempotents), ((0, 1),))], True)
 
 
 def trace_quantum(x: QPAElement, dim) -> WeylElement:
     """Quantum trace map, extended Q[h]-linearly over configurations.
 
-    Each configuration's trace is one token-by-token contraction, packed
-    and kept in the trace cache (``repspace.trace_configurations``).  A
+    It reads the coded keys and ``int`` numerators of ``x``
+    (``linear.int_terms``).  Each configuration's trace is one
+    token-by-token contraction, packed and kept in the trace cache; a
     sum's index assignments are added up against ``MAX_INDEX_ASSIGNMENTS``
     before any is contracted, and its weighted traces are accumulated into
-    one fresh packed element.
+    one fresh packed element (``repspace.contracted``).
     """
     dim = make_dimension_vector(x.quiver, dim)
     terms, den = int_terms(x)
-    return trace_configurations(x.quiver, dim, terms.items(), den)
+    return _over(contracted(x.quiver, dim, terms.items(), True), den)
+
+
+def _open_word(key) -> tuple:
+    """A coded path (``PathAlgebraElement``'s key) as the coded
+    configuration of one open word, heights in word order; a trivial path
+    is the empty word."""
+    s = key if type(key) is str else ""
+    return (s,), (tuple(range(1, len(s) + 1)),), ()
 
 
 def path_matrix_entry(quiver: Quiver, dim, path: Path, row: int, col: int) -> PolyElement:
@@ -127,8 +133,8 @@ def path_matrix_entry(quiver: Quiver, dim, path: Path, row: int, col: int) -> Po
     rmax, cmax = dim[path.target(quiver)], dim[path.source(quiver)]
     if not (1 <= row <= rmax and 1 <= col <= cmax):
         raise DimensionError(f"path entry ({row},{col}) out of range for block {rmax}x{cmax}")
-    word = tuple((letter, t) for t, letter in enumerate(path.letters))
-    return _contract_letters(quiver, dim, (word,), False, ((row,), (col,)))[row, col]
+    word = _open_word(_code(path.letters))
+    return contracted(quiver, dim, [(word, ((0, 1),))], False, ((row,), (col,)))[row, col]
 
 
 def block_matrix(x, dim, mode: str = "classical") -> BlockMatrix:
@@ -136,7 +142,10 @@ def block_matrix(x, dim, mode: str = "classical") -> BlockMatrix:
 
     Accepts a PathAlgebraElement homogeneous between two vertices, or (quantum
     mode only) a QPAElement whose terms are single height components; for the
-    latter the entry operator products follow the heights.
+    latter the entry operator products follow the heights.  Both are read
+    through their coded keys and ``int`` numerators, and every entry is
+    summed at once (``repspace.contracted``); classical entries are read
+    at h = 0.
     """
     if mode not in ("classical", "quantum"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -144,45 +153,34 @@ def block_matrix(x, dim, mode: str = "classical") -> BlockMatrix:
 
     if isinstance(x, PathAlgebraElement):
         quiver = x.quiver
-        if not x.terms:
+        if not x:
             raise ValueError("cannot infer the block of the zero element")
-        endpoints = {(p.source(quiver), p.target(quiver)) for p in x.terms}
+        terms, den = int_terms(x)
+        ends = _ends(quiver)  # the (source, target) of each letter code
+        endpoints = {(ends[k[-1]][0], ends[k[0]][1]) if type(k) is str else (k, k) for k in terms}
         if len(endpoints) != 1:
             raise ValueError("element is not homogeneous between two vertices")
         (src, dst) = endpoints.pop()
-        words = [
-            (tuple((letter, t) for t, letter in enumerate(path.letters)), coeff)
-            for path, coeff in x.items()
-        ]
+        items = [(_open_word(key), scale) for key, scale in terms.items()]
     elif isinstance(x, QPAElement):
         if not quantum:
             raise ValueError("height configurations only have quantum matrices")
         quiver = x.quiver
-        vertices = set()
-        for cfg in x.terms:
-            if len(cfg.codes) != 1 or cfg.idempotents:
-                raise ValueError("quantum matrix needs single-component terms")
-            comp = cfg.components[0]
-            vertices.add(comp[0][0].target(quiver))
+        terms, den = int_terms(x)
+        if any(len(codes) != 1 or idems for codes, _, idems in terms):
+            raise ValueError("quantum matrix needs single-component terms")
+        vertices = {_ends(quiver)[codes[0][0]][1] for codes, _, _ in terms}
         if len(vertices) != 1:
             raise ValueError("element is not homogeneous between two vertices")
         src = dst = vertices.pop()
-        words = [(cfg.components[0], coeff) for cfg, coeff in x.items()]
+        items = terms.items()
     else:
         raise TypeError(f"cannot form a block matrix of {type(x).__name__}")
 
     dim = make_dimension_vector(quiver, dim)
-    ring = WeylElement if quantum else PolyElement
     rows, cols = range(1, dim[dst] + 1), range(1, dim[src] + 1)
-    entries = {(row, col): ring(quiver, dim) for row in rows for col in cols}
-    for word, coeff in words:
-        block = _contract_letters(quiver, dim, (word,), quantum, (rows, cols))
-        scalar = coeff if quantum else coeff.constant_term()
-        for key, value in block.items():
-            entries[key] = entries[key] + value.scale(scalar)
-    return BlockMatrix(
-        src, dst, tuple(tuple(entries[row, col] for col in cols) for row in rows)
-    )
+    block = contracted(quiver, dim, items, quantum, (rows, cols))
+    return BlockMatrix(src, dst, tuple(tuple(_over(block[row, col], den) for col in cols) for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +285,6 @@ def verify_cubic(x: HH0Element, y: HH0Element, dim, name="cubic") -> Verificatio
         lambda c: (classical_symbol(-c), poisson(trace_classical(x, dim), trace_classical(y, dim))),
     )
     return compare_report(name, [pair])
-
-
-def lift_necklace_combination(x: HH0Element) -> QPAElement:
-    """Embed an HH0 element into the quantum path algebra degree-one part."""
-    sym = SymElement(x.quiver, {(necklace,): coeff for necklace, coeff in x.items()})
-    return lift(sym)
 
 
 def verify_quantum_moment(quiver: Quiver, dim, r=None, name="qmoment") -> VerificationReport:

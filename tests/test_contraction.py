@@ -13,6 +13,7 @@ against the difference of the two products.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from nhq import (
     WeylElement,
     WorkLimitError,
     block_matrix,
+    make_configuration,
     make_path,
     path_matrix_entry,
     trace_classical,
@@ -35,15 +37,16 @@ from nhq import (
     weyl_commutator,
     weyl_mul,
 )
-from nhq import repspace
+from nhq import linear, repspace
 from nhq.necklace import canonical_necklace
-from nhq.quiver import Letter, Path, make_quiver
+from nhq.quiver import Letter, Path, _code, make_quiver
 from nhq.repspace import poly_mul
 from nhq.sampling import (
     a2,
     a3p,
     all_dimension_vectors,
     jordan,
+    random_closed_word,
     random_configuration,
     random_dimension,
     random_necklace,
@@ -123,6 +126,7 @@ def reference_word_entry(quiver, dim, pairs, row, col, quantum):
 
 
 QUIVERS = (jordan(), a2(), two_loop(), a3p())
+H = HBarPolynomial.h()
 
 
 def _interleaved(components):
@@ -181,6 +185,58 @@ def test_height_permuted_block_matrix_matches_enumeration():
             for row in range(1, n + 1):
                 for col in range(1, n + 1):
                     assert m[row, col] == reference_word_entry(q, d, comp, row, col, True)
+
+
+def _weighted_entry(quiver, dim, terms, row, col, quantum):
+    """The (row, col) entry of sum c M(key) over {path or one-component
+    configuration: c} ``terms`` by enumeration, each c read at h = 0 when
+    classical."""
+    total = (WeylElement if quantum else PolyElement)(quiver, dim)
+    for key, c in terms.items():
+        if isinstance(key, Path):
+            pairs = tuple((letter, t + 1) for t, letter in enumerate(key.letters))
+        else:
+            pairs = key.components[0]
+        c = c if quantum else HBarPolynomial.coerce(c).constant_term()
+        total = total + reference_word_entry(quiver, dim, pairs, row, col, quantum).scale(c)
+    return total
+
+
+def test_block_matrix_of_a_sum_reads_no_terms_view(monkeypatch):
+    # sums of closed paths or of one-component configurations at one
+    # vertex, with fractional and h coefficients, are read through their
+    # coded keys and int numerators: no ``terms`` view is built, and each
+    # entry is the coefficient-weighted sum of the terms' enumerated entries
+    # (the classical ones at h = 0)
+    rng = random.Random(2029)
+    coeffs = (1, -2, Fraction(1, 2), H, Fraction(-1, 3) + H)
+    views = []
+    view = linear._view
+    monkeypatch.setattr(linear, "_view", lambda *args: views.append(args) or view(*args))
+    for q in QUIVERS:
+        d = random_dimension(rng, q, max_dim=2)
+        words = [random_closed_word(rng, q, 4)]
+        for _ in range(100):
+            word = random_closed_word(rng, q, 4)
+            if len(words) < 3 and word[0].target(q) == words[0][0].target(q) and word not in words:
+                words.append(word)
+        assert len(words) >= 2
+        paths = {make_path(q, word): rng.choice(coeffs) for word in words}
+        # the lowest height first, so normalizing keeps each word's rotation
+        heights = lambda word: [1] + rng.sample(range(2, 9), len(word) - 1)
+        cfgs = {make_configuration(q, [tuple(zip(word, heights(word)))]): rng.choice(coeffs) for word in words}
+        n = d[words[0][0].target(q)]
+        for x, terms, modes in (
+            (PathAlgebraElement(q, paths), paths, ("quantum", "classical")),
+            (QPAElement(q, cfgs), cfgs, ("quantum",)),
+        ):
+            for mode in modes:
+                got = block_matrix(x, d, mode)
+                assert views == []
+                for row in range(1, n + 1):
+                    for col in range(1, n + 1):
+                        assert got[row, col] == _weighted_entry(q, d, terms, row, col, mode == "quantum")
+                views.clear()
 
 
 def test_classical_trace_matches_commutative_enumeration():
@@ -298,6 +354,14 @@ def test_position_token_moves_past_a_derivative_power():
 # -- the packed kernel against the tuple kernel --------------------------------
 
 
+def _contracted(quiver, dim, words, quantum, ends=None):
+    """``repspace.contracted`` of one item of weight 1: the words of
+    (letter, height) pairs as one coded configuration."""
+    codes = tuple(_code([letter for letter, _ in word]) for word in words)
+    heights = tuple(tuple(height for _, height in word) for word in words)
+    return repspace.contracted(quiver, dim, [((codes, heights, ()), ((0, 1),))], quantum, ends)
+
+
 @st.composite
 def _contractions(draw):
     """Closed configurations or one open word with its ends, on a quiver of
@@ -321,7 +385,7 @@ def _contractions(draw):
 def test_packed_contraction_matches_the_tuple_kernel(case):
     q, d, words, quantum, ends = case
     expected = contraction_oracle.contract_letters(q, d, words, quantum, ends)
-    assert repspace._contract_letters(q, d, words, quantum, ends) == expected
+    assert _contracted(q, d, words, quantum, ends) == expected
 
 
 def _jordan_word(text):
@@ -351,14 +415,13 @@ def test_exponents_that_fill_a_field(text, width, packed):
     J, d = jordan(), (1,)
     word = _jordan_word(text)
     letters = [letter for letter, _ in word]
-    codec, sums = repspace._contract_packed(J, d, (word,), True)
-    assert codec.width == width
+    quantum = _contracted(J, d, (word,), True)
+    assert quantum._codec.width == width
     if packed is not None:
-        assert sums == {(): packed}
-    quantum = repspace._contract_letters(J, d, (word,), True)
+        assert quantum._packed == packed
     assert quantum == contraction_oracle.contract_letters(J, d, (word,), True)
     assert quantum == reference_trace_quantum_config(J, d, (word,), ())
-    classical = repspace._contract_letters(J, d, (word,), False)
+    classical = _contracted(J, d, (word,), False)
     assert classical == contraction_oracle.contract_letters(J, d, (word,), False)
     assert classical == reference_trace_classical(J, d, letters)
 
@@ -371,9 +434,9 @@ def test_the_empty_open_word_is_the_identity(quantum):
             one = ring.constant(quiver, dim, 1)
             for v in range(len(quiver.vertices)):
                 ends = range(1, dim[v] + 1)
-                codec, sums = repspace._contract_packed(quiver, dim, ((),), quantum, (ends, ends))
+                block = _contracted(quiver, dim, ((),), quantum, (ends, ends))
+                sums = {rc: entry._packed for rc, entry in block.items()}
                 assert sums == {(r, c): {0: 1} if r == c else {} for r in ends for c in ends}
-                block = repspace._contract_letters(quiver, dim, ((),), quantum, (ends, ends))
                 zero = ring(quiver, dim)
                 assert block == {(r, c): one if r == c else zero for r in ends for c in ends}
                 # the trivial path's matrix is the same identity
@@ -390,10 +453,11 @@ def test_fields_only_for_the_arrows_a_contraction_uses():
     many = make_quiver(["v"], [(f"a{i}", "v", "v") for i in range(1000)])
     word = ((Letter(999, True), 1), (Letter(3, False), 2), (Letter(999, False), 3))
     for quantum in (True, False):
-        codec, _ = repspace._contract_packed(many, (2,), (word,), quantum)
+        traced = _contracted(many, (2,), (word,), quantum)
+        codec = traced._codec
         assert codec.split == 2 * 4 * codec.width  # two arrows of four coordinates
         expected = contraction_oracle.contract_letters(many, (2,), (word,), quantum)
-        assert repspace._contract_letters(many, (2,), (word,), quantum) == expected
+        assert traced == expected
 
 
 # -- the up-front work bound ---------------------------------------------------
@@ -420,6 +484,40 @@ def test_contraction_refuses_more_assignments_than_the_limit(monkeypatch):
     block_matrix(two, (2,), "quantum")
     with pytest.raises(DimensionError, match="has 16 index assignments"):
         block_matrix(PathAlgebraElement.of_path(J, make_path(J, (x, xs, x))), (2,), "quantum")
+
+
+def test_a_sum_is_charged_as_a_whole(monkeypatch):
+    # each word fits the limit, the sum of their index assignments does
+    # not: a classical trace of 2^3 + 2^2, a block matrix of 2 * 2 * 2 + 2 * 2
+    J = jordan()
+    x, xs = Letter(0, False), Letter(0, True)
+    d = (2,)
+    monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", 8)
+    three, two = canonical_necklace(J, (x, xs, x)), canonical_necklace(J, (x, xs))
+    # a term of h alone is read at h = 0: it is neither contracted nor charged
+    necklaces = HH0Element(J, {three: 1, two: Fraction(1, 2), canonical_necklace(J, (x, xs, x, xs)): H})
+    paths = {make_path(J, (x, xs)): 1, make_path(J, (x,)): Fraction(1, 2) + H}
+    for one in (HH0Element.of(J, three), HH0Element.of(J, two)):
+        trace_classical(one, d)
+    for path in paths:
+        block_matrix(PathAlgebraElement.of_path(J, path), d, "quantum")
+    for call in (
+        lambda: trace_classical(necklaces, d),
+        lambda: block_matrix(PathAlgebraElement(J, paths), d, "quantum"),
+        lambda: block_matrix(PathAlgebraElement(J, paths), d, "classical"),
+    ):
+        with pytest.raises(WorkLimitError, match="has 12 index assignments, above the limit 8"):
+            call()
+    monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", 12)
+    expected = reference_trace_classical(J, d, three.letters) + reference_trace_classical(J, d, two.letters).scale(
+        Fraction(1, 2)
+    )
+    assert trace_classical(necklaces, d) == expected
+    for mode in ("quantum", "classical"):
+        block = block_matrix(PathAlgebraElement(J, paths), d, mode)
+        for row in (1, 2):
+            for col in (1, 2):
+                assert block[row, col] == _weighted_entry(J, d, paths, row, col, mode == "quantum")
 
 
 def test_contraction_refusal_is_a_work_limit_error(monkeypatch):

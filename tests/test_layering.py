@@ -2,11 +2,13 @@
 
 The contraction kernel packs each monomial into one int (``_Codec``) and
 multiplies on those ints (``_times``, ``_contract``,
-``_contract_packed``).  The reduction-ideal check keeps its four traced
-parts in that form (``_packed_trace``, ``_traced``, ``_ratio``), and an
-``IdealImage`` holds them with their ``codec``; its lazy ``pairs`` view
-reads the open-word entries in that form (``_boundary_entries``).  A
-``WeylElement`` holds its terms in that form too (``_codec``,
+``_contract_packed``), charging each sum's index assignments first
+(``_charge``).  Every trace, block matrix and moment block is summed by
+one public front-end, ``contracted``, from coded configurations and
+``int`` numerators, closed quantum items read from the trace cache
+(``_packed_trace``).  The reduction-ideal check keeps its four traced
+parts in that form (``_ratio``), and an ``IdealImage`` holds them with
+their ``codec``.  A ``WeylElement`` holds its terms in that form too (``_codec``,
 ``_packed``), and so does a ``PolyElement``: both are made by
 ``_from_packed`` and re-packed by ``_join``.  Only
 ``repspace`` may know that format, so that changing it touches one
@@ -34,7 +36,10 @@ and the partial derivative (``poly_partial``) are oracles in
 any module define or name the pass that multiplied each open-word entry
 by tau's tokens (``_times_tau``): the re-expansion E is a sum of traces
 of closed words, and the entries-times-tau route is the oracle
-``contraction_oracle.tau_expansion``.
+``contraction_oracle.tau_expansion``.  Nor are the contraction's former
+front-ends left (``_contract_letters``, ``trace_configurations``,
+``_traced``, ``_check_traces``, ``_boundary_entries``): each summed its
+terms its own way, where ``contracted`` now sums them all.
 """
 
 import ast
@@ -48,9 +53,8 @@ PACKED = {
     "_times",
     "_contract",
     "_contract_packed",
-    "_boundary_entries",
+    "_charge",
     "_packed_trace",
-    "_traced",
     "_ratio",
     "codec",
     "_codec",
@@ -61,7 +65,8 @@ PACKED = {
 PACKED_SUMS = {"_sums", "_den", "_given", "_from_sums", "_canonical", "_view"}
 HH0_PACKED = {"_cycles", "_check_cyclic"}
 TUPLE_KERNEL = {"_weyl_mono_mul", "_merge_exponents", "poly_partial"}
-RETIRED = TUPLE_KERNEL | {"_times_tau"}
+FRONT_ENDS = {"_contract_letters", "trace_configurations", "_traced", "_check_traces", "_boundary_entries"}
+RETIRED = TUPLE_KERNEL | {"_times_tau"} | FRONT_ENDS
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
 
 
@@ -102,6 +107,8 @@ def test_the_check_sees_both_forms():
     assert names_anywhere("from .linear import _merge_exponents\n", TUPLE_KERNEL) == {"_merge_exponents"}
     assert names_anywhere("x = repspace.poly_partial(f, v)\n", TUPLE_KERNEL) == {"poly_partial"}
     assert names_anywhere("def _times_tau(acc, sign):\n    pass\n", RETIRED) == {"_times_tau"}
+    assert names_anywhere("from .repspace import _contract_letters, contracted\n", RETIRED) == {"_contract_letters"}
+    assert names_anywhere("total = trace_configurations(q, d, terms)\n", RETIRED) == {"trace_configurations"}
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "repspace.py"])

@@ -47,6 +47,7 @@ from nhq import (
 )
 from nhq import repspace, trace
 from nhq.expr import format_element
+from nhq.quiver import _code
 from nhq.repspace import tau_pairs
 from nhq.sampling import a2, a3p, all_dimension_vectors, jordan, small_quivers, two_loop
 from nhq.schedler import marked_word
@@ -293,9 +294,11 @@ def test_a_tau_term_raises_an_exponent_above_the_letter_count(starred):
     # 7th; the tau terms of e_{1,1} at j = 1 raise it to the 8th, in a field
     # sized for the 9 token products of entry and tau term
     quiver, dim, m = jordan(), (2,), 7
-    codec, entries = repspace._boundary_entries(quiver, dim, 0, (Letter(0, starred),) * m)
+    word, ends = (Letter(0, starred),) * m, range(1, dim[0] + 1)
+    codec = repspace._ideal_codec(quiver, dim, 0, word)
     assert codec.width == 4
-    packed = dict(entries)[1, 1]
+    open_word = ((_code(word),), (tuple(range(1, m + 1)),), ())
+    packed = repspace.contracted(quiver, dim, [(open_word, ((0, 1),))], True, (ends, ends), codec)[1, 1]._packed
     entry = WeylElement(quiver, dim, codec.unpack(packed, True))
     tops = []
     for _sign, pos, der in tau_pairs(quiver, dim, 0, 1, 1):

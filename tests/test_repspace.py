@@ -12,6 +12,7 @@ from nhq import (
     Path,
     PathAlgebraElement,
     PolyElement,
+    QPAElement,
     WeylElement,
     block_matrix,
     chi_sign_variants,
@@ -19,6 +20,7 @@ from nhq import (
     gauge_act,
     gl_basis,
     gl_commutator,
+    make_configuration,
     make_dimension_vector,
     moment_block_matrix,
     path_matrix_entry,
@@ -392,6 +394,24 @@ def test_block_matrix_word_contracts_indices(A2):
             A2, d, 0, True, 1, k
         ) * PolyElement.coordinate(A2, d, 0, False, k, 1)
     assert m[1, 1] == expected
+
+
+def test_block_matrix_refuses_an_element_without_one_block(J, A2):
+    a, as_ = Letter(0, False), Letter(0, True)
+    one_word = lambda q, *letters: make_configuration(q, [tuple((x, t + 1) for t, x in enumerate(letters))])
+    cases = [
+        (PathAlgebraElement(A2), "classical", ValueError, "zero element"),
+        (PathAlgebraElement.unit(A2), "classical", ValueError, "not homogeneous"),
+        (QPAElement(J, {make_configuration(J, [((a, 1),), ((as_, 2),)]): 1}), "quantum", ValueError, "single-component"),
+        (QPAElement(J, {make_configuration(J, [((a, 1),)], (0,)): 1}), "quantum", ValueError, "single-component"),
+        (QPAElement(A2, {one_word(A2, a, as_): 1, one_word(A2, as_, a): 1}), "quantum", ValueError, "not homogeneous"),
+        (QPAElement(J, {one_word(J, a): 1}), "classical", ValueError, "only have quantum matrices"),
+        (QPAElement(J, {one_word(J, a): 1}), "neither", ValueError, "unknown mode"),
+        (HBarPolynomial.h(), "quantum", TypeError, "HBarPolynomial"),
+    ]
+    for x, mode, error, message in cases:
+        with pytest.raises(error, match=message):
+            block_matrix(x, (1,) * len(getattr(x, "quiver", J).vertices), mode)
 
 
 def test_moment_block_matrix_jordan_d1(J):

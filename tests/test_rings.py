@@ -37,10 +37,6 @@ def test_shift_and_terms():
     assert p.constant_term() == 1
     assert p.coefficient(1) == 2
     assert p.coefficient(9) == 0
-    q = HBarPolynomial((1, Fraction(1, 2)))
-    assert q.scaled_shift(-3, 2) == q * HBarPolynomial.h(2) * -3
-    assert q.scaled_shift(2, 0).coeffs == (2, 1) and type(q.scaled_shift(2, 0).coeffs[1]) is int
-    assert not HBarPolynomial.zero().scaled_shift(5, 3) and not q.scaled_shift(0, 1)
 
 
 def test_str_forms():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nhq import (
     CompositionError,
     HBarPolynomial,
+    HH0Element,
     HeightConfiguration,
     Letter,
     QPAElement,
@@ -287,6 +288,23 @@ def test_lift_single_cycle_uses_canonical_rotation(J):
     x, xs = Letter(0, False), Letter(0, True)
     m = SymElement.of(J, (canonical_necklace(J, (xs, x)),))
     assert lift(m).terms == {_cfg(J, ((x, 1), (xs, 2))): 1}
+
+
+def test_lift_necklace_combination_rekeys_the_coded_necklaces():
+    # each coded necklace goes straight to its canonical configuration: the
+    # same element as the lift of the Sym element of one-necklace monomials
+    rng = random.Random(29)
+    for q in small_quivers():
+        for _ in range(8):
+            terms = {
+                random_necklace(rng, q, max_len=6): random_coefficient(rng, with_h=True)
+                for _ in range(rng.randint(0, 4))
+            }
+            x = HH0Element(q, terms)
+            expected = lift(SymElement(q, {(necklace,): c for necklace, c in x.items()}))
+            got = lift_necklace_combination(x)
+            assert got == expected and got.terms == expected.terms
+            assert project(got) == SymElement(q, {(necklace,): c for necklace, c in terms.items()})
 
 
 def test_project_section_randomized():

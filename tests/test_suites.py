@@ -143,17 +143,22 @@ def test_verify_ideal_decomposes_each_generator_once(monkeypatch):
     # two parameter sets and two character solves read one image per
     # generator: one straightening and one image each, and no open-word
     # contraction, which only the lazy ``pairs`` view makes
-    calls = {"ideal_normal_forms": 0, "ideal_image": 0, "_boundary_entries": 0}
-    modules = ((trace, "ideal_normal_forms"), (trace, "ideal_image"), (repspace, "_boundary_entries"))
-    for module, name in modules:
-        def counted(*args, _f=getattr(module, name), _name=name):
+    calls = {"ideal_normal_forms": 0, "ideal_image": 0, "open words": 0}
+    for name in ("ideal_normal_forms", "ideal_image"):
+        def counted(*args, _f=getattr(trace, name), _name=name):
             calls[_name] += 1
             return _f(*args)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(trace, name, counted)
+
+    def contracted(quiver, dim, items, quantum, ends=None, codec=None, _f=repspace.contracted):
+        calls["open words"] += ends is not None
+        return _f(quiver, dim, items, quantum, ends, codec)
+
+    monkeypatch.setattr(repspace, "contracted", contracted)
     path = os.path.join(os.path.dirname(__file__), "data", "two_loop.json")
     with redirect_stdout(io.StringIO()) as out:
         assert main(["verify", "ideal", "-q", path, "--dim", "v=2"]) == 0
     assert out.getvalue().endswith("summary: 4 ok, 0 failed\n")
     assert len(enumerate_generators(two_loop(), 3)) == 97
-    assert calls == {"ideal_normal_forms": 97, "ideal_image": 97, "_boundary_entries": 0}
+    assert calls == {"ideal_normal_forms": 97, "ideal_image": 97, "open words": 0}

@@ -53,6 +53,7 @@ from nhq.sampling import (
     random_gl,
     random_necklace,
     random_quiver,
+    small_quivers,
     two_loop,
 )
 from nhq.trace import clear_trace_cache, enumerate_generators
@@ -201,6 +202,24 @@ def test_trace_quantum_of_sums_is_the_per_configuration_sum():
             before = {cfg: dict(cached(cfg).terms) for cfg in x.terms}
             assert trace_quantum(x, d) == _per_configuration_sum(x, d)
             assert all(cached(cfg).terms == terms for cfg, terms in before.items())
+
+
+def test_trace_quantum_of_a_sum_is_the_sum_of_its_configuration_traces():
+    # the sum is traced in one layout for all its configurations, each one
+    # alone in a layout of its own letters
+    rng = random.Random(2029)
+    coeffs = (1, -1, 3, Fraction(1, 2), H, 1 + H, Fraction(-2, 3) + H * H)
+    for q in small_quivers():
+        for _ in range(4):
+            d = random_dimension(rng, q, max_dim=2)
+            x = QPAElement(q)
+            while len(x.terms) < 2:
+                cfgs = [random_configuration(rng, q, max_letters=5) for _ in range(rng.randint(2, 4))]
+                x = QPAElement(q, {cfg: rng.choice(coeffs) for cfg in cfgs})
+            expected = WeylElement(q, d)
+            for cfg, coeff in x.items():
+                expected = expected + trace_quantum_config(q, d, cfg.components, cfg.idempotents).scale(coeff)
+            assert trace_quantum(x, d) == expected
 
 
 def test_trace_quantum_budget_covers_the_whole_sum(J, monkeypatch):
