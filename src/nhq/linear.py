@@ -6,7 +6,8 @@ the storage: the context in each subclass's own ``__slots__``, the
 compatibility check and the ``terms`` view.  ``_PackedSums`` is the one
 store of the elements keyed by combinatorial data; kernels reach it through
 ``int_terms``, ``bilinear``, ``rekeyed`` and ``from_ints``.  The exact
-nullspace of a rational matrix (``rational_nullspace``) lives here too.
+nullspace of a rational matrix given by sparse rows
+(``rational_nullspace``) lives here too.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import MismatchError
-from .rings import HBarPolynomial, _exact, as_fraction
+from .rings import HBarPolynomial, _exact
 
 
 class LinearCombination:
@@ -266,33 +267,30 @@ def rekeyed(x: _PackedSums, f) -> tuple:
     return out, x._den
 
 
-def rational_nullspace(matrix, ncols):
-    """Basis of {x : A x = 0} over the rationals; A given as a list of rows.
+def rational_nullspace(rows, ncols):
+    """Basis of {x : A x = 0} over the rationals; A given as sparse rows
+    ``{col: exact entry}``, which are left unchanged.
 
-    Gauss-Jordan elimination on sparse rows ``{col: Fraction}`` holding the
-    nonzero entries only, so each elimination step touches only the pivot
-    row's nonzero columns.  The reduced echelon form is unique, so the
-    basis (one vector per free column) does not depend on the storage.
+    Gauss-Jordan elimination on copies holding the nonzero entries only, so
+    each step touches only the pivot row's nonzero columns.  Entries stay
+    ``int`` while every pivot is +-1; another pivot divides as a
+    ``Fraction``.  The reduced echelon form is unique, so the basis (one
+    ``Fraction`` vector per free column) does not depend on the storage.
     """
-    rows = [
-        {col: v for col, c in enumerate(row) if (v := as_fraction(c))} for row in matrix
-    ]
-    nrows = len(rows)
-    pivot_col_of_row = []
-    lead = 0
+    rows = [{col: v for col, c in row.items() if (v := _exact(c))} for row in rows]
+    reduced: dict = {}  # pivot column: its row, 1 there and 0 at the other pivots
     for col in range(ncols):
-        pivot = next((r for r in range(lead, nrows) if col in rows[r]), None)
-        if pivot is None:
+        at = next((r for r, row in enumerate(rows) if col in row), None)
+        if at is None:
             continue
-        rows[lead], rows[pivot] = rows[pivot], rows[lead]
-        pv = rows[lead][col]
+        pivot_row = rows.pop(at)
+        pv = pivot_row[col]
         if pv != 1:
-            rows[lead] = {c: v / pv for c, v in rows[lead].items()}
-        pivot_row = rows[lead]
-        for r in range(nrows):
-            row = rows[r]
+            inverse = -1 if pv == -1 else 1 / Fraction(pv)
+            pivot_row = {c: v * inverse for c, v in pivot_row.items()}
+        for row in [*rows, *reduced.values()]:
             factor = row.get(col)
-            if r == lead or factor is None:
+            if factor is None:
                 continue
             for c, v in pivot_row.items():
                 value = row.get(c, 0) - factor * v
@@ -300,18 +298,13 @@ def rational_nullspace(matrix, ncols):
                     row[c] = value
                 else:
                     del row[c]
-        pivot_col_of_row.append(col)
-        lead += 1
-        if lead == nrows:
-            break
-    pivot_cols = set(pivot_col_of_row)
+        reduced[col] = pivot_row
     basis = []
     for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivot_col_of_row):
-            vec[pc] = -rows[r].get(free, Fraction(0))
-        basis.append(vec)
+        if free not in reduced:
+            vec = [Fraction(0)] * ncols
+            vec[free] = Fraction(1)
+            for pc, row in reduced.items():
+                vec[pc] = Fraction(-row.get(free, 0))
+            basis.append(vec)
     return basis

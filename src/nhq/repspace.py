@@ -445,16 +445,20 @@ def _tau_terms(quiver: Quiver, dim, items, codec) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
-def tau(quiver: Quiver, dim, v: GlElement) -> WeylElement:
-    """Infinitesimal gl_d action as a first-order differential operator.
+def tau(quiver: Quiver, dim, v: GlElement, constant=0) -> WeylElement:
+    """Infinitesimal gl_d action as a first-order differential operator,
+    plus the scalar ``constant`` of Q[h] when one is given.
 
     Its fields are as wide as those of the moment blocks (top 2), which
-    ``verify qmoment`` compares it with, so neither side is re-packed."""
+    ``verify qmoment`` compares it with, and its constant h chi is added in
+    the same codec, so nothing on either side is re-packed."""
     dim = tuple(dim)
     if (quiver, dim) != v._context():
         raise MismatchError("gl element disagrees on quiver or dimensions")
     codec = _codec(quiver, dim, _arrows_at(quiver, {i for i, _, _ in v.terms}), _width(2))
-    return WeylElement._from_packed(quiver, dim, codec, _tau_terms(quiver, dim, v.items(), codec), 1)
+    terms = _tau_terms(quiver, dim, v.items(), codec)
+    _add_scaled(terms, ((0, 1),), enumerate(HBarPolynomial.coerce(constant).coeffs), codec.hunit)
+    return WeylElement._from_packed(quiver, dim, codec, terms, 1)
 
 
 def gauge_act(quiver: Quiver, dim, i: int, p: int, q: int, f: PolyElement) -> PolyElement:
@@ -486,24 +490,19 @@ def gauge_act(quiver: Quiver, dim, i: int, p: int, q: int, f: PolyElement) -> Po
 
 
 def tau_kernel(quiver: Quiver, dim) -> list:
-    """Exact basis of {v in gl_d : tau(v) = 0}."""
+    """Exact basis of {v in gl_d : tau(v) = 0}, from one sparse int row
+    {basis index: coefficient} per monomial of tau of the basis."""
     dim = make_dimension_vector(quiver, dim)
     basis = list(gl_basis(quiver, dim))
     codec = _codec(quiver, dim, tuple(range(len(quiver.arrows))), 1)
-    images = [_tau_terms(quiver, dim, [(key, 1)], codec) for key in basis]
-    columns = {}
-    for img in images:
-        for key in img:
-            columns.setdefault(key, len(columns))
-    matrix = [[Fraction(0)] * len(basis) for _ in range(len(columns))]
-    for b, img in enumerate(images):
-        for key, c in img.items():
-            matrix[columns[key]][b] = c
-    kernel = []
-    for vec in rational_nullspace(matrix, len(basis)):
-        terms = {key: c for key, c in zip(basis, vec) if c}
-        kernel.append(GlElement(quiver, dim, terms))
-    return kernel
+    rows: dict = {}
+    for b, key in enumerate(basis):
+        for mono, c in _tau_terms(quiver, dim, [(key, 1)], codec).items():
+            rows.setdefault(mono, {})[b] = c
+    return [
+        GlElement(quiver, dim, {key: c for key, c in zip(basis, vec) if c})
+        for vec in rational_nullspace(list(rows.values()), len(basis))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -817,8 +816,9 @@ def contracted(quiver: Quiver, dim, items, quantum: bool, ends=None, codec=None)
     items are charged together before any product (``_charge``).  Every
     item is accumulated into one dict per entry in one ``codec``, by
     default the one with fields for the items' arrows, sized for the
-    longest item.  Closed quantum items are read from the trace cache
-    ``_packed_trace`` in that codec's layout; the others contract
+    longest item.  Closed items are summed by ``_closed_sum``, which
+    ``ideal_image`` shares: quantum ones are read from the trace cache
+    ``_packed_trace`` in that codec's layout, the others contract
     directly.  The results are fresh elements: reading their ``terms``
     stores nothing in the cache."""
     if quantum:
@@ -831,28 +831,34 @@ def contracted(quiver: Quiver, dim, items, quantum: bool, ends=None, codec=None)
     if codec is None:
         arrows = {_LETTER[c].arrow for c in set().union(*letters)}
         codec = _codec(quiver, dim, tuple(sorted(arrows)), _width(top))
-    ring, hunit = WeylElement if quantum else PolyElement, codec.hunit
-    make = lambda terms: ring._from_packed(quiver, dim, codec, {key: c for key, c in terms.items() if c}, top)
+    make = lambda terms: (WeylElement if quantum else PolyElement)._from_packed(quiver, dim, codec, terms, top)
     if ends is None:
-        out: dict = {}
-        get = out.get
-        for cfg, scale in items:
-            if quantum:
-                traced = _packed_trace(quiver, dim, codec.arrows, codec.width, cfg)
-            else:
-                traced = _contract_packed(quiver, dim, codec, cfg, False)[()].items()
-            for k, m in scale:
-                shift = k * hunit
-                for key, c in traced:
-                    key += shift
-                    out[key] = get(key, 0) + m * c
-        return make(out)
+        return make(_closed_sum(quiver, dim, codec, items, quantum))
     rows, cols = ends
     block = {(r, c): {} for r in rows for c in cols}
     for cfg, scale in items:
         for rc, terms in _contract_packed(quiver, dim, codec, cfg, quantum, ends).items():
-            _add_scaled(block[rc], terms.items(), scale, hunit)
-    return {rc: make(terms) for rc, terms in block.items()}
+            _add_scaled(block[rc], terms.items(), scale, codec.hunit)
+    return {rc: make({key: c for key, c in terms.items() if c}) for rc, terms in block.items()}
+
+
+def _closed_sum(quiver: Quiver, dim, codec: _Codec, items, quantum: bool) -> dict:
+    """The canonical packed sum m h^k Tr(cfg) in ``codec`` over closed
+    (cfg, [(k, m), ...]) ``items``, charging nothing: quantum traces read
+    from ``_packed_trace``, the others contracted."""
+    out: dict = {}
+    get, hunit = out.get, codec.hunit
+    for cfg, scale in items:
+        if quantum:
+            traced = _packed_trace(quiver, dim, codec.arrows, codec.width, cfg)
+        else:
+            traced = _contract_packed(quiver, dim, codec, cfg, False)[()].items()
+        for k, m in scale:
+            shift = k * hunit
+            for key, c in traced:
+                key += shift
+                out[key] = get(key, 0) + m * c
+    return {key: c for key, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +874,7 @@ def contracted(quiver: Quiver, dim, items, quantum: bool, ends=None, codec=None)
 # closes the open word with one moment pair, the position token at height
 # v + 1 and the derivative at v + 2, so E is the sum of the traces of
 # those closed words.  An n-letter term c of an N'-letter part stands for
-# c h^((N' - n)/2), an item of ``contracted`` with that power of h, so G
+# c h^((N' - n)/2), an item of ``_closed_sum`` with that power of h, so G
 # and E sit at Rees grade N, P and T at grade v.  None depends on (r,
 # lambda), and the decomposition target == re_expand(chi), split by
 # grade, is two exact comparisons: G + r h P - E = chi h T at grade N and,
@@ -883,17 +889,22 @@ def _ideal_codec(quiver: Quiver, dim, vertex: int, word) -> _Codec:
     return _codec(quiver, dim, tuple(sorted(arrows)), _width(len(word) + 2))
 
 
-def _ratio(lhs: dict, base: dict):
-    """The chi with lhs = chi base on every key of two int dicts, or None;
-    chi = 0 when base is empty.  It is read at one key of base."""
-    if not base:
-        return None if lhs else Fraction(0)
+def _ratio(lhs: dict, base: dict, shift: int):
+    """The chi with lhs = chi base moved ``shift`` up on every key, or
+    None, for two int dicts without zeros; chi = 0 when lhs is empty.  It
+    is read at one key of base."""
+    if not lhs:
+        return Fraction(0)
+    if len(lhs) != len(base):
+        return None
     k0 = next(iter(base))
-    a, b = base[k0], lhs.get(k0, 0)
-    for key in lhs.keys() | base.keys():
-        if lhs.get(key, 0) * a != b * base.get(key, 0):
+    a, b = base[k0], lhs.get(k0 + shift, 0)
+    if not b:
+        return None
+    for key, c in base.items():
+        if lhs.get(key + shift, 0) * a != b * c:
             return None
-    return Fraction(b) / a
+    return Fraction(b, a)
 
 
 @dataclass(eq=False)
@@ -904,7 +915,9 @@ class IdealImage:
     ``word`` is the marked word of v letters; ``spliced`` (G), ``cycle``
     (P), ``diagonal`` (T) and ``expanded`` (E) are the traced packed int
     dicts of the comment above.  ``chi(r, lam)`` solves the character value
-    at order-h weight r and deformation lam.  The views ``target(r, lam)``
+    at order-h weight r and deformation lam from ``difference`` = G - E, one
+    int dict made on the first bind and read by every other; at r = 0 it
+    copies nothing.  The views ``target(r, lam)``
     = Tr_q(generator), ``expansion(lam)`` = sum entry tau(direction) -
     lambda Tr_q(p), ``pairs`` (each nonzero open-word entry of the word
     with its direction -e_{l_first, l_last}) and ``trace_of_p`` = Tr_q(p)
@@ -922,6 +935,13 @@ class IdealImage:
     expanded: dict
     v = property(lambda self: len(self.word))
 
+    @cached_property
+    def difference(self) -> dict:
+        """G - E, the part of chi's grade-N comparison free of (r, lambda)."""
+        out = dict(self.spliced)
+        _add_scaled(out, self.expanded.items(), ((0, -1),), 0)
+        return {key: c for key, c in out.items() if c}
+
     def chi(self, r, lam) -> Fraction | None:
         """The chi with target(r, lam) == expansion(lam) + chi h Tr_q(p),
         None when no value makes the decomposition exact."""
@@ -930,12 +950,12 @@ class IdealImage:
             return None
         # grade N, times the denominator of r: den (G - E) + num h P = den chi h T
         num, den, h = r.numerator, r.denominator, self.codec.hunit
-        lhs = {key: den * c for key, c in self.spliced.items()}
-        _add_scaled(lhs, self.expanded.items(), ((0, -den),), h)
-        _add_scaled(lhs, self.cycle.items(), ((1, num),), h)
-        base: dict = {}
-        _add_scaled(base, self.diagonal.items(), ((1, 1),), h)
-        ratio = _ratio({key: c for key, c in lhs.items() if c}, base)
+        lhs = self.difference
+        if num:
+            lhs = {key: den * c for key, c in lhs.items()}
+            _add_scaled(lhs, self.cycle.items(), ((1, num),), h)
+            lhs = {key: c for key, c in lhs.items() if c}
+        ratio = _ratio(lhs, self.diagonal, h)
         return None if ratio is None else ratio / den
 
     def _element(self, top: dict, low=None, coeffs=()) -> WeylElement:
@@ -974,19 +994,18 @@ def ideal_image(
     """The decomposition of the generator of ``word``, the marked cycle, at
     ``vertex``, from the four parts of ``schedler.ideal_normal_forms``.
 
-    Each part is a sum of closed coded configurations, traced by
-    ``contracted`` in the codec of ``_ideal_codec``, an n-letter term of an
-    N'-letter part at the power (N' - n)/2 of h.  The index assignments of
-    all the distinct configurations of the four parts are charged together
-    (``_charge``) before any contraction.
+    The distinct configurations of the four parts are charged once,
+    together (``_charge``).  Each part is summed from the trace cache into
+    a canonical int dict in the codec of ``_ideal_codec`` (``_closed_sum``,
+    as ``contracted`` sums), an n-letter term of an N'-letter part at the
+    power (N' - n)/2 of h; no element is built.
     """
     parts = (spliced, cycle, diagonal, expanded)
     _charge(quiver, dim, ["".join(codes) for codes, _, _ in set().union(*parts)])
     codec, v = _ideal_codec(quiver, dim, vertex, word), len(word)
-    graded = lambda part, n: [(cfg, (((n - len("".join(cfg[0]))) // 2, c),)) for cfg, c in part.items()]
+    graded = lambda part, n: [(cfg, (((n - sum(map(len, cfg[0]))) // 2, c),)) for cfg, c in part.items()]
     G, P, T, E = (
-        contracted(quiver, dim, graded(part, n), True, codec=codec)._packed
-        for part, n in zip(parts, (v + 2, v, v, v + 2))
+        _closed_sum(quiver, dim, codec, graded(part, n), True) for part, n in zip(parts, (v + 2, v, v, v + 2))
     )
     return IdealImage(quiver, dim, vertex, word, codec, G, P, T, E)
 

@@ -605,14 +605,15 @@ def marked_word(quiver: Quiver, p: Necklace, vertex: int, mark: int):
     return letters[mark + 1 :] + letters[: mark + 1]
 
 
-def _ideal_parts(quiver, p, vertex, mark):
-    """A generator's configurations, coded: the spliced moment
-    configurations as ``(codes, heights, idems, sign)`` with N = v + 2
-    letters, p's cycle of v letters (the idempotent factor at ``vertex``
-    when v = 0), and {normalized cfg: sign} of the closed words whose
-    traces sum to the tau re-expansion E: p's word at heights 1..v and a
-    moment pair, its unstarred letter at v + 1 and starred one at v + 2."""
-    base = _code(marked_word(quiver, p, vertex, mark))
+def _ideal_parts(quiver, word, vertex):
+    """The configurations of the generator of the marked ``word`` at
+    ``vertex``, coded: the spliced moment configurations as ``(codes,
+    heights, idems, sign)`` with N = v + 2 letters, p's cycle of v letters
+    (the idempotent factor at ``vertex`` when v = 0), and {normalized cfg:
+    sign} of the closed words whose traces sum to the tau re-expansion E:
+    p's word at heights 1..v and a moment pair, its unstarred letter at
+    v + 1 and starred one at v + 2."""
+    base = _code(word)
     v = len(base)
     word = tuple(range(1, v + 1))
     moments, closed = [], {}
@@ -640,7 +641,7 @@ def ideal_generator(
     """
     if params is None:
         params = make_params(quiver)
-    moments, cycle, _ = _ideal_parts(quiver, p, vertex, mark)
+    moments, cycle, _ = _ideal_parts(quiver, marked_word(quiver, p, vertex, mark), vertex)
     lam, r = params.lam[vertex], params.r[vertex]
     den = lcm(lam.denominator, r.denominator)
     configs = [(*cfg, ((0, sign * den),)) for *cfg, sign in moments]
@@ -650,10 +651,11 @@ def ideal_generator(
     return from_ints(QPAElement, (quiver,), _normal_terms(quiver, configs), den)
 
 
-def ideal_normal_forms(quiver: Quiver, p: Necklace, vertex: int, mark: int = 0) -> tuple:
+def ideal_normal_forms(quiver: Quiver, word, vertex: int) -> tuple:
     """The four parts of the reduction-ideal check of (p, marked visit) in
     the kernel's form, each a dict {coded cfg: nonzero int}: ``(spliced,
-    cycle, diagonal, expanded)``.
+    cycle, diagonal, expanded)``.  ``word`` is ``marked_word(quiver, p,
+    vertex, mark)``.
 
     ``spliced`` and ``cycle`` are the two Rees-homogeneous parts of every
     ``ideal_generator`` of (p, marked visit), straightened.  With v the
@@ -664,7 +666,7 @@ def ideal_normal_forms(quiver: Quiver, p: Necklace, vertex: int, mark: int = 0) 
     height swaps, as ``ideal_generator`` has.  ``diagonal`` holds p's
     marked word at heights 1..v, whose trace is Tr_q(p), and ``expanded``
     the closed words of ``_ideal_parts``; these two are not straightened."""
-    moments, cycle, closed = _ideal_parts(quiver, p, vertex, mark)
+    moments, cycle, closed = _ideal_parts(quiver, word, vertex)
     qkey = _quiver_key(quiver)
     _rewrites_left[0] = MAX_REWRITES
 

@@ -297,12 +297,9 @@ def verify_quantum_moment(quiver: Quiver, dim, r=None, name="qmoment") -> Verifi
 
     def pairs():
         for (i, p, q) in gl_basis(quiver, dim):
-            e = GlElement.elementary(quiver, dim, i, p, q)
-            lhs = blocks[i][q, p]
-            rhs = -tau(quiver, dim, e)
-            if p == q and chi[i]:
-                rhs = rhs + WeylElement.constant(quiver, dim, HBarPolynomial((0, chi[i])))
-            yield f"first failing basis element e^{i}_{{{p},{q}}}", lhs, rhs
+            minus_e = GlElement.elementary(quiver, dim, i, p, q, -1)
+            rhs = tau(quiver, dim, minus_e, HBarPolynomial((0, chi[i])) if p == q else 0)
+            yield f"first failing basis element e^{i}_{{{p},{q}}}", blocks[i][q, p], rhs
 
     return compare_report(name, pairs())
 
@@ -439,11 +436,12 @@ def generator_image(quiver: Quiver, dim, p: Necklace, vertex: int, mark: int = 0
     ``schedler.ideal_normal_forms`` (its two straightened parts, traced as
     they leave the straightening kernel, and the closed words of Tr_q(p)
     and of the tau re-expansion), all traced through the one trace cache,
-    packed and Rees-graded.  A repeated generator whose traces are still
-    cached contracts nothing."""
+    packed and Rees-graded.  p's marked word is found once, here.  A
+    repeated generator whose traces are still cached is charged once and
+    contracts nothing."""
     dim = make_dimension_vector(quiver, dim)
     word = marked_word(quiver, p, vertex, mark)
-    return ideal_image(quiver, dim, vertex, word, *ideal_normal_forms(quiver, p, vertex, mark))
+    return ideal_image(quiver, dim, vertex, word, *ideal_normal_forms(quiver, word, vertex))
 
 
 def decompose_ideal_image(

@@ -115,6 +115,42 @@ def test_a_repeated_generator_image_contracts_nothing(L2, monkeypatch):
     assert again.pairs is pairs and len(contractions) == 1
 
 
+def test_a_warm_generator_image_charges_once_and_builds_no_element(L2, monkeypatch):
+    # a warm image reads all four parts from the trace cache under the one
+    # charge of their union, sums them straight into int dicts and binds
+    # chi on those dicts: no contraction and no element, at any (r, lambda)
+    from nhq import repspace
+
+    x, y = Letter(0, False), Letter(1, False)
+    p = canonical_necklace(L2, (x, y.star(), y, x.star()))
+    cold = generator_image(L2, (2,), p, 0, 1)
+    binds = [(0, 0), (Fraction(1, 2), 0), (Fraction(-3), Fraction(2))]
+    expected = [cold.chi(r, lam) for r, lam in binds]
+    calls = {"_charge": 0, "_contract": 0, "_from_packed": 0}
+
+    def counted(name, f):
+        return lambda *a: calls.__setitem__(name, calls[name] + 1) or f(*a)
+
+    from_packed = repspace._PackedOperator._from_packed.__func__
+    monkeypatch.setattr(repspace, "_charge", counted("_charge", repspace._charge))
+    monkeypatch.setattr(repspace, "_contract", counted("_contract", repspace._contract))
+    monkeypatch.setattr(repspace._PackedOperator, "_from_packed", classmethod(counted("_from_packed", from_packed)))
+    image = generator_image(L2, (2,), p, 0, 1)
+    assert [image.chi(r, lam) for r, lam in binds] == expected and expected[0] is not None
+    assert calls == {"_charge": 1, "_contract": 0, "_from_packed": 0}
+    # G - E is one int dict, made once per image and read by every bind
+    difference = {key: image.spliced.get(key, 0) - image.expanded.get(key, 0)
+                  for key in image.spliced.keys() | image.expanded.keys()}
+    assert image.difference == {key: c for key, c in difference.items() if c}
+    assert image.difference is image.difference
+    # at r = 0 a bind reads G - E as it is, whatever lambda
+    adds = []
+    add_scaled = repspace._add_scaled
+    monkeypatch.setattr(repspace, "_add_scaled", lambda *a: adds.append(a) or add_scaled(*a))
+    assert image.chi(0, 0) == expected[0] and image.chi(0, Fraction(1)) == cold.chi(0, Fraction(1))
+    assert adds == []
+
+
 def test_the_one_trace_cache_holds_untracked_ints_and_no_views():
     """qtrace's shapes: traces of lifted necklaces of up to 8 letters at
     d = 2, 3, alone and summed.  Reading the ``terms`` view of a returned

@@ -5,10 +5,11 @@ multiplies on those ints (``_times``, ``_contract``,
 ``_contract_packed``), charging each sum's index assignments first
 (``_charge``).  Every trace, block matrix and moment block is summed by
 one public front-end, ``contracted``, from coded configurations and
-``int`` numerators, closed quantum items read from the trace cache
-(``_packed_trace``).  The reduction-ideal check keeps its four traced
-parts in that form (``_ratio``), and an ``IdealImage`` holds them with
-their ``codec``.  A ``WeylElement`` holds its terms in that form too (``_codec``,
+``int`` numerators, closed items summed by ``_closed_sum`` and quantum
+ones read from the trace cache (``_packed_trace``).  The reduction-ideal
+check sums its four traced parts in that form with the same
+``_closed_sum`` and compares them there (``_ratio``), and an
+``IdealImage`` holds them with their ``codec``.  A ``WeylElement`` holds its terms in that form too (``_codec``,
 ``_packed``), and so does a ``PolyElement``: both are made by
 ``_from_packed`` and re-packed by ``_join``.  Only
 ``repspace`` may know that format, so that changing it touches one
@@ -54,6 +55,7 @@ PACKED = {
     "_contract",
     "_contract_packed",
     "_charge",
+    "_closed_sum",
     "_packed_trace",
     "_ratio",
     "codec",

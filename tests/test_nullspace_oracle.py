@@ -1,10 +1,11 @@
 """``rational_nullspace`` against dense elimination and sympy.
 
-The library eliminates on sparse rows; the dense Gauss-Jordan sweep it
-replaced is kept here as an oracle, and the reduced echelon form is unique,
-so both must give the same basis exactly.  sympy is a test-only oracle; the
-library does not depend on it, and only the sympy comparison is skipped
-when it is missing.
+The library takes and eliminates sparse rows {col: entry}, keeping ``int``
+entries while the pivots are +-1; the dense Gauss-Jordan sweep it replaced
+is kept here as an oracle on the same rows made dense, and the reduced
+echelon form is unique, so both must give the same basis exactly.  sympy
+is a test-only oracle; the library does not depend on it, and only the
+sympy comparison is skipped when it is missing.
 """
 
 import random
@@ -57,14 +58,24 @@ def dense_nullspace(matrix, ncols):
     return basis
 
 
+def _sparse(matrix):
+    """The dense ``matrix`` as sparse rows {col: nonzero entry}."""
+    return [{col: c for col, c in enumerate(row) if c} for row in matrix]
+
+
+def _dense(rows, ncols):
+    """The sparse ``rows`` as dense rows of ``ncols`` entries."""
+    return [[row.get(col, 0) for col in range(ncols)] for row in rows]
+
+
 def _tau_kernel_matrices(monkeypatch, dims):
-    """The matrices ``tau_kernel`` hands to ``rational_nullspace``."""
+    """The sparse rows ``tau_kernel`` hands to ``rational_nullspace``."""
     captured = []
     true_nullspace = repspace.rational_nullspace
 
-    def recording(matrix, ncols):
-        captured.append((matrix, ncols))
-        return true_nullspace(matrix, ncols)
+    def recording(rows, ncols):
+        captured.append((rows, ncols))
+        return true_nullspace(rows, ncols)
 
     monkeypatch.setattr(repspace, "rational_nullspace", recording)
     for dim in dims:
@@ -76,8 +87,9 @@ def test_sparse_elimination_equals_dense_on_tau_kernel_matrices(monkeypatch):
     dims = [(1, 1, 1, 1), (2, 2, 2, 1), (1, 3, 2, 1), (3, 2, 3, 1), (3, 3, 3, 3)]
     captured = _tau_kernel_matrices(monkeypatch, dims)
     assert [len(m) for m, _ in captured][-1] == 180 and captured[-1][1] == 36
-    for matrix, ncols in captured:
-        assert rational_nullspace(matrix, ncols) == dense_nullspace(matrix, ncols)
+    for rows, ncols in captured:
+        assert all(type(c) is int and c for row in rows for c in row.values())
+        assert rational_nullspace(rows, ncols) == dense_nullspace(_dense(rows, ncols), ncols)
 
 
 def test_sparse_elimination_equals_dense_on_seeded_sparse_matrices():
@@ -98,7 +110,7 @@ def test_sparse_elimination_equals_dense_on_seeded_sparse_matrices():
             if rng.random() < 0.2:
                 a, b = rng.randint(-2, 2), Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                 rows[r] = [a * x + b * y for x, y in zip(rows[r - 1], rows[0])]
-        basis = rational_nullspace(rows, ncols)
+        basis = rational_nullspace(_sparse(rows), ncols)
         assert basis == dense_nullspace(rows, ncols), case
         for vec in basis:
             assert all(type(c) is Fraction for c in vec)
@@ -131,7 +143,7 @@ def _to_sympy(rows):
 @given(_matrices())
 def test_rational_nullspace_matches_sympy(case):
     rows, ncols = case
-    basis = rational_nullspace(rows, ncols)
+    basis = rational_nullspace(_sparse(rows), ncols)
     assert len(basis) == len(_to_sympy(rows).nullspace())
     for vec in basis:
         assert len(vec) == ncols
@@ -145,11 +157,37 @@ def test_rational_nullspace_matches_sympy(case):
 def test_integer_rows_give_fraction_entries():
     # int / int is a float in Python (-1.5 == Fraction(-3, 2) too), so the
     # entry types are checked, not only their values
-    assert rational_nullspace([[2, 3]], 2) == [[Fraction(-3, 2), Fraction(1)]]
+    assert rational_nullspace([{0: 2, 1: 3}], 2) == [[Fraction(-3, 2), Fraction(1)]]
     for rows, ncols in (([[2, 3]], 2), ([[1, 2, 0], [3, 1, 5]], 3), ([[0, 4]], 2)):
-        basis = rational_nullspace(rows, ncols)
+        basis = rational_nullspace(_sparse(rows), ncols)
         assert basis
         for vec in basis:
             assert all(type(c) is Fraction for c in vec)  # never a float
             for row in rows:
                 assert sum(a * x for a, x in zip(row, vec)) == 0
+
+
+@pytest.mark.parametrize(
+    "rows, ncols",
+    [
+        ([{0: 1, 1: -1}, {1: 1, 2: -1}], 3),  # +1 pivots
+        ([{0: -1, 2: 1}, {1: -1, 3: 1}, {0: 1, 1: 1, 4: 1}], 5),  # -1 pivots, a -1 made by elimination
+        ([{0: 3, 1: 1}, {2: 7, 3: -2}, {0: 2, 4: 5}], 5),  # non-unit pivots
+        ([{0: 1, 1: 2, 2: 3}, {0: 1, 1: 5}, {1: -1, 3: 7}], 4),  # a unit pivot, then non-unit ones
+        ([{0: Fraction(3, 2), 1: 1}, {0: 1, 2: Fraction(-1, 3)}], 3),  # Fraction entries
+    ],
+    ids=["plus-one", "minus-one", "non-unit", "mixed", "fractions"],
+)
+def test_no_basis_entry_is_a_float(rows, ncols):
+    # an int entry divided by an int pivot with / would be a float; every
+    # entry of every basis vector is a Fraction, whatever the pivots
+    given = [dict(row) for row in rows]
+    basis = rational_nullspace(rows, ncols)
+    assert rows == given  # the caller's rows are not changed
+    assert basis == dense_nullspace(_dense(rows, ncols), ncols)
+    assert basis
+    for vec in basis:
+        assert not any(isinstance(c, float) for c in vec)
+        assert all(type(c) is Fraction for c in vec)
+        for row in rows:
+            assert sum(a * vec[col] for col, a in row.items()) == 0

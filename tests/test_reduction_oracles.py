@@ -384,3 +384,35 @@ def test_a_wrong_int_in_the_traced_cycle_fails(monkeypatch, r, lam):
     x22 = ((0, 2, 2), 1)
     bump = WeylElement(quiver, dim, {((x22,), (x22,)): HBarPolynomial((-lam, r))})
     assert dec.target - decompose_ideal_image(quiver, dim, cycle, 0, 1, params).target == bump
+
+
+def _ratio_oracle(lhs: dict, base: dict, shift: int):
+    """The chi with lhs = chi base moved ``shift`` up, read at one key of
+    base and checked on every key of both (the comparison ``IdealImage.chi``
+    made before it read the moved base in place), or None."""
+    moved = {key + shift: c for key, c in base.items()}
+    if not moved:
+        return None if lhs else Fraction(0)
+    k0 = next(iter(moved))
+    a, b = moved[k0], lhs.get(k0, 0)
+    if any(lhs.get(key, 0) * a != b * moved.get(key, 0) for key in lhs.keys() | moved.keys()):
+        return None
+    return Fraction(b, a)
+
+
+def test_the_ratio_of_two_int_dicts_matches_the_full_comparison():
+    shift = 1 << 6
+    base = {1: 2, 5: -4}
+    # as many keys as base, none of them a moved key of base: no chi
+    assert repspace._ratio({2 + shift: 3, 7 + shift: 1}, base, shift) is None
+    assert repspace._ratio({1 + shift: 3, 5 + shift: -6}, base, shift) == Fraction(3, 2)
+    rng = random.Random(3030)
+    for case in range(3000):
+        base = {rng.randrange(16): rng.choice((-3, -1, 1, 2, 5)) for _ in range(rng.randint(0, 4))}
+        chi = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        lhs = {key + shift: chi * c for key, c in base.items()}
+        for _ in range(rng.choice((0, 0, 1, 2))):  # move, drop or add a key
+            key = rng.randrange(16) + rng.choice((0, shift))
+            lhs[key] = rng.choice((0, 0, 1, -2, chi))
+        lhs = {key: c for key, c in lhs.items() if c}
+        assert repspace._ratio(lhs, base, shift) == _ratio_oracle(lhs, base, shift), case

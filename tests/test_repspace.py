@@ -258,7 +258,7 @@ def test_tau_kernel_contains_identity_block_scalars(A3P):
 
 
 def test_rational_nullspace():
-    rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+    rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}]
     basis = rational_nullspace(rows, 2)
     assert len(basis) == 1
     x = basis[0]

@@ -252,7 +252,7 @@ def test_decomposition_budget_covers_every_traced_configuration(J, monkeypatch):
     x, xs = Letter(0, False), Letter(0, True)
     p = canonical_necklace(J, (x, xs, x))
     params = ReductionParameters((Fraction(1),), (Fraction(2),))
-    parts = schedler.ideal_normal_forms(J, p, 0, 0)
+    parts = schedler.ideal_normal_forms(J, schedler.marked_word(J, p, 0, 0), 0)
     assert len(parts) == 4 and all(parts)
     traced = set().union(*parts)
     total = sum(2 ** sum(map(len, codes)) for codes, _, _ in traced)
@@ -376,6 +376,39 @@ def test_quantum_moment_reports(J, A2):
     rep = verify_quantum_moment(J, (1,))
     assert rep.ok
     assert verify_quantum_moment(A2, (2, 3)).ok
+
+
+def test_the_quantum_moment_check_repacks_no_term(monkeypatch):
+    # each right-hand side -tau(e) + h chi is packed in tau's codec, the
+    # blocks' layout, so neither the constant nor a compared side is re-packed
+    from nhq import repspace, tau
+
+    repacks = []
+    repack = repspace._Codec.repack
+    monkeypatch.setattr(repspace._Codec, "repack", lambda self, *a: repacks.append(self) or repack(self, *a))
+    for q in small_quivers():
+        dim = (2,) * len(q.vertices)
+        for r in (None, tuple(Fraction(k - 1, 2) for k in range(len(q.vertices)))):
+            assert verify_quantum_moment(q, dim, r).ok
+    assert repacks == []
+    monkeypatch.undo()
+    q, dim = a3p(), (2, 2, 2, 1)
+    for i, p, k in ((0, 1, 1), (1, 2, 1), (3, 1, 1)):
+        e = GlElement.elementary(q, dim, i, p, k, Fraction(-1, 3))
+        for c in (0, 5, H * Fraction(7, 2), HBarPolynomial((1, 0, -2))):
+            assert tau(q, dim, e, c) == tau(q, dim, e) + WeylElement.constant(q, dim, c)
+
+
+def test_a_generator_image_finds_its_marked_word_once(L2, monkeypatch):
+    from nhq import schedler, trace
+
+    calls = []
+    for module in (trace, schedler):
+        monkeypatch.setattr(module, "marked_word", lambda *a, _f=schedler.marked_word: calls.append(a) or _f(*a))
+    for generator in enumerate_generators(L2, 3)[:12]:
+        calls.clear()
+        trace.generator_image(L2, (2,), *generator)
+        assert len(calls) == 1
 
 
 def test_equivariance_randomized():
