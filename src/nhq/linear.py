@@ -200,13 +200,17 @@ def _pack(pairs) -> tuple:
 
 def _view(sums, den: int, public_key, rational: bool) -> dict:
     """{public key: coefficient} of a packed form: an ``HBarPolynomial``,
-    or a ``Fraction`` for a ``rational`` class."""
+    or a ``Fraction`` for a ``rational`` class.  Keys with the same
+    numerators share one (immutable) polynomial."""
     if rational:
         return {public_key(key): Fraction(m, den) for sums_k in sums for key, m in sums_k.items()}
-    terms = {}
+    terms, coeffs = {}, {}
     for key in dict.fromkeys([key for sums_k in sums for key in sums_k]):
-        nums = [sums_k.get(key, 0) for sums_k in sums]
-        coeff = HBarPolynomial._with_coeffs(nums if den == 1 else [Fraction(m, den) for m in nums])
+        nums = tuple([sums_k.get(key, 0) for sums_k in sums])
+        coeff = coeffs.get(nums)
+        if coeff is None:
+            buf = list(nums) if den == 1 else [Fraction(m, den) for m in nums]
+            coeff = coeffs[nums] = HBarPolynomial._with_coeffs(buf)
         terms[public_key(key)] = coeff
     return terms
 

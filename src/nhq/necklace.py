@@ -108,15 +108,22 @@ def idempotent_class(vertex: int) -> Necklace:
 
 
 def _rotation_start(s: str) -> int:
-    """Least offset of the least rotation of the nonempty coded word ``s``.
-
-    That rotation begins with the longest cyclic run c^R of the least code
-    c, so only the starts of such runs are candidates (one when c occurs
-    once).  Their rotations are compared as str slices, in C; strict <
-    keeps the least offset.
-    """
+    """Least offset of the least rotation of the nonempty coded word
+    ``s``: ``_run_start`` from its least code and that code's count."""
     c = min(s)
-    if s.count(c) == 1:
+    return _run_start(s, c, s.count(c))
+
+
+def _run_start(s: str, c: str, m: int) -> int:
+    """Least offset of the least rotation of the nonempty coded word ``s``,
+    whose least code ``c`` occurs ``m`` times.
+
+    That rotation begins with the longest cyclic run c^R of c, so only the
+    starts of such runs are candidates (one when m is 1).  Their rotations
+    are compared as str slices, in C; strict < keeps the least offset.
+    The necklace bracket knows c and m of each merge from its operands.
+    """
+    if m == 1:
         return s.find(c)
     n = len(s)
     ss = s + s
@@ -238,38 +245,57 @@ def _period(s: str) -> int:
     return (s + s).find(s, 1)
 
 
-def _merge_counts(a: str, p: int, b: str, q: int) -> dict:
+def _merge_counts(a: str, p: int, ca: Counter, b: str, q: int, cb: Counter) -> dict:
     """{coded merge in least rotation: nonzero int}: the bracket of the
-    coded cyclic words ``a`` and ``b`` of periods ``p`` and ``q``.
+    coded cyclic words ``a`` and ``b`` of periods ``p`` and ``q``, whose
+    periods hold the codes ``ca`` and ``cb``.
 
     Code a_i contracts only with its partner in ``b``, so partners come
-    from a partner-to-positions index of ``b``.  The three counting rules
+    from a partner-to-positions index of ``b``.  A merge at a_i holds the
+    codes of a and b less one a_i and one partner a_i', so its least code
+    and that code's count depend only on a_i: a table read from the
+    operands' code counts gives them once per code, and each merge's
+    rotation (``_run_start``) starts from them.  The three counting rules
     of ``necklace_bracket`` make every count a plain integer.  An empty
-    merge is keyed by "".
+    merge is keyed by "" and not rotated.
     """
     k, l = len(a), len(b)
-    mult = (k // p) * (l // q)
+    ra, rb = k // p, l // q
+    mult = ra * rb
     partners = {}
     for j in range(q):
         partners.setdefault(chr(ord(b[j]) ^ 1), []).append(j)
+    # dropping a_i and a_i' empties at most two codes, so a merge's least
+    # code is one of the three least codes of a and b
+    totals = [(u, ra * ca[u] + rb * cb[u]) for u in sorted(ca.keys() | cb.keys())[:3]]
+    least = {}
+    for c in partners:
+        d = chr(ord(c) ^ 1)
+        least[c] = next(((u, m) for u, t in totals if (m := t - (u == c) - (u == d))), ("", 0))
     aa, bb = a + a, b + b
     counts = {}
     for i in range(p):
         ai = a[i]
-        for j in partners.get(ai, ()):
+        js = partners.get(ai)
+        if js is None:
+            continue
+        prev, head = a[i - 1], aa[i + 1 : i + k]
+        c, m = least[ai]
+        sign = -mult if ord(ai) & 1 else mult
+        for j in js:
             # merge (i-1, j-1) links to (i, j): not the start of its chain
-            if a[i - 1] == b[j] and b[j - 1] == ai:
+            if prev == b[j] and b[j - 1] == ai:
                 continue
             length, u, v = 1, i, j
             while a[(u + 1) % p] == b[v] and b[(v + 1) % q] == a[u]:
                 u, v, length = (u + 1) % p, (v + 1) % q, length + 1
             if length % 2 == 0:
                 continue
-            merged = aa[i + 1 : i + k] + bb[j + 1 : j + l]
-            if merged:
-                off = _rotation_start(merged)
+            merged = head + bb[j + 1 : j + l]
+            if m:
+                off = _run_start(merged, c, m)
                 merged = merged[off:] + merged[:off]
-            counts[merged] = counts.get(merged, 0) + (-mult if ord(ai) & 1 else mult)
+            counts[merged] = counts.get(merged, 0) + sign
     return {key: count for key, count in counts.items() if count}
 
 
@@ -307,13 +333,16 @@ def necklace_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
 
     Each operand is read in its packed form (``HH0Element``): its cycle
     terms are codes with ``int`` numerators, so no necklace is built or
-    decoded.  Merges are str slices, rotated by ``_rotation_start`` and
-    counted under their coded key, and the result is packed under those
-    keys.  The operands' words were checked when they were packed, and a
-    merge of two composable cycles at a contracted pair is composable, so
-    nothing is checked here.  A bracket whose merges could hold more than
-    ``MAX_MERGE_LETTERS`` letters raises ``WorkLimitError`` before any
-    merge is formed.
+    decoded.  Merges are str slices, counted under their coded key in
+    least rotation, and the result is packed under those keys.  A merge's
+    least code and its count come from a per-pair table of
+    ``_merge_counts`` (a merge at a_i lacks one a_i and one a_i'), so
+    each rotation is one ``_run_start`` from them, with no scan of the
+    merged word for them.  The operands' words were checked when they
+    were packed, and a merge of two composable cycles at a contracted pair
+    is composable, so nothing is checked here.  A bracket whose merges
+    could hold more than ``MAX_MERGE_LETTERS`` letters raises
+    ``WorkLimitError`` before any merge is formed.
 
     Each distinct merge is rotated once, by three exact counting rules
     (indices are cyclic):
@@ -346,7 +375,7 @@ def necklace_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
     def merges(a, b):
         if type(a) is not str or type(b) is not str:
             return None
-        counts = _merge_counts(a, xs[a][0], b, ys[b][0])
+        counts = _merge_counts(a, *xs[a], b, *ys[b])
         if "" in counts:
             # only two one-letter words merge to nothing
             counts[_LETTER[a].target(quiver)] = counts.pop("")

@@ -554,7 +554,9 @@ def lift_necklace_combination(x: HH0Element) -> QPAElement:
 
 
 def lift_necklace(quiver: Quiver, n: Necklace) -> QPAElement:
-    return lift(SymElement.of(quiver, (n,)))
+    """The lift of the monomial of the necklace ``n`` alone: its coded key
+    goes straight to its canonical configuration."""
+    return from_ints(QPAElement, (quiver,), [{_canonical_key((n.code or n.vertex,)): 1}])
 
 
 def project(x: QPAElement) -> SymElement:

@@ -171,7 +171,9 @@ def test_verify_suites_stay_exact(spy, suite, monkeypatch):
             {"seed": 0, "cases": 2, "quiver": quiver, "dim": None, "params": None}
         )
         assert all(report.ok for report in reports)
-    assert spy["elements"]
+    # trace-hom lifts its necklaces straight to packed forms (``lift_necklace``)
+    # and traces them packed, so it builds no element through a public constructor
+    assert spy["packed"] and (spy["elements"] or suite == "trace-hom")
 
 
 @pytest.mark.parametrize(

@@ -210,6 +210,35 @@ def test_keyed_elements_match_the_term_dict_oracle():
     assert seen == {HH0Element, TensorElement, PathAlgebraElement, GlElement, QPAElement, SymElement}
 
 
+def _unshared_view(x) -> dict:
+    """``x``'s ``terms`` view built one new coefficient per key."""
+    keys = dict.fromkeys([key for sums_k in x._sums for key in sums_k])
+    return {
+        x._public_key(key): HBarPolynomial([Fraction(sums_k.get(key, 0), x._den) for sums_k in x._sums])
+        for key in keys
+    }
+
+
+def test_the_view_shares_one_coefficient_per_numerator_tuple():
+    """On the oracle's cases the ``terms`` view equals the view built one
+    coefficient per key, and keys with equal coefficients share one."""
+    rng = random.Random(31)
+    shared = 0
+    for quiver in small_quivers():
+        for (x, y), products, maps in _sampled_operands(rng, quiver):
+            if not isinstance(x, _PackedSums) or x._rational:
+                continue
+            results = [x, y, x - y, *[kernel(x, y) for kernel, _ in products], *[kernel(x) for kernel, _ in maps]]
+            for z in results:
+                if not isinstance(z, _PackedSums) or z._rational:
+                    continue
+                view = z.terms
+                assert view == _unshared_view(z), type(z).__name__
+                assert len({id(c) for c in view.values()}) == len(set(view.values()))
+                shared += len(view) - len(set(view.values()))
+    assert shared > 0
+
+
 def test_context_and_trusted_path_live_only_in_the_base():
     """The context lives in ``LinearCombination``; the arithmetic and the
     trusted constructor of packed results live in the two stores only."""

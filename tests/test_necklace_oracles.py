@@ -1,15 +1,17 @@
 """Necklace canonicalisation checked against reference algorithms.
 
-The rotation kernel ``_rotation_start`` (longest-run candidate search on
-coded words) and ``minimal_rotation_offset`` are compared with Duval's
-Lyndon-factorisation loop and with a minimum over all n rotations, and
-``necklace_bracket`` (one composability check per operand, one rotation
-per odd telescoping chain on the period-reduced grid) with the bracket that
-canonicalised every merge through a full check and the brute-force
-rotation.  ``bracket_sign``, which compares letter fields,
+The rotation kernel ``_rotation_start`` (the longest-run candidate search
+``_run_start`` on coded words, handed the least code and its count) and
+``minimal_rotation_offset`` are compared with Duval's Lyndon-factorisation
+loop and with a minimum over all n rotations, and ``necklace_bracket`` (one
+composability check per operand, one rotation per odd telescoping chain on
+the period-reduced grid, each merge's least code and count read from its
+operands) with the bracket that canonicalised every merge through a full
+check and the brute-force rotation.  ``bracket_sign``, which compares letter fields,
 is checked against its definition through ``Letter.star``.
 """
 
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -29,7 +31,7 @@ from nhq import (
     necklace_bracket,
 )
 from linear_oracle import add_into
-from nhq.necklace import _code, _rotation_start, bracket_sign, minimal_rotation_offset
+from nhq.necklace import _code, _rotation_start, _run_start, bracket_sign, minimal_rotation_offset
 from nhq.quiver import MAX_ARROWS
 from nhq.rings import HBarPolynomial
 from nhq.sampling import (
@@ -281,14 +283,16 @@ def test_bracket_matches_reference_on_periodic_and_alternating_operands(operands
 
 
 def _count_rotations(monkeypatch):
+    """The lengths of the words the bracket rotates: it calls the run
+    search ``_run_start`` with each merge's least code and its count."""
     calls = []
-    rotate = nhq.necklace._rotation_start
+    rotate = nhq.necklace._run_start
 
-    def counted(s):
+    def counted(s, c, m):
         calls.append(len(s))
-        return rotate(s)
+        return rotate(s, c, m)
 
-    monkeypatch.setattr(nhq.necklace, "_rotation_start", counted)
+    monkeypatch.setattr(nhq.necklace, "_run_start", counted)
     return calls
 
 
@@ -397,6 +401,84 @@ def test_bracket_rejects_hand_built_non_composable_operands(A2):
         necklace_bracket(bad, good)
     with pytest.raises(CompositionError):
         necklace_bracket(good, bad)
+
+
+# -- each merge's least code, read from the operands -------------------------
+
+
+def _loop_element(word: str, coeff=1) -> HH0Element:
+    """The necklace of a space-separated two-loop word, times ``coeff``."""
+    quiver = two_loop()
+    return HH0Element.of(quiver, nhq.canonical_necklace(quiver, [_LOOP[c] for c in word.split()]), coeff)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ("x y", "x' x' y"),
+        ("x y y'", "x' y"),
+        ("x y' y'", "x' x' x' y"),
+        ("x y", "x' y'"),
+        ("x y'", "x' y' y'"),
+        ("x x' y", "x' y'"),
+    ],
+)
+def test_merges_that_lose_every_least_code_take_the_next(a, b):
+    """a holds one x, so contracting it with an x' of b leaves the merge
+    with no x: its least code is x' when b has another, else y or y'."""
+    x, y = _loop_element(a, _poly(1, "1/2")), _loop_element(b, -2)
+    got = necklace_bracket(x, y)
+    assert got == reference_bracket(x, y)
+    assert any(_LOOP["x"] not in n.letters for n in got.terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_merges_of_one_repeated_code(n):
+    """[x^n] with [x'.x'] and with [x'], and [x'^n] with [x]: the merges
+    are words of one code, or empty for n = 1 against one letter."""
+    quiver = jordan()
+    x, xs = Letter(0, False), Letter(0, True)
+    power = lambda letter, k: HH0Element.of(quiver, Necklace(None, (letter,) * k))
+    for a, b in ((power(x, n), power(xs, 2)), (power(x, n), power(xs, 1)), (power(xs, n), power(x, 1))):
+        assert necklace_bracket(a, b) == reference_bracket(a, b)
+    # {x, x'} = 1 at each of the n letters of x^n
+    expected = power(x, n - 1) if n > 1 else HH0Element.of(quiver, idempotent_class(0))
+    assert necklace_bracket(power(x, n), power(xs, 1)) == expected.scale(n)
+
+
+@pytest.mark.parametrize(
+    "a, b, merge",
+    [
+        # a's arc x x y' x, b's arc x y y: the run across the seam starts the least rotation
+        ("y x x y' x", "y' x y y", "x x y y x x y'"),
+        # b's arc x y' y: the run at the start of a's arc does
+        ("y x x y' x", "y' x y' y", "x x y' x x y' y"),
+        # a's arc x x' x, b's arc x y x: the run that wraps round the merge's end does
+        ("y x x' x", "y' x y x", "x x x' x x y"),
+    ],
+)
+def test_equal_runs_of_the_least_code_across_the_seam(a, b, merge):
+    """The merge at a's y and b's y' holds two equally long runs of x, one
+    spanning the seam between a's arc and b's arc; the least rotation
+    starts at one of them."""
+    x, y = _loop_element(a), _loop_element(b, _poly(0, 3))
+    got = necklace_bracket(x, y)
+    assert got == reference_bracket(x, y)
+    assert _loop_element(merge).terms.keys() <= got.terms.keys()
+
+
+def test_run_start_matches_duval_on_every_short_word():
+    """Every word of up to 8 letters over 3 codes, its least code and count
+    handed in as the bracket hands them."""
+    codes = [_code((letter,)) for letter in (Letter(0, False), Letter(0, True), Letter(1, False))]
+    words = 0
+    for n in range(1, 9):
+        for word in itertools.product(codes, repeat=n):
+            s = "".join(word)
+            c = min(s)
+            assert _run_start(s, c, s.count(c)) == duval_rotation_offset(s), s
+            words += 1
+    assert words == sum(3**n for n in range(1, 9))
 
 
 # -- letter semantics the rotation and the keys rely on -----------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -305,6 +306,22 @@ def test_lift_necklace_combination_rekeys_the_coded_necklaces():
             got = lift_necklace_combination(x)
             assert got == expected and got.terms == expected.terms
             assert project(got) == SymElement(q, {(necklace,): c for necklace, c in terms.items()})
+
+
+def test_lift_necklace_is_the_lift_of_its_monomial():
+    # every necklace of up to 4 letters and every idempotent class
+    for q in small_quivers():
+        necklaces = {idempotent_class(v) for v in range(len(q.vertices))}
+        for n in range(1, 5):
+            for word in itertools.product(list(q.letters()), repeat=n):
+                try:
+                    necklaces.add(canonical_necklace(q, word))
+                except CompositionError:
+                    pass
+        for necklace in necklaces:
+            expected = lift(SymElement.of(q, (necklace,)))
+            got = lift_necklace(q, necklace)
+            assert got == expected and got.terms == expected.terms, necklace
 
 
 def test_project_section_randomized():
