@@ -26,23 +26,34 @@ Every correction costs one factor +-h and exactly two letters, so in the
 expansion of an N-letter configuration the coefficient of an n-letter term
 is an integer times h^((N - n)/2).  The rewriting kernel therefore works on
 plain ``int`` coefficients with the power of h implied by the letter count.
-A configuration has one form from straightening to the trace cache, its
-coded key (codes, heights, idempotents): one ``str`` per component (one
-character per letter, ``quiver._code``), one tuple of ``int`` heights per
-component and the sorted idempotent vertices.  A ``HeightConfiguration``
-stores that key and decodes its ``Letter``s only when read; the kernel, the
-straighten cache and the packed sums of a ``QPAElement`` work on bare
-keys.  The cache holds ``(key, int)`` pairs, which hold only ``str`` and
-``int``: CPython stops tracking such tuples, so full garbage collections
-skip the cache.  ``_normal_terms`` turns the ints into packed sums,
-restoring h^((N - n)/2) as a shift of the power, for ``straighten``,
-``qpa_mul``, ``moment_lift`` and ``ideal_generator``;
-``ideal_normal_forms`` hands the int forms of a generator's two parts,
-which do not depend on (r, lambda), to the packed reduction-ideal check
-as they are, once for every parameter set, with the closed words traced
-for Tr_q(p) and the tau re-expansion.  A correction drops the
-letters at heights h and h + 1 of a configuration with heights 1..N, so
-it is renumbered by moving the heights above h + 1 down by two.
+Outside the kernel a configuration has one form, from straightening to the
+trace cache: its coded key (codes, heights, idempotents), one ``str`` per
+component (one character per letter, ``quiver._code``), one tuple of
+``int`` heights per component and the sorted idempotent vertices.  A
+``HeightConfiguration`` stores that key and decodes its ``Letter``s only
+when read; the normal forms and the packed sums of a ``QPAElement`` are
+coded keys.
+
+The kernel and its cache key a configuration by its height form (word,
+succ, idempotents) instead (``_height_form``): ``word`` holds the letter
+code at each height as one ``str``, and ``succ`` the 0-based height of the
+next letter of the same component.  The form is canonical as it stands: no
+rotation to the least height, no sort of components.  Letters at positions
+i < j contract to the cycles of succ o (i j) without i and j, the other
+letters kept in their order: two cycles merge, one cycle splits, and a
+cycle left empty becomes an idempotent factor (``_contracted``).  The
+cache holds ``(coded key, int)`` pairs under height-form keys, all ``str``
+and ``int``: CPython stops tracking such tuples, so full garbage
+collections skip the cache.  ``_normal_terms`` turns the ints into packed
+sums, restoring h^((N - n)/2) as a shift of the power, for
+``straighten``, ``qpa_mul``, ``moment_lift`` and ``ideal_generator``.
+``straighten`` and ``qpa_mul`` put each coded configuration (each operand
+term) in height form once, on entry; the moment and ideal configurations
+are one cycle each and are built in height form.  ``ideal_normal_forms``
+hands the int forms of a generator's two parts, which do not depend
+on (r, lambda), to the packed reduction-ideal check as they are, once for
+every parameter set, with the closed words traced for Tr_q(p) and the tau
+re-expansion.
 
 Each call of those five counts the height swaps the kernel computes for it
 (cached normal forms cost none) and is refused with ``WorkLimitError``
@@ -220,32 +231,61 @@ def _blocks(codes):
     return tuple(blocks)
 
 
-def _canonical_targets(codes, heights):
-    """The normal-form height of the letter at each height 1..N of a
-    normalized coded configuration (entry h - 1 for height h), and the
-    codes of its blocks in normal-form order, each in least rotation.
+def _height_form(codes, heights) -> tuple:
+    """``(word, succ)`` of coded components whose heights are 1..N, in any
+    rotation and any order: the letter code at each height as one str, and
+    the 0-based height of the next letter of the same component."""
+    n = sum(map(len, codes))
+    word, succ = [""] * n, [0] * n
+    for s, hs in zip(codes, heights):
+        for c, h, nxt in zip(s, hs, hs[1:] + hs[:1]):
+            word[h - 1] = c
+            succ[h - 1] = nxt - 1
+    return "".join(word), tuple(succ)
 
-    Code order is the letter order, so blocks sort by (length, least
-    rotation) as ``necklace_key`` sorts their necklaces; equal words keep
-    the order of their starting heights."""
+
+def _canonical_targets(word, succ):
+    """The normal-form position of the letter at each position 0..N - 1 of
+    a configuration in height form, and the codes of its blocks in
+    normal-form order, each in least rotation.
+
+    The components are the cycles of ``succ``, each walked from its least
+    height, in increasing order of that height.  Code order is the letter
+    order, so blocks sort by (length, least rotation) as ``necklace_key``
+    sorts their necklaces; equal words keep the order of their least
+    heights."""
+    n = len(word)
     blocks = []
-    for ci, s in enumerate(codes):
+    first, left, seen = 0, n, set()
+    while left:
+        cycle = [first]
+        x = succ[first]
+        while x != first:
+            cycle.append(x)
+            x = succ[x]
+        s = "".join(map(word.__getitem__, cycle))
         off = _rotation_start(s)
-        blocks.append((len(s), s[off:] + s[:off], heights[ci][0], ci, off))
+        # first is unique, so the positions in least rotation are never compared
+        blocks.append((len(s), s[off:] + s[:off], first, cycle[off:] + cycle[:off]))
+        left -= len(s)
+        if left:
+            seen.update(cycle)
+            first += 1
+            while first in seen:
+                first += 1
     blocks.sort()
-    seq = [0] * sum(map(len, codes))
-    t = 1
-    for _, _, _, ci, off in blocks:
-        hs = heights[ci]
-        for h in hs[off:] + hs[:off]:
-            seq[h - 1] = t
+    seq = [0] * n
+    t = 0
+    for block in blocks:
+        for x in block[3]:
+            seq[x] = t
             t += 1
     return seq, tuple([block[1] for block in blocks])
 
 
 def is_canonical(quiver: Quiver, cfg: HeightConfiguration) -> bool:
-    seq, _ = _canonical_targets(cfg.codes, cfg.heights)
-    return seq == list(range(1, len(seq) + 1))
+    seq, _ = _canonical_targets(*_height_form(cfg.codes, cfg.heights))
+    return seq == list(range(len(seq)))
 
 
 _PICKERS = {
@@ -260,55 +300,66 @@ _PICKERS = {
 _rewrites_left = [MAX_REWRITES]
 
 
-def _drop_pair(pieces, idems, h):
-    """Normalize a correction term cut from a configuration with heights
-    1..N by dropping the letters at heights h and h + 1.  ``pieces`` are
-    (code, heights) pairs: heights above h + 1 move down by two, each piece
-    is rotated to start at its minimal height (swaps move the minimum, so
-    kept components need it too) and the pieces are sorted by that height.
-    Equal to ``_normalize`` on the same input, without its sort and rank
-    table."""
-    comps = []
-    for s, hs in pieces:
-        # renumbering keeps the order of heights, so the minimum stays put
-        start = hs.index(min(hs))
-        if start:
-            s = s[start:] + s[:start]
-            hs = hs[start:] + hs[:start]
-        comps.append((hs[0], s, tuple([k - 2 if k > h else k for k in hs])))
-    comps.sort()
-    return tuple([c[1] for c in comps]), tuple([c[2] for c in comps]), tuple(sorted(idems))
+def _contracted(qkey, word, succ, order, idems, i, j):
+    """The correction, in height form, of contracting the letters at
+    positions i < j of a configuration whose letters are ``word`` in height
+    order, the one at position k being the one at height order[k] of
+    ``succ`` (the kernel moves letters in ``word`` and ``order`` only).
+
+    With a and b the heights of the two letters in ``succ``, it is the
+    cycles of succ o (a b) with a and b removed, the other letters kept in
+    their order.  Letters in two cycles merge them, letters in one cycle
+    split it; a cycle left empty becomes the idempotent factor at its
+    dropped letter's target.  A kept letter's new position is its index in
+    the order of the kept letters."""
+    a, b = order[i], order[j]
+    t = list(succ)
+    t[a], t[b] = succ[b], succ[a]
+    # cut a, then b, out of its cycle, its predecessor stepping over it; a
+    # cycle of one letter is left empty (when a and b merge two loops, b's
+    # is the one left, and partner loops share their vertex)
+    if t[a] == a:
+        idems = tuple(sorted(idems + (_targets(qkey)[ord(word[i])],)))
+    else:
+        t[t.index(a)] = t[a]
+        t[a] = -1
+    if t[b] == b:
+        idems = tuple(sorted(idems + (_targets(qkey)[ord(word[j])],)))
+    else:
+        t[t.index(b)] = t[b]
+    kept = order.copy()
+    del kept[j], kept[i]
+    return word[:i] + word[i + 1 : j] + word[j + 1 :], tuple(map(kept.index, map(t.__getitem__, kept))), idems
 
 
-def _rewrite(qkey, codes, heights, idems, pick, rng, normal_form):
-    """Expand a normalized coded configuration of N letters over the
-    normal-form basis as ``(coded cfg, c)`` pairs with ``int`` c: the
-    coefficient of an n-letter cfg is c*h^((N - n)/2).
-    ``normal_form(qkey, codes, heights, idems)`` expands each normalized
-    correction term the same way.
+def _rewrite(qkey, word, succ, idems, pick, rng, normal_form):
+    """Expand a configuration in height form ``(word, succ, idems)`` of N
+    letters over the normal-form basis as ``(coded cfg, c)`` pairs with
+    ``int`` c: the coefficient of an n-letter cfg is c*h^((N - n)/2).
+    ``normal_form(qkey, word, succ, idems)`` expands each correction term
+    the same way.
 
     A pick moves the letter above a descent down past ``top - low``
     letters, one height swap each.  The pickers swap once per pick, except
     the default ``_PICKERS["first"]``: it always swaps the lowest descent,
     which is insertion sort, so the letter's whole run down to its
-    insertion point is one pick.  On that route a free swap only lifts the
-    letter passed; ``bracket_sign`` is called at a contracting swap, with
-    the moving letter's partner, which costs a correction."""
-    targets = _targets(qkey)
-    # The target normal-form height of every position is fixed once here;
+    insertion point is one pick.  On that route the contracting swaps of a
+    run are found by searching it for the moving letter's partner, and only
+    they call ``bracket_sign``; the other pickers call it at every swap.
+    Each contracting swap costs a correction.
+
+    Letters move in ``word`` and ``order`` only; ``succ`` stays the form's
+    own.  A correction does not depend on which swap of a run makes it, as
+    the moving letter is one of the two it drops, so it is cut
+    (``_contracted``) from the order the run started from."""
+    # The target normal-form position of every letter is fixed once here;
     # the swap chain below strictly lowers the inversion count against it,
     # so the chain terminates no matter how rotation or block-order ties
     # were broken (ties only exist between identical words, for which all
     # choices produce the same normal form).
-    seq, necklaces = _canonical_targets(codes, heights)
+    seq, necklaces = _canonical_targets(word, succ)
     n_letters = len(seq)
-    n_comps = len(codes)
-    state = [list(hs) for hs in heights]
-    # (component, position) of the letter at each height, in height order
-    at = [None] * n_letters
-    for ci, hs in enumerate(heights):
-        for pi, h in enumerate(hs):
-            at[h - 1] = ci, pi
+    order = list(range(n_letters))
     runs = pick is _PICKERS["first"]
     out: dict = {}  # zeros are dropped at the end
     get = out.get
@@ -328,53 +379,27 @@ def _rewrite(qkey, codes, heights, idems, pick, rng, normal_form):
                 break
             top = pick(inverted, rng)
             low = top - 1
-        # the letter v at height top + 1 swaps with the letter u below it,
-        # at heights top, top - 1, ..., low + 1 in turn
-        cj, pj = at[top]
-        v = codes[cj][pj]
-        partner = chr(ord(v) ^ 1)
+        # the letter v at position top swaps with the letter u below it, at
+        # positions top - 1, top - 2, ..., low in turn
+        v = word[top]
         swaps += top - low
-        for h in range(top, low, -1):
-            ci, pi = at[h - 1]
-            u = codes[ci][pi]
-            sign = bracket_sign(_LETTER[u], _LETTER[v]) if u == partner or not runs else 0
+        if runs:
+            u = chr(ord(v) ^ 1)  # v's partner, the only letter it contracts with
+            i = word.rfind(u, low, top)
+        else:
+            u, i = word[low], low
+        while i >= 0:
+            sign = bracket_sign(_LETTER[u], _LETTER[v])
             if sign:
-                # Correction: drop the two contracted letters from the
-                # pre-swap configuration.  It costs one factor -sign*h and
-                # two letters, which is what keeps every coefficient a bare
-                # int.  Both letters are dropped, so v's height in ``state``
-                # is never read before the run ends.
-                pieces = [(codes[k], state[k]) for k in range(n_comps) if k != ci and k != cj]
-                new_idems = list(idems)
-                a, ha = codes[ci], state[ci]
-                if ci != cj:
-                    b, hb = codes[cj], state[cj]
-                    merged = a[pi + 1 :] + a[:pi] + b[pj + 1 :] + b[:pj]
-                    if merged:
-                        pieces.append((merged, ha[pi + 1 :] + ha[:pi] + hb[pj + 1 :] + hb[:pj]))
-                    else:
-                        new_idems.append(targets[ord(u)])
-                else:
-                    # the arcs strictly between the two letters, each way round
-                    n = len(a)
-                    aa, hh = a + a, ha + ha
-                    len_b, len_a = (pj - pi - 1) % n, (pi - pj - 1) % n
-                    if len_a:
-                        pieces.append((aa[pj + 1 : pj + 1 + len_a], hh[pj + 1 : pj + 1 + len_a]))
-                    else:
-                        new_idems.append(targets[ord(u)])
-                    if len_b:
-                        pieces.append((aa[pi + 1 : pi + 1 + len_b], hh[pi + 1 : pi + 1 + len_b]))
-                    else:
-                        new_idems.append(targets[ord(v)])
-                for key, c in normal_form(qkey, *_drop_pair(pieces, new_idems, h)):
+                # Correction: it costs one factor -sign*h and two letters,
+                # which is what keeps every coefficient a bare int.
+                for key, c in normal_form(qkey, *_contracted(qkey, word, succ, order, idems, i, top)):
                     out[key] = get(key, 0) - sign * c
-            state[ci][pi] = h + 1
-        # v lands at height low + 1: its target and its lookup entry move
-        # from top down to low, past the letters that moved up
-        state[cj][pj] = low + 1
+            i = word.rfind(u, low, i) if runs else -1
+        # v lands at position low, its target with it
+        word = word[:low] + v + word[low:top] + word[top + 1 :]
+        order.insert(low, order.pop(top))
         seq.insert(low, seq.pop(top))
-        at.insert(low, at.pop(top))
 
     # corrections charged themselves as they returned; this form's own
     # swaps are charged last, so a refusal leaves only finished forms cached
@@ -388,19 +413,20 @@ def _rewrite(qkey, codes, heights, idems, pick, rng, normal_form):
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _normal_form(qkey, codes, heights, idems):
-    """Default-strategy expansion of a normalized coded configuration; the
+def _normal_form(qkey, word, succ, idems):
+    """Default-strategy expansion of a configuration in height form; the
     one cache behind ``straighten``, ``qpa_mul``, ``moment_lift`` and the
-    ideal generators.  Keys and entries hold only ``str`` and ``int``:
-    ``(coded cfg, int)`` pairs, as ``_rewrite`` makes them."""
-    return _rewrite(qkey, codes, heights, idems, _PICKERS["first"], None, _normal_form)
+    ideal generators.  Keys and entries hold only ``str`` and ``int``: the
+    key is ``(qkey, word, succ, idems)`` and the entry the ``(coded cfg,
+    int)`` pairs that ``_rewrite`` makes."""
+    return _rewrite(qkey, word, succ, idems, _PICKERS["first"], None, _normal_form)
 
 
 def _normal_terms(quiver, configs, normal_form=_normal_form) -> list:
     """Per power of h, {coded cfg: int numerator}: the sum over ``configs``
-    of ``scale`` times the normal form of a normalized coded configuration
-    ``(codes, heights, idems, scale)``, ``scale`` given as ((power of h,
-    int numerator), ...).
+    of ``scale`` times the normal form of a configuration in height form
+    ``(word, succ, idems, scale)``, ``scale`` given as ((power of h, int
+    numerator), ...).
 
     The kernel's int coefficient c of an n-letter term gets back its
     h^((N - n)/2), N being the letter count of its configuration, as a
@@ -410,11 +436,11 @@ def _normal_terms(quiver, configs, normal_form=_normal_form) -> list:
     qkey = _quiver_key(quiver)
     _rewrites_left[0] = MAX_REWRITES
     sums: list = []
-    for codes, heights, idems, scale in configs:
-        n_letters = sum(map(len, codes))
+    for word, succ, idems, scale in configs:
+        n_letters = len(word)
         top = max([k for k, _ in scale]) + n_letters // 2  # the highest power a term reaches
         sums += [{} for _ in range(top + 1 - len(sums))]
-        for key, c in normal_form(qkey, codes, heights, idems):
+        for key, c in normal_form(qkey, word, succ, idems):
             shift = (n_letters - sum(map(len, key[0]))) >> 1
             for k, m in scale:
                 sums_k = sums[k + shift]
@@ -476,27 +502,30 @@ def straighten(
         normal_form = _normal_form
     else:
         @lru_cache(maxsize=None)
-        def normal_form(qkey, codes, heights, idems):
-            return _rewrite(qkey, codes, heights, idems, pick, rng, normal_form)
+        def normal_form(qkey, word, succ, idems):
+            return _rewrite(qkey, word, succ, idems, pick, rng, normal_form)
 
-    coded = _normalize(cfg.codes, cfg.heights, cfg.idempotents)
-    return from_ints(QPAElement, (quiver,), _normal_terms(quiver, [(*coded, ((0, 1),))], normal_form))
+    codes, heights, idems = _normalize(cfg.codes, cfg.heights, cfg.idempotents)
+    config = (*_height_form(codes, heights), idems, ((0, 1),))
+    return from_ints(QPAElement, (quiver,), _normal_terms(quiver, [config], normal_form))
 
 
 def qpa_mul(x: QPAElement, y: QPAElement) -> QPAElement:
-    """Stack y above x: shift y's heights past x's, then straighten.  The
-    stacked components are normalized already: x's start below y's."""
+    """Stack y above x: shift y's heights past x's, then straighten.  Each
+    term of either operand is put in height form once; a stacked word is
+    x's word followed by y's."""
     if x.quiver != y.quiver:
         raise MismatchError("qpa_mul operands live over different quivers")
     (xs, dx), (ys, dy) = int_terms(x), int_terms(y)
+    xs, ys = ([(*_height_form(*key[:2]), key[2], c) for key, c in terms.items()] for terms in (xs, ys))
 
     def stacked():
-        for (codes_x, heights_x, idems_x), u in xs.items():
-            shift = sum(map(len, codes_x))
-            for (codes_y, heights_y, idems_y), v in ys.items():
-                heights = heights_x + tuple([tuple([h + shift for h in hs]) for hs in heights_y])
+        for word_x, succ_x, idems_x, u in xs:
+            shift = len(word_x)
+            for word_y, succ_y, idems_y, v in ys:
+                succ = succ_x + tuple([k + shift for k in succ_y])
                 scale = [(i + j, a * b) for i, a in u for j, b in v]
-                yield codes_x + codes_y, heights, tuple(sorted(idems_x + idems_y)), scale
+                yield word_x + word_y, succ, tuple(sorted(idems_x + idems_y)), scale
 
     return from_ints(QPAElement, (x.quiver,), _normal_terms(x.quiver, stacked()), dx * dy)
 
@@ -568,7 +597,7 @@ def project(x: QPAElement) -> SymElement:
 def moment_lift(quiver: Quiver) -> QPAElement:
     """The standard quantum moment element sum_a (a,1)(a',2) - (a',1)(a,2)."""
     configs = [
-        ((_code((first, second)),), ((1, 2),), (), ((0, sign),))
+        (_code((first, second)), (1, 0), (), ((0, sign),))
         for i in range(len(quiver.vertices))
         for sign, first, second in moment_pairs(quiver, i)
     ]
@@ -609,23 +638,29 @@ def marked_word(quiver: Quiver, p: Necklace, vertex: int, mark: int):
 
 def _ideal_parts(quiver, word, vertex):
     """The configurations of the generator of the marked ``word`` at
-    ``vertex``, coded: the spliced moment configurations as ``(codes,
-    heights, idems, sign)`` with N = v + 2 letters, p's cycle of v letters
-    (the idempotent factor at ``vertex`` when v = 0), and {normalized cfg:
-    sign} of the closed words whose traces sum to the tau re-expansion E:
-    p's word at heights 1..v and a moment pair, its unstarred letter at
-    v + 1 and starred one at v + 2."""
+    ``vertex``: the spliced moment configurations in height form ``(word,
+    succ, idems, sign)``, N = v + 2 letters at heights in word order around
+    one cycle; p's cycle of v letters (the idempotent factor at ``vertex``
+    when v = 0) in height form and as a coded key; and {normalized coded
+    cfg: sign} of the closed words whose traces sum to the tau
+    re-expansion E: p's word at heights 1..v and a moment pair, its
+    unstarred letter at v + 1 and starred one at v + 2."""
     base = _code(word)
     v = len(base)
-    word = tuple(range(1, v + 1))
+    heights = tuple(range(1, v + 1))
+    ring = heights + (v + 1, 0)  # the successor of each height of the spliced cycle
     moments, closed = [], {}
     for sign, first, second in moment_pairs(quiver, vertex):
-        codes = (base + _code((first, second)),)
-        moments.append((codes, (word + (v + 1, v + 2),), (), sign))
-        key = _normalize(codes, (word + ((v + 2, v + 1) if first.starred else (v + 1, v + 2)),), ())
+        pair = _code((first, second))
+        moments.append((base + pair, ring, (), sign))
+        # a closed word starts at height 1, where p's first letter sits;
+        # with v = 0 it is rotated to start at its unstarred letter
+        tail = (v + 2, v + 1) if first.starred else (v + 1, v + 2)
+        key = ((pair[::-1],), ((1, 2),), ()) if tail == (2, 1) else ((base + pair,), (heights + tail,), ())
         closed[key] = closed.get(key, 0) + sign
-    cycle = ((base,), (word,), ()) if v else ((), (), (vertex,))
-    return moments, cycle, {key: c for key, c in closed.items() if c}
+    cycle = (base, heights[:-1] + (0,), ()) if v else ("", (), (vertex,))
+    coded = ((base,), (heights,), ()) if v else ((), (), (vertex,))
+    return moments, cycle, coded, {key: c for key, c in closed.items() if c}
 
 
 def ideal_generator(
@@ -643,7 +678,7 @@ def ideal_generator(
     """
     if params is None:
         params = make_params(quiver)
-    moments, cycle, _ = _ideal_parts(quiver, marked_word(quiver, p, vertex, mark), vertex)
+    moments, cycle, _, _ = _ideal_parts(quiver, marked_word(quiver, p, vertex, mark), vertex)
     lam, r = params.lam[vertex], params.r[vertex]
     den = lcm(lam.denominator, r.denominator)
     configs = [(*cfg, ((0, sign * den),)) for *cfg, sign in moments]
@@ -668,15 +703,15 @@ def ideal_normal_forms(quiver: Quiver, word, vertex: int) -> tuple:
     height swaps, as ``ideal_generator`` has.  ``diagonal`` holds p's
     marked word at heights 1..v, whose trace is Tr_q(p), and ``expanded``
     the closed words of ``_ideal_parts``; these two are not straightened."""
-    moments, cycle, closed = _ideal_parts(quiver, word, vertex)
+    moments, cycle, coded, closed = _ideal_parts(quiver, word, vertex)
     qkey = _quiver_key(quiver)
     _rewrites_left[0] = MAX_REWRITES
 
     def summed(configs):
         out: dict = {}
-        for codes, heights, idems, sign in configs:
-            for key, c in _normal_form(qkey, codes, heights, idems):
+        for word, succ, idems, sign in configs:
+            for key, c in _normal_form(qkey, word, succ, idems):
                 out[key] = out.get(key, 0) + sign * c
         return {key: c for key, c in out.items() if c}
 
-    return summed(moments), summed([(*cycle, 1)]), {cycle: 1}, closed
+    return summed(moments), summed([(*cycle, 1)]), {coded: 1}, closed

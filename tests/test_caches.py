@@ -30,6 +30,7 @@ from nhq.sampling import random_configuration, random_necklace, small_quivers
 from nhq.schedler import (
     CACHE_SIZE,
     _config,
+    _height_form,
     _normal_form,
     _normal_terms,
     _quiver_key,
@@ -37,6 +38,7 @@ from nhq.schedler import (
 )
 from nhq.repspace import _packed_trace
 from nhq.trace import clear_trace_cache, enumerate_generators, generator_image, trace_quantum
+from test_straighten_oracle import coded_form
 
 
 def params(quiver):
@@ -68,7 +70,7 @@ def test_straighten_cache_holds_int_coefficients(L2):
     cfg = _two_loop_cfg(L2)
     result = straighten(L2, cfg)
     info = _normal_form.cache_info()
-    entry = _normal_form(_quiver_key(L2), cfg.codes, cfg.heights, cfg.idempotents)
+    entry = _normal_form(_quiver_key(L2), *_height_form(cfg.codes, cfg.heights), cfg.idempotents)
     assert _normal_form.cache_info().hits == info.hits + 1
     assert len(entry) == len(result.terms) > 1
     assert all(type(c) is int for _, c in entry)
@@ -236,7 +238,8 @@ def test_straighten_cache_is_not_tracked_by_the_collector():
     # A collection untracks a tuple only when its items are untracked, and
     # it meets a container before the items it holds, so each collection
     # untracks one level of nesting: a value nests five deep (entries,
-    # pair, coded cfg, heights, one component's heights).
+    # pair, coded cfg, heights, one component's heights), a key in height
+    # form (qkey, word, succ, idems) two.
     for _ in range(5):
         gc.collect()
     entries = _cache_entries(_normal_form)
@@ -261,11 +264,11 @@ def test_rewrite_budget_refuses_and_leaves_a_correct_cache(J, monkeypatch):
         straighten(J, cfg)
     # the refused call cached the corrections it finished, and nothing else
     entries = _cache_entries(_normal_form)
-    top = (_quiver_key(J), cfg.codes, cfg.heights, cfg.idempotents)
+    top = (_quiver_key(J), *_height_form(cfg.codes, cfg.heights), cfg.idempotents)
     assert entries and top not in dict(entries)
     monkeypatch.undo()
-    for (_, *coded), _ in entries:
-        cached = from_ints(QPAElement, (J,), _normal_terms(J, [(*coded, ((0, 1),))]))
-        assert cached == straighten(J, _config(tuple(coded)), strategy="last")
+    for (_, *form), _ in entries:
+        cached = from_ints(QPAElement, (J,), _normal_terms(J, [(*form, ((0, 1),))]))
+        assert cached == straighten(J, _config(coded_form(*form)), strategy="last")
     assert straighten(J, cfg) == expected
     assert straighten(J, cfg, strategy="random", rng=random.Random(1)) == expected

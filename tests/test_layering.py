@@ -40,7 +40,10 @@ of closed words, and the entries-times-tau route is the oracle
 ``contraction_oracle.tau_expansion``.  Nor are the contraction's former
 front-ends left (``_contract_letters``, ``trace_configurations``,
 ``_traced``, ``_check_traces``, ``_boundary_entries``): each summed its
-terms its own way, where ``contracted`` now sums them all.
+terms its own way, where ``contracted`` now sums them all.  Nor is the
+renumbering of a straightening correction from its two dropped heights
+(``_drop_pair``): a correction is cut from the successor permutation of
+its configuration in height form, times one transposition.
 """
 
 import ast
@@ -68,7 +71,7 @@ PACKED_SUMS = {"_sums", "_den", "_given", "_from_sums", "_canonical", "_view"}
 HH0_PACKED = {"_cycles", "_check_cyclic"}
 TUPLE_KERNEL = {"_weyl_mono_mul", "_merge_exponents", "poly_partial"}
 FRONT_ENDS = {"_contract_letters", "trace_configurations", "_traced", "_check_traces", "_boundary_entries"}
-RETIRED = TUPLE_KERNEL | {"_times_tau"} | FRONT_ENDS
+RETIRED = TUPLE_KERNEL | {"_times_tau", "_drop_pair"} | FRONT_ENDS
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
 
 
@@ -111,6 +114,7 @@ def test_the_check_sees_both_forms():
     assert names_anywhere("def _times_tau(acc, sign):\n    pass\n", RETIRED) == {"_times_tau"}
     assert names_anywhere("from .repspace import _contract_letters, contracted\n", RETIRED) == {"_contract_letters"}
     assert names_anywhere("total = trace_configurations(q, d, terms)\n", RETIRED) == {"trace_configurations"}
+    assert names_anywhere("key = _drop_pair(pieces, idems, h)\n", RETIRED) == {"_drop_pair"}
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "repspace.py"])

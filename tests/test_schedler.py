@@ -161,8 +161,8 @@ def test_straighten_measure_strictly_decreases(monkeypatch):
     first = schedler._PICKERS["first"]
     edges = {(route, kind): 0 for route in ("runs", "picks") for kind in ("swap", "correction")}
 
-    def watched(qkey, codes, heights, idems, pick, rng, normal_form):
-        seq = schedler._canonical_targets(codes, heights)[0]
+    def watched(qkey, word, succ, idems, pick, rng, normal_form):
+        seq = schedler._canonical_targets(word, succ)[0]
         measure = [(len(seq), _inversions(seq))]
         route = "runs" if pick is first else "picks"
         nested = [0]
@@ -178,23 +178,23 @@ def test_straighten_measure_strictly_decreases(monkeypatch):
             edges["picks", "swap"] += 1
             return h
 
-        def correction(qkey, codes, heights, idems):
+        def correction(qkey, word, succ, idems):
             # on the one-swap route measure[0] is the parent, as this is
             # called between a pick and its swap; on the runs route it is the
             # form's starting measure, which bounds every parent's
-            child_seq = schedler._canonical_targets(codes, heights)[0]
+            child_seq = schedler._canonical_targets(word, succ)[0]
             assert (len(child_seq), _inversions(child_seq)) < measure[0]
             assert len(child_seq) == len(seq) - 2
             edges[route, "correction"] += 1
             left = schedler._rewrites_left[0]
-            out = schedler._rewrite(qkey, codes, heights, idems, pick, rng, correction)
+            out = schedler._rewrite(qkey, word, succ, idems, pick, rng, correction)
             nested[0] += left - schedler._rewrites_left[0]
             return out
 
         if route == "picks":
-            return rewrite(qkey, codes, heights, idems, tracking_pick, rng, correction)
+            return rewrite(qkey, word, succ, idems, tracking_pick, rng, correction)
         left = schedler._rewrites_left[0]
-        out = rewrite(qkey, codes, heights, idems, pick, rng, correction)
+        out = rewrite(qkey, word, succ, idems, pick, rng, correction)
         own = left - schedler._rewrites_left[0] - nested[0]
         assert own == measure[0][1]
         edges["runs", "swap"] += own
@@ -436,6 +436,35 @@ def test_ideal_generator_marked_cycle_with_lambda(J):
         - straighten(J, _cfg(J, ((x, 1), (xs, 2)))).scale(c)
     )
     assert gen == direct
+
+
+def test_ideal_parts_are_built_in_their_final_forms(A3P):
+    """The parts of every generator up to length 3 come out of
+    ``_ideal_parts`` in the form their consumers read: the spliced moment
+    configurations and p's cycle in height form, p's cycle as a coded key,
+    and the closed words of the tau re-expansion as ``_normalize`` makes
+    them from p's word at heights 1..v and a moment pair, its unstarred
+    letter at v + 1 and starred one at v + 2."""
+    from nhq.quiver import _code, moment_pairs
+    from nhq.trace import enumerate_generators
+
+    for quiver in (*small_quivers(), A3P):
+        for necklace, vertex, mark in enumerate_generators(quiver, 3):
+            word = schedler.marked_word(quiver, necklace, vertex, mark)
+            base, v = _code(word), len(word)
+            heights = tuple(range(1, v + 1))
+            moments, closed = [], {}
+            for sign, first, second in moment_pairs(quiver, vertex):
+                codes = (base + _code((first, second)),)
+                spliced = schedler._height_form(codes, (heights + (v + 1, v + 2),))
+                moments.append((*spliced, (), sign))
+                tail = (v + 2, v + 1) if first.starred else (v + 1, v + 2)
+                key = schedler._normalize(codes, (heights + tail,), ())
+                closed[key] = closed.get(key, 0) + sign
+            coded = ((base,), (heights,), ()) if v else ((), (), (vertex,))
+            cycle = (*schedler._height_form(*coded[:2]), coded[2])
+            expected = moments, cycle, coded, {key: c for key, c in closed.items() if c}
+            assert schedler._ideal_parts(quiver, word, vertex) == expected
 
 
 def test_ideal_generator_mark_validation(A2):

@@ -5,10 +5,11 @@ HBarPolynomial coefficients that it replaced.
 (Letter, height) pairs, every correction multiplies its expansion by
 -sign*h in the coefficient ring, and every correction term is renumbered by
 ``normalize_raw`` (sort all heights, rank them, rotate, sort the
-components).  The library's kernel instead works on coded configurations
-(one str of letter codes and one tuple of int heights per component),
-accumulates plain ints, renumbers a correction from its two dropped
-heights, and restores h^((N - n)/2) once, at the boundary.
+components).  The library's kernel instead works on configurations in
+height form (the letter code at each height as one str, and the height of
+each letter's successor in its component), accumulates plain ints, cuts a
+correction as the cycles of the successor permutation times one
+transposition, and restores h^((N - n)/2) once, at the boundary.
 Both must agree exactly on every public entry point, and both must take
 the same rewrite tree: the same height swaps, in the same order.
 """
@@ -34,6 +35,7 @@ from nhq import (
 import nhq.schedler as schedler
 from linear_oracle import add_into
 from nhq.necklace import Necklace, bracket_sign, minimal_rotation_offset, necklace_key
+from nhq.quiver import _LETTER, _code
 from nhq.sampling import (
     random_coefficient,
     random_configuration,
@@ -43,7 +45,9 @@ from nhq.sampling import (
 from nhq.schedler import (
     _PICKERS,
     HeightConfiguration,
-    _drop_pair,
+    _contracted,
+    _height_form,
+    _quiver_key,
     canonical_configuration,
     clear_straighten_cache,
     marked_word,
@@ -98,6 +102,56 @@ def arc_length(a: int, b: int, n: int) -> int:
     return (b - a - 1) % n
 
 
+def coded_form(word, succ, idems):
+    """The coded key of a configuration in height form: each cycle of
+    ``succ`` walked from its least height, in increasing order of that
+    height, heights counted from 1."""
+    seen, codes, heights = set(), [], []
+    for first in range(len(word)):
+        if first in seen:
+            continue
+        cycle = [first]
+        while succ[cycle[-1]] != first:
+            cycle.append(succ[cycle[-1]])
+        seen.update(cycle)
+        codes.append("".join(word[x] for x in cycle))
+        heights.append(tuple(x + 1 for x in cycle))
+    return tuple(codes), tuple(heights), idems
+
+
+def reference_cut(quiver, comps, idems, ci, pi, cj, pj):
+    """The correction term of contracting the letter u at position pi of
+    component ci with the letter v at position pj of component cj: the two
+    components merge, or the one splits into its two arcs, and an empty
+    piece becomes the idempotent factor at its dropped letter's target."""
+    u, v = comps[ci][pi][0], comps[cj][pj][0]
+    new_idems = list(idems)
+    if ci != cj:
+        len_i, len_j = len(comps[ci]), len(comps[cj])
+        rem_i = [comps[ci][(pi + 1 + k) % len_i] for k in range(len_i - 1)]
+        rem_j = [comps[cj][(pj + 1 + k) % len_j] for k in range(len_j - 1)]
+        merged = tuple(rem_i + rem_j)
+        new_comps = [tuple(c) for k, c in enumerate(comps) if k not in (ci, cj)]
+        if merged:
+            new_comps.append(merged)
+        else:
+            new_idems.append(u.target(quiver))
+    else:
+        n = len(comps[ci])
+        arc_b = [comps[ci][(pi + 1 + k) % n] for k in range(arc_length(pi, pj, n))]
+        arc_a = [comps[ci][(pj + 1 + k) % n] for k in range(arc_length(pj, pi, n))]
+        new_comps = [tuple(c) for k, c in enumerate(comps) if k != ci]
+        if arc_a:
+            new_comps.append(tuple(arc_a))
+        else:
+            new_idems.append(u.target(quiver))
+        if arc_b:
+            new_comps.append(tuple(arc_b))
+        else:
+            new_idems.append(v.target(quiver))
+    return new_comps, new_idems
+
+
 def reference_rewrite(quiver, comps, idems, pick, rng, memo, swaps=None):
     """HBarPolynomial-valued expansion of a normalized configuration; each
     height swap is appended to ``swaps`` as the pair of letters it moves."""
@@ -122,34 +176,14 @@ def reference_rewrite(quiver, comps, idems, pick, rng, memo, swaps=None):
             swaps.append((u, v))
         sign = bracket_sign(u, v)
         if sign:
-            if ci != cj:
-                len_i, len_j = len(state[ci]), len(state[cj])
-                rem_i = [state[ci][(pi + 1 + k) % len_i] for k in range(len_i - 1)]
-                rem_j = [state[cj][(pj + 1 + k) % len_j] for k in range(len_j - 1)]
-                merged = tuple(rem_i + rem_j)
-                new_comps = [tuple(c) for k, c in enumerate(state) if k not in (ci, cj)]
-                new_idems = list(idems)
-                if merged:
-                    new_comps.append(merged)
-                else:
-                    new_idems.append(u.target(quiver))
-            else:
-                n = len(state[ci])
-                arc_b = [state[ci][(pi + 1 + k) % n] for k in range(arc_length(pi, pj, n))]
-                arc_a = [state[ci][(pj + 1 + k) % n] for k in range(arc_length(pj, pi, n))]
-                new_comps = [tuple(c) for k, c in enumerate(state) if k != ci]
-                new_idems = list(idems)
-                if arc_a:
-                    new_comps.append(tuple(arc_a))
-                else:
-                    new_idems.append(u.target(quiver))
-                if arc_b:
-                    new_comps.append(tuple(arc_b))
-                else:
-                    new_idems.append(v.target(quiver))
             factor = H if sign > 0 else -H
             sub = reference_rewrite(
-                quiver, *normalize_raw(new_comps, new_idems), pick, rng, memo, swaps
+                quiver,
+                *normalize_raw(*reference_cut(quiver, state, idems, ci, pi, cj, pj)),
+                pick,
+                rng,
+                memo,
+                swaps,
             )
             for cfg, c in sub:
                 add_into(out, cfg, -(c * factor))
@@ -299,49 +333,100 @@ def _check_ideal_generator(quiver, seed):
     )
 
 
+def _cut_oracle(quiver, cfg, i, j):
+    """The tuple oracle's correction of contracting the letters at heights
+    i + 1 and j + 1 of the normalized ``cfg``, as a coded key."""
+    comps = cfg.components
+    (ci, pi), (cj, pj) = (
+        next((c, p) for c, comp in enumerate(comps) for p, (_, h) in enumerate(comp) if h == k + 1) for k in (i, j)
+    )
+    cut = HeightConfiguration(*normalize_raw(*reference_cut(quiver, comps, cfg.idempotents, ci, pi, cj, pj)))
+    return cut.codes, cut.heights, cut.idempotents
+
+
+def _cut(quiver, cfg, i, j, order=None):
+    """The kernel's correction of the same pair, decoded to a coded key.
+    With ``order`` the letters are first relabelled as the kernel moves
+    them: the letter at position k is the one at height order[k] of the
+    successor permutation it is handed."""
+    word, succ = _height_form(cfg.codes, cfg.heights)
+    if order is None:
+        order = list(range(len(word)))
+    else:
+        relabelled = [0] * len(word)
+        for k, nxt in enumerate(succ):
+            relabelled[order[k]] = order[nxt]
+        succ = tuple(relabelled)
+    return coded_form(*_contracted(_quiver_key(quiver), word, succ, order, cfg.idempotents, i, j))
+
+
 @SETTINGS
 @given(seeds)
-def test_drop_pair_equals_normalize_raw(seed):
-    """Renumbering a coded correction from its two dropped heights gives
-    the coded form of the tuple route's full sort-and-rank normalization."""
+def test_contraction_equals_normalize_raw_of_the_tuple_cut(seed):
+    """Every contracting pair of a configuration, idempotents included, cut
+    as the cycles of succ o (i j) without i and j, decodes to the tuple
+    oracle's merge or split, normalized by the full sort and rank; and so
+    it does from any relabelling of the letters the kernel may hand it."""
     for quiver in QUIVERS:
-        _check_drop_pair(quiver, seed)
+        rng = random.Random(seed)
+        cfg = random_configuration(rng, quiver, max_letters=9, max_idempotents=2)
+        word, _ = _height_form(cfg.codes, cfg.heights)
+        order = list(range(len(word)))
+        rng.shuffle(order)
+        pairs = [
+            (i, j)
+            for j in range(len(word))
+            for i in range(j)
+            if bracket_sign(_LETTER[word[i]], _LETTER[word[j]])
+        ]
+        for i, j in pairs:
+            expected = _cut_oracle(quiver, cfg, i, j)
+            assert _cut(quiver, cfg, i, j) == expected
+            assert _cut(quiver, cfg, i, j, order) == expected
 
 
-def _check_drop_pair(quiver, seed):
-    rng = random.Random(seed)
-    cfg = random_configuration(rng, quiver, max_letters=9, max_idempotents=2)
-    n = cfg.letter_count
-    if n < 2:
-        return
-    # scramble heights (as swaps do), then drop the letters at h and h + 1
-    heights = list(range(1, n + 1))
-    rng.shuffle(heights)
-    it = iter(heights)
-    comps = [[(letter, next(it)) for (letter, _) in comp] for comp in cfg.components]
-    h = rng.randint(1, n - 1)
-    pieces = []
-    for comp in comps:
-        kept = [pair for pair in comp if pair[1] not in (h, h + 1)]
-        if kept:
-            # any rotation of a piece is valid input
-            r = rng.randrange(len(kept))
-            pieces.append(kept[r:] + kept[:r])
-    rng.shuffle(pieces)
-    idems = list(cfg.idempotents) + [rng.randrange(len(quiver.vertices))]
-    comps, idems_n = normalize_raw(pieces, idems)
-    cut, expected = HeightConfiguration(pieces, ()), HeightConfiguration(comps, idems_n)
-    coded = [(code, list(hs)) for code, hs in zip(cut.codes, cut.heights)]
-    assert _drop_pair(coded, idems, h) == (expected.codes, expected.heights, idems_n)
+def test_contraction_edge_cases(J, L2):
+    """A loop against a loop merges to an idempotent; u directly before v
+    in one cycle leaves v's target and the other arc; the 2-cycle (u v)
+    leaves both targets."""
+    x, y = Letter(0, False), Letter(1, False)
+    cases = [
+        # a loop against a loop: the merged cycle is empty
+        (J, [((x, 1),), ((x.star(), 2),)], (0, 1), ((), (), (0,))),
+        # u directly before v in one cycle: arc u..v is empty
+        (L2, [((x, 1), (x.star(), 2), (y, 3), (y.star(), 4))], (0, 1), ((_code((y, y.star())),), ((1, 2),), (0,))),
+        # the 2-cycle (u v): both arcs are empty
+        (J, [((x, 1), (x.star(), 2)), ((x, 3),)], (0, 1), ((_code((x,)),), ((1,),), (0, 0))),
+    ]
+    for quiver, comps, (i, j), expected in cases:
+        cfg = schedler.make_configuration(quiver, comps)
+        assert _cut_oracle(quiver, cfg, i, j) == expected
+        assert _cut(quiver, cfg, i, j) == expected
+
+
+@SETTINGS
+@given(seeds)
+def test_height_form_round_trips(seed):
+    """Coded key -> height form -> coded key is the identity on normalized
+    configurations, the empty one and idempotents alone included."""
+    assert _height_form((), ()) == ("", ())
+    for quiver in QUIVERS:
+        rng = random.Random(seed)
+        cfg = random_configuration(rng, quiver, max_letters=9, max_idempotents=2)
+        idempotents_alone = schedler.make_configuration(quiver, [], cfg.idempotents)
+        for cfg in (cfg, idempotents_alone, canonical_configuration(quiver, ())):
+            key = (cfg.codes, cfg.heights, cfg.idempotents)
+            assert coded_form(*_height_form(cfg.codes, cfg.heights), cfg.idempotents) == key
 
 
 @SETTINGS
 @given(seeds)
 def test_coded_route_takes_the_tuple_oracles_rewrite_tree(seed):
-    """For the first and the random strategy, the coded kernel's normal form
-    equals the tuple oracle's, and so do its height swaps, letter pair by
-    letter pair.  The random strategy calls schedler's ``bracket_sign`` once
-    per swap, so the spy sees every swap; the first strategy moves each
+    """For every strategy, the coded kernel's normal form equals the tuple
+    oracle's, and so do its height swaps, letter pair by letter pair.  The
+    one-swap strategies ("last", "middle" and "random") call schedler's
+    ``bracket_sign`` once per swap, so the spy sees every swap; the first
+    strategy moves each
     letter in one insertion run and calls it only at a contracting swap, so
     the spy sees the oracle's swaps of nonzero sign, in order, and the
     budget charged is the oracle's swap count.  The shared cache is cleared
@@ -349,7 +434,7 @@ def test_coded_route_takes_the_tuple_oracles_rewrite_tree(seed):
     for quiver in QUIVERS:
         rng = random.Random(seed)
         cfg = random_configuration(rng, quiver, max_letters=8, max_idempotents=2)
-        for strategy in ("first", "random"):
+        for strategy in STRATEGIES:
             expected_swaps, swaps = [], []
             expected = reference_straighten(
                 quiver, cfg.components, cfg.idempotents, strategy, random.Random(seed), expected_swaps
@@ -379,15 +464,17 @@ def _one_swap_first(invs, rng):
 
 
 def _expanded(quiver, coded, pick):
-    """``_rewrite`` of a coded configuration with ``pick`` at every level,
-    memoized for this call only, and the height swaps it charged."""
+    """``_rewrite`` of a coded configuration, handed over in height form,
+    with ``pick`` at every level, memoized for this call only, and the
+    height swaps it charged."""
 
     @functools.lru_cache(maxsize=None)
-    def normal_form(qkey, codes, heights, idems):
-        return schedler._rewrite(qkey, codes, heights, idems, pick, None, normal_form)
+    def normal_form(qkey, word, succ, idems):
+        return schedler._rewrite(qkey, word, succ, idems, pick, None, normal_form)
 
+    codes, heights, idems = coded
     schedler._rewrites_left[0] = schedler.MAX_REWRITES
-    out = normal_form(schedler._quiver_key(quiver), *coded)
+    out = normal_form(_quiver_key(quiver), *_height_form(codes, heights), idems)
     return out, schedler.MAX_REWRITES - schedler._rewrites_left[0]
 
 
