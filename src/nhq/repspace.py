@@ -177,10 +177,13 @@ class WeylElement(_PackedOperator):
         return self._like({key - self._codec.hunit: c for key, c in self._packed.items()})
 
     def rees_degrees(self) -> set:
-        """All h-grading degrees present: derivative count plus h power."""
+        """All h-grading degrees present: derivative count plus h power.
+        The derivative count, the sum of a key's derivative fields, is
+        read one bit plane of the fields at a time."""
         codec = self._codec
-        tops = {key >> codec.split for key in self._packed}  # the derivative half and the h field
-        return {codec.degree(top & codec.low) + (top >> codec.split) for top in tops}
+        split, planes = codec.split, [(codec._ones << b, b) for b in range(codec.width)]
+        tops = {key >> split for key in self._packed}  # the derivative half and the h field
+        return {sum([(top & ones).bit_count() << b for ones, b in planes]) + (top >> split) for top in tops}
 
 
 class PolyElement(_PackedOperator):
@@ -603,10 +606,6 @@ class _Codec:
         rest = self._rest
         return ((bits & rest) + rest | bits) & self._high
 
-    def degree(self, bits: int) -> int:
-        """The sum of the fields of a half of a key, one bit plane at a time."""
-        return sum([(bits & self._ones << b).bit_count() << b for b in range(self.width)])
-
     def contractions(self, der: int, pos: int, common: int) -> list:
         """(step, factor) of each term of moving the derivative half ``der``
         past the position half ``pos`` that contracts some field v of the
@@ -789,11 +788,18 @@ def _contract_packed(quiver: Quiver, dim, codec: _Codec, cfg, quantum: bool, end
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _packed_trace(quiver: Quiver, dim: tuple, arrows: tuple, width: int, cfg) -> tuple:
+def _packed_trace(make, *key) -> tuple:
+    """The one bounded memo of traced results, ``make(*key)``.  It keeps
+    two kinds of entry: a configuration's trace pairs (``_trace_pairs``)
+    and what is kept of a generator image (``_kept_parts``).  The values
+    hold only ``int`` and ``str``, so CPython stops tracking them."""
+    return make(*key)
+
+
+def _trace_pairs(quiver: Quiver, dim: tuple, arrows: tuple, width: int, cfg) -> tuple:
     """Tr_q of the coded configuration ``cfg`` = (codes, heights, idems) as
     ``(key, c)`` pairs, packed for the codec with fields for ``arrows`` of
-    ``width`` bits.  The values hold only ``int``, so CPython stops
-    tracking them."""
+    ``width`` bits."""
     return tuple(_contract_packed(quiver, dim, _codec(quiver, dim, arrows, width), cfg, True)[()].items())
 
 
@@ -850,7 +856,7 @@ def _closed_sum(quiver: Quiver, dim, codec: _Codec, items, quantum: bool) -> dic
     get, hunit = out.get, codec.hunit
     for cfg, scale in items:
         if quantum:
-            traced = _packed_trace(quiver, dim, codec.arrows, codec.width, cfg)
+            traced = _packed_trace(_trace_pairs, quiver, dim, codec.arrows, codec.width, cfg)
         else:
             traced = _contract_packed(quiver, dim, codec, cfg, False)[()].items()
         for k, m in scale:
@@ -878,7 +884,13 @@ def _closed_sum(quiver: Quiver, dim, codec: _Codec, items, quantum: bool) -> dic
 # and E sit at Rees grade N, P and T at grade v.  None depends on (r,
 # lambda), and the decomposition target == re_expand(chi), split by
 # grade, is two exact comparisons: G + r h P - E = chi h T at grade N and,
-# when lambda != 0, P = T at grade v.
+# when lambda != 0, P = T at grade v.  So the image depends only on
+# (quiver, dim, vertex, marked word), and the same trace cache keeps what
+# chi reads of it under that key (``kept_image``): P, T and D = G - E as
+# int pairs.  A repeated generator reads them back, with nothing
+# straightened, charged or summed.  G, which only ``target`` and
+# ``expansion`` read, is kept as its summands and summed again from the
+# cached traces when it is read.
 
 
 def _ideal_codec(quiver: Quiver, dim, vertex: int, word) -> _Codec:
@@ -907,40 +919,55 @@ def _ratio(lhs: dict, base: dict, shift: int):
     return Fraction(b, a)
 
 
+def _minus(a: dict, b: dict) -> dict:
+    """a - b for two packed int dicts, without zeros."""
+    out = dict(a)
+    _add_scaled(out, b.items(), ((0, -1),), 0)
+    return {key: c for key, c in out.items() if c}
+
+
 @dataclass(eq=False)
 class IdealImage:
     """One reduction-ideal generator's decomposition in packed form, for
     every (r, lambda) at once.
 
-    ``word`` is the marked word of v letters; ``spliced`` (G), ``cycle``
-    (P), ``diagonal`` (T) and ``expanded`` (E) are the traced packed int
-    dicts of the comment above.  ``chi(r, lam)`` solves the character value
-    at order-h weight r and deformation lam from ``difference`` = G - E, one
-    int dict made on the first bind and read by every other; at r = 0 it
-    copies nothing.  The views ``target(r, lam)``
-    = Tr_q(generator), ``expansion(lam)`` = sum entry tau(direction) -
-    lambda Tr_q(p), ``pairs`` (each nonzero open-word entry of the word
-    with its direction -e_{l_first, l_last}) and ``trace_of_p`` = Tr_q(p)
-    are packed elements, the last two made once; ``pairs`` is the only
-    view that contracts the open word."""
+    ``word`` is the marked word of v letters; ``cycle`` (P), ``diagonal``
+    (T) and ``difference`` (G - E) are traced packed int dicts of the
+    comment above, and ``summands`` are the ``_closed_sum`` items of the
+    spliced part G.  ``chi(r, lam)`` solves the character value at
+    order-h weight r and deformation lam from P, T and G - E alone; at r =
+    0 it copies nothing.  Only ``target`` and ``expansion`` read G, which
+    is most of an image's weight: an image made afresh holds it
+    (``ideal_image``), and a kept one (``kept_image``) sums it again from
+    the trace cache on its first read.  ``expanded`` = E is G - (G - E),
+    derived when read.  The views ``target(r, lam)`` = Tr_q(generator),
+    ``expansion(lam)`` = sum entry tau(direction) - lambda Tr_q(p),
+    ``pairs`` (each nonzero open-word entry of the word with its
+    direction -e_{l_first, l_last}) and ``trace_of_p`` = Tr_q(p) are
+    packed elements, the last two made once; ``pairs`` is the only view
+    that contracts the open word."""
 
     quiver: Quiver
     dim: tuple
     vertex: int
     word: tuple
     codec: _Codec
-    spliced: dict
+    summands: tuple
     cycle: dict
     diagonal: dict
-    expanded: dict
+    difference: dict
     v = property(lambda self: len(self.word))
 
     @cached_property
-    def difference(self) -> dict:
-        """G - E, the part of chi's grade-N comparison free of (r, lambda)."""
-        out = dict(self.spliced)
-        _add_scaled(out, self.expanded.items(), ((0, -1),), 0)
-        return {key: c for key, c in out.items() if c}
+    def spliced(self) -> dict:
+        """G, summed from its ``summands`` under their charge."""
+        _charge(self.quiver, self.dim, ["".join(cfg[0]) for cfg, _ in self.summands])
+        return _closed_sum(self.quiver, self.dim, self.codec, self.summands, True)
+
+    @cached_property
+    def expanded(self) -> dict:
+        """E = G - (G - E)."""
+        return _minus(self.spliced, self.difference)
 
     def chi(self, r, lam) -> Fraction | None:
         """The chi with target(r, lam) == expansion(lam) + chi h Tr_q(p),
@@ -992,22 +1019,57 @@ def ideal_image(
     quiver: Quiver, dim, vertex: int, word, spliced: dict, cycle: dict, diagonal: dict, expanded: dict
 ) -> IdealImage:
     """The decomposition of the generator of ``word``, the marked cycle, at
-    ``vertex``, from the four parts of ``schedler.ideal_normal_forms``.
+    ``vertex``, from the four parts of ``schedler.ideal_normal_forms``,
+    made afresh.
 
     The distinct configurations of the four parts are charged once,
     together (``_charge``).  Each part is summed from the trace cache into
     a canonical int dict in the codec of ``_ideal_codec`` (``_closed_sum``,
     as ``contracted`` sums), an n-letter term of an N'-letter part at the
-    power (N' - n)/2 of h; no element is built.
+    power (N' - n)/2 of h; no element is built.  The image holds G, its
+    summands, P, T and D = G - E; ``kept_image`` calls this (through the
+    function it is handed) only when the image is not kept.
     """
     parts = (spliced, cycle, diagonal, expanded)
     _charge(quiver, dim, ["".join(codes) for codes, _, _ in set().union(*parts)])
     codec, v = _ideal_codec(quiver, dim, vertex, word), len(word)
-    graded = lambda part, n: [(cfg, (((n - sum(map(len, cfg[0]))) // 2, c),)) for cfg, c in part.items()]
-    G, P, T, E = (
-        _closed_sum(quiver, dim, codec, graded(part, n), True) for part, n in zip(parts, (v + 2, v, v, v + 2))
-    )
-    return IdealImage(quiver, dim, vertex, word, codec, G, P, T, E)
+    items = [
+        tuple((cfg, (((n - sum(map(len, cfg[0]))) // 2, c),)) for cfg, c in part.items())
+        for part, n in zip(parts, (v + 2, v, v, v + 2))
+    ]
+    G, P, T, E = (_closed_sum(quiver, dim, codec, part, True) for part in items)
+    image = IdealImage(quiver, dim, vertex, word, codec, items[0], P, T, _minus(G, E))
+    image.spliced = G
+    return image
+
+
+def _kept_parts(make, quiver: Quiver, dim: tuple, vertex: int, word: tuple) -> tuple:
+    """What the trace cache keeps of the image that ``make`` makes: the
+    summands of G, and P, T and G - E as tuples of (key, c) int pairs, P
+    the tuple of T when they are equal, as they are whenever the grade-v
+    comparison holds."""
+    image = make(quiver, dim, vertex, word)
+    T = tuple(image.diagonal.items())
+    P = T if image.cycle == image.diagonal else tuple(image.cycle.items())
+    return image.summands, P, T, tuple(image.difference.items())
+
+
+def kept_image(quiver: Quiver, dim: tuple, vertex: int, word: tuple, make) -> IdealImage:
+    """The image of the generator of the marked ``word`` at ``vertex``,
+    kept in the one trace cache.
+
+    Its entry is keyed by (quiver, dim, vertex, word) and holds what chi
+    reads, P, T and G - E, and the summands of G, a few configurations
+    where G's sum is most of an image's weight (``_kept_parts``); on a
+    miss ``make(quiver, dim, vertex, word)`` makes the image.  A hit
+    straightens, charges and contracts nothing; G is summed again from
+    the trace cache only if ``target`` or ``expansion`` is read.  A
+    refused miss leaves no entry.  Every call builds a fresh image with
+    dicts of its own, so no two callers share one.
+    """
+    summands, *parts = _packed_trace(_kept_parts, make, quiver, dim, vertex, word)
+    codec = _ideal_codec(quiver, dim, vertex, word)
+    return IdealImage(quiver, dim, vertex, word, codec, summands, *map(dict, parts))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ check is four sums of closed configurations
 (``schedler.ideal_normal_forms``): its two straightened parts, its marked
 word, and the closed words whose traces are its tau re-expansion.
 ``repspace.ideal_image`` traces them into packed monomials once, free of
-the parameters (r, lambda), each trace through the one trace cache; an
+the parameters (r, lambda), each trace through the one trace cache, which
+also keeps what chi reads of the image under its marked word; an
 ``IdealDecomposition`` binds that image to one parameter set, so every
 set reads the same image.  This module never sees the packed monomials
 of a contraction.  All checks are by exact equality; failures
@@ -48,6 +49,7 @@ from .repspace import (
     contracted,
     gl_basis,
     ideal_image,
+    kept_image,
     make_dimension_vector,
     moment_block_matrix,
     poisson,
@@ -70,7 +72,8 @@ from .schedler import (
 
 def clear_trace_cache() -> None:
     """Empty the one trace cache, repspace's packed traces of coded
-    configurations (``repspace.clear_packed_traces``)."""
+    configurations and of generator images
+    (``repspace.clear_packed_traces``)."""
     clear_packed_traces()
 
 
@@ -430,18 +433,25 @@ class IdealDecomposition:
         return compare_report(name, unequal)
 
 
+def _made_image(quiver: Quiver, dim: tuple, vertex: int, word: tuple) -> IdealImage:
+    """The generator image of the marked ``word`` at ``vertex``, made
+    afresh: the four parts of ``schedler.ideal_normal_forms`` traced by
+    ``repspace.ideal_image``."""
+    return ideal_image(quiver, dim, vertex, word, *ideal_normal_forms(quiver, word, vertex))
+
+
 def generator_image(quiver: Quiver, dim, p: Necklace, vertex: int, mark: int = 0) -> IdealImage:
     """The ``repspace.IdealImage`` of the reduction-ideal generator of (p,
     marked visit), free of (r, lambda): the four parts of
     ``schedler.ideal_normal_forms`` (its two straightened parts, traced as
     they leave the straightening kernel, and the closed words of Tr_q(p)
     and of the tau re-expansion), all traced through the one trace cache,
-    packed and Rees-graded.  p's marked word is found once, here.  A
-    repeated generator whose traces are still cached is charged once and
-    contracts nothing."""
+    packed and Rees-graded.  p's marked word is found once, here.  What
+    chi reads of the image is kept in the trace cache under its marked
+    word (``repspace.kept_image``), so a repeated generator is one cache
+    hit: nothing is straightened, charged or contracted."""
     dim = make_dimension_vector(quiver, dim)
-    word = marked_word(quiver, p, vertex, mark)
-    return ideal_image(quiver, dim, vertex, word, *ideal_normal_forms(quiver, word, vertex))
+    return kept_image(quiver, dim, vertex, marked_word(quiver, p, vertex, mark), _made_image)
 
 
 def decompose_ideal_image(

@@ -36,10 +36,11 @@ def L2():
 @pytest.fixture
 def wrong_spliced_int(monkeypatch):
     """Make one int of every traced generator wrong, at the packed seam:
-    the spliced part G of each ``repspace.IdealImage`` gains 1 at the key
-    of x_w^N, w the codec's last coordinate and N the letters of the
-    spliced configurations, as the image leaves ``repspace.ideal_image``
-    and before any parameter set is bound to it.  That is an h-free
+    G - E of each ``repspace.IdealImage``, the part of the spliced part G
+    that the check reads, gains 1 at the key of x_w^N, w the codec's last
+    coordinate and N the letters of the spliced configurations, as the
+    image leaves ``repspace.ideal_image`` and before any parameter set is
+    bound to it, as a wrong int in G would make it.  That is an h-free
     monomial of the target's top Rees grade with no derivative, which no
     generator's trace holds and no chi can absorb."""
     from nhq import trace
@@ -50,7 +51,7 @@ def wrong_spliced_int(monkeypatch):
         image = image_of(*args)
         unit = image.codec.position(max(image.codec.field))[0]
         key = unit * (image.v + 2)
-        image.spliced = {**image.spliced, key: image.spliced.get(key, 0) + 1}
+        image.difference = {**image.difference, key: image.difference.get(key, 0) + 1}
         return image
 
     monkeypatch.setattr(trace, "ideal_image", bumped)

@@ -26,7 +26,7 @@ from nhq import (
     trace_quantum_config,
 )
 from nhq.linear import from_ints
-from nhq.sampling import random_configuration, random_necklace, small_quivers
+from nhq.sampling import a3p, all_dimension_vectors, random_configuration, random_necklace, small_quivers
 from nhq.schedler import (
     CACHE_SIZE,
     _config,
@@ -35,6 +35,8 @@ from nhq.schedler import (
     _normal_terms,
     _quiver_key,
     clear_straighten_cache,
+    ideal_normal_forms,
+    marked_word,
 )
 from nhq.repspace import _packed_trace
 from nhq.trace import clear_trace_cache, enumerate_generators, generator_image, trace_quantum
@@ -117,40 +119,159 @@ def test_a_repeated_generator_image_contracts_nothing(L2, monkeypatch):
     assert again.pairs is pairs and len(contractions) == 1
 
 
-def test_a_warm_generator_image_charges_once_and_builds_no_element(L2, monkeypatch):
-    # a warm image reads all four parts from the trace cache under the one
-    # charge of their union, sums them straight into int dicts and binds
-    # chi on those dicts: no contraction and no element, at any (r, lambda)
-    from nhq import repspace
+def test_a_warm_generator_image_charges_nothing_and_builds_no_element(L2, monkeypatch):
+    # a warm image is one trace-cache hit: P, T and G - E are read back as
+    # they were kept and chi binds on them, with no straightening, no
+    # charge, no sum, no contraction and no element, at any (r, lambda)
+    from nhq import repspace, trace
 
     x, y = Letter(0, False), Letter(1, False)
     p = canonical_necklace(L2, (x, y.star(), y, x.star()))
     cold = generator_image(L2, (2,), p, 0, 1)
     binds = [(0, 0), (Fraction(1, 2), 0), (Fraction(-3), Fraction(2))]
     expected = [cold.chi(r, lam) for r, lam in binds]
-    calls = {"_charge": 0, "_contract": 0, "_from_packed": 0}
+    calls = {"_charge": 0, "_closed_sum": 0, "_contract": 0, "_from_packed": 0, "ideal_normal_forms": 0}
 
     def counted(name, f):
         return lambda *a: calls.__setitem__(name, calls[name] + 1) or f(*a)
 
     from_packed = repspace._PackedOperator._from_packed.__func__
-    monkeypatch.setattr(repspace, "_charge", counted("_charge", repspace._charge))
-    monkeypatch.setattr(repspace, "_contract", counted("_contract", repspace._contract))
+    for module, name in ((repspace, "_charge"), (repspace, "_closed_sum"), (repspace, "_contract"),
+                         (trace, "ideal_normal_forms")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(repspace._PackedOperator, "_from_packed", classmethod(counted("_from_packed", from_packed)))
     image = generator_image(L2, (2,), p, 0, 1)
     assert [image.chi(r, lam) for r, lam in binds] == expected and expected[0] is not None
-    assert calls == {"_charge": 1, "_contract": 0, "_from_packed": 0}
-    # G - E is one int dict, made once per image and read by every bind
-    difference = {key: image.spliced.get(key, 0) - image.expanded.get(key, 0)
-                  for key in image.spliced.keys() | image.expanded.keys()}
-    assert image.difference == {key: c for key, c in difference.items() if c}
-    assert image.difference is image.difference
+    assert calls == {"_charge": 0, "_closed_sum": 0, "_contract": 0, "_from_packed": 0, "ideal_normal_forms": 0}
+    # the kept G - E is the difference of G and E summed apart
+    G, _, _, E = _summed(L2, (2,), image)
+    assert image.difference == _difference(G, E)
     # at r = 0 a bind reads G - E as it is, whatever lambda
     adds = []
     add_scaled = repspace._add_scaled
     monkeypatch.setattr(repspace, "_add_scaled", lambda *a: adds.append(a) or add_scaled(*a))
     assert image.chi(0, 0) == expected[0] and image.chi(0, Fraction(1)) == cold.chi(0, Fraction(1))
     assert adds == []
+
+
+_BINDS = [(Fraction(r), Fraction(lam)) for r in (0, Fraction(1, 2), -3) for lam in (0, 2)]
+
+
+def _summed(quiver, dim, image):
+    """G, P, T and E of ``image``, each summed on its own from the normal
+    forms of its generator, an n-letter term of an N'-letter part at
+    h^((N' - n)/2)."""
+    from nhq import repspace
+
+    v = image.v
+    return [
+        repspace._closed_sum(
+            quiver, dim, image.codec, [(cfg, (((n - sum(map(len, cfg[0]))) // 2, c),)) for cfg, c in part.items()], True
+        )
+        for part, n in zip(ideal_normal_forms(quiver, image.word, image.vertex), (v + 2, v, v, v + 2))
+    ]
+
+
+def _difference(a, b):
+    return {key: a.get(key, 0) - b.get(key, 0) for key in a.keys() | b.keys() if a.get(key, 0) != b.get(key, 0)}
+
+
+def _assert_same_image(image, fresh):
+    """``image`` equals the image made afresh in every part and view."""
+    for name in ("spliced", "cycle", "diagonal", "difference", "expanded"):
+        assert getattr(image, name) == getattr(fresh, name), name
+    for r, lam in _BINDS:
+        assert image.chi(r, lam) == fresh.chi(r, lam)
+        assert image.target(r, lam) == fresh.target(r, lam)
+    for lam in (0, 2):
+        assert image.expansion(lam) == fresh.expansion(lam)
+    assert image.trace_of_p == fresh.trace_of_p
+
+
+@pytest.mark.parametrize("quiver", small_quivers() + [a3p()], ids=lambda q: ",".join(a.name for a in q.arrows))
+def test_a_kept_generator_image_equals_the_image_made_afresh(quiver, monkeypatch):
+    # the trace cache keeps P, T, G - E and G's summands of each image;
+    # they, G and E summed again, and every view equal the fresh route's,
+    # whose parts are the sums of the normal forms, on the miss that keeps
+    # them and on a hit after only the straighten cache is emptied
+    from nhq import trace
+
+    made = []
+    normal_forms = trace.ideal_normal_forms
+    monkeypatch.setattr(trace, "ideal_normal_forms", lambda *a: made.append(a) or normal_forms(*a))
+    for dim in all_dimension_vectors(quiver, 2):
+        seen = set()
+        for p, vertex, mark in enumerate_generators(quiver, 3):
+            word = marked_word(quiver, p, vertex, mark)
+            fresh = trace.ideal_image(quiver, dim, vertex, word, *normal_forms(quiver, word, vertex))
+            G, P, T, E = _summed(quiver, dim, fresh)
+            assert (fresh.spliced, fresh.cycle, fresh.diagonal, fresh.expanded) == (G, P, T, E)
+            assert fresh.difference == _difference(G, E)
+            made.clear()
+            first = generator_image(quiver, dim, p, vertex, mark)
+            assert len(made) == ((vertex, word) not in seen)
+            seen.add((vertex, word))
+            _assert_same_image(first, fresh)
+            clear_straighten_cache()
+            made.clear()
+            again = generator_image(quiver, dim, p, vertex, mark)
+            assert made == [] and again is not first and again.spliced is not first.spliced
+            _assert_same_image(again, fresh)
+
+
+@pytest.mark.parametrize("limit", ["MAX_INDEX_ASSIGNMENTS", "MAX_REWRITES"])
+def test_a_refused_generator_image_is_not_kept(J, limit, monkeypatch):
+    # a lowered limit refuses the image before any contraction, and the
+    # trace cache is left without an image entry (nor any trace)
+    from nhq import repspace, trace
+
+    x, xs = Letter(0, False), Letter(0, True)
+    p, dim = canonical_necklace(J, (x, xs, x)), (2,)
+    word = marked_word(J, p, 0, 0)
+    expected = generator_image(J, dim, p, 0, 0)
+    total = sum(2 ** sum(map(len, codes)) for codes, _, _ in set().union(*ideal_normal_forms(J, word, 0)))
+    clear_straighten_cache()
+    clear_trace_cache()
+    contractions = []
+    contract = repspace._contract
+    monkeypatch.setattr(repspace, "_contract", lambda *a: contractions.append(a) or contract(*a))
+    if limit == "MAX_INDEX_ASSIGNMENTS":
+        monkeypatch.setattr(repspace, limit, total - 1)
+        refusal = f"has {total} index assignments, above the limit {total - 1}"
+    else:
+        monkeypatch.setattr(schedler, limit, 10)
+        refusal = "straightening needs more rewrites than the limit 10"
+    with pytest.raises(WorkLimitError, match=refusal):
+        generator_image(J, dim, p, 0, 0)
+    assert contractions == [] and _packed_trace.cache_info().currsize == 0
+    monkeypatch.undo()
+    image = generator_image(J, dim, p, 0, 0)
+    _assert_same_image(image, expected)
+    kept = [key for key, _ in _cache_entries(_packed_trace) if key[0] is repspace._kept_parts]
+    assert kept == [(repspace._kept_parts, trace._made_image, J, dim, 0, word)]
+
+
+def test_a_kept_image_charges_its_spliced_part_when_read(J, monkeypatch):
+    # a hit binds chi with no charge, but summing G again from its summands
+    # is charged like any sum: under a lowered limit it is refused before
+    # any contraction
+    from nhq import repspace
+
+    x, xs = Letter(0, False), Letter(0, True)
+    p, dim = canonical_necklace(J, (x, xs, x)), (2,)
+    expected = generator_image(J, dim, p, 0, 0).spliced
+    image = generator_image(J, dim, p, 0, 0)
+    total = sum(2 ** sum(map(len, cfg[0])) for cfg, _ in image.summands)
+    contractions = []
+    contract = repspace._contract
+    monkeypatch.setattr(repspace, "_contract", lambda *a: contractions.append(a) or contract(*a))
+    monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", total - 1)
+    assert image.chi(0, 0) is not None
+    with pytest.raises(WorkLimitError, match=f"has {total} index assignments, above the limit {total - 1}"):
+        image.target(0, 0)
+    assert contractions == []
+    monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", total)
+    assert image.spliced == expected and contractions == []
 
 
 def test_the_one_trace_cache_holds_untracked_ints_and_no_views():

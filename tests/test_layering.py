@@ -9,7 +9,10 @@ one public front-end, ``contracted``, from coded configurations and
 ones read from the trace cache (``_packed_trace``).  The reduction-ideal
 check sums its four traced parts in that form with the same
 ``_closed_sum`` and compares them there (``_ratio``), and an
-``IdealImage`` holds them with their ``codec``.  A ``WeylElement`` holds its terms in that form too (``_codec``,
+``IdealImage`` holds them with their ``codec``.  The same trace cache
+keeps each image's parts under its marked word (``kept_image``); on a
+miss they are made by a function that ``trace`` hands in, so no other
+module names the cache.  A ``WeylElement`` holds its terms in that form too (``_codec``,
 ``_packed``), and so does a ``PolyElement``: both are made by
 ``_from_packed`` and re-packed by ``_join``.  Only
 ``repspace`` may know that format, so that changing it touches one

@@ -11,6 +11,7 @@ from nhq.cli import main
 from nhq.expr import format_hh0, format_sym
 from nhq.sampling import random_hh0, random_quiver
 from nhq.sampling import two_loop
+from nhq.schedler import marked_word
 from nhq.trace import enumerate_generators, lift_necklace_combination
 
 
@@ -141,8 +142,11 @@ def test_ideal_failure_names_the_generator(wrong_spliced_int):
 
 def test_verify_ideal_decomposes_each_generator_once(monkeypatch):
     # two parameter sets and two character solves read one image per
-    # generator: one straightening and one image each, and no open-word
-    # contraction, which only the lazy ``pairs`` view makes
+    # generator, and the trace cache keeps each image under its vertex and
+    # marked word: generators that share both (the marks of a necklace
+    # whose word repeats a rotation) share one straightening and one
+    # image, and no open word is contracted, which only the lazy ``pairs``
+    # view does
     calls = {"ideal_normal_forms": 0, "ideal_image": 0, "open words": 0}
     for name in ("ideal_normal_forms", "ideal_image"):
         def counted(*args, _f=getattr(trace, name), _name=name):
@@ -160,5 +164,7 @@ def test_verify_ideal_decomposes_each_generator_once(monkeypatch):
     with redirect_stdout(io.StringIO()) as out:
         assert main(["verify", "ideal", "-q", path, "--dim", "v=2"]) == 0
     assert out.getvalue().endswith("summary: 4 ok, 0 failed\n")
-    assert len(enumerate_generators(two_loop(), 3)) == 97
-    assert calls == {"ideal_normal_forms": 97, "ideal_image": 97, "open words": 0}
+    generators = enumerate_generators(two_loop(), 3)
+    distinct = {(vertex, marked_word(two_loop(), p, vertex, mark)) for p, vertex, mark in generators}
+    assert (len(generators), len(distinct)) == (97, 85)
+    assert calls == {"ideal_normal_forms": 85, "ideal_image": 85, "open words": 0}

@@ -12,6 +12,7 @@ fill a field exactly, need one bit more, push the h field up, and meet on
 disjoint arrows of a quiver with 1,000 loops.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,29 @@ def _check(product, x, y):
 
 
 X11, X12 = (0, 1, 1), (0, 1, 2)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_rees_degrees_at_each_field_width(width):
+    # every bit plane of the derivative fields is read: full fields, single
+    # bits, a sum of fields past one field's range, and h powers above them
+    q, d = jordan(), (2,)
+    top = (1 << width) - 1
+    coords = [X11, X12, (0, 2, 1), (0, 2, 2)]
+    rng = random.Random(width)
+    terms = {
+        ((), ()): 1,
+        (((X11, top),), ()): H,
+        ((), tuple((v, top) for v in coords)): Fraction(1, 3),
+        (((X12, 1),), ((X11, 1), (X12, top))): HBarPolynomial((0, 0, 2)),
+    }
+    for _ in range(8):
+        der = tuple(sorted((v, rng.randint(1, top)) for v in rng.sample(coords, rng.randint(1, 4))))
+        terms[((), der)] = HBarPolynomial.h(rng.randint(0, 9)) * rng.randint(1, 5)
+    x = WeylElement(q, d, terms)
+    assert x._codec.width == width
+    assert x.rees_degrees() == oracle.rees_degrees(x.terms)
+    assert 4 * top in x.rees_degrees()
 
 
 def test_a_product_exponent_that_fills_a_field_exactly():
