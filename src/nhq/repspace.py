@@ -26,7 +26,7 @@ from .errors import DimensionError, MismatchError, WorkLimitError
 from .linear import LinearCombination, _PackedSums, bilinear, from_ints, rational_nullspace
 from .quiver import _LETTER, Letter, Quiver, _code, _ends, make_dimension_vector, moment_pairs
 from .rings import HBarPolynomial, _exact, as_fraction
-from .schedler import CACHE_SIZE
+from .schedler import CACHE_SIZE, ideal_normal_forms
 
 
 def _check_coord_bounds(quiver, dim, arrow, starred, row, col):
@@ -791,7 +791,7 @@ def _contract_packed(quiver: Quiver, dim, codec: _Codec, cfg, quantum: bool, end
 def _packed_trace(make, *key) -> tuple:
     """The one bounded memo of traced results, ``make(*key)``.  It keeps
     two kinds of entry: a configuration's trace pairs (``_trace_pairs``)
-    and what is kept of a generator image (``_kept_parts``).  The values
+    and what is kept of a generator image (``_image_parts``).  The values
     hold only ``int`` and ``str``, so CPython stops tracking them."""
     return make(*key)
 
@@ -803,7 +803,9 @@ def _trace_pairs(quiver: Quiver, dim: tuple, arrows: tuple, width: int, cfg) -> 
     return tuple(_contract_packed(quiver, dim, _codec(quiver, dim, arrows, width), cfg, True)[()].items())
 
 
-def clear_packed_traces() -> None:
+def clear_trace_cache() -> None:
+    """Empty the one trace cache: the packed traces of coded
+    configurations and the kept generator images."""
     _packed_trace.cache_clear()
 
 
@@ -823,7 +825,7 @@ def contracted(quiver: Quiver, dim, items, quantum: bool, ends=None, codec=None)
     item is accumulated into one dict per entry in one ``codec``, by
     default the one with fields for the items' arrows, sized for the
     longest item.  Closed items are summed by ``_closed_sum``, which
-    ``ideal_image`` shares: quantum ones are read from the trace cache
+    ``_image_parts`` shares: quantum ones are read from the trace cache
     ``_packed_trace`` in that codec's layout, the others contract
     directly.  The results are fresh elements: reading their ``terms``
     stores nothing in the cache."""
@@ -885,12 +887,12 @@ def _closed_sum(quiver: Quiver, dim, codec: _Codec, items, quantum: bool) -> dic
 # lambda), and the decomposition target == re_expand(chi), split by
 # grade, is two exact comparisons: G + r h P - E = chi h T at grade N and,
 # when lambda != 0, P = T at grade v.  So the image depends only on
-# (quiver, dim, vertex, marked word), and the same trace cache keeps what
-# chi reads of it under that key (``kept_image``): P, T and D = G - E as
-# int pairs.  A repeated generator reads them back, with nothing
-# straightened, charged or summed.  G, which only ``target`` and
-# ``expansion`` read, is kept as its summands and summed again from the
-# cached traces when it is read.
+# (quiver, dim, vertex, marked word), and ``ideal_image`` keeps it in the
+# same trace cache under that key: a miss (``_image_parts``) keeps what chi
+# reads, P, T and D = G - E as int pairs, and G's summands.  A hit reads
+# them back, with nothing straightened, charged or summed; G, which only
+# ``target`` and ``expansion`` read, is summed again from the cached
+# traces when it is read.
 
 
 def _ideal_codec(quiver: Quiver, dim, vertex: int, word) -> _Codec:
@@ -937,10 +939,10 @@ class IdealImage:
     spliced part G.  ``chi(r, lam)`` solves the character value at
     order-h weight r and deformation lam from P, T and G - E alone; at r =
     0 it copies nothing.  Only ``target`` and ``expansion`` read G, which
-    is most of an image's weight: an image made afresh holds it
-    (``ideal_image``), and a kept one (``kept_image``) sums it again from
-    the trace cache on its first read.  ``expanded`` = E is G - (G - E),
-    derived when read.  The views ``target(r, lam)`` = Tr_q(generator),
+    is most of an image's weight and is not kept: it is summed again from
+    its summands through the trace cache on its first read, and
+    ``expanded`` = E is G - (G - E), derived when read.  ``ideal_image``
+    is the one constructor.  The views ``target(r, lam)`` = Tr_q(generator),
     ``expansion(lam)`` = sum entry tau(direction) - lambda Tr_q(p),
     ``pairs`` (each nonzero open-word entry of the word with its
     direction -e_{l_first, l_last}) and ``trace_of_p`` = Tr_q(p) are
@@ -1015,22 +1017,18 @@ class IdealImage:
         )
 
 
-def ideal_image(
-    quiver: Quiver, dim, vertex: int, word, spliced: dict, cycle: dict, diagonal: dict, expanded: dict
-) -> IdealImage:
-    """The decomposition of the generator of ``word``, the marked cycle, at
-    ``vertex``, from the four parts of ``schedler.ideal_normal_forms``,
-    made afresh.
+def _image_parts(quiver: Quiver, dim: tuple, vertex: int, word: tuple) -> tuple:
+    """What the trace cache keeps of the image of the generator of the
+    marked ``word`` at ``vertex``: G's summands, and P, T and D = G - E as
+    tuples of (key, c) int pairs, P the tuple of T when they are equal, as
+    they are whenever the grade-v comparison holds.
 
-    The distinct configurations of the four parts are charged once,
-    together (``_charge``).  Each part is summed from the trace cache into
-    a canonical int dict in the codec of ``_ideal_codec`` (``_closed_sum``,
+    The four parts of ``schedler.ideal_normal_forms`` are charged once,
+    together (``_charge``), and each is summed from the trace cache into a
+    canonical int dict in the codec of ``_ideal_codec`` (``_closed_sum``,
     as ``contracted`` sums), an n-letter term of an N'-letter part at the
-    power (N' - n)/2 of h; no element is built.  The image holds G, its
-    summands, P, T and D = G - E; ``kept_image`` calls this (through the
-    function it is handed) only when the image is not kept.
-    """
-    parts = (spliced, cycle, diagonal, expanded)
+    power (N' - n)/2 of h; no element is built."""
+    parts = ideal_normal_forms(quiver, word, vertex)
     _charge(quiver, dim, ["".join(codes) for codes, _, _ in set().union(*parts)])
     codec, v = _ideal_codec(quiver, dim, vertex, word), len(word)
     items = [
@@ -1038,36 +1036,18 @@ def ideal_image(
         for part, n in zip(parts, (v + 2, v, v, v + 2))
     ]
     G, P, T, E = (_closed_sum(quiver, dim, codec, part, True) for part in items)
-    image = IdealImage(quiver, dim, vertex, word, codec, items[0], P, T, _minus(G, E))
-    image.spliced = G
-    return image
+    kept_T = tuple(T.items())
+    return items[0], kept_T if P == T else tuple(P.items()), kept_T, tuple(_minus(G, E).items())
 
 
-def _kept_parts(make, quiver: Quiver, dim: tuple, vertex: int, word: tuple) -> tuple:
-    """What the trace cache keeps of the image that ``make`` makes: the
-    summands of G, and P, T and G - E as tuples of (key, c) int pairs, P
-    the tuple of T when they are equal, as they are whenever the grade-v
-    comparison holds."""
-    image = make(quiver, dim, vertex, word)
-    T = tuple(image.diagonal.items())
-    P = T if image.cycle == image.diagonal else tuple(image.cycle.items())
-    return image.summands, P, T, tuple(image.difference.items())
-
-
-def kept_image(quiver: Quiver, dim: tuple, vertex: int, word: tuple, make) -> IdealImage:
-    """The image of the generator of the marked ``word`` at ``vertex``,
-    kept in the one trace cache.
-
-    Its entry is keyed by (quiver, dim, vertex, word) and holds what chi
-    reads, P, T and G - E, and the summands of G, a few configurations
-    where G's sum is most of an image's weight (``_kept_parts``); on a
-    miss ``make(quiver, dim, vertex, word)`` makes the image.  A hit
-    straightens, charges and contracts nothing; G is summed again from
-    the trace cache only if ``target`` or ``expansion`` is read.  A
-    refused miss leaves no entry.  Every call builds a fresh image with
-    dicts of its own, so no two callers share one.
-    """
-    summands, *parts = _packed_trace(_kept_parts, make, quiver, dim, vertex, word)
+def ideal_image(quiver: Quiver, dim: tuple, vertex: int, word: tuple) -> IdealImage:
+    """The decomposition of the generator of the marked ``word`` at
+    ``vertex``, kept in the one trace cache under (quiver, dim, vertex,
+    word); a miss makes its parts (``_image_parts``).  A hit straightens,
+    charges and contracts nothing, and a refused miss leaves no entry.
+    Every call builds a fresh image with dicts of its own, so no two
+    callers share one."""
+    summands, *parts = _packed_trace(_image_parts, quiver, dim, vertex, word)
     codec = _ideal_codec(quiver, dim, vertex, word)
     return IdealImage(quiver, dim, vertex, word, codec, summands, *map(dict, parts))
 

@@ -80,6 +80,7 @@ from .necklace import (
     necklace_key,
 )
 from .quiver import _LETTER, Letter, Quiver, _code, moment_pairs, vertex_vector
+from .rings import as_fraction
 
 
 class HeightConfiguration:
@@ -610,10 +611,16 @@ def moment_lift(quiver: Quiver) -> QPAElement:
 
 @dataclass(frozen=True)
 class ReductionParameters:
-    """Vertex-wise parameters: the order-h weight r and the deformation lambda."""
+    """Vertex-wise parameters: the order-h weight r and the deformation
+    lambda.  Every entry must be an exact rational (``rings.as_fraction``);
+    it is kept as given."""
 
     r: tuple[Fraction, ...]
     lam: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        for value in (*self.r, *self.lam):
+            as_fraction(value)
 
 
 def make_params(quiver: Quiver, r=None, lam=None) -> ReductionParameters:

@@ -17,9 +17,10 @@ the shifted gl action with a solvable trace character.  A generator's
 check is four sums of closed configurations
 (``schedler.ideal_normal_forms``): its two straightened parts, its marked
 word, and the closed words whose traces are its tau re-expansion.
-``repspace.ideal_image`` traces them into packed monomials once, free of
-the parameters (r, lambda), each trace through the one trace cache, which
-also keeps what chi reads of the image under its marked word; an
+``repspace.ideal_image`` is the one maker of its image: on a miss it
+traces them into packed monomials once, free of the parameters (r,
+lambda), each trace through the one trace cache, which also keeps what
+chi reads of the image under its marked word; an
 ``IdealDecomposition`` binds that image to one parameter set, so every
 set reads the same image.  This module never sees the packed monomials
 of a contraction.  All checks are by exact equality; failures
@@ -45,11 +46,10 @@ from .repspace import (
     IdealImage,
     WeylElement,
     classical_symbol,
-    clear_packed_traces,
+    clear_trace_cache,
     contracted,
     gl_basis,
     ideal_image,
-    kept_image,
     make_dimension_vector,
     moment_block_matrix,
     poisson,
@@ -63,18 +63,10 @@ from .schedler import (
     HeightConfiguration,
     QPAElement,
     ReductionParameters,
-    ideal_normal_forms,
     lift_necklace_combination,
     marked_word,
     qpa_mul,
 )
-
-
-def clear_trace_cache() -> None:
-    """Empty the one trace cache, repspace's packed traces of coded
-    configurations and of generator images
-    (``repspace.clear_packed_traces``)."""
-    clear_packed_traces()
 
 
 def _over(x, den: int):
@@ -433,25 +425,18 @@ class IdealDecomposition:
         return compare_report(name, unequal)
 
 
-def _made_image(quiver: Quiver, dim: tuple, vertex: int, word: tuple) -> IdealImage:
-    """The generator image of the marked ``word`` at ``vertex``, made
-    afresh: the four parts of ``schedler.ideal_normal_forms`` traced by
-    ``repspace.ideal_image``."""
-    return ideal_image(quiver, dim, vertex, word, *ideal_normal_forms(quiver, word, vertex))
-
-
 def generator_image(quiver: Quiver, dim, p: Necklace, vertex: int, mark: int = 0) -> IdealImage:
     """The ``repspace.IdealImage`` of the reduction-ideal generator of (p,
     marked visit), free of (r, lambda): the four parts of
     ``schedler.ideal_normal_forms`` (its two straightened parts, traced as
     they leave the straightening kernel, and the closed words of Tr_q(p)
     and of the tau re-expansion), all traced through the one trace cache,
-    packed and Rees-graded.  p's marked word is found once, here.  What
-    chi reads of the image is kept in the trace cache under its marked
-    word (``repspace.kept_image``), so a repeated generator is one cache
-    hit: nothing is straightened, charged or contracted."""
+    packed and Rees-graded.  p's marked word is found once, here, and
+    ``repspace.ideal_image`` keeps what chi reads of the image in the
+    trace cache under it, so a repeated generator is one cache hit:
+    nothing is straightened, charged or contracted."""
     dim = make_dimension_vector(quiver, dim)
-    return kept_image(quiver, dim, vertex, marked_word(quiver, p, vertex, mark), _made_image)
+    return ideal_image(quiver, dim, vertex, marked_word(quiver, p, vertex, mark))
 
 
 def decompose_ideal_image(

@@ -123,7 +123,7 @@ def test_a_warm_generator_image_charges_nothing_and_builds_no_element(L2, monkey
     # a warm image is one trace-cache hit: P, T and G - E are read back as
     # they were kept and chi binds on them, with no straightening, no
     # charge, no sum, no contraction and no element, at any (r, lambda)
-    from nhq import repspace, trace
+    from nhq import repspace
 
     x, y = Letter(0, False), Letter(1, False)
     p = canonical_necklace(L2, (x, y.star(), y, x.star()))
@@ -136,9 +136,8 @@ def test_a_warm_generator_image_charges_nothing_and_builds_no_element(L2, monkey
         return lambda *a: calls.__setitem__(name, calls[name] + 1) or f(*a)
 
     from_packed = repspace._PackedOperator._from_packed.__func__
-    for module, name in ((repspace, "_charge"), (repspace, "_closed_sum"), (repspace, "_contract"),
-                         (trace, "ideal_normal_forms")):
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for name in ("_charge", "_closed_sum", "_contract", "ideal_normal_forms"):
+        monkeypatch.setattr(repspace, name, counted(name, getattr(repspace, name)))
     monkeypatch.setattr(repspace._PackedOperator, "_from_packed", classmethod(counted("_from_packed", from_packed)))
     image = generator_image(L2, (2,), p, 0, 1)
     assert [image.chi(r, lam) for r, lam in binds] == expected and expected[0] is not None
@@ -191,22 +190,26 @@ def _assert_same_image(image, fresh):
 @pytest.mark.parametrize("quiver", small_quivers() + [a3p()], ids=lambda q: ",".join(a.name for a in q.arrows))
 def test_a_kept_generator_image_equals_the_image_made_afresh(quiver, monkeypatch):
     # the trace cache keeps P, T, G - E and G's summands of each image;
-    # they, G and E summed again, and every view equal the fresh route's,
-    # whose parts are the sums of the normal forms, on the miss that keeps
-    # them and on a hit after only the straighten cache is emptied
-    from nhq import trace
+    # they, G and E summed again, and every view equal the fresh route's:
+    # the parts made past the cache, which equal the normal forms summed
+    # apart, on the miss that keeps them and on a hit after only the
+    # straighten cache is emptied
+    from nhq import repspace
 
     made = []
-    normal_forms = trace.ideal_normal_forms
-    monkeypatch.setattr(trace, "ideal_normal_forms", lambda *a: made.append(a) or normal_forms(*a))
+    image_parts = repspace._image_parts
+    monkeypatch.setattr(repspace, "_image_parts", lambda *a: made.append(a) or image_parts(*a))
     for dim in all_dimension_vectors(quiver, 2):
         seen = set()
         for p, vertex, mark in enumerate_generators(quiver, 3):
             word = marked_word(quiver, p, vertex, mark)
-            fresh = trace.ideal_image(quiver, dim, vertex, word, *normal_forms(quiver, word, vertex))
+            summands, *parts = image_parts(quiver, dim, vertex, word)
+            codec = repspace._ideal_codec(quiver, dim, vertex, word)
+            fresh = repspace.IdealImage(quiver, dim, vertex, word, codec, summands, *map(dict, parts))
             G, P, T, E = _summed(quiver, dim, fresh)
             assert (fresh.spliced, fresh.cycle, fresh.diagonal, fresh.expanded) == (G, P, T, E)
             assert fresh.difference == _difference(G, E)
+            assert (parts[0] is parts[1]) == (P == T)
             made.clear()
             first = generator_image(quiver, dim, p, vertex, mark)
             assert len(made) == ((vertex, word) not in seen)
@@ -219,11 +222,46 @@ def test_a_kept_generator_image_equals_the_image_made_afresh(quiver, monkeypatch
             _assert_same_image(again, fresh)
 
 
+def test_a_generator_image_is_built_once_per_call(L2, monkeypatch):
+    # a miss sums the parts it keeps without building an image, so a miss
+    # and a hit each build the one image they return
+    from nhq import repspace
+
+    built, made = [], []
+    init, image_parts = repspace.IdealImage.__init__, repspace._image_parts
+    monkeypatch.setattr(repspace.IdealImage, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    monkeypatch.setattr(repspace, "_image_parts", lambda *a: made.append(a) or image_parts(*a))
+    x, y = Letter(0, False), Letter(1, False)
+    p = canonical_necklace(L2, (x, y.star(), y, x.star()))
+    first = generator_image(L2, (2,), p, 0, 1)
+    assert (len(made), len(built)) == (1, 1)
+    again = generator_image(L2, (2,), p, 0, 1)
+    assert (len(made), len(built)) == (1, 2) and again is not first
+
+
+def test_a_cycle_part_unequal_to_the_trace_of_p_is_kept_apart(J, monkeypatch):
+    # P shares T's tuple only when they are equal: a straightened cycle
+    # that is not Tr_q(p) is kept as it is, and fails the grade-v check
+    from nhq import repspace
+
+    normal_forms = repspace.ideal_normal_forms
+
+    def doubled(*args):
+        G, P, T, E = normal_forms(*args)
+        return G, {cfg: 2 * c for cfg, c in P.items()}, T, E
+
+    monkeypatch.setattr(repspace, "ideal_normal_forms", doubled)
+    p = canonical_necklace(J, (Letter(0, False), Letter(0, True)))
+    image = generator_image(J, (2,), p, 0, 1)
+    assert image.cycle == {key: 2 * c for key, c in image.diagonal.items()} != {}
+    assert image.chi(0, Fraction(1)) is None
+
+
 @pytest.mark.parametrize("limit", ["MAX_INDEX_ASSIGNMENTS", "MAX_REWRITES"])
 def test_a_refused_generator_image_is_not_kept(J, limit, monkeypatch):
     # a lowered limit refuses the image before any contraction, and the
     # trace cache is left without an image entry (nor any trace)
-    from nhq import repspace, trace
+    from nhq import repspace
 
     x, xs = Letter(0, False), Letter(0, True)
     p, dim = canonical_necklace(J, (x, xs, x)), (2,)
@@ -247,8 +285,8 @@ def test_a_refused_generator_image_is_not_kept(J, limit, monkeypatch):
     monkeypatch.undo()
     image = generator_image(J, dim, p, 0, 0)
     _assert_same_image(image, expected)
-    kept = [key for key, _ in _cache_entries(_packed_trace) if key[0] is repspace._kept_parts]
-    assert kept == [(repspace._kept_parts, trace._made_image, J, dim, 0, word)]
+    kept = [key for key, _ in _cache_entries(_packed_trace) if key[0] is repspace._image_parts]
+    assert kept == [(repspace._image_parts, J, dim, 0, word)]
 
 
 def test_a_kept_image_charges_its_spliced_part_when_read(J, monkeypatch):

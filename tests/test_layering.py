@@ -10,11 +10,11 @@ ones read from the trace cache (``_packed_trace``).  The reduction-ideal
 check sums its four traced parts in that form with the same
 ``_closed_sum`` and compares them there (``_ratio``), and an
 ``IdealImage`` holds them with their ``codec``.  The same trace cache
-keeps each image's parts under its marked word (``kept_image``); on a
-miss they are made by a function that ``trace`` hands in, so no other
-module names the cache.  A ``WeylElement`` holds its terms in that form too (``_codec``,
-``_packed``), and so does a ``PolyElement``: both are made by
-``_from_packed`` and re-packed by ``_join``.  Only
+keeps each image's parts under its marked word, and ``ideal_image``, the
+one maker of an image, sums them on a miss itself (``_image_parts``), so
+no other module names the cache.  A ``WeylElement`` holds its terms in
+that form too (``_codec``, ``_packed``), and so does a ``PolyElement``:
+both are made by ``_from_packed`` and re-packed by ``_join``.  Only
 ``repspace`` may know that format, so that changing it touches one
 module: no other module of the package imports those names or reads them
 as attributes.
@@ -46,7 +46,10 @@ front-ends left (``_contract_letters``, ``trace_configurations``,
 terms its own way, where ``contracted`` now sums them all.  Nor is the
 renumbering of a straightening correction from its two dropped heights
 (``_drop_pair``): a correction is cut from the successor permutation of
-its configuration in height form, times one transposition.
+its configuration in height form, times one transposition.  Nor is the
+second route to a generator image (``kept_image``, ``_kept_parts``,
+``_made_image``), which built an image, kept its parts and built it again,
+nor the second name of the trace cache's clearer (``clear_packed_traces``).
 """
 
 import ast
@@ -74,7 +77,8 @@ PACKED_SUMS = {"_sums", "_den", "_given", "_from_sums", "_canonical", "_view"}
 HH0_PACKED = {"_cycles", "_check_cyclic"}
 TUPLE_KERNEL = {"_weyl_mono_mul", "_merge_exponents", "poly_partial"}
 FRONT_ENDS = {"_contract_letters", "trace_configurations", "_traced", "_check_traces", "_boundary_entries"}
-RETIRED = TUPLE_KERNEL | {"_times_tau", "_drop_pair"} | FRONT_ENDS
+IMAGE_ROUTE = {"kept_image", "_kept_parts", "_made_image", "clear_packed_traces"}
+RETIRED = TUPLE_KERNEL | {"_times_tau", "_drop_pair"} | FRONT_ENDS | IMAGE_ROUTE
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
 
 
@@ -118,6 +122,7 @@ def test_the_check_sees_both_forms():
     assert names_anywhere("from .repspace import _contract_letters, contracted\n", RETIRED) == {"_contract_letters"}
     assert names_anywhere("total = trace_configurations(q, d, terms)\n", RETIRED) == {"trace_configurations"}
     assert names_anywhere("key = _drop_pair(pieces, idems, h)\n", RETIRED) == {"_drop_pair"}
+    assert names_anywhere("return kept_image(q, d, v, w, _made_image)\n", RETIRED) == {"kept_image", "_made_image"}
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "repspace.py"])

@@ -51,7 +51,7 @@ from nhq.quiver import _code
 from nhq.repspace import tau_pairs
 from nhq.sampling import a2, a3p, all_dimension_vectors, jordan, small_quivers, two_loop
 from nhq.schedler import marked_word
-from nhq.trace import IdealDecomposition, clear_trace_cache, enumerate_generators, generator_image
+from nhq.trace import IdealDecomposition, enumerate_generators, generator_image
 import contraction_oracle
 from contraction_oracle import times_token
 
@@ -379,10 +379,9 @@ def test_a_wrong_int_in_the_traced_cycle_fails(monkeypatch, r, lam):
     dec = decompose_ideal_image(quiver, dim, cycle, 0, 1, params)
     assert dec.chi_value is None and not dec.verified
     assert dec.report().residual == format_element(dec.target - dec.re_expand())
-    # the bump is one unit of x_{2,2} d_{2,2} in P; the bumped image is
-    # kept in the trace cache, so the clean one is made afresh
+    # the bump is one unit of x_{2,2} d_{2,2} in P; it was made on the
+    # image as it left ``repspace.ideal_image``, so the kept parts are clean
     monkeypatch.undo()
-    clear_trace_cache()
     x22 = ((0, 2, 2), 1)
     bump = WeylElement(quiver, dim, {((x22,), (x22,)): HBarPolynomial((-lam, r))})
     assert dec.target - decompose_ideal_image(quiver, dim, cycle, 0, 1, params).target == bump

@@ -6,7 +6,7 @@ import random
 from contextlib import redirect_stdout
 
 from nhq import necklace_bracket, project
-from nhq import repspace, suites, trace
+from nhq import repspace, suites
 from nhq.cli import main
 from nhq.expr import format_hh0, format_sym
 from nhq.sampling import random_hh0, random_quiver
@@ -147,13 +147,13 @@ def test_verify_ideal_decomposes_each_generator_once(monkeypatch):
     # whose word repeats a rotation) share one straightening and one
     # image, and no open word is contracted, which only the lazy ``pairs``
     # view does
-    calls = {"ideal_normal_forms": 0, "ideal_image": 0, "open words": 0}
-    for name in ("ideal_normal_forms", "ideal_image"):
-        def counted(*args, _f=getattr(trace, name), _name=name):
+    calls = {"ideal_normal_forms": 0, "_image_parts": 0, "open words": 0}
+    for name in ("ideal_normal_forms", "_image_parts"):
+        def counted(*args, _f=getattr(repspace, name), _name=name):
             calls[_name] += 1
             return _f(*args)
 
-        monkeypatch.setattr(trace, name, counted)
+        monkeypatch.setattr(repspace, name, counted)
 
     def contracted(quiver, dim, items, quantum, ends=None, codec=None, _f=repspace.contracted):
         calls["open words"] += ends is not None
@@ -167,4 +167,4 @@ def test_verify_ideal_decomposes_each_generator_once(monkeypatch):
     generators = enumerate_generators(two_loop(), 3)
     distinct = {(vertex, marked_word(two_loop(), p, vertex, mark)) for p, vertex, mark in generators}
     assert (len(generators), len(distinct)) == (97, 85)
-    assert calls == {"ideal_normal_forms": 85, "ideal_image": 85, "open words": 0}
+    assert calls == {"ideal_normal_forms": 85, "_image_parts": 85, "open words": 0}

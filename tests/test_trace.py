@@ -47,6 +47,7 @@ from nhq.expr import parse_hh0_element, parse_qpa_element
 from nhq.quiver import make_quiver
 from nhq.sampling import (
     a3p,
+    all_dimension_vectors,
     jordan,
     random_configuration,
     random_dimension,
@@ -56,7 +57,7 @@ from nhq.sampling import (
     small_quivers,
     two_loop,
 )
-from nhq.trace import clear_trace_cache, enumerate_generators
+from nhq.trace import chi_sign_variants, clear_trace_cache, enumerate_generators
 from test_contraction import reference_trace_quantum_config
 
 H = HBarPolynomial.h()
@@ -443,12 +444,12 @@ _XXS = (Letter(0, False), Letter(0, True))
     ],
 )
 def test_dimension_vectors_are_validated_at_every_entry(J, call, monkeypatch):
-    from nhq import trace
+    from nhq import repspace
 
     assert call(J, {"v": 2}) == call(J, (2,))
     straightened = []
-    normal_forms = trace.ideal_normal_forms
-    monkeypatch.setattr(trace, "ideal_normal_forms", lambda *a: straightened.append(a) or normal_forms(*a))
+    normal_forms = repspace.ideal_normal_forms
+    monkeypatch.setattr(repspace, "ideal_normal_forms", lambda *a: straightened.append(a) or normal_forms(*a))
     for bad in ((2, 2), (0,), (-1,)):
         with pytest.raises(DimensionError):
             call(J, bad)
@@ -563,6 +564,40 @@ def test_kernel_constraint_a3p_reports_reference(A3P):
     assert rep.constraints == ["-14 + 2*r_0 + 2*r_1 + 2*r_2 + r_inf = 0"]
     assert any("14 + 4*r_0 + 2*r_1 + 2*r_2 = 0" in note for note in rep.notes)
     assert any("not independently derivable" in note for note in rep.notes)
+
+
+def test_reduction_holds_on_drawn_quivers():
+    # seeded quivers with one to four arrows, parallel arrows and loops
+    # among them, each at its first four dimension vectors up to 2 and a
+    # drawn r: every generator up to length 3 verifies, the solved
+    # character is the closed form 'main', and the kernel constraint solves
+    rng = random.Random(5)
+    arrows, cases = set(), 0
+    for _ in range(12):
+        quiver = random_quiver(rng, 3, 4)
+        nv = len(quiver.vertices)
+        arrows.add(len(quiver.arrows))
+        for dim in all_dimension_vectors(quiver, 2)[:4]:
+            r = tuple(Fraction(rng.randint(-3, 3), 2) for _ in range(nv))
+            report, chi = solve_chi(quiver, dim, ReductionParameters(r, (Fraction(0),) * nv), max_len=3)
+            case = (quiver.arrows, dim, r)
+            assert report.status == "solved", case
+            assert chi.values == chi_sign_variants(quiver, dim, r)["main"].values, case
+            assert kernel_constraint(quiver, dim).status == "solved", case
+            cases += 1
+    assert (arrows, cases) == ({1, 2, 3, 4}, 40)
+
+
+def test_reduction_parameters_are_exact_rationals(J):
+    # a float is refused where the parameters are made, not deep in a
+    # check; exact entries are kept as given
+    p = canonical_necklace(J, (Letter(0, False), Letter(0, True)))
+    for r, lam in (((0.5,), (0,)), ((0,), (Fraction(1), 2.0))):
+        with pytest.raises(TypeError, match="expected an exact rational, got float"):
+            ReductionParameters(r, lam)
+    params = ReductionParameters((1,), (Fraction(1, 2),))
+    assert (params.r, params.lam) == ((1,), (Fraction(1, 2),)) and type(params.r[0]) is int
+    assert decompose_ideal_image(J, (2,), p, 0, 0, params).verified
 
 
 def test_report_serialization_round_trip(J):
