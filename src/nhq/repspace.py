@@ -798,9 +798,16 @@ def _packed_trace(make, *key) -> tuple:
 
 def _trace_pairs(quiver: Quiver, dim: tuple, arrows: tuple, width: int, cfg) -> tuple:
     """Tr_q of the coded configuration ``cfg`` = (codes, heights, idems) as
-    ``(key, c)`` pairs, packed for the codec with fields for ``arrows`` of
-    ``width`` bits."""
-    return tuple(_contract_packed(quiver, dim, _codec(quiver, dim, arrows, width), cfg, True)[()].items())
+    one flat tuple ``(key0, c0, key1, c1, ...)`` (``_flat``), packed for
+    the codec with fields for ``arrows`` of ``width`` bits."""
+    return _flat(_contract_packed(quiver, dim, _codec(quiver, dim, arrows, width), cfg, True)[()])
+
+
+def _flat(terms: dict) -> tuple:
+    """The items of ``terms`` as one flat tuple ``(key0, c0, key1, c1,
+    ...)``, the form the trace cache keeps; read it in pairs with ``it =
+    iter(flat); zip(it, it)``."""
+    return tuple([x for term in terms.items() for x in term])
 
 
 def clear_trace_cache() -> None:
@@ -860,10 +867,11 @@ def _closed_sum(quiver: Quiver, dim, codec: _Codec, items, quantum: bool) -> dic
         if quantum:
             traced = _packed_trace(_trace_pairs, quiver, dim, codec.arrows, codec.width, cfg)
         else:
-            traced = _contract_packed(quiver, dim, codec, cfg, False)[()].items()
+            traced = _flat(_contract_packed(quiver, dim, codec, cfg, False)[()])
         for k, m in scale:
             shift = k * hunit
-            for key, c in traced:
+            it = iter(traced)
+            for key, c in zip(it, it):
                 key += shift
                 out[key] = get(key, 0) + m * c
     return {key: c for key, c in out.items() if c}
@@ -889,9 +897,9 @@ def _closed_sum(quiver: Quiver, dim, codec: _Codec, items, quantum: bool) -> dic
 # when lambda != 0, P = T at grade v.  So the image depends only on
 # (quiver, dim, vertex, marked word), and ``ideal_image`` keeps it in the
 # same trace cache under that key: a miss (``_image_parts``) keeps what chi
-# reads, P, T and D = G - E as int pairs, and G's summands.  A hit reads
-# them back, with nothing straightened, charged or summed; G, which only
-# ``target`` and ``expansion`` read, is summed again from the cached
+# reads, P, T and D = G - E as flat int tuples, and G's summands.  A hit
+# reads them back, with nothing straightened, charged or summed; G, which
+# only ``target`` and ``expansion`` read, is summed again from the cached
 # traces when it is read.
 
 
@@ -1020,8 +1028,9 @@ class IdealImage:
 def _image_parts(quiver: Quiver, dim: tuple, vertex: int, word: tuple) -> tuple:
     """What the trace cache keeps of the image of the generator of the
     marked ``word`` at ``vertex``: G's summands, and P, T and D = G - E as
-    tuples of (key, c) int pairs, P the tuple of T when they are equal, as
-    they are whenever the grade-v comparison holds.
+    flat int tuples (key0, c0, key1, c1, ...) (``_flat``), P the tuple of
+    T when they are equal, as they are whenever the grade-v comparison
+    holds.
 
     The four parts of ``schedler.ideal_normal_forms`` are charged once,
     together (``_charge``), and each is summed from the trace cache into a
@@ -1036,8 +1045,8 @@ def _image_parts(quiver: Quiver, dim: tuple, vertex: int, word: tuple) -> tuple:
         for part, n in zip(parts, (v + 2, v, v, v + 2))
     ]
     G, P, T, E = (_closed_sum(quiver, dim, codec, part, True) for part in items)
-    kept_T = tuple(T.items())
-    return items[0], kept_T if P == T else tuple(P.items()), kept_T, tuple(_minus(G, E).items())
+    kept_T = _flat(T)
+    return items[0], kept_T if P == T else _flat(P), kept_T, _flat(_minus(G, E))
 
 
 def ideal_image(quiver: Quiver, dim: tuple, vertex: int, word: tuple) -> IdealImage:
@@ -1049,7 +1058,8 @@ def ideal_image(quiver: Quiver, dim: tuple, vertex: int, word: tuple) -> IdealIm
     callers share one."""
     summands, *parts = _packed_trace(_image_parts, quiver, dim, vertex, word)
     codec = _ideal_codec(quiver, dim, vertex, word)
-    return IdealImage(quiver, dim, vertex, word, codec, summands, *map(dict, parts))
+    kept = [dict(zip(it, it)) for it in map(iter, parts)]
+    return IdealImage(quiver, dim, vertex, word, codec, summands, *kept)
 
 
 # ---------------------------------------------------------------------------

@@ -42,11 +42,15 @@ rotation to the least height, no sort of components.  Letters at positions
 i < j contract to the cycles of succ o (i j) without i and j, the other
 letters kept in their order: two cycles merge, one cycle splits, and a
 cycle left empty becomes an idempotent factor (``_contracted``).  The
-cache holds ``(coded key, int)`` pairs under height-form keys, all ``str``
-and ``int``: CPython stops tracking such tuples, so full garbage
-collections skip the cache.  ``_normal_terms`` turns the ints into packed
-sums, restoring h^((N - n)/2) as a shift of the power, for
-``straighten``, ``qpa_mul``, ``moment_lift`` and ``ideal_generator``.
+cache holds, under height-form keys, one flat tuple ``(coded key0, c0,
+coded key1, c1, ...)`` per normal form, all ``str`` and ``int``: CPython
+stops tracking such tuples, so full garbage collections skip the cache.
+Coded keys with the same block lengths share one heights tuple
+(``_blocks``) and equal block codes are one interned ``str``, so a coded
+key adds only its own tuple and its codes tuple.  ``_normal_terms`` turns
+the ints into packed sums, restoring h^((N - n)/2) as a shift of the
+power, for ``straighten``, ``qpa_mul``, ``moment_lift`` and
+``ideal_generator``.
 ``straighten`` and ``qpa_mul`` put each coded configuration (each operand
 term) in height form once, on entry; the moment and ideal configurations
 are one cycle each and are built in height form.  ``ideal_normal_forms``
@@ -67,6 +71,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from sys import intern
 
 from .errors import CompositionError, MismatchError, WorkLimitError
 from .linear import _PackedSums, bilinear, from_ints, int_terms, rekeyed
@@ -130,9 +135,9 @@ def _config(key) -> HeightConfiguration:
     return cfg
 
 
-#: Entries kept by each module-level cache (default-strategy normal forms
-#: here, quantum traces in ``trace``, packed traces of the reduction-ideal
-#: check in ``repspace``); the least recently used is evicted.
+#: Entries kept by each of the two result caches, the default-strategy
+#: normal forms here (``_normal_form``) and the one trace cache of
+#: ``repspace`` (``_packed_trace``); the least recently used is evicted.
 CACHE_SIZE = 1 << 16
 
 #: Most height swaps the kernel may compute for one call of ``straighten``,
@@ -148,6 +153,10 @@ MAX_REWRITES = 1 << 18
 
 #: Quivers whose code tables are kept (``_quiver_key``, ``_targets``).
 _QUIVER_TABLES = 64
+
+#: Block-length layouts whose stacked heights are kept (``_stacked``); the
+#: pbw benchmark meets about 70.
+_LAYOUTS = 1 << 10
 
 
 @lru_cache(maxsize=_QUIVER_TABLES)
@@ -224,11 +233,18 @@ def _canonical_key(keys) -> tuple:
 
 
 def _blocks(codes):
-    """The heights of words ``codes`` stacked in order: 1..N, block by block."""
+    """The heights of words ``codes`` stacked in order: 1..N, block by
+    block, one shared tuple for words of the same lengths (``_stacked``)."""
+    return _stacked(tuple(map(len, codes)))
+
+
+@lru_cache(maxsize=_LAYOUTS)
+def _stacked(lengths):
+    """The heights 1..N of blocks of ``lengths`` letters, block by block."""
     t, blocks = 1, []
-    for s in codes:
-        blocks.append(tuple(range(t, t + len(s))))
-        t += len(s)
+    for n in lengths:
+        blocks.append(tuple(range(t, t + n)))
+        t += n
     return tuple(blocks)
 
 
@@ -267,7 +283,7 @@ def _canonical_targets(word, succ):
         s = "".join(map(word.__getitem__, cycle))
         off = _rotation_start(s)
         # first is unique, so the positions in least rotation are never compared
-        blocks.append((len(s), s[off:] + s[:off], first, cycle[off:] + cycle[:off]))
+        blocks.append((len(s), intern(s[off:] + s[:off]), first, cycle[off:] + cycle[:off]))
         left -= len(s)
         if left:
             seen.update(cycle)
@@ -335,10 +351,11 @@ def _contracted(qkey, word, succ, order, idems, i, j):
 
 def _rewrite(qkey, word, succ, idems, pick, rng, normal_form):
     """Expand a configuration in height form ``(word, succ, idems)`` of N
-    letters over the normal-form basis as ``(coded cfg, c)`` pairs with
-    ``int`` c: the coefficient of an n-letter cfg is c*h^((N - n)/2).
-    ``normal_form(qkey, word, succ, idems)`` expands each correction term
-    the same way.
+    letters over the normal-form basis as one flat tuple ``(cfg0, c0, cfg1,
+    c1, ...)`` of coded cfgs and nonzero ``int`` c, read in pairs with ``it
+    = iter(entry); zip(it, it)``: the coefficient of an n-letter cfg is
+    c*h^((N - n)/2).  ``normal_form(qkey, word, succ, idems)`` expands each
+    correction term the same way.
 
     A pick moves the letter above a descent down past ``top - low``
     letters, one height swap each.  The pickers swap once per pick, except
@@ -394,7 +411,8 @@ def _rewrite(qkey, word, succ, idems, pick, rng, normal_form):
             if sign:
                 # Correction: it costs one factor -sign*h and two letters,
                 # which is what keeps every coefficient a bare int.
-                for key, c in normal_form(qkey, *_contracted(qkey, word, succ, order, idems, i, top)):
+                it = iter(normal_form(qkey, *_contracted(qkey, word, succ, order, idems, i, top)))
+                for key, c in zip(it, it):
                     out[key] = get(key, 0) - sign * c
             i = word.rfind(u, low, i) if runs else -1
         # v lands at position low, its target with it
@@ -410,7 +428,7 @@ def _rewrite(qkey, word, succ, idems, pick, rng, normal_form):
     _rewrites_left[0] = left
     # corrections have fewer letters, so this key is new
     out[necklaces, _blocks(necklaces), idems] = 1
-    return tuple([(key, c) for key, c in out.items() if c])
+    return tuple([x for term in out.items() if term[1] for x in term])
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -418,8 +436,9 @@ def _normal_form(qkey, word, succ, idems):
     """Default-strategy expansion of a configuration in height form; the
     one cache behind ``straighten``, ``qpa_mul``, ``moment_lift`` and the
     ideal generators.  Keys and entries hold only ``str`` and ``int``: the
-    key is ``(qkey, word, succ, idems)`` and the entry the ``(coded cfg,
-    int)`` pairs that ``_rewrite`` makes."""
+    key is ``(qkey, word, succ, idems)`` and the entry the flat tuple
+    ``(cfg0, c0, cfg1, c1, ...)`` of coded cfgs and ints that ``_rewrite``
+    makes."""
     return _rewrite(qkey, word, succ, idems, _PICKERS["first"], None, _normal_form)
 
 
@@ -441,7 +460,8 @@ def _normal_terms(quiver, configs, normal_form=_normal_form) -> list:
         n_letters = len(word)
         top = max([k for k, _ in scale]) + n_letters // 2  # the highest power a term reaches
         sums += [{} for _ in range(top + 1 - len(sums))]
-        for key, c in normal_form(qkey, word, succ, idems):
+        it = iter(normal_form(qkey, word, succ, idems))
+        for key, c in zip(it, it):
             shift = (n_letters - sum(map(len, key[0]))) >> 1
             for k, m in scale:
                 sums_k = sums[k + shift]
@@ -717,7 +737,8 @@ def ideal_normal_forms(quiver: Quiver, word, vertex: int) -> tuple:
     def summed(configs):
         out: dict = {}
         for word, succ, idems, sign in configs:
-            for key, c in _normal_form(qkey, word, succ, idems):
+            it = iter(_normal_form(qkey, word, succ, idems))
+            for key, c in zip(it, it):
                 out[key] = out.get(key, 0) + sign * c
         return {key: c for key, c in out.items() if c}
 

@@ -25,7 +25,7 @@ from nhq import (
     straighten,
     trace_quantum_config,
 )
-from nhq.linear import from_ints
+from nhq.linear import from_ints, int_terms
 from nhq.sampling import a3p, all_dimension_vectors, random_configuration, random_necklace, small_quivers
 from nhq.schedler import (
     CACHE_SIZE,
@@ -74,8 +74,10 @@ def test_straighten_cache_holds_int_coefficients(L2):
     info = _normal_form.cache_info()
     entry = _normal_form(_quiver_key(L2), *_height_form(cfg.codes, cfg.heights), cfg.idempotents)
     assert _normal_form.cache_info().hits == info.hits + 1
-    assert len(entry) == len(result.terms) > 1
-    assert all(type(c) is int for _, c in entry)
+    # one flat tuple (cfg0, c0, cfg1, c1, ...) of coded cfgs and int coefficients
+    assert len(entry) == 2 * len(result.terms) > 1
+    assert all(type(c) is int for c in entry[1::2])
+    assert all(_config(cfg) in result.terms for cfg in entry[::2])
 
 
 def test_clear_straighten_cache_empties_it(L2):
@@ -205,7 +207,8 @@ def test_a_kept_generator_image_equals_the_image_made_afresh(quiver, monkeypatch
             word = marked_word(quiver, p, vertex, mark)
             summands, *parts = image_parts(quiver, dim, vertex, word)
             codec = repspace._ideal_codec(quiver, dim, vertex, word)
-            fresh = repspace.IdealImage(quiver, dim, vertex, word, codec, summands, *map(dict, parts))
+            kept = [dict(zip(it, it)) for it in map(iter, parts)]
+            fresh = repspace.IdealImage(quiver, dim, vertex, word, codec, summands, *kept)
             G, P, T, E = _summed(quiver, dim, fresh)
             assert (fresh.spliced, fresh.cycle, fresh.diagonal, fresh.expanded) == (G, P, T, E)
             assert fresh.difference == _difference(G, E)
@@ -315,9 +318,9 @@ def test_a_kept_image_charges_its_spliced_part_when_read(J, monkeypatch):
 def test_the_one_trace_cache_holds_untracked_ints_and_no_views():
     """qtrace's shapes: traces of lifted necklaces of up to 8 letters at
     d = 2, 3, alone and summed.  Reading the ``terms`` view of a returned
-    trace keeps the view on that element: every cached value stays a
-    tuple of int pairs, which the collector stops tracking, and the same
-    trace read again is a fresh element."""
+    trace keeps the view on that element: every cached value stays one
+    flat tuple (key0, c0, key1, c1, ...) of ints, which the collector stops
+    tracking, and the same trace read again is a fresh element."""
     rng = random.Random(11)
     for quiver in small_quivers():
         for length, d in ((8, 2), (5, 3)):
@@ -335,7 +338,8 @@ def test_the_one_trace_cache_holds_untracked_ints_and_no_views():
     assert len(traces) == _packed_trace.cache_info().currsize >= 10
     for _, value in traces:
         assert type(value) is tuple and not gc.is_tracked(value)
-        assert all(type(key) is int and type(c) is int for key, c in value)
+        assert len(value) % 2 == 0
+        assert all(type(key) is int and type(c) is int for key, c in zip(value[::2], value[1::2]))
 
 
 def test_other_strategies_leave_the_shared_cache_untouched(L2):
@@ -396,8 +400,8 @@ def test_straighten_cache_is_not_tracked_by_the_collector():
             decompose_ideal_image(quiver, dim, necklace, vertex, mark, params(quiver))
     # A collection untracks a tuple only when its items are untracked, and
     # it meets a container before the items it holds, so each collection
-    # untracks one level of nesting: a value nests five deep (entries,
-    # pair, coded cfg, heights, one component's heights), a key in height
+    # untracks one level of nesting: a value nests four deep (the flat
+    # entry, coded cfg, heights, one component's heights), a key in height
     # form (qkey, word, succ, idems) two.
     for _ in range(5):
         gc.collect()
@@ -410,6 +414,38 @@ def test_straighten_cache_is_not_tracked_by_the_collector():
     keys = [cfg for element in elements for cfg in element.terms]
     assert len(keys) > 100 and any(cfg.codes for cfg in keys)
     assert not any(gc.is_tracked(cfg.codes) or gc.is_tracked(cfg.heights) for cfg in keys)
+
+
+def test_straighten_cache_entries_are_flat_and_share_their_keys():
+    """Each entry of the straighten cache is one flat tuple (cfg0, c0, cfg1,
+    c1, ...): read in pairs it is the normal form the "last" strategy
+    gives.  Coded cfgs whose blocks have the same lengths share one heights
+    tuple, and equal codes are one ``str``, across all entries."""
+    clear_straighten_cache()
+    rng = random.Random(3)
+    for quiver in small_quivers():
+        for _ in range(3):
+            straighten(quiver, random_configuration(rng, quiver, max_letters=8, max_idempotents=1))
+        x, y = (lift_necklace(quiver, random_necklace(rng, quiver, 4)) for _ in range(2))
+        qpa_comm(x, y)
+        moment_lift(quiver)
+    entries = _cache_entries(_normal_form)
+    assert len(entries) > 50
+    heights, codes = {}, {}
+    for (qkey, *form), value in entries:
+        (quiver,) = [q for q in small_quivers() if _quiver_key(q) == qkey]
+        last, den = int_terms(straighten(quiver, _config(coded_form(*form)), strategy="last"))
+        it = iter(value)
+        pairs = dict(zip(it, it))
+        assert len(pairs) == len(value) // 2 and den == 1
+        n_letters = len(form[0])
+        assert {cfg: [((n_letters - sum(map(len, cfg[0]))) // 2, c)] for cfg, c in pairs.items()} == last
+        for cfg in pairs:
+            heights.setdefault(tuple(map(len, cfg[0])), set()).add(id(cfg[1]))
+            for s in cfg[0]:
+                codes.setdefault(s, set()).add(id(s))
+    assert len(heights) > 10 and all(len(ids) == 1 for ids in heights.values())
+    assert any(len(s) > 1 for s in codes) and all(len(ids) == 1 for ids in codes.values())
 
 
 def test_rewrite_budget_refuses_and_leaves_a_correct_cache(J, monkeypatch):

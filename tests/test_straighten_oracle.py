@@ -482,8 +482,9 @@ def _expanded(quiver, coded, pick):
 @given(seeds)
 def test_insertion_runs_take_the_one_swap_route(seed):
     """The default picker's insertion run makes, in one step, the swaps a
-    first-descent picker makes one pick at a time: the same ``(coded cfg,
-    c)`` tuples, in the same order, for the same number of height swaps."""
+    first-descent picker makes one pick at a time: the same flat tuple of
+    coded cfgs and coefficients, in the same order, for the same number of
+    height swaps."""
     for quiver in QUIVERS:
         rng = random.Random(seed)
         cfg = random_configuration(rng, quiver, max_letters=9, max_idempotents=2)
