@@ -1,13 +1,15 @@
 """Batch command-line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 dimension
-error.  Randomized suites take explicit seeds and fixed defaults so runs
-are reproducible byte for byte.
+error, 141 (128 + SIGPIPE) the reader of stdout went away.  Randomized
+suites take explicit seeds and fixed defaults so runs are reproducible
+byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -263,7 +265,13 @@ def _dispatch(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull, so that the flush at exit writes nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (QuiverFormatError, ExpressionError, CompositionError, MismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -281,7 +281,7 @@ class _Evaluator:
             if ikind != _PATH:
                 raise ExpressionError("necklace brackets need a path expression", pos)
             return (_HH0, natural_projection(ivalue))
-        raise ExpressionError(f"unexpected {val!r}", pos)
+        raise ExpressionError("unexpected end of expression" if kind is None else f"unexpected {val!r}", pos)
 
     def _maybe_power(self, kind, value):
         pos = self.stream.peek()[2]
@@ -373,7 +373,8 @@ def _parse_scalar_tokens(stream: _Stream, quiver: Quiver):
         total = _sum_of_products(stream, partial(_parse_scalar_tokens, stream, quiver))
         stream.expect(")")
         return total
-    raise ExpressionError(f"expected a scalar, found {val!r}", pos)
+    found = "end of expression" if kind is None else repr(val)
+    raise ExpressionError(f"expected a scalar, found {found}", pos)
 
 
 def _looks_like_height_pair(stream: _Stream, quiver: Quiver) -> bool:

@@ -69,18 +69,20 @@ class _PackedOperator(LinearCombination):
 
     ``_codec``, ``_packed`` ({int key: nonzero int or Fraction}) and
     ``_top`` live here, so an element's context stays its own ``__slots__``.
-    A public constructor packs its terms at once; ``terms`` is built from
-    the packed form on its first read and kept.  Arithmetic reads and makes
-    packed forms only.  Where the rings differ, the class says which it is
-    (``_quantum``) and reads a scalar as the coefficients of its powers of
-    h (``_scalars``).
+    A public constructor packs its terms at once, and an element with no
+    terms takes the empty packed form (``_EMPTY_CODEC``) without packing;
+    ``terms`` is built from the packed form on its first read and kept.
+    Arithmetic reads and makes packed forms only.  Where the rings differ,
+    the class says which it is (``_quantum``) and reads a scalar as the
+    coefficients of its powers of h (``_scalars``).
     """
 
     __slots__ = ("_codec", "_packed", "_top")
 
     def __init__(self, quiver: Quiver, dim, terms=None):
         super().__init__(quiver, tuple(dim))
-        for slot, value in zip(_PackedOperator.__slots__, _pack(self, terms)):
+        packed = _pack(self, terms) if terms else (_EMPTY_CODEC, {}, 0)
+        for slot, value in zip(_PackedOperator.__slots__, packed):
             object.__setattr__(self, slot, value)
 
     @classmethod
@@ -681,6 +683,11 @@ _codec = lru_cache(maxsize=256)(_Codec)
 def _width(top: int) -> int:
     """The field width for exponents up to ``top``."""
     return max(top.bit_length(), 1)
+
+
+#: The layout of an element with no terms: it has no fields, so one serves
+#: every quiver and dimension vector.
+_EMPTY_CODEC = _Codec(None, (), (), _width(0))
 
 
 def _times(acc: dict, token, mask: int, out: dict) -> None:

@@ -41,13 +41,26 @@ next letter of the same component.  The form is canonical as it stands: no
 rotation to the least height, no sort of components.  Letters at positions
 i < j contract to the cycles of succ o (i j) without i and j, the other
 letters kept in their order: two cycles merge, one cycle splits, and a
-cycle left empty becomes an idempotent factor (``_contracted``).  The
-cache holds, under height-form keys, one flat tuple ``(coded key0, c0,
-coded key1, c1, ...)`` per normal form, all ``str`` and ``int``: CPython
-stops tracking such tuples, so full garbage collections skip the cache.
+cycle left empty becomes an idempotent factor (``_contracted``).
+
+The cache keys each height form by one ``str`` (``_form_key``), laid out
+as ``head + chr(N) + word + succ + idems``: ``head`` is ``chr`` of the
+number of letter codes followed by each code's target vertex as a
+character (``_quiver_key``), and ``succ`` and the sorted ``idems`` hold
+one character per successor and per idempotent vertex.  ``lru_cache``
+stores a lone ``str`` argument itself as its key, so an entry keeps no
+argument tuple; ``_rewrite`` unpacks the key once (``_split``).  Up to 256
+letters a successor is one latin-1 byte, made by ``bytes(...).decode`` and
+read back by ``encode``; past that ``chr`` and ``ord`` make the same
+characters, so a form has one key whichever built it.  Under each key the
+cache holds one flat tuple ``(coded key0, c0, coded key1, c1, ...)`` per
+normal form, all ``str`` and ``int``: CPython stops tracking such tuples,
+and never tracks a ``str``, so full garbage collections skip the cache.
 Coded keys with the same block lengths share one heights tuple
 (``_blocks``) and equal block codes are one interned ``str``, so a coded
-key adds only its own tuple and its codes tuple.  ``_normal_terms`` turns
+key adds only its own tuple and its codes tuple.  After 60 pbw benchmark
+rounds (seed 1) the 31,083 entries take 12.8 MB under ``tracemalloc``,
+412 B each, of which the key is about 70 B.  ``_normal_terms`` turns
 the ints into packed sums, restoring h^((N - n)/2) as a shift of the
 power, for ``straighten``, ``qpa_mul``, ``moment_lift`` and
 ``ideal_generator``.
@@ -151,7 +164,7 @@ CACHE_SIZE = 1 << 16
 #: Python 3.11).
 MAX_REWRITES = 1 << 18
 
-#: Quivers whose code tables are kept (``_quiver_key``, ``_targets``).
+#: Quivers whose key heads are kept (``_quiver_key``).
 _QUIVER_TABLES = 64
 
 #: Block-length layouts whose stacked heights are kept (``_stacked``); the
@@ -161,17 +174,33 @@ _LAYOUTS = 1 << 10
 
 @lru_cache(maxsize=_QUIVER_TABLES)
 def _quiver_key(quiver: Quiver) -> str:
-    """The straighten cache's name for a quiver: the target vertex of each
-    letter code, in code order, comma-separated.  A normal form depends on
-    the quiver only through these targets (the idempotent factor a
-    correction leaves), so quivers with the same targets share entries."""
-    return ",".join([str(letter.target(quiver)) for letter in quiver.letters()])
+    """The head of the straighten cache's keys for a quiver: ``chr`` of the
+    number of letter codes, then the target vertex of each code, in code
+    order, as one character each.  A normal form depends on the quiver only
+    through these targets (the idempotent factor a correction leaves), so
+    quivers with the same targets share entries."""
+    targets = [letter.target(quiver) for letter in quiver.letters()]
+    return chr(len(targets)) + "".join(map(chr, targets))
 
 
-@lru_cache(maxsize=_QUIVER_TABLES)
-def _targets(qkey: str) -> tuple[int, ...]:
-    """The target vertex of each code point, for the quiver named ``qkey``."""
-    return tuple(map(int, qkey.split(","))) if qkey else ()
+def _form_key(head, word, succ, idems) -> str:
+    """The straighten cache's key of a configuration in height form ``(word,
+    succ, idems)`` over the quiver of ``head`` (``_quiver_key``): one str
+    ``head + chr(N) + word + succ + idems``, each successor and each sorted
+    idempotent vertex one character (``chr``)."""
+    return "".join((head, chr(len(word)), word, "".join(map(chr, succ)), "".join(map(chr, idems))))
+
+
+def _split(key) -> tuple:
+    """``(head, word, succ, idems)`` of a straighten-cache key: ``succ`` as
+    indexable ints (``bytes`` up to 256 letters) and ``idems`` as its str of
+    vertex characters."""
+    m = ord(key[0]) + 1
+    n = ord(key[m])
+    w = m + 1 + n  # where succ starts
+    succ = key[w : w + n]
+    succ = succ.encode("latin-1") if n <= 256 else list(map(ord, succ))
+    return key[:m], key[m + 1 : w], succ, key[w + n :]
 
 
 def _normalize(codes, heights, idems):
@@ -317,18 +346,22 @@ _PICKERS = {
 _rewrites_left = [MAX_REWRITES]
 
 
-def _contracted(qkey, word, succ, order, idems, i, j):
-    """The correction, in height form, of contracting the letters at
-    positions i < j of a configuration whose letters are ``word`` in height
-    order, the one at position k being the one at height order[k] of
-    ``succ`` (the kernel moves letters in ``word`` and ``order`` only).
+def _contracted(head, word, succ, order, idems, i, j):
+    """The straighten-cache key (``_form_key``) of the correction of
+    contracting the letters at positions i < j of a configuration whose
+    letters are ``word`` in height order, the one at position k being the
+    one at height order[k] of ``succ`` (the kernel moves letters in ``word``
+    and ``order`` only); ``head`` and the str ``idems`` are the parts of
+    its key.
 
     With a and b the heights of the two letters in ``succ``, it is the
     cycles of succ o (a b) with a and b removed, the other letters kept in
     their order.  Letters in two cycles merge them, letters in one cycle
     split it; a cycle left empty becomes the idempotent factor at its
     dropped letter's target.  A kept letter's new position is its index in
-    the order of the kept letters."""
+    the order of the kept letters.  The key is one ``str.join``; the
+    successors are made by ``bytes(...).decode("latin-1")``, or by ``chr``
+    past 256 letters, the same characters."""
     a, b = order[i], order[j]
     t = list(succ)
     t[a], t[b] = succ[b], succ[a]
@@ -336,26 +369,31 @@ def _contracted(qkey, word, succ, order, idems, i, j):
     # cycle of one letter is left empty (when a and b merge two loops, b's
     # is the one left, and partner loops share their vertex)
     if t[a] == a:
-        idems = tuple(sorted(idems + (_targets(qkey)[ord(word[i])],)))
+        idems = "".join(sorted(idems + head[1 + ord(word[i])]))
     else:
         t[t.index(a)] = t[a]
         t[a] = -1
     if t[b] == b:
-        idems = tuple(sorted(idems + (_targets(qkey)[ord(word[j])],)))
+        idems = "".join(sorted(idems + head[1 + ord(word[j])]))
     else:
         t[t.index(b)] = t[b]
     kept = order.copy()
     del kept[j], kept[i]
-    return word[:i] + word[i + 1 : j] + word[j + 1 :], tuple(map(kept.index, map(t.__getitem__, kept))), idems
+    n = len(kept)
+    succ = map(kept.index, map(t.__getitem__, kept))
+    succ = bytes(succ).decode("latin-1") if n <= 256 else "".join(map(chr, succ))
+    return "".join((head, chr(n), word[:i], word[i + 1 : j], word[j + 1 :], succ, idems))
 
 
-def _rewrite(qkey, word, succ, idems, pick, rng, normal_form):
-    """Expand a configuration in height form ``(word, succ, idems)`` of N
-    letters over the normal-form basis as one flat tuple ``(cfg0, c0, cfg1,
-    c1, ...)`` of coded cfgs and nonzero ``int`` c, read in pairs with ``it
-    = iter(entry); zip(it, it)``: the coefficient of an n-letter cfg is
-    c*h^((N - n)/2).  ``normal_form(qkey, word, succ, idems)`` expands each
-    correction term the same way.
+def _rewrite(key, pick, rng, normal_form):
+    """Expand the configuration of the straighten-cache key ``key``, in
+    height form ``(word, succ, idems)`` with N letters, over the
+    normal-form basis as one flat tuple ``(cfg0, c0, cfg1, c1, ...)`` of
+    coded cfgs and nonzero ``int`` c, read in pairs with ``it =
+    iter(entry); zip(it, it)``: the coefficient of an n-letter cfg is
+    c*h^((N - n)/2).  ``normal_form(key)`` expands each correction term the
+    same way, under the key ``_contracted`` makes.  The key is unpacked
+    once (``_split``).
 
     A pick moves the letter above a descent down past ``top - low``
     letters, one height swap each.  The pickers swap once per pick, except
@@ -375,6 +413,7 @@ def _rewrite(qkey, word, succ, idems, pick, rng, normal_form):
     # so the chain terminates no matter how rotation or block-order ties
     # were broken (ties only exist between identical words, for which all
     # choices produce the same normal form).
+    head, word, succ, idems = _split(key)
     seq, necklaces = _canonical_targets(word, succ)
     n_letters = len(seq)
     order = list(range(n_letters))
@@ -411,9 +450,9 @@ def _rewrite(qkey, word, succ, idems, pick, rng, normal_form):
             if sign:
                 # Correction: it costs one factor -sign*h and two letters,
                 # which is what keeps every coefficient a bare int.
-                it = iter(normal_form(qkey, *_contracted(qkey, word, succ, order, idems, i, top)))
-                for key, c in zip(it, it):
-                    out[key] = get(key, 0) - sign * c
+                it = iter(normal_form(_contracted(head, word, succ, order, idems, i, top)))
+                for cfg, c in zip(it, it):
+                    out[cfg] = get(cfg, 0) - sign * c
             i = word.rfind(u, low, i) if runs else -1
         # v lands at position low, its target with it
         word = word[:low] + v + word[low:top] + word[top + 1 :]
@@ -427,19 +466,19 @@ def _rewrite(qkey, word, succ, idems, pick, rng, normal_form):
         raise WorkLimitError(f"straightening needs more rewrites than the limit {MAX_REWRITES}")
     _rewrites_left[0] = left
     # corrections have fewer letters, so this key is new
-    out[necklaces, _blocks(necklaces), idems] = 1
+    out[necklaces, _blocks(necklaces), tuple(map(ord, idems)) if idems else ()] = 1
     return tuple([x for term in out.items() if term[1] for x in term])
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _normal_form(qkey, word, succ, idems):
+def _normal_form(key):
     """Default-strategy expansion of a configuration in height form; the
     one cache behind ``straighten``, ``qpa_mul``, ``moment_lift`` and the
-    ideal generators.  Keys and entries hold only ``str`` and ``int``: the
-    key is ``(qkey, word, succ, idems)`` and the entry the flat tuple
+    ideal generators.  The key is one ``str`` (``_form_key``), so
+    ``lru_cache`` stores the argument itself; the entry is the flat tuple
     ``(cfg0, c0, cfg1, c1, ...)`` of coded cfgs and ints that ``_rewrite``
     makes."""
-    return _rewrite(qkey, word, succ, idems, _PICKERS["first"], None, _normal_form)
+    return _rewrite(key, _PICKERS["first"], None, _normal_form)
 
 
 def _normal_terms(quiver, configs, normal_form=_normal_form) -> list:
@@ -453,14 +492,14 @@ def _normal_terms(quiver, configs, normal_form=_normal_form) -> list:
     shift of its power; terms are summed under their coded keys.  The
     kernel may compute ``MAX_REWRITES`` height swaps for all of
     ``configs`` together."""
-    qkey = _quiver_key(quiver)
+    head = _quiver_key(quiver)
     _rewrites_left[0] = MAX_REWRITES
     sums: list = []
     for word, succ, idems, scale in configs:
         n_letters = len(word)
         top = max([k for k, _ in scale]) + n_letters // 2  # the highest power a term reaches
         sums += [{} for _ in range(top + 1 - len(sums))]
-        it = iter(normal_form(qkey, word, succ, idems))
+        it = iter(normal_form(_form_key(head, word, succ, idems)))
         for key, c in zip(it, it):
             shift = (n_letters - sum(map(len, key[0]))) >> 1
             for k, m in scale:
@@ -523,8 +562,8 @@ def straighten(
         normal_form = _normal_form
     else:
         @lru_cache(maxsize=None)
-        def normal_form(qkey, word, succ, idems):
-            return _rewrite(qkey, word, succ, idems, pick, rng, normal_form)
+        def normal_form(key):
+            return _rewrite(key, pick, rng, normal_form)
 
     codes, heights, idems = _normalize(cfg.codes, cfg.heights, cfg.idempotents)
     config = (*_height_form(codes, heights), idems, ((0, 1),))
@@ -731,13 +770,13 @@ def ideal_normal_forms(quiver: Quiver, word, vertex: int) -> tuple:
     marked word at heights 1..v, whose trace is Tr_q(p), and ``expanded``
     the closed words of ``_ideal_parts``; these two are not straightened."""
     moments, cycle, coded, closed = _ideal_parts(quiver, word, vertex)
-    qkey = _quiver_key(quiver)
+    head = _quiver_key(quiver)
     _rewrites_left[0] = MAX_REWRITES
 
     def summed(configs):
         out: dict = {}
         for word, succ, idems, sign in configs:
-            it = iter(_normal_form(qkey, word, succ, idems))
+            it = iter(_normal_form(_form_key(head, word, succ, idems)))
             for key, c in zip(it, it):
                 out[key] = out.get(key, 0) + sign * c
         return {key: c for key, c in out.items() if c}

@@ -30,6 +30,7 @@ from nhq.sampling import a3p, all_dimension_vectors, random_configuration, rando
 from nhq.schedler import (
     CACHE_SIZE,
     _config,
+    _form_key,
     _height_form,
     _normal_form,
     _normal_terms,
@@ -40,7 +41,7 @@ from nhq.schedler import (
 )
 from nhq.repspace import _packed_trace
 from nhq.trace import clear_trace_cache, enumerate_generators, generator_image, trace_quantum
-from test_straighten_oracle import coded_form
+from test_straighten_oracle import coded_form, key_form
 
 
 def params(quiver):
@@ -72,7 +73,7 @@ def test_straighten_cache_holds_int_coefficients(L2):
     cfg = _two_loop_cfg(L2)
     result = straighten(L2, cfg)
     info = _normal_form.cache_info()
-    entry = _normal_form(_quiver_key(L2), *_height_form(cfg.codes, cfg.heights), cfg.idempotents)
+    entry = _normal_form(_form_key(_quiver_key(L2), *_height_form(cfg.codes, cfg.heights), cfg.idempotents))
     assert _normal_form.cache_info().hits == info.hits + 1
     # one flat tuple (cfg0, c0, cfg1, c1, ...) of coded cfgs and int coefficients
     assert len(entry) == 2 * len(result.terms) > 1
@@ -369,12 +370,14 @@ def test_every_module_cache_is_bounded():
 def _cache_entries(cache):
     """(key, value) of every entry of an ``lru_cache``: the keys are read
     from the cache dict the wrapper hands the collector, and a hit returns
-    the stored value itself."""
+    the stored value itself.  A one-argument cache of ``str`` keys (the
+    straighten cache) stores the argument itself as its key; any other key
+    is the tuple of the arguments."""
     (table,) = [
         d for d in gc.get_referents(cache)
         if isinstance(d, dict) and d and type(next(iter(d.values()))).__name__ == "_lru_list_elem"
     ]
-    return [(key, cache(*key)) for key in list(table)]
+    return [(key, cache(key) if type(key) is str else cache(*key)) for key in list(table)]
 
 
 def test_straighten_cache_is_not_tracked_by_the_collector():
@@ -401,8 +404,8 @@ def test_straighten_cache_is_not_tracked_by_the_collector():
     # A collection untracks a tuple only when its items are untracked, and
     # it meets a container before the items it holds, so each collection
     # untracks one level of nesting: a value nests four deep (the flat
-    # entry, coded cfg, heights, one component's heights), a key in height
-    # form (qkey, word, succ, idems) two.
+    # entry, coded cfg, heights, one component's heights); a key is one str,
+    # which the collector never tracks.
     for _ in range(5):
         gc.collect()
     entries = _cache_entries(_normal_form)
@@ -432,8 +435,9 @@ def test_straighten_cache_entries_are_flat_and_share_their_keys():
     entries = _cache_entries(_normal_form)
     assert len(entries) > 50
     heights, codes = {}, {}
-    for (qkey, *form), value in entries:
-        (quiver,) = [q for q in small_quivers() if _quiver_key(q) == qkey]
+    for key, value in entries:
+        form = key_form(key)
+        (quiver,) = [q for q in small_quivers() if key.startswith(_quiver_key(q))]
         last, den = int_terms(straighten(quiver, _config(coded_form(*form)), strategy="last"))
         it = iter(value)
         pairs = dict(zip(it, it))
@@ -459,10 +463,11 @@ def test_rewrite_budget_refuses_and_leaves_a_correct_cache(J, monkeypatch):
         straighten(J, cfg)
     # the refused call cached the corrections it finished, and nothing else
     entries = _cache_entries(_normal_form)
-    top = (_quiver_key(J), *_height_form(cfg.codes, cfg.heights), cfg.idempotents)
+    top = _form_key(_quiver_key(J), *_height_form(cfg.codes, cfg.heights), cfg.idempotents)
     assert entries and top not in dict(entries)
     monkeypatch.undo()
-    for (_, *form), _ in entries:
+    for key, _ in entries:
+        form = key_form(key)
         cached = from_ints(QPAElement, (J,), _normal_terms(J, [(*form, ((0, 1),))]))
         assert cached == straighten(J, _config(coded_form(*form)), strategy="last")
     assert straighten(J, cfg) == expected

@@ -57,6 +57,16 @@ def test_qmul_stacks_heights():
     assert out.strip() == "h*ev + (x,1) & (x',2)"
 
 
+def test_qmul_past_256_letters():
+    """A 301-letter product, whose straighten-cache keys need ``chr`` past
+    one byte per successor: the one-letter block goes below the 300-letter
+    cycle."""
+    word = "".join(f"(x,{k})" for k in range(1, 301))
+    code, out = run("qmul", "-q", q("jordan"), word, "(x,1)")
+    assert code == 0
+    assert out == "(x,1) & " + "".join(f"(x,{k})" for k in range(2, 302)) + "\n"
+
+
 def test_dbracket():
     code, out = run("dbracket", "-q", q("jordan"), "x", "x'")
     assert code == 0
@@ -113,6 +123,24 @@ def test_exit_code_parse_error(capsys):
     assert code == 2
     code, _ = run("bracket", "-q", q("jordan"), "[zz]", "[x]")
     assert code == 2
+
+
+def test_empty_expression_names_its_end(capsys):
+    code, _ = run("bracket", "-q", q("jordan"), "", "[x]")
+    assert code == 2
+    assert capsys.readouterr().err == "error: position 0: unexpected end of expression\n"
+
+
+def test_trailing_operator_names_the_end(capsys):
+    code, _ = run("bracket", "-q", q("jordan"), "[x]+", "[x]")
+    assert code == 2
+    assert capsys.readouterr().err == "error: position 4: unexpected end of expression\n"
+
+
+def test_missing_scalar_names_the_end(capsys):
+    code, _ = run("qtrace", "-q", q("jordan"), "--dim", "v=1", "(x,1)+")
+    assert code == 2
+    assert capsys.readouterr().err == "error: position 6: expected a scalar, found end of expression\n"
 
 
 def test_exit_code_dimension_error():
@@ -297,6 +325,21 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[ev]"
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    """The reader of stdout is gone before the command writes: it exits
+    with 128 + SIGPIPE and leaves stderr empty, the flush at exit too."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nhq", "qmul", "-q", q("jordan"), "(x',1)", "(x,1)"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_oversized_contraction_is_refused_before_any_work(capsys):

@@ -161,8 +161,8 @@ def test_straighten_measure_strictly_decreases(monkeypatch):
     first = schedler._PICKERS["first"]
     edges = {(route, kind): 0 for route in ("runs", "picks") for kind in ("swap", "correction")}
 
-    def watched(qkey, word, succ, idems, pick, rng, normal_form):
-        seq = schedler._canonical_targets(word, succ)[0]
+    def watched(key, pick, rng, normal_form):
+        seq = schedler._canonical_targets(*schedler._split(key)[1:3])[0]
         measure = [(len(seq), _inversions(seq))]
         route = "runs" if pick is first else "picks"
         nested = [0]
@@ -178,23 +178,23 @@ def test_straighten_measure_strictly_decreases(monkeypatch):
             edges["picks", "swap"] += 1
             return h
 
-        def correction(qkey, word, succ, idems):
+        def correction(key):
             # on the one-swap route measure[0] is the parent, as this is
             # called between a pick and its swap; on the runs route it is the
             # form's starting measure, which bounds every parent's
-            child_seq = schedler._canonical_targets(word, succ)[0]
+            child_seq = schedler._canonical_targets(*schedler._split(key)[1:3])[0]
             assert (len(child_seq), _inversions(child_seq)) < measure[0]
             assert len(child_seq) == len(seq) - 2
             edges[route, "correction"] += 1
             left = schedler._rewrites_left[0]
-            out = schedler._rewrite(qkey, word, succ, idems, pick, rng, correction)
+            out = schedler._rewrite(key, pick, rng, correction)
             nested[0] += left - schedler._rewrites_left[0]
             return out
 
         if route == "picks":
-            return rewrite(qkey, word, succ, idems, tracking_pick, rng, correction)
+            return rewrite(key, tracking_pick, rng, correction)
         left = schedler._rewrites_left[0]
-        out = rewrite(qkey, word, succ, idems, pick, rng, correction)
+        out = rewrite(key, pick, rng, correction)
         own = left - schedler._rewrites_left[0] - nested[0]
         assert own == measure[0][1]
         edges["runs", "swap"] += own

@@ -46,8 +46,10 @@ from nhq.schedler import (
     _PICKERS,
     HeightConfiguration,
     _contracted,
+    _form_key,
     _height_form,
     _quiver_key,
+    _split,
     canonical_configuration,
     clear_straighten_cache,
     marked_word,
@@ -117,6 +119,13 @@ def coded_form(word, succ, idems):
         codes.append("".join(word[x] for x in cycle))
         heights.append(tuple(x + 1 for x in cycle))
     return tuple(codes), tuple(heights), idems
+
+
+def key_form(key):
+    """``(word, succ, idems)`` of a straighten-cache key, ``succ`` and
+    ``idems`` as tuples of ints."""
+    _, word, succ, idems = _split(key)
+    return word, tuple(succ), tuple(map(ord, idems))
 
 
 def reference_cut(quiver, comps, idems, ci, pi, cj, pj):
@@ -357,7 +366,8 @@ def _cut(quiver, cfg, i, j, order=None):
         for k, nxt in enumerate(succ):
             relabelled[order[k]] = order[nxt]
         succ = tuple(relabelled)
-    return coded_form(*_contracted(_quiver_key(quiver), word, succ, order, cfg.idempotents, i, j))
+    idems = "".join(map(chr, cfg.idempotents))
+    return coded_form(*key_form(_contracted(_quiver_key(quiver), word, succ, order, idems, i, j)))
 
 
 @SETTINGS
@@ -469,12 +479,12 @@ def _expanded(quiver, coded, pick):
     height swaps it charged."""
 
     @functools.lru_cache(maxsize=None)
-    def normal_form(qkey, word, succ, idems):
-        return schedler._rewrite(qkey, word, succ, idems, pick, None, normal_form)
+    def normal_form(key):
+        return schedler._rewrite(key, pick, None, normal_form)
 
     codes, heights, idems = coded
     schedler._rewrites_left[0] = schedler.MAX_REWRITES
-    out = normal_form(_quiver_key(quiver), *_height_form(codes, heights), idems)
+    out = normal_form(_form_key(_quiver_key(quiver), *_height_form(codes, heights), idems))
     return out, schedler.MAX_REWRITES - schedler._rewrites_left[0]
 
 
@@ -491,3 +501,26 @@ def test_insertion_runs_take_the_one_swap_route(seed):
         coded = (cfg.codes, cfg.heights, cfg.idempotents)
         runs = _expanded(quiver, coded, _PICKERS["first"])
         assert runs == _expanded(quiver, coded, _one_swap_first)
+
+
+def test_forms_past_256_letters_key_by_chr_and_straighten_alike(J):
+    """Past 256 letters a successor no longer fits a byte, so the keys are
+    made by ``chr`` and read by ``ord``: a 299-letter configuration, a
+    297-letter cycle of x below the loops x* and x, straightens to what the
+    "last" strategy gives.  Each of its corrections has 297 letters, and
+    ``_contracted``'s key of the one of x's cycle and the idempotent the two
+    loops leave is the one ``_form_key`` makes of it."""
+    x = Letter(0, False)
+    n = 297
+    cycle = tuple((x, h) for h in range(1, n + 1))
+    cfg = schedler.make_configuration(J, [cycle, ((x.star(), n + 1),), ((x, n + 2),)])
+    clear_straighten_cache()
+    first = straighten(J, cfg)
+    assert first == straighten(J, cfg, strategy="last")
+    assert {c.letter_count for c in first.terms} == {n + 2, n}
+    word, succ = _height_form((_code([x] * n),), (tuple(range(1, n + 1)),))
+    key = _form_key(_quiver_key(J), word, succ, (0,))
+    assert key_form(key) == (word, succ, (0,))
+    info = schedler._normal_form.cache_info()
+    schedler._normal_form(key)
+    assert schedler._normal_form.cache_info()[:2] == (info.hits + 1, info.misses)

@@ -129,6 +129,21 @@ def test_packed_kernels_match_the_tuple_ring(case):
     _check_polynomials(classical_symbol(x), classical_symbol(y), polys[2])
 
 
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(_cases())
+def test_an_element_with_no_terms_is_zero_in_every_context(case):
+    """An element built with no terms skips packing: it is zero, equals
+    the zero multiple of any element of its context, and adds to any of
+    them, whatever their layout."""
+    x, y, _, (f, g, _) = case
+    for a in (x, y, f, g):
+        for terms in (None, {}, []):
+            zero = type(a)(a.quiver, a.dim, terms)
+            assert zero.is_zero() and not zero and not zero.terms
+            assert zero == a.scale(0) and a.scale(0) == zero
+            assert zero + a == a and a + zero == a and a - zero == a and zero - a == -a
+
+
 def _mono(q, d, pos=(), der=(), c=1):
     return WeylElement(q, d, {(tuple(sorted(pos)), tuple(sorted(der))): c})
 
