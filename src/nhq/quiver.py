@@ -29,6 +29,10 @@ NAME_PATTERN = re.compile(r"[A-Za-z0-9_]+\Z")
 #: chr(2*arrow + starred), and chr stops at sys.maxunicode
 MAX_ARROWS = (sys.maxunicode + 1) // 2
 
+#: most vertices a quiver may have: the straighten cache's keys hold a
+#: vertex (a letter's target, an idempotent) as one character, chr(vertex)
+MAX_VERTICES = sys.maxunicode + 1
+
 
 @dataclass(frozen=True)
 class Arrow:
@@ -340,6 +344,11 @@ def parse_quiver(text: str) -> Quiver:
     _require("arrows" in doc, "missing field 'arrows'", "document")
     raw_vertices = doc["vertices"]
     _require(isinstance(raw_vertices, list), "expected a list", "vertices")
+    _require(
+        len(raw_vertices) <= MAX_VERTICES,
+        f"{len(raw_vertices)} vertices, above the limit {MAX_VERTICES}",
+        "vertices",
+    )
     vertices = []
     seen = set()
     for i, name in enumerate(raw_vertices):

@@ -45,14 +45,12 @@ cycle left empty becomes an idempotent factor (``_contracted``).
 
 The cache keys each height form by one ``str`` (``_form_key``), laid out
 as ``head + chr(N) + word + succ + idems``: ``head`` is ``chr`` of the
-number of letter codes followed by each code's target vertex as a
-character (``_quiver_key``), and ``succ`` and the sorted ``idems`` hold
-one character per successor and per idempotent vertex.  ``lru_cache``
-stores a lone ``str`` argument itself as its key, so an entry keeps no
-argument tuple; ``_rewrite`` unpacks the key once (``_split``).  Up to 256
-letters a successor is one latin-1 byte, made by ``bytes(...).decode`` and
-read back by ``encode``; past that ``chr`` and ``ord`` make the same
-characters, so a form has one key whichever built it.  Under each key the
+number of arrows (two letter codes each) followed by each code's target
+vertex as a character (``_quiver_key``), and ``succ`` and the sorted
+``idems`` hold one character per successor and per idempotent vertex,
+made by ``chr`` and read back by ``ord``.  ``lru_cache`` stores a lone
+``str`` argument itself as its key, so an entry keeps no argument tuple;
+``_rewrite`` unpacks the key once (``_split``).  Under each key the
 cache holds one flat tuple ``(coded key0, c0, coded key1, c1, ...)`` per
 normal form, all ``str`` and ``int``: CPython stops tracking such tuples,
 and never tracks a ``str``, so full garbage collections skip the cache.
@@ -175,12 +173,14 @@ _LAYOUTS = 1 << 10
 @lru_cache(maxsize=_QUIVER_TABLES)
 def _quiver_key(quiver: Quiver) -> str:
     """The head of the straighten cache's keys for a quiver: ``chr`` of the
-    number of letter codes, then the target vertex of each code, in code
-    order, as one character each.  A normal form depends on the quiver only
-    through these targets (the idempotent factor a correction leaves), so
-    quivers with the same targets share entries."""
+    number of arrows, then the target vertex of each of their two letter
+    codes, in code order, as one character each.  A normal form depends on
+    the quiver only through these targets (the idempotent factor a
+    correction leaves), so quivers with the same targets share entries.
+    The count is of arrows, not codes: ``quiver.MAX_ARROWS`` arrows have
+    one code more than ``chr`` takes."""
     targets = [letter.target(quiver) for letter in quiver.letters()]
-    return chr(len(targets)) + "".join(map(chr, targets))
+    return chr(len(quiver.arrows)) + "".join(map(chr, targets))
 
 
 def _form_key(head, word, succ, idems) -> str:
@@ -193,14 +193,11 @@ def _form_key(head, word, succ, idems) -> str:
 
 def _split(key) -> tuple:
     """``(head, word, succ, idems)`` of a straighten-cache key: ``succ`` as
-    indexable ints (``bytes`` up to 256 letters) and ``idems`` as its str of
-    vertex characters."""
-    m = ord(key[0]) + 1
+    a list of ints and ``idems`` as its str of vertex characters."""
+    m = 2 * ord(key[0]) + 1  # the head's length
     n = ord(key[m])
     w = m + 1 + n  # where succ starts
-    succ = key[w : w + n]
-    succ = succ.encode("latin-1") if n <= 256 else list(map(ord, succ))
-    return key[:m], key[m + 1 : w], succ, key[w + n :]
+    return key[:m], key[m + 1 : w], list(map(ord, key[w : w + n])), key[w + n :]
 
 
 def _normalize(codes, heights, idems):
@@ -359,9 +356,8 @@ def _contracted(head, word, succ, order, idems, i, j):
     their order.  Letters in two cycles merge them, letters in one cycle
     split it; a cycle left empty becomes the idempotent factor at its
     dropped letter's target.  A kept letter's new position is its index in
-    the order of the kept letters.  The key is one ``str.join``; the
-    successors are made by ``bytes(...).decode("latin-1")``, or by ``chr``
-    past 256 letters, the same characters."""
+    the order of the kept letters.  The key is one ``str.join``, each
+    successor one ``chr``, as ``_form_key`` makes it."""
     a, b = order[i], order[j]
     t = list(succ)
     t[a], t[b] = succ[b], succ[a]
@@ -379,10 +375,8 @@ def _contracted(head, word, succ, order, idems, i, j):
         t[t.index(b)] = t[b]
     kept = order.copy()
     del kept[j], kept[i]
-    n = len(kept)
-    succ = map(kept.index, map(t.__getitem__, kept))
-    succ = bytes(succ).decode("latin-1") if n <= 256 else "".join(map(chr, succ))
-    return "".join((head, chr(n), word[:i], word[i + 1 : j], word[j + 1 :], succ, idems))
+    succ = "".join(map(chr, map(kept.index, map(t.__getitem__, kept))))
+    return "".join((head, chr(len(kept)), word[:i], word[i + 1 : j], word[j + 1 :], succ, idems))
 
 
 def _rewrite(key, pick, rng, normal_form):
@@ -466,7 +460,7 @@ def _rewrite(key, pick, rng, normal_form):
         raise WorkLimitError(f"straightening needs more rewrites than the limit {MAX_REWRITES}")
     _rewrites_left[0] = left
     # corrections have fewer letters, so this key is new
-    out[necklaces, _blocks(necklaces), tuple(map(ord, idems)) if idems else ()] = 1
+    out[necklaces, _blocks(necklaces), tuple(map(ord, idems))] = 1
     return tuple([x for term in out.items() if term[1] for x in term])
 
 

@@ -58,9 +58,8 @@ def test_qmul_stacks_heights():
 
 
 def test_qmul_past_256_letters():
-    """A 301-letter product, whose straighten-cache keys need ``chr`` past
-    one byte per successor: the one-letter block goes below the 300-letter
-    cycle."""
+    """A 301-letter product, whose straighten-cache keys hold successors
+    past 255: the one-letter block goes below the 300-letter cycle."""
     word = "".join(f"(x,{k})" for k in range(1, 301))
     code, out = run("qmul", "-q", q("jordan"), word, "(x,1)")
     assert code == 0
@@ -555,6 +554,18 @@ def test_quiver_with_more_arrows_than_letter_codes_exits_2(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err == "error: arrows: 2 arrows, above the limit 1\n"
+    assert run("bracket", "-q", q("jordan"), "[x]", "[x']") == (0, "[ev]\n")
+
+
+def test_quiver_with_more_vertices_than_characters_exits_2(monkeypatch, capsys):
+    # the straighten cache's keys hold a vertex as chr(vertex), so the vertex
+    # count is bounded by the code range; the limit is lowered to test the
+    # refusal
+    monkeypatch.setattr(nhq.quiver, "MAX_VERTICES", 1)
+    code, out = run("bracket", "-q", q("a2"), "[a]", "[a']")
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == "error: vertices: 2 vertices, above the limit 1\n"
     assert run("bracket", "-q", q("jordan"), "[x]", "[x']") == (0, "[ev]\n")
 
 

@@ -16,6 +16,7 @@ the same rewrite tree: the same height swaps, in the same order.
 
 import functools
 import random
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -35,7 +36,7 @@ from nhq import (
 import nhq.schedler as schedler
 from linear_oracle import add_into
 from nhq.necklace import Necklace, bracket_sign, minimal_rotation_offset, necklace_key
-from nhq.quiver import _LETTER, _code
+from nhq.quiver import _LETTER, MAX_ARROWS, Arrow, Quiver, _code
 from nhq.sampling import (
     random_coefficient,
     random_configuration,
@@ -504,12 +505,12 @@ def test_insertion_runs_take_the_one_swap_route(seed):
 
 
 def test_forms_past_256_letters_key_by_chr_and_straighten_alike(J):
-    """Past 256 letters a successor no longer fits a byte, so the keys are
-    made by ``chr`` and read by ``ord``: a 299-letter configuration, a
-    297-letter cycle of x below the loops x* and x, straightens to what the
-    "last" strategy gives.  Each of its corrections has 297 letters, and
-    ``_contracted``'s key of the one of x's cycle and the idempotent the two
-    loops leave is the one ``_form_key`` makes of it."""
+    """A successor past 255 does not fit a byte; the keys hold it as one
+    ``chr`` all the same: a 299-letter configuration, a 297-letter cycle of
+    x below the loops x* and x, straightens to what the "last" strategy
+    gives.  Each of its corrections has 297 letters, and ``_contracted``'s
+    key of the one of x's cycle and the idempotent the two loops leave is
+    the one ``_form_key`` makes of it."""
     x = Letter(0, False)
     n = 297
     cycle = tuple((x, h) for h in range(1, n + 1))
@@ -524,3 +525,21 @@ def test_forms_past_256_letters_key_by_chr_and_straighten_alike(J):
     info = schedler._normal_form.cache_info()
     schedler._normal_form(key)
     assert schedler._normal_form.cache_info()[:2] == (info.hits + 1, info.misses)
+
+
+def test_keys_of_a_quiver_with_the_most_arrows_round_trip():
+    """A quiver of ``MAX_ARROWS`` arrows has ``sys.maxunicode + 1`` letter
+    codes, one more than ``chr`` takes, so the key's head counts arrows: a
+    form of the last arrow z: v -> w and its reverse, the highest two codes,
+    round-trips through ``_form_key`` and ``_split``, and contracting the
+    two leaves the idempotents at z's source and target."""
+    quiver = Quiver(("v", "w"), (Arrow("x", 0, 0),) * (MAX_ARROWS - 1) + (Arrow("z", 0, 1),))
+    head = _quiver_key.__wrapped__(quiver)  # not kept in the quiver cache
+    assert head[0] == chr(MAX_ARROWS) and head[-2:] == chr(1) + chr(0)
+    z = Letter(MAX_ARROWS - 1, False)
+    word, succ = _height_form((_code([z.star(), z]),), ((1, 2),))
+    assert word == chr(sys.maxunicode) + chr(sys.maxunicode - 1)
+    key = _form_key(head, word, succ, (1,))
+    assert _split(key) == (head, word, list(succ), chr(1))
+    cut = _contracted(head, word, succ, [0, 1], "", 0, 1)
+    assert _split(cut) == (head, "", [], chr(0) + chr(1))
