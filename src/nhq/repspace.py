@@ -20,13 +20,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 from .errors import DimensionError, MismatchError, WorkLimitError
 from .linear import LinearCombination, _PackedSums, bilinear, from_ints, rational_nullspace
 from .quiver import _LETTER, Letter, Quiver, _code, _ends, make_dimension_vector, moment_pairs
 from .rings import HBarPolynomial, _exact, as_fraction
-from .schedler import CACHE_SIZE, ideal_normal_forms
+from .schedler import CACHE_SIZE, GenerationalCache, ideal_normal_forms
 
 
 def _check_coord_bounds(quiver, dim, arrow, starred, row, col):
@@ -794,12 +794,25 @@ def _contract_packed(quiver: Quiver, dim, codec: _Codec, cfg, quantum: bool, end
     return sums if scalar == 1 else {(): {key: c * scalar for key, c in sums[()].items()}}
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+def _kept_weight(value) -> int:
+    """The (key, coefficient) pairs a trace-cache value holds: those of a
+    flat trace, or the summands of a kept image and the pairs of its P, T
+    and D, P counted once when it is T's tuple."""
+    if not value or type(value[0]) is not tuple:
+        return len(value) >> 1
+    summands, P, T, D = value
+    return len(summands) + (len(T) + len(D) + (0 if P is T else len(P))) // 2
+
+
+@partial(GenerationalCache, maxsize=CACHE_SIZE, weight=_kept_weight)
 def _packed_trace(make, *key) -> tuple:
-    """The one bounded memo of traced results, ``make(*key)``.  It keeps
-    two kinds of entry: a configuration's trace pairs (``_trace_pairs``)
-    and what is kept of a generator image (``_image_parts``).  The values
-    hold only ``int`` and ``str``, so CPython stops tracking them."""
+    """The one bounded memo of traced results, ``make(*key)``, a
+    ``schedler.GenerationalCache`` keyed by ``(make, *key)``.  It keeps two
+    kinds of entry: a configuration's trace pairs (``_trace_pairs``) and
+    what is kept of a generator image (``_image_parts``).  The values hold
+    only ``int`` and ``str``, so CPython stops tracking them.  Its readers
+    (``_closed_sum``, ``ideal_image``) read it with ``get``, one dict read
+    on a hit, and ``put`` what they make on a miss."""
     return make(*key)
 
 
@@ -869,10 +882,14 @@ def _closed_sum(quiver: Quiver, dim, codec: _Codec, items, quantum: bool) -> dic
     (cfg, [(k, m), ...]) ``items``, charging nothing: quantum traces read
     from ``_packed_trace``, the others contracted."""
     out: dict = {}
-    get, hunit = out.get, codec.hunit
+    get, hunit, read = out.get, codec.hunit, _packed_trace.get
     for cfg, scale in items:
         if quantum:
-            traced = _packed_trace(_trace_pairs, quiver, dim, codec.arrows, codec.width, cfg)
+            key = (_trace_pairs, quiver, dim, codec.arrows, codec.width, cfg)
+            traced = read(key)
+            if traced is None:
+                traced = _trace_pairs(*key[1:])
+                _packed_trace.put(key, traced)
         else:
             traced = _flat(_contract_packed(quiver, dim, codec, cfg, False)[()])
         for k, m in scale:
@@ -1063,7 +1080,12 @@ def ideal_image(quiver: Quiver, dim: tuple, vertex: int, word: tuple) -> IdealIm
     charges and contracts nothing, and a refused miss leaves no entry.
     Every call builds a fresh image with dicts of its own, so no two
     callers share one."""
-    summands, *parts = _packed_trace(_image_parts, quiver, dim, vertex, word)
+    key = (_image_parts, quiver, dim, vertex, word)
+    entry = _packed_trace.get(key)
+    if entry is None:
+        entry = _image_parts(*key[1:])
+        _packed_trace.put(key, entry)
+    summands, *parts = entry
     codec = _ideal_codec(quiver, dim, vertex, word)
     kept = [dict(zip(it, it)) for it in map(iter, parts)]
     return IdealImage(quiver, dim, vertex, word, codec, summands, *kept)

@@ -48,20 +48,23 @@ as ``head + chr(N) + word + succ + idems``: ``head`` is ``chr`` of the
 number of arrows (two letter codes each) followed by each code's target
 vertex as a character (``_quiver_key``), and ``succ`` and the sorted
 ``idems`` hold one character per successor and per idempotent vertex,
-made by ``chr`` and read back by ``ord``.  ``lru_cache`` stores a lone
-``str`` argument itself as its key, so an entry keeps no argument tuple;
-``_rewrite`` unpacks the key once (``_split``).  Under each key the
-cache holds one flat tuple ``(coded key0, c0, coded key1, c1, ...)`` per
-normal form, all ``str`` and ``int``: CPython stops tracking such tuples,
-and never tracks a ``str``, so full garbage collections skip the cache.
-Coded keys with the same block lengths share one heights tuple
-(``_blocks``) and equal block codes are one interned ``str``, so a coded
-key adds only its own tuple and its codes tuple.  After 60 pbw benchmark
-rounds (seed 1) the 31,083 entries take 12.8 MB under ``tracemalloc``,
-412 B each, of which the key is about 70 B.  ``_normal_terms`` turns
-the ints into packed sums, restoring h^((N - n)/2) as a shift of the
-power, for ``straighten``, ``qpa_mul``, ``moment_lift`` and
-``ideal_generator``.
+made by ``chr`` and read back by ``ord``.  The cache is a
+``GenerationalCache``: two plain dicts, a young and an old generation, hold
+each key as it is, with no per-entry link.  The kernel reads it with
+``get``, and a miss hands ``_rewrite`` the parts ``_contracted`` built the
+key from, so no key is split; only a call with a bare key splits it
+(``_split``).  Under each key the cache holds one flat tuple ``(coded
+key0, c0, coded key1, c1, ...)`` per normal form, all ``str`` and
+``int``: CPython stops tracking such tuples, and never tracks a ``str``,
+so full garbage collections skip the cache.  Coded keys with the same
+block lengths share one heights tuple (``_blocks``), equal block codes are
+one interned ``str``, and each form's own canonical term ``(coded key,
+1)`` is one tuple shared through ``_TERMS``, which also serves as the whole
+entry of a form without corrections.  After 60 pbw benchmark rounds (seed
+1) the 31,083 entries take 8.4 MB under ``tracemalloc``, 270 B each.
+``_normal_terms`` turns the ints into packed sums, restoring h^((N -
+n)/2) as a shift of the power, for ``straighten``, ``qpa_mul``,
+``moment_lift`` and ``ideal_generator``.
 ``straighten`` and ``qpa_mul`` put each coded configuration (each operand
 term) in height form once, on entry; the moment and ideal configurations
 are one cycle each and are built in height form.  ``ideal_normal_forms``
@@ -78,9 +81,10 @@ past ``MAX_REWRITES``: the normal form of a long word can take minutes.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, update_wrapper
 from math import lcm
 from sys import intern
 
@@ -146,9 +150,13 @@ def _config(key) -> HeightConfiguration:
     return cfg
 
 
-#: Entries kept by each of the two result caches, the default-strategy
-#: normal forms here (``_normal_form``) and the one trace cache of
-#: ``repspace`` (``_packed_trace``); the least recently used is evicted.
+#: Entries kept by each of the two result caches (``GenerationalCache``),
+#: the default-strategy normal forms here (``_normal_form``) and the one
+#: trace cache of ``repspace`` (``_packed_trace``).  Each keeps its entries
+#: in a young and an old generation of at most ``CACHE_SIZE // 2`` entries
+#: each: a store into a full young generation makes it the old one and drops
+#: the old one, and a read moves an old entry to the young generation, so an
+#: entry survives at least ``CACHE_SIZE // 2`` stores after its last read.
 CACHE_SIZE = 1 << 16
 
 #: Most height swaps the kernel may compute for one call of ``straighten``,
@@ -168,6 +176,96 @@ _QUIVER_TABLES = 64
 #: Block-length layouts whose stacked heights are kept (``_stacked``); the
 #: pbw benchmark meets about 70.
 _LAYOUTS = 1 << 10
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize weight")
+
+
+def _flat_weight(value) -> int:
+    """The (key, coefficient) pairs of a flat value ``(key0, c0, key1, c1, ...)``."""
+    return len(value) >> 1
+
+
+class GenerationalCache:
+    """A bounded memo of ``make``'s results, kept in two plain dicts, a
+    young and an old generation, with no per-entry link.
+
+    ``put`` stores into the young dict; a store that finds it holding
+    ``maxsize // 2`` entries first makes it the old dict, dropping the
+    previous old dict.  A read that finds its key in the old dict moves the
+    entry to the young one.  So the cache never holds more than ``maxsize``
+    entries (``maxsize`` >= 2), and an entry survives at least ``maxsize //
+    2`` stores after its last read: least-recently-used eviction to within
+    a factor of two, at the cost of one dict slot an entry (about 31 B,
+    where an ``lru_cache`` entry takes about 87 B).
+
+    No value is None.  ``get(key)`` is one dict read on a young hit and
+    returns None on a miss, storing nothing; ``cache(*args)`` reads or computes ``make(*args)``,
+    keyed as ``functools.lru_cache`` keys, by the lone argument itself or
+    else by the tuple of the arguments, and stores nothing when ``make``
+    raises.  ``cache_info()`` adds to ``lru_cache``'s counts the
+    ``weight`` held: the sum over the entries of ``weight(value)``, the
+    (key, coefficient) pairs a value holds, kept per generation and dropped
+    with it."""
+
+    # the counts and generations are slots, read at every lookup; the
+    # ``__dict__`` takes what ``update_wrapper`` copies from ``make``
+    __slots__ = ("maxsize", "_weight", "_young", "_old", "_young_weight", "_old_weight", "_hits", "_misses", "__dict__")
+
+    def __init__(self, make, maxsize: int, weight=_flat_weight):
+        update_wrapper(self, make)
+        self.maxsize = maxsize
+        self._weight = weight
+        self.cache_clear()
+
+    def get(self, key):
+        value = self._young.get(key)
+        if value is None:
+            value = self._old.pop(key, None)
+            if value is None:
+                self._misses += 1
+                return None
+            self._old_weight -= self._weight(value)
+            self.put(key, value)
+        self._hits += 1
+        return value
+
+    def put(self, key, value) -> None:
+        young = self._young
+        if key in young:
+            self._young_weight -= self._weight(young.pop(key))
+        elif key in self._old:
+            self._old_weight -= self._weight(self._old.pop(key))
+        if len(young) >= self.maxsize >> 1:
+            self._old, self._old_weight = young, self._young_weight
+            self._young = young = {}
+            self._young_weight = 0
+        young[key] = value
+        self._young_weight += self._weight(value)
+
+    def __call__(self, *args):
+        key = args[0] if len(args) == 1 else args
+        value = self.get(key)
+        if value is None:
+            value = self.__wrapped__(*args)
+            self.put(key, value)
+        return value
+
+    def cache_clear(self) -> None:
+        self._young, self._old = {}, {}
+        self._young_weight = self._old_weight = 0
+        self._hits = self._misses = 0
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(
+            self._hits,
+            self._misses,
+            self.maxsize,
+            len(self._young) + len(self._old),
+            self._young_weight + self._old_weight,
+        )
+
+    def cache_parameters(self) -> dict:
+        return {"maxsize": self.maxsize, "typed": False}
 
 
 @lru_cache(maxsize=_QUIVER_TABLES)
@@ -193,7 +291,9 @@ def _form_key(head, word, succ, idems) -> str:
 
 def _split(key) -> tuple:
     """``(head, word, succ, idems)`` of a straighten-cache key: ``succ`` as
-    a list of ints and ``idems`` as its str of vertex characters."""
+    a list of ints and ``idems`` as its str of vertex characters, the parts
+    ``_rewrite`` takes.  Only a call of the cache with a bare key needs it:
+    the kernel hands on the parts it builds each key from."""
     m = 2 * ord(key[0]) + 1  # the head's length
     n = ord(key[m])
     w = m + 1 + n  # where succ starts
@@ -344,12 +444,14 @@ _rewrites_left = [MAX_REWRITES]
 
 
 def _contracted(head, word, succ, order, idems, i, j):
-    """The straighten-cache key (``_form_key``) of the correction of
-    contracting the letters at positions i < j of a configuration whose
-    letters are ``word`` in height order, the one at position k being the
-    one at height order[k] of ``succ`` (the kernel moves letters in ``word``
-    and ``order`` only); ``head`` and the str ``idems`` are the parts of
-    its key.
+    """The correction of contracting the letters at positions i < j of a
+    configuration whose letters are ``word`` in height order, the one at
+    position k being the one at height order[k] of ``succ`` (the kernel
+    moves letters in ``word`` and ``order`` only); ``head`` and the str
+    ``idems`` are the parts of its key.  It is returned as its
+    straighten-cache key (``_form_key``) and its parts ``(head, word, succ,
+    idems)``, ``succ`` a list of ints, as ``_rewrite`` takes them, so a miss
+    splits no key.
 
     With a and b the heights of the two letters in ``succ``, it is the
     cycles of succ o (a b) with a and b removed, the other letters kept in
@@ -375,19 +477,21 @@ def _contracted(head, word, succ, order, idems, i, j):
         t[t.index(b)] = t[b]
     kept = order.copy()
     del kept[j], kept[i]
-    succ = "".join(map(chr, map(kept.index, map(t.__getitem__, kept))))
-    return "".join((head, chr(len(kept)), word[:i], word[i + 1 : j], word[j + 1 :], succ, idems))
+    succ = list(map(kept.index, map(t.__getitem__, kept)))
+    word = "".join((word[:i], word[i + 1 : j], word[j + 1 :]))
+    return "".join((head, chr(len(kept)), word, "".join(map(chr, succ)), idems)), (head, word, succ, idems)
 
 
-def _rewrite(key, pick, rng, normal_form):
-    """Expand the configuration of the straighten-cache key ``key``, in
-    height form ``(word, succ, idems)`` with N letters, over the
-    normal-form basis as one flat tuple ``(cfg0, c0, cfg1, c1, ...)`` of
-    coded cfgs and nonzero ``int`` c, read in pairs with ``it =
-    iter(entry); zip(it, it)``: the coefficient of an n-letter cfg is
-    c*h^((N - n)/2).  ``normal_form(key)`` expands each correction term the
-    same way, under the key ``_contracted`` makes.  The key is unpacked
-    once (``_split``).
+def _rewrite(head, word, succ, idems, pick, rng, memo):
+    """Expand the configuration in height form ``(word, succ, idems)`` with
+    N letters over the quiver of ``head``, the parts of its straighten-cache
+    key (``_form_key``: ``succ`` a sequence of ints, ``idems`` the str of
+    vertex characters), over the normal-form basis as one flat tuple
+    ``(cfg0, c0, cfg1, c1, ...)`` of coded cfgs and nonzero ``int`` c, read
+    in pairs with ``it = iter(entry); zip(it, it)``: the coefficient of an
+    n-letter cfg is c*h^((N - n)/2).  Each correction term is read from
+    ``memo`` (``get``/``put``) under the key ``_contracted`` makes and, on a
+    miss, expanded the same way from the parts it makes with the key.
 
     A pick moves the letter above a descent down past ``top - low``
     letters, one height swap each.  The pickers swap once per pick, except
@@ -401,17 +505,21 @@ def _rewrite(key, pick, rng, normal_form):
     Letters move in ``word`` and ``order`` only; ``succ`` stays the form's
     own.  A correction does not depend on which swap of a run makes it, as
     the moving letter is one of the two it drops, so it is cut
-    (``_contracted``) from the order the run started from."""
+    (``_contracted``) from the order the run started from.
+
+    The form's own term, its canonical cfg with coefficient 1, is shared
+    through ``_TERMS``: equal canonical cfgs across entries are one tuple,
+    and a form without corrections returns the one ``(cfg, 1)`` entry."""
     # The target normal-form position of every letter is fixed once here;
     # the swap chain below strictly lowers the inversion count against it,
     # so the chain terminates no matter how rotation or block-order ties
     # were broken (ties only exist between identical words, for which all
     # choices produce the same normal form).
-    head, word, succ, idems = _split(key)
     seq, necklaces = _canonical_targets(word, succ)
     n_letters = len(seq)
     order = list(range(n_letters))
     runs = pick is _PICKERS["first"]
+    read, store = memo.get, memo.put
     out: dict = {}  # zeros are dropped at the end
     get = out.get
     swaps = 0
@@ -444,7 +552,12 @@ def _rewrite(key, pick, rng, normal_form):
             if sign:
                 # Correction: it costs one factor -sign*h and two letters,
                 # which is what keeps every coefficient a bare int.
-                it = iter(normal_form(_contracted(head, word, succ, order, idems, i, top)))
+                key, form = _contracted(head, word, succ, order, idems, i, top)
+                entry = read(key)
+                if entry is None:
+                    entry = _rewrite(*form, pick, rng, memo)
+                    store(key, entry)
+                it = iter(entry)
                 for cfg, c in zip(it, it):
                     out[cfg] = get(cfg, 0) - sign * c
             i = word.rfind(u, low, i) if runs else -1
@@ -459,27 +572,62 @@ def _rewrite(key, pick, rng, normal_form):
     if left < 0:
         raise WorkLimitError(f"straightening needs more rewrites than the limit {MAX_REWRITES}")
     _rewrites_left[0] = left
-    # corrections have fewer letters, so this key is new
-    out[necklaces, _blocks(necklaces), tuple(map(ord, idems))] = 1
-    return tuple([x for term in out.items() if term[1] for x in term])
+    term = _TERMS.get((necklaces, idems))
+    if term is None:
+        if len(_TERMS) >= CACHE_SIZE:
+            _TERMS.clear()
+        term = _TERMS[necklaces, idems] = ((necklaces, _blocks(necklaces), tuple(map(ord, idems))), 1)
+    # corrections have fewer letters, so this form's own cfg is new to out
+    out[term[0]] = 1
+    flat = [x for item in out.items() if item[1] for x in item]
+    return term if len(flat) == 2 else tuple(flat)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@partial(GenerationalCache, maxsize=CACHE_SIZE)
 def _normal_form(key):
     """Default-strategy expansion of a configuration in height form; the
     one cache behind ``straighten``, ``qpa_mul``, ``moment_lift`` and the
-    ideal generators.  The key is one ``str`` (``_form_key``), so
-    ``lru_cache`` stores the argument itself; the entry is the flat tuple
-    ``(cfg0, c0, cfg1, c1, ...)`` of coded cfgs and ints that ``_rewrite``
-    makes."""
-    return _rewrite(key, _PICKERS["first"], None, _normal_form)
+    ideal generators, a ``GenerationalCache``.  The key is one ``str``
+    (``_form_key``), kept as it is; the entry is the flat tuple ``(cfg0, c0,
+    cfg1, c1, ...)`` of coded cfgs and ints that ``_rewrite`` makes.  The
+    kernel reads it with ``get`` and, on a miss, hands ``_rewrite`` the
+    parts of the key it has; a call with a bare key, as here, splits it
+    (``_split``)."""
+    return _rewrite(*_split(key), _PICKERS["first"], None, _normal_form)
 
 
-def _normal_terms(quiver, configs, normal_form=_normal_form) -> list:
+#: The canonical term ``((codes, heights, idems), 1)`` of each form
+#: ``_rewrite`` has expanded, by any strategy, under (block codes, idems
+#: str): every entry with that term shares it.  It is emptied with the
+#: straighten cache and when it reaches ``CACHE_SIZE`` terms.
+_TERMS: dict = {}
+
+
+class _Memo(dict):
+    """A memo of one straightening call, read as the straighten cache is
+    (``get`` and ``put``); for the strategies other than the default."""
+
+    put = dict.__setitem__
+
+
+def _expanded(head, word, succ, idems, pick=_PICKERS["first"], rng=None, memo=_normal_form) -> tuple:
+    """The flat expansion of a configuration in height form ``(word, succ,
+    idems)``, ``idems`` as ints, by ``pick``: read from ``memo``, by default
+    the straighten cache, under its key (``_form_key``) and, on a miss, made
+    by ``_rewrite`` from these parts and stored."""
+    key = _form_key(head, word, succ, idems)
+    entry = memo.get(key)
+    if entry is None:
+        entry = _rewrite(head, word, succ, "".join(map(chr, idems)), pick, rng, memo)
+        memo.put(key, entry)
+    return entry
+
+
+def _normal_terms(quiver, configs, pick=_PICKERS["first"], rng=None, memo=_normal_form) -> list:
     """Per power of h, {coded cfg: int numerator}: the sum over ``configs``
     of ``scale`` times the normal form of a configuration in height form
     ``(word, succ, idems, scale)``, ``scale`` given as ((power of h, int
-    numerator), ...).
+    numerator), ...), straightened by ``pick`` into ``memo``.
 
     The kernel's int coefficient c of an n-letter term gets back its
     h^((N - n)/2), N being the letter count of its configuration, as a
@@ -493,7 +641,7 @@ def _normal_terms(quiver, configs, normal_form=_normal_form) -> list:
         n_letters = len(word)
         top = max([k for k, _ in scale]) + n_letters // 2  # the highest power a term reaches
         sums += [{} for _ in range(top + 1 - len(sums))]
-        it = iter(normal_form(_form_key(head, word, succ, idems)))
+        it = iter(_expanded(head, word, succ, idems, pick, rng, memo))
         for key, c in zip(it, it):
             shift = (n_letters - sum(map(len, key[0]))) >> 1
             for k, m in scale:
@@ -503,7 +651,9 @@ def _normal_terms(quiver, configs, normal_form=_normal_form) -> list:
 
 
 def clear_straighten_cache() -> None:
+    """Empty the straighten cache and its table of shared terms."""
     _normal_form.cache_clear()
+    _TERMS.clear()
 
 
 class QPAElement(_PackedSums):
@@ -539,8 +689,8 @@ def straighten(
     ("first", "last", "middle", or "random" with an ``rng``); all strategies
     produce the same element.
 
-    The default strategy reads and fills the module's bounded LRU cache
-    (``clear_straighten_cache`` empties it).  Any other strategy memoizes in
+    The default strategy reads and fills the module's bounded straighten
+    cache (``clear_straighten_cache`` empties it).  Any other strategy memoizes in
     a cache of its own call only, so confluence checks never see the shared
     results.  Past ``MAX_REWRITES`` height swaps the call raises
     ``WorkLimitError``.
@@ -552,16 +702,10 @@ def straighten(
         )
     if strategy == "random" and rng is None:
         raise ValueError("strategy 'random' needs an rng")
-    if strategy == "first":
-        normal_form = _normal_form
-    else:
-        @lru_cache(maxsize=None)
-        def normal_form(key):
-            return _rewrite(key, pick, rng, normal_form)
-
+    memo = _normal_form if strategy == "first" else _Memo()
     codes, heights, idems = _normalize(cfg.codes, cfg.heights, cfg.idempotents)
     config = (*_height_form(codes, heights), idems, ((0, 1),))
-    return from_ints(QPAElement, (quiver,), _normal_terms(quiver, [config], normal_form))
+    return from_ints(QPAElement, (quiver,), _normal_terms(quiver, [config], pick, rng, memo))
 
 
 def qpa_mul(x: QPAElement, y: QPAElement) -> QPAElement:
@@ -770,7 +914,7 @@ def ideal_normal_forms(quiver: Quiver, word, vertex: int) -> tuple:
     def summed(configs):
         out: dict = {}
         for word, succ, idems, sign in configs:
-            it = iter(_normal_form(_form_key(head, word, succ, idems)))
+            it = iter(_expanded(head, word, succ, idems))
             for key, c in zip(it, it):
                 out[key] = out.get(key, 0) + sign * c
         return {key: c for key, c in out.items() if c}

@@ -91,7 +91,7 @@ def trace_quantum_config(quiver: Quiver, dim, components, idempotents) -> WeylEl
     """Quantum trace of one raw configuration (need not be canonical).
 
     The dimension vector is validated first (``make_dimension_vector``).
-    The packed trace is kept in repspace's bounded LRU cache of traces,
+    The packed trace is kept in repspace's bounded cache of traces,
     shared by every caller; ``clear_trace_cache`` empties it.
     """
     dim = make_dimension_vector(quiver, dim)

@@ -29,6 +29,7 @@ from nhq.linear import from_ints, int_terms
 from nhq.sampling import a3p, all_dimension_vectors, random_configuration, random_necklace, small_quivers
 from nhq.schedler import (
     CACHE_SIZE,
+    GenerationalCache,
     _config,
     _form_key,
     _height_form,
@@ -355,29 +356,27 @@ def test_other_strategies_leave_the_shared_cache_untouched(L2):
 
 
 def test_every_module_cache_is_bounded():
+    # every module-level cache (an instance, not the cache class itself)
+    # is bounded, and the two result caches are of the one cache type
     caches = []
     for mod in pkgutil.iter_modules(nhq.__path__):
         module = importlib.import_module(f"nhq.{mod.name}")
         for name, value in vars(module).items():
-            if callable(getattr(value, "cache_parameters", None)):
+            if callable(getattr(value, "cache_parameters", None)) and not isinstance(value, type):
                 caches.append((f"{mod.name}.{name}", value.cache_parameters()["maxsize"]))
     for name, maxsize in caches:
         assert maxsize is not None, name
     sizes = dict(caches)
     assert sizes["schedler._normal_form"] == sizes["repspace._packed_trace"] == CACHE_SIZE
+    assert type(_normal_form) is type(_packed_trace) is GenerationalCache
 
 
 def _cache_entries(cache):
-    """(key, value) of every entry of an ``lru_cache``: the keys are read
-    from the cache dict the wrapper hands the collector, and a hit returns
-    the stored value itself.  A one-argument cache of ``str`` keys (the
-    straighten cache) stores the argument itself as its key; any other key
-    is the tuple of the arguments."""
-    (table,) = [
-        d for d in gc.get_referents(cache)
-        if isinstance(d, dict) and d and type(next(iter(d.values()))).__name__ == "_lru_list_elem"
-    ]
-    return [(key, cache(key) if type(key) is str else cache(*key)) for key in list(table)]
+    """(key, value) of every entry of a ``GenerationalCache``, young
+    generation first, read from its two dicts: a one-argument cache (the
+    straighten cache) keys an entry by the argument itself, any other by
+    the tuple of the arguments."""
+    return [item for generation in (cache._young, cache._old) for item in generation.items()]
 
 
 def test_straighten_cache_is_not_tracked_by_the_collector():
@@ -472,3 +471,148 @@ def test_rewrite_budget_refuses_and_leaves_a_correct_cache(J, monkeypatch):
         assert cached == straighten(J, _config(coded_form(*form)), strategy="last")
     assert straighten(J, cfg) == expected
     assert straighten(J, cfg, strategy="random", rng=random.Random(1)) == expected
+
+
+def _held_weight(cache, weight):
+    return sum(weight(value) for _, value in _cache_entries(cache))
+
+
+def test_the_cache_type_keeps_its_bound_and_its_weight():
+    # a load of three times the cap: the cache never holds more than
+    # maxsize entries, its weight is the pairs of the values it holds, and
+    # the counts are lru_cache's
+    made = []
+    cache = GenerationalCache(lambda n: made.append(n) or (n,) * (2 * (n % 5)), 8)
+    rng = random.Random(4)
+    for _ in range(3 * 8 * 4):
+        n = rng.randrange(40)
+        assert cache(n) == (n,) * (2 * (n % 5))
+        info = cache.cache_info()
+        assert info.currsize == len(_cache_entries(cache)) <= 8
+        assert info.weight == _held_weight(cache, lambda value: len(value) // 2)
+    assert info.misses == len(made) > 3 * 8 and info.hits + info.misses == 3 * 8 * 4
+    assert info.maxsize == cache.cache_parameters()["maxsize"] == 8
+    cache.cache_clear()
+    assert cache.cache_info() == (0, 0, 8, 0, 0) and _cache_entries(cache) == []
+
+
+def test_an_entry_read_in_every_half_window_survives_each_rotation():
+    # 4 stores (maxsize // 2) at most between two reads of an entry never
+    # drop it, however the young generation stood when it was read; an
+    # entry not read again is gone after 8
+    cache = GenerationalCache(lambda n: (n, 1), 8)
+    for start in range(4):
+        cache.cache_clear()
+        for n in range(start):
+            cache(100 + n)
+        cache("dropped")
+        cache("kept")
+        for n in range(40):
+            cache.put(n, (n, 1))
+            if n % 4 == 3:
+                assert cache.get("kept") == ("kept", 1), (start, n)
+        assert cache.get("dropped") is None
+        assert cache.cache_info().misses == start + 3
+
+
+def test_a_miss_read_or_refused_stores_nothing():
+    def make(n):
+        if n < 0:
+            raise WorkLimitError("refused")
+        return (n, 1)
+
+    cache = GenerationalCache(make, 8)
+    assert cache.get(1) is None and cache.cache_info() == (0, 1, 8, 0, 0)
+    with pytest.raises(WorkLimitError):
+        cache(-1)
+    assert cache.cache_info() == (0, 2, 8, 0, 0)
+    assert cache(1) == (1, 1) and cache.get(1) == (1, 1)
+    assert cache.cache_info() == (1, 3, 8, 1, 1)
+    # a stored key stored again replaces its value and its weight
+    cache.put(1, (1, 2, 3, 4))
+    assert cache.get(1) == (1, 2, 3, 4) and cache.cache_info()[3:] == (1, 2)
+
+
+def test_both_caches_keep_their_bound_and_weight_past_three_times_the_cap(monkeypatch):
+    # the straighten and trace caches at a cap of 64: a load of straightening
+    # and reduction-ideal images past three times the cap keeps both within
+    # it, their weights the pairs of the values they hold (a kept image's
+    # summands and the pairs of its P, T and D), and every result exact
+    from nhq import repspace
+
+    def image_weight(value):
+        if value and type(value[0]) is tuple:
+            summands, P, T, D = value
+            return len(summands) + sum(len(part) // 2 for part in {id(part): part for part in (P, T, D)}.values())
+        return len(value) // 2
+
+    clear_straighten_cache()
+    clear_trace_cache()
+    monkeypatch.setattr(_normal_form, "maxsize", 64)
+    monkeypatch.setattr(_packed_trace, "maxsize", 64)
+    rng = random.Random(9)
+    images = 0
+    while _normal_form.cache_info().misses < 3 * 64 or _packed_trace.cache_info().misses < 3 * 64:
+        for quiver in small_quivers():
+            cfg = random_configuration(rng, quiver, max_letters=8, max_idempotents=1)
+            assert straighten(quiver, cfg) == straighten(quiver, cfg, strategy="last")
+            dim = (2,) * len(quiver.vertices)
+            p = random_necklace(rng, quiver, 3, allow_idempotent=False)
+            vertex = p.letters[0].source(quiver)
+            images += decompose_ideal_image(quiver, dim, p, vertex, 0, params(quiver)).verified
+            for cache, weight in ((_normal_form, lambda value: len(value) // 2), (_packed_trace, image_weight)):
+                info = cache.cache_info()
+                assert info.currsize == len(_cache_entries(cache)) <= 64
+                assert info.weight == _held_weight(cache, weight)
+    assert images and any(type(value[0]) is tuple for _, value in _cache_entries(_packed_trace) if value)
+
+
+def test_straighten_entries_share_their_canonical_terms():
+    # over a small_quivers() load, equal coded cfgs across the straighten
+    # cache's entries are one object, and equal one-term entries one tuple;
+    # clearing the cache empties the table of shared terms
+    clear_straighten_cache()
+    rng = random.Random(6)
+    for quiver in small_quivers():
+        for _ in range(4):
+            straighten(quiver, random_configuration(rng, quiver, max_letters=8, max_idempotents=1))
+        x, y = (lift_necklace(quiver, random_necklace(rng, quiver, 4)) for _ in range(2))
+        qpa_comm(x, y)
+        moment_lift(quiver)
+    cfgs, singles = {}, {}
+    for _, value in _cache_entries(_normal_form):
+        for cfg in value[::2]:
+            cfgs.setdefault(cfg, set()).add(id(cfg))
+        if len(value) == 2:
+            singles.setdefault(value, set()).add(id(value))
+    assert len(cfgs) > 50 and all(len(ids) == 1 for ids in cfgs.values())
+    assert len(singles) > 10 and all(len(ids) == 1 for ids in singles.values())
+    assert any(len(value) > 2 for _, value in _cache_entries(_normal_form))
+    assert schedler._TERMS
+    clear_straighten_cache()
+    assert schedler._TERMS == {} and _normal_form.cache_info().currsize == 0
+
+
+def test_straightening_splits_no_key(monkeypatch):
+    # a miss takes the parts its key was made from, so straightening,
+    # qpa_mul and the ideal normal forms never split a key; a call of the
+    # cache with a bare key does
+    splits = []
+    split = schedler._split
+    monkeypatch.setattr(schedler, "_split", lambda key: splits.append(key) or split(key))
+    clear_straighten_cache()
+    rng = random.Random(8)
+    for quiver in small_quivers():
+        cfg = random_configuration(rng, quiver, max_letters=8, max_idempotents=1)
+        straighten(quiver, cfg)
+        straighten(quiver, cfg, strategy="middle")
+        x, y = (lift_necklace(quiver, random_necklace(rng, quiver, 4)) for _ in range(2))
+        qpa_mul(x, y)
+        p = random_necklace(rng, quiver, 4, allow_idempotent=False)
+        vertex = p.letters[0].source(quiver)
+        ideal_normal_forms(quiver, marked_word(quiver, p, vertex, 0), vertex)
+    assert _normal_form.cache_info().misses > 50 and splits == []
+    key = _form_key(_quiver_key(quiver), *_height_form(cfg.codes, cfg.heights), cfg.idempotents)
+    clear_straighten_cache()
+    _normal_form(key)
+    assert splits == [key]

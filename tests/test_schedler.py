@@ -147,8 +147,10 @@ def _inversions(seq) -> int:
 def test_straighten_measure_strictly_decreases(monkeypatch):
     """(letters, inversions) falls on every swap edge and every correction
     edge of the full rewrite tree.  The wrapped ``_rewrite`` expands every
-    correction unmemoized, and the straighten cache is cleared first, so no
-    edge hides behind a cache.
+    correction unmemoized (its memo stores nothing), and the straighten
+    cache is cleared first, so no edge hides behind a cache.  The kernel
+    expands a correction through the module's ``_rewrite``, so the wrapper
+    sees every form, and each one's parent is the form expanded around it.
 
     A one-swap picker ("last") is followed through the picker it is handed,
     which checks that the kernel's inverted pairs are the descents of the
@@ -160,12 +162,26 @@ def test_straighten_measure_strictly_decreases(monkeypatch):
     rewrite = schedler._rewrite
     first = schedler._PICKERS["first"]
     edges = {(route, kind): 0 for route in ("runs", "picks") for kind in ("swap", "correction")}
+    parents = []  # [measure, charged by its corrections] of each form being expanded, innermost last
 
-    def watched(key, pick, rng, normal_form):
-        seq = schedler._canonical_targets(*schedler._split(key)[1:3])[0]
-        measure = [(len(seq), _inversions(seq))]
+    class Unmemoized:
+        get = staticmethod(lambda key: None)
+        put = staticmethod(lambda key, entry: None)
+
+    def watched(head, word, succ, idems, pick, rng, memo):
+        pick = getattr(pick, "followed", pick)  # a parent's tracking picker hands on the one it follows
+        seq = schedler._canonical_targets(word, succ)[0]
         route = "runs" if pick is first else "picks"
-        nested = [0]
+        if parents:
+            # a correction: on the one-swap route the parent's measure is
+            # that of the pick that makes it, as it is made between a pick
+            # and its swap; on the runs route it is the parent's starting
+            # measure, which bounds every parent's
+            parent = parents[-1][0][0]
+            assert (len(seq), _inversions(seq)) < parent
+            assert len(seq) == parent[0] - 2
+            edges[route, "correction"] += 1
+        measure = [(len(seq), _inversions(seq))]
 
         def tracking_pick(inverted, rng):
             assert inverted == [h for h in range(1, len(seq)) if seq[h - 1] > seq[h]]
@@ -178,26 +194,20 @@ def test_straighten_measure_strictly_decreases(monkeypatch):
             edges["picks", "swap"] += 1
             return h
 
-        def correction(key):
-            # on the one-swap route measure[0] is the parent, as this is
-            # called between a pick and its swap; on the runs route it is the
-            # form's starting measure, which bounds every parent's
-            child_seq = schedler._canonical_targets(*schedler._split(key)[1:3])[0]
-            assert (len(child_seq), _inversions(child_seq)) < measure[0]
-            assert len(child_seq) == len(seq) - 2
-            edges[route, "correction"] += 1
-            left = schedler._rewrites_left[0]
-            out = schedler._rewrite(key, pick, rng, correction)
-            nested[0] += left - schedler._rewrites_left[0]
-            return out
-
-        if route == "picks":
-            return rewrite(key, tracking_pick, rng, correction)
+        tracking_pick.followed = pick
         left = schedler._rewrites_left[0]
-        out = rewrite(key, pick, rng, correction)
-        own = left - schedler._rewrites_left[0] - nested[0]
-        assert own == measure[0][1]
-        edges["runs", "swap"] += own
+        parents.append([measure, 0])
+        try:
+            out = rewrite(head, word, succ, idems, tracking_pick if route == "picks" else pick, rng, Unmemoized)
+        finally:
+            nested = parents.pop()[1]
+        charged = left - schedler._rewrites_left[0]
+        if parents:
+            parents[-1][1] += charged
+        if route == "runs":
+            own = charged - nested
+            assert own == measure[0][1]
+            edges["runs", "swap"] += own
         return out
 
     monkeypatch.setattr(schedler, "_rewrite", watched)

@@ -14,7 +14,6 @@ Both must agree exactly on every public entry point, and both must take
 the same rewrite tree: the same height swaps, in the same order.
 """
 
-import functools
 import random
 import sys
 from fractions import Fraction
@@ -355,7 +354,8 @@ def _cut_oracle(quiver, cfg, i, j):
 
 
 def _cut(quiver, cfg, i, j, order=None):
-    """The kernel's correction of the same pair, decoded to a coded key.
+    """The kernel's correction of the same pair, decoded to a coded key;
+    the parts ``_contracted`` returns with its key are the key's own.
     With ``order`` the letters are first relabelled as the kernel moves
     them: the letter at position k is the one at height order[k] of the
     successor permutation it is handed."""
@@ -368,7 +368,9 @@ def _cut(quiver, cfg, i, j, order=None):
             relabelled[order[k]] = order[nxt]
         succ = tuple(relabelled)
     idems = "".join(map(chr, cfg.idempotents))
-    return coded_form(*key_form(_contracted(_quiver_key(quiver), word, succ, order, idems, i, j)))
+    key, form = _contracted(_quiver_key(quiver), word, succ, order, idems, i, j)
+    assert _split(key) == form  # the parts handed on are the key's
+    return coded_form(*key_form(key))
 
 
 @SETTINGS
@@ -478,14 +480,10 @@ def _expanded(quiver, coded, pick):
     """``_rewrite`` of a coded configuration, handed over in height form,
     with ``pick`` at every level, memoized for this call only, and the
     height swaps it charged."""
-
-    @functools.lru_cache(maxsize=None)
-    def normal_form(key):
-        return schedler._rewrite(key, pick, None, normal_form)
-
     codes, heights, idems = coded
     schedler._rewrites_left[0] = schedler.MAX_REWRITES
-    out = normal_form(_form_key(_quiver_key(quiver), *_height_form(codes, heights), idems))
+    word, succ = _height_form(codes, heights)
+    out = schedler._rewrite(_quiver_key(quiver), word, succ, "".join(map(chr, idems)), pick, None, schedler._Memo())
     return out, schedler.MAX_REWRITES - schedler._rewrites_left[0]
 
 
@@ -532,7 +530,8 @@ def test_keys_of_a_quiver_with_the_most_arrows_round_trip():
     codes, one more than ``chr`` takes, so the key's head counts arrows: a
     form of the last arrow z: v -> w and its reverse, the highest two codes,
     round-trips through ``_form_key`` and ``_split``, and contracting the
-    two leaves the idempotents at z's source and target."""
+    two leaves the idempotents at z's source and target, in its key and in
+    the parts handed on with it."""
     quiver = Quiver(("v", "w"), (Arrow("x", 0, 0),) * (MAX_ARROWS - 1) + (Arrow("z", 0, 1),))
     head = _quiver_key.__wrapped__(quiver)  # not kept in the quiver cache
     assert head[0] == chr(MAX_ARROWS) and head[-2:] == chr(1) + chr(0)
@@ -541,5 +540,5 @@ def test_keys_of_a_quiver_with_the_most_arrows_round_trip():
     assert word == chr(sys.maxunicode) + chr(sys.maxunicode - 1)
     key = _form_key(head, word, succ, (1,))
     assert _split(key) == (head, word, list(succ), chr(1))
-    cut = _contracted(head, word, succ, [0, 1], "", 0, 1)
-    assert _split(cut) == (head, "", [], chr(0) + chr(1))
+    cut, form = _contracted(head, word, succ, [0, 1], "", 0, 1)
+    assert _split(cut) == form == (head, "", [], chr(0) + chr(1))
