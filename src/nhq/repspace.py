@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 from .errors import DimensionError, MismatchError, WorkLimitError
 from .linear import LinearCombination, _PackedSums, bilinear, from_ints, rational_nullspace
@@ -804,23 +804,14 @@ def _kept_weight(value) -> int:
     return len(summands) + (len(T) + len(D) + (0 if P is T else len(P))) // 2
 
 
-@partial(GenerationalCache, maxsize=CACHE_SIZE, weight=_kept_weight)
-def _packed_trace(make, *key) -> tuple:
-    """The one bounded memo of traced results, ``make(*key)``, a
-    ``schedler.GenerationalCache`` keyed by ``(make, *key)``.  It keeps two
-    kinds of entry: a configuration's trace pairs (``_trace_pairs``) and
-    what is kept of a generator image (``_image_parts``).  The values hold
-    only ``int`` and ``str``, so CPython stops tracking them.  Its readers
-    (``_closed_sum``, ``ideal_image``) read it with ``get``, one dict read
-    on a hit, and ``put`` what they make on a miss."""
-    return make(*key)
-
-
-def _trace_pairs(quiver: Quiver, dim: tuple, arrows: tuple, width: int, cfg) -> tuple:
-    """Tr_q of the coded configuration ``cfg`` = (codes, heights, idems) as
-    one flat tuple ``(key0, c0, key1, c1, ...)`` (``_flat``), packed for
-    the codec with fields for ``arrows`` of ``width`` bits."""
-    return _flat(_contract_packed(quiver, dim, _codec(quiver, dim, arrows, width), cfg, True)[()])
+#: The one bounded memo of traced results, a ``schedler.GenerationalCache``
+#: read with ``get`` and stored with ``put`` by ``_closed_sum`` and
+#: ``ideal_image``.  It keeps two kinds of entry: the flat trace pairs of
+#: a coded configuration (``_flat``) under (quiver, dim, arrows, width,
+#: cfg), and what is kept of a generator image (``_image_parts``) under
+#: ``(_image_parts, quiver, dim, vertex, word)``.  The values hold only
+#: ``int`` and ``str``, so CPython stops tracking them.
+_packed_trace = GenerationalCache(CACHE_SIZE, _kept_weight)
 
 
 def _flat(terms: dict) -> tuple:
@@ -853,9 +844,10 @@ def contracted(quiver: Quiver, dim, items, quantum: bool, ends=None, codec=None)
     default the one with fields for the items' arrows, sized for the
     longest item.  Closed items are summed by ``_closed_sum``, which
     ``_image_parts`` shares: quantum ones are read from the trace cache
-    ``_packed_trace`` in that codec's layout, the others contract
-    directly.  The results are fresh elements: reading their ``terms``
-    stores nothing in the cache."""
+    ``_packed_trace`` with ``get`` in that codec's layout and, on a miss,
+    contracted and stored with ``put``; the others contract directly.  The
+    results are fresh elements: reading their ``terms`` stores nothing in
+    the cache."""
     if quantum:
         items = list(items)
     else:
@@ -879,16 +871,18 @@ def contracted(quiver: Quiver, dim, items, quantum: bool, ends=None, codec=None)
 
 def _closed_sum(quiver: Quiver, dim, codec: _Codec, items, quantum: bool) -> dict:
     """The canonical packed sum m h^k Tr(cfg) in ``codec`` over closed
-    (cfg, [(k, m), ...]) ``items``, charging nothing: quantum traces read
-    from ``_packed_trace``, the others contracted."""
+    (cfg, [(k, m), ...]) ``items``, charging nothing.  A quantum trace is
+    read from ``_packed_trace`` with ``get`` under (quiver, dim, arrows,
+    width, cfg) and, on a miss, contracted in ``codec`` and stored with
+    ``put``; a classical one is contracted the same way and not kept."""
     out: dict = {}
     get, hunit, read = out.get, codec.hunit, _packed_trace.get
     for cfg, scale in items:
         if quantum:
-            key = (_trace_pairs, quiver, dim, codec.arrows, codec.width, cfg)
+            key = (quiver, dim, codec.arrows, codec.width, cfg)
             traced = read(key)
             if traced is None:
-                traced = _trace_pairs(*key[1:])
+                traced = _flat(_contract_packed(quiver, dim, codec, cfg, True)[()])
                 _packed_trace.put(key, traced)
         else:
             traced = _flat(_contract_packed(quiver, dim, codec, cfg, False)[()])

@@ -48,12 +48,11 @@ as ``head + chr(N) + word + succ + idems``: ``head`` is ``chr`` of the
 number of arrows (two letter codes each) followed by each code's target
 vertex as a character (``_quiver_key``), and ``succ`` and the sorted
 ``idems`` hold one character per successor and per idempotent vertex,
-made by ``chr`` and read back by ``ord``.  The cache is a
-``GenerationalCache``: two plain dicts, a young and an old generation, hold
-each key as it is, with no per-entry link.  The kernel reads it with
-``get``, and a miss hands ``_rewrite`` the parts ``_contracted`` built the
-key from, so no key is split; only a call with a bare key splits it
-(``_split``).  Under each key the cache holds one flat tuple ``(coded
+made by ``chr``.  The cache is a ``GenerationalCache``: two plain dicts,
+a young and an old generation, hold each key as it is, with no per-entry
+link.  The kernel reads it with ``get`` and stores with ``put``; a miss
+hands ``_rewrite`` the parts ``_contracted`` built the key from, so no key
+is ever split.  Under each key the cache holds one flat tuple ``(coded
 key0, c0, coded key1, c1, ...)`` per normal form, all ``str`` and
 ``int``: CPython stops tracking such tuples, and never tracks a ``str``,
 so full garbage collections skip the cache.  Coded keys with the same
@@ -84,7 +83,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial, update_wrapper
+from functools import lru_cache
 from math import lcm
 from sys import intern
 
@@ -186,8 +185,8 @@ def _flat_weight(value) -> int:
 
 
 class GenerationalCache:
-    """A bounded memo of ``make``'s results, kept in two plain dicts, a
-    young and an old generation, with no per-entry link.
+    """A bounded memo, read by ``get`` and stored by ``put``, kept in two
+    plain dicts, a young and an old generation, with no per-entry link.
 
     ``put`` stores into the young dict; a store that finds it holding
     ``maxsize // 2`` entries first makes it the old dict, dropping the
@@ -199,20 +198,16 @@ class GenerationalCache:
     where an ``lru_cache`` entry takes about 87 B).
 
     No value is None.  ``get(key)`` is one dict read on a young hit and
-    returns None on a miss, storing nothing; ``cache(*args)`` reads or computes ``make(*args)``,
-    keyed as ``functools.lru_cache`` keys, by the lone argument itself or
-    else by the tuple of the arguments, and stores nothing when ``make``
-    raises.  ``cache_info()`` adds to ``lru_cache``'s counts the
-    ``weight`` held: the sum over the entries of ``weight(value)``, the
-    (key, coefficient) pairs a value holds, kept per generation and dropped
-    with it."""
+    returns None on a miss, storing nothing; a reader makes the value
+    itself and ``put``s it, so a computation that raises stores nothing.
+    ``cache_info()`` adds to ``lru_cache``'s counts the ``weight`` held:
+    the sum over the entries of ``weight(value)``, the (key, coefficient)
+    pairs a value holds, kept per generation and dropped with it."""
 
-    # the counts and generations are slots, read at every lookup; the
-    # ``__dict__`` takes what ``update_wrapper`` copies from ``make``
-    __slots__ = ("maxsize", "_weight", "_young", "_old", "_young_weight", "_old_weight", "_hits", "_misses", "__dict__")
+    # the counts and generations are slots, read at every lookup
+    __slots__ = ("maxsize", "_weight", "_young", "_old", "_young_weight", "_old_weight", "_hits", "_misses")
 
-    def __init__(self, make, maxsize: int, weight=_flat_weight):
-        update_wrapper(self, make)
+    def __init__(self, maxsize: int, weight=_flat_weight):
         self.maxsize = maxsize
         self._weight = weight
         self.cache_clear()
@@ -241,14 +236,6 @@ class GenerationalCache:
             self._young_weight = 0
         young[key] = value
         self._young_weight += self._weight(value)
-
-    def __call__(self, *args):
-        key = args[0] if len(args) == 1 else args
-        value = self.get(key)
-        if value is None:
-            value = self.__wrapped__(*args)
-            self.put(key, value)
-        return value
 
     def cache_clear(self) -> None:
         self._young, self._old = {}, {}
@@ -287,17 +274,6 @@ def _form_key(head, word, succ, idems) -> str:
     ``head + chr(N) + word + succ + idems``, each successor and each sorted
     idempotent vertex one character (``chr``)."""
     return "".join((head, chr(len(word)), word, "".join(map(chr, succ)), "".join(map(chr, idems))))
-
-
-def _split(key) -> tuple:
-    """``(head, word, succ, idems)`` of a straighten-cache key: ``succ`` as
-    a list of ints and ``idems`` as its str of vertex characters, the parts
-    ``_rewrite`` takes.  Only a call of the cache with a bare key needs it:
-    the kernel hands on the parts it builds each key from."""
-    m = 2 * ord(key[0]) + 1  # the head's length
-    n = ord(key[m])
-    w = m + 1 + n  # where succ starts
-    return key[:m], key[m + 1 : w], list(map(ord, key[w : w + n])), key[w + n :]
 
 
 def _normalize(codes, heights, idems):
@@ -438,8 +414,9 @@ _PICKERS = {
     "random": lambda invs, rng: rng.choice(invs),
 }
 
-#: Height swaps left to the running top-level call (see ``_normal_terms``).
-#: Module state, because the memoized recursion passes only cache keys.
+#: Height swaps left to the running top-level call: one budget shared by
+#: every form ``_rewrite`` expands for it, reset by ``_normal_terms`` and
+#: ``ideal_normal_forms``.
 _rewrites_left = [MAX_REWRITES]
 
 
@@ -450,8 +427,8 @@ def _contracted(head, word, succ, order, idems, i, j):
     moves letters in ``word`` and ``order`` only); ``head`` and the str
     ``idems`` are the parts of its key.  It is returned as its
     straighten-cache key (``_form_key``) and its parts ``(head, word, succ,
-    idems)``, ``succ`` a list of ints, as ``_rewrite`` takes them, so a miss
-    splits no key.
+    idems)``, ``succ`` a list of ints: a miss of ``get`` hands those parts
+    to ``_rewrite``, and ``put`` stores its expansion under the key.
 
     With a and b the heights of the two letters in ``succ``, it is the
     cycles of succ o (a b) with a and b removed, the other letters kept in
@@ -490,8 +467,9 @@ def _rewrite(head, word, succ, idems, pick, rng, memo):
     ``(cfg0, c0, cfg1, c1, ...)`` of coded cfgs and nonzero ``int`` c, read
     in pairs with ``it = iter(entry); zip(it, it)``: the coefficient of an
     n-letter cfg is c*h^((N - n)/2).  Each correction term is read from
-    ``memo`` (``get``/``put``) under the key ``_contracted`` makes and, on a
-    miss, expanded the same way from the parts it makes with the key.
+    ``memo`` with ``get`` under the key ``_contracted`` makes and, on a
+    miss, expanded the same way from the parts it makes with the key and
+    stored with ``put``.
 
     A pick moves the letter above a descent down past ``top - low``
     letters, one height swap each.  The pickers swap once per pick, except
@@ -583,17 +561,12 @@ def _rewrite(head, word, succ, idems, pick, rng, memo):
     return term if len(flat) == 2 else tuple(flat)
 
 
-@partial(GenerationalCache, maxsize=CACHE_SIZE)
-def _normal_form(key):
-    """Default-strategy expansion of a configuration in height form; the
-    one cache behind ``straighten``, ``qpa_mul``, ``moment_lift`` and the
-    ideal generators, a ``GenerationalCache``.  The key is one ``str``
-    (``_form_key``), kept as it is; the entry is the flat tuple ``(cfg0, c0,
-    cfg1, c1, ...)`` of coded cfgs and ints that ``_rewrite`` makes.  The
-    kernel reads it with ``get`` and, on a miss, hands ``_rewrite`` the
-    parts of the key it has; a call with a bare key, as here, splits it
-    (``_split``)."""
-    return _rewrite(*_split(key), _PICKERS["first"], None, _normal_form)
+#: Default-strategy normal forms of configurations in height form: the one
+#: cache behind ``straighten``, ``qpa_mul``, ``moment_lift`` and the ideal
+#: generators, keyed by one ``str`` (``_form_key``), each value the flat
+#: tuple ``(cfg0, c0, cfg1, c1, ...)`` of coded cfgs and ints that
+#: ``_rewrite`` makes.
+_normal_form = GenerationalCache(CACHE_SIZE)
 
 
 #: The canonical term ``((codes, heights, idems), 1)`` of each form
@@ -601,13 +574,6 @@ def _normal_form(key):
 #: str): every entry with that term shares it.  It is emptied with the
 #: straighten cache and when it reaches ``CACHE_SIZE`` terms.
 _TERMS: dict = {}
-
-
-class _Memo(dict):
-    """A memo of one straightening call, read as the straighten cache is
-    (``get`` and ``put``); for the strategies other than the default."""
-
-    put = dict.__setitem__
 
 
 def _expanded(head, word, succ, idems, pick=_PICKERS["first"], rng=None, memo=_normal_form) -> tuple:
@@ -690,10 +656,10 @@ def straighten(
     produce the same element.
 
     The default strategy reads and fills the module's bounded straighten
-    cache (``clear_straighten_cache`` empties it).  Any other strategy memoizes in
-    a cache of its own call only, so confluence checks never see the shared
-    results.  Past ``MAX_REWRITES`` height swaps the call raises
-    ``WorkLimitError``.
+    cache (``clear_straighten_cache`` empties it).  Any other strategy
+    memoizes in a fresh ``GenerationalCache`` of its own call only, so
+    confluence checks never see the shared results.  Past ``MAX_REWRITES``
+    height swaps the call raises ``WorkLimitError``.
     """
     pick = _PICKERS.get(strategy)
     if pick is None:
@@ -702,7 +668,7 @@ def straighten(
         )
     if strategy == "random" and rng is None:
         raise ValueError("strategy 'random' needs an rng")
-    memo = _normal_form if strategy == "first" else _Memo()
+    memo = _normal_form if strategy == "first" else GenerationalCache(CACHE_SIZE)
     codes, heights, idems = _normalize(cfg.codes, cfg.heights, cfg.idempotents)
     config = (*_height_form(codes, heights), idems, ((0, 1),))
     return from_ints(QPAElement, (quiver,), _normal_terms(quiver, [config], pick, rng, memo))

@@ -42,7 +42,7 @@ from nhq.schedler import (
 )
 from nhq.repspace import _packed_trace
 from nhq.trace import clear_trace_cache, enumerate_generators, generator_image, trace_quantum
-from test_straighten_oracle import coded_form, key_form
+from test_straighten_oracle import coded_form, key_form, split_key
 
 
 def params(quiver):
@@ -74,7 +74,7 @@ def test_straighten_cache_holds_int_coefficients(L2):
     cfg = _two_loop_cfg(L2)
     result = straighten(L2, cfg)
     info = _normal_form.cache_info()
-    entry = _normal_form(_form_key(_quiver_key(L2), *_height_form(cfg.codes, cfg.heights), cfg.idempotents))
+    entry = _normal_form.get(_form_key(_quiver_key(L2), *_height_form(cfg.codes, cfg.heights), cfg.idempotents))
     assert _normal_form.cache_info().hits == info.hits + 1
     # one flat tuple (cfg0, c0, cfg1, c1, ...) of coded cfgs and int coefficients
     assert len(entry) == 2 * len(result.terms) > 1
@@ -373,9 +373,8 @@ def test_every_module_cache_is_bounded():
 
 def _cache_entries(cache):
     """(key, value) of every entry of a ``GenerationalCache``, young
-    generation first, read from its two dicts: a one-argument cache (the
-    straighten cache) keys an entry by the argument itself, any other by
-    the tuple of the arguments."""
+    generation first, read from its two dicts, each under the key it was
+    ``put`` with."""
     return [item for generation in (cache._young, cache._old) for item in generation.items()]
 
 
@@ -477,16 +476,37 @@ def _held_weight(cache, weight):
     return sum(weight(value) for _, value in _cache_entries(cache))
 
 
+def _get_or_make(cache, make, key):
+    """What every reader of a ``GenerationalCache`` does: ``get``, and on a
+    miss ``make(key)`` and ``put`` it, so a ``make`` that raises stores
+    nothing."""
+    value = cache.get(key)
+    if value is None:
+        value = make(key)
+        cache.put(key, value)
+    return value
+
+
+def test_the_cache_type_is_read_by_get_and_stored_by_put_only():
+    # the cache is a plain memo: no get-or-compute call, and a new cache
+    # holds nothing and has counted nothing
+    assert "__call__" not in dir(GenerationalCache) and not callable(GenerationalCache(8))
+    cache = GenerationalCache(8)
+    assert cache.cache_info() == (0, 0, 8, 0, 0) and _cache_entries(cache) == []
+    assert cache.cache_parameters() == {"maxsize": 8, "typed": False}
+
+
 def test_the_cache_type_keeps_its_bound_and_its_weight():
     # a load of three times the cap: the cache never holds more than
     # maxsize entries, its weight is the pairs of the values it holds, and
     # the counts are lru_cache's
     made = []
-    cache = GenerationalCache(lambda n: made.append(n) or (n,) * (2 * (n % 5)), 8)
+    make = lambda n: made.append(n) or (n,) * (2 * (n % 5))
+    cache = GenerationalCache(8)
     rng = random.Random(4)
     for _ in range(3 * 8 * 4):
         n = rng.randrange(40)
-        assert cache(n) == (n,) * (2 * (n % 5))
+        assert _get_or_make(cache, make, n) == (n,) * (2 * (n % 5))
         info = cache.cache_info()
         assert info.currsize == len(_cache_entries(cache)) <= 8
         assert info.weight == _held_weight(cache, lambda value: len(value) // 2)
@@ -500,13 +520,14 @@ def test_an_entry_read_in_every_half_window_survives_each_rotation():
     # 4 stores (maxsize // 2) at most between two reads of an entry never
     # drop it, however the young generation stood when it was read; an
     # entry not read again is gone after 8
-    cache = GenerationalCache(lambda n: (n, 1), 8)
+    make = lambda n: (n, 1)
+    cache = GenerationalCache(8)
     for start in range(4):
         cache.cache_clear()
         for n in range(start):
-            cache(100 + n)
-        cache("dropped")
-        cache("kept")
+            _get_or_make(cache, make, 100 + n)
+        _get_or_make(cache, make, "dropped")
+        _get_or_make(cache, make, "kept")
         for n in range(40):
             cache.put(n, (n, 1))
             if n % 4 == 3:
@@ -521,12 +542,12 @@ def test_a_miss_read_or_refused_stores_nothing():
             raise WorkLimitError("refused")
         return (n, 1)
 
-    cache = GenerationalCache(make, 8)
+    cache = GenerationalCache(8)
     assert cache.get(1) is None and cache.cache_info() == (0, 1, 8, 0, 0)
     with pytest.raises(WorkLimitError):
-        cache(-1)
+        _get_or_make(cache, make, -1)
     assert cache.cache_info() == (0, 2, 8, 0, 0)
-    assert cache(1) == (1, 1) and cache.get(1) == (1, 1)
+    assert _get_or_make(cache, make, 1) == (1, 1) and cache.get(1) == (1, 1)
     assert cache.cache_info() == (1, 3, 8, 1, 1)
     # a stored key stored again replaces its value and its weight
     cache.put(1, (1, 2, 3, 4))
@@ -593,13 +614,11 @@ def test_straighten_entries_share_their_canonical_terms():
     assert schedler._TERMS == {} and _normal_form.cache_info().currsize == 0
 
 
-def test_straightening_splits_no_key(monkeypatch):
+def test_straightening_splits_no_key():
     # a miss takes the parts its key was made from, so straightening,
-    # qpa_mul and the ideal normal forms never split a key; a call of the
-    # cache with a bare key does
-    splits = []
-    split = schedler._split
-    monkeypatch.setattr(schedler, "_split", lambda key: splits.append(key) or split(key))
+    # qpa_mul and the ideal normal forms store each form under the key
+    # ``_form_key`` makes of those parts: every key held is the key of its
+    # own decoded parts
     clear_straighten_cache()
     rng = random.Random(8)
     for quiver in small_quivers():
@@ -611,8 +630,9 @@ def test_straightening_splits_no_key(monkeypatch):
         p = random_necklace(rng, quiver, 4, allow_idempotent=False)
         vertex = p.letters[0].source(quiver)
         ideal_normal_forms(quiver, marked_word(quiver, p, vertex, 0), vertex)
-    assert _normal_form.cache_info().misses > 50 and splits == []
-    key = _form_key(_quiver_key(quiver), *_height_form(cfg.codes, cfg.heights), cfg.idempotents)
-    clear_straighten_cache()
-    _normal_form(key)
-    assert splits == [key]
+    assert _normal_form.cache_info().misses > 50
+    entries = _cache_entries(_normal_form)
+    assert len(entries) == _normal_form.cache_info().currsize
+    for key, _ in entries:
+        head, word, succ, idems = split_key(key)
+        assert key == _form_key(head, word, succ, list(map(ord, idems)))

@@ -50,6 +50,12 @@ its configuration in height form, times one transposition.  Nor is the
 second route to a generator image (``kept_image``, ``_kept_parts``,
 ``_made_image``), which built an image, kept its parts and built it again,
 nor the second name of the trace cache's clearer (``clear_packed_traces``).
+Nor is what only a get-or-compute call of the caches needed (``_split``,
+``_Memo``, ``_trace_pairs``): every reader of a ``GenerationalCache`` reads
+it with ``get`` and stores with ``put``, and the tests decode keys.
+
+No private name is test-only code: every single-underscore function, class
+or module-level name defined in the package is read somewhere in it.
 """
 
 import ast
@@ -78,7 +84,8 @@ HH0_PACKED = {"_cycles", "_check_cyclic"}
 TUPLE_KERNEL = {"_weyl_mono_mul", "_merge_exponents", "poly_partial"}
 FRONT_ENDS = {"_contract_letters", "trace_configurations", "_traced", "_check_traces", "_boundary_entries"}
 IMAGE_ROUTE = {"kept_image", "_kept_parts", "_made_image", "clear_packed_traces"}
-RETIRED = TUPLE_KERNEL | {"_times_tau", "_drop_pair"} | FRONT_ENDS | IMAGE_ROUTE
+CACHE_CALL = {"_split", "_Memo", "_trace_pairs"}
+RETIRED = TUPLE_KERNEL | {"_times_tau", "_drop_pair"} | FRONT_ENDS | IMAGE_ROUTE | CACHE_CALL
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
 
 
@@ -123,6 +130,8 @@ def test_the_check_sees_both_forms():
     assert names_anywhere("total = trace_configurations(q, d, terms)\n", RETIRED) == {"trace_configurations"}
     assert names_anywhere("key = _drop_pair(pieces, idems, h)\n", RETIRED) == {"_drop_pair"}
     assert names_anywhere("return kept_image(q, d, v, w, _made_image)\n", RETIRED) == {"kept_image", "_made_image"}
+    assert names_anywhere("class _Memo(dict):\n    put = dict.__setitem__\n", RETIRED) == {"_Memo"}
+    assert names_anywhere("return _rewrite(*_split(key), pick, None, memo)\n", RETIRED) == {"_split"}
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "repspace.py"])
@@ -147,3 +156,44 @@ def test_only_linear_knows_the_packed_sums(module):
 def test_the_tuple_weyl_product_lives_in_the_tests(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert names_anywhere(fh.read(), RETIRED) == set()
+
+
+def private_names(source: str) -> tuple:
+    """The single-underscore names ``source`` defines (functions and
+    classes at any depth, module-level assignments) and those it reads (by
+    name, as an attribute, or by import)."""
+    tree = ast.parse(source)
+    private = lambda name: name.startswith("_") and not name.startswith("__")
+    defined, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+        defined.update(t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store))
+    return {name for name in defined if private(name)}, read
+
+
+def test_the_private_name_scan_sees_every_reader():
+    source = "_A = 1\n_B, c = 2, 3\n_T[0] = 4\ndef _f():\n    return _A\nclass _K:\n    def _m(self):\n        pass\n"
+    assert private_names(source)[0] == {"_A", "_B", "_f", "_K", "_m"}
+    unread = lambda src: private_names(src)[0] - private_names(src)[1]
+    assert unread(source) == {"_B", "_f", "_K", "_m"}
+    assert unread(source + "_f()\nx = _K()._m\nfrom .m import _B\n") == set()
+    assert unread("def __init__(self):\n    pass\n") == set()
+
+
+def test_every_private_name_has_a_reader_in_src():
+    defined, read = set(), set()
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            names, reads = private_names(fh.read())
+        defined |= names
+        read |= reads
+    assert defined - read == set()

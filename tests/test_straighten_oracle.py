@@ -49,7 +49,6 @@ from nhq.schedler import (
     _form_key,
     _height_form,
     _quiver_key,
-    _split,
     canonical_configuration,
     clear_straighten_cache,
     marked_word,
@@ -121,10 +120,22 @@ def coded_form(word, succ, idems):
     return tuple(codes), tuple(heights), idems
 
 
+def split_key(key) -> tuple:
+    """``(head, word, succ, idems)`` of a straighten-cache key
+    (``schedler._form_key``): ``succ`` as a list of ints and ``idems`` as
+    its str of vertex characters, the parts ``schedler._rewrite`` takes.
+    The library never decodes a key: the kernel hands on the parts it
+    builds each key from."""
+    m = 2 * ord(key[0]) + 1  # the head's length
+    n = ord(key[m])
+    w = m + 1 + n  # where succ starts
+    return key[:m], key[m + 1 : w], list(map(ord, key[w : w + n])), key[w + n :]
+
+
 def key_form(key):
     """``(word, succ, idems)`` of a straighten-cache key, ``succ`` and
     ``idems`` as tuples of ints."""
-    _, word, succ, idems = _split(key)
+    _, word, succ, idems = split_key(key)
     return word, tuple(succ), tuple(map(ord, idems))
 
 
@@ -369,7 +380,7 @@ def _cut(quiver, cfg, i, j, order=None):
         succ = tuple(relabelled)
     idems = "".join(map(chr, cfg.idempotents))
     key, form = _contracted(_quiver_key(quiver), word, succ, order, idems, i, j)
-    assert _split(key) == form  # the parts handed on are the key's
+    assert split_key(key) == form  # the parts handed on are the key's
     return coded_form(*key_form(key))
 
 
@@ -483,7 +494,8 @@ def _expanded(quiver, coded, pick):
     codes, heights, idems = coded
     schedler._rewrites_left[0] = schedler.MAX_REWRITES
     word, succ = _height_form(codes, heights)
-    out = schedler._rewrite(_quiver_key(quiver), word, succ, "".join(map(chr, idems)), pick, None, schedler._Memo())
+    memo = schedler.GenerationalCache(schedler.CACHE_SIZE)
+    out = schedler._rewrite(_quiver_key(quiver), word, succ, "".join(map(chr, idems)), pick, None, memo)
     return out, schedler.MAX_REWRITES - schedler._rewrites_left[0]
 
 
@@ -521,7 +533,7 @@ def test_forms_past_256_letters_key_by_chr_and_straighten_alike(J):
     key = _form_key(_quiver_key(J), word, succ, (0,))
     assert key_form(key) == (word, succ, (0,))
     info = schedler._normal_form.cache_info()
-    schedler._normal_form(key)
+    assert schedler._normal_form.get(key) is not None
     assert schedler._normal_form.cache_info()[:2] == (info.hits + 1, info.misses)
 
 
@@ -529,7 +541,7 @@ def test_keys_of_a_quiver_with_the_most_arrows_round_trip():
     """A quiver of ``MAX_ARROWS`` arrows has ``sys.maxunicode + 1`` letter
     codes, one more than ``chr`` takes, so the key's head counts arrows: a
     form of the last arrow z: v -> w and its reverse, the highest two codes,
-    round-trips through ``_form_key`` and ``_split``, and contracting the
+    round-trips through ``_form_key`` and ``split_key``, and contracting the
     two leaves the idempotents at z's source and target, in its key and in
     the parts handed on with it."""
     quiver = Quiver(("v", "w"), (Arrow("x", 0, 0),) * (MAX_ARROWS - 1) + (Arrow("z", 0, 1),))
@@ -539,6 +551,6 @@ def test_keys_of_a_quiver_with_the_most_arrows_round_trip():
     word, succ = _height_form((_code([z.star(), z]),), ((1, 2),))
     assert word == chr(sys.maxunicode) + chr(sys.maxunicode - 1)
     key = _form_key(head, word, succ, (1,))
-    assert _split(key) == (head, word, list(succ), chr(1))
+    assert split_key(key) == (head, word, list(succ), chr(1))
     cut, form = _contracted(head, word, succ, [0, 1], "", 0, 1)
-    assert _split(cut) == form == (head, "", [], chr(0) + chr(1))
+    assert split_key(cut) == form == (head, "", [], chr(0) + chr(1))
