@@ -645,11 +645,10 @@ def format_sym_monomial(quiver: Quiver, monomial) -> str:
 
 
 def format_sym(x: SymElement) -> str:
-    return _format_terms(
-        x,
-        partial(format_sym_monomial, x.quiver),
-        lambda monomial: tuple(necklace_key(n) for n in monomial),
-    )
+    def body(monomial):
+        return format_sym_monomial(x.quiver, monomial) if monomial else ""
+
+    return _format_terms(x, body, lambda monomial: tuple(necklace_key(n) for n in monomial))
 
 
 def format_config(quiver: Quiver, cfg: HeightConfiguration) -> str:

@@ -806,11 +806,12 @@ def _kept_weight(value) -> int:
 
 #: The one bounded memo of traced results, a ``schedler.GenerationalCache``
 #: read with ``get`` and stored with ``put`` by ``_closed_sum`` and
-#: ``ideal_image``.  It keeps two kinds of entry: the flat trace pairs of
-#: a coded configuration (``_flat``) under (quiver, dim, arrows, width,
-#: cfg), and what is kept of a generator image (``_image_parts``) under
-#: ``(_image_parts, quiver, dim, vertex, word)``.  The values hold only
-#: ``int`` and ``str``, so CPython stops tracking them.
+#: ``ideal_image``, within ``CACHE_SIZE`` entries and ``CACHE_WEIGHT``
+#: pairs (``_kept_weight``).  It keeps two kinds of entry: the flat trace
+#: pairs of a coded configuration (``_flat``) under (quiver, dim, arrows,
+#: width, cfg), and what is kept of a generator image (``_image_parts``)
+#: under ``(_image_parts, quiver, dim, vertex, word)``.  The values hold
+#: only ``int`` and ``str``, so CPython stops tracking them.
 _packed_trace = GenerationalCache(CACHE_SIZE, _kept_weight)
 
 
@@ -869,12 +870,13 @@ def contracted(quiver: Quiver, dim, items, quantum: bool, ends=None, codec=None)
     return {rc: make({key: c for key, c in terms.items() if c}) for rc, terms in block.items()}
 
 
-def _closed_sum(quiver: Quiver, dim, codec: _Codec, items, quantum: bool) -> dict:
+def _closed_sum(quiver: Quiver, dim, codec: _Codec, items, quantum: bool, keep: bool = True) -> dict:
     """The canonical packed sum m h^k Tr(cfg) in ``codec`` over closed
     (cfg, [(k, m), ...]) ``items``, charging nothing.  A quantum trace is
     read from ``_packed_trace`` with ``get`` under (quiver, dim, arrows,
-    width, cfg) and, on a miss, contracted in ``codec`` and stored with
-    ``put``; a classical one is contracted the same way and not kept."""
+    width, cfg) and, on a miss, contracted in ``codec`` and, when
+    ``keep``, stored with ``put``; a classical one is contracted the same
+    way and not kept."""
     out: dict = {}
     get, hunit, read = out.get, codec.hunit, _packed_trace.get
     for cfg, scale in items:
@@ -883,7 +885,8 @@ def _closed_sum(quiver: Quiver, dim, codec: _Codec, items, quantum: bool) -> dic
             traced = read(key)
             if traced is None:
                 traced = _flat(_contract_packed(quiver, dim, codec, cfg, True)[()])
-                _packed_trace.put(key, traced)
+                if keep:
+                    _packed_trace.put(key, traced)
         else:
             traced = _flat(_contract_packed(quiver, dim, codec, cfg, False)[()])
         for k, m in scale:
@@ -901,15 +904,15 @@ def _closed_sum(quiver: Quiver, dim, codec: _Codec, items, quantum: bool) -> dic
 # A generator at ``vertex`` with a v-letter marked word p is the spliced
 # part (N = v + 2 letters) plus (-lambda + h r) times p.  Its check is four
 # sums {coded cfg: int} of closed configurations
-# (``schedler.ideal_normal_forms``), all traced through the
-# ``_packed_trace`` cache in one codec: the straightened spliced part G
-# and cycle P, p's word T = Tr_q(p), and the tau re-expansion E = sum
-# M_{l1,l2} tau(-e_{l1,l2}), M the open word's matrix.  Each tau term x d
-# closes the open word with one moment pair, the position token at height
-# v + 1 and the derivative at v + 2, so E is the sum of the traces of
-# those closed words.  An n-letter term c of an N'-letter part stands for
-# c h^((N' - n)/2), an item of ``_closed_sum`` with that power of h, so G
-# and E sit at Rees grade N, P and T at grade v.  None depends on (r,
+# (``schedler.ideal_normal_forms``), all traced in one codec: the
+# straightened spliced part G and cycle P, p's word T = Tr_q(p), and the
+# tau re-expansion E = sum M_{l1,l2} tau(-e_{l1,l2}), M the open word's
+# matrix.  Each tau term x d closes the open word with one moment pair,
+# the position token at height v + 1 and the derivative at v + 2, so E is
+# the sum of the traces of those closed words.  An n-letter term c of an
+# N'-letter part stands for c h^((N' - n)/2), an item of ``_closed_sum``
+# with that power of h, so G and E sit at Rees grade N, P and T at grade
+# v.  None depends on (r,
 # lambda), and the decomposition target == re_expand(chi), split by
 # grade, is two exact comparisons: G + r h P - E = chi h T at grade N and,
 # when lambda != 0, P = T at grade v.  So the image depends only on
@@ -918,7 +921,13 @@ def _closed_sum(quiver: Quiver, dim, codec: _Codec, items, quantum: bool) -> dic
 # reads, P, T and D = G - E as flat int tuples, and G's summands.  A hit
 # reads them back, with nothing straightened, charged or summed; G, which
 # only ``target`` and ``expansion`` read, is summed again from the cached
-# traces when it is read.
+# traces when it is read.  So the miss stores the traces of G's and P's
+# normal forms in the ``_packed_trace`` cache, and only reads those of T's
+# word and of E's closed words (``_closed_sum`` with ``keep`` False): the
+# kept image holds T and D, so nothing reads them again, and E's words
+# were 57-64% of the stored pairs of a cold ``solve_chi`` and almost never
+# read back.  An E word that G stored (or a T word that P stored) is
+# still a hit.
 
 
 def _ideal_codec(quiver: Quiver, dim, vertex: int, word) -> _Codec:
@@ -1054,7 +1063,8 @@ def _image_parts(quiver: Quiver, dim: tuple, vertex: int, word: tuple) -> tuple:
     together (``_charge``), and each is summed from the trace cache into a
     canonical int dict in the codec of ``_ideal_codec`` (``_closed_sum``,
     as ``contracted`` sums), an n-letter term of an N'-letter part at the
-    power (N' - n)/2 of h; no element is built."""
+    power (N' - n)/2 of h; no element is built.  G and P store the traces
+    they miss, T and E do not (see the comment above)."""
     parts = ideal_normal_forms(quiver, word, vertex)
     _charge(quiver, dim, ["".join(codes) for codes, _, _ in set().union(*parts)])
     codec, v = _ideal_codec(quiver, dim, vertex, word), len(word)
@@ -1062,7 +1072,8 @@ def _image_parts(quiver: Quiver, dim: tuple, vertex: int, word: tuple) -> tuple:
         tuple((cfg, (((n - sum(map(len, cfg[0]))) // 2, c),)) for cfg, c in part.items())
         for part, n in zip(parts, (v + 2, v, v, v + 2))
     ]
-    G, P, T, E = (_closed_sum(quiver, dim, codec, part, True) for part in items)
+    G, P = (_closed_sum(quiver, dim, codec, part, True) for part in items[:2])
+    T, E = (_closed_sum(quiver, dim, codec, part, True, keep=False) for part in items[2:])
     kept_T = _flat(T)
     return items[0], kept_T if P == T else _flat(P), kept_T, _flat(_minus(G, E))
 

@@ -177,7 +177,9 @@ class HBarPolynomial:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals its scalar (zero equals 0), so it hashes as one
+        coeffs = self.coeffs
+        return hash(coeffs) if len(coeffs) > 1 else hash(coeffs[0] if coeffs else 0)
 
     def __str__(self) -> str:
         if not self.coeffs:

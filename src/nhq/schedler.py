@@ -50,9 +50,10 @@ vertex as a character (``_quiver_key``), and ``succ`` and the sorted
 ``idems`` hold one character per successor and per idempotent vertex,
 made by ``chr``.  The cache is a ``GenerationalCache``: two plain dicts,
 a young and an old generation, hold each key as it is, with no per-entry
-link.  The kernel reads it with ``get`` and stores with ``put``; a miss
-hands ``_rewrite`` the parts ``_contracted`` built the key from, so no key
-is ever split.  Under each key the cache holds one flat tuple ``(coded
+link, within ``CACHE_SIZE`` entries and ``CACHE_WEIGHT`` pairs.  The
+kernel reads it with ``get`` and stores with ``put``; a miss hands
+``_rewrite`` the parts ``_contracted`` built the key from, so no key is
+ever split.  Under each key the cache holds one flat tuple ``(coded
 key0, c0, coded key1, c1, ...)`` per normal form, all ``str`` and
 ``int``: CPython stops tracking such tuples, and never tracks a ``str``,
 so full garbage collections skip the cache.  Coded keys with the same
@@ -153,10 +154,25 @@ def _config(key) -> HeightConfiguration:
 #: the default-strategy normal forms here (``_normal_form``) and the one
 #: trace cache of ``repspace`` (``_packed_trace``).  Each keeps its entries
 #: in a young and an old generation of at most ``CACHE_SIZE // 2`` entries
-#: each: a store into a full young generation makes it the old one and drops
-#: the old one, and a read moves an old entry to the young generation, so an
-#: entry survives at least ``CACHE_SIZE // 2`` stores after its last read.
+#: and ``CACHE_WEIGHT // 2`` weight each: a store into a full young
+#: generation makes it the old one and drops the old one, and a read moves
+#: an old entry to the young generation, so an entry survives at least
+#: ``CACHE_SIZE // 2`` stores after its last read while they weigh less
+#: than ``CACHE_WEIGHT // 2``.  The count bounds the keys and dict slots,
+#: the weight the values: one entry can hold a million pairs.
 CACHE_SIZE = 1 << 16
+
+#: Most weight each of the two result caches holds: the (key, coefficient)
+#: pairs of its values, at most half of it in each generation
+#: (``GenerationalCache``).  It is a budget of 256 MiB of values per cache
+#: at 64 B a pair, rounded up from the bytes a held pair takes under
+#: ``tracemalloc`` (Python 3.11): about 60 B in the straighten cache after
+#: 60 pbw benchmark rounds (seed 1), and 57-61 B in the trace cache after a
+#: cold ``solve_chi`` of two_loop (3,) at length 4, two_loop (2,) at 5 or
+#: jordan (3,) at 6.  The benchmark's loads hold far less: at most 140,010
+#: pairs in the straighten cache (pbw) and 29,952 in the trace cache
+#: (qtrace).
+CACHE_WEIGHT = 1 << 22
 
 #: Most height swaps the kernel may compute for one call of ``straighten``,
 #: ``qpa_mul``, ``moment_lift``, ``ideal_generator`` or
@@ -176,7 +192,7 @@ _QUIVER_TABLES = 64
 #: pbw benchmark meets about 70.
 _LAYOUTS = 1 << 10
 
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize weight")
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize weight maxweight")
 
 
 def _flat_weight(value) -> int:
@@ -188,27 +204,46 @@ class GenerationalCache:
     """A bounded memo, read by ``get`` and stored by ``put``, kept in two
     plain dicts, a young and an old generation, with no per-entry link.
 
-    ``put`` stores into the young dict; a store that finds it holding
-    ``maxsize // 2`` entries first makes it the old dict, dropping the
-    previous old dict.  A read that finds its key in the old dict moves the
-    entry to the young one.  So the cache never holds more than ``maxsize``
-    entries (``maxsize`` >= 2), and an entry survives at least ``maxsize //
-    2`` stores after its last read: least-recently-used eviction to within
-    a factor of two, at the cost of one dict slot an entry (about 31 B,
-    where an ``lru_cache`` entry takes about 87 B).
+    Two bounds hold at once: at most ``maxsize`` entries and at most
+    ``maxweight`` held weight, the sum over the entries of
+    ``weight(value)``, the (key, coefficient) pairs a value holds.  Each
+    generation takes half of each.  ``put`` stores into the young dict; a
+    store that finds it holding ``maxsize // 2`` entries, or whose value
+    would take its weight past ``maxweight // 2``, first makes it the old
+    dict, dropping the previous old dict.  A value heavier than
+    ``maxweight // 2`` fits in no generation: ``put`` drops the entry its
+    key had and keeps nothing, and the reader still returns the value it
+    made.  A read that finds its key in the old dict moves the entry to the
+    young one.  So the cache never holds more than ``maxsize`` entries
+    (``maxsize`` >= 2) or more than ``maxweight`` weight, and an entry
+    survives at least ``maxsize // 2`` stores after its last read while
+    the stores weigh less than ``maxweight // 2``: least-recently-used
+    eviction to within a factor of two, at the cost of one dict slot an
+    entry (about 31 B, where an ``lru_cache`` entry takes about 87 B).
 
     No value is None.  ``get(key)`` is one dict read on a young hit and
     returns None on a miss, storing nothing; a reader makes the value
     itself and ``put``s it, so a computation that raises stores nothing.
-    ``cache_info()`` adds to ``lru_cache``'s counts the ``weight`` held:
-    the sum over the entries of ``weight(value)``, the (key, coefficient)
-    pairs a value holds, kept per generation and dropped with it."""
+    ``cache_info()`` adds to ``lru_cache``'s counts the ``weight`` held,
+    kept per generation and dropped with it, and its bound ``maxweight``;
+    ``cache_parameters()`` gives both bounds."""
 
     # the counts and generations are slots, read at every lookup
-    __slots__ = ("maxsize", "_weight", "_young", "_old", "_young_weight", "_old_weight", "_hits", "_misses")
+    __slots__ = (
+        "maxsize",
+        "maxweight",
+        "_weight",
+        "_young",
+        "_old",
+        "_young_weight",
+        "_old_weight",
+        "_hits",
+        "_misses",
+    )
 
     def __init__(self, maxsize: int, weight=_flat_weight):
         self.maxsize = maxsize
+        self.maxweight = CACHE_WEIGHT
         self._weight = weight
         self.cache_clear()
 
@@ -230,12 +265,15 @@ class GenerationalCache:
             self._young_weight -= self._weight(young.pop(key))
         elif key in self._old:
             self._old_weight -= self._weight(self._old.pop(key))
-        if len(young) >= self.maxsize >> 1:
+        weight, half = self._weight(value), self.maxweight >> 1
+        if len(young) >= self.maxsize >> 1 or self._young_weight + weight > half:
+            if weight > half:
+                return
             self._old, self._old_weight = young, self._young_weight
             self._young = young = {}
             self._young_weight = 0
         young[key] = value
-        self._young_weight += self._weight(value)
+        self._young_weight += weight
 
     def cache_clear(self) -> None:
         self._young, self._old = {}, {}
@@ -249,10 +287,11 @@ class GenerationalCache:
             self.maxsize,
             len(self._young) + len(self._old),
             self._young_weight + self._old_weight,
+            self.maxweight,
         )
 
     def cache_parameters(self) -> dict:
-        return {"maxsize": self.maxsize, "typed": False}
+        return {"maxsize": self.maxsize, "maxweight": self.maxweight, "typed": False}
 
 
 @lru_cache(maxsize=_QUIVER_TABLES)

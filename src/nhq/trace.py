@@ -19,8 +19,9 @@ check is four sums of closed configurations
 word, and the closed words whose traces are its tau re-expansion.
 ``repspace.ideal_image`` is the one maker of its image: on a miss it
 traces them into packed monomials once, free of the parameters (r,
-lambda), each trace through the one trace cache, which also keeps what
-chi reads of the image under its marked word; an
+lambda), each trace read from the one trace cache, which keeps the
+traces of the two straightened parts and what chi reads of the image
+under its marked word, but not the traces of the words; an
 ``IdealDecomposition`` binds that image to one parameter set, so every
 set reads the same image.  This module never sees the packed monomials
 of a contraction.  All checks are by exact equality; failures
@@ -430,8 +431,9 @@ def generator_image(quiver: Quiver, dim, p: Necklace, vertex: int, mark: int = 0
     marked visit), free of (r, lambda): the four parts of
     ``schedler.ideal_normal_forms`` (its two straightened parts, traced as
     they leave the straightening kernel, and the closed words of Tr_q(p)
-    and of the tau re-expansion), all traced through the one trace cache,
-    packed and Rees-graded.  p's marked word is found once, here, and
+    and of the tau re-expansion), packed and Rees-graded, every trace read
+    from the one trace cache and only those of the first two stored
+    there.  p's marked word is found once, here, and
     ``repspace.ideal_image`` keeps what chi reads of the image in the
     trace cache under it, so a repeated generator is one cache hit:
     nothing is straightened, charged or contracted."""

@@ -29,6 +29,7 @@ from nhq.linear import from_ints, int_terms
 from nhq.sampling import a3p, all_dimension_vectors, random_configuration, random_necklace, small_quivers
 from nhq.schedler import (
     CACHE_SIZE,
+    CACHE_WEIGHT,
     GenerationalCache,
     _config,
     _form_key,
@@ -357,7 +358,8 @@ def test_other_strategies_leave_the_shared_cache_untouched(L2):
 
 def test_every_module_cache_is_bounded():
     # every module-level cache (an instance, not the cache class itself)
-    # is bounded, and the two result caches are of the one cache type
+    # is bounded, and the two result caches are of the one cache type,
+    # bounded by weight too
     caches = []
     for mod in pkgutil.iter_modules(nhq.__path__):
         module = importlib.import_module(f"nhq.{mod.name}")
@@ -369,6 +371,7 @@ def test_every_module_cache_is_bounded():
     sizes = dict(caches)
     assert sizes["schedler._normal_form"] == sizes["repspace._packed_trace"] == CACHE_SIZE
     assert type(_normal_form) is type(_packed_trace) is GenerationalCache
+    assert _normal_form.cache_parameters()["maxweight"] == _packed_trace.cache_parameters()["maxweight"] == CACHE_WEIGHT
 
 
 def _cache_entries(cache):
@@ -492,8 +495,8 @@ def test_the_cache_type_is_read_by_get_and_stored_by_put_only():
     # holds nothing and has counted nothing
     assert "__call__" not in dir(GenerationalCache) and not callable(GenerationalCache(8))
     cache = GenerationalCache(8)
-    assert cache.cache_info() == (0, 0, 8, 0, 0) and _cache_entries(cache) == []
-    assert cache.cache_parameters() == {"maxsize": 8, "typed": False}
+    assert cache.cache_info() == (0, 0, 8, 0, 0, CACHE_WEIGHT) and _cache_entries(cache) == []
+    assert cache.cache_parameters() == {"maxsize": 8, "maxweight": CACHE_WEIGHT, "typed": False}
 
 
 def test_the_cache_type_keeps_its_bound_and_its_weight():
@@ -513,7 +516,7 @@ def test_the_cache_type_keeps_its_bound_and_its_weight():
     assert info.misses == len(made) > 3 * 8 and info.hits + info.misses == 3 * 8 * 4
     assert info.maxsize == cache.cache_parameters()["maxsize"] == 8
     cache.cache_clear()
-    assert cache.cache_info() == (0, 0, 8, 0, 0) and _cache_entries(cache) == []
+    assert cache.cache_info() == (0, 0, 8, 0, 0, CACHE_WEIGHT) and _cache_entries(cache) == []
 
 
 def test_an_entry_read_in_every_half_window_survives_each_rotation():
@@ -543,15 +546,15 @@ def test_a_miss_read_or_refused_stores_nothing():
         return (n, 1)
 
     cache = GenerationalCache(8)
-    assert cache.get(1) is None and cache.cache_info() == (0, 1, 8, 0, 0)
+    assert cache.get(1) is None and cache.cache_info() == (0, 1, 8, 0, 0, CACHE_WEIGHT)
     with pytest.raises(WorkLimitError):
         _get_or_make(cache, make, -1)
-    assert cache.cache_info() == (0, 2, 8, 0, 0)
+    assert cache.cache_info() == (0, 2, 8, 0, 0, CACHE_WEIGHT)
     assert _get_or_make(cache, make, 1) == (1, 1) and cache.get(1) == (1, 1)
-    assert cache.cache_info() == (1, 3, 8, 1, 1)
+    assert cache.cache_info() == (1, 3, 8, 1, 1, CACHE_WEIGHT)
     # a stored key stored again replaces its value and its weight
     cache.put(1, (1, 2, 3, 4))
-    assert cache.get(1) == (1, 2, 3, 4) and cache.cache_info()[3:] == (1, 2)
+    assert cache.get(1) == (1, 2, 3, 4) and cache.cache_info()[3:5] == (1, 2)
 
 
 def test_both_caches_keep_their_bound_and_weight_past_three_times_the_cap(monkeypatch):
@@ -586,6 +589,133 @@ def test_both_caches_keep_their_bound_and_weight_past_three_times_the_cap(monkey
                 assert info.currsize == len(_cache_entries(cache)) <= 64
                 assert info.weight == _held_weight(cache, weight)
     assert images and any(type(value[0]) is tuple for _, value in _cache_entries(_packed_trace) if value)
+
+
+def test_an_image_miss_stores_no_trace_of_its_T_or_E_words(L2, monkeypatch):
+    # a cold image stores the traces of G's and P's configurations and
+    # reads those of p's word (T) and of E's closed words with ``get``
+    # only: they are contracted on a miss and not kept, while an E word
+    # that G stored, or a T word that P stored, is a hit contracted once
+    from nhq import repspace
+
+    x, xs = Letter(0, False), Letter(0, True)
+    p, dim = canonical_necklace(L2, (x, x, xs)), (2,)
+    word = marked_word(L2, p, 0, 0)
+    G, P, T, E = map(set, ideal_normal_forms(L2, word, 0))
+    assert T - P and E - G and E & G
+    contracted = []
+    contract_packed = repspace._contract_packed
+    monkeypatch.setattr(
+        repspace, "_contract_packed", lambda q, d, c, cfg, *a: contracted.append(cfg) or contract_packed(q, d, c, cfg, *a)
+    )
+    clear_straighten_cache()
+    clear_trace_cache()
+    image = generator_image(L2, dim, p, 0, 0)
+    traced = lambda cfgs: {(L2, dim, image.codec.arrows, image.codec.width, cfg) for cfg in cfgs}
+    stored = {key for key, _ in _cache_entries(_packed_trace)}
+    assert stored == traced(G | P) | {(repspace._image_parts, L2, dim, 0, word)}
+    assert sorted(map(repr, contracted)) == sorted(map(repr, G | P | T | E))
+    info = _packed_trace.cache_info()
+    assert info.hits == len(T & P) + len(E & G)
+    assert info.misses == 1 + len(G | P) + len(T - P) + len(E - G)
+    # the image read again is one hit, and its T and E words stay unstored
+    again = generator_image(L2, dim, p, 0, 0)
+    assert again.expanded == image.expanded and again.trace_of_p == image.trace_of_p
+    assert {key for key, _ in _cache_entries(_packed_trace)} == stored
+
+
+def test_the_young_generation_rotates_before_its_weight_passes_half_the_bound():
+    # at a bound of 8 each generation holds at most 4: a store that would
+    # take the young generation past it makes it the old one first
+    cache = GenerationalCache(64)
+    cache.maxweight = 8
+    cache.put("a", ("a", 1) * 3)
+    cache.put("b", ("b", 1))
+    assert cache._young == {"a": ("a", 1) * 3, "b": ("b", 1)} and cache._old == {}
+    cache.put("c", ("c", 1) * 2)
+    assert list(cache._young) == ["c"] and list(cache._old) == ["a", "b"]
+    assert cache.cache_info()[3:] == (3, 6, 8)
+    # a read moves an old entry back, within the young generation's half
+    assert cache.get("b") == ("b", 1)
+    assert list(cache._young) == ["c", "b"] and list(cache._old) == ["a"]
+    cache.put("d", ("d", 1) * 4)
+    assert list(cache._young) == ["d"] and list(cache._old) == ["c", "b"]
+    assert cache.get("a") is None and cache.cache_info()[3:] == (3, 7, 8)
+    assert cache.cache_parameters() == {"maxsize": 64, "maxweight": 8, "typed": False}
+
+
+def test_a_value_heavier_than_the_bound_is_returned_and_not_kept(J, monkeypatch):
+    # a value heavier than a generation's half of the bound is returned by
+    # its reader and not kept, and drops the entry its key had; one that
+    # fits is kept
+    made = lambda weight: lambda n: (n, 1) * weight
+    cache = GenerationalCache(8)
+    cache.maxweight = 6
+    for weight in (7, 4):
+        assert _get_or_make(cache, made(weight), weight) == (weight, 1) * weight
+        assert cache.get(weight) is None
+    assert cache.cache_info() == (0, 4, 8, 0, 0, 6) and _cache_entries(cache) == []
+    assert _get_or_make(cache, made(3), 1) == (1, 1) * 3 and cache.get(1) == (1, 1) * 3
+    cache.put(1, (1, 1) * 7)
+    assert cache.get(1) is None and cache.cache_info()[3:] == (0, 0, 6)
+    # the trace cache below the weight of a trace: the trace is exact and
+    # not kept, and read again it is made again
+    x = Letter(0, False)
+    cfg = (((x.star(), 1), (x, 2), (x.star(), 3), (x, 4)),)
+    expected = trace_quantum_config(J, (2,), cfg, ())
+    heavy = len(expected.terms)
+    assert heavy > 2
+    clear_trace_cache()
+    monkeypatch.setattr(_packed_trace, "maxweight", 2 * heavy - 1)
+    assert trace_quantum_config(J, (2,), cfg, ()) == expected
+    assert trace_quantum_config(J, (2,), cfg, ()) == expected
+    assert _packed_trace.cache_info()[:5] == (0, 2, CACHE_SIZE, 0, 0)
+    monkeypatch.setattr(_packed_trace, "maxweight", 2 * heavy)
+    assert trace_quantum_config(J, (2,), cfg, ()) == expected
+    assert _packed_trace.cache_info()[3:5] == (1, heavy)
+
+
+def test_a_load_past_a_small_weight_bound_keeps_within_it_and_its_results(monkeypatch):
+    # both caches at a small weight bound: a load of straightening, traces
+    # and reduction-ideal images that stores many times the bound keeps the
+    # held weight within it after every put, and every result equals the
+    # run at the default bound
+    def load():
+        rng = random.Random(12)
+        results = []
+        for quiver in small_quivers():
+            dim = (2,) * len(quiver.vertices)
+            for _ in range(3):
+                cfg = random_configuration(rng, quiver, max_letters=8, max_idempotents=1)
+                results.append(straighten(quiver, cfg))
+                results.append(trace_quantum(lift_necklace(quiver, random_necklace(rng, quiver, 6)), dim))
+            for necklace, vertex, mark in enumerate_generators(quiver, 3):
+                image = generator_image(quiver, dim, necklace, vertex, mark)
+                results.append([image.chi(r, lam) for r, lam in _BINDS])
+                results.append((image.spliced, image.expanded))
+        return results
+
+    clear_straighten_cache()
+    clear_trace_cache()
+    expected = load()
+    bounds = {id(_normal_form): 64, id(_packed_trace): 512}
+    stored = dict.fromkeys(bounds, 0)
+    put = GenerationalCache.put
+
+    def checked(cache, key, value):
+        put(cache, key, value)
+        if id(cache) in bounds:
+            stored[id(cache)] += cache._weight(value)
+            info = cache.cache_info()
+            assert info.weight <= bounds[id(cache)] and info.weight == _held_weight(cache, cache._weight)
+
+    clear_straighten_cache()
+    clear_trace_cache()
+    for cache in (_normal_form, _packed_trace):
+        monkeypatch.setattr(cache, "maxweight", bounds[id(cache)])
+    monkeypatch.setattr(GenerationalCache, "put", checked)
+    assert load() == expected
+    assert all(stored[key] > 4 * bound for key, bound in bounds.items())
 
 
 def test_straighten_entries_share_their_canonical_terms():

@@ -348,3 +348,19 @@ def test_tensor_term_order_is_the_order_of_the_path_strs():
         for (p, q), c in sorted(t.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
     )
     assert format_tensor(t) == old
+
+
+def test_the_unit_monomial_prints_as_its_bare_coefficient(J):
+    # as in format_qpa, the unit term of a symmetric element is its
+    # coefficient alone: ``2``, not ``2*1``
+    from nhq.expr import format_sym
+    from nhq.necklace import canonical_necklace
+    from nhq.schedler import SymElement
+
+    x = canonical_necklace(J, (Letter(0, False),))
+    unit = lambda c: SymElement.of(J, [], c)
+    assert format_sym(unit(2)) == "2"
+    assert format_sym(unit(1 + 2 * HBarPolynomial.h())) == "(1 + 2*h)"
+    assert format_sym(unit(2) + SymElement.of(J, [x], 3)) == "2 + 3*[x]"
+    assert format_sym(unit(-1) + SymElement.of(J, [x, x], 1)) == "-1 + [x] & [x]"
+    assert format_sym(unit(1)) == "1" and format_sym(unit(0)) == "0"

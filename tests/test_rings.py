@@ -50,6 +50,17 @@ def test_str_forms():
     assert str(HBarPolynomial.constant(Fraction(-3, 2))) == "-3/2"
 
 
+@pytest.mark.parametrize("c", [0, 3, -1, Fraction(3, 2)])
+def test_a_constant_hashes_as_the_scalar_it_equals(c):
+    # equal objects hash equal, so a constant is found in a set or a dict
+    # keyed by its scalar, and the scalar in one keyed by the constant
+    p = HBarPolynomial.constant(c)
+    assert p == c and hash(p) == hash(c)
+    assert p in {c} and c in {p}
+    assert {c: "v"}.get(p) == "v" and {p: "v"}.get(c) == "v"
+    assert len({p, c, Fraction(c)}) == 1
+
+
 def test_exactness_rejects_floats():
     with pytest.raises(TypeError):
         HBarPolynomial((0.5,))
@@ -108,7 +119,10 @@ class FractionPolynomial:
         return FractionPolynomial(self.coeffs[1:])
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant hashes as its scalar, as HBarPolynomial's do
+        if len(self.coeffs) > 1:
+            return hash(self.coeffs)
+        return hash(self.coeffs[0] if self.coeffs else 0)
 
     def __str__(self):
         pieces = []
