@@ -181,11 +181,16 @@ class WeylElement(_PackedOperator):
     def rees_degrees(self) -> set:
         """All h-grading degrees present: derivative count plus h power.
         The derivative count, the sum of a key's derivative fields, is
-        read one bit plane of the fields at a time."""
+        read one bit plane of the fields at a time, each plane over all
+        the distinct tops (derivative half and h field) at once."""
         codec = self._codec
-        split, planes = codec.split, [(codec._ones << b, b) for b in range(codec.width)]
-        tops = {key >> split for key in self._packed}  # the derivative half and the h field
-        return {sum([(top & ones).bit_count() << b for ones, b in planes]) + (top >> split) for top in tops}
+        split = codec.split
+        tops = list({key >> split for key in self._packed})
+        degrees = [top >> split for top in tops]
+        for b in range(codec.width):
+            ones = codec._ones << b
+            degrees = [d + ((top & ones).bit_count() << b) for d, top in zip(degrees, tops)]
+        return set(degrees)
 
 
 class PolyElement(_PackedOperator):
@@ -515,9 +520,9 @@ def tau_kernel(quiver: Quiver, dim) -> list:
 
 #: Largest number of index assignments (the brute-force term count, the
 #: product of the index ranges) a contraction accepts.  The accumulated
-#: terms grow with this count, not with the O(m d^3) tuples visited, so a
-#: larger contraction is refused with ``WorkLimitError`` (a
-#: ``DimensionError``) before any product.
+#: terms grow with this count, not with the O(m d^3) triples of its plan
+#: (``_plan``), so a larger contraction is refused with ``WorkLimitError``
+#: (a ``DimensionError``) before any plan or product.
 MAX_INDEX_ASSIGNMENTS = 1 << 20
 
 
@@ -715,37 +720,99 @@ def _times(acc: dict, token, mask: int, out: dict) -> None:
             out[k] = get(k, 0) + c * b
 
 
+#: Most (source, token, destination) triples the plan cache ``_plans``
+#: holds, at most half of them in each generation.  It is a budget of 32
+#: MiB of plans at 32 B a triple, rounded up from the bytes a held triple
+#: takes under ``tracemalloc`` (Python 3.11): 24-31 B in a plan's own
+#: tuples (one slot per int, state and token numbers below 257 being
+#: shared small ints), 32.5 B with the keys and entries of the plans of a
+#: cold ``solve_chi`` of jordan (3,) at length 6.  The benchmark's loads
+#: hold at most 1,112 triples (51 plans, 26 seed-1 reduction rounds).
+PLAN_WEIGHT = 1 << 20
+
+
+def _plan_weight(plan) -> int:
+    """The (source, token, destination) triples a contraction plan holds."""
+    return sum([len(triples) for _, triples in plan[0]]) // 3
+
+
+#: The bounded memo of contraction plans (``_plan``), a
+#: ``schedler.GenerationalCache`` of at most ``CACHE_SIZE`` plans and
+#: ``PLAN_WEIGHT`` triples, keyed by a contraction's shape: the (i, j)
+#: variables of its slots in multiplication order, the length of each
+#: variable's range and its free variables.  A plan holds only tuples of
+#: ints, so CPython stops tracking it.
+_plans = GenerationalCache(CACHE_SIZE, _plan_weight, PLAN_WEIGHT)
+
+
+def _plan(pairs: tuple, lengths: tuple, free: tuple) -> tuple:
+    """The index schedule of a contraction of the shape (``pairs``,
+    ``lengths``, ``free``): slot t multiplies the token of its variables
+    ``pairs[t]`` = (i, j), variable v takes ``lengths[v]`` values, and the
+    ``free`` variables stay unsummed.
+
+    A state is an assignment of the live variables, those met and still
+    read by a later slot or free; each slot's states are numbered in the
+    order they are first reached.  The plan is (steps, finals): one step
+    (state count, triples) per slot, ``triples`` a flat tuple (source,
+    token, destination, ...) in which the token of values (a, b) of (i,
+    j), counted from 0, is number a lengths[j] + b; and ``finals``, the
+    positions in their ranges of the ``free`` variables of each final
+    state, one after the other.  Each variable not in ``free`` is summed as
+    soon as the last slot reading it has been multiplied, so a cyclic
+    word of m letters at dimension d takes O(m d^3) triples, not d^m."""
+    last = {}
+    for t, (i, j) in enumerate(pairs):
+        last[i] = last[j] = t
+    live, states, steps = (), {(): 0}, []
+    for t, (i, j) in enumerate(pairs):
+        new = tuple(v for v in dict.fromkeys((i, j)) if v not in live)
+        grown = live + new
+        live = tuple(v for v in grown if v in free or last[v] > t)
+        at = [grown.index(v) for v in (i, j) + live]
+        out, triples, width = {}, [], lengths[j]
+        for key, s in states.items():
+            for ext in itertools.product(*(range(lengths[v]) for v in new)):
+                ks = key + ext
+                d = out.setdefault(tuple([ks[p] for p in at[2:]]), len(out))
+                triples += (s, ks[at[0]] * width + ks[at[1]], d)
+        steps.append((len(out), tuple(triples)))
+        states = out
+    at = [live.index(v) for v in free]
+    return tuple(steps), tuple([key[p] for key in states for p in at])
+
+
 def _contract(slots, ranges, mask: int, free=()):
     """Sum over all index variables of the product of the slot tokens.
 
     ``slots`` lists ``(entry, i, j)`` in multiplication order; its token is
     ``entry(k_i, k_j)`` and ``ranges[v]`` holds the values of variable v.
-    Accumulators are packed term dicts starting from the unit ``{0: 1}``,
-    multiplied in place by ``_times``.  Each variable not in ``free`` is
-    summed as soon as the last slot using it has been multiplied, so
-    tr(M_1 ... M_m) costs O(m d^3) token products instead of O(d^m).  Every
-    free variable must occur in some slot.  The result maps each assignment
-    of the ``free`` variables to the packed term dict of its entry.
+    It runs the plan of its shape (``_plan``), read from the plan cache
+    ``_plans`` and, on a miss, built and stored: each slot's tokens are
+    made once, d_i d_j ``entry`` calls, and the sums are a list of packed
+    term dicts indexed by state, starting from the unit ``{0: 1}``, each
+    triple multiplying its source's sum by its token into its destination
+    (``_times``).  Every free variable must occur in some slot.  The result
+    maps each assignment of the ``free`` variables to the packed term dict
+    of its entry.
     """
-    last = {}
-    for t, (_, i, j) in enumerate(slots):
-        last[i] = last[j] = t
-    live = ()
-    sums = {(): {0: 1}}
-    for t, (entry, i, j) in enumerate(slots):
-        new = tuple(v for v in dict.fromkeys((i, j)) if v not in live)
-        grown = live + new
-        live = tuple(v for v in grown if v in free or last[v] > t)
-        at = [grown.index(v) for v in (i, j) + live]
-        out = {}
-        for key, acc in sums.items():
-            for ext in itertools.product(*(ranges[v] for v in new)):
-                ks = key + ext
-                kept = tuple(ks[p] for p in at[2:])
-                _times(acc, entry(ks[at[0]], ks[at[1]]), mask, out.setdefault(kept, {}))
+    shape = (tuple([(i, j) for _, i, j in slots]), tuple(map(len, ranges)), free)
+    plan = _plans.get(shape)
+    if plan is None:
+        plan = _plan(*shape)
+        _plans.put(shape, plan)
+    steps, finals = plan
+    sums = [{0: 1}]
+    for (entry, i, j), (count, triples) in zip(slots, steps):
+        tokens = [entry(row, col) for row in ranges[i] for col in ranges[j]]
+        out = [{} for _ in range(count)]
+        it = iter(triples)
+        for s, k, d in zip(it, it, it):
+            _times(sums[s], tokens[k], mask, out[d])
         sums = out
+    n = len(free)
     return {
-        tuple(key[live.index(v)] for v in free): value for key, value in sums.items()
+        tuple([ranges[v][x] for v, x in zip(free, finals[s * n : s * n + n])]): value for s, value in enumerate(sums)
     }
 
 
@@ -769,8 +836,11 @@ def _contract_packed(quiver: Quiver, dim, codec: _Codec, cfg, quantum: bool, end
     """The packed sums of ``_contract`` for the coded configuration ``cfg``
     = (codes, heights, idems) in ``codec``: its letter matrices multiply in
     height order, operator tokens when ``quantum`` and coordinates
-    otherwise.  Without ``ends`` every word is a cycle and () maps to the
-    trace, times dim[v] for each idempotent factor v.  With ``ends`` =
+    otherwise.  The letters give the slots' tokens and the heights, the
+    dimensions and ``ends`` the shape whose plan ``_contract`` runs, so
+    configurations of one shape over other letters share a plan.  Without
+    ``ends`` every word is a cycle and () maps to the trace, times dim[v]
+    for each idempotent factor v.  With ``ends`` =
     (rows, cols) the one word is open and each (row, col) maps to that
     entry of its product; the empty open word is the identity matrix, the
     unit ``{0: 1}`` where row == col."""
@@ -795,13 +865,14 @@ def _contract_packed(quiver: Quiver, dim, codec: _Codec, cfg, quantum: bool, end
 
 
 def _kept_weight(value) -> int:
-    """The (key, coefficient) pairs a trace-cache value holds: those of a
-    flat trace, or the summands of a kept image and the pairs of its P, T
-    and D, P counted once when it is T's tuple."""
+    """The pairs a trace-cache value holds: the (key, coefficient) pairs of
+    a flat trace, or those of a kept image's four flat tuples, G's (cfg,
+    coefficient) summands and the packed pairs of its P, T and D, P
+    counted once when it is T's tuple."""
     if not value or type(value[0]) is not tuple:
         return len(value) >> 1
-    summands, P, T, D = value
-    return len(summands) + (len(T) + len(D) + (0 if P is T else len(P))) // 2
+    G, P, T, D = value
+    return (len(G) + len(T) + len(D) + (0 if P is T else len(P))) >> 1
 
 
 #: The one bounded memo of traced results, a ``schedler.GenerationalCache``
@@ -876,7 +947,10 @@ def _closed_sum(quiver: Quiver, dim, codec: _Codec, items, quantum: bool, keep: 
     read from ``_packed_trace`` with ``get`` under (quiver, dim, arrows,
     width, cfg) and, on a miss, contracted in ``codec`` and, when
     ``keep``, stored with ``put``; a classical one is contracted the same
-    way and not kept."""
+    way and not kept.  A lone quantum item of scale 1, as every
+    ``trace_quantum`` of one configuration is, is its flat trace read into
+    a fresh dict: a contraction's coefficients are positive, so the trace
+    holds no zero and no key twice."""
     out: dict = {}
     get, hunit, read = out.get, codec.hunit, _packed_trace.get
     for cfg, scale in items:
@@ -887,6 +961,9 @@ def _closed_sum(quiver: Quiver, dim, codec: _Codec, items, quantum: bool, keep: 
                 traced = _flat(_contract_packed(quiver, dim, codec, cfg, True)[()])
                 if keep:
                     _packed_trace.put(key, traced)
+            if len(items) == 1 and list(scale) == [(0, 1)]:
+                it = iter(traced)
+                return dict(zip(it, it))
         else:
             traced = _flat(_contract_packed(quiver, dim, codec, cfg, False)[()])
         for k, m in scale:
@@ -918,7 +995,8 @@ def _closed_sum(quiver: Quiver, dim, codec: _Codec, items, quantum: bool, keep: 
 # when lambda != 0, P = T at grade v.  So the image depends only on
 # (quiver, dim, vertex, marked word), and ``ideal_image`` keeps it in the
 # same trace cache under that key: a miss (``_image_parts``) keeps what chi
-# reads, P, T and D = G - E as flat int tuples, and G's summands.  A hit
+# reads, P, T and D = G - E as flat int tuples, and G's summands, its
+# normal form as one flat tuple (cfg0, c0, cfg1, c1, ...).  A hit
 # reads them back, with nothing straightened, charged or summed; G, which
 # only ``target`` and ``expansion`` read, is summed again from the cached
 # traces when it is read.  So the miss stores the traces of G's and P's
@@ -936,6 +1014,13 @@ def _ideal_codec(quiver: Quiver, dim, vertex: int, word) -> _Codec:
     ``vertex``, sized for the word and one moment pair."""
     arrows = set(_arrows_at(quiver, (vertex,))).union(letter.arrow for letter in word)
     return _codec(quiver, dim, tuple(sorted(arrows)), _width(len(word) + 2))
+
+
+def _graded(pairs, n: int) -> list:
+    """The ``_closed_sum`` items of the (cfg, c) ``pairs`` of an n-letter
+    part: a term of fewer letters at the power of h that makes up the
+    difference, half a unit a letter."""
+    return [(cfg, (((n - sum(map(len, cfg[0]))) // 2, c),)) for cfg, c in pairs]
 
 
 def _ratio(lhs: dict, base: dict, shift: int):
@@ -970,10 +1055,12 @@ class IdealImage:
 
     ``word`` is the marked word of v letters; ``cycle`` (P), ``diagonal``
     (T) and ``difference`` (G - E) are traced packed int dicts of the
-    comment above, and ``summands`` are the ``_closed_sum`` items of the
-    spliced part G.  ``chi(r, lam)`` solves the character value at
-    order-h weight r and deformation lam from P, T and G - E alone; at r =
-    0 it copies nothing.  Only ``target`` and ``expansion`` read G, which
+    comment above, and ``summands`` is the normal form of the spliced part
+    G as one flat tuple (cfg0, c0, cfg1, c1, ...), coded cfgs and int
+    coefficients, read as ``_closed_sum`` items (``_graded``).
+    ``chi(r, lam)`` solves the character value at order-h weight r and
+    deformation lam from P, T and G - E alone; at r = 0 it copies
+    nothing.  Only ``target`` and ``expansion`` read G, which
     is most of an image's weight and is not kept: it is summed again from
     its summands through the trace cache on its first read, and
     ``expanded`` = E is G - (G - E), derived when read.  ``ideal_image``
@@ -998,8 +1085,10 @@ class IdealImage:
     @cached_property
     def spliced(self) -> dict:
         """G, summed from its ``summands`` under their charge."""
-        _charge(self.quiver, self.dim, ["".join(cfg[0]) for cfg, _ in self.summands])
-        return _closed_sum(self.quiver, self.dim, self.codec, self.summands, True)
+        it = iter(self.summands)
+        items = _graded(zip(it, it), self.v + 2)
+        _charge(self.quiver, self.dim, ["".join(cfg[0]) for cfg, _ in items])
+        return _closed_sum(self.quiver, self.dim, self.codec, items, True)
 
     @cached_property
     def expanded(self) -> dict:
@@ -1054,10 +1143,10 @@ class IdealImage:
 
 def _image_parts(quiver: Quiver, dim: tuple, vertex: int, word: tuple) -> tuple:
     """What the trace cache keeps of the image of the generator of the
-    marked ``word`` at ``vertex``: G's summands, and P, T and D = G - E as
-    flat int tuples (key0, c0, key1, c1, ...) (``_flat``), P the tuple of
-    T when they are equal, as they are whenever the grade-v comparison
-    holds.
+    marked ``word`` at ``vertex``: G's summands, its normal form as one
+    flat tuple (cfg0, c0, ...), and P, T and D = G - E as flat int tuples
+    (key0, c0, key1, c1, ...) (``_flat``), P the tuple of T when they are
+    equal, as they are whenever the grade-v comparison holds.
 
     The four parts of ``schedler.ideal_normal_forms`` are charged once,
     together (``_charge``), and each is summed from the trace cache into a
@@ -1068,14 +1157,11 @@ def _image_parts(quiver: Quiver, dim: tuple, vertex: int, word: tuple) -> tuple:
     parts = ideal_normal_forms(quiver, word, vertex)
     _charge(quiver, dim, ["".join(codes) for codes, _, _ in set().union(*parts)])
     codec, v = _ideal_codec(quiver, dim, vertex, word), len(word)
-    items = [
-        tuple((cfg, (((n - sum(map(len, cfg[0]))) // 2, c),)) for cfg, c in part.items())
-        for part, n in zip(parts, (v + 2, v, v, v + 2))
-    ]
+    items = [_graded(part.items(), n) for part, n in zip(parts, (v + 2, v, v, v + 2))]
     G, P = (_closed_sum(quiver, dim, codec, part, True) for part in items[:2])
     T, E = (_closed_sum(quiver, dim, codec, part, True, keep=False) for part in items[2:])
     kept_T = _flat(T)
-    return items[0], kept_T if P == T else _flat(P), kept_T, _flat(_minus(G, E))
+    return _flat(parts[0]), kept_T if P == T else _flat(P), kept_T, _flat(_minus(G, E))
 
 
 def ideal_image(quiver: Quiver, dim: tuple, vertex: int, word: tuple) -> IdealImage:

@@ -159,7 +159,9 @@ def _config(key) -> HeightConfiguration:
 #: an old entry to the young generation, so an entry survives at least
 #: ``CACHE_SIZE // 2`` stores after its last read while they weigh less
 #: than ``CACHE_WEIGHT // 2``.  The count bounds the keys and dict slots,
-#: the weight the values: one entry can hold a million pairs.
+#: the weight the values: one entry can hold a million pairs.  The
+#: contraction plans of ``repspace`` (``_plans``) are kept within the same
+#: count, their weight bounded by ``repspace.PLAN_WEIGHT``.
 CACHE_SIZE = 1 << 16
 
 #: Most weight each of the two result caches holds: the (key, coefficient)
@@ -205,8 +207,9 @@ class GenerationalCache:
     plain dicts, a young and an old generation, with no per-entry link.
 
     Two bounds hold at once: at most ``maxsize`` entries and at most
-    ``maxweight`` held weight, the sum over the entries of
-    ``weight(value)``, the (key, coefficient) pairs a value holds.  Each
+    ``maxweight`` held weight (by default ``CACHE_WEIGHT``), the sum over
+    the entries of ``weight(value)``, by default the (key, coefficient)
+    pairs a value holds.  Each
     generation takes half of each.  ``put`` stores into the young dict; a
     store that finds it holding ``maxsize // 2`` entries, or whose value
     would take its weight past ``maxweight // 2``, first makes it the old
@@ -241,9 +244,9 @@ class GenerationalCache:
         "_misses",
     )
 
-    def __init__(self, maxsize: int, weight=_flat_weight):
+    def __init__(self, maxsize: int, weight=_flat_weight, maxweight: int = CACHE_WEIGHT):
         self.maxsize = maxsize
-        self.maxweight = CACHE_WEIGHT
+        self.maxweight = maxweight
         self._weight = weight
         self.cache_clear()
 

@@ -6,6 +6,8 @@ same contraction on the tuple form of the rings' keys: a Weyl monomial is
 polynomial monomial a sorted tuple of ``((arrow, starred, row, col), exp)``.
 Each token product builds the next tuple and adds it into a term dict with
 ``add_into``; coefficients are ``HBarPolynomial``s and ``Fraction``s.
+The same loop on packed term dicts (``contract_packed``) is the index-tuple
+kernel that the library's planned one replaced.
 """
 
 import itertools
@@ -13,7 +15,7 @@ import math
 from fractions import Fraction
 
 from linear_oracle import add_into
-from nhq.repspace import PolyElement, WeylElement, _check_assignments, tau_pairs
+from nhq.repspace import PolyElement, WeylElement, _check_assignments, _times, tau_pairs
 from nhq.rings import HBarPolynomial
 
 
@@ -89,6 +91,13 @@ def contract(slots, ranges, unit, times, free=()):
     return {
         tuple(key[live.index(v)] for v in free): value for key, value in sums.items()
     }
+
+
+def contract_packed(slots, ranges, mask: int, free=()):
+    """``repspace._contract`` as it ran before contraction plans: the loop
+    of ``contract`` over index tuples, one ``entry`` call per tuple, on
+    packed term dicts multiplied by ``repspace._times``."""
+    return contract(slots, ranges, {0: 1}, lambda acc, token, out: _times(acc, token, mask, out), free)
 
 
 def contract_letters(quiver, dim, words, quantum: bool, ends=None):

@@ -14,6 +14,7 @@ from nhq import (
     QPAElement,
     ReductionParameters,
     WorkLimitError,
+    block_matrix,
     canonical_necklace,
     decompose_ideal_image,
     ideal_generator,
@@ -41,7 +42,7 @@ from nhq.schedler import (
     ideal_normal_forms,
     marked_word,
 )
-from nhq.repspace import _packed_trace
+from nhq.repspace import PLAN_WEIGHT, _kept_weight, _packed_trace, _plan_weight, _plans
 from nhq.trace import clear_trace_cache, enumerate_generators, generator_image, trace_quantum
 from test_straighten_oracle import coded_form, key_form, split_key
 
@@ -305,7 +306,7 @@ def test_a_kept_image_charges_its_spliced_part_when_read(J, monkeypatch):
     p, dim = canonical_necklace(J, (x, xs, x)), (2,)
     expected = generator_image(J, dim, p, 0, 0).spliced
     image = generator_image(J, dim, p, 0, 0)
-    total = sum(2 ** sum(map(len, cfg[0])) for cfg, _ in image.summands)
+    total = sum(2 ** sum(map(len, cfg[0])) for cfg in image.summands[::2])
     contractions = []
     contract = repspace._contract
     monkeypatch.setattr(repspace, "_contract", lambda *a: contractions.append(a) or contract(*a))
@@ -372,6 +373,9 @@ def test_every_module_cache_is_bounded():
     assert sizes["schedler._normal_form"] == sizes["repspace._packed_trace"] == CACHE_SIZE
     assert type(_normal_form) is type(_packed_trace) is GenerationalCache
     assert _normal_form.cache_parameters()["maxweight"] == _packed_trace.cache_parameters()["maxweight"] == CACHE_WEIGHT
+    # the contraction plans, bounded by the triples they hold
+    assert sizes["repspace._plans"] == CACHE_SIZE and type(_plans) is GenerationalCache
+    assert _plans.cache_parameters()["maxweight"] == PLAN_WEIGHT
 
 
 def _cache_entries(cache):
@@ -560,14 +564,13 @@ def test_a_miss_read_or_refused_stores_nothing():
 def test_both_caches_keep_their_bound_and_weight_past_three_times_the_cap(monkeypatch):
     # the straighten and trace caches at a cap of 64: a load of straightening
     # and reduction-ideal images past three times the cap keeps both within
-    # it, their weights the pairs of the values they hold (a kept image's
-    # summands and the pairs of its P, T and D), and every result exact
+    # it, their weights the pairs of the values they hold (the pairs of a
+    # kept image's G summands, P, T and D), and every result exact
     from nhq import repspace
 
     def image_weight(value):
         if value and type(value[0]) is tuple:
-            summands, P, T, D = value
-            return len(summands) + sum(len(part) // 2 for part in {id(part): part for part in (P, T, D)}.values())
+            return sum(len(part) // 2 for part in {id(part): part for part in value}.values())
         return len(value) // 2
 
     clear_straighten_cache()
@@ -766,3 +769,97 @@ def test_straightening_splits_no_key():
     for key, _ in entries:
         head, word, succ, idems = split_key(key)
         assert key == _form_key(head, word, succ, list(map(ord, idems)))
+
+
+def test_contractions_of_one_shape_share_one_plan_of_untracked_ints(L2):
+    # a plan depends on the slots' variables, the range lengths and the
+    # free variables, not on the letters: the traces of x'x and y'y run one
+    # plan, of 4 + 4 triples at d = 2; a load of qtrace's shapes keeps only
+    # tuples of ints, which the collector stops tracking
+    x, y = Letter(0, False), Letter(1, False)
+    clear_trace_cache()
+    _plans.cache_clear()
+    for a in (x, y):
+        trace_quantum_config(L2, (2,), (((a.star(), 1), (a, 2)),), ())
+    assert _plans.cache_info() == (1, 1, CACHE_SIZE, 1, 8, PLAN_WEIGHT)
+    ((shape, plan),) = _cache_entries(_plans)
+    assert shape == (((0, 1), (1, 0)), (2, 2), ()) and _plan_weight(plan) == 8
+    rng = random.Random(4)
+    for quiver in small_quivers():
+        for length, d in ((6, 2), (4, 3)):
+            dim = (d,) * len(quiver.vertices)
+            trace_quantum(lift_necklace(quiver, random_necklace(rng, quiver, length)), dim)
+            block_matrix(lift_necklace(quiver, random_necklace(rng, quiver, 3, allow_idempotent=False)), dim, "quantum")
+    # a plan nests four deep (plan, steps, one step, its triples), and each
+    # collection untracks one level
+    for _ in range(5):
+        gc.collect()
+    entries = _cache_entries(_plans)
+    assert len(entries) == _plans.cache_info().currsize > 10
+    assert _plans.cache_info().weight == sum(_plan_weight(plan) for _, plan in entries)
+    assert not any(gc.is_tracked(shape) or gc.is_tracked(plan) for shape, plan in entries)
+
+
+def test_a_plan_over_the_budget_is_used_and_not_kept(J, monkeypatch):
+    # a plan heavier than a generation's half of ``PLAN_WEIGHT`` is run and
+    # dropped: the trace is exact, and read again the plan is made again
+    x = Letter(0, False)
+    cfg = (((x.star(), 1), (x, 2), (x.star(), 3), (x, 4)),)
+    expected = trace_quantum_config(J, (3,), cfg, ())
+    heavy = _plan_weight(_plans.get((((0, 1), (1, 2), (2, 3), (3, 0)), (3,) * 4, ())))
+    assert heavy > 3
+    _plans.cache_clear()
+    monkeypatch.setattr(_plans, "maxweight", 2 * heavy - 1)
+    for misses in (1, 2):
+        clear_trace_cache()
+        assert trace_quantum_config(J, (3,), cfg, ()) == expected
+        assert _plans.cache_info()[:5] == (0, misses, CACHE_SIZE, 0, 0)
+    monkeypatch.setattr(_plans, "maxweight", 2 * heavy)
+    clear_trace_cache()
+    assert trace_quantum_config(J, (3,), cfg, ()) == expected
+    assert _plans.cache_info()[3:5] == (1, heavy)
+
+
+def test_a_refused_contraction_leaves_no_plan(J, monkeypatch):
+    # ``MAX_INDEX_ASSIGNMENTS`` refuses a trace, a block matrix and a
+    # generator image before any plan is looked up or built
+    from nhq import repspace
+
+    x, xs = Letter(0, False), Letter(0, True)
+    p = canonical_necklace(J, (x, xs, x))
+    calls = [
+        lambda: trace_quantum_config(J, (2,), (((xs, 1), (x, 2), (x, 3)),), ()),
+        lambda: block_matrix(lift_necklace(J, p), (2,), "quantum"),
+        lambda: generator_image(J, (2,), p, 0, 0),
+    ]
+    clear_straighten_cache()
+    clear_trace_cache()
+    _plans.cache_clear()
+    monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", 7)
+    for call in calls:
+        with pytest.raises(WorkLimitError, match="above the limit 7"):
+            call()
+    assert _plans.cache_info()[:5] == (0, 0, CACHE_SIZE, 0, 0)
+    monkeypatch.undo()
+    for call in calls:
+        call()
+    assert _plans.cache_info().currsize > 0
+
+
+def test_a_kept_image_weighs_the_pairs_of_its_four_flat_tuples(J):
+    # the image of x x' x at its first visit, d = 2: G's normal form (two
+    # (cfg, c) summands) as one flat tuple, T (= P, counted once) and D of
+    # ten packed pairs each, 22 pairs in all
+    from nhq import repspace
+
+    x, xs = Letter(0, False), Letter(0, True)
+    p, dim = canonical_necklace(J, (x, xs, x)), (2,)
+    word = marked_word(J, p, 0, 0)
+    clear_trace_cache()
+    image = generator_image(J, dim, p, 0, 0)
+    entry = _packed_trace.get((repspace._image_parts, J, dim, 0, word))
+    G, P, T, D = entry
+    spliced = ideal_normal_forms(J, word, 0)[0]
+    assert G == tuple(item for pair in spliced.items() for item in pair) == image.summands
+    assert P is T and (len(G), len(T), len(D)) == (4, 20, 20)
+    assert _kept_weight(entry) == 22

@@ -25,4 +25,9 @@ def test_the_cold_table_prints_one_json_line_per_cell():
             info = record[name]
             assert info["misses"] > 0 and 0 < info["currsize"] <= info["maxsize"]
             assert 0 < info["weight"] <= info["maxweight"]
+        # every contraction runs a plan: the cell's contractions are the
+        # plan cache's hits and misses, fewer plans than contractions
+        plans = record["plan_cache"]
+        assert 0 < plans["misses"] == plans["currsize"] < plans["hits"] + plans["misses"]
+        assert 0 < plans["weight"] <= plans["maxweight"]
     assert json.loads(lines[0])["straighten_cache"] == json.loads(lines[1])["straighten_cache"]

@@ -5,7 +5,10 @@ one by one, O(d^m) products per m-letter word.  The library contracts each
 index as soon as its last factor has been multiplied; both must give the
 same exact element.  The library multiplies monomials packed into ints;
 the tuple-keyed kernel it replaced (``contraction_oracle``) must give the
-same elements, also where an exponent fills its bit field.  The tuple
+same elements, also where an exponent fills its bit field, and the
+planned kernel, cold and on a cached plan, the same sums in the same order
+as the index-tuple loop it replaced (``contraction_oracle.contract_packed``).
+The tuple
 token products are checked against the general ``weyl_mul`` and
 ``poly_mul``, and the commutator, which forms only contracted terms,
 against the difference of the two products.
@@ -386,6 +389,52 @@ def test_packed_contraction_matches_the_tuple_kernel(case):
     q, d, words, quantum, ends = case
     expected = contraction_oracle.contract_letters(q, d, words, quantum, ends)
     assert _contracted(q, d, words, quantum, ends) == expected
+
+
+@st.composite
+def _shapes(draw):
+    """A closed configuration of several components with interleaved
+    heights, or one open word with the ends of a block or the one-value
+    ends (row,), (col,) of ``path_matrix_entry``; either ring."""
+    q = draw(st.sampled_from(small_quivers()))
+    d = tuple(draw(st.integers(1, 3)) for _ in q.vertices)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    quantum = draw(st.booleans())
+    kind = draw(st.sampled_from(["closed", "block", "entry"]))
+    if kind == "closed":
+        while True:
+            cfg = random_configuration(rng, q, max_letters=7, max_idempotents=0)
+            if len(cfg.components) > 1 and _interleaved(cfg.components):
+                return q, d, cfg.components, quantum, None
+    word = random_word(rng, q, max_len=5)
+    heights = list(range(1, len(word) + 1))
+    rng.shuffle(heights)
+    rows, cols = range(1, d[word[0].target(q)] + 1), range(1, d[word[-1].source(q)] + 1)
+    if kind == "entry":
+        rows, cols = (rng.choice(rows),), (rng.choice(cols),)
+    return q, d, (tuple(zip(word, heights)),), quantum, (rows, cols)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_shapes())
+def test_planned_contraction_equals_the_index_tuple_loop(case):
+    # every contraction ``contracted`` runs, cold and on its cached plan,
+    # gives the index-tuple loop's sums: the same assignments of the free
+    # variables, the same terms, in the same order
+    q, d, words, quantum, ends = case
+    calls = []
+    contract = repspace._contract
+    repspace._plans.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repspace, "_contract", lambda *a: calls.append((a, contract(*a))) or calls[-1][1])
+        _contracted(q, d, words, quantum, ends)
+    ((args, cold),) = calls
+    assert repspace._plans.cache_info()[:4] == (0, 1, repspace.CACHE_SIZE, 1)
+    warm = contract(*args)
+    assert repspace._plans.cache_info()[:4] == (1, 1, repspace.CACHE_SIZE, 1)
+    expected = contraction_oracle.contract_packed(*args)
+    ordered = lambda sums: [(key, list(terms.items())) for key, terms in sums.items()]
+    assert ordered(cold) == ordered(warm) == ordered(expected)
 
 
 def _jordan_word(text):

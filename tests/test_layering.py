@@ -2,8 +2,9 @@
 
 The contraction kernel packs each monomial into one int (``_Codec``) and
 multiplies on those ints (``_times``, ``_contract``,
-``_contract_packed``), charging each sum's index assignments first
-(``_charge``).  Every trace, block matrix and moment block is summed by
+``_contract_packed``), each contraction running the index schedule of its
+shape (``_plan``, kept in ``_plans``), charging each sum's index
+assignments first (``_charge``).  Every trace, block matrix and moment block is summed by
 one public front-end, ``contracted``, from coded configurations and
 ``int`` numerators, closed items summed by ``_closed_sum`` and quantum
 ones read from the trace cache (``_packed_trace``).  The reduction-ideal
@@ -69,6 +70,8 @@ PACKED = {
     "_times",
     "_contract",
     "_contract_packed",
+    "_plan",
+    "_plans",
     "_charge",
     "_closed_sum",
     "_packed_trace",

@@ -11,7 +11,9 @@ an ``nhq solve-chi`` command is, and prints one JSON line: the cell, its
 generator count, the solve's status (``solved`` or ``failed``, the class
 name of an exception it raised, or ``timeout``), the seconds the solve
 took, the process's peak RSS (``ru_maxrss``) in MB at its end, and the
-``cache_info()`` of the straighten and trace caches there.  With no cell
+``cache_info()`` of the straighten and trace caches and of the
+contraction plans there: the plans' hits count the contractions that
+reused a plan.  With no cell
 it runs the cold table of ROADMAP.md.
 """
 
@@ -60,6 +62,7 @@ def solve(cell: str) -> dict:
     record["peak_rss_mb"] = round(rss / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
     record["straighten_cache"] = schedler._normal_form.cache_info()._asdict()
     record["trace_cache"] = repspace._packed_trace.cache_info()._asdict()
+    record["plan_cache"] = repspace._plans.cache_info()._asdict()
     return record
 
 
