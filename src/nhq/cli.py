@@ -52,7 +52,11 @@ def _parse_assignments(text: str, what: str) -> dict:
         if "=" not in piece:
             raise ExpressionError(f"{what} entries look like name=value, got {piece!r}")
         name, _, value = piece.partition("=")
+        digits, _, exponent = value.lower().partition("e")
         try:
+            # Fraction writes an exponent out: refuse, as int does, more digits than Python's limit
+            if exponent and 0 < sys.get_int_max_str_digits() < sum(map(str.isdigit, digits)) + abs(int(exponent)):
+                raise ValueError(value)
             out[name.strip()] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
             raise ExpressionError(f"bad rational {value!r} in {what}") from None

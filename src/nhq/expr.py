@@ -6,7 +6,7 @@ trivial path; [ ... ] takes the necklace class; scalars are rationals p/q
 and h is the deformation parameter.  Quantum-algebra expressions use
 explicit height pairs (a,3), juxtaposition within a component, and '&'
 between symmetric factors.  Every printer here emits a canonical form that
-re-parses to an equal element.
+re-parses to an equal element.  Text past a bound of ``work`` is refused.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction
 from functools import partial
 
+from . import work
 from .errors import DimensionError, ExpressionError
 from .necklace import (
     HH0Element,
@@ -25,7 +26,7 @@ from .necklace import (
     necklace_key,
 )
 from .quiver import Letter, Path, PathAlgebraElement, Quiver, path_mul
-from .repspace import MAX_INDEX_ASSIGNMENTS, PolyElement, WeylElement
+from .repspace import PolyElement, WeylElement
 from .rings import HBarPolynomial
 from .schedler import HeightConfiguration, QPAElement, SymElement, make_configuration, straighten
 
@@ -33,12 +34,6 @@ from .schedler import HeightConfiguration, QPAElement, SymElement, make_configur
 # Tokenizer
 
 _SYMBOLS = set("+-*/.&[](),^'{}")
-
-#: Deepest bracket nesting the tokenizer accepts.  The parsers descend one
-#: level per bracket, so deeper input is refused before it can exhaust the
-#: interpreter's recursion limit.
-MAX_NESTING = 100
-
 
 def _is_word_char(ch: str) -> bool:
     """ASCII letters, digits and '_': names and integers are ASCII only."""
@@ -67,8 +62,7 @@ def tokenize(text: str):
         if ch in _SYMBOLS:
             if ch in "([{":
                 depth += 1
-                if depth > MAX_NESTING:
-                    raise ExpressionError(f"brackets nest deeper than {MAX_NESTING} levels", i)
+                work.check(depth, work.MAX_NESTING, "brackets nest deeper than {limit} levels", ExpressionError, i)
             elif ch in ")]}":
                 depth -= 1
             out.append(("sym", ch, i))
@@ -111,11 +105,6 @@ def _int_value(val: str, pos: int) -> int:
         raise ExpressionError(f"integer literal of {len(val)} digits is too long", pos) from None
 
 
-#: Largest exponent ``^n`` the parsers accept.  A larger one is refused at
-#: parse time, before any power is formed.
-MAX_EXPONENT = 4096
-
-
 def _read_exponent(stream: _Stream):
     """Consume ``^n`` and return n, or None when no ``^`` follows."""
     if stream.peek()[1] != "^":
@@ -125,8 +114,7 @@ def _read_exponent(stream: _Stream):
     if kind != "int":
         raise ExpressionError("expected an integer exponent", pos)
     n = _int_value(val, pos)
-    if n > MAX_EXPONENT:
-        raise ExpressionError(f"exponent {val} is above the limit {MAX_EXPONENT}", pos)
+    work.check(n, work.MAX_EXPONENT, f"exponent {val} is above the limit {{limit}}", ExpressionError, pos)
     return n
 
 
@@ -142,8 +130,8 @@ def _term_count(x) -> int:
 
 def _power(x, n: int, one, pos: int, mul=operator.mul):
     """x^n by square-and-multiply; x^0 is ``one``, the unit of ``mul``.
-    A product of more than MAX_INDEX_ASSIGNMENTS term pairs is refused
-    before it is formed, as an error in the text at ``pos``."""
+    A product of more than ``work.MAX_INDEX_ASSIGNMENTS`` term pairs is
+    refused before it is formed, as an error in the text at ``pos``."""
     out = one
     while n:
         if n & 1:
@@ -157,12 +145,8 @@ def _power(x, n: int, one, pos: int, mul=operator.mul):
 def _bounded_product(a, b, pos: int, mul):
     # the product has at most |a|*|b| terms; refuse it unformed
     size_a, size_b = _term_count(a), _term_count(b)
-    if size_a * size_b > MAX_INDEX_ASSIGNMENTS:
-        raise ExpressionError(
-            f"power needs a product of {size_a}*{size_b} terms, "
-            f"above the limit {MAX_INDEX_ASSIGNMENTS}",
-            pos,
-        )
+    message = f"power needs a product of {size_a}*{size_b} terms, above the limit {{limit}}"
+    work.check(size_a * size_b, work.MAX_INDEX_ASSIGNMENTS, message, ExpressionError, pos)
     return mul(a, b)
 
 

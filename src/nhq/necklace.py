@@ -8,6 +8,7 @@ from which the necklace bracket is recovered by multiply-then-project.
 This module also houses the moment element w = sum(a a' - a' a), its
 deformation by a vertex-wise constant, and the reduction-complex map that
 sends a framed gauge term (left, vertex, right) to left * w_vertex * right.
+Both brackets are refused past ``work.MAX_MERGE_LETTERS`` merge letters.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CompositionError, DimensionError, MismatchError, WorkLimitError
+from . import work
+from .errors import CompositionError, DimensionError, MismatchError
 from .linear import _PackedSums, bilinear, from_ints, int_terms, rekeyed
 from .quiver import (
     _LETTER,
@@ -299,28 +301,18 @@ def _merge_counts(a: str, p: int, ca: Counter, b: str, q: int, cb: Counter) -> d
     return {key: count for key, count in counts.items() if count}
 
 
-#: Most letters the merges of one necklace bracket, or the tensor terms of
-#: one double bracket, may hold, as counted by ``_check_merge_letters``.
-#: Output and time grow with this count, so a larger bracket is refused with
-#: ``WorkLimitError`` (a ``DimensionError``) before any merge is formed.
-MAX_MERGE_LETTERS = 1 << 24
-
-
 def _check_merge_letters(xs: dict, ys: dict, what: str) -> None:
     """Refuse the bracket of two dicts of coded words {code: (period,
     Counter of one period's codes)} whose merges could hold more than
-    ``MAX_MERGE_LETTERS`` letters: for each word pair, the contracting code
-    pairs of the grid the bracket walks times the k + l - 2 letters of a
-    merge."""
+    ``work.MAX_MERGE_LETTERS`` letters: for each word pair, the contracting
+    code pairs of the grid the bracket walks times the k + l - 2 letters of
+    a merge."""
     total = 0
     for a, (_, ca) in xs.items():
         for b, (_, cb) in ys.items():
             pairs = sum([m * cb[chr(ord(c) ^ 1)] for c, m in ca.items()])
             total += pairs * (len(a) + len(b) - 2)
-    if total > MAX_MERGE_LETTERS:
-        raise WorkLimitError(
-            f"{what} hold up to {total} letters, above the limit {MAX_MERGE_LETTERS}"
-        )
+    work.check(total, work.MAX_MERGE_LETTERS, what + " hold up to {amount} letters, above the limit {limit}")
 
 
 def necklace_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
@@ -341,7 +333,7 @@ def necklace_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
     merged word for them.  The operands' words were checked when they
     were packed, and a merge of two composable cycles at a contracted pair
     is composable, so nothing is checked here.  A bracket whose merges
-    could hold more than ``MAX_MERGE_LETTERS`` letters raises
+    could hold more than ``work.MAX_MERGE_LETTERS`` letters raises
     ``WorkLimitError`` before any merge is formed.
 
     Each distinct merge is rotated once, by three exact counting rules
@@ -423,7 +415,7 @@ def double_bracket(x: PathAlgebraElement, y: PathAlgebraElement) -> TensorElemen
     which is the unique extension by the Leibniz rule in the second slot and
     the twisted antisymmetry in the first.  Each contracting letter pair
     forms one term of k + l - 2 letters, so a double bracket whose terms
-    could hold more than ``MAX_MERGE_LETTERS`` letters raises
+    could hold more than ``work.MAX_MERGE_LETTERS`` letters raises
     ``WorkLimitError`` before any term is formed; paths have no rotations,
     so the count runs over all letters, not one period.
 

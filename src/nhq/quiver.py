@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
+from . import work
 from .errors import CompositionError, DimensionError, ExpressionError, MismatchError, QuiverFormatError
 from .linear import _PackedSums, bilinear, from_ints
 from .rings import as_fraction
@@ -344,11 +345,8 @@ def parse_quiver(text: str) -> Quiver:
     _require("arrows" in doc, "missing field 'arrows'", "document")
     raw_vertices = doc["vertices"]
     _require(isinstance(raw_vertices, list), "expected a list", "vertices")
-    _require(
-        len(raw_vertices) <= MAX_VERTICES,
-        f"{len(raw_vertices)} vertices, above the limit {MAX_VERTICES}",
-        "vertices",
-    )
+    message = "{amount} vertices, above the limit {limit}"
+    work.check(len(raw_vertices), MAX_VERTICES, message, QuiverFormatError, "vertices")
     vertices = []
     seen = set()
     for i, name in enumerate(raw_vertices):
@@ -359,11 +357,7 @@ def parse_quiver(text: str) -> Quiver:
         vertices.append(name)
     raw_arrows = doc["arrows"]
     _require(isinstance(raw_arrows, list), "expected a list", "arrows")
-    _require(
-        len(raw_arrows) <= MAX_ARROWS,
-        f"{len(raw_arrows)} arrows, above the limit {MAX_ARROWS}",
-        "arrows",
-    )
+    work.check(len(raw_arrows), MAX_ARROWS, "{amount} arrows, above the limit {limit}", QuiverFormatError, "arrows")
     arrows = []
     seen_arrows = set()
     vindex = {v: i for i, v in enumerate(vertices)}

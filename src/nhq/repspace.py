@@ -11,7 +11,7 @@ actions on coordinates, the packed traces of both rings, the blockwise
 quantum moment operator and the packed check of the reduction-ideal
 decomposition all live here.  Every trace, block matrix and moment block
 is a weighted sum of contractions of coded configurations, summed by one
-front-end, ``contracted``.
+front-end, ``contracted``, within ``work.MAX_INDEX_ASSIGNMENTS``.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .errors import DimensionError, MismatchError, WorkLimitError
+from . import work
+from .errors import DimensionError, MismatchError
 from .linear import LinearCombination, _PackedSums, bilinear, from_ints, rational_nullspace
 from .quiver import _LETTER, Letter, Quiver, _code, _ends, make_dimension_vector, moment_pairs
 from .rings import HBarPolynomial, _exact, as_fraction
-from .schedler import CACHE_SIZE, GenerationalCache, ideal_normal_forms
+from .schedler import ideal_normal_forms
 
 
 def _check_coord_bounds(quiver, dim, arrow, starred, row, col):
@@ -518,23 +519,6 @@ def tau_kernel(quiver: Quiver, dim) -> list:
 # ---------------------------------------------------------------------------
 # Index contraction
 
-#: Largest number of index assignments (the brute-force term count, the
-#: product of the index ranges) a contraction accepts.  The accumulated
-#: terms grow with this count, not with the O(m d^3) triples of its plan
-#: (``_plan``), so a larger contraction is refused with ``WorkLimitError``
-#: (a ``DimensionError``) before any plan or product.
-MAX_INDEX_ASSIGNMENTS = 1 << 20
-
-
-def _check_assignments(assignments: int) -> None:
-    """Refuse ``assignments`` index assignments above the limit."""
-    if assignments > MAX_INDEX_ASSIGNMENTS:
-        raise WorkLimitError(
-            f"contraction has {assignments} index assignments, "
-            f"above the limit {MAX_INDEX_ASSIGNMENTS}"
-        )
-
-
 @lru_cache(maxsize=256)
 def _coordinate_fields(quiver: Quiver, dim: tuple, arrows: tuple) -> tuple:
     """The coordinates (arrow, row, col) of the sorted ``arrows`` in sorted
@@ -720,29 +704,18 @@ def _times(acc: dict, token, mask: int, out: dict) -> None:
             out[k] = get(k, 0) + c * b
 
 
-#: Most (source, token, destination) triples the plan cache ``_plans``
-#: holds, at most half of them in each generation.  It is a budget of 32
-#: MiB of plans at 32 B a triple, rounded up from the bytes a held triple
-#: takes under ``tracemalloc`` (Python 3.11): 24-31 B in a plan's own
-#: tuples (one slot per int, state and token numbers below 257 being
-#: shared small ints), 32.5 B with the keys and entries of the plans of a
-#: cold ``solve_chi`` of jordan (3,) at length 6.  The benchmark's loads
-#: hold at most 1,112 triples (51 plans, 26 seed-1 reduction rounds).
-PLAN_WEIGHT = 1 << 20
-
-
 def _plan_weight(plan) -> int:
     """The (source, token, destination) triples a contraction plan holds."""
     return sum([len(triples) for _, triples in plan[0]]) // 3
 
 
 #: The bounded memo of contraction plans (``_plan``), a
-#: ``schedler.GenerationalCache`` of at most ``CACHE_SIZE`` plans and
-#: ``PLAN_WEIGHT`` triples, keyed by a contraction's shape: the (i, j)
+#: ``work.GenerationalCache`` of at most ``work.CACHE_SIZE`` plans and
+#: ``work.PLAN_WEIGHT`` triples, keyed by a contraction's shape: the (i, j)
 #: variables of its slots in multiplication order, the length of each
 #: variable's range and its free variables.  A plan holds only tuples of
 #: ints, so CPython stops tracking it.
-_plans = GenerationalCache(CACHE_SIZE, _plan_weight, PLAN_WEIGHT)
+_plans = work.GenerationalCache(work.CACHE_SIZE, _plan_weight, work.PLAN_WEIGHT)
 
 
 def _plan(pairs: tuple, lengths: tuple, free: tuple) -> tuple:
@@ -818,7 +791,7 @@ def _contract(slots, ranges, mask: int, free=()):
 
 def _charge(quiver: Quiver, dim, letters, ends=None) -> None:
     """Refuse to contract words whose index assignments add up to more
-    than ``MAX_INDEX_ASSIGNMENTS``; ``letters`` holds the letter codes of
+    than ``work.MAX_INDEX_ASSIGNMENTS``; ``letters`` holds the letter codes of
     each item's words as one str.  An item counts the product of its index
     ranges: one per letter, the block size at its target; with ``ends`` =
     (rows, cols) each item is one open word, its first range the rows and
@@ -829,7 +802,8 @@ def _charge(quiver: Quiver, dim, letters, ends=None) -> None:
         total = sum([corner * math.prod(map(size, s[1:])) for s in letters])
     else:
         total = sum([math.prod(map(size, s)) for s in letters])
-    _check_assignments(total)
+    message = "contraction has {amount} index assignments, above the limit {limit}"
+    work.check(total, work.MAX_INDEX_ASSIGNMENTS, message)
 
 
 def _contract_packed(quiver: Quiver, dim, codec: _Codec, cfg, quantum: bool, ends=None) -> dict:
@@ -875,15 +849,15 @@ def _kept_weight(value) -> int:
     return (len(G) + len(T) + len(D) + (0 if P is T else len(P))) >> 1
 
 
-#: The one bounded memo of traced results, a ``schedler.GenerationalCache``
+#: The one bounded memo of traced results, a ``work.GenerationalCache``
 #: read with ``get`` and stored with ``put`` by ``_closed_sum`` and
-#: ``ideal_image``, within ``CACHE_SIZE`` entries and ``CACHE_WEIGHT``
+#: ``ideal_image``, within ``work.CACHE_SIZE`` entries and ``work.CACHE_WEIGHT``
 #: pairs (``_kept_weight``).  It keeps two kinds of entry: the flat trace
 #: pairs of a coded configuration (``_flat``) under (quiver, dim, arrows,
 #: width, cfg), and what is kept of a generator image (``_image_parts``)
 #: under ``(_image_parts, quiver, dim, vertex, word)``.  The values hold
 #: only ``int`` and ``str``, so CPython stops tracking them.
-_packed_trace = GenerationalCache(CACHE_SIZE, _kept_weight)
+_packed_trace = work.GenerationalCache(work.CACHE_SIZE, _kept_weight)
 
 
 def _flat(terms: dict) -> tuple:

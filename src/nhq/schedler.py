@@ -48,10 +48,9 @@ as ``head + chr(N) + word + succ + idems``: ``head`` is ``chr`` of the
 number of arrows (two letter codes each) followed by each code's target
 vertex as a character (``_quiver_key``), and ``succ`` and the sorted
 ``idems`` hold one character per successor and per idempotent vertex,
-made by ``chr``.  The cache is a ``GenerationalCache``: two plain dicts,
-a young and an old generation, hold each key as it is, with no per-entry
-link, within ``CACHE_SIZE`` entries and ``CACHE_WEIGHT`` pairs.  The
-kernel reads it with ``get`` and stores with ``put``; a miss hands
+made by ``chr``.  The cache is a ``work.GenerationalCache``, which holds
+each key as it is.  The kernel reads it with ``get`` and stores with
+``put``; a miss hands
 ``_rewrite`` the parts ``_contracted`` built the key from, so no key is
 ever split.  Under each key the cache holds one flat tuple ``(coded
 key0, c0, coded key1, c1, ...)`` per normal form, all ``str`` and
@@ -73,22 +72,22 @@ on (r, lambda), to the packed reduction-ideal check as they are, once for
 every parameter set, with the closed words traced for Tr_q(p) and the tau
 re-expansion.
 
-Each call of those five counts the height swaps the kernel computes for it
-(cached normal forms cost none) and is refused with ``WorkLimitError``
-past ``MAX_REWRITES``: the normal form of a long word can take minutes.
+Each call of those five passes a budget of its own down with the memo, a
+list of the height swaps computed for it (cached normal forms cost none),
+and is refused past ``work.MAX_REWRITES``: a long word can take minutes.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from sys import intern
 
-from .errors import CompositionError, MismatchError, WorkLimitError
+from . import work
+from .errors import CompositionError, MismatchError
 from .linear import _PackedSums, bilinear, from_ints, int_terms, rekeyed
 from .necklace import (
     HH0Element,
@@ -150,152 +149,12 @@ def _config(key) -> HeightConfiguration:
     return cfg
 
 
-#: Entries kept by each of the two result caches (``GenerationalCache``),
-#: the default-strategy normal forms here (``_normal_form``) and the one
-#: trace cache of ``repspace`` (``_packed_trace``).  Each keeps its entries
-#: in a young and an old generation of at most ``CACHE_SIZE // 2`` entries
-#: and ``CACHE_WEIGHT // 2`` weight each: a store into a full young
-#: generation makes it the old one and drops the old one, and a read moves
-#: an old entry to the young generation, so an entry survives at least
-#: ``CACHE_SIZE // 2`` stores after its last read while they weigh less
-#: than ``CACHE_WEIGHT // 2``.  The count bounds the keys and dict slots,
-#: the weight the values: one entry can hold a million pairs.  The
-#: contraction plans of ``repspace`` (``_plans``) are kept within the same
-#: count, their weight bounded by ``repspace.PLAN_WEIGHT``.
-CACHE_SIZE = 1 << 16
-
-#: Most weight each of the two result caches holds: the (key, coefficient)
-#: pairs of its values, at most half of it in each generation
-#: (``GenerationalCache``).  It is a budget of 256 MiB of values per cache
-#: at 64 B a pair, rounded up from the bytes a held pair takes under
-#: ``tracemalloc`` (Python 3.11): about 60 B in the straighten cache after
-#: 60 pbw benchmark rounds (seed 1), and 57-61 B in the trace cache after a
-#: cold ``solve_chi`` of two_loop (3,) at length 4, two_loop (2,) at 5 or
-#: jordan (3,) at 6.  The benchmark's loads hold far less: at most 140,010
-#: pairs in the straighten cache (pbw) and 29,952 in the trace cache
-#: (qtrace).
-CACHE_WEIGHT = 1 << 22
-
-#: Most height swaps the kernel may compute for one call of ``straighten``,
-#: ``qpa_mul``, ``moment_lift``, ``ideal_generator`` or
-#: ``ideal_normal_forms`` (one call per generator, whatever its
-#: parameters); past it the call raises ``WorkLimitError``.  With cold
-#: caches, the benchmark and the golden CLI set need at most about 2,000
-#: swaps per call; an alternating Jordan word of 18 letters with heights
-#: shuffled by ``random.Random(0)`` needs 146,586 and one of 20 letters
-#: 450,106 (1.3 s and 4.2 s of work with cold caches on a 2-core Xeon,
-#: Python 3.11).
-MAX_REWRITES = 1 << 18
-
 #: Quivers whose key heads are kept (``_quiver_key``).
 _QUIVER_TABLES = 64
 
 #: Block-length layouts whose stacked heights are kept (``_stacked``); the
 #: pbw benchmark meets about 70.
 _LAYOUTS = 1 << 10
-
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize weight maxweight")
-
-
-def _flat_weight(value) -> int:
-    """The (key, coefficient) pairs of a flat value ``(key0, c0, key1, c1, ...)``."""
-    return len(value) >> 1
-
-
-class GenerationalCache:
-    """A bounded memo, read by ``get`` and stored by ``put``, kept in two
-    plain dicts, a young and an old generation, with no per-entry link.
-
-    Two bounds hold at once: at most ``maxsize`` entries and at most
-    ``maxweight`` held weight (by default ``CACHE_WEIGHT``), the sum over
-    the entries of ``weight(value)``, by default the (key, coefficient)
-    pairs a value holds.  Each
-    generation takes half of each.  ``put`` stores into the young dict; a
-    store that finds it holding ``maxsize // 2`` entries, or whose value
-    would take its weight past ``maxweight // 2``, first makes it the old
-    dict, dropping the previous old dict.  A value heavier than
-    ``maxweight // 2`` fits in no generation: ``put`` drops the entry its
-    key had and keeps nothing, and the reader still returns the value it
-    made.  A read that finds its key in the old dict moves the entry to the
-    young one.  So the cache never holds more than ``maxsize`` entries
-    (``maxsize`` >= 2) or more than ``maxweight`` weight, and an entry
-    survives at least ``maxsize // 2`` stores after its last read while
-    the stores weigh less than ``maxweight // 2``: least-recently-used
-    eviction to within a factor of two, at the cost of one dict slot an
-    entry (about 31 B, where an ``lru_cache`` entry takes about 87 B).
-
-    No value is None.  ``get(key)`` is one dict read on a young hit and
-    returns None on a miss, storing nothing; a reader makes the value
-    itself and ``put``s it, so a computation that raises stores nothing.
-    ``cache_info()`` adds to ``lru_cache``'s counts the ``weight`` held,
-    kept per generation and dropped with it, and its bound ``maxweight``;
-    ``cache_parameters()`` gives both bounds."""
-
-    # the counts and generations are slots, read at every lookup
-    __slots__ = (
-        "maxsize",
-        "maxweight",
-        "_weight",
-        "_young",
-        "_old",
-        "_young_weight",
-        "_old_weight",
-        "_hits",
-        "_misses",
-    )
-
-    def __init__(self, maxsize: int, weight=_flat_weight, maxweight: int = CACHE_WEIGHT):
-        self.maxsize = maxsize
-        self.maxweight = maxweight
-        self._weight = weight
-        self.cache_clear()
-
-    def get(self, key):
-        value = self._young.get(key)
-        if value is None:
-            value = self._old.pop(key, None)
-            if value is None:
-                self._misses += 1
-                return None
-            self._old_weight -= self._weight(value)
-            self.put(key, value)
-        self._hits += 1
-        return value
-
-    def put(self, key, value) -> None:
-        young = self._young
-        if key in young:
-            self._young_weight -= self._weight(young.pop(key))
-        elif key in self._old:
-            self._old_weight -= self._weight(self._old.pop(key))
-        weight, half = self._weight(value), self.maxweight >> 1
-        if len(young) >= self.maxsize >> 1 or self._young_weight + weight > half:
-            if weight > half:
-                return
-            self._old, self._old_weight = young, self._young_weight
-            self._young = young = {}
-            self._young_weight = 0
-        young[key] = value
-        self._young_weight += weight
-
-    def cache_clear(self) -> None:
-        self._young, self._old = {}, {}
-        self._young_weight = self._old_weight = 0
-        self._hits = self._misses = 0
-
-    def cache_info(self) -> CacheInfo:
-        return CacheInfo(
-            self._hits,
-            self._misses,
-            self.maxsize,
-            len(self._young) + len(self._old),
-            self._young_weight + self._old_weight,
-            self.maxweight,
-        )
-
-    def cache_parameters(self) -> dict:
-        return {"maxsize": self.maxsize, "maxweight": self.maxweight, "typed": False}
-
 
 @lru_cache(maxsize=_QUIVER_TABLES)
 def _quiver_key(quiver: Quiver) -> str:
@@ -456,12 +315,6 @@ _PICKERS = {
     "random": lambda invs, rng: rng.choice(invs),
 }
 
-#: Height swaps left to the running top-level call: one budget shared by
-#: every form ``_rewrite`` expands for it, reset by ``_normal_terms`` and
-#: ``ideal_normal_forms``.
-_rewrites_left = [MAX_REWRITES]
-
-
 def _contracted(head, word, succ, order, idems, i, j):
     """The correction of contracting the letters at positions i < j of a
     configuration whose letters are ``word`` in height order, the one at
@@ -501,7 +354,7 @@ def _contracted(head, word, succ, order, idems, i, j):
     return "".join((head, chr(len(kept)), word, "".join(map(chr, succ)), idems)), (head, word, succ, idems)
 
 
-def _rewrite(head, word, succ, idems, pick, rng, memo):
+def _rewrite(head, word, succ, idems, pick, rng, memo, budget):
     """Expand the configuration in height form ``(word, succ, idems)`` with
     N letters over the quiver of ``head``, the parts of its straighten-cache
     key (``_form_key``: ``succ`` a sequence of ints, ``idems`` the str of
@@ -511,7 +364,8 @@ def _rewrite(head, word, succ, idems, pick, rng, memo):
     n-letter cfg is c*h^((N - n)/2).  Each correction term is read from
     ``memo`` with ``get`` under the key ``_contracted`` makes and, on a
     miss, expanded the same way from the parts it makes with the key and
-    stored with ``put``.
+    stored with ``put``.  The height swaps each form computes are added to
+    ``budget[0]``, which the top-level call shares with every form.
 
     A pick moves the letter above a descent down past ``top - low``
     letters, one height swap each.  The pickers swap once per pick, except
@@ -575,7 +429,7 @@ def _rewrite(head, word, succ, idems, pick, rng, memo):
                 key, form = _contracted(head, word, succ, order, idems, i, top)
                 entry = read(key)
                 if entry is None:
-                    entry = _rewrite(*form, pick, rng, memo)
+                    entry = _rewrite(*form, pick, rng, memo, budget)
                     store(key, entry)
                 it = iter(entry)
                 for cfg, c in zip(it, it):
@@ -588,13 +442,11 @@ def _rewrite(head, word, succ, idems, pick, rng, memo):
 
     # corrections charged themselves as they returned; this form's own
     # swaps are charged last, so a refusal leaves only finished forms cached
-    left = _rewrites_left[0] - swaps
-    if left < 0:
-        raise WorkLimitError(f"straightening needs more rewrites than the limit {MAX_REWRITES}")
-    _rewrites_left[0] = left
+    budget[0] += swaps
+    work.check(budget[0], work.MAX_REWRITES, "straightening needs more rewrites than the limit {limit}")
     term = _TERMS.get((necklaces, idems))
     if term is None:
-        if len(_TERMS) >= CACHE_SIZE:
+        if len(_TERMS) >= work.CACHE_SIZE:
             _TERMS.clear()
         term = _TERMS[necklaces, idems] = ((necklaces, _blocks(necklaces), tuple(map(ord, idems))), 1)
     # corrections have fewer letters, so this form's own cfg is new to out
@@ -608,25 +460,25 @@ def _rewrite(head, word, succ, idems, pick, rng, memo):
 #: generators, keyed by one ``str`` (``_form_key``), each value the flat
 #: tuple ``(cfg0, c0, cfg1, c1, ...)`` of coded cfgs and ints that
 #: ``_rewrite`` makes.
-_normal_form = GenerationalCache(CACHE_SIZE)
+_normal_form = work.GenerationalCache(work.CACHE_SIZE)
 
 
 #: The canonical term ``((codes, heights, idems), 1)`` of each form
 #: ``_rewrite`` has expanded, by any strategy, under (block codes, idems
 #: str): every entry with that term shares it.  It is emptied with the
-#: straighten cache and when it reaches ``CACHE_SIZE`` terms.
+#: straighten cache and when it reaches ``work.CACHE_SIZE`` terms.
 _TERMS: dict = {}
 
 
-def _expanded(head, word, succ, idems, pick=_PICKERS["first"], rng=None, memo=_normal_form) -> tuple:
+def _expanded(head, word, succ, idems, budget, pick=_PICKERS["first"], rng=None, memo=_normal_form) -> tuple:
     """The flat expansion of a configuration in height form ``(word, succ,
     idems)``, ``idems`` as ints, by ``pick``: read from ``memo``, by default
     the straighten cache, under its key (``_form_key``) and, on a miss, made
-    by ``_rewrite`` from these parts and stored."""
+    by ``_rewrite`` from these parts, charged to ``budget``, and stored."""
     key = _form_key(head, word, succ, idems)
     entry = memo.get(key)
     if entry is None:
-        entry = _rewrite(head, word, succ, "".join(map(chr, idems)), pick, rng, memo)
+        entry = _rewrite(head, word, succ, "".join(map(chr, idems)), pick, rng, memo, budget)
         memo.put(key, entry)
     return entry
 
@@ -640,16 +492,15 @@ def _normal_terms(quiver, configs, pick=_PICKERS["first"], rng=None, memo=_norma
     The kernel's int coefficient c of an n-letter term gets back its
     h^((N - n)/2), N being the letter count of its configuration, as a
     shift of its power; terms are summed under their coded keys.  The
-    kernel may compute ``MAX_REWRITES`` height swaps for all of
-    ``configs`` together."""
-    head = _quiver_key(quiver)
-    _rewrites_left[0] = MAX_REWRITES
+    kernel may compute ``work.MAX_REWRITES`` height swaps for all of
+    ``configs`` together, in one budget of this call."""
+    head, budget = _quiver_key(quiver), [0]
     sums: list = []
     for word, succ, idems, scale in configs:
         n_letters = len(word)
         top = max([k for k, _ in scale]) + n_letters // 2  # the highest power a term reaches
         sums += [{} for _ in range(top + 1 - len(sums))]
-        it = iter(_expanded(head, word, succ, idems, pick, rng, memo))
+        it = iter(_expanded(head, word, succ, idems, budget, pick, rng, memo))
         for key, c in zip(it, it):
             shift = (n_letters - sum(map(len, key[0]))) >> 1
             for k, m in scale:
@@ -700,7 +551,7 @@ def straighten(
     The default strategy reads and fills the module's bounded straighten
     cache (``clear_straighten_cache`` empties it).  Any other strategy
     memoizes in a fresh ``GenerationalCache`` of its own call only, so
-    confluence checks never see the shared results.  Past ``MAX_REWRITES``
+    confluence checks never see the shared results.  Past ``work.MAX_REWRITES``
     height swaps the call raises ``WorkLimitError``.
     """
     pick = _PICKERS.get(strategy)
@@ -710,7 +561,7 @@ def straighten(
         )
     if strategy == "random" and rng is None:
         raise ValueError("strategy 'random' needs an rng")
-    memo = _normal_form if strategy == "first" else GenerationalCache(CACHE_SIZE)
+    memo = _normal_form if strategy == "first" else work.GenerationalCache(work.CACHE_SIZE)
     codes, heights, idems = _normalize(cfg.codes, cfg.heights, cfg.idempotents)
     config = (*_height_form(codes, heights), idems, ((0, 1),))
     return from_ints(QPAElement, (quiver,), _normal_terms(quiver, [config], pick, rng, memo))
@@ -911,18 +762,17 @@ def ideal_normal_forms(quiver: Quiver, word, vertex: int) -> tuple:
     letters of p, an n-letter term c of ``spliced`` stands for c h^((v + 2
     - n)/2) and one of ``cycle`` for c h^((v - n)/2); the generator at
     parameters (r, lambda) is spliced + (-lambda + h r) cycle, so neither
-    part depends on them.  Both share one budget of ``MAX_REWRITES``
+    part depends on them.  Both share one budget of ``work.MAX_REWRITES``
     height swaps, as ``ideal_generator`` has.  ``diagonal`` holds p's
     marked word at heights 1..v, whose trace is Tr_q(p), and ``expanded``
     the closed words of ``_ideal_parts``; these two are not straightened."""
     moments, cycle, coded, closed = _ideal_parts(quiver, word, vertex)
-    head = _quiver_key(quiver)
-    _rewrites_left[0] = MAX_REWRITES
+    head, budget = _quiver_key(quiver), [0]
 
     def summed(configs):
         out: dict = {}
         for word, succ, idems, sign in configs:
-            it = iter(_expanded(head, word, succ, idems))
+            it = iter(_expanded(head, word, succ, idems, budget))
             for key, c in zip(it, it):
                 out[key] = out.get(key, 0) + sign * c
         return {key: c for key, c in out.items() if c}

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DimensionError
-from .expr import format_element
+from .expr import format_element, format_hbar
 from .linear import int_terms
 from .necklace import HH0Element, Necklace, canonical_necklace, idempotent_class, necklace_key
 from .quiver import Path, PathAlgebraElement, Quiver, _code, _ends
@@ -106,7 +106,7 @@ def trace_quantum(x: QPAElement, dim) -> WeylElement:
     It reads the coded keys and ``int`` numerators of ``x``
     (``linear.int_terms``).  Each configuration's trace is one
     token-by-token contraction, packed and kept in the trace cache; a
-    sum's index assignments are added up against ``MAX_INDEX_ASSIGNMENTS``
+    sum's index assignments are added up against ``work.MAX_INDEX_ASSIGNMENTS``
     before any is contracted, and its weighted traces are accumulated into
     one fresh packed element (``repspace.contracted``).
     """
@@ -528,7 +528,7 @@ def solve_chi_from(
 
     names = quiver.vertices
     if not all_verified or any(len(v) != 1 for v in values.values()):
-        detail = {names[i]: sorted(str(c) for c in v) for i, v in values.items()}
+        detail = {names[i]: sorted(map(format_hbar, v)) for i, v in values.items()}
         note = f"inconsistent or undetermined character: {detail}"
         return VerificationReport(name, "failed", notes=(note,)), None
     solved = Character(quiver, tuple(values[i].pop() for i in range(len(names))))
@@ -537,9 +537,9 @@ def solve_chi_from(
         if variant.values == solved.values:
             notes.append(f"matches closed form '{label}'")
         else:
-            body = ", ".join(f"{names[i]}: {c}" for i, c in enumerate(variant.values))
+            body = ", ".join(f"{names[i]}: {format_hbar(c)}" for i, c in enumerate(variant.values))
             notes.append(f"differs from closed form '{label}' ({body})")
-    character = {names[i]: str(c) for i, c in enumerate(solved.values)}
+    character = {names[i]: format_hbar(c) for i, c in enumerate(solved.values)}
     return VerificationReport(name, "solved", character=character, notes=tuple(notes)), solved
 
 
@@ -595,7 +595,7 @@ def kernel_constraint(quiver: Quiver, dim) -> VerificationReport:
     return VerificationReport(
         "kernel",
         "solved",
-        character={quiver.vertices[i]: str(base.values[i]) for i in range(nv)},
+        character=base_report.character,
         constraints=constraints,
         notes=tuple(notes),
     )

@@ -15,7 +15,8 @@ import math
 from fractions import Fraction
 
 from linear_oracle import add_into
-from nhq.repspace import PolyElement, WeylElement, _check_assignments, _times, tau_pairs
+from nhq import work
+from nhq.repspace import PolyElement, WeylElement, _times, tau_pairs
 from nhq.rings import HBarPolynomial
 
 
@@ -114,7 +115,8 @@ def contract_letters(quiver, dim, words, quantum: bool, ends=None):
     if ends:
         ranges[0] = ends[0]
         ranges.append(ends[1])
-    _check_assignments(math.prod(len(r) for r in ranges))
+    message = "contraction has {amount} index assignments, above the limit {limit}"
+    work.check(math.prod(len(r) for r in ranges), work.MAX_INDEX_ASSIGNMENTS, message)
     if quantum:
         ring, unit, times = WeylElement, {((), ()): HBarPolynomial.one()}, times_token
     else:

@@ -9,6 +9,7 @@ import pytest
 
 import nhq
 import nhq.schedler as schedler
+from nhq import work
 from nhq import (
     Letter,
     QPAElement,
@@ -29,9 +30,6 @@ from nhq import (
 from nhq.linear import from_ints, int_terms
 from nhq.sampling import a3p, all_dimension_vectors, random_configuration, random_necklace, small_quivers
 from nhq.schedler import (
-    CACHE_SIZE,
-    CACHE_WEIGHT,
-    GenerationalCache,
     _config,
     _form_key,
     _height_form,
@@ -42,8 +40,9 @@ from nhq.schedler import (
     ideal_normal_forms,
     marked_word,
 )
-from nhq.repspace import PLAN_WEIGHT, _kept_weight, _packed_trace, _plan_weight, _plans
+from nhq.repspace import _kept_weight, _packed_trace, _plan_weight, _plans
 from nhq.trace import clear_trace_cache, enumerate_generators, generator_image, trace_quantum
+from nhq.work import CACHE_SIZE, CACHE_WEIGHT, PLAN_WEIGHT, GenerationalCache
 from test_straighten_oracle import coded_form, key_form, split_key
 
 
@@ -281,10 +280,10 @@ def test_a_refused_generator_image_is_not_kept(J, limit, monkeypatch):
     contract = repspace._contract
     monkeypatch.setattr(repspace, "_contract", lambda *a: contractions.append(a) or contract(*a))
     if limit == "MAX_INDEX_ASSIGNMENTS":
-        monkeypatch.setattr(repspace, limit, total - 1)
+        monkeypatch.setattr(work, limit, total - 1)
         refusal = f"has {total} index assignments, above the limit {total - 1}"
     else:
-        monkeypatch.setattr(schedler, limit, 10)
+        monkeypatch.setattr(work, limit, 10)
         refusal = "straightening needs more rewrites than the limit 10"
     with pytest.raises(WorkLimitError, match=refusal):
         generator_image(J, dim, p, 0, 0)
@@ -310,12 +309,12 @@ def test_a_kept_image_charges_its_spliced_part_when_read(J, monkeypatch):
     contractions = []
     contract = repspace._contract
     monkeypatch.setattr(repspace, "_contract", lambda *a: contractions.append(a) or contract(*a))
-    monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", total - 1)
+    monkeypatch.setattr(work, "MAX_INDEX_ASSIGNMENTS", total - 1)
     assert image.chi(0, 0) is not None
     with pytest.raises(WorkLimitError, match=f"has {total} index assignments, above the limit {total - 1}"):
         image.target(0, 0)
     assert contractions == []
-    monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", total)
+    monkeypatch.setattr(work, "MAX_INDEX_ASSIGNMENTS", total)
     assert image.spliced == expected and contractions == []
 
 
@@ -463,7 +462,7 @@ def test_rewrite_budget_refuses_and_leaves_a_correct_cache(J, monkeypatch):
     cfg = make_configuration(J, [tuple(zip(word, (5, 2, 8, 1, 6, 3, 7, 4)))])
     expected = straighten(J, cfg, strategy="last")
     clear_straighten_cache()
-    monkeypatch.setattr(schedler, "MAX_REWRITES", 20)
+    monkeypatch.setattr(work, "MAX_REWRITES", 20)
     with pytest.raises(WorkLimitError, match="straightening needs more rewrites than the limit 20"):
         straighten(J, cfg)
     # the refused call cached the corrections it finished, and nothing else
@@ -835,7 +834,7 @@ def test_a_refused_contraction_leaves_no_plan(J, monkeypatch):
     clear_straighten_cache()
     clear_trace_cache()
     _plans.cache_clear()
-    monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", 7)
+    monkeypatch.setattr(work, "MAX_INDEX_ASSIGNMENTS", 7)
     for call in calls:
         with pytest.raises(WorkLimitError, match="above the limit 7"):
             call()

@@ -7,15 +7,14 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
 from nhq.cli import main
 import nhq.quiver
-from nhq.expr import MAX_EXPONENT
-from nhq.necklace import MAX_MERGE_LETTERS
-from nhq.repspace import MAX_INDEX_ASSIGNMENTS
-from nhq.schedler import MAX_REWRITES, clear_straighten_cache
+from nhq.schedler import clear_straighten_cache
+from nhq.work import MAX_EXPONENT, MAX_INDEX_ASSIGNMENTS, MAX_MERGE_LETTERS, MAX_REWRITES
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -471,6 +470,43 @@ def test_oversized_coefficient_output_exits_3(capsys):
         "above the limit for printing\n"
     )
     assert run("bracket", "-q", q("jordan"), "99^2048*[x]", "[x']")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "verb", [("solve-chi",), ("verify", "ideal"), ("verify", "ideal", "--json")], ids=" ".join
+)
+def test_a_character_past_the_digit_limit_exits_3(verb, capsys):
+    # r of 4,300 nines is read, but the character and its closed forms are
+    # r plus a constant, and one of them takes a digit more than int prints
+    r = "9" * sys.get_int_max_str_digits()
+    code, out = run(*verb, "-q", q("jordan"), "--dim", "v=2", "--r", f"v={r}")
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == (
+        f"error: coefficient has more than {sys.get_int_max_str_digits()} digits, "
+        "above the limit for printing\n"
+    )
+
+
+@pytest.mark.parametrize("value", ["1e999999999", "1e5000", "-1E+4300", "1e-4300", "1.5e4299"])
+def test_a_rational_past_the_digit_limit_exits_2_unexpanded(value, capsys):
+    # Fraction would write 10^999999999 out, for minutes; the value is
+    # refused, as int refuses a literal of more digits than its limit
+    t0 = time.perf_counter()
+    code, out = run("solve-chi", "-q", q("jordan"), "--dim", "v=2", "--r", f"v={value}")
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: bad rational {value!r} in --r\n"
+
+
+def test_rationals_within_the_digit_limit_read_as_before():
+    from nhq.cli import _parse_assignments
+
+    got = _parse_assignments("a=1/2, b=0.5, c=-3, d=1e3, e=1e4299", "--r")
+    assert got == {"a": Fraction(1, 2), "b": Fraction(1, 2), "c": Fraction(-3), "d": Fraction(1000), "e": Fraction(10**4299)}
+    for value, character in (("1/2", "-3/2"), ("0.5", "-3/2"), ("-3", "-5")):
+        code, out = run("solve-chi", "-q", q("jordan"), "--dim", "v=2", "--r", f"v={value}")
+        assert code == 0 and f"character: v: {character}\n" in out
+    assert run("trace", "-q", q("jordan"), "--dim", "v=1e3", "[ev]") == (0, "1000\n")
 
 
 def _two_loop_words(n, seed):

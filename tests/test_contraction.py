@@ -40,7 +40,7 @@ from nhq import (
     weyl_commutator,
     weyl_mul,
 )
-from nhq import linear, repspace
+from nhq import linear, repspace, work
 from nhq.necklace import canonical_necklace
 from nhq.quiver import Letter, Path, _code, make_quiver
 from nhq.repspace import poly_mul
@@ -429,9 +429,9 @@ def test_planned_contraction_equals_the_index_tuple_loop(case):
         patch.setattr(repspace, "_contract", lambda *a: calls.append((a, contract(*a))) or calls[-1][1])
         _contracted(q, d, words, quantum, ends)
     ((args, cold),) = calls
-    assert repspace._plans.cache_info()[:4] == (0, 1, repspace.CACHE_SIZE, 1)
+    assert repspace._plans.cache_info()[:4] == (0, 1, work.CACHE_SIZE, 1)
     warm = contract(*args)
-    assert repspace._plans.cache_info()[:4] == (1, 1, repspace.CACHE_SIZE, 1)
+    assert repspace._plans.cache_info()[:4] == (1, 1, work.CACHE_SIZE, 1)
     expected = contraction_oracle.contract_packed(*args)
     ordered = lambda sums: [(key, list(terms.items())) for key, terms in sums.items()]
     assert ordered(cold) == ordered(warm) == ordered(expected)
@@ -516,13 +516,13 @@ def test_contraction_refuses_more_assignments_than_the_limit(monkeypatch):
     J = jordan()
     x, xs = Letter(0, False), Letter(0, True)
     word = tuple((letter, t + 1) for t, letter in enumerate((xs, x, x, xs, x, xs, x, xs)))
-    with pytest.raises(DimensionError, match=f"above the limit {repspace.MAX_INDEX_ASSIGNMENTS}"):
+    with pytest.raises(DimensionError, match=f"above the limit {work.MAX_INDEX_ASSIGNMENTS}"):
         trace_quantum_config(J, (12,), (word,), ())
     with pytest.raises(DimensionError, match=r"has 2985984 index assignments"):
         trace_classical(HH0Element.of(J, canonical_necklace(J, (x,) * 6)), (12,))
     # the count is the product of the index ranges: 2^3 closed, and
     # 2 rows * 2 inner * 2 cols open
-    monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", 8)
+    monkeypatch.setattr(work, "MAX_INDEX_ASSIGNMENTS", 8)
     three = canonical_necklace(J, (x, xs, x))
     assert trace_classical(HH0Element.of(J, three), (2,)) == reference_trace_classical(
         J, (2,), three.letters
@@ -541,7 +541,7 @@ def test_a_sum_is_charged_as_a_whole(monkeypatch):
     J = jordan()
     x, xs = Letter(0, False), Letter(0, True)
     d = (2,)
-    monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", 8)
+    monkeypatch.setattr(work, "MAX_INDEX_ASSIGNMENTS", 8)
     three, two = canonical_necklace(J, (x, xs, x)), canonical_necklace(J, (x, xs))
     # a term of h alone is read at h = 0: it is neither contracted nor charged
     necklaces = HH0Element(J, {three: 1, two: Fraction(1, 2), canonical_necklace(J, (x, xs, x, xs)): H})
@@ -557,7 +557,7 @@ def test_a_sum_is_charged_as_a_whole(monkeypatch):
     ):
         with pytest.raises(WorkLimitError, match="has 12 index assignments, above the limit 8"):
             call()
-    monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", 12)
+    monkeypatch.setattr(work, "MAX_INDEX_ASSIGNMENTS", 12)
     expected = reference_trace_classical(J, d, three.letters) + reference_trace_classical(J, d, two.letters).scale(
         Fraction(1, 2)
     )
@@ -572,7 +572,7 @@ def test_a_sum_is_charged_as_a_whole(monkeypatch):
 def test_contraction_refusal_is_a_work_limit_error(monkeypatch):
     J = jordan()
     x, xs = Letter(0, False), Letter(0, True)
-    monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", 8)
+    monkeypatch.setattr(work, "MAX_INDEX_ASSIGNMENTS", 8)
     four = HH0Element.of(J, canonical_necklace(J, (x, xs, x, xs)))
     word = tuple((letter, t + 1) for t, letter in enumerate((xs, x, x, xs)))
     for call in (

@@ -13,7 +13,6 @@ from nhq import (
     PathAlgebraElement,
 )
 from nhq.expr import (
-    MAX_NESTING,
     format_hh0,
     format_path_element,
     format_poly,
@@ -37,6 +36,7 @@ from nhq.sampling import (
 )
 from nhq.schedler import straighten
 from nhq.trace import lift_necklace_combination, trace_classical, trace_quantum
+from nhq.work import MAX_NESTING
 
 H = HBarPolynomial.h()
 

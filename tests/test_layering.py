@@ -53,16 +53,30 @@ second route to a generator image (``kept_image``, ``_kept_parts``,
 nor the second name of the trace cache's clearer (``clear_packed_traces``).
 Nor is what only a get-or-compute call of the caches needed (``_split``,
 ``_Memo``, ``_trace_pairs``): every reader of a ``GenerationalCache`` reads
-it with ``get`` and stores with ``put``, and the tests decode keys.
+it with ``get`` and stores with ``put``, and the tests decode keys.  Nor
+is the module-level rewrite budget (``_rewrites_left``): each top-level
+straightening call makes its own and passes it down with the memo.
+
+Every bound the package chooses is assigned in ``nhq.work`` alone, and
+read as an attribute of that module when it is checked, so no module
+imports one by name.  The two bounds of ``quiver`` are the capacity of the
+``chr`` letter code, fixed by ``sys.maxunicode``, not chosen, and stay
+there.
 
 No private name is test-only code: every single-underscore function, class
 or module-level name defined in the package is read somewhere in it.
 """
 
 import ast
+import io
 import os
+from contextlib import redirect_stdout
 
 import pytest
+
+from nhq import work
+from nhq.cli import main
+from nhq.schedler import clear_straighten_cache
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "nhq")
 PACKED = {
@@ -88,7 +102,19 @@ TUPLE_KERNEL = {"_weyl_mono_mul", "_merge_exponents", "poly_partial"}
 FRONT_ENDS = {"_contract_letters", "trace_configurations", "_traced", "_check_traces", "_boundary_entries"}
 IMAGE_ROUTE = {"kept_image", "_kept_parts", "_made_image", "clear_packed_traces"}
 CACHE_CALL = {"_split", "_Memo", "_trace_pairs"}
-RETIRED = TUPLE_KERNEL | {"_times_tau", "_drop_pair"} | FRONT_ENDS | IMAGE_ROUTE | CACHE_CALL
+RETIRED = TUPLE_KERNEL | {"_times_tau", "_drop_pair", "_rewrites_left"} | FRONT_ENDS | IMAGE_ROUTE | CACHE_CALL
+LIMITS = {
+    "MAX_NESTING",
+    "MAX_EXPONENT",
+    "MAX_MERGE_LETTERS",
+    "MAX_INDEX_ASSIGNMENTS",
+    "MAX_REWRITES",
+    "CACHE_SIZE",
+    "CACHE_WEIGHT",
+    "PLAN_WEIGHT",
+}
+#: the capacity of the ``chr`` letter code, fixed by ``sys.maxunicode``
+CAPACITY = {("quiver.py", "MAX_ARROWS"), ("quiver.py", "MAX_VERTICES")}
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
 
 
@@ -135,6 +161,7 @@ def test_the_check_sees_both_forms():
     assert names_anywhere("return kept_image(q, d, v, w, _made_image)\n", RETIRED) == {"kept_image", "_made_image"}
     assert names_anywhere("class _Memo(dict):\n    put = dict.__setitem__\n", RETIRED) == {"_Memo"}
     assert names_anywhere("return _rewrite(*_split(key), pick, None, memo)\n", RETIRED) == {"_split"}
+    assert names_anywhere("_rewrites_left[0] = MAX_REWRITES\n", RETIRED) == {"_rewrites_left"}
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "repspace.py"])
@@ -161,6 +188,15 @@ def test_the_tuple_weyl_product_lives_in_the_tests(module):
         assert names_anywhere(fh.read(), RETIRED) == set()
 
 
+def module_level_names(tree) -> set:
+    """The names the module-level assignments of ``tree`` bind."""
+    found = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+        found.update(t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store))
+    return found
+
+
 def private_names(source: str) -> tuple:
     """The single-underscore names ``source`` defines (functions and
     classes at any depth, module-level assignments) and those it reads (by
@@ -177,9 +213,7 @@ def private_names(source: str) -> tuple:
             read.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             read.update(alias.name for alias in node.names)
-    for node in tree.body:
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
-        defined.update(t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store))
+    defined |= module_level_names(tree)
     return {name for name in defined if private(name)}, read
 
 
@@ -200,3 +234,105 @@ def test_every_private_name_has_a_reader_in_src():
         defined |= names
         read |= reads
     assert defined - read == set()
+
+
+def bounds(source: str) -> set:
+    """The module-level names ``source`` assigns that name a bound:
+    ``MAX_*``, ``*_WEIGHT`` and ``CACHE_SIZE``."""
+    names = module_level_names(ast.parse(source))
+    return {n for n in names if n.startswith("MAX_") or n.endswith("_WEIGHT") or n == "CACHE_SIZE"}
+
+
+def test_the_bound_scan_sees_every_assignment():
+    source = "MAX_A = 1\nB_WEIGHT: int = 2\nCACHE_SIZE, c = 3, 4\nMAX_D[0] = 5\ndef f():\n    MAX_E = 6\n"
+    assert bounds(source) == {"MAX_A", "B_WEIGHT", "CACHE_SIZE"}
+
+
+def test_every_chosen_bound_is_assigned_in_work_alone():
+    found = set()
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            found |= {(module, name) for name in bounds(fh.read())}
+    assert found - CAPACITY == {("work.py", name) for name in LIMITS}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_bounds_are_read_from_work_when_checked(module):
+    # no module binds a bound of its own by import, so patching ``work``
+    # reaches every reader; repspace takes one name from schedler
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            assert not names & LIMITS, (module, node.module)
+            if (module, node.module) == ("repspace.py", "schedler"):
+                assert names == {"ideal_normal_forms"}
+
+
+def run(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+JORDAN = os.path.join(os.path.dirname(__file__), "data", "jordan.json")
+
+
+@pytest.mark.parametrize(
+    "limit, amount, argv, code, message",
+    [
+        ("MAX_NESTING", 4, ("bracket", "((([x])))", "[x']"), 2, "position 3: brackets nest deeper than 3 levels"),
+        ("MAX_EXPONENT", 4, ("bracket", "h^4*[x]", "[x']"), 2, "position 2: exponent 4 is above the limit 3"),
+        (
+            "MAX_INDEX_ASSIGNMENTS",
+            4,
+            ("bracket", "(1+h)^2*[x]", "[x']"),
+            2,
+            "position 5: power needs a product of 2*2 terms, above the limit 3",
+        ),
+        (
+            "MAX_INDEX_ASSIGNMENTS",
+            4,
+            ("trace", "--dim", "v=2", "[x.x']"),
+            3,
+            "contraction has 4 index assignments, above the limit 3",
+        ),
+        ("MAX_MERGE_LETTERS", 4, ("bracket", "[x.x']", "[x.x']"), 3, "bracket merges hold up to 4 letters, above the limit 3"),
+        ("MAX_MERGE_LETTERS", 2, ("dbracket", "x.x", "x'"), 3, "double bracket terms hold up to 2 letters, above the limit 1"),
+        ("MAX_REWRITES", 1, ("qmul", "(x',1)", "(x,1)"), 3, "straightening needs more rewrites than the limit 0"),
+    ],
+)
+def test_a_lowered_bound_refuses_a_small_load(limit, amount, argv, code, message, monkeypatch, capsys):
+    """Each bound, lowered on ``work`` alone, admits a load of exactly its
+    amount and refuses it one below, with the message and exit code of the
+    refusal at the default bound."""
+    verb, *rest = argv
+    monkeypatch.setattr(work, limit, amount - 1)
+    assert run(verb, "-q", JORDAN, *rest) == (code, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    monkeypatch.setattr(work, limit, amount)
+    clear_straighten_cache()
+    assert run(verb, "-q", JORDAN, *rest)[0] == 0
+
+
+def test_each_straightening_call_has_a_budget_of_its_own(monkeypatch):
+    """Two ``qpa_mul`` calls in a row, each with cold caches, under a bound
+    of exactly what one of them needs: both pass, so the second starts
+    from a budget of its own."""
+    from nhq import WorkLimitError, qpa_mul
+    from nhq.expr import parse_qpa_element
+    from nhq.sampling import jordan
+
+    J = jordan()
+    x, y = parse_qpa_element(J, "(x',1)(x',2)"), parse_qpa_element(J, "(x,1)(x,2)")
+    expected = qpa_mul(x, y)
+    monkeypatch.setattr(work, "MAX_REWRITES", 4)
+    clear_straighten_cache()
+    with pytest.raises(WorkLimitError, match="needs more rewrites than the limit 4"):
+        qpa_mul(x, y)
+    monkeypatch.setattr(work, "MAX_REWRITES", 5)
+    for _ in range(2):
+        clear_straighten_cache()
+        assert qpa_mul(x, y) == expected

@@ -465,14 +465,14 @@ def test_term_dict_sums_match_the_fold():
 
 
 def test_bracket_refusals_are_work_limit_errors(J, monkeypatch):
-    from nhq import DimensionError, WorkLimitError, necklace
+    from nhq import DimensionError, WorkLimitError, work
 
     x, xs = Letter(0, False), Letter(0, True)
     p = canonical_necklace(J, (x, xs, x))
     a = PathAlgebraElement.of_path(J, make_path(J, (x, xs, x)))
     # the x' of each operand contracts the other's two x: 4 pairs, each
     # forming 3 + 3 - 2 letters
-    monkeypatch.setattr(necklace, "MAX_MERGE_LETTERS", 15)
+    monkeypatch.setattr(work, "MAX_MERGE_LETTERS", 15)
     for call, what in (
         (lambda: necklace_bracket(HH0Element.of(J, p), HH0Element.of(J, p)), "bracket merges"),
         (lambda: double_bracket(a, a), "double bracket terms"),
@@ -481,6 +481,6 @@ def test_bracket_refusals_are_work_limit_errors(J, monkeypatch):
             call()
         assert isinstance(info.value, DimensionError)
         assert str(info.value) == f"{what} hold up to 16 letters, above the limit 15"
-    monkeypatch.setattr(necklace, "MAX_MERGE_LETTERS", 16)
+    monkeypatch.setattr(work, "MAX_MERGE_LETTERS", 16)
     necklace_bracket(HH0Element.of(J, p), HH0Element.of(J, p))
     double_bracket(a, a)

@@ -168,7 +168,7 @@ def test_straighten_measure_strictly_decreases(monkeypatch):
         get = staticmethod(lambda key: None)
         put = staticmethod(lambda key, entry: None)
 
-    def watched(head, word, succ, idems, pick, rng, memo):
+    def watched(head, word, succ, idems, pick, rng, memo, budget):
         pick = getattr(pick, "followed", pick)  # a parent's tracking picker hands on the one it follows
         seq = schedler._canonical_targets(word, succ)[0]
         route = "runs" if pick is first else "picks"
@@ -195,13 +195,13 @@ def test_straighten_measure_strictly_decreases(monkeypatch):
             return h
 
         tracking_pick.followed = pick
-        left = schedler._rewrites_left[0]
+        used = budget[0]
         parents.append([measure, 0])
         try:
-            out = rewrite(head, word, succ, idems, tracking_pick if route == "picks" else pick, rng, Unmemoized)
+            out = rewrite(head, word, succ, idems, tracking_pick if route == "picks" else pick, rng, Unmemoized, budget)
         finally:
             nested = parents.pop()[1]
-        charged = left - schedler._rewrites_left[0]
+        charged = budget[0] - used
         if parents:
             parents[-1][1] += charged
         if route == "runs":

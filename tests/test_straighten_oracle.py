@@ -33,6 +33,7 @@ from nhq import (
     straighten,
 )
 import nhq.schedler as schedler
+from nhq import work
 from linear_oracle import add_into
 from nhq.necklace import Necklace, bracket_sign, minimal_rotation_offset, necklace_key
 from nhq.quiver import _LETTER, MAX_ARROWS, Arrow, Quiver, _code
@@ -468,16 +469,20 @@ def test_coded_route_takes_the_tuple_oracles_rewrite_tree(seed):
                 swaps.append((u, v))
                 return bracket_sign(u, v)
 
+            # the budget the call hands its expansion, read after the call
+            budgets, expanded = [], schedler._expanded
             clear_straighten_cache()
             schedler.bracket_sign = counted
+            schedler._expanded = lambda *args: budgets.append(args[4]) or expanded(*args)
             try:
                 got = straighten(quiver, cfg, strategy=strategy, rng=random.Random(seed))
             finally:
                 schedler.bracket_sign = bracket_sign
+                schedler._expanded = expanded
             assert got == expected, strategy
             if strategy == "first":
                 assert swaps == [(u, v) for u, v in expected_swaps if bracket_sign(u, v)]
-                assert schedler.MAX_REWRITES - schedler._rewrites_left[0] == len(expected_swaps)
+                assert budgets == [[len(expected_swaps)]]
             else:
                 assert swaps == expected_swaps, strategy
 
@@ -492,11 +497,10 @@ def _expanded(quiver, coded, pick):
     with ``pick`` at every level, memoized for this call only, and the
     height swaps it charged."""
     codes, heights, idems = coded
-    schedler._rewrites_left[0] = schedler.MAX_REWRITES
     word, succ = _height_form(codes, heights)
-    memo = schedler.GenerationalCache(schedler.CACHE_SIZE)
-    out = schedler._rewrite(_quiver_key(quiver), word, succ, "".join(map(chr, idems)), pick, None, memo)
-    return out, schedler.MAX_REWRITES - schedler._rewrites_left[0]
+    memo, budget = work.GenerationalCache(work.CACHE_SIZE), [0]
+    out = schedler._rewrite(_quiver_key(quiver), word, succ, "".join(map(chr, idems)), pick, None, memo, budget)
+    return out, budget[0]
 
 
 @SETTINGS

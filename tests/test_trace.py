@@ -225,21 +225,21 @@ def test_trace_quantum_of_a_sum_is_the_sum_of_its_configuration_traces():
 
 def test_trace_quantum_budget_covers_the_whole_sum(J, monkeypatch):
     # each configuration is under the limit, their sum is not
-    from nhq import repspace
+    from nhq import work
 
     d = (2,)
     a, a_star = Letter(0, False), Letter(0, True)
     words = ((a, a_star, a), (a_star, a), (a,))
     cfgs = [make_configuration(J, [tuple((l, t + 1) for t, l in enumerate(w))]) for w in words]
     x = QPAElement(J, {cfg: 1 for cfg in cfgs})
-    monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", 2**3 + 2**2 + 2)
+    monkeypatch.setattr(work, "MAX_INDEX_ASSIGNMENTS", 2**3 + 2**2 + 2)
     assert trace_quantum(x, d) == _per_configuration_sum(x, d)
-    monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", 2**3 + 2**2 + 1)
+    monkeypatch.setattr(work, "MAX_INDEX_ASSIGNMENTS", 2**3 + 2**2 + 1)
     with pytest.raises(DimensionError, match="has 14 index assignments, above the limit 13"):
         trace_quantum(x, d)
     # a lone configuration is held to the same limit by its contraction
     clear_trace_cache()
-    monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", 2**2)
+    monkeypatch.setattr(work, "MAX_INDEX_ASSIGNMENTS", 2**2)
     with pytest.raises(DimensionError, match="has 8 index assignments"):
         trace_quantum(QPAElement(J, {cfgs[0]: 1}), d)
 
@@ -247,7 +247,7 @@ def test_trace_quantum_budget_covers_the_whole_sum(J, monkeypatch):
 def test_decomposition_budget_covers_every_traced_configuration(J, monkeypatch):
     # the generator's traced configurations (G, P, T and E) together are
     # over the limit, each of them alone is not
-    from nhq import repspace, schedler
+    from nhq import repspace, schedler, work
 
     d = (2,)
     x, xs = Letter(0, False), Letter(0, True)
@@ -261,26 +261,26 @@ def test_decomposition_budget_covers_every_traced_configuration(J, monkeypatch):
     expected = decompose_ideal_image(J, d, p, 0, 0, params)
     assert expected.verified
     clear_trace_cache()
-    monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", total)
+    monkeypatch.setattr(work, "MAX_INDEX_ASSIGNMENTS", total)
     dec = decompose_ideal_image(J, d, p, 0, 0, params)
     assert dec.chi_value == expected.chi_value and dec.target == expected.target
     clear_trace_cache()
     contractions = []
     contract = repspace._contract
     monkeypatch.setattr(repspace, "_contract", lambda *a, **k: contractions.append(a) or contract(*a, **k))
-    monkeypatch.setattr(repspace, "MAX_INDEX_ASSIGNMENTS", total - 1)
+    monkeypatch.setattr(work, "MAX_INDEX_ASSIGNMENTS", total - 1)
     with pytest.raises(WorkLimitError, match=f"has {total} index assignments, above the limit {total - 1}"):
         decompose_ideal_image(J, d, p, 0, 0, params)
     assert contractions == []
 
 
 def test_decomposition_keeps_the_rewrite_budget(J, monkeypatch):
-    from nhq import schedler
+    from nhq import work
 
     x, xs = Letter(0, False), Letter(0, True)
     p = canonical_necklace(J, (x, xs, x))
     params = ReductionParameters((Fraction(1),), (Fraction(2),))
-    monkeypatch.setattr(schedler, "MAX_REWRITES", 10)
+    monkeypatch.setattr(work, "MAX_REWRITES", 10)
     with pytest.raises(WorkLimitError, match="straightening needs more rewrites than the limit 10"):
         decompose_ideal_image(J, (2,), p, 0, 0, params)
     monkeypatch.undo()
