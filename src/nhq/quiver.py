@@ -357,7 +357,8 @@ def parse_quiver(text: str) -> Quiver:
         vertices.append(name)
     raw_arrows = doc["arrows"]
     _require(isinstance(raw_arrows, list), "expected a list", "arrows")
-    work.check(len(raw_arrows), MAX_ARROWS, "{amount} arrows, above the limit {limit}", QuiverFormatError, "arrows")
+    message = "{amount} arrows, above the limit {limit}"
+    work.check(len(raw_arrows), MAX_ARROWS, message, QuiverFormatError, "arrows")
     arrows = []
     seen_arrows = set()
     vindex = {v: i for i, v in enumerate(vertices)}

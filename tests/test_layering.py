@@ -68,15 +68,13 @@ or module-level name defined in the package is read somewhere in it.
 """
 
 import ast
-import io
 import os
-from contextlib import redirect_stdout
 
 import pytest
 
 from nhq import work
-from nhq.cli import main
 from nhq.schedler import clear_straighten_cache
+from test_cli import q, run
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "nhq")
 PACKED = {
@@ -270,16 +268,6 @@ def test_bounds_are_read_from_work_when_checked(module):
                 assert names == {"ideal_normal_forms"}
 
 
-def run(*argv):
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = main(list(argv))
-    return code, out.getvalue()
-
-
-JORDAN = os.path.join(os.path.dirname(__file__), "data", "jordan.json")
-
-
 @pytest.mark.parametrize(
     "limit, amount, argv, code, message",
     [
@@ -310,22 +298,20 @@ def test_a_lowered_bound_refuses_a_small_load(limit, amount, argv, code, message
     refusal at the default bound."""
     verb, *rest = argv
     monkeypatch.setattr(work, limit, amount - 1)
-    assert run(verb, "-q", JORDAN, *rest) == (code, "")
+    assert run(verb, "-q", q("jordan"), *rest) == (code, "")
     assert capsys.readouterr().err == f"error: {message}\n"
     monkeypatch.setattr(work, limit, amount)
     clear_straighten_cache()
-    assert run(verb, "-q", JORDAN, *rest)[0] == 0
+    assert run(verb, "-q", q("jordan"), *rest)[0] == 0
 
 
-def test_each_straightening_call_has_a_budget_of_its_own(monkeypatch):
+def test_each_straightening_call_has_a_budget_of_its_own(J, monkeypatch):
     """Two ``qpa_mul`` calls in a row, each with cold caches, under a bound
     of exactly what one of them needs: both pass, so the second starts
     from a budget of its own."""
     from nhq import WorkLimitError, qpa_mul
     from nhq.expr import parse_qpa_element
-    from nhq.sampling import jordan
 
-    J = jordan()
     x, y = parse_qpa_element(J, "(x',1)(x',2)"), parse_qpa_element(J, "(x,1)(x,2)")
     expected = qpa_mul(x, y)
     monkeypatch.setattr(work, "MAX_REWRITES", 4)
