@@ -5,7 +5,10 @@ with no stored zeros.  ``LinearCombination`` holds what does not depend on
 the storage: the context in each subclass's own ``__slots__``, the
 compatibility check and the ``terms`` view.  ``_PackedSums`` is the one
 store of the elements keyed by combinatorial data; kernels reach it through
-``int_terms``, ``bilinear``, ``rekeyed`` and ``from_ints``.  The exact
+``int_terms``, ``bilinear``, ``rekeyed`` and ``from_ints``.  Its rational
+form, ``int`` numerators over one denominator with no common factor, is
+also that of ``repspace``'s packed operators, which put one dict of
+numerators in it with ``lowest_terms``.  The exact
 nullspace of a rational matrix given by sparse rows
 (``rational_nullspace``) lives here too.
 """
@@ -140,9 +143,8 @@ class _PackedSums(LinearCombination):
 
     def scale(self, c):
         """Times a scalar: its h^j part moves each power j places up."""
-        coeffs = self._scalars(c)
-        dc = lcm(*[a.denominator for a in coeffs])
-        parts = [(self._sums, a.numerator * (dc // a.denominator), j) for j, a in enumerate(coeffs) if a]
+        nums, dc = numerators(self._scalars(c))
+        parts = [(self._sums, m, j) for j, m in enumerate(nums) if m]
         return self._summed(parts, self._den * dc)
 
     def is_divisible_by_h(self) -> bool:
@@ -186,15 +188,30 @@ def _canonical(sums: list, den: int) -> tuple:
     return tuple(sums), den
 
 
+def lowest_terms(packed: dict, den: int) -> tuple:
+    """The canonical (numerators, den) of the dict ``packed`` of numerators
+    over ``den``, as ``_canonical`` makes each power's: zeros dropped and
+    the common factor of ``den`` and every numerator divided out."""
+    sums, den = _canonical([packed], den)
+    return sums[0] if sums else {}, den
+
+
+def numerators(values) -> tuple:
+    """The ``int`` numerators of the exact rationals ``values`` over their
+    least common denominator, and that denominator: the one coercion of
+    rational coefficients into both packed stores."""
+    den = lcm(*[a.denominator for a in values])
+    return [a.numerator * (den // a.denominator) for a in values], den
+
+
 def _pack(pairs) -> tuple:
     """The canonical packed form of the (coded key, coefficients of the
     powers of h) ``pairs``, a repeated key summed."""
-    den = lcm(*[c.denominator for _, coeffs in pairs for c in coeffs])
+    flat = [(k, key, c) for key, coeffs in pairs for k, c in enumerate(coeffs) if c]
+    nums, den = numerators([c for _, _, c in flat])
     sums = [{} for _ in range(max([len(coeffs) for _, coeffs in pairs], default=0))]
-    for key, coeffs in pairs:
-        for sums_k, c in zip(sums, coeffs):
-            if c:
-                sums_k[key] = sums_k.get(key, 0) + c.numerator * (den // c.denominator)
+    for (k, key, _), m in zip(flat, nums):
+        sums[k][key] = sums[k].get(key, 0) + m
     return _canonical(sums, den)
 
 

@@ -24,7 +24,16 @@ from functools import cached_property, lru_cache
 
 from . import work
 from .errors import DimensionError, MismatchError
-from .linear import LinearCombination, _PackedSums, bilinear, from_ints, rational_nullspace
+from .linear import (
+    LinearCombination,
+    _PackedSums,
+    bilinear,
+    from_ints,
+    int_terms,
+    lowest_terms,
+    numerators,
+    rational_nullspace,
+)
 from .quiver import _LETTER, Letter, Quiver, _code, _ends, make_dimension_vector, moment_pairs
 from .rings import HBarPolynomial, _exact, as_fraction
 from .schedler import ideal_normal_forms
@@ -50,7 +59,9 @@ def _check_coord_bounds(quiver, dim, arrow, starred, row, col):
 # ((arrow, starred, row, col), exp).
 #
 # Both rings hold their terms packed: one int key per monomial and power of
-# h, with an int or Fraction coefficient, in the layout of a ``_Codec``.
+# h, with an int numerator over the element's one denominator, in the
+# layout of a ``_Codec``: the rational form of the keyed store
+# (``linear._PackedSums``), canonical by ``linear.lowest_terms``.
 # With the n coordinates (arrow, row, col) of the codec's arrows in sorted
 # order and a field width w, bits [k w, (k + 1) w) hold the exponent of
 # coordinate k, bits [(n + k) w, (n + k + 1) w) that of its derivative (in
@@ -68,39 +79,49 @@ class _PackedOperator(LinearCombination):
     """The packed storage of ``WeylElement`` and ``PolyElement`` and their
     linear structure.
 
-    ``_codec``, ``_packed`` ({int key: nonzero int or Fraction}) and
-    ``_top`` live here, so an element's context stays its own ``__slots__``.
-    A public constructor packs its terms at once, and an element with no
-    terms takes the empty packed form (``_EMPTY_CODEC``) without packing;
-    ``terms`` is built from the packed form on its first read and kept.
-    Arithmetic reads and makes packed forms only.  Where the rings differ,
-    the class says which it is (``_quantum``) and reads a scalar as the
-    coefficients of its powers of h (``_scalars``).
+    ``_codec``, ``_packed`` ({int key: nonzero int numerator}), ``_den``
+    (the one positive int denominator of every numerator) and ``_top``
+    live here, so an element's context stays its own ``__slots__``.  The
+    form is canonical, as the keyed store's is: ``_den`` and the numerators
+    share no factor, so two equal elements hold equal numerators and
+    denominators once re-packed into one layout.  A public constructor
+    packs its terms at once, and an element with no terms takes the empty
+    packed form (``_EMPTY_CODEC``) without packing; ``terms`` is built from
+    the packed form on its first read and kept, and is the only place a
+    ``Fraction`` or ``HBarPolynomial`` is made.  Arithmetic reads and makes
+    packed forms only, on numerators: a product's denominator is the
+    product of its operands', a sum's their lcm, and the common factor is
+    divided out (``_lowest``) only when the denominator is not 1.  Where
+    the rings differ, the class says which it is (``_quantum``) and reads a
+    scalar as the coefficients of its powers of h (``_scalars``).
     """
 
-    __slots__ = ("_codec", "_packed", "_top")
+    __slots__ = ("_codec", "_packed", "_den", "_top")
 
     def __init__(self, quiver: Quiver, dim, terms=None):
         super().__init__(quiver, tuple(dim))
-        packed = _pack(self, terms) if terms else (_EMPTY_CODEC, {}, 0)
+        packed = _pack(self, terms) if terms else (_EMPTY_CODEC, {}, 1, 0)
         for slot, value in zip(_PackedOperator.__slots__, packed):
             object.__setattr__(self, slot, value)
 
     @classmethod
-    def _from_packed(cls, quiver: Quiver, dim, codec, packed: dict, top: int):
-        """The element of ``packed`` in ``codec``, exponents at most ``top``."""
+    def _from_packed(cls, quiver: Quiver, dim, codec, packed: dict, den: int, top: int):
+        """The element of the canonical numerators ``packed`` over ``den``
+        in ``codec``, exponents at most ``top``."""
         out = object.__new__(cls)
-        out.quiver, out.dim, out._codec, out._packed, out._top = quiver, dim, codec, packed, top
+        out.quiver, out.dim, out._codec, out._packed, out._den, out._top = quiver, dim, codec, packed, den, top
         return out
 
     def __getattr__(self, name):  # called for an unset slot
         if name != "terms":
             raise AttributeError(name)
-        object.__setattr__(self, name, self._codec.unpack(self._packed, self._quantum))
+        object.__setattr__(self, name, self._codec.unpack(self._packed, self._den, self._quantum))
         return self.terms
 
-    def _like(self, packed: dict, top=None, codec=None):
-        return self._from_packed(self.quiver, self.dim, codec or self._codec, packed, top or self._top)
+    def _lowest(self, packed: dict, den: int, top=None, codec=None):
+        """The element of this type and context of the numerators
+        ``packed``, zeros allowed, over ``den``, put in canonical form."""
+        return self._from_packed(self.quiver, self.dim, codec or self._codec, *lowest_terms(packed, den), top or self._top)
 
     def __bool__(self) -> bool:
         return bool(self._packed)
@@ -108,7 +129,7 @@ class _PackedOperator(LinearCombination):
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        if self._context() != other._context():
+        if self._context() != other._context() or self._den != other._den:
             return False
         _, _, a, b = _join(self, other, False)
         return a == b
@@ -116,21 +137,26 @@ class _PackedOperator(LinearCombination):
     def __add__(self, other, sign=1):
         self._check_compatible(other)
         codec, top, a, b = _join(self, other, False)
-        out = dict(a)
-        _add_scaled(out, b.items(), ((0, sign),), 0)
-        return self._like({key: c for key, c in out.items() if c}, top, codec)
+        den = math.lcm(self._den, other._den)
+        fa = den // self._den
+        out = dict(a) if fa == 1 else {key: fa * c for key, c in a.items()}
+        _add_scaled(out, b.items(), ((0, sign * (den // other._den)),), 0)
+        return self._lowest(out, den, top, codec)
 
     def __sub__(self, other):
         return self.__add__(other, -1)
 
     def __neg__(self):
-        return self.scale(-1)
+        negated = {key: -c for key, c in self._packed.items()}
+        return self._from_packed(self.quiver, self.dim, self._codec, negated, self._den, self._top)
 
     def scale(self, c):
-        """Times a scalar: c h^j moves each key j units up the h field."""
+        """Times a scalar: c h^j moves each key j units up the h field, its
+        numerator over the scalars' common denominator times the element's."""
+        nums, den = numerators(self._scalars(c))
         out: dict = {}
-        _add_scaled(out, self._packed.items(), enumerate(self._scalars(c)), self._codec.hunit)
-        return self._like({key: v for key, v in out.items() if v})
+        _add_scaled(out, self._packed.items(), enumerate(nums), self._codec.hunit)
+        return self._lowest(out, self._den * den)
 
     __rmul__ = scale
 
@@ -177,7 +203,9 @@ class WeylElement(_PackedOperator):
     def div_h(self) -> "WeylElement":
         if not self.is_divisible_by_h():
             raise ArithmeticError("operator is not divisible by h")
-        return self._like({key - self._codec.hunit: c for key, c in self._packed.items()})
+        hunit = self._codec.hunit
+        lowered = {key - hunit: c for key, c in self._packed.items()}
+        return self._from_packed(self.quiver, self.dim, self._codec, lowered, self._den, self._top)
 
     def rees_degrees(self) -> set:
         """All h-grading degrees present: derivative count plus h power.
@@ -219,10 +247,10 @@ class PolyElement(_PackedOperator):
 
 
 def _pack(x: _PackedOperator, terms) -> tuple:
-    """(codec, packed terms, top) of a public constructor's ``terms`` (a
+    """(codec, numerators, den, top) of a public constructor's ``terms`` (a
     dict or (monomial, coefficient) pairs) for ``x``, in a codec with fields
-    for their arrows as wide as their largest exponent needs; zero
-    coefficients are dropped first."""
+    for their arrows as wide as their largest exponent needs, in canonical
+    form; zero coefficients are dropped first."""
     items = terms.items() if isinstance(terms, dict) else terms or ()
     items = [(mono, coeffs) for mono, c in items if any(coeffs := x._scalars(c))]
     if not x._quantum:  # (a')_{r,c} to the field of d(a)_{c,r}
@@ -239,11 +267,15 @@ def _pack(x: _PackedOperator, terms) -> tuple:
     exps = [(var, exp) for (pos, der), _ in items for var, exp in pos + der]
     top = max([exp for _, exp in exps], default=0)
     codec = _codec(x.quiver, x.dim, tuple(sorted({var[0] for var, _ in exps})), _width(top))
-    packed: dict = {}
+    keyed = []
     for (pos, der), coeffs in items:
         key = sum([e * codec.position(v)[0] for v, e in pos] + [e * codec.derivative(v)[0] for v, e in der])
-        _add_scaled(packed, ((key, 1),), enumerate(coeffs), codec.hunit)
-    return codec, {key: c for key, c in packed.items() if c}, top
+        keyed += [(key + j * codec.hunit, a) for j, a in enumerate(coeffs) if a]
+    nums, den = numerators([a for _, a in keyed])
+    packed: dict = {}
+    for (key, _), m in zip(keyed, nums):
+        packed[key] = packed.get(key, 0) + m
+    return codec, *lowest_terms(packed, den), top
 
 
 def _join(x: _PackedOperator, y: _PackedOperator, product: bool) -> tuple:
@@ -303,7 +335,7 @@ def _normal_order(x: WeylElement, y: WeylElement, commutator: bool) -> WeylEleme
                 out[key - step] = get(key - step, 0) + c * f
             for step, f in contract(d2, p1, yx) if yx else ():
                 out[key - step] = get(key - step, 0) - c * f
-    return x._like({key: c for key, c in out.items() if c}, top, codec)
+    return x._lowest(out, x._den * y._den, top, codec)
 
 
 def weyl_mul(x: WeylElement, y: WeylElement) -> WeylElement:
@@ -318,10 +350,11 @@ def weyl_commutator(x: WeylElement, y: WeylElement) -> WeylElement:
 
 def classical_symbol(op: WeylElement) -> PolyElement:
     """Set h to zero and read operators as coordinates: d(a)_{r,c} -> (a')_{c,r}.
-    The polynomial keeps op's h-free keys, in op's codec."""
+    The polynomial keeps op's h-free keys, in op's codec, over its
+    denominator less the factor the dropped keys alone shared with it."""
     hunit = op._codec.hunit
     packed = {key: c for key, c in op._packed.items() if key < hunit}
-    return PolyElement._from_packed(op.quiver, op.dim, op._codec, packed, op._top)
+    return PolyElement._from_packed(op.quiver, op.dim, op._codec, *lowest_terms(packed, op._den), op._top)
 
 
 def poly_mul(x: PolyElement, y: PolyElement) -> PolyElement:
@@ -336,7 +369,7 @@ def poly_mul(x: PolyElement, y: PolyElement) -> PolyElement:
         for k2, c2 in right:
             key = k1 + k2
             out[key] = get(key, 0) + c1 * c2
-    return x._like({key: c for key, c in out.items() if c}, top, codec)
+    return x._lowest(out, x._den * y._den, top, codec)
 
 
 def poisson(f: PolyElement, g: PolyElement) -> PolyElement:
@@ -363,7 +396,7 @@ def poisson(f: PolyElement, g: PolyElement) -> PolyElement:
                 if factor:
                     key = k1 + k2 - (lift << at)
                     out[key] = get(key, 0) + c1 * c2 * factor
-    return f._like({key: c for key, c in out.items() if c}, top, codec)
+    return f._lowest(out, f._den * g._den, top, codec)
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +478,10 @@ def _arrows_at(quiver: Quiver, vertices) -> tuple:
 
 
 def _tau_terms(quiver: Quiver, dim, items, codec) -> dict:
-    """tau of the gl element of the ((i, p, q), c) ``items``, packed in
+    """tau of the gl element of the ((i, p, q), int c) ``items``, packed in
     ``codec``: each term x_pos d_der is one key of two units."""
     out: dict = {}
     for (i, p, q), c in items:
-        c = _exact(c)
         for sign, pos, der in tau_pairs(quiver, dim, i, p, q):
             key = codec.position(pos)[0] + codec.derivative(der)[0]
             out[key] = out.get(key, 0) + sign * c
@@ -460,16 +492,23 @@ def tau(quiver: Quiver, dim, v: GlElement, constant=0) -> WeylElement:
     """Infinitesimal gl_d action as a first-order differential operator,
     plus the scalar ``constant`` of Q[h] when one is given.
 
-    Its fields are as wide as those of the moment blocks (top 2), which
-    ``verify qmoment`` compares it with, and its constant h chi is added in
-    the same codec, so nothing on either side is re-packed."""
+    It reads v's ``int`` numerators and denominator (``linear.int_terms``)
+    and puts the constant's coefficients over the same denominator, so no
+    ``Fraction`` is multiplied.  Its fields are as wide as those of the
+    moment blocks (top 2), which ``verify qmoment`` compares it with, and
+    its constant h chi is added in the same codec, so nothing on either
+    side is re-packed."""
     dim = tuple(dim)
     if (quiver, dim) != v._context():
         raise MismatchError("gl element disagrees on quiver or dimensions")
-    codec = _codec(quiver, dim, _arrows_at(quiver, {i for i, _, _ in v.terms}), _width(2))
-    terms = _tau_terms(quiver, dim, v.items(), codec)
-    _add_scaled(terms, ((0, 1),), enumerate(HBarPolynomial.coerce(constant).coeffs), codec.hunit)
-    return WeylElement._from_packed(quiver, dim, codec, terms, 1)
+    terms, den = int_terms(v)  # a gl element holds h^0 only
+    codec = _codec(quiver, dim, _arrows_at(quiver, {i for i, _, _ in terms}), _width(2))
+    packed = _tau_terms(quiver, dim, [(key, m) for key, ((_, m),) in terms.items()], codec)
+    nums, dc = numerators(HBarPolynomial.coerce(constant).coeffs)
+    if dc != 1:
+        packed = {key: dc * c for key, c in packed.items()}
+    _add_scaled(packed, ((0, den),), enumerate(nums), codec.hunit)
+    return WeylElement._from_packed(quiver, dim, codec, *lowest_terms(packed, den * dc), 1)
 
 
 def gauge_act(quiver: Quiver, dim, i: int, p: int, q: int, f: PolyElement) -> PolyElement:
@@ -546,6 +585,10 @@ class _Codec:
                  "_coords", "_variables", "_ones", "_rest", "_high")
 
     def __init__(self, quiver: Quiver, dim: tuple, arrows: tuple, width: int):
+        # a key's bits: both halves of a field per coordinate, and the h field
+        fields = sum([dim[quiver.arrows[ai].target] * dim[quiver.arrows[ai].source] for ai in arrows])
+        message = "packed keys need {amount} bits, above the limit {limit}"
+        work.check((2 * fields + 1) * width, work.MAX_KEY_BITS, message)
         self.arrows = arrows
         self._coords, self.field, self._variables = _coordinate_fields(quiver, dim, arrows)
         self.width = width
@@ -636,11 +679,12 @@ class _Codec:
 
         return {move(key & low) + (move(key >> split & low) << dsplit) + (key >> hshift << dshift): c for key, c in pairs}
 
-    def unpack(self, terms: dict, quantum: bool) -> dict:
-        """The packed ``terms`` in the tuple form of their ring: Weyl terms
-        with ``HBarPolynomial`` coefficients, the powers of h of one
-        monomial summed, or polynomial terms with ``Fraction`` ones.  Each
-        half of a key and each coefficient is decoded once per call."""
+    def unpack(self, terms: dict, den: int, quantum: bool) -> dict:
+        """The packed numerators ``terms`` over ``den`` in the tuple form of
+        their ring: Weyl terms with ``HBarPolynomial`` coefficients, the
+        powers of h of one monomial summed, or polynomial terms with
+        ``Fraction`` ones.  Each half of a key and each coefficient is
+        decoded once per call."""
         plain, starred = (self._coords, self._coords) if quantum else self._variables
         low, split, hshift = self.low, self.split, self.hshift
         lows, highs, coeffs, out = {}, {}, {}, {}
@@ -654,12 +698,13 @@ class _Codec:
             if der is None:
                 der = highs[bits] = tuple([(starred[k], e) for k, e in self._fields(bits)])
             if not quantum:
-                out[tuple(sorted(pos + der)) if der else pos] = Fraction(c)
+                out[tuple(sorted(pos + der)) if der else pos] = Fraction(c, den)
                 continue
             power = key >> hshift
             coeff = coeffs.get((c, power))
             if coeff is None:
-                coeff = coeffs[c, power] = HBarPolynomial._with_coeffs([0] * power + [c])
+                value = c if den == 1 else Fraction(c, den)
+                coeff = coeffs[c, power] = HBarPolynomial._with_coeffs([0] * power + [value])
             prev = out.setdefault((pos, der), coeff)
             if prev is not coeff:  # another power of h of the same monomial
                 out[pos, der] = prev + coeff
@@ -873,12 +918,12 @@ def clear_trace_cache() -> None:
     _packed_trace.cache_clear()
 
 
-def contracted(quiver: Quiver, dim, items, quantum: bool, ends=None, codec=None):
+def contracted(quiver: Quiver, dim, items, quantum: bool, ends=None, codec=None, den: int = 1):
     """The weighted sum of contractions over the (coded configuration,
-    [(power of h, int numerator), ...]) ``items``, as ``linear.int_terms``
-    gives a ``QPAElement``'s: operator products when ``quantum``, and
-    otherwise coordinate products read at h = 0, an item's other powers
-    dropped.
+    [(power of h, int numerator), ...]) ``items``, every numerator over
+    ``den``, as ``linear.int_terms`` gives a ``QPAElement``'s: operator
+    products when ``quantum``, and otherwise coordinate products read at
+    h = 0, an item's other powers dropped.
 
     Without ``ends`` every item is closed and the result is the element
     sum m h^k Tr(cfg), an idempotent factor v scaling its item by dim[v].
@@ -892,8 +937,9 @@ def contracted(quiver: Quiver, dim, items, quantum: bool, ends=None, codec=None)
     ``_image_parts`` shares: quantum ones are read from the trace cache
     ``_packed_trace`` with ``get`` in that codec's layout and, on a miss,
     contracted and stored with ``put``; the others contract directly.  The
-    results are fresh elements: reading their ``terms`` stores nothing in
-    the cache."""
+    results are fresh elements, the summed ``int`` numerators over ``den``
+    in canonical form, so dividing by ``den`` multiplies nothing; reading
+    their ``terms`` stores nothing in the cache."""
     if quantum:
         items = list(items)
     else:
@@ -904,27 +950,30 @@ def contracted(quiver: Quiver, dim, items, quantum: bool, ends=None, codec=None)
     if codec is None:
         arrows = {_LETTER[c].arrow for c in set().union(*letters)}
         codec = _codec(quiver, dim, tuple(sorted(arrows)), _width(top))
-    make = lambda terms: (WeylElement if quantum else PolyElement)._from_packed(quiver, dim, codec, terms, top)
+    cls = WeylElement if quantum else PolyElement
+    make = lambda terms: cls._from_packed(quiver, dim, codec, *lowest_terms(terms, den), top)
     if ends is None:
-        return make(_closed_sum(quiver, dim, codec, items, quantum))
+        terms = _closed_sum(quiver, dim, codec, items, quantum)
+        # a closed sum holds no zero, so over 1 it is canonical already
+        return cls._from_packed(quiver, dim, codec, terms, 1, top) if den == 1 else make(terms)
     rows, cols = ends
     block = {(r, c): {} for r in rows for c in cols}
     for cfg, scale in items:
         for rc, terms in _contract_packed(quiver, dim, codec, cfg, quantum, ends).items():
             _add_scaled(block[rc], terms.items(), scale, codec.hunit)
-    return {rc: make({key: c for key, c in terms.items() if c}) for rc, terms in block.items()}
+    return {rc: make(terms) for rc, terms in block.items()}
 
 
 def _closed_sum(quiver: Quiver, dim, codec: _Codec, items, quantum: bool, keep: bool = True) -> dict:
-    """The canonical packed sum m h^k Tr(cfg) in ``codec`` over closed
-    (cfg, [(k, m), ...]) ``items``, charging nothing.  A quantum trace is
-    read from ``_packed_trace`` with ``get`` under (quiver, dim, arrows,
-    width, cfg) and, on a miss, contracted in ``codec`` and, when
-    ``keep``, stored with ``put``; a classical one is contracted the same
-    way and not kept.  A lone quantum item of scale 1, as every
-    ``trace_quantum`` of one configuration is, is its flat trace read into
-    a fresh dict: a contraction's coefficients are positive, so the trace
-    holds no zero and no key twice."""
+    """The packed ``int`` sum m h^k Tr(cfg) in ``codec``, without zeros,
+    over closed (cfg, [(k, int m), ...]) ``items``, charging nothing.  A
+    quantum trace is read from ``_packed_trace`` with ``get`` under
+    (quiver, dim, arrows, width, cfg) and, on a miss, contracted in
+    ``codec`` and, when ``keep``, stored with ``put``; a classical one is
+    contracted the same way and not kept.  A lone quantum item of scale 1,
+    as every ``trace_quantum`` of one configuration is, is its flat trace
+    read into a fresh dict: a contraction's coefficients are positive, so
+    the trace holds no zero and no key twice."""
     out: dict = {}
     get, hunit, read = out.get, codec.hunit, _packed_trace.get
     for cfg, scale in items:
@@ -1086,12 +1135,15 @@ class IdealImage:
         return None if ratio is None else ratio / den
 
     def _element(self, top: dict, low=None, coeffs=()) -> WeylElement:
-        """The element of ``top`` plus sum_j coeffs[j] h^j times ``low``."""
+        """The element of ``top`` plus sum_j coeffs[j] h^j times ``low``,
+        the rationals ``coeffs`` put over one denominator first."""
+        den = 1
         if any(coeffs):
-            top = dict(top)
-            _add_scaled(top, low.items(), enumerate(coeffs), self.codec.hunit)
-            top = {key: c for key, c in top.items() if c}
-        return WeylElement._from_packed(self.quiver, self.dim, self.codec, top, self.v + 2)
+            nums, den = numerators(coeffs)
+            top = {key: den * c for key, c in top.items()}
+            _add_scaled(top, low.items(), enumerate(nums), self.codec.hunit)
+            top, den = lowest_terms(top, den)
+        return WeylElement._from_packed(self.quiver, self.dim, self.codec, top, den, self.v + 2)
 
     def target(self, r, lam) -> WeylElement:
         return self._element(self.spliced, self.cycle, (-lam, r))
@@ -1174,18 +1226,21 @@ class BlockMatrix:
 
 
 def _moment_block(quiver: Quiver, dim, codec, i: int, r=None) -> dict:
-    """The entries {(p, q): packed terms} of the moment block at vertex i,
-    packed in ``codec`` (with fields for the arrows at i, for two token
-    products): the signed two-letter open chains [a][a'] for t(a) = i and
-    [a'][a] for s(a) = i (``moment_pairs``), height-1 factor first, summed
-    by one ``contracted``, plus h r_i on the diagonal when r is given."""
+    """The entries {(p, q): (numerators, den)} of the moment block at
+    vertex i, canonical and packed in ``codec`` (with fields for the arrows
+    at i, for two token products): the signed two-letter open chains
+    [a][a'] for t(a) = i and [a'][a] for s(a) = i (``moment_pairs``),
+    height-1 factor first, summed by one ``contracted`` over 1, plus h r_i
+    on the diagonal when r is given, each diagonal entry over the
+    denominator of r_i."""
     ends = range(1, dim[i] + 1)
     chains = [(((_code(pair),), ((1, 2),), ()), ((0, sign),)) for sign, *pair in moment_pairs(quiver, i)]
-    block = {pq: entry._packed for pq, entry in contracted(quiver, dim, chains, True, (ends, ends), codec).items()}
+    block = {pq: (entry._packed, 1) for pq, entry in contracted(quiver, dim, chains, True, (ends, ends), codec).items()}
     for p in ends if r is not None and r[i] else ():
-        diagonal = block[p, p]
-        diagonal[codec.hunit] = diagonal.get(codec.hunit, 0) + as_fraction(r[i])
-        block[p, p] = {key: c for key, c in diagonal.items() if c}
+        ri = as_fraction(r[i])
+        diagonal = {key: ri.denominator * c for key, c in block[p, p][0].items()}
+        diagonal[codec.hunit] = diagonal.get(codec.hunit, 0) + ri.numerator
+        block[p, p] = lowest_terms(diagonal, ri.denominator)
     return block
 
 
@@ -1202,21 +1257,26 @@ def moment_block_matrix(quiver: Quiver, dim, r=None) -> dict:
         codec, indices = _codec(quiver, dim, _arrows_at(quiver, {i}), _width(2)), range(1, dim[i] + 1)
         block = _moment_block(quiver, dim, codec, i, r)
         entries = tuple(
-            tuple(WeylElement._from_packed(quiver, dim, codec, block[p, q], 2) for q in indices) for p in indices
+            tuple(WeylElement._from_packed(quiver, dim, codec, *block[p, q], 2) for q in indices) for p in indices
         )
         out[i] = BlockMatrix(i, i, entries)
     return out
 
 
 def quantum_moment(quiver: Quiver, dim, v: GlElement, r=None) -> WeylElement:
-    """tr of the moment block matrix against v (with the optional h r shift)."""
+    """tr of the moment block matrix against v (with the optional h r
+    shift), summed on v's ``int`` numerators (``linear.int_terms``) over
+    the lcm of the entries' denominators times v's."""
     dim = tuple(dim)
     if (quiver, dim) != v._context():
         raise MismatchError("gl element disagrees on quiver or dimensions")
-    vertices = {i for i, _, _ in v.terms}
+    terms, den = int_terms(v)  # a gl element holds h^0 only
+    vertices = {i for i, _, _ in terms}
     codec = _codec(quiver, dim, _arrows_at(quiver, vertices), _width(2))
     blocks = {i: _moment_block(quiver, dim, codec, i, r) for i in vertices}
+    common = math.lcm(*[d for block in blocks.values() for _, d in block.values()])
     out: dict = {}
-    for (i, p, q), c in v.items():
-        _add_scaled(out, blocks[i][q, p].items(), enumerate(HBarPolynomial.coerce(c).coeffs), codec.hunit)
-    return WeylElement._from_packed(quiver, dim, codec, {key: c for key, c in out.items() if c}, 2)
+    for (i, p, q), ((_, m),) in terms.items():
+        entry, d = blocks[i][q, p]
+        _add_scaled(out, entry.items(), ((0, m * (common // d)),), codec.hunit)
+    return WeylElement._from_packed(quiver, dim, codec, *lowest_terms(out, den * common), 2)

@@ -8,8 +8,8 @@ which sums each index as soon as the last factor using it has been
 multiplied; the block matrices of path-algebra and height-configuration
 elements are its open-word entries.  Every one of them is a weighted sum
 that ``repspace.contracted`` charges and accumulates at once, from the
-coded keys and ``int`` numerators of ``linear.int_terms``; this module
-only divides by the common denominator.  Around them sit the verification
+coded keys and ``int`` numerators of ``linear.int_terms``, whose common
+denominator becomes the result's own.  Around them sit the verification
 procedures, with the trace characters they solve for: the trace is an
 algebra map, the pre- and post-reduction squares commute, the quantum
 moment identity holds, and the reduction-ideal generators decompose over
@@ -70,22 +70,18 @@ from .schedler import (
 )
 
 
-def _over(x, den: int):
-    """``x`` divided by the common denominator ``den`` of its items."""
-    return x if den == 1 else x.scale(Fraction(1, den))
-
-
 def trace_classical(x: HH0Element, dim) -> PolyElement:
     """Classical trace: cyclic index contraction of coordinate matrices.
 
     Each necklace is contracted as its canonical configuration, read at
     h = 0 (the classical side carries no deformation parameter), so an
     idempotent class goes to its block dimension.  The whole sum is charged
-    and accumulated at once (``repspace.contracted``).
+    and accumulated at once on the ``int`` numerators of ``x``
+    (``repspace.contracted``), and their denominator is the result's.
     """
     dim = make_dimension_vector(x.quiver, dim)
     terms, den = int_terms(lift_necklace_combination(x))
-    return _over(contracted(x.quiver, dim, terms.items(), False), den)
+    return contracted(x.quiver, dim, terms.items(), False, den=den)
 
 
 def trace_quantum_config(quiver: Quiver, dim, components, idempotents) -> WeylElement:
@@ -108,11 +104,12 @@ def trace_quantum(x: QPAElement, dim) -> WeylElement:
     token-by-token contraction, packed and kept in the trace cache; a
     sum's index assignments are added up against ``work.MAX_INDEX_ASSIGNMENTS``
     before any is contracted, and its weighted traces are accumulated into
-    one fresh packed element (``repspace.contracted``).
+    one fresh packed element (``repspace.contracted``): numerators over the
+    denominator of ``x``, with no ``Fraction`` multiplied.
     """
     dim = make_dimension_vector(x.quiver, dim)
     terms, den = int_terms(x)
-    return _over(contracted(x.quiver, dim, terms.items(), True), den)
+    return contracted(x.quiver, dim, terms.items(), True, den=den)
 
 
 def _open_word(key) -> tuple:
@@ -175,8 +172,8 @@ def block_matrix(x, dim, mode: str = "classical") -> BlockMatrix:
 
     dim = make_dimension_vector(quiver, dim)
     rows, cols = range(1, dim[dst] + 1), range(1, dim[src] + 1)
-    block = contracted(quiver, dim, items, quantum, (rows, cols))
-    return BlockMatrix(src, dst, tuple(tuple(_over(block[row, col], den) for col in cols) for row in rows))
+    block = contracted(quiver, dim, items, quantum, (rows, cols), den=den)
+    return BlockMatrix(src, dst, tuple(tuple(block[row, col] for col in cols) for row in rows))
 
 
 # ---------------------------------------------------------------------------

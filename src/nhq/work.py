@@ -36,6 +36,21 @@ MAX_MERGE_LETTERS = 1 << 24
 #: It also bounds the term pairs of each product a parsed power forms.
 MAX_INDEX_ASSIGNMENTS = 1 << 20
 
+#: Most bits a packed monomial key of ``repspace`` may take, counted as the
+#: field width times the fields of its layout (``_Codec``): two per
+#: coordinate of the arrows it spans (the exponent of the coordinate and of
+#: its derivative) and the h field.  A contraction makes each slot's d_i
+#: d_j tokens as ints of up to this size before its first product, so its
+#: time and memory grow with the key width as well as with its index
+#: assignments; a layout past the bound is refused with ``WorkLimitError``
+#: (a ``DimensionError``) before any coordinate or token is made.  Just
+#: below the bound, the two-letter quantum trace (x,1)(x',2) of the Jordan
+#: quiver at v=90 (32,402 bits) takes 0.5 s and 100 MB; at v=127 (64,518
+#: bits) it took 1.4 s and 331 MB, and at v=180 (129,602 bits) 6.2 s and
+#: 1.25 GB (2-core Xeon, Python 3.11).  The benchmark, the golden CLI set
+#: and the tests need at most 132 bits.
+MAX_KEY_BITS = 1 << 15
+
 #: Most height swaps the kernel may compute for one call of ``straighten``,
 #: ``qpa_mul``, ``moment_lift``, ``ideal_generator`` or
 #: ``ideal_normal_forms`` (one call per generator, whatever its

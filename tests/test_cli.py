@@ -14,7 +14,7 @@ import pytest
 from nhq.cli import main
 import nhq.quiver
 from nhq.schedler import clear_straighten_cache
-from nhq.work import MAX_EXPONENT, MAX_INDEX_ASSIGNMENTS, MAX_MERGE_LETTERS, MAX_REWRITES
+from nhq.work import MAX_EXPONENT, MAX_INDEX_ASSIGNMENTS, MAX_KEY_BITS, MAX_MERGE_LETTERS, MAX_REWRITES
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -369,6 +369,18 @@ def test_oversized_trace_sum_is_refused_before_any_contraction(capsys):
         f"error: contraction has {assignments} index assignments, "
         f"above the limit {MAX_INDEX_ASSIGNMENTS}\n"
     )
+
+
+def test_a_key_wider_than_the_limit_is_refused_before_any_token(capsys):
+    # one letter at d = 1000 is 1,000 index assignments, but its layout
+    # has 2 * 1000^2 fields: every token would be an int of about 2,000,000
+    # bits, and the contraction ran past 100 s before the width was charged
+    t0 = time.perf_counter()
+    code, out = run("trace", "-q", q("jordan"), "--dim", "v=1000", "[x]")
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (3, "")
+    bits = 2 * 1000**2 + 1
+    assert capsys.readouterr().err == f"error: packed keys need {bits} bits, above the limit {MAX_KEY_BITS}\n"
 
 
 def test_oversized_exponent_is_refused_at_parse_time(capsys):

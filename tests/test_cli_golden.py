@@ -6,6 +6,15 @@ A refactor that keeps the exact algebra must keep this output; a deliberate
 output change re-records the file with
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+and ``--check`` compares every command with the file instead, naming each
+that differs and exiting 1 if any does:
+
+    PYTHONPATH=src python tests/test_cli_golden.py --check
+
+Neither needs pytest, so the output can be compared on any interpreter; the
+tests are parametrized by ``pytest_generate_tests``, which pytest reads
+from this module.
 """
 
 import io
@@ -14,8 +23,6 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
-
-import pytest
 
 from nhq.cli import main
 from nhq.schedler import clear_straighten_cache
@@ -98,14 +105,38 @@ def _load():
         return json.load(fh)
 
 
+def pytest_generate_tests(metafunc):
+    if "argv" in metafunc.fixturenames:
+        metafunc.parametrize("argv", list(_variants()), ids=" ".join)
+
+
 def test_golden_file_covers_every_command():
     assert [entry["argv"] for entry in _load()] == list(_variants())
 
 
-@pytest.mark.parametrize("argv", list(_variants()), ids=" ".join)
 def test_cli_output_matches_golden(argv):
     entry = next(e for e in _load() if e["argv"] == argv)
     assert _run(argv) == {"exit": entry["exit"], "stdout": entry["stdout"]}
+
+
+def check() -> int:
+    """Run every golden command and compare its exit code and stdout with
+    the file; print each command that differs (or that the file lacks or
+    has beyond the list) and return 1 if any does, else 0."""
+    entries = _load()
+    recorded = {tuple(e["argv"]): e for e in entries}
+    variants = list(_variants())
+    bad = [" ".join(e["argv"]) + " (not a golden command)" for e in entries if e["argv"] not in variants]
+    for argv in variants:
+        entry = recorded.get(tuple(argv))
+        if entry is None:
+            bad.append(" ".join(argv) + " (not in the golden file)")
+        elif _run(argv) != {"exit": entry["exit"], "stdout": entry["stdout"]}:
+            bad.append(" ".join(argv))
+    for name in bad:
+        print(f"mismatch: {name}")
+    print(f"{len(variants) - len(bad)} of {len(variants)} golden commands match on Python {sys.version.split()[0]}")
+    return 1 if bad else 0
 
 
 
@@ -137,6 +168,10 @@ def test_output_does_not_depend_on_the_hash_seed():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
+    if sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--check]")
     records = [{"argv": argv, **_run(argv)} for argv in _variants()]
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=1, ensure_ascii=False)

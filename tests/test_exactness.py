@@ -6,17 +6,21 @@
 a public constructor builds while the verify suites, the gl kernel and the
 reduction solvers run and while sampled products of every element type are
 formed; the ideal suite's decompositions are made to unpack all their views
-for it.  It also checks the packed coefficients of every operator or
-polynomial made packed (``repspace._PackedOperator._from_packed``), of
-every keyed element made packed (``linear._PackedSums._from_sums``, the
-one constructor of all six keyed classes: ``int`` numerators over a
-positive ``int`` denominator) and of every reduction-ideal image
-(``trace.ideal_image``: its four traced parts and the open-word entries
-of its ``pairs``): those paths build no polynomial in h at all.
+for it.  It also checks the packed form of every operator or polynomial
+made packed (``repspace._PackedOperator._from_packed`` and the public
+constructor) and of every keyed element made packed
+(``linear._PackedSums._from_sums``, the one constructor of all six keyed
+classes): both hold nonzero ``int`` numerators over a positive ``int``
+denominator, in canonical form (no factor common to the denominator and
+every numerator).  It checks the
+coefficients of every reduction-ideal image (``trace.ideal_image``: its
+four traced parts and the open-word entries of its ``pairs``) too: those
+paths build no polynomial in h at all.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -97,14 +101,21 @@ def spy(monkeypatch):
             for c in part.values():
                 _check_scalar(c)
 
-    def spy_from_packed(cls, quiver, dim, codec, packed, top):
-        check_packed(packed)
-        return from_packed(cls, quiver, dim, codec, packed, top)
+    def check_canonical(den, *parts):
+        """Nonzero ``int`` numerators over a positive ``int`` ``den``, with
+        no factor common to all of them."""
+        check_packed(*parts)
+        assert type(den) is int and den > 0
+        assert all(type(m) is int and m for part in parts for m in part.values())
+        assert gcd(den, *[m for part in parts for m in part.values()]) == 1
+
+    def spy_from_packed(cls, quiver, dim, codec, packed, den, top):
+        check_canonical(den, packed)
+        return from_packed(cls, quiver, dim, codec, packed, den, top)
 
     def spy_from_sums(cls, context, sums, den):
-        check_packed(*sums)
-        assert type(den) is int and den > 0
-        assert all(type(m) is int for sums_k in sums for m in sums_k.values())
+        check_canonical(den, *sums)
+        assert not sums or sums[-1], "a trailing empty power of h"
         seen["keyed"].add(cls)
         return from_sums(cls, context, sums, den)
 
@@ -127,6 +138,7 @@ def spy(monkeypatch):
 
     def spy_operator_init(self, quiver, dim, terms=None):
         operator_init(self, quiver, dim, terms)
+        check_canonical(self._den, self._packed)
         check_element(self)
 
     monkeypatch.setattr(HBarPolynomial, "_with_coeffs", staticmethod(spy_with_coeffs))

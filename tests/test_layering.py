@@ -27,10 +27,15 @@ per power of h over one denominator (``_sums``, ``_den``), a public
 constructor's pairs kept until packed (``_given``), made by ``_from_sums``
 and put in and out of canonical form by ``_canonical``, ``_pack`` and
 ``_view`` (``_pack`` is not checked: ``repspace`` names its own packing
-so).  Only ``linear`` may know that form; the kernels of the other
+so).  Only ``linear`` may know that form, but for ``_den``: a packed
+operator holds ``int`` numerators over one denominator too and names it
+so, and ``repspace`` reads its operators' (a keyed element's only
+through ``int_terms``: ``_sums`` stays out of it); the kernels of the other
 modules read and make it through the small API ``linear`` exports
 (``packed``, ``int_terms``, ``bilinear``, ``rekeyed``, ``from_ints``), so
-no other module names those.  The bracket's reading of packed necklaces
+no other module names those; ``repspace`` puts its operators in the same
+canonical form with ``lowest_terms`` and coerces rationals with
+``numerators``.  The bracket's reading of packed necklaces
 (``_cycles``) and HH0's cyclic check of a public constructor's words
 (``_check_cyclic``) stay in ``necklace``.
 
@@ -72,7 +77,7 @@ import os
 
 import pytest
 
-from nhq import work
+from nhq import repspace, work
 from nhq.schedler import clear_straighten_cache
 from test_cli import q, run
 
@@ -95,6 +100,8 @@ PACKED = {
     "_join",
 }
 PACKED_SUMS = {"_sums", "_den", "_given", "_from_sums", "_canonical", "_view"}
+#: the name of the rational form's denominator, in both packed stores
+BOTH_STORES = {"_den"}
 HH0_PACKED = {"_cycles", "_check_cyclic"}
 TUPLE_KERNEL = {"_weyl_mono_mul", "_merge_exponents", "poly_partial"}
 FRONT_ENDS = {"_contract_letters", "trace_configurations", "_traced", "_check_traces", "_boundary_entries"}
@@ -107,6 +114,7 @@ LIMITS = {
     "MAX_MERGE_LETTERS",
     "MAX_INDEX_ASSIGNMENTS",
     "MAX_REWRITES",
+    "MAX_KEY_BITS",
     "CACHE_SIZE",
     "CACHE_WEIGHT",
     "PLAN_WEIGHT",
@@ -176,8 +184,9 @@ def test_only_necklace_knows_the_packed_hh0_form(module):
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "linear.py"])
 def test_only_linear_knows_the_packed_sums(module):
+    names = PACKED_SUMS - BOTH_STORES if module == "repspace.py" else PACKED_SUMS
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
-        assert packed_names_used(fh.read(), PACKED_SUMS) == set()
+        assert packed_names_used(fh.read(), names) == set()
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -290,13 +299,17 @@ def test_bounds_are_read_from_work_when_checked(module):
         ("MAX_MERGE_LETTERS", 4, ("bracket", "[x.x']", "[x.x']"), 3, "bracket merges hold up to 4 letters, above the limit 3"),
         ("MAX_MERGE_LETTERS", 2, ("dbracket", "x.x", "x'"), 3, "double bracket terms hold up to 2 letters, above the limit 1"),
         ("MAX_REWRITES", 1, ("qmul", "(x',1)", "(x,1)"), 3, "straightening needs more rewrites than the limit 0"),
+        # 4 coordinates at v=2, two fields each, and the h field, one bit wide
+        ("MAX_KEY_BITS", 9, ("trace", "--dim", "v=2", "[x]"), 3, "packed keys need 9 bits, above the limit 8"),
     ],
 )
 def test_a_lowered_bound_refuses_a_small_load(limit, amount, argv, code, message, monkeypatch, capsys):
     """Each bound, lowered on ``work`` alone, admits a load of exactly its
     amount and refuses it one below, with the message and exit code of the
-    refusal at the default bound."""
+    refusal at the default bound.  The layouts are made afresh, as the
+    first of a process is."""
     verb, *rest = argv
+    repspace._codec.cache_clear()
     monkeypatch.setattr(work, limit, amount - 1)
     assert run(verb, "-q", q("jordan"), *rest) == (code, "")
     assert capsys.readouterr().err == f"error: {message}\n"

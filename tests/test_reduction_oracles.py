@@ -299,7 +299,7 @@ def test_a_tau_term_raises_an_exponent_above_the_letter_count(starred):
     assert codec.width == 4
     open_word = ((_code(word),), (tuple(range(1, m + 1)),), ())
     packed = repspace.contracted(quiver, dim, [(open_word, ((0, 1),))], True, (ends, ends), codec)[1, 1]._packed
-    entry = WeylElement(quiver, dim, codec.unpack(packed, True))
+    entry = WeylElement(quiver, dim, codec.unpack(packed, 1, True))
     tops = []
     for _sign, pos, der in tau_pairs(quiver, dim, 0, 1, 1):
         moved: dict = {}
@@ -309,7 +309,7 @@ def test_a_tau_term_raises_an_exponent_above_the_letter_count(starred):
         term = weyl_mul(
             WeylElement.position(quiver, dim, *pos), WeylElement.derivative(quiver, dim, *der)
         )
-        product = WeylElement(quiver, dim, codec.unpack(out, True))
+        product = WeylElement(quiver, dim, codec.unpack(out, 1, True))
         assert product == weyl_mul(entry, term)
         tops.append(max(e for mono in product.terms for half in mono for _, e in half))
     assert max(tops) == m + 1

@@ -7,11 +7,17 @@ scaling by rationals and by polynomials in h, the Rees grading, division
 by h, the classical symbol, truth and equality.  The operands include
 terms that are not homogeneous in h, ``Fraction`` coefficients, and pairs
 packed in different layouts (other arrows, other field widths), which
-every binary operation re-packs into their join.  The field-boundary cases
-fill a field exactly, need one bit more, push the h field up, and meet on
-disjoint arrows of a quiver with 1,000 loops.
+every binary operation re-packs into their join.  Every result is in the
+canonical form of the store: nonzero ``int`` numerators over one positive
+``int`` denominator that shares no factor with all of them, so equal
+elements from different layouts or routes compare equal, and weights that
+cancel leave the denominator 1.  The field-boundary cases fill a field
+exactly, need one bit more, push the h field up, and meet on disjoint
+arrows of a quiver with 1,000 loops.  Traces of ``Fraction``-weighted sums
+are checked against the tuple kernel of ``contraction_oracle``.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,11 +25,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import contraction_oracle
 import weyl_oracle as oracle
 from nhq import HBarPolynomial, PolyElement, WeylElement, classical_symbol, poisson, weyl_commutator, weyl_mul
+from nhq.expr import parse_hh0_element, parse_qpa_element
 from nhq.quiver import make_quiver
-from nhq.repspace import poly_mul
-from nhq.sampling import jordan, small_quivers
+from nhq.repspace import _join, poly_mul
+from nhq.sampling import a3p, jordan, small_quivers, two_loop
+from nhq.quiver import Letter
+from nhq.schedler import HeightConfiguration, QPAElement, lift_necklace_combination
+from nhq.trace import trace_classical, trace_quantum
 
 H = HBarPolynomial.h()
 QUIVERS = small_quivers()
@@ -87,7 +98,18 @@ def _cases(draw):
     return draw(_operators(q, d)), draw(_operators(q, d)), draw(scalar), polys
 
 
+def _canonical(*elements):
+    """Each element holds nonzero ``int`` numerators over a positive
+    ``int`` denominator, with no factor common to all of them."""
+    for x in elements:
+        assert type(x._den) is int and x._den > 0
+        assert all(type(c) is int and c for c in x._packed.values())
+        assert math.gcd(x._den, *x._packed.values()) == 1
+    return True
+
+
 def _check_polynomials(f, g, a):
+    assert _canonical(f, g, poly_mul(f, g), poisson(f, g), f + g, f - g, -f, f.scale(a))
     F, G = f.terms, g.terms
     assert poly_mul(f, g).terms == oracle.poly_mul(F, G)
     assert (f * g).terms == oracle.poly_mul(F, G)
@@ -114,6 +136,12 @@ def _rees_degrees_per_top(x) -> set:
 def test_packed_kernels_match_the_tuple_ring(case):
     x, y, c, polys = case
     X, Y = x.terms, y.terms
+    assert _canonical(x, y, weyl_mul(x, y), weyl_commutator(x, y), x + y, x - y, -x, x.scale(c))
+    assert _canonical(classical_symbol(x), x.scale(H).div_h())
+    # halves that add up: the same numerators over the same denominator
+    half = x.scale(Fraction(1, 2))
+    assert half + half == x and (half + half)._den == x._den
+    assert weyl_mul(x.scale(Fraction(2, 3)), y.scale(Fraction(3, 2))) == weyl_mul(x, y)
     assert weyl_mul(x, y).terms == oracle.weyl_mul(X, Y)
     assert weyl_commutator(x, y).terms == oracle.weyl_commutator(X, Y)
     assert (x + y).terms == oracle.combine(X, Y)
@@ -279,3 +307,110 @@ def test_polynomials_have_no_h():
         f.scale(H)
     with pytest.raises(TypeError):
         f.scale(HBarPolynomial.one())
+
+
+def test_fractions_that_cancel_leave_the_denominator_one():
+    q, d = jordan(), (2,)
+    x = _mono(q, d, [(X11, 2)], [(X12, 1)], 3) + _mono(q, d, [(X12, 1)], c=H - 2)
+    assert x._den == 1
+    half, third = x.scale(Fraction(1, 2)), x.scale(Fraction(1, 3))
+    assert (half._den, third._den) == (2, 3)
+    assert half + half == x and (half + half)._den == 1
+    assert third + third + third == x and (third + third + third)._den == 1
+    assert half.scale(2) == x and (-half).scale(-2)._den == 1
+    # 1/2 + 1/3 = 5/6; a sixth more is 1
+    assert (half + third)._den == 6 and (half + third + x.scale(Fraction(1, 6))) == x
+    # products and brackets: the denominators multiply, then cancel
+    y = _mono(q, d, [(X12, 1)], [(X11, 2)], 4)
+    assert weyl_mul(half, y.scale(Fraction(1, 2)))._den == 1  # 3/2 * 2 and (h-2)/2 * 2 are integral
+    assert weyl_commutator(half, y.scale(2)) == weyl_commutator(x, y)
+    # the symbol drops the h terms; those left may share a factor the
+    # denominator kept for the dropped ones: (2 x + h x)/2 -> x
+    z = _mono(q, d, [(X11, 1)], c=1 + Fraction(1, 2) * H)
+    assert z._den == 2 and classical_symbol(z)._den == 1
+    assert classical_symbol(z) == classical_symbol(_mono(q, d, [(X11, 1)]))
+    f = _poly(q, d, [((0, False, 1, 1), 1)], Fraction(1, 2))
+    g = _poly(q, d, [((0, True, 1, 1), 1)], 2)
+    assert poisson(f, g)._den == 1 and poisson(f, g) == _poly(q, d, [], 1)
+    assert f + f == _poly(q, d, [((0, False, 1, 1), 1)]) and (f + f)._den == 1
+
+
+def test_equal_elements_from_different_layouts_compare_equal():
+    q, d = jordan(), (2,)
+    terms = {(((X11, 1),), ()): Fraction(2, 4), (((X12, 3),), ((X11, 1),)): Fraction(-3, 2)}
+    x = WeylElement(q, d, terms)
+    # the same element in wider fields and in a layout with another arrow,
+    # each through a join, and with its coefficients built another way
+    big = _mono(q, d, [(X11, 7)])
+    wide = x + big - big
+    many = make_quiver(["v"], [("x", "v", "v"), ("y", "v", "v")])
+    other = WeylElement(many, d, {((((1, 1, 1), 1),), ()): 1})
+    joined = WeylElement(many, d, terms) + other - other
+    scaled = WeylElement(q, d, {m: 2 * c for m, c in terms.items()}).scale(Fraction(1, 2))
+    assert wide._codec.width > x._codec.width and joined._codec.arrows == (0, 1)
+    for a, b in ((x, wide), (x, scaled), (wide, scaled)):
+        assert a == b and b == a and a._den == b._den == 2
+        _, _, pa, pb = _join(a, b, False)
+        assert pa == pb
+    assert joined == WeylElement(many, d, terms) and joined._den == 2 and joined.terms == x.terms
+    assert x != x.scale(Fraction(1, 3)) and x != x.scale(H)
+    f = PolyElement(q, d, {(((0, False, 1, 1), 1),): Fraction(1, 3)})
+    assert poly_mul(f, PolyElement.constant(q, d, 3)) == PolyElement.coordinate(q, d, 0, False, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "quiver, dim, necklaces, configurations",
+    [
+        (two_loop(), (2,), "1/2*[x.y'] - 2/3*[x.x.y'] + 5/6*[y.y'.x.x']", "1/2*(x,2)(y',1) - 2/3*h*(x,1)(x',2)(y,3) + 5/6*(y,3)(y',1)(x,4)(x',2)"),
+        (a3p(), (2, 2, 2, 1), "1/2*[a0.a0'] + 1/3*[a1'.a1] - 1/6*[a2.a1.a1'.a2']", "1/2*(a0',1)(a0,2) + 1/3*(a1,2)(a1',1) - 1/6*h*(a0,1)(a0',2)"),
+    ],
+    ids=["two_loop", "a3p"],
+)
+def test_fraction_weighted_traces_equal_the_oracle_sums(quiver, dim, necklaces, configurations):
+    """Tr of a sum weighted by denominators 2, 3 and 6 is the weighted sum
+    of the tuple kernel's traces, on both sides and as an element of the
+    one rational form."""
+    x = parse_hh0_element(quiver, necklaces)
+    expected = PolyElement(quiver, dim)
+    for cfg, c in lift_necklace_combination(x).items():
+        traced = contraction_oracle.contract_letters(quiver, dim, cfg.components, False)
+        expected += traced.scale(c.constant_term() * math.prod([dim[v] for v in cfg.idempotents]))
+    got = trace_classical(x, dim)
+    assert got == expected and _canonical(got) and got._den in (1, 2, 3, 6)
+    y = parse_qpa_element(quiver, configurations)
+    expected = WeylElement(quiver, dim)
+    for cfg, c in y.items():
+        traced = contraction_oracle.contract_letters(quiver, dim, cfg.components, True)
+        expected += traced.scale(c * math.prod([dim[v] for v in cfg.idempotents]))
+    got = trace_quantum(y, dim)
+    assert got == expected and _canonical(got) and got._den in (1, 2, 3, 6)
+    assert got.terms == expected.terms
+
+
+def _component(quiver, *letters):
+    """One component of the (name, height) ``letters``, a starred name
+    ending in a prime."""
+    arrows = {a.name: i for i, a in enumerate(quiver.arrows)}
+    return tuple((Letter(arrows[name.rstrip("'")], name.endswith("'")), h) for name, h in letters)
+
+
+def test_weights_that_cancel_in_a_trace_leave_the_denominator_one():
+    """x and y' commute, and so do y and x': each pair of configurations
+    below has one trace, so weights over 2, 3 and 6 add up to integers, and
+    the trace's numerators over 6 share the factor 6."""
+    q, d = two_loop(), (2,)
+    weighted = [
+        (Fraction(1, 2), (("x", 1), ("y'", 2))),
+        (Fraction(1, 2), (("y'", 1), ("x", 2))),
+        (Fraction(1, 3), (("x", 1), ("y", 2), ("x'", 3))),
+        (Fraction(2, 3), (("x", 1), ("y", 3), ("x'", 2))),
+        (Fraction(1, 6), (("x", 1), ("y", 2))),
+        (Fraction(-1, 6), (("y", 1), ("x", 2))),
+    ]
+    y = QPAElement(q, {HeightConfiguration((_component(q, *letters),), ()): w for w, letters in weighted})
+    assert len(y.terms) == len(weighted)
+    expected = WeylElement(q, d)
+    for w, letters in weighted:
+        expected += contraction_oracle.contract_letters(q, d, (_component(q, *letters),), True).scale(w)
+    got = trace_quantum(y, d)
+    assert got == expected and got._den == 1 and _canonical(got) and got
