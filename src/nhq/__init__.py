@@ -43,6 +43,7 @@ from .quiver import (
 from .repspace import (
     BlockMatrix,
     GlElement,
+    IdealDecomposition,
     PolyElement,
     WeylElement,
     classical_symbol,
@@ -79,7 +80,6 @@ from .schedler import (
 )
 from .trace import (
     Character,
-    IdealDecomposition,
     VerificationReport,
     block_matrix,
     chi_sign_variants,

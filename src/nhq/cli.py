@@ -52,12 +52,15 @@ def _parse_assignments(text: str, what: str) -> dict:
         if "=" not in piece:
             raise ExpressionError(f"{what} entries look like name=value, got {piece!r}")
         name, _, value = piece.partition("=")
+        name = name.strip()
+        if name in out:
+            raise ExpressionError(f"{what} names {name} twice")
         digits, _, exponent = value.lower().partition("e")
         try:
             # Fraction writes an exponent out: refuse, as int does, more digits than Python's limit
             if exponent and 0 < sys.get_int_max_str_digits() < sum(map(str.isdigit, digits)) + abs(int(exponent)):
                 raise ValueError(value)
-            out[name.strip()] = Fraction(value.strip())
+            out[name] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
             raise ExpressionError(f"bad rational {value!r} in {what}") from None
     return out

@@ -330,17 +330,38 @@ def _check_name(value, location: str) -> str:
     return value
 
 
+class _Fields(dict):
+    """A JSON object's fields, ``twice`` the first name given twice."""
+
+    twice = None
+
+
+def _fields(pairs) -> _Fields:
+    """The ``object_pairs_hook`` of ``parse_quiver``: it notes a repeated
+    name rather than keeping its last value."""
+    fields, seen = _Fields(pairs), set()
+    if len(fields) < len(pairs):
+        fields.twice = next(name for name, _ in pairs if name in seen or seen.add(name))
+    return fields
+
+
+def _check_fields(obj: _Fields, allowed, location: str) -> None:
+    _require(obj.twice is None, f"duplicate field {obj.twice!r}", location)
+    for key in obj:
+        _require(key in allowed, f"unknown field {key!r}", location)
+
+
 def parse_quiver(text: str) -> Quiver:
-    """Parse the canonical quiver file format (JSON with vertices/arrows)."""
+    """Parse the canonical quiver file format (JSON with vertices/arrows).
+    A field given twice in one object is refused, not overwritten."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_fields)
     except json.JSONDecodeError as exc:
         raise QuiverFormatError(
             f"invalid JSON: {exc.msg}", f"line {exc.lineno} column {exc.colno}"
         ) from None
     _require(isinstance(doc, dict), "top level must be an object", "document")
-    for key in doc:
-        _require(key in ("vertices", "arrows"), f"unknown field {key!r}", "document")
+    _check_fields(doc, ("vertices", "arrows"), "document")
     _require("vertices" in doc, "missing field 'vertices'", "document")
     _require("arrows" in doc, "missing field 'arrows'", "document")
     raw_vertices = doc["vertices"]
@@ -365,8 +386,7 @@ def parse_quiver(text: str) -> Quiver:
     for i, rec in enumerate(raw_arrows):
         loc = f"arrows[{i}]"
         _require(isinstance(rec, dict), "expected an object", loc)
-        for key in rec:
-            _require(key in ("name", "from", "to"), f"unknown field {key!r}", loc)
+        _check_fields(rec, ("name", "from", "to"), loc)
         for key in ("name", "from", "to"):
             _require(key in rec, f"missing field {key!r}", loc)
         name = _check_name(rec["name"], f"{loc}.name")

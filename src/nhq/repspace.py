@@ -1012,15 +1012,16 @@ def _closed_sum(quiver: Quiver, dim, codec: _Codec, items, quantum: bool, keep: 
 # the sum of the traces of those closed words.  An n-letter term c of an
 # N'-letter part stands for c h^((N' - n)/2), an item of ``_closed_sum``
 # with that power of h, so G and E sit at Rees grade N, P and T at grade
-# v.  None depends on (r,
-# lambda), and the decomposition target == re_expand(chi), split by
-# grade, is two exact comparisons: G + r h P - E = chi h T at grade N and,
-# when lambda != 0, P = T at grade v.  So the image depends only on
-# (quiver, dim, vertex, marked word), and ``ideal_image`` keeps it in the
-# same trace cache under that key: a miss (``_image_parts``) keeps what chi
-# reads, P, T and D = G - E as flat int tuples, and G's summands, its
-# normal form as one flat tuple (cfg0, c0, cfg1, c1, ...).  A hit
-# reads them back, with nothing straightened, charged or summed; G, which
+# v.  None depends on (r, lambda), and the decomposition target ==
+# re_expand(chi), split by grade, is two exact comparisons:
+# G + r h P - E = chi h T at grade N and, when lambda != 0, P = T at grade
+# v.  So all of an ``IdealDecomposition`` but its (r, lambda) depends only
+# on (quiver, dim, vertex, marked word), and ``ideal_image`` keeps those
+# parts in the same trace cache under that key: a miss (``_image_parts``)
+# keeps what chi reads, P, T and D = G - E as flat int tuples, and G's
+# summands, its normal form as one flat tuple (cfg0, c0, cfg1, c1, ...).
+# A hit reads them back, with nothing straightened, charged or summed, and
+# binds them to any (r, lambda); G, which
 # only ``target`` and ``expansion`` read, is summed again from the cached
 # traces when it is read.  So the miss stores the traces of G's and P's
 # normal forms in the ``_packed_trace`` cache, and only reads those of T's
@@ -1072,27 +1073,31 @@ def _minus(a: dict, b: dict) -> dict:
 
 
 @dataclass(eq=False)
-class IdealImage:
-    """One reduction-ideal generator's decomposition in packed form, for
-    every (r, lambda) at once.
+class IdealDecomposition:
+    """Tr_q of one reduction-ideal generator written as sum entry *
+    (tau + lambda tr - h chi)(direction), in packed form, at the order-h
+    weight ``r`` and deformation ``lam`` of its vertex (zero by default).
 
     ``word`` is the marked word of v letters; ``cycle`` (P), ``diagonal``
     (T) and ``difference`` (G - E) are traced packed int dicts of the
     comment above, and ``summands`` is the normal form of the spliced part
     G as one flat tuple (cfg0, c0, cfg1, c1, ...), coded cfgs and int
-    coefficients, read as ``_closed_sum`` items (``_graded``).
-    ``chi(r, lam)`` solves the character value at order-h weight r and
-    deformation lam from P, T and G - E alone; at r = 0 it copies
-    nothing.  Only ``target`` and ``expansion`` read G, which
-    is most of an image's weight and is not kept: it is summed again from
-    its summands through the trace cache on its first read, and
-    ``expanded`` = E is G - (G - E), derived when read.  ``ideal_image``
-    is the one constructor.  The views ``target(r, lam)`` = Tr_q(generator),
-    ``expansion(lam)`` = sum entry tau(direction) - lambda Tr_q(p),
-    ``pairs`` (each nonzero open-word entry of the word with its
-    direction -e_{l_first, l_last}) and ``trace_of_p`` = Tr_q(p) are
-    packed elements, the last two made once; ``pairs`` is the only view
-    that contracts the open word."""
+    coefficients, read as ``_closed_sum`` items (``_graded``); none depends
+    on (r, lambda).  ``chi(r, lam)`` solves the character value from P, T
+    and G - E alone, copying nothing at r = 0; ``chi_value``, its value at
+    the bound (r, lambda), is solved on first read, None when no value
+    makes the decomposition exact (``verified`` false).  Only ``target``
+    and ``expansion`` read G, which is most of the weight and is not kept:
+    it is summed again from its summands on its first read, and
+    ``expanded`` = E is G - (G - E).  ``ideal_image`` is the one
+    constructor.  The views, packed elements made on first read, are
+    ``target`` = Tr_q(generator), ``expansion`` = sum entry tau(direction)
+    - lambda Tr_q(p), ``re_expand(c)`` = expansion + c h Tr_q(p),
+    ``trace_of_p`` = Tr_q(p) and ``pairs``, each nonzero open-word entry of
+    the word with its direction -e_{l_first, l_last}, the one view that
+    contracts the open word.  The routes through
+    ``trace_quantum(ideal_generator(...))``, ``weyl_mul`` and ``tau`` are
+    test oracles (``tests/test_reduction_oracles.py``)."""
 
     quiver: Quiver
     dim: tuple
@@ -1103,6 +1108,8 @@ class IdealImage:
     cycle: dict
     diagonal: dict
     difference: dict
+    r: Fraction | int = 0
+    lam: Fraction | int = 0
     v = property(lambda self: len(self.word))
 
     @cached_property
@@ -1119,8 +1126,8 @@ class IdealImage:
         return _minus(self.spliced, self.difference)
 
     def chi(self, r, lam) -> Fraction | None:
-        """The chi with target(r, lam) == expansion(lam) + chi h Tr_q(p),
-        None when no value makes the decomposition exact."""
+        """The chi with target == re_expand(chi) at (r, lam), None when no
+        value makes the decomposition exact."""
         # grade v: -lambda P = -lambda T
         if lam and self.cycle != self.diagonal:
             return None
@@ -1134,6 +1141,12 @@ class IdealImage:
         ratio = _ratio(lhs, self.diagonal, h)
         return None if ratio is None else ratio / den
 
+    @cached_property
+    def chi_value(self) -> Fraction | None:
+        return self.chi(self.r, self.lam)
+
+    verified = property(lambda self: self.chi_value is not None)
+
     def _element(self, top: dict, low=None, coeffs=()) -> WeylElement:
         """The element of ``top`` plus sum_j coeffs[j] h^j times ``low``,
         the rationals ``coeffs`` put over one denominator first."""
@@ -1145,11 +1158,17 @@ class IdealImage:
             top, den = lowest_terms(top, den)
         return WeylElement._from_packed(self.quiver, self.dim, self.codec, top, den, self.v + 2)
 
-    def target(self, r, lam) -> WeylElement:
-        return self._element(self.spliced, self.cycle, (-lam, r))
+    @cached_property
+    def target(self) -> WeylElement:
+        return self._element(self.spliced, self.cycle, (-self.lam, self.r))
 
-    def expansion(self, lam) -> WeylElement:
-        return self._element(self.expanded, self.diagonal, (-lam,))
+    @cached_property
+    def expansion(self) -> WeylElement:
+        return self._element(self.expanded, self.diagonal, (-self.lam,))
+
+    def re_expand(self, chi_value=None) -> WeylElement:
+        cv = self.chi_value if chi_value is None else chi_value
+        return self._element(self.expanded, self.diagonal, (-self.lam, cv)) if cv else self.expansion
 
     @cached_property
     def trace_of_p(self) -> WeylElement:
@@ -1190,13 +1209,14 @@ def _image_parts(quiver: Quiver, dim: tuple, vertex: int, word: tuple) -> tuple:
     return _flat(parts[0]), kept_T if P == T else _flat(P), kept_T, _flat(_minus(G, E))
 
 
-def ideal_image(quiver: Quiver, dim: tuple, vertex: int, word: tuple) -> IdealImage:
+def ideal_image(quiver: Quiver, dim: tuple, vertex: int, word: tuple, r=0, lam=0) -> IdealDecomposition:
     """The decomposition of the generator of the marked ``word`` at
-    ``vertex``, kept in the one trace cache under (quiver, dim, vertex,
-    word); a miss makes its parts (``_image_parts``).  A hit straightens,
-    charges and contracts nothing, and a refused miss leaves no entry.
-    Every call builds a fresh image with dicts of its own, so no two
-    callers share one."""
+    ``vertex``, bound to ``r`` and ``lam``.  Its parts are kept in the one
+    trace cache under (quiver, dim, vertex, word), free of (r, lambda); a
+    miss makes them (``_image_parts``).  A hit straightens, charges and
+    contracts nothing, and a refused miss leaves no entry.  Every call
+    builds a fresh decomposition with dicts of its own, so no two callers
+    share one."""
     key = (_image_parts, quiver, dim, vertex, word)
     entry = _packed_trace.get(key)
     if entry is None:
@@ -1205,7 +1225,7 @@ def ideal_image(quiver: Quiver, dim: tuple, vertex: int, word: tuple) -> IdealIm
     summands, *parts = entry
     codec = _ideal_codec(quiver, dim, vertex, word)
     kept = [dict(zip(it, it)) for it in map(iter, parts)]
-    return IdealImage(quiver, dim, vertex, word, codec, summands, *kept)
+    return IdealDecomposition(quiver, dim, vertex, word, codec, summands, *kept, r, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,15 @@ the shifted gl action with a solvable trace character.  A generator's
 check is four sums of closed configurations
 (``schedler.ideal_normal_forms``): its two straightened parts, its marked
 word, and the closed words whose traces are its tau re-expansion.
-``repspace.ideal_image`` is the one maker of its image: on a miss it
-traces them into packed monomials once, free of the parameters (r,
-lambda), each trace read from the one trace cache, which keeps the
-traces of the two straightened parts and what chi reads of the image
-under its marked word, but not the traces of the words; an
-``IdealDecomposition`` binds that image to one parameter set, so every
-set reads the same image.  This module never sees the packed monomials
-of a contraction.  All checks are by exact equality; failures
-carry the residual element.
+``decompose_ideal_image`` is its one entry point: it finds the
+generator's marked word, and ``repspace.ideal_image`` makes its
+``IdealDecomposition`` at one parameter set, tracing the four sums into
+packed monomials on a miss, free of (r, lambda), each trace read from the
+one trace cache.  That cache keeps the traces of the two straightened
+parts and what chi reads of the decomposition under its marked word, but
+not the traces of the words, so every parameter set reads the same kept
+parts.  This module never sees the packed monomials of a contraction.
+All checks are by exact equality; failures carry the residual element.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import DimensionError
 from .expr import format_element, format_hbar
@@ -44,7 +43,7 @@ from .repspace import (
     BlockMatrix,
     GlElement,
     PolyElement,
-    IdealImage,
+    IdealDecomposition,
     WeylElement,
     classical_symbol,
     clear_trace_cache,
@@ -361,83 +360,6 @@ def chi_sign_variants(quiver: Quiver, dim, r=None) -> dict:
     }
 
 
-class IdealDecomposition:
-    """Tr_q(generator) written as sum coeff * (tau + lambda tr - h chi)(direction).
-
-    One ``repspace.IdealImage`` bound to the order-h weight r and the
-    deformation lambda of ``params`` (zero by default) at its vertex.
-    ``chi_value`` is the solved trace-character coefficient there, None
-    when no value of it makes the decomposition exact; ``verified`` means
-    target == re_expand(chi_value).  The elements are views unpacked on
-    their first read, the last two shared by every binding of the image:
-
-    - ``target``: Tr_q of the straightened generator;
-    - ``expansion``: the re-expansion at chi = 0, sum entry *
-      tau(direction) - lambda Tr_q(p);
-    - ``pairs``: one (entry, direction) pair per nonzero boundary pair
-      (l_first, l_last): the entry is that entry of the height-ordered
-      operator matrix product of the cycle letters, the direction the
-      negated elementary matrix -e_{l_first, l_last}; the one view that
-      contracts the open word;
-    - ``trace_of_p``: Tr_q(p), the trace of the marked word, which is the
-      sum of the diagonal entries.
-
-    ``re_expand(c)`` is the affine expansion + c h Tr_q(p).  The route
-    through ``trace_quantum(ideal_generator(...))``, and re-expanding
-    through ``weyl_mul`` and ``tau``, are kept as test oracles in
-    ``tests/test_reduction_oracles.py``.
-    """
-
-    def __init__(self, image: IdealImage, params: ReductionParameters | None = None):
-        self._image = image
-        v = image.vertex
-        self._r, self._lam = (params.r[v], params.lam[v]) if params else (0, 0)
-        self.chi_value = image.chi(self._r, self._lam)
-
-    quiver = property(lambda self: self._image.quiver)
-    dim = property(lambda self: self._image.dim)
-    vertex = property(lambda self: self._image.vertex)
-    pairs = property(lambda self: self._image.pairs)
-    trace_of_p = property(lambda self: self._image.trace_of_p)
-
-    @cached_property
-    def target(self) -> WeylElement:
-        return self._image.target(self._r, self._lam)
-
-    @cached_property
-    def expansion(self) -> WeylElement:
-        return self._image.expansion(self._lam)
-
-    @property
-    def verified(self) -> bool:
-        return self.chi_value is not None
-
-    def re_expand(self, chi_value=None) -> WeylElement:
-        cv = self.chi_value if chi_value is None else chi_value
-        if not cv:
-            return self.expansion
-        return self.expansion + self.trace_of_p.scale(HBarPolynomial((0, cv)))
-
-    def report(self, name="ideal") -> VerificationReport:
-        unequal = () if self.verified else ((None, self.target, self.re_expand()),)
-        return compare_report(name, unequal)
-
-
-def generator_image(quiver: Quiver, dim, p: Necklace, vertex: int, mark: int = 0) -> IdealImage:
-    """The ``repspace.IdealImage`` of the reduction-ideal generator of (p,
-    marked visit), free of (r, lambda): the four parts of
-    ``schedler.ideal_normal_forms`` (its two straightened parts, traced as
-    they leave the straightening kernel, and the closed words of Tr_q(p)
-    and of the tau re-expansion), packed and Rees-graded, every trace read
-    from the one trace cache and only those of the first two stored
-    there.  p's marked word is found once, here, and
-    ``repspace.ideal_image`` keeps what chi reads of the image in the
-    trace cache under it, so a repeated generator is one cache hit:
-    nothing is straightened, charged or contracted."""
-    dim = make_dimension_vector(quiver, dim)
-    return ideal_image(quiver, dim, vertex, marked_word(quiver, p, vertex, mark))
-
-
 def decompose_ideal_image(
     quiver: Quiver,
     dim,
@@ -446,8 +368,10 @@ def decompose_ideal_image(
     mark: int = 0,
     params: ReductionParameters | None = None,
 ) -> IdealDecomposition:
-    """Decompose Tr_q of a reduction-ideal generator over the gl action at
-    ``params``: its ``generator_image`` bound to them.
+    """Decompose Tr_q of the reduction-ideal generator of (p, marked
+    visit) over the gl action at ``params`` (zero by default): the
+    ``repspace.IdealDecomposition`` of p's marked word, found once, here,
+    bound to the r and lambda of ``params`` at ``vertex``.
 
     The coefficient of each boundary pair (l_first, l_last) is that entry of
     the operator matrix product of the marked cycle's letters, taken in word
@@ -456,10 +380,15 @@ def decompose_ideal_image(
     words, the marked word followed by a moment pair.  Re-expansion is
     affine in chi with slope h Tr_q(p) and lambda enters once, as -lambda
     Tr_q(p), so target == re_expand(chi) is two exact comparisons, one per
-    Rees grade, and chi is read off at one monomial of Tr_q(p).  Nothing is
-    unpacked unless a caller reads an element of the result.
+    Rees grade, and chi is read off at one monomial of Tr_q(p).  The parts
+    are kept in the trace cache free of (r, lambda), so a repeated
+    generator, at any parameters, straightens, charges and contracts
+    nothing.  Nothing is unpacked unless a caller reads an element of the
+    result.
     """
-    return IdealDecomposition(generator_image(quiver, dim, p, vertex, mark), params)
+    dim = make_dimension_vector(quiver, dim)
+    bound = (params.r[vertex], params.lam[vertex]) if params else ()
+    return ideal_image(quiver, dim, vertex, marked_word(quiver, p, vertex, mark), *bound)
 
 
 def _closed_necklaces(quiver: Quiver, max_len: int):

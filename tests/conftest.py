@@ -36,13 +36,14 @@ def L2():
 @pytest.fixture
 def wrong_spliced_int(monkeypatch):
     """Make one int of every traced generator wrong, at the packed seam:
-    G - E of each ``repspace.IdealImage``, the part of the spliced part G
-    that the check reads, gains 1 at the key of x_w^N, w the codec's last
-    coordinate and N the letters of the spliced configurations, as the
-    image leaves ``repspace.ideal_image`` and before any parameter set is
-    bound to it, as a wrong int in G would make it.  That is an h-free
-    monomial of the target's top Rees grade with no derivative, which no
-    generator's trace holds and no chi can absorb."""
+    G - E of each ``repspace.IdealDecomposition``, the part of the spliced
+    part G that the check reads, gains 1 at the key of x_w^N, w the codec's
+    last coordinate and N the letters of the spliced configurations, as the
+    decomposition leaves ``repspace.ideal_image`` and before its
+    ``chi_value`` is first read, as a wrong int in G would make it; the
+    kept parts in the trace cache stay clean.  That is an h-free monomial
+    of the target's top Rees grade with no derivative, which no generator's
+    trace holds and no chi can absorb."""
     from nhq import trace
 
     image_of = trace.ideal_image

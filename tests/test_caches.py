@@ -3,6 +3,7 @@ import importlib
 import pkgutil
 import random
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -41,7 +42,7 @@ from nhq.schedler import (
     marked_word,
 )
 from nhq.repspace import _kept_weight, _packed_trace, _plan_weight, _plans
-from nhq.trace import clear_trace_cache, enumerate_generators, generator_image, trace_quantum
+from nhq.trace import clear_trace_cache, enumerate_generators, trace_quantum
 from nhq.work import CACHE_SIZE, CACHE_WEIGHT, PLAN_WEIGHT, GenerationalCache
 from test_straighten_oracle import coded_form, key_form, split_key
 
@@ -112,10 +113,10 @@ def test_a_repeated_generator_image_contracts_nothing(L2, monkeypatch):
     contract = repspace._contract
     monkeypatch.setattr(repspace, "_contract", lambda *a: contractions.append(a) or contract(*a))
     clear_trace_cache()
-    first = generator_image(L2, (2,), p, 0, 1)
+    first = decompose_ideal_image(L2, (2,), p, 0, 1)
     assert contractions and all(free == () for *_, free in contractions)
     contractions.clear()
-    again = generator_image(L2, (2,), p, 0, 1)
+    again = decompose_ideal_image(L2, (2,), p, 0, 1)
     assert contractions == []
     parts = lambda image: (image.spliced, image.cycle, image.diagonal, image.expanded)
     assert parts(again) == parts(first) and all(parts(first))
@@ -132,7 +133,7 @@ def test_a_warm_generator_image_charges_nothing_and_builds_no_element(L2, monkey
 
     x, y = Letter(0, False), Letter(1, False)
     p = canonical_necklace(L2, (x, y.star(), y, x.star()))
-    cold = generator_image(L2, (2,), p, 0, 1)
+    cold = decompose_ideal_image(L2, (2,), p, 0, 1)
     binds = [(0, 0), (Fraction(1, 2), 0), (Fraction(-3), Fraction(2))]
     expected = [cold.chi(r, lam) for r, lam in binds]
     calls = {"_charge": 0, "_closed_sum": 0, "_contract": 0, "_from_packed": 0, "ideal_normal_forms": 0}
@@ -144,7 +145,7 @@ def test_a_warm_generator_image_charges_nothing_and_builds_no_element(L2, monkey
     for name in ("_charge", "_closed_sum", "_contract", "ideal_normal_forms"):
         monkeypatch.setattr(repspace, name, counted(name, getattr(repspace, name)))
     monkeypatch.setattr(repspace._PackedOperator, "_from_packed", classmethod(counted("_from_packed", from_packed)))
-    image = generator_image(L2, (2,), p, 0, 1)
+    image = decompose_ideal_image(L2, (2,), p, 0, 1)
     assert [image.chi(r, lam) for r, lam in binds] == expected and expected[0] is not None
     assert calls == {"_charge": 0, "_closed_sum": 0, "_contract": 0, "_from_packed": 0, "ideal_normal_forms": 0}
     # the kept G - E is the difference of G and E summed apart
@@ -181,14 +182,16 @@ def _difference(a, b):
 
 
 def _assert_same_image(image, fresh):
-    """``image`` equals the image made afresh in every part and view."""
+    """``image`` equals the image made afresh in every part and in every
+    view, each read at every bind of ``_BINDS`` (a copy of the kept parts
+    bound to it)."""
     for name in ("spliced", "cycle", "diagonal", "difference", "expanded"):
         assert getattr(image, name) == getattr(fresh, name), name
     for r, lam in _BINDS:
         assert image.chi(r, lam) == fresh.chi(r, lam)
-        assert image.target(r, lam) == fresh.target(r, lam)
+        assert replace(image, r=r, lam=lam).target == replace(fresh, r=r, lam=lam).target
     for lam in (0, 2):
-        assert image.expansion(lam) == fresh.expansion(lam)
+        assert replace(image, lam=lam).expansion == replace(fresh, lam=lam).expansion
     assert image.trace_of_p == fresh.trace_of_p
 
 
@@ -211,19 +214,19 @@ def test_a_kept_generator_image_equals_the_image_made_afresh(quiver, monkeypatch
             summands, *parts = image_parts(quiver, dim, vertex, word)
             codec = repspace._ideal_codec(quiver, dim, vertex, word)
             kept = [dict(zip(it, it)) for it in map(iter, parts)]
-            fresh = repspace.IdealImage(quiver, dim, vertex, word, codec, summands, *kept)
+            fresh = repspace.IdealDecomposition(quiver, dim, vertex, word, codec, summands, *kept)
             G, P, T, E = _summed(quiver, dim, fresh)
             assert (fresh.spliced, fresh.cycle, fresh.diagonal, fresh.expanded) == (G, P, T, E)
             assert fresh.difference == _difference(G, E)
             assert (parts[0] is parts[1]) == (P == T)
             made.clear()
-            first = generator_image(quiver, dim, p, vertex, mark)
+            first = decompose_ideal_image(quiver, dim, p, vertex, mark)
             assert len(made) == ((vertex, word) not in seen)
             seen.add((vertex, word))
             _assert_same_image(first, fresh)
             clear_straighten_cache()
             made.clear()
-            again = generator_image(quiver, dim, p, vertex, mark)
+            again = decompose_ideal_image(quiver, dim, p, vertex, mark)
             assert made == [] and again is not first and again.spliced is not first.spliced
             _assert_same_image(again, fresh)
 
@@ -234,14 +237,14 @@ def test_a_generator_image_is_built_once_per_call(L2, monkeypatch):
     from nhq import repspace
 
     built, made = [], []
-    init, image_parts = repspace.IdealImage.__init__, repspace._image_parts
-    monkeypatch.setattr(repspace.IdealImage, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    init, image_parts = repspace.IdealDecomposition.__init__, repspace._image_parts
+    monkeypatch.setattr(repspace.IdealDecomposition, "__init__", lambda self, *a: built.append(a) or init(self, *a))
     monkeypatch.setattr(repspace, "_image_parts", lambda *a: made.append(a) or image_parts(*a))
     x, y = Letter(0, False), Letter(1, False)
     p = canonical_necklace(L2, (x, y.star(), y, x.star()))
-    first = generator_image(L2, (2,), p, 0, 1)
+    first = decompose_ideal_image(L2, (2,), p, 0, 1)
     assert (len(made), len(built)) == (1, 1)
-    again = generator_image(L2, (2,), p, 0, 1)
+    again = decompose_ideal_image(L2, (2,), p, 0, 1)
     assert (len(made), len(built)) == (1, 2) and again is not first
 
 
@@ -258,7 +261,7 @@ def test_a_cycle_part_unequal_to_the_trace_of_p_is_kept_apart(J, monkeypatch):
 
     monkeypatch.setattr(repspace, "ideal_normal_forms", doubled)
     p = canonical_necklace(J, (Letter(0, False), Letter(0, True)))
-    image = generator_image(J, (2,), p, 0, 1)
+    image = decompose_ideal_image(J, (2,), p, 0, 1)
     assert image.cycle == {key: 2 * c for key, c in image.diagonal.items()} != {}
     assert image.chi(0, Fraction(1)) is None
 
@@ -272,7 +275,7 @@ def test_a_refused_generator_image_is_not_kept(J, limit, monkeypatch):
     x, xs = Letter(0, False), Letter(0, True)
     p, dim = canonical_necklace(J, (x, xs, x)), (2,)
     word = marked_word(J, p, 0, 0)
-    expected = generator_image(J, dim, p, 0, 0)
+    expected = decompose_ideal_image(J, dim, p, 0, 0)
     total = sum(2 ** sum(map(len, codes)) for codes, _, _ in set().union(*ideal_normal_forms(J, word, 0)))
     clear_straighten_cache()
     clear_trace_cache()
@@ -286,10 +289,10 @@ def test_a_refused_generator_image_is_not_kept(J, limit, monkeypatch):
         monkeypatch.setattr(work, limit, 10)
         refusal = "straightening needs more rewrites than the limit 10"
     with pytest.raises(WorkLimitError, match=refusal):
-        generator_image(J, dim, p, 0, 0)
+        decompose_ideal_image(J, dim, p, 0, 0)
     assert contractions == [] and _packed_trace.cache_info().currsize == 0
     monkeypatch.undo()
-    image = generator_image(J, dim, p, 0, 0)
+    image = decompose_ideal_image(J, dim, p, 0, 0)
     _assert_same_image(image, expected)
     kept = [key for key, _ in _cache_entries(_packed_trace) if key[0] is repspace._image_parts]
     assert kept == [(repspace._image_parts, J, dim, 0, word)]
@@ -303,8 +306,8 @@ def test_a_kept_image_charges_its_spliced_part_when_read(J, monkeypatch):
 
     x, xs = Letter(0, False), Letter(0, True)
     p, dim = canonical_necklace(J, (x, xs, x)), (2,)
-    expected = generator_image(J, dim, p, 0, 0).spliced
-    image = generator_image(J, dim, p, 0, 0)
+    expected = decompose_ideal_image(J, dim, p, 0, 0).spliced
+    image = decompose_ideal_image(J, dim, p, 0, 0)
     total = sum(2 ** sum(map(len, cfg[0])) for cfg in image.summands[::2])
     contractions = []
     contract = repspace._contract
@@ -312,7 +315,7 @@ def test_a_kept_image_charges_its_spliced_part_when_read(J, monkeypatch):
     monkeypatch.setattr(work, "MAX_INDEX_ASSIGNMENTS", total - 1)
     assert image.chi(0, 0) is not None
     with pytest.raises(WorkLimitError, match=f"has {total} index assignments, above the limit {total - 1}"):
-        image.target(0, 0)
+        image.target
     assert contractions == []
     monkeypatch.setattr(work, "MAX_INDEX_ASSIGNMENTS", total)
     assert image.spliced == expected and contractions == []
@@ -612,7 +615,7 @@ def test_an_image_miss_stores_no_trace_of_its_T_or_E_words(L2, monkeypatch):
     )
     clear_straighten_cache()
     clear_trace_cache()
-    image = generator_image(L2, dim, p, 0, 0)
+    image = decompose_ideal_image(L2, dim, p, 0, 0)
     traced = lambda cfgs: {(L2, dim, image.codec.arrows, image.codec.width, cfg) for cfg in cfgs}
     stored = {key for key, _ in _cache_entries(_packed_trace)}
     assert stored == traced(G | P) | {(repspace._image_parts, L2, dim, 0, word)}
@@ -621,7 +624,7 @@ def test_an_image_miss_stores_no_trace_of_its_T_or_E_words(L2, monkeypatch):
     assert info.hits == len(T & P) + len(E & G)
     assert info.misses == 1 + len(G | P) + len(T - P) + len(E - G)
     # the image read again is one hit, and its T and E words stay unstored
-    again = generator_image(L2, dim, p, 0, 0)
+    again = decompose_ideal_image(L2, dim, p, 0, 0)
     assert again.expanded == image.expanded and again.trace_of_p == image.trace_of_p
     assert {key for key, _ in _cache_entries(_packed_trace)} == stored
 
@@ -692,7 +695,7 @@ def test_a_load_past_a_small_weight_bound_keeps_within_it_and_its_results(monkey
                 results.append(straighten(quiver, cfg))
                 results.append(trace_quantum(lift_necklace(quiver, random_necklace(rng, quiver, 6)), dim))
             for necklace, vertex, mark in enumerate_generators(quiver, 3):
-                image = generator_image(quiver, dim, necklace, vertex, mark)
+                image = decompose_ideal_image(quiver, dim, necklace, vertex, mark)
                 results.append([image.chi(r, lam) for r, lam in _BINDS])
                 results.append((image.spliced, image.expanded))
         return results
@@ -829,7 +832,7 @@ def test_a_refused_contraction_leaves_no_plan(J, monkeypatch):
     calls = [
         lambda: trace_quantum_config(J, (2,), (((xs, 1), (x, 2), (x, 3)),), ()),
         lambda: block_matrix(lift_necklace(J, p), (2,), "quantum"),
-        lambda: generator_image(J, (2,), p, 0, 0),
+        lambda: decompose_ideal_image(J, (2,), p, 0, 0),
     ]
     clear_straighten_cache()
     clear_trace_cache()
@@ -855,7 +858,7 @@ def test_a_kept_image_weighs_the_pairs_of_its_four_flat_tuples(J):
     p, dim = canonical_necklace(J, (x, xs, x)), (2,)
     word = marked_word(J, p, 0, 0)
     clear_trace_cache()
-    image = generator_image(J, dim, p, 0, 0)
+    image = decompose_ideal_image(J, dim, p, 0, 0)
     entry = _packed_trace.get((repspace._image_parts, J, dim, 0, word))
     G, P, T, D = entry
     spliced = ideal_normal_forms(J, word, 0)[0]

@@ -325,6 +325,28 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.strip() == "[ev]"
 
 
+@pytest.mark.parametrize(
+    "argv, flag, name",
+    [
+        (("trace", "-q", q("jordan"), "--dim", "v=2,v=1", "[x]"), "--dim", "v"),
+        (("verify", "ideal", "-q", q("jordan"), "--dim", "v=1", "--r", "v=1,v=2"), "--r", "v"),
+        (("solve-chi", "-q", q("a2"), "--dim", "1=1,2=1", "--lambda", "1=1, 1 =5"), "--lambda", "1"),
+    ],
+    ids=["dim", "r", "lambda"],
+)
+def test_a_name_given_twice_in_an_assignment_flag_exits_2(argv, flag, name, capsys):
+    # the second value is refused, not silently kept in place of the first
+    assert run(*argv) == (2, "")
+    assert capsys.readouterr().err == f"error: {flag} names {name} twice\n"
+
+
+def test_a_quiver_file_with_a_field_given_twice_exits_2(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text('{"vertices": ["v"], "arrows": [{"name": "x", "from": "v", "to": "v", "name": "y"}]}')
+    assert run("trace", "-q", str(path), "--dim", "v=1", "[y]") == (2, "")
+    assert capsys.readouterr().err == "error: arrows[0]: duplicate field 'name'\n"
+
+
 def test_a_closed_stdout_exits_141_without_a_traceback():
     """The reader of stdout is gone before the command writes: it exits
     with 128 + SIGPIPE and leaves stderr empty, the flush at exit too."""
@@ -335,7 +357,8 @@ def test_a_closed_stdout_exits_141_without_a_traceback():
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
     )
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=60) == 141
     assert err == b""
 

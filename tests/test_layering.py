@@ -10,11 +10,12 @@ one public front-end, ``contracted``, from coded configurations and
 ones read from the trace cache (``_packed_trace``).  The reduction-ideal
 check sums its four traced parts in that form with the same
 ``_closed_sum`` and compares them there (``_ratio``), and an
-``IdealImage`` holds them with their ``codec``.  The same trace cache
-keeps each image's parts under its marked word, and ``ideal_image``, the
-one maker of an image, sums them on a miss itself (``_image_parts``), so
-no other module names the cache.  A ``WeylElement`` holds its terms in
-that form too (``_codec``, ``_packed``), and so does a ``PolyElement``:
+``IdealDecomposition`` holds them with their ``codec``.  The same trace
+cache keeps each image's parts under its marked word, and
+``ideal_image``, the one maker of a decomposition, sums them on a miss
+itself (``_image_parts``), so no other module names the cache.  A
+``WeylElement`` holds its terms in that form too (``_codec``,
+``_packed``), and so does a ``PolyElement``:
 both are made by ``_from_packed`` and re-packed by ``_join``.  Only
 ``repspace`` may know that format, so that changing it touches one
 module: no other module of the package imports those names or reads them
@@ -56,6 +57,11 @@ its configuration in height form, times one transposition.  Nor is the
 second route to a generator image (``kept_image``, ``_kept_parts``,
 ``_made_image``), which built an image, kept its parts and built it again,
 nor the second name of the trace cache's clearer (``clear_packed_traces``).
+Nor is a second class or entry point of one generator's decomposition:
+the parameter-free image (``IdealImage``), whose views took (r, lambda),
+and its maker (``generator_image``) are one ``repspace.IdealDecomposition``
+with its (r, lambda) bound, ``trace`` defines no wrapper class of it, and
+a failed one is reported by ``trace.compare_report`` alone.
 Nor is what only a get-or-compute call of the caches needed (``_split``,
 ``_Memo``, ``_trace_pairs``): every reader of a ``GenerationalCache`` reads
 it with ``get`` and stores with ``put``, and the tests decode keys.  Nor
@@ -77,6 +83,7 @@ import os
 
 import pytest
 
+import nhq
 from nhq import repspace, work
 from nhq.schedler import clear_straighten_cache
 from test_cli import q, run
@@ -105,7 +112,7 @@ BOTH_STORES = {"_den"}
 HH0_PACKED = {"_cycles", "_check_cyclic"}
 TUPLE_KERNEL = {"_weyl_mono_mul", "_merge_exponents", "poly_partial"}
 FRONT_ENDS = {"_contract_letters", "trace_configurations", "_traced", "_check_traces", "_boundary_entries"}
-IMAGE_ROUTE = {"kept_image", "_kept_parts", "_made_image", "clear_packed_traces"}
+IMAGE_ROUTE = {"kept_image", "_kept_parts", "_made_image", "clear_packed_traces", "IdealImage", "generator_image"}
 CACHE_CALL = {"_split", "_Memo", "_trace_pairs"}
 RETIRED = TUPLE_KERNEL | {"_times_tau", "_drop_pair", "_rewrites_left"} | FRONT_ENDS | IMAGE_ROUTE | CACHE_CALL
 LIMITS = {
@@ -168,6 +175,8 @@ def test_the_check_sees_both_forms():
     assert names_anywhere("class _Memo(dict):\n    put = dict.__setitem__\n", RETIRED) == {"_Memo"}
     assert names_anywhere("return _rewrite(*_split(key), pick, None, memo)\n", RETIRED) == {"_split"}
     assert names_anywhere("_rewrites_left[0] = MAX_REWRITES\n", RETIRED) == {"_rewrites_left"}
+    assert names_anywhere("return IdealImage(q, d, v, w)\n", RETIRED) == {"IdealImage"}
+    assert names_anywhere("from .trace import generator_image\n", RETIRED) == {"generator_image"}
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "repspace.py"])
@@ -193,6 +202,18 @@ def test_only_linear_knows_the_packed_sums(module):
 def test_the_tuple_weyl_product_lives_in_the_tests(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert names_anywhere(fh.read(), RETIRED) == set()
+
+
+def test_one_class_holds_a_generator_decomposition():
+    defining = set()
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        if any(isinstance(node, ast.ClassDef) and node.name == "IdealDecomposition" for node in ast.walk(tree)):
+            defining.add(module)
+    assert defining == {"repspace.py"}
+    assert nhq.IdealDecomposition is repspace.IdealDecomposition
+    assert not hasattr(repspace.IdealDecomposition, "report")
 
 
 def module_level_names(tree) -> set:

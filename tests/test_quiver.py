@@ -61,6 +61,11 @@ def test_parse_a3p_orientation(A3P):
         ),
         ('{"vertices":["v"],"arrows":[{"from":"v","to":"v"}]}', "arrows[0]"),
         ('{"vertices":["a b"],"arrows":[]}', "vertices[0]"),
+        # a field given twice is refused, not overwritten, even with the same value
+        ('{"vertices":["v"],"arrows":[{"name":"x","from":"v","to":"v","name":"y"}]}', "arrows[0]"),
+        ('{"vertices":["v"],"arrows":[],"vertices":["w"]}', "document"),
+        ('{"arrows":[],"vertices":["v"],"arrows":[]}', "document"),
+        ('{"vertices":["v"],"arrows":[{"name":"x","from":"v","to":"v"},{"name":"y","from":"v","to":"v","to":"v"}]}', "arrows[1]"),
     ],
 )
 def test_parse_errors_carry_location(text, location):

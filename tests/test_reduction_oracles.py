@@ -51,7 +51,7 @@ from nhq.quiver import _code
 from nhq.repspace import tau_pairs
 from nhq.sampling import a2, a3p, all_dimension_vectors, jordan, small_quivers, two_loop
 from nhq.schedler import marked_word
-from nhq.trace import IdealDecomposition, enumerate_generators, generator_image
+from nhq.trace import compare_report, enumerate_generators
 import contraction_oracle
 from contraction_oracle import times_token
 
@@ -252,10 +252,10 @@ def test_closed_word_traces_equal_the_entries_times_tau(quiver):
     # their diagonal sum and their tau re-expansion are the reference
     for dim in all_dimension_vectors(quiver, 2):
         for p, vertex, mark in enumerate_generators(quiver, 3):
-            image = generator_image(quiver, dim, p, vertex, mark)
+            image = decompose_ideal_image(quiver, dim, p, vertex, mark)
             entries = oracle_entries(quiver, dim, p, vertex, mark)
             expanded, diagonal = oracle_re_expansion(quiver, dim, vertex, entries)
-            assert image.expansion(0) == expanded  # the element of ``image.expanded``
+            assert image.expansion == expanded  # the element of ``image.expanded``
             assert image.trace_of_p == diagonal  # the element of ``image.diagonal``
 
 
@@ -281,10 +281,9 @@ def test_decomposition_equals_the_traced_generator_oracle(quiver, kind, data):
         "both": ReductionParameters(r, lam),
     }
     assert _assert_matches_oracle(quiver, dim, p, vertex, mark, cases[kind]).verified
-    # one parameter-free image, bound to each of the four parameter sets
-    image = generator_image(quiver, dim, p, vertex, mark)
+    # one kept image, read back and bound to each of the four parameter sets
     for params in cases.values():
-        dec = IdealDecomposition(image, params)
+        dec = decompose_ideal_image(quiver, dim, p, vertex, mark, params)
         assert _assert_matches_oracle(quiver, dim, p, vertex, mark, params, dec).verified
 
 
@@ -350,7 +349,7 @@ def test_a_target_outside_the_character_span_fails(wrong_spliced_int):
     assert dec.verified is False
     residual = dec.target - dec.re_expand()
     assert not residual.is_zero()
-    report = dec.report()
+    report = compare_report("ideal", [(None, dec.target, dec.re_expand())])
     assert report.status == "failed"
     assert report.residual == format_element(residual)
     assert f"  residual: {report.residual}" in report.to_text()
@@ -378,7 +377,8 @@ def test_a_wrong_int_in_the_traced_cycle_fails(monkeypatch, r, lam):
     params = ReductionParameters((Fraction(r),), (Fraction(lam),))
     dec = decompose_ideal_image(quiver, dim, cycle, 0, 1, params)
     assert dec.chi_value is None and not dec.verified
-    assert dec.report().residual == format_element(dec.target - dec.re_expand())
+    report = compare_report("ideal", [(None, dec.target, dec.re_expand())])
+    assert report.residual == format_element(dec.target - dec.re_expand())
     # the bump is one unit of x_{2,2} d_{2,2} in P; it was made on the
     # image as it left ``repspace.ideal_image``, so the kept parts are clean
     monkeypatch.undo()
@@ -389,7 +389,7 @@ def test_a_wrong_int_in_the_traced_cycle_fails(monkeypatch, r, lam):
 
 def _ratio_oracle(lhs: dict, base: dict, shift: int):
     """The chi with lhs = chi base moved ``shift`` up, read at one key of
-    base and checked on every key of both (the comparison ``IdealImage.chi``
+    base and checked on every key of both (the comparison ``IdealDecomposition.chi``
     made before it read the moved base in place), or None."""
     moved = {key + shift: c for key, c in base.items()}
     if not moved:

@@ -168,3 +168,29 @@ def test_verify_ideal_decomposes_each_generator_once(monkeypatch):
     distinct = {(vertex, marked_word(two_loop(), p, vertex, mark)) for p, vertex, mark in generators}
     assert (len(generators), len(distinct)) == (97, 85)
     assert calls == {"ideal_normal_forms": 85, "_image_parts": 85, "open words": 0}
+
+
+def test_verify_ideal_makes_each_generators_parts_at_its_first_parameter_set(monkeypatch):
+    # each parameter set decomposes every generator afresh, and the trace
+    # cache keeps the parts free of (r, lambda): the first set makes the
+    # parts of each (vertex, marked word) once, and the second reads every
+    # one of them back
+    sets = []  # [parameters, parts made] per parameter set, in turn
+    decompose, image_parts = suites.decompose_ideal_image, repspace._image_parts
+
+    def decomposed(*args):
+        if not sets or sets[-1][0] is not args[-1]:
+            sets.append([args[-1], 0])
+        return decompose(*args)
+
+    def made(*args):
+        sets[-1][1] += 1
+        return image_parts(*args)
+
+    monkeypatch.setattr(suites, "decompose_ideal_image", decomposed)
+    monkeypatch.setattr(repspace, "_image_parts", made)
+    path = os.path.join(os.path.dirname(__file__), "data", "two_loop.json")
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(["verify", "ideal", "-q", path, "--dim", "v=2"]) == 0
+    assert out.getvalue().endswith("summary: 4 ok, 0 failed\n")
+    assert [n for _, n in sets] == [85, 0]

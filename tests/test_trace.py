@@ -57,7 +57,7 @@ from nhq.sampling import (
     small_quivers,
     two_loop,
 )
-from nhq.trace import chi_sign_variants, clear_trace_cache, enumerate_generators
+from nhq.trace import chi_sign_variants, clear_trace_cache, compare_report, enumerate_generators
 from test_contraction import reference_trace_quantum_config
 
 H = HBarPolynomial.h()
@@ -408,7 +408,7 @@ def test_a_generator_image_finds_its_marked_word_once(L2, monkeypatch):
         monkeypatch.setattr(module, "marked_word", lambda *a, _f=schedler.marked_word: calls.append(a) or _f(*a))
     for generator in enumerate_generators(L2, 3)[:12]:
         calls.clear()
-        trace.generator_image(L2, (2,), *generator)
+        trace.decompose_ideal_image(L2, (2,), *generator)
         assert len(calls) == 1
 
 
@@ -676,7 +676,7 @@ def test_failed_decomposition_carries_its_residual(J, wrong_spliced_int):
     cycle = canonical_necklace(J, (Letter(0, False), Letter(0, True)))
     dec = decompose_ideal_image(J, d, cycle, 0, 1)
     assert dec.chi_value is None and not dec.verified
-    report = dec.report()
+    report = compare_report("ideal", [(None, dec.target, dec.re_expand())])
     assert report.status == "failed"
     assert report.residual == RESIDUALS["ideal"]
 
