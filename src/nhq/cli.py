@@ -128,6 +128,16 @@ def _check_verify_flags(args) -> None:
         raise ExpressionError(f"--cases must be a positive integer, got {args.cases}")
 
 
+class _Once(argparse.Action):
+    """Store a flag's value, and refuse a second use of the flag: argparse
+    would keep the last one."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "given twice")
+        setattr(namespace, self.dest, values)
+
+
 #: verb -> (help, operand parser, operation, printer, reads --dim).  A verb
 #: that reads --dim takes one operand and passes the dimension vector after
 #: it; the others take two operands.
@@ -160,17 +170,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p, dim=False, params=False, suite=False, reports=False):
-        p.add_argument("-q", "--quiver", help="quiver file (JSON)")
+        p.add_argument("-q", "--quiver", action=_Once, help="quiver file (JSON)")
         if reports:
             p.add_argument("--json", action="store_true", help="machine-readable reports")
         if dim:
-            p.add_argument("--dim", help="dimension vector k=v,...")
+            p.add_argument("--dim", action=_Once, help="dimension vector k=v,...")
         if params:
-            p.add_argument("--r", help="order-h weights k=v,...")
-            p.add_argument("--lambda", dest="lam", help="moment deformation k=v,...")
+            p.add_argument("--r", action=_Once, help="order-h weights k=v,...")
+            p.add_argument("--lambda", dest="lam", action=_Once, help="moment deformation k=v,...")
         if suite:
-            p.add_argument("--seed", type=int)
-            p.add_argument("--cases", type=int)
+            p.add_argument("--seed", type=int, action=_Once)
+            p.add_argument("--cases", type=int, action=_Once)
 
     for verb, (help_text, _, _, _, reads_dim) in OPERATIONS.items():
         p = sub.add_parser(verb, help=help_text)

@@ -1,16 +1,21 @@
 """Sparse free-module elements shared by all the algebra layers.
 
 Every element type is a finite map from basis keys to exact coefficients
-with no stored zeros.  ``LinearCombination`` holds what does not depend on
-the storage: the context in each subclass's own ``__slots__``, the
-compatibility check and the ``terms`` view.  ``_PackedSums`` is the one
-store of the elements keyed by combinatorial data; kernels reach it through
-``int_terms``, ``bilinear``, ``rekeyed`` and ``from_ints``.  Its rational
-form, ``int`` numerators over one denominator with no common factor, is
-also that of ``repspace``'s packed operators, which put one dict of
-numerators in it with ``lowest_terms``.  The exact
-nullspace of a rational matrix given by sparse rows
-(``rational_nullspace``) lives here too.
+with no stored zeros, held in one rational form: ``int`` numerators over
+one positive denominator ``_den`` that shares no factor with them.
+``LinearCombination`` holds everything that does not depend on the
+storage: the context in each subclass's own ``__slots__``, the operand
+check, scalar coercion, the lazy ``terms`` view, and ``+``, ``-``,
+negation and ``scale``, written once as the lcm of the denominators and an
+``int`` factor and a power-of-h shift per operand.  Each store supplies
+only how such parts are summed (``_summed``) and how its terms are read
+(``_unpacked``), with the equality and the division by h that read its own
+form.  ``_PackedSums`` is the store of the elements keyed by combinatorial
+data; kernels reach it through ``int_terms``, ``bilinear``, ``rekeyed`` and
+``from_ints``.  ``repspace``'s packed operators are the other store, put in
+the same canonical form by ``lowest_terms``.  The exact nullspace of a
+rational matrix given by sparse rows (``rational_nullspace``) lives here
+too.
 """
 
 from __future__ import annotations
@@ -24,12 +29,21 @@ from .rings import HBarPolynomial, _exact
 
 class LinearCombination:
     """Finite formal linear combination over an exact coefficient ring: the
-    parts that do not depend on its storage."""
+    context, the operand check and the linear structure, none of which
+    depends on the store.
+
+    A store keeps ``_den`` and supplies ``_summed(parts, den)``, the
+    element of this type and context whose numerators over ``den`` sum the
+    ``(element, factor, power of h)`` parts, each element's numerators
+    times ``factor`` moved that many powers of h up, and ``_unpacked()``,
+    the ``terms`` view, built on its first read and kept.  A ``_rational``
+    class reads a scalar as a rational only, so ``scale(h)`` raises
+    ``TypeError``, and its coefficients are ``Fraction``s, not
+    ``HBarPolynomial``s."""
 
     __slots__ = ("terms",)
 
-    #: coefficient coercion; subclasses with Fraction coefficients override
-    _coerce = staticmethod(HBarPolynomial.coerce)
+    _rational = False
 
     def __init__(self, *context):
         """Set the subclass's context slots, in their order."""
@@ -41,10 +55,38 @@ class LinearCombination:
         return tuple([getattr(self, name) for name in self.__slots__])
 
     def _check_compatible(self, other) -> None:
-        if type(other) is not type(self) or self._context() != other._context():
-            raise MismatchError(
-                f"incompatible operands: {type(self).__name__} vs {type(other).__name__}"
-            )
+        """Refuse an operand of another type, or over another context."""
+        if type(other) is not type(self):
+            raise MismatchError(f"{type(self).__name__} and {type(other).__name__} operands do not combine")
+        if self._context() != other._context():
+            raise MismatchError(f"{type(self).__name__} operands disagree on {' and '.join(self.__slots__)}")
+
+    def _scalars(self, c) -> tuple:
+        """The scalar ``c`` as the coefficients of its powers of h: a
+        rational, or an ``HBarPolynomial`` unless the class is rational."""
+        return c.coeffs if isinstance(c, HBarPolynomial) and not self._rational else (_exact(c),)
+
+    def __getattr__(self, name):  # called for an unset slot
+        if name != "terms":
+            raise AttributeError(name)
+        object.__setattr__(self, name, self._unpacked())
+        return self.terms
+
+    def __add__(self, other, sign=1):
+        self._check_compatible(other)
+        den = lcm(self._den, other._den)
+        return self._summed([(self, den // self._den, 0), (other, sign * (den // other._den), 0)], den)
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    def __neg__(self):
+        return self._summed([(self, -1, 0)], self._den)
+
+    def scale(self, c):
+        """Times a scalar: its h^j part moves each power j places up."""
+        nums, dc = numerators(self._scalars(c))
+        return self._summed([(self, m, j) for j, m in enumerate(nums) if m], self._den * dc)
 
     def is_zero(self) -> bool:
         return not self
@@ -53,7 +95,7 @@ class LinearCombination:
         return self.terms.items()
 
     def coefficient(self, key):
-        return self.terms.get(key, self._coerce(0))
+        return self.terms.get(key, Fraction(0) if self._rational else HBarPolynomial.zero())
 
     def __repr__(self):
         if not self.terms:
@@ -73,30 +115,24 @@ class _PackedSums(LinearCombination):
     no power past the last nonzero one is kept.  A class contributes only
     its key coding, a bijection that normalises nothing: ``_code_key``
     sends a public key to its coded key and ``_public_key`` sends it back.
-    A public constructor keeps its (key, coefficients) pairs in ``_given``
-    and codes and packs them on the first read of the packed form, so that
-    a key's checks (a necklace's cyclic composability) run once per
-    element; ``terms`` is built from the packed form on its first read.  A
-    ``_rational`` class holds at most the power h^0, and its view and
-    ``coefficient`` are ``Fraction``s.  No kernel builds an
-    ``HBarPolynomial``: only the view does.
+    A public constructor codes and packs its (key, coefficient) pairs at
+    once, so a key's checks (a necklace's cyclic composability) run there,
+    once per element.  A ``_rational`` class holds at most the power h^0,
+    and its view and ``coefficient`` are ``Fraction``s.  No kernel builds
+    an ``HBarPolynomial``: only the view does.
     """
 
-    __slots__ = ("_sums", "_den", "_given")
+    __slots__ = ("_sums", "_den")
 
-    _rational = False
     #: the key coding: a public key to its coded key, and back (identity here)
     _code_key = _public_key = staticmethod(lambda key: key)
 
     def __init__(self, quiver, terms=None):
         super().__init__(quiver)
         items = terms.items() if isinstance(terms, dict) else terms or ()
-        object.__setattr__(self, "_given", [(key, self._scalars(c)) for key, c in items])
-
-    def _scalars(self, c) -> tuple:
-        """The scalar ``c`` as the coefficients of its powers of h: a
-        rational, or an ``HBarPolynomial`` unless the class is rational."""
-        return c.coeffs if isinstance(c, HBarPolynomial) and not self._rational else (_exact(c),)
+        sums, den = _pack([(self._code_key(key), self._scalars(c)) for key, c in items])
+        object.__setattr__(self, "_sums", sums)
+        object.__setattr__(self, "_den", den)
 
     @classmethod
     def _from_sums(cls, context: tuple, sums: tuple, den: int):
@@ -109,17 +145,8 @@ class _PackedSums(LinearCombination):
         object.__setattr__(out, "_den", den)
         return out
 
-    def __getattr__(self, name):  # called for an unset slot
-        if name == "terms":
-            object.__setattr__(self, name, _view(self._sums, self._den, self._public_key, self._rational))
-        elif name in ("_sums", "_den"):
-            sums, den = _pack([(self._code_key(key), coeffs) for key, coeffs in self._given])
-            object.__setattr__(self, "_sums", sums)
-            object.__setattr__(self, "_den", den)
-            object.__delattr__(self, "_given")
-        else:
-            raise AttributeError(name)
-        return getattr(self, name)
+    def _unpacked(self) -> dict:
+        return _view(self._sums, self._den, self._public_key, self._rational)
 
     def __bool__(self) -> bool:
         return bool(self._sums)
@@ -128,24 +155,6 @@ class _PackedSums(LinearCombination):
         if type(other) is not type(self):
             return NotImplemented
         return self._context() == other._context() and self._den == other._den and self._sums == other._sums
-
-    def __add__(self, other, sign=1):
-        self._check_compatible(other)
-        den = lcm(self._den, other._den)
-        parts = [(self._sums, den // self._den, 0), (other._sums, sign * (den // other._den), 0)]
-        return self._summed(parts, den)
-
-    def __sub__(self, other):
-        return self.__add__(other, -1)
-
-    def __neg__(self):
-        return self._summed([(self._sums, -1, 0)], self._den)
-
-    def scale(self, c):
-        """Times a scalar: its h^j part moves each power j places up."""
-        nums, dc = numerators(self._scalars(c))
-        parts = [(self._sums, m, j) for j, m in enumerate(nums) if m]
-        return self._summed(parts, self._den * dc)
 
     def is_divisible_by_h(self) -> bool:
         return not self._sums or not self._sums[0]
@@ -160,11 +169,11 @@ class _PackedSums(LinearCombination):
         return from_ints(type(self), self._context(), self._sums[:1], self._den)
 
     def _summed(self, parts, den: int):
-        """The element of this type and context whose numerators over
-        ``den`` sum ``factor`` times the packed ``sums`` moved ``shift``
-        powers of h up, over the ``(sums, factor, shift)`` ``parts``."""
+        """Each part's ``_sums`` times its factor, moved up its power of h,
+        summed per key."""
         out: list = []
-        for sums, factor, shift in parts:
+        for x, factor, shift in parts:
+            sums = x._sums
             out += [{} for _ in range(shift + len(sums) - len(out))]
             for out_k, sums_k in zip(out[shift:], sums):
                 get = out_k.get

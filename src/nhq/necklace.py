@@ -203,7 +203,7 @@ class HH0Element(_PackedSums):
     Its coded key (``linear._PackedSums``) is a necklace's code, or its
     vertex for an idempotent class, so the two never collide.  Coding a
     public constructor's necklace checks that its word is cyclically
-    composable (``_check_cyclic``), once, when the element is first packed;
+    composable (``_check_cyclic``), once, when the constructor packs it;
     the bracket and ``natural_projection`` make only composable words and
     check nothing.
     """
@@ -358,8 +358,7 @@ def necklace_bracket(x: HH0Element, y: HH0Element) -> HH0Element:
       ints, one per power of h, over the product of the two denominators;
       the result is that packed form after one common-factor reduction.
     """
-    if x.quiver != y.quiver:
-        raise MismatchError("necklace_bracket operands live over different quivers")
+    x._check_compatible(y)
     quiver = x.quiver
     xs, ys = _cycles(x), _cycles(y)
     _check_merge_letters(xs, ys, "bracket merges")
@@ -425,8 +424,7 @@ def double_bracket(x: PathAlgebraElement, y: PathAlgebraElement) -> TensorElemen
     per operand-term pair under coded keys, an empty factor keyed by its
     vertex, and packed under those keys.
     """
-    if x.quiver != y.quiver:
-        raise MismatchError("double_bracket operands live over different quivers")
+    x._check_compatible(y)
     ends = _ends(x.quiver)
 
     def words(element):

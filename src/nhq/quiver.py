@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import work
-from .errors import CompositionError, DimensionError, ExpressionError, MismatchError, QuiverFormatError
+from .errors import CompositionError, DimensionError, ExpressionError, QuiverFormatError
 from .linear import _PackedSums, bilinear, from_ints
 from .rings import as_fraction
 
@@ -300,8 +300,7 @@ class PathAlgebraElement(_PackedSums):
 def path_mul(x: PathAlgebraElement, y: PathAlgebraElement) -> PathAlgebraElement:
     """Bilinear extension of path concatenation; non-composable products
     vanish.  Coded paths concatenate as strs."""
-    if x.quiver != y.quiver:
-        raise MismatchError("path_mul operands live over different quivers")
+    x._check_compatible(y)
     ends = _ends(x.quiver)
 
     def product(p, q):

@@ -35,18 +35,23 @@ from .linear import (
     rational_nullspace,
 )
 from .quiver import _LETTER, Letter, Quiver, _code, _ends, make_dimension_vector, moment_pairs
-from .rings import HBarPolynomial, _exact, as_fraction
+from .rings import HBarPolynomial, as_fraction
 from .schedler import ideal_normal_forms
 
 
+def _in_range(value, top: int, low: int = 1) -> bool:
+    """Whether ``value`` is an ``int`` (not a ``bool``) in [low, top]."""
+    return type(value) is int and low <= value <= top
+
+
 def _check_coord_bounds(quiver, dim, arrow, starred, row, col):
+    if not _in_range(arrow, len(quiver.arrows) - 1, 0):
+        raise DimensionError(f"arrow {arrow!r} out of range for {len(quiver.arrows)} arrows")
     a = quiver.arrows[arrow]
     rmax, cmax = (dim[a.source], dim[a.target]) if starred else (dim[a.target], dim[a.source])
-    if not (1 <= row <= rmax and 1 <= col <= cmax):
+    if not (_in_range(row, rmax) and _in_range(col, cmax)):
         name = a.name + ("'" if starred else "")
-        raise DimensionError(
-            f"({name})_{{{row},{col}}} out of range for block {rmax}x{cmax}"
-        )
+        raise DimensionError(f"({name})_{{{row!r},{col!r}}} out of range for block {rmax}x{cmax}")
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +81,7 @@ def _check_coord_bounds(quiver, dim, arrow, starred, row, col):
 
 
 class _PackedOperator(LinearCombination):
-    """The packed storage of ``WeylElement`` and ``PolyElement`` and their
-    linear structure.
+    """The packed store of ``WeylElement`` and ``PolyElement``.
 
     ``_codec``, ``_packed`` ({int key: nonzero int numerator}), ``_den``
     (the one positive int denominator of every numerator) and ``_top``
@@ -86,14 +90,13 @@ class _PackedOperator(LinearCombination):
     share no factor, so two equal elements hold equal numerators and
     denominators once re-packed into one layout.  A public constructor
     packs its terms at once, and an element with no terms takes the empty
-    packed form (``_EMPTY_CODEC``) without packing; ``terms`` is built from
-    the packed form on its first read and kept, and is the only place a
-    ``Fraction`` or ``HBarPolynomial`` is made.  Arithmetic reads and makes
-    packed forms only, on numerators: a product's denominator is the
-    product of its operands', a sum's their lcm, and the common factor is
-    divided out (``_lowest``) only when the denominator is not 1.  Where
-    the rings differ, the class says which it is (``_quantum``) and reads a
-    scalar as the coefficients of its powers of h (``_scalars``).
+    packed form (``_EMPTY_CODEC``) without packing; ``terms`` is the only
+    place a ``Fraction`` or ``HBarPolynomial`` is made.  Arithmetic reads
+    and makes packed forms only, on numerators: a product's denominator is
+    the product of its operands', a sum's their lcm, and the common factor
+    is divided out (``_lowest``) only when the denominator is not 1.  Where
+    the rings differ, the class says which it is: a polynomial's
+    coefficients are ``_rational``, an operator's lie in Q[h].
     """
 
     __slots__ = ("_codec", "_packed", "_den", "_top")
@@ -112,16 +115,23 @@ class _PackedOperator(LinearCombination):
         out.quiver, out.dim, out._codec, out._packed, out._den, out._top = quiver, dim, codec, packed, den, top
         return out
 
-    def __getattr__(self, name):  # called for an unset slot
-        if name != "terms":
-            raise AttributeError(name)
-        object.__setattr__(self, name, self._codec.unpack(self._packed, self._den, self._quantum))
-        return self.terms
+    def _unpacked(self) -> dict:
+        return self._codec.unpack(self._packed, self._den, not self._rational)
 
     def _lowest(self, packed: dict, den: int, top=None, codec=None):
         """The element of this type and context of the numerators
         ``packed``, zeros allowed, over ``den``, put in canonical form."""
         return self._from_packed(self.quiver, self.dim, codec or self._codec, *lowest_terms(packed, den), top or self._top)
+
+    def _summed(self, parts, den: int):
+        """The parts in the join of the two layouts, c h^j adding j units
+        to each key's h field."""
+        other = parts[-1][0] if parts else self
+        codec, top, mine, theirs = _join(self, other, False)
+        out: dict = {}
+        for x, factor, shift in parts:
+            _add_scaled(out, (theirs if x is other else mine).items(), ((shift, factor),), codec.hunit)
+        return self._lowest(out, den, top, codec)
 
     def __bool__(self) -> bool:
         return bool(self._packed)
@@ -134,40 +144,13 @@ class _PackedOperator(LinearCombination):
         _, _, a, b = _join(self, other, False)
         return a == b
 
-    def __add__(self, other, sign=1):
-        self._check_compatible(other)
-        codec, top, a, b = _join(self, other, False)
-        den = math.lcm(self._den, other._den)
-        fa = den // self._den
-        out = dict(a) if fa == 1 else {key: fa * c for key, c in a.items()}
-        _add_scaled(out, b.items(), ((0, sign * (den // other._den)),), 0)
-        return self._lowest(out, den, top, codec)
-
-    def __sub__(self, other):
-        return self.__add__(other, -1)
-
-    def __neg__(self):
-        negated = {key: -c for key, c in self._packed.items()}
-        return self._from_packed(self.quiver, self.dim, self._codec, negated, self._den, self._top)
-
-    def scale(self, c):
-        """Times a scalar: c h^j moves each key j units up the h field, its
-        numerator over the scalars' common denominator times the element's."""
-        nums, den = numerators(self._scalars(c))
-        out: dict = {}
-        _add_scaled(out, self._packed.items(), enumerate(nums), self._codec.hunit)
-        return self._lowest(out, self._den * den)
-
-    __rmul__ = scale
+    __rmul__ = LinearCombination.scale
 
 
 class WeylElement(_PackedOperator):
     """Normal-ordered differential operator with Q[h] coefficients."""
 
     __slots__ = ("quiver", "dim")
-
-    _quantum = True
-    _scalars = staticmethod(lambda c: HBarPolynomial.coerce(c).coeffs)
 
     @classmethod
     def constant(cls, quiver, dim, c) -> "WeylElement":
@@ -227,9 +210,7 @@ class PolyElement(_PackedOperator):
 
     __slots__ = ("quiver", "dim")
 
-    _quantum = False
-    _coerce = staticmethod(as_fraction)
-    _scalars = staticmethod(lambda c: (_exact(c),))  # a rational only: TypeError on Q[h]
+    _rational = True  # a rational scalar only: TypeError on Q[h]
 
     @classmethod
     def constant(cls, quiver, dim, c) -> "PolyElement":
@@ -253,7 +234,7 @@ def _pack(x: _PackedOperator, terms) -> tuple:
     form; zero coefficients are dropped first."""
     items = terms.items() if isinstance(terms, dict) else terms or ()
     items = [(mono, coeffs) for mono, c in items if any(coeffs := x._scalars(c))]
-    if not x._quantum:  # (a')_{r,c} to the field of d(a)_{c,r}
+    if x._rational:  # a polynomial's (a')_{r,c} to the field of d(a)_{c,r}
         items = [
             (
                 (
@@ -317,8 +298,7 @@ def _normal_order(x: WeylElement, y: WeylElement, commutator: bool) -> WeylEleme
     other order's contractions are subtracted, and a pair whose derivative
     fields miss the other's position fields both ways (one AND of their
     nonzero-field masks each) is skipped."""
-    if x._context() != y._context():
-        raise MismatchError("operator operands disagree on quiver or dimensions")
+    x._check_compatible(y)
     codec, top, xs, ys = _join(x, y, True)
     contract, right = codec.contractions, _halves(codec, ys)
     out: dict = {}
@@ -359,8 +339,7 @@ def classical_symbol(op: WeylElement) -> PolyElement:
 
 def poly_mul(x: PolyElement, y: PolyElement) -> PolyElement:
     """The product x y: each pair of monomials gives the sum of their keys."""
-    if x._context() != y._context():
-        raise MismatchError("polynomial operands disagree on quiver or dimensions")
+    x._check_compatible(y)
     codec, top, xs, ys = _join(x, y, True)
     right = list(ys.items())
     out: dict = {}
@@ -379,8 +358,7 @@ def poisson(f: PolyElement, g: PolyElement) -> PolyElement:
     each v where one holds (a)_{ij} and the other (a')_{ji}, (m1_v m2'_v -
     m1'_v m2_v) times their product with one unit off both of v's fields:
     the single contractions of a Weyl product, without their h."""
-    if f._context() != g._context():
-        raise MismatchError("poisson operands disagree on quiver or dimensions")
+    f._check_compatible(g)
     codec, top, fs, gs = _join(f, g, True)
     mask, width, lift, right = codec.mask, codec.width, 1 + (1 << codec.split), _halves(codec, gs)
     out: dict = {}
@@ -409,15 +387,14 @@ class GlElement(_PackedSums):
 
     __slots__ = ("quiver", "dim")
 
-    _coerce = staticmethod(as_fraction)
     _rational = True
 
     def __init__(self, quiver: Quiver, dim, terms=None):
         object.__setattr__(self, "dim", tuple(dim))
         terms = list(terms.items() if isinstance(terms, dict) else terms or ())
         for (i, p, q), _ in terms:
-            if not (1 <= p <= self.dim[i] and 1 <= q <= self.dim[i]):
-                raise DimensionError(f"e^{i}_{{{p},{q}}} out of range")
+            if not (_in_range(i, len(self.dim) - 1, 0) and _in_range(p, self.dim[i]) and _in_range(q, self.dim[i])):
+                raise DimensionError(f"e^{i!r}_{{{p!r},{q!r}}} out of range")
         super().__init__(quiver, terms)
 
     @classmethod
@@ -441,8 +418,7 @@ def gl_basis(quiver: Quiver, dim):
 
 
 def gl_commutator(v: GlElement, w: GlElement) -> GlElement:
-    if v._context() != w._context():
-        raise MismatchError("gl operands disagree on quiver or dimensions")
+    v._check_compatible(w)
 
     def bracket(a, b):
         (i, p, q), (j, u, t) = a, b

@@ -87,7 +87,7 @@ from math import lcm
 from sys import intern
 
 from . import work
-from .errors import CompositionError, MismatchError
+from .errors import CompositionError
 from .linear import _PackedSums, bilinear, from_ints, int_terms, rekeyed
 from .necklace import (
     HH0Element,
@@ -571,8 +571,7 @@ def qpa_mul(x: QPAElement, y: QPAElement) -> QPAElement:
     """Stack y above x: shift y's heights past x's, then straighten.  Each
     term of either operand is put in height form once; a stacked word is
     x's word followed by y's."""
-    if x.quiver != y.quiver:
-        raise MismatchError("qpa_mul operands live over different quivers")
+    x._check_compatible(y)
     (xs, dx), (ys, dy) = int_terms(x), int_terms(y)
     xs, ys = ([(*_height_form(*key[:2]), key[2], c) for key, c in terms.items()] for terms in (xs, ys))
 
@@ -621,8 +620,7 @@ class SymElement(_PackedSums):
 
 
 def sym_mul(x: SymElement, y: SymElement) -> SymElement:
-    if x.quiver != y.quiver:
-        raise MismatchError("sym_mul operands live over different quivers")
+    x._check_compatible(y)
     product = lambda m1, m2: {tuple(sorted(m1 + m2, key=_key_order)): 1}
     return from_ints(SymElement, (x.quiver,), *bilinear(x, y, product))
 

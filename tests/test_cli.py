@@ -340,6 +340,28 @@ def test_a_name_given_twice_in_an_assignment_flag_exits_2(argv, flag, name, caps
     assert capsys.readouterr().err == f"error: {flag} names {name} twice\n"
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("verify", "ideal", "-q", q("jordan"), "-q", q("a2"), "--dim", "v=1"), "-q/--quiver"),
+        (("trace", "-q", q("jordan"), "--dim", "v=2", "--dim", "v=1", "[x]"), "--dim"),
+        (("solve-chi", "-q", q("jordan"), "--dim", "v=1", "--r", "v=1", "--r", "v=2"), "--r"),
+        (("moment", "-q", q("jordan"), "--lambda", "v=1", "--lambda", "v=5"), "--lambda"),
+        (("verify", "ideal", "-q", q("jordan"), "--dim", "v=1", "--seed", "3", "--seed", "4"), "--seed"),
+        (("verify", "lie", "--cases", "2", "--cases", "3"), "--cases"),
+    ],
+    ids=["quiver", "dim", "r", "lambda", "seed", "cases"],
+)
+def test_a_flag_given_twice_exits_2_without_a_traceback(argv, flag, capsys):
+    # argparse would keep the last value; parsing refuses the second use
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.endswith(f"error: argument {flag}: given twice\n")
+
+
 def test_a_quiver_file_with_a_field_given_twice_exits_2(tmp_path, capsys):
     path = tmp_path / "twice.json"
     path.write_text('{"vertices": ["v"], "arrows": [{"name": "x", "from": "v", "to": "v", "name": "y"}]}')

@@ -189,7 +189,8 @@ def test_a_jacobi_check_builds_no_polynomial_and_no_necklace(monkeypatch):
 
 def test_a_non_composable_word_is_refused_when_its_element_is_packed():
     """A hand-built necklace whose word does not close up is checked when
-    the element holding it is first packed, by the bracket or by ``+``."""
+    the element holding it is packed, in its constructor, so neither the
+    bracket nor ``+`` ever reads it."""
     q = a2()
     a = Letter(0, False)
     bad = Necklace(None, (a, a.star(), a))

@@ -24,8 +24,8 @@ as attributes.
 Every element keyed by combinatorial data (``HH0Element``,
 ``PathAlgebraElement``, ``TensorElement``, ``QPAElement``, ``SymElement``,
 ``GlElement``) is packed too, in one store of its own: ``int`` numerators
-per power of h over one denominator (``_sums``, ``_den``), a public
-constructor's pairs kept until packed (``_given``), made by ``_from_sums``
+per power of h over one denominator (``_sums``, ``_den``), packed by its
+public constructor at once, made by ``_from_sums``
 and put in and out of canonical form by ``_canonical``, ``_pack`` and
 ``_view`` (``_pack`` is not checked: ``repspace`` names its own packing
 so).  Only ``linear`` may know that form, but for ``_den``: a packed
@@ -66,7 +66,9 @@ Nor is what only a get-or-compute call of the caches needed (``_split``,
 ``_Memo``, ``_trace_pairs``): every reader of a ``GenerationalCache`` reads
 it with ``get`` and stores with ``put``, and the tests decode keys.  Nor
 is the module-level rewrite budget (``_rewrites_left``): each top-level
-straightening call makes its own and passes it down with the memo.
+straightening call makes its own and passes it down with the memo.  Nor
+is a keyed element's store of a constructor's pairs until its first packed
+operation (``_given``): the constructor packs them.
 
 Every bound the package chooses is assigned in ``nhq.work`` alone, and
 read as an attribute of that module when it is checked, so no module
@@ -106,7 +108,7 @@ PACKED = {
     "_from_packed",
     "_join",
 }
-PACKED_SUMS = {"_sums", "_den", "_given", "_from_sums", "_canonical", "_view"}
+PACKED_SUMS = {"_sums", "_den", "_from_sums", "_canonical", "_view"}
 #: the name of the rational form's denominator, in both packed stores
 BOTH_STORES = {"_den"}
 HH0_PACKED = {"_cycles", "_check_cyclic"}
@@ -114,7 +116,7 @@ TUPLE_KERNEL = {"_weyl_mono_mul", "_merge_exponents", "poly_partial"}
 FRONT_ENDS = {"_contract_letters", "trace_configurations", "_traced", "_check_traces", "_boundary_entries"}
 IMAGE_ROUTE = {"kept_image", "_kept_parts", "_made_image", "clear_packed_traces", "IdealImage", "generator_image"}
 CACHE_CALL = {"_split", "_Memo", "_trace_pairs"}
-RETIRED = TUPLE_KERNEL | {"_times_tau", "_drop_pair", "_rewrites_left"} | FRONT_ENDS | IMAGE_ROUTE | CACHE_CALL
+RETIRED = TUPLE_KERNEL | {"_times_tau", "_drop_pair", "_rewrites_left", "_given"} | FRONT_ENDS | IMAGE_ROUTE | CACHE_CALL
 LIMITS = {
     "MAX_NESTING",
     "MAX_EXPONENT",

@@ -1,5 +1,6 @@
-"""The element stores: one context, one packed arithmetic per store,
-coercing public constructors, and the term-dict oracle.
+"""The element stores: one context, operand check and linear structure in
+the base, one sum of parts per store, coercing public constructors and
+index checks, and the term-dict oracle.
 
 Every result of ``+``, ``-``, ``scale`` and each same-type product must
 hold only nonzero coefficients of the ring's type, in a dict of its own.
@@ -10,6 +11,7 @@ term-dict arithmetic it replaced (``linear_oracle``), on operands with
 before any view of them exists.
 """
 
+import operator
 import random
 from fractions import Fraction
 
@@ -45,6 +47,7 @@ from nhq import (
 from nhq.linear import LinearCombination, _PackedSums
 from nhq.repspace import _PackedOperator, poly_mul
 from nhq.sampling import (
+    jordan,
     random_coefficient,
     random_dimension,
     random_gl,
@@ -52,6 +55,7 @@ from nhq.sampling import (
     random_path_element,
     random_sym_element,
     small_quivers,
+    two_loop,
 )
 from nhq.rings import as_fraction
 from nhq.schedler import sym_mul
@@ -240,18 +244,93 @@ def test_the_view_shares_one_coefficient_per_numerator_tuple():
 
 
 def test_context_and_trusted_path_live_only_in_the_base():
-    """The context lives in ``LinearCombination``; the arithmetic and the
-    trusted constructor of packed results live in the two stores only."""
+    """The context, the operand check, scalar coercion, the ``terms`` view
+    and the linear structure live in ``LinearCombination`` only; each store
+    supplies the sum of parts, the view's unpacking, equality and truth and
+    the trusted constructor of its results; no element class defines any of
+    them, and ``__rmul__`` stays where it was, so ``2 * HH0Element`` still
+    raises ``TypeError``."""
+    base_only = ("_context", "_check_compatible", "_scalars", "__getattr__", "__add__", "__sub__", "__neg__", "scale")
+    per_store = ("_summed", "_unpacked", "__eq__", "__bool__")
+    for store, trusted in ((_PackedSums, "_from_sums"), (_PackedOperator, "_from_packed")):
+        assert all(name in vars(store) for name in (*per_store, trusted))
+        assert not any(name in vars(store) for name in base_only)
     for cls in ELEMENT_TYPES:
         store = _PackedSums if issubclass(cls, _PackedSums) else _PackedOperator
-        assert "_context" not in vars(cls) and "_with_terms" not in vars(cls)
-        for name in ("__add__", "__sub__", "__neg__", "scale", "__eq__", "__bool__"):
-            assert name not in vars(cls) and name in vars(store)
-        assert "_from_sums" not in vars(cls) and "_from_packed" not in vars(cls)
-        assert vars(cls).get("__rmul__", store.scale) is store.scale
-    # the base holds no arithmetic at all
-    for name in ("__add__", "__sub__", "__neg__", "scale", "__eq__", "__bool__", "_with_terms"):
-        assert name not in vars(LinearCombination)
+        for name in (*base_only, *per_store, "_from_sums", "_from_packed", "_with_terms", "_given"):
+            assert name not in vars(cls), (cls.__name__, name)
+        assert vars(cls).get("__rmul__", LinearCombination.scale) is LinearCombination.scale
+    assert "__rmul__" in vars(_PackedOperator) and "__rmul__" not in vars(_PackedSums)
+    assert [cls.__name__ for cls in ELEMENT_TYPES if "__rmul__" in vars(cls)] == [
+        "PathAlgebraElement", "QPAElement", "SymElement"
+    ]
+    assert all(name in vars(LinearCombination) for name in base_only)
+    assert not any(name in vars(LinearCombination) for name in (*per_store, "_with_terms", "_given"))
+    assert "_given" not in _PackedSums.__slots__
+
+
+#: one element of each type over a quiver and a dimension vector
+MAKERS = {
+    "weyl": lambda q, d: WeylElement.position(q, d, 0, 1, 1),
+    "poly": lambda q, d: PolyElement.coordinate(q, d, 0, True, 1, 1),
+    "gl": lambda q, d: GlElement.identity(q, d),
+    "path": lambda q, d: PathAlgebraElement.of_path(q, nhq.make_path(q, [nhq.Letter(0, False)])),
+    "hh0": lambda q, d: HH0Element.of(q, nhq.canonical_necklace(q, [nhq.Letter(0, False)])),
+    "tensor": lambda q, d: TensorElement(q, {(nhq.Path.trivial(0), nhq.Path.trivial(0)): 1}),
+    "qpa": lambda q, d: QPAElement.unit(q),
+    "sym": lambda q, d: SymElement.of(q, ()),
+}
+#: every same-type binary kernel with the kind of its operands, then + and -
+KERNELS = [
+    (weyl_mul, "weyl"),
+    (weyl_commutator, "weyl"),
+    (poly_mul, "poly"),
+    (poisson, "poly"),
+    (gl_commutator, "gl"),
+    (path_mul, "path"),
+    (necklace_bracket, "hh0"),
+    (double_bracket, "path"),
+    (qpa_mul, "qpa"),
+    (sym_mul, "sym"),
+    *[(op, kind) for op in (operator.add, operator.sub) for kind in MAKERS],
+]
+OPERATOR_RINGS = {"weyl": "WeylElement", "poly": "PolyElement"}
+
+
+@pytest.mark.parametrize(
+    "kernel, kind, left, right, message",
+    [
+        pytest.param(kernel, kind, (jordan(), (2,)), (two_loop(), (2,)), "disagree on quiver", id=f"{kernel.__name__}-{kind}")
+        for kernel, kind in KERNELS
+    ]
+    + [
+        pytest.param(
+            kernel, kind, (jordan(), (2,)), (jordan(), (3,)), f"^{OPERATOR_RINGS[kind]} operands disagree on quiver and dim$",
+            id=f"{kernel.__name__}-{kind}-dim",
+        )
+        for kernel, kind in KERNELS
+        if kind in OPERATOR_RINGS
+    ],
+)
+def test_operands_over_another_context_are_refused(kernel, kind, left, right, message):
+    """Every same-type binary kernel, ``+`` and ``-`` check their operands
+    in ``LinearCombination._check_compatible``, which names the slots."""
+    x, y = MAKERS[kind](*left), MAKERS[kind](*right)
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(nhq.MismatchError, match=message):
+            kernel(a, b)
+
+
+@pytest.mark.parametrize(
+    "kernel, left, right",
+    [(weyl_mul, "weyl", "poly"), (poisson, "poly", "weyl"), (necklace_bracket, "hh0", "path"), (path_mul, "path", "hh0")],
+)
+def test_an_operand_of_another_type_is_refused(L2, kernel, left, right):
+    """A polynomial is not read as an operator, nor a path as a cycle, nor
+    a cycle as a path: the kernel raises instead."""
+    x, y = MAKERS[left](L2, (2,)), MAKERS[right](L2, (2,))
+    with pytest.raises(nhq.MismatchError, match=f"^{type(x).__name__} and {type(y).__name__} operands do not combine$"):
+        kernel(x, y)
 
 
 def test_trusted_result_keeps_the_context(A3P):

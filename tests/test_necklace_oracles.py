@@ -394,13 +394,16 @@ def test_bracket_empty_merges_keep_their_own_vertices():
 
 
 def test_bracket_rejects_hand_built_non_composable_operands(A2):
+    """A hand-built necklace that does not close up never reaches the
+    bracket: the constructor of its element refuses it."""
     a = Letter(0, False)
-    bad = HH0Element.of(A2, Necklace(None, (a, a.star(), a)))
     good = HH0Element.of(A2, Necklace(None, (a, a.star())))
     with pytest.raises(CompositionError):
-        necklace_bracket(bad, good)
+        necklace_bracket(HH0Element.of(A2, Necklace(None, (a, a.star(), a))), good)
     with pytest.raises(CompositionError):
-        necklace_bracket(good, bad)
+        necklace_bracket(good, HH0Element.of(A2, Necklace(None, (a, a.star(), a))))
+    with pytest.raises(CompositionError):
+        HH0Element.of(A2, Necklace(None, (a, a.star(), a)))
 
 
 # -- each merge's least code, read from the operands -------------------------

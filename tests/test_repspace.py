@@ -66,6 +66,39 @@ def test_coordinate_bounds(A2):
         WeylElement.position(A2, d, 0, 3, 1)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        # arrow -1 would read the last arrow, y, and print as [y]_{1,1}
+        lambda q: WeylElement.position(q, (2,), -1, 1, 1),
+        lambda q: WeylElement.position(q, (2,), 5, 1, 1),
+        lambda q: WeylElement.derivative(q, (2,), True, 1, 1),
+        lambda q: WeylElement.position(q, (2,), 0, True, 1),
+        lambda q: WeylElement.position(q, (2,), 0, 1.0, 1),
+        lambda q: WeylElement.derivative(q, (2,), 0, 1, 0),
+        lambda q: PolyElement.coordinate(q, (2,), 1, True, 1, 3),
+        lambda q: PolyElement.coordinate(q, (2,), 0, False, 2.0, 1),
+        lambda q: GlElement(q, (2,), {(-1, 1, 1): 1}),
+        lambda q: GlElement(q, (2,), {(3, 1, 1): 1}),
+        lambda q: GlElement(q, (2,), {(0, True, 1): 1}),
+        lambda q: GlElement(q, (2,), {(0, 1, 2.0): 1}),
+        lambda q: GlElement(q, (2,), {(0, 1, 3): 1}),
+    ],
+    ids=[
+        "arrow-negative", "arrow-past-end", "arrow-bool", "row-bool", "row-float", "col-zero",
+        "poly-col-past-end", "poly-row-float",
+        "gl-vertex-negative", "gl-vertex-past-end", "gl-row-bool", "gl-col-float", "gl-col-past-end",
+    ],
+)
+def test_a_bad_index_is_refused(L2, make):
+    """An index of a coordinate, an arrow or a gl basis element is an
+    ``int`` in range: a ``bool``, a ``float``, a negative or a too large
+    one raises ``DimensionError``, never an ``IndexError`` or a silently
+    different element."""
+    with pytest.raises(DimensionError, match="out of range"):
+        make(L2)
+
+
 # -- Weyl products -----------------------------------------------------------
 
 
