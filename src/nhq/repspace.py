@@ -8,8 +8,8 @@ Polynomials and operators share one packed storage: (a')_{p,q} sits where
 d/d(a)_{q,p} does, and operators are normal-ordered, multiplications left
 of derivatives.  The infinitesimal gl action tau, its kernel, gauge-element
 actions on coordinates, the packed traces of both rings, the blockwise
-quantum moment operator and the packed check of the reduction-ideal
-decomposition all live here.  Every trace, block matrix and moment block
+quantum moment operator with its packed comparison against -tau + h chi,
+and the packed check of the reduction-ideal decomposition all live here.  Every trace, block matrix and moment block
 is a weighted sum of contractions of coded configurations, summed by one
 front-end, ``contracted``, within ``work.MAX_INDEX_ASSIGNMENTS``.
 """
@@ -102,7 +102,7 @@ class _PackedOperator(LinearCombination):
     __slots__ = ("_codec", "_packed", "_den", "_top")
 
     def __init__(self, quiver: Quiver, dim, terms=None):
-        super().__init__(quiver, tuple(dim))
+        super().__init__(quiver, make_dimension_vector(quiver, dim))
         packed = _pack(self, terms) if terms else (_EMPTY_CODEC, {}, 1, 0)
         for slot, value in zip(_PackedOperator.__slots__, packed):
             object.__setattr__(self, slot, value)
@@ -139,8 +139,10 @@ class _PackedOperator(LinearCombination):
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        if self._context() != other._context() or self._den != other._den:
+        if self._context() != other._context() or self._den != other._den or len(self._packed) != len(other._packed):
             return False
+        if not self._packed:
+            return True
         _, _, a, b = _join(self, other, False)
         return a == b
 
@@ -269,7 +271,30 @@ def _join(x: _PackedOperator, y: _PackedOperator, product: bool) -> tuple:
     if cx is cy and width == cx.width:
         return cx, top, x._packed, y._packed
     codec = _codec(x.quiver, x.dim, tuple(sorted({*cx.arrows, *cy.arrows})), width)
-    return codec, top, cx.repack(x._packed.items(), codec), cy.repack(y._packed.items(), codec)
+    return codec, top, _packed_in(x, codec), _packed_in(y, codec)
+
+
+def _packed_in(x: _PackedOperator, codec) -> dict:
+    """x's packed terms in ``codec``, re-packed only when x's layout is
+    another."""
+    return x._packed if x._codec is codec else x._codec.repack(x._packed.items(), codec)
+
+
+def one_layout(elements) -> list:
+    """The packed ``elements``, operators or polynomials of one type and
+    context, each re-packed once into the join of their layouts
+    (``_join``'s), its fields wide enough for the product of any two:
+    ``_join`` then finds one codec for any two of them, and for the
+    product, commutator or bracket of two, and re-packs neither."""
+    elements = list(elements)
+    if not elements:
+        return []
+    first, top = elements[0], max([x._top for x in elements])
+    width = max([x._codec.width for x in elements] + [(2 * top).bit_length()])
+    codec = _codec(first.quiver, first.dim, tuple(sorted({a for x in elements for a in x._codec.arrows})), width)
+    for x in elements:
+        first._check_compatible(x)
+    return [x if x._codec is codec else x._from_packed(x.quiver, x.dim, codec, _packed_in(x, codec), x._den, x._top) for x in elements]
 
 
 def _add_scaled(out: dict, pairs, scale, hunit: int) -> None:
@@ -390,7 +415,7 @@ class GlElement(_PackedSums):
     _rational = True
 
     def __init__(self, quiver: Quiver, dim, terms=None):
-        object.__setattr__(self, "dim", tuple(dim))
+        object.__setattr__(self, "dim", make_dimension_vector(quiver, dim))
         terms = list(terms.items() if isinstance(terms, dict) else terms or ())
         for (i, p, q), _ in terms:
             if not (_in_range(i, len(self.dim) - 1, 0) and _in_range(p, self.dim[i]) and _in_range(q, self.dim[i])):
@@ -455,11 +480,13 @@ def _arrows_at(quiver: Quiver, vertices) -> tuple:
 
 def _tau_terms(quiver: Quiver, dim, items, codec) -> dict:
     """tau of the gl element of the ((i, p, q), int c) ``items``, packed in
-    ``codec``: each term x_pos d_der is one key of two units."""
+    ``codec``: each term x_pos d_der is one key of two units, one in the
+    position field of pos and one in the derivative field of der."""
     out: dict = {}
+    field, width, split = codec.field, codec.width, codec.split
     for (i, p, q), c in items:
         for sign, pos, der in tau_pairs(quiver, dim, i, p, q):
-            key = codec.position(pos)[0] + codec.derivative(der)[0]
+            key = (1 << field[pos] * width) + (1 << split + field[der] * width)
             out[key] = out.get(key, 0) + sign * c
     return {key: c for key, c in out.items() if c}
 
@@ -495,8 +522,8 @@ def gauge_act(quiver: Quiver, dim, i: int, p: int, q: int, f: PolyElement) -> Po
     extended to polynomials by the Leibniz rule.  It reads the tuple form
     of f, independent of the packed kernels it is checked against.
     """
-    if not (1 <= p <= dim[i] and 1 <= q <= dim[i]):
-        raise DimensionError(f"gauge indices ({p},{q}) out of range at vertex {i}")
+    if not (_in_range(i, len(dim) - 1, 0) and _in_range(p, dim[i]) and _in_range(q, dim[i])):
+        raise DimensionError(f"gauge indices ({p!r},{q!r}) out of range at vertex {i!r}")
     out = []
     for mono, coeff in f.items():
         for var, exp in mono:
@@ -640,10 +667,8 @@ class _Codec:
 
     def repack(self, pairs, dst: "_Codec") -> dict:
         """The packed (key, c) ``pairs`` as a dict in the layout of
-        ``dst``, whose arrows include this one's and whose fields are as
-        wide; each half is moved once per call."""
-        if dst is self:
-            return dict(pairs)
+        ``dst``, another codec whose arrows include this one's and whose
+        fields are as wide; each half is moved once per call."""
         spots = [dst.field[var] * dst.width for var in self._coords]
         memo, low, split, hshift, dsplit, dshift = {}, self.low, self.split, self.hshift, dst.split, dst.hshift
 
@@ -1218,25 +1243,27 @@ class BlockMatrix:
 
     def __getitem__(self, rowcol):
         row, col = rowcol
+        rows, cols = len(self.entries), len(self.entries[0])
+        if not (_in_range(row, rows) and _in_range(col, cols)):
+            raise DimensionError(f"entry ({row!r},{col!r}) out of range for block {rows}x{cols}")
         return self.entries[row - 1][col - 1]
 
 
 def _moment_block(quiver: Quiver, dim, codec, i: int, r=None) -> dict:
-    """The entries {(p, q): (numerators, den)} of the moment block at
-    vertex i, canonical and packed in ``codec`` (with fields for the arrows
-    at i, for two token products): the signed two-letter open chains
-    [a][a'] for t(a) = i and [a'][a] for s(a) = i (``moment_pairs``),
-    height-1 factor first, summed by one ``contracted`` over 1, plus h r_i
-    on the diagonal when r is given, each diagonal entry over the
-    denominator of r_i."""
+    """The entries {(p, q): WeylElement} of the moment block at vertex i,
+    packed in ``codec`` (with fields for the arrows at i, for two token
+    products): the signed two-letter open chains [a][a'] for t(a) = i and
+    [a'][a] for s(a) = i (``moment_pairs``), height-1 factor first, summed
+    by one ``contracted`` over 1, plus h r_i on the diagonal when r is
+    given, each diagonal entry over the denominator of r_i."""
     ends = range(1, dim[i] + 1)
     chains = [(((_code(pair),), ((1, 2),), ()), ((0, sign),)) for sign, *pair in moment_pairs(quiver, i)]
-    block = {pq: (entry._packed, 1) for pq, entry in contracted(quiver, dim, chains, True, (ends, ends), codec).items()}
+    block = contracted(quiver, dim, chains, True, (ends, ends), codec)
     for p in ends if r is not None and r[i] else ():
         ri = as_fraction(r[i])
-        diagonal = {key: ri.denominator * c for key, c in block[p, p][0].items()}
+        diagonal = {key: ri.denominator * c for key, c in block[p, p]._packed.items()}
         diagonal[codec.hunit] = diagonal.get(codec.hunit, 0) + ri.numerator
-        block[p, p] = lowest_terms(diagonal, ri.denominator)
+        block[p, p] = WeylElement._from_packed(quiver, dim, codec, *lowest_terms(diagonal, ri.denominator), 2)
     return block
 
 
@@ -1252,10 +1279,7 @@ def moment_block_matrix(quiver: Quiver, dim, r=None) -> dict:
     for i in range(len(quiver.vertices)):
         codec, indices = _codec(quiver, dim, _arrows_at(quiver, {i}), _width(2)), range(1, dim[i] + 1)
         block = _moment_block(quiver, dim, codec, i, r)
-        entries = tuple(
-            tuple(WeylElement._from_packed(quiver, dim, codec, *block[p, q], 2) for q in indices) for p in indices
-        )
-        out[i] = BlockMatrix(i, i, entries)
+        out[i] = BlockMatrix(i, i, tuple(tuple(block[p, q] for q in indices) for p in indices))
     return out
 
 
@@ -1270,9 +1294,37 @@ def quantum_moment(quiver: Quiver, dim, v: GlElement, r=None) -> WeylElement:
     vertices = {i for i, _, _ in terms}
     codec = _codec(quiver, dim, _arrows_at(quiver, vertices), _width(2))
     blocks = {i: _moment_block(quiver, dim, codec, i, r) for i in vertices}
-    common = math.lcm(*[d for block in blocks.values() for _, d in block.values()])
+    common = math.lcm(*[entry._den for block in blocks.values() for entry in block.values()])
     out: dict = {}
     for (i, p, q), ((_, m),) in terms.items():
-        entry, d = blocks[i][q, p]
-        _add_scaled(out, entry.items(), ((0, m * (common // d)),), codec.hunit)
+        entry = blocks[i][q, p]
+        _add_scaled(out, entry._packed.items(), ((0, m * (common // entry._den)),), codec.hunit)
     return WeylElement._from_packed(quiver, dim, codec, *lowest_terms(out, den * common), 2)
+
+
+def moment_differences(quiver: Quiver, dim, blocks: dict, chi):
+    """Each gl basis element e^i_{p,q} whose (q, p) entry of ``blocks[i]``
+    differs from -tau(e^i_{p,q}) + h chi_i delta_pq, in ``gl_basis`` order,
+    as (i, p, q, entry, right-hand side).
+
+    Each right-hand side is packed by ``_tau_terms`` straight into its
+    block's codec, that of ``moment_block_matrix`` and of ``tau``, put in
+    lowest terms with ``chi_i`` over its denominator, and compared with the
+    entry's numerators and denominator; an entry in another layout is
+    compared as an element.  A right-hand side is made an element only
+    where the two differ, so a check that holds builds no element."""
+    dim = tuple(dim)
+    for i in range(len(quiver.vertices)):
+        codec, c = _codec(quiver, dim, _arrows_at(quiver, {i}), _width(2)), as_fraction(chi[i])
+        for p, q in itertools.product(range(1, dim[i] + 1), repeat=2):
+            packed, den = _tau_terms(quiver, dim, [((i, p, q), -1)], codec), 1
+            if p == q and c:
+                packed = {key: c.denominator * m for key, m in packed.items()}
+                packed[codec.hunit] = c.numerator
+                packed, den = lowest_terms(packed, c.denominator)
+            entry = blocks[i][q, p]
+            if entry._codec is codec and entry._den == den and entry._packed == packed:
+                continue
+            rhs = WeylElement._from_packed(quiver, dim, codec, packed, den, 1)
+            if entry != rhs:
+                yield i, p, q, entry, rhs

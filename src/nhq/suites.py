@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+from . import work
 from .expr import format_necklace, format_poly
 from .necklace import double_bracket, necklace_bracket
 from .quiver import Letter, Path, PathAlgebraElement, Quiver
@@ -21,6 +22,7 @@ from .repspace import (
     classical_symbol,
     gauge_act,
     gl_basis,
+    one_layout,
     poisson,
     tau,
     weyl_commutator,
@@ -276,6 +278,19 @@ def _coordinates(quiver: Quiver, dim) -> list:
     return out
 
 
+def _charge_pairs(suite: str, pairs: int, what: str) -> None:
+    """Refuse a case of ``suite`` that compares more than
+    ``work.MAX_SUITE_PAIRS`` ``what``, before anything is built."""
+    message = f"the {suite} suite compares {{amount}} {what}, above the limit {{limit}}"
+    work.check(pairs, work.MAX_SUITE_PAIRS, message)
+
+
+def _coordinate_count(quiver: Quiver, dim) -> int:
+    """The coordinates (a)_{p,q} and (a')_{p,q} at ``dim``, as
+    ``_coordinates`` makes them."""
+    return sum([2 * dim[arrow.source] * dim[arrow.target] for arrow in quiver.arrows])
+
+
 def suite_poisson(quiver: Quiver | None = None, dim=None) -> list:
     """The coordinate bracket agrees with its double-bracket evaluation."""
     return [
@@ -285,30 +300,37 @@ def suite_poisson(quiver: Quiver | None = None, dim=None) -> list:
 
 
 def _poisson_pairs(quiver: Quiver, dim):
-    """Each direct coordinate bracket against its double-bracket evaluation."""
+    """Each direct coordinate bracket against its evaluation through the
+    double bracket of the two letters, {(a)_{ij}, (b)_{uv}} = sum c
+    p1_{uj} p2_{iv} over its terms c p1 (x) p2.  A case charges its
+    coordinate pairs first; it then packs the coordinates once into one
+    layout (``one_layout``), so no direct bracket re-packs them, and makes
+    the double bracket of each letter pair once, and each entry of each
+    path once."""
+    _charge_pairs("poisson", _coordinate_count(quiver, dim) ** 2, "coordinate pairs")
     coords = _coordinates(quiver, dim)
-    for v1, f1, name1 in coords:
-        for v2, f2, name2 in coords:
-            yield (
-                f"{{{name1}, {name2}}}",
-                poisson(f1, f2),
-                _poisson_via_double_bracket(quiver, dim, v1, v2),
-            )
+    functions = one_layout([f for _, f, _ in coords])
+    zero, brackets, entries = PolyElement(quiver, dim), {}, {}
 
+    def entry(path, row, col) -> PolyElement:
+        found = entries.get((path, row, col))
+        if found is None:
+            found = entries[path, row, col] = path_matrix_entry(quiver, dim, path, row, col)
+        return found
 
-def _poisson_via_double_bracket(quiver: Quiver, dim, v1, v2) -> PolyElement:
-    """{(a)_{ij}, (b)_{uv}} evaluated through the double bracket of the letters."""
-    a1, s1, i, j = v1
-    a2, s2, u, v = v2
-    x = PathAlgebraElement.of_path(quiver, Path((Letter(a1, s1),)))
-    y = PathAlgebraElement.of_path(quiver, Path((Letter(a2, s2),)))
-    out = PolyElement(quiver, dim)
-    for (p1, p2), coeff in double_bracket(x, y).items():
-        c = coeff.constant_term()
-        first = path_matrix_entry(quiver, dim, p1, u, j)
-        second = path_matrix_entry(quiver, dim, p2, i, v)
-        out = out + (first * second).scale(c)
-    return out
+    def terms(a1, s1, a2, s2) -> list:
+        found = brackets.get((a1, s1, a2, s2))
+        if found is None:
+            x, y = (PathAlgebraElement.of_path(quiver, Path((Letter(a, s),))) for a, s in ((a1, s1), (a2, s2)))
+            found = brackets[a1, s1, a2, s2] = [(p1, p2, c.constant_term()) for (p1, p2), c in double_bracket(x, y).items()]
+        return found
+
+    for ((a1, s1, i, j), _, name1), f1 in zip(coords, functions):
+        for ((a2, s2, u, v), _, name2), f2 in zip(coords, functions):
+            rhs = zero
+            for p1, p2, c in terms(a1, s1, a2, s2):
+                rhs = rhs + (entry(p1, u, j) * entry(p2, i, v)).scale(c)
+            yield f"{{{name1}, {name2}}}", poisson(f1, f2), rhs
 
 
 def suite_gauge(quiver: Quiver | None = None, dim=None) -> list:
@@ -321,18 +343,24 @@ def suite_gauge(quiver: Quiver | None = None, dim=None) -> list:
 
 def _gauge_pairs(quiver: Quiver, dim):
     """Per gl basis element and coordinate, the symbol of the tau commutator
-    over h against the direct gauge action."""
-    coords = [
-        (f, name, WeylElement.derivative(quiver, dim, ai, col, row) if starred
-         else WeylElement.position(quiver, dim, ai, row, col))
-        for (ai, starred, row, col), f, name in _coordinates(quiver, dim)
+    over h against the direct gauge action.  A case charges its pairs
+    first; each tau(e) and each lifted coordinate is then made once, and
+    all are re-packed once into one layout (``one_layout``), so no
+    commutator re-packs an operand."""
+    basis = list(gl_basis(quiver, dim))
+    _charge_pairs("gauge", len(basis) * _coordinate_count(quiver, dim), "pairs of a gl basis element and a coordinate")
+    coords = _coordinates(quiver, dim)
+    taus = [tau(quiver, dim, GlElement.elementary(quiver, dim, i, qq, p)) for i, p, qq in basis]
+    lifted = [
+        WeylElement.derivative(quiver, dim, ai, col, row) if starred else WeylElement.position(quiver, dim, ai, row, col)
+        for (ai, starred, row, col), _, _ in coords
     ]
-    for (i, p, qq) in gl_basis(quiver, dim):
-        t = tau(quiver, dim, GlElement.elementary(quiver, dim, i, qq, p))
-        for f, name, lifted in coords:
+    operators = one_layout(taus + lifted)
+    for (i, p, qq), t in zip(basis, operators):
+        for (_, f, name), x in zip(coords, operators[len(taus):]):
             yield over_h(
                 f"e^{quiver.vertices[i]}_{{{qq},{p}}} on {name}",
-                weyl_commutator(t, lifted),
+                weyl_commutator(t, x),
                 lambda c: (classical_symbol(c), gauge_act(quiver, dim, i, p, qq, f)),
             )
 

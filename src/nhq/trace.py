@@ -48,17 +48,17 @@ from .repspace import (
     classical_symbol,
     clear_trace_cache,
     contracted,
-    gl_basis,
     ideal_image,
     make_dimension_vector,
     moment_block_matrix,
+    moment_differences,
     poisson,
     tau,
     tau_kernel,
     weyl_commutator,
     weyl_mul,
 )
-from .rings import HBarPolynomial, as_fraction
+from .rings import as_fraction
 from .schedler import (
     HeightConfiguration,
     QPAElement,
@@ -282,18 +282,15 @@ def verify_cubic(x: HH0Element, y: HH0Element, dim, name="cubic") -> Verificatio
 def verify_quantum_moment(quiver: Quiver, dim, r=None, name="qmoment") -> VerificationReport:
     """tr of the moment matrix against each gl basis element e^i_{p,q}, the
     (q, p) entry of block i, equals -tau + h chi, chi the 'main' character
-    c_i = -(weighted out-degree of i) + r_i.  The blocks are formed once."""
+    c_i = -(weighted out-degree of i) + r_i.  The blocks are formed once,
+    and ``repspace.moment_differences`` compares each entry with its
+    right-hand side, yielding only the pairs that differ."""
     dim = make_dimension_vector(quiver, dim)
     chi = chi_sign_variants(quiver, dim, r)["main"].values
-    blocks = moment_block_matrix(quiver, dim, r)
-
-    def pairs():
-        for (i, p, q) in gl_basis(quiver, dim):
-            minus_e = GlElement.elementary(quiver, dim, i, p, q, -1)
-            rhs = tau(quiver, dim, minus_e, HBarPolynomial((0, chi[i])) if p == q else 0)
-            yield f"first failing basis element e^{i}_{{{p},{q}}}", blocks[i][q, p], rhs
-
-    return compare_report(name, pairs())
+    differences = moment_differences(quiver, dim, moment_block_matrix(quiver, dim, r), chi)
+    return compare_report(
+        name, ((f"first failing basis element e^{i}_{{{p},{q}}}", lhs, rhs) for i, p, q, lhs, rhs in differences)
+    )
 
 
 def verify_equivariance(v: GlElement, x: QPAElement, dim, name="invariance") -> VerificationReport:

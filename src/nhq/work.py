@@ -51,6 +51,17 @@ MAX_INDEX_ASSIGNMENTS = 1 << 20
 #: and the tests need at most 132 bits.
 MAX_KEY_BITS = 1 << 15
 
+#: Most pairs one case of ``verify poisson`` or ``verify gauge`` compares:
+#: coordinate pairs (poisson), or gl basis elements times coordinates
+#: (gauge).  Each case counts them from its dimension vector and refuses
+#: a larger count with ``WorkLimitError`` before any coordinate is made:
+#: the pairs grow like d^4, and each costs a bracket or a commutator.
+#: The golden CLI set and the tests stay far below it; two_loop at v=8
+#: (65,536 pairs) takes 1.0 s and a3p with 8 at every vertex (131,072)
+#: 4.3 s (2-core Xeon, Python 3.11), and v=30 or 30 at every vertex, 12.96
+#: M and 25.9 M pairs, ran past 25 s before this bound.
+MAX_SUITE_PAIRS = 1 << 18
+
 #: Most height swaps the kernel may compute for one call of ``straighten``,
 #: ``qpa_mul``, ``moment_lift``, ``ideal_generator`` or
 #: ``ideal_normal_forms`` (one call per generator, whatever its

@@ -76,6 +76,10 @@ COMMANDS = [
     ["verify", "ideal", "-q", "two_loop.json", "--dim", "v=2"],
     # one given parameter set with lambda != 0
     ["verify", "ideal", "-q", "a2.json", "--dim", "1=2,2=1", "--r", "1=1,2=-1", "--lambda", "1=1,2=-2"],
+    # the suites that build their shared operands once, each at one given dimension vector
+    ["verify", "poisson", "-q", "two_loop.json", "--dim", "v=3"],
+    ["verify", "gauge", "-q", "a3p.json", "--dim", "0=2,1=2,2=2,inf=2"],
+    ["verify", "qmoment", "-q", "a3p.json", "--dim", "0=2,1=3,2=2,inf=1", "--seed", "5"],
 ]
 
 

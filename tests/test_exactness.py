@@ -184,8 +184,10 @@ def test_verify_suites_stay_exact(spy, suite, monkeypatch):
         )
         assert all(report.ok for report in reports)
     # trace-hom lifts its necklaces straight to packed forms (``lift_necklace``)
-    # and traces them packed, so it builds no element through a public constructor
-    assert spy["packed"] and (spy["elements"] or suite == "trace-hom")
+    # and traces them packed, and qmoment packs each right-hand side straight
+    # into its block's layout (``repspace.moment_differences``), so neither
+    # builds an element through a public constructor
+    assert spy["packed"] and (spy["elements"] or suite in ("trace-hom", "qmoment"))
 
 
 @pytest.mark.parametrize(

@@ -124,6 +124,7 @@ LIMITS = {
     "MAX_INDEX_ASSIGNMENTS",
     "MAX_REWRITES",
     "MAX_KEY_BITS",
+    "MAX_SUITE_PAIRS",
     "CACHE_SIZE",
     "CACHE_WEIGHT",
     "PLAN_WEIGHT",
@@ -324,6 +325,21 @@ def test_bounds_are_read_from_work_when_checked(module):
         ("MAX_REWRITES", 1, ("qmul", "(x',1)", "(x,1)"), 3, "straightening needs more rewrites than the limit 0"),
         # 4 coordinates at v=2, two fields each, and the h field, one bit wide
         ("MAX_KEY_BITS", 9, ("trace", "--dim", "v=2", "[x]"), 3, "packed keys need 9 bits, above the limit 8"),
+        # 8 coordinates at v=2: 64 coordinate pairs, and 4 basis elements times 8
+        (
+            "MAX_SUITE_PAIRS",
+            64,
+            ("verify", "poisson", "--dim", "v=2"),
+            3,
+            "the poisson suite compares 64 coordinate pairs, above the limit 63",
+        ),
+        (
+            "MAX_SUITE_PAIRS",
+            32,
+            ("verify", "gauge", "--dim", "v=2"),
+            3,
+            "the gauge suite compares 32 pairs of a gl basis element and a coordinate, above the limit 31",
+        ),
     ],
 )
 def test_a_lowered_bound_refuses_a_small_load(limit, amount, argv, code, message, monkeypatch, capsys):

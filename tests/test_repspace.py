@@ -99,6 +99,42 @@ def test_a_bad_index_is_refused(L2, make):
         make(L2)
 
 
+def _a21(A2):
+    return PolyElement.coordinate(A2, (1, 2), 0, False, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # row or column 0 would wrap around to the last one
+        lambda J, A2: moment_block_matrix(J, (2,))[0][0, 0],
+        lambda J, A2: moment_block_matrix(J, (2,))[0][1, 3],
+        lambda J, A2: moment_block_matrix(J, (2,))[0][True, 1],
+        # vertex -1 would read the last vertex, and True as 1
+        lambda J, A2: gauge_act(A2, (1, 2), -1, 2, 2, _a21(A2)),
+        lambda J, A2: gauge_act(A2, (1, 2), 0, True, True, _a21(A2)),
+        lambda J, A2: gauge_act(A2, (1, 2), 2, 1, 1, _a21(A2)),
+        # a dimension vector of the wrong length, or with a zero, at construction
+        lambda J, A2: WeylElement.position(J, (2, 3), 0, 1, 1),
+        lambda J, A2: WeylElement.constant(J, (0,), 1),
+        lambda J, A2: PolyElement.constant(A2, (1,), 1),
+        lambda J, A2: GlElement(J, (2, 3), {(0, 1, 1): 1}),
+        lambda J, A2: GlElement(J, (0,), {}),
+    ],
+    ids=[
+        "block-row-zero", "block-col-past-end", "block-row-bool",
+        "gauge-vertex-negative", "gauge-indices-bool", "gauge-vertex-past-end",
+        "weyl-dim-too-long", "weyl-dim-zero", "poly-dim-too-short", "gl-dim-too-long", "gl-dim-zero",
+    ],
+)
+def test_a_bad_context_is_refused_at_every_public_entry(J, A2, make):
+    """A block entry, a gauge index or an element's dimension vector that
+    is out of range raises ``DimensionError`` where it is given, never an
+    ``IndexError`` or a silently different, valid one."""
+    with pytest.raises(DimensionError):
+        make(J, A2)
+
+
 # -- Weyl products -----------------------------------------------------------
 
 

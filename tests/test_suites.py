@@ -5,6 +5,8 @@ import os
 import random
 from contextlib import redirect_stdout
 
+import pytest
+
 from nhq import necklace_bracket, project
 from nhq import repspace, suites
 from nhq.cli import main
@@ -66,8 +68,8 @@ def test_passing_cases_carry_no_residual():
 # Each check is broken on one side; the report must name the first failing
 # pair's residual, lhs - rhs in canonical printed form, and its note.
 
-from nhq.repspace import gauge_act, poisson, weyl_commutator  # noqa: E402
-from nhq.sampling import a2, jordan  # noqa: E402
+from nhq.repspace import WeylElement, gauge_act, poisson, weyl_commutator  # noqa: E402
+from nhq.sampling import a2, a3p, jordan  # noqa: E402
 from nhq.schedler import qpa_mul, straighten  # noqa: E402
 
 
@@ -126,6 +128,65 @@ def test_gauge_commutator_not_divisible_by_h_is_the_residual(monkeypatch):
     (report,) = suites.suite_gauge(a2(), (1, 2))
     assert report.residual == "(1 + h)*[a]_{1,1}"
     assert report.notes == ("e^1_{1,1} on (a)_{1,1}: commutator is not divisible by h",)
+
+
+def test_poisson_with_a_broken_double_bracket_side_names_the_first_pair(monkeypatch):
+    # every path entry doubled: the double-bracket side of each pair is 4 times its value
+    entry = suites.path_matrix_entry
+    monkeypatch.setattr(suites, "path_matrix_entry", lambda *args: entry(*args).scale(2))
+    (report,) = suites.suite_poisson(two_loop(), (2,))
+    assert report.to_text() == "poisson[0]: failed\n  residual: -3\n  note: {(x)_{1,1}, (x')_{1,1}}"
+
+
+def test_gauge_with_a_broken_tau_side_names_the_first_pair(monkeypatch):
+    # tau(e) + [a]_{1,1}: the extra position fails against the first starred coordinate
+    monkeypatch.setattr(suites, "tau", lambda q, d, v, c=0, _f=suites.tau: _f(q, d, v, c) + WeylElement.position(q, d, 0, 1, 1))
+    (report,) = suites.suite_gauge(a2(), (1, 2))
+    assert report.to_text() == "gauge[0]: failed\n  residual: -1\n  note: e^1_{1,1} on (a')_{1,1}"
+
+
+def test_poisson_makes_each_letter_pairs_double_bracket_once(monkeypatch):
+    # two arrows, plain or starred: 16 letter pairs behind 32 x 32
+    # coordinate pairs, and each path entry is contracted once
+    brackets, entries = [], []
+    monkeypatch.setattr(suites, "double_bracket", lambda x, y, _f=suites.double_bracket: brackets.append(1) or _f(x, y))
+    monkeypatch.setattr(
+        suites, "path_matrix_entry", lambda *args, _f=suites.path_matrix_entry: entries.append(args[2:]) or _f(*args)
+    )
+    (report,) = suites.suite_poisson(two_loop(), (2,))
+    assert report.ok
+    assert len(brackets) == 16
+    assert entries and len(entries) == len(set(entries))
+
+
+@pytest.mark.parametrize("suite, kernel", [("gauge", "weyl_commutator"), ("poisson", "poisson")])
+def test_a_suite_repacks_each_operand_at_most_once(suite, kernel, monkeypatch):
+    # the operands are re-packed once into one layout (``one_layout``), at
+    # most once each, and no commutator or direct bracket of a pair re-packs
+    # them
+    phase, repacks = ["other"], []
+    repack = repspace._Codec.repack
+    monkeypatch.setattr(repspace._Codec, "repack", lambda self, *args: repacks.append(phase[0]) or repack(self, *args))
+
+    def within(name, f):
+        def run(*args):
+            phase[0] = name
+            try:
+                return f(*args)
+            finally:
+                phase[0] = "other"
+
+        return run
+
+    monkeypatch.setattr(suites, "one_layout", within("layout", suites.one_layout))
+    monkeypatch.setattr(suites, kernel, within("kernel", getattr(suites, kernel)))
+    q, d = a3p(), (2, 2, 2, 1)
+    (report,) = getattr(suites, f"suite_{suite}")(q, d)
+    assert report.ok
+    coordinates = sum([2 * d[a.source] * d[a.target] for a in q.arrows])
+    operands = coordinates + (sum([k * k for k in d]) if suite == "gauge" else 0)
+    assert 0 < repacks.count("layout") <= operands
+    assert "kernel" not in repacks
 
 
 def test_ideal_failure_names_the_generator(wrong_spliced_int):

@@ -400,6 +400,34 @@ def test_the_quantum_moment_check_repacks_no_term(monkeypatch):
             assert tau(q, dim, e, c) == tau(q, dim, e) + WeylElement.constant(q, dim, c)
 
 
+def test_the_packed_right_hand_sides_equal_the_public_tau():
+    # each -tau(e^i_{p,q}) + h chi_i delta_pq that ``moment_differences``
+    # packs equals the public ``tau`` of -e^i_{p,q}: blocks holding the
+    # public right-hand sides differ nowhere, and under another chi exactly
+    # the diagonal differs, with the public right-hand side of that chi
+    from nhq import gl_basis, repspace, tau
+
+    for q in small_quivers():
+        for d in all_dimension_vectors(q, 2):
+
+            def public(chi):
+                rhs = lambda i, p, k: tau(
+                    q, d, GlElement.elementary(q, d, i, p, k, -1), HBarPolynomial((0, chi[i])) if p == k else 0
+                )
+                ends = lambda i: range(1, d[i] + 1)
+                # entry (k, p) of block i against e^i_{p,k}
+                return {i: BlockMatrix(i, i, tuple(tuple(rhs(i, p, k) for p in ends(i)) for k in ends(i))) for i in range(len(d))}
+
+            chi = tuple(Fraction(2 * k - 1, 3) for k in range(len(d)))
+            other = tuple(c + 1 for c in chi)
+            blocks, others = public(chi), public(other)
+            assert list(repspace.moment_differences(q, d, blocks, chi)) == []
+            differences = list(repspace.moment_differences(q, d, blocks, other))
+            assert [(i, p, k) for i, p, k, _, _ in differences] == [(i, p, k) for i, p, k in gl_basis(q, d) if p == k]
+            for i, p, k, entry, rhs in differences:
+                assert (entry, rhs) == (blocks[i][k, p], others[i][k, p])
+
+
 def test_a_generator_image_finds_its_marked_word_once(L2, monkeypatch):
     from nhq import schedler, trace
 
