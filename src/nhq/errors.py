@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one index check
+whose failure every public entry reports with one of them."""
 
 
 class QuiverFormatError(ValueError):
@@ -30,6 +31,11 @@ class MismatchError(ValueError):
 
 class DimensionError(ValueError):
     """Matrix index out of range or incompatible dimension vectors."""
+
+
+def _in_range(value, top, low: int = 1) -> bool:
+    """Whether ``value`` is an ``int`` (not a ``bool``) in [low, top]."""
+    return type(value) is int and low <= value <= top
 
 
 class WorkLimitError(DimensionError):

@@ -11,6 +11,7 @@ Dimension vectors are validated here (``make_dimension_vector``).
 from __future__ import annotations
 
 import json
+from math import inf
 import re
 import sys
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import work
-from .errors import CompositionError, DimensionError, ExpressionError, QuiverFormatError
+from .errors import CompositionError, DimensionError, ExpressionError, QuiverFormatError, _in_range
 from .linear import _PackedSums, bilinear, from_ints
 from .rings import as_fraction
 
@@ -235,7 +236,7 @@ def make_dimension_vector(quiver: Quiver, d) -> tuple[int, ...]:
                 f"{len(quiver.vertices)} vertices"
             )
     for value in vec:
-        if not isinstance(value, int) or value < 1:
+        if not _in_range(value, inf):
             raise DimensionError(f"dimension {value!r} is not a positive integer")
     return vec
 

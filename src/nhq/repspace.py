@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import work
-from .errors import DimensionError, MismatchError
+from .errors import DimensionError, MismatchError, _in_range
 from .linear import (
     LinearCombination,
     _PackedSums,
@@ -37,11 +37,6 @@ from .linear import (
 from .quiver import _LETTER, Letter, Quiver, _code, _ends, make_dimension_vector, moment_pairs
 from .rings import HBarPolynomial, as_fraction
 from .schedler import ideal_normal_forms
-
-
-def _in_range(value, top: int, low: int = 1) -> bool:
-    """Whether ``value`` is an ``int`` (not a ``bool``) in [low, top]."""
-    return type(value) is int and low <= value <= top
 
 
 def _check_coord_bounds(quiver, dim, arrow, starred, row, col):
@@ -309,6 +304,18 @@ def _add_scaled(out: dict, pairs, scale, hunit: int) -> None:
                 out[key] = get(key, 0) + a * c
 
 
+def _affine(top: dict, low: dict, nums, den: int, hunit: int) -> tuple:
+    """The canonical (numerators, den) of the packed int dict ``top``, over
+    1 and without zeros, plus sum_j (nums[j] / den) h^j times the packed
+    int dict ``low``: ints only, so no ``Fraction`` is made or read per
+    term; ``top`` itself when every ``nums[j]`` is 0."""
+    if not any(nums):
+        return top, 1
+    out = {key: den * c for key, c in top.items()} if den != 1 else dict(top)
+    _add_scaled(out, low.items(), enumerate(nums), hunit)
+    return lowest_terms(out, den)
+
+
 def _halves(codec, terms: dict) -> list:
     """(key, c, position half, derivative half, the nonzero-field mask of
     each half) of every packed term."""
@@ -491,27 +498,20 @@ def _tau_terms(quiver: Quiver, dim, items, codec) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
-def tau(quiver: Quiver, dim, v: GlElement, constant=0) -> WeylElement:
-    """Infinitesimal gl_d action as a first-order differential operator,
-    plus the scalar ``constant`` of Q[h] when one is given.
+def tau(quiver: Quiver, dim, v: GlElement) -> WeylElement:
+    """Infinitesimal gl_d action as a first-order differential operator.
 
-    It reads v's ``int`` numerators and denominator (``linear.int_terms``)
-    and puts the constant's coefficients over the same denominator, so no
-    ``Fraction`` is multiplied.  Its fields are as wide as those of the
-    moment blocks (top 2), which ``verify qmoment`` compares it with, and
-    its constant h chi is added in the same codec, so nothing on either
-    side is re-packed."""
+    It reads v's ``int`` numerators and denominator (``linear.int_terms``),
+    so no ``Fraction`` is multiplied.  Its fields are as wide as those of
+    the moment blocks (top 2), the layout ``moment_differences`` packs its
+    right-hand sides in."""
     dim = tuple(dim)
     if (quiver, dim) != v._context():
         raise MismatchError("gl element disagrees on quiver or dimensions")
     terms, den = int_terms(v)  # a gl element holds h^0 only
     codec = _codec(quiver, dim, _arrows_at(quiver, {i for i, _, _ in terms}), _width(2))
     packed = _tau_terms(quiver, dim, [(key, m) for key, ((_, m),) in terms.items()], codec)
-    nums, dc = numerators(HBarPolynomial.coerce(constant).coeffs)
-    if dc != 1:
-        packed = {key: dc * c for key, c in packed.items()}
-    _add_scaled(packed, ((0, den),), enumerate(nums), codec.hunit)
-    return WeylElement._from_packed(quiver, dim, codec, *lowest_terms(packed, den * dc), 1)
+    return WeylElement._from_packed(quiver, dim, codec, *lowest_terms(packed, den), 1)
 
 
 def gauge_act(quiver: Quiver, dim, i: int, p: int, q: int, f: PolyElement) -> PolyElement:
@@ -1066,13 +1066,6 @@ def _ratio(lhs: dict, base: dict, shift: int):
     return Fraction(b, a)
 
 
-def _minus(a: dict, b: dict) -> dict:
-    """a - b for two packed int dicts, without zeros."""
-    out = dict(a)
-    _add_scaled(out, b.items(), ((0, -1),), 0)
-    return {key: c for key, c in out.items() if c}
-
-
 @dataclass(eq=False)
 class IdealDecomposition:
     """Tr_q of one reduction-ideal generator written as sum entry *
@@ -1124,7 +1117,7 @@ class IdealDecomposition:
     @cached_property
     def expanded(self) -> dict:
         """E = G - (G - E)."""
-        return _minus(self.spliced, self.difference)
+        return _affine(self.spliced, self.difference, (-1,), 1, self.codec.hunit)[0]
 
     def chi(self, r, lam) -> Fraction | None:
         """The chi with target == re_expand(chi) at (r, lam), None when no
@@ -1133,12 +1126,8 @@ class IdealDecomposition:
         if lam and self.cycle != self.diagonal:
             return None
         # grade N, times the denominator of r: den (G - E) + num h P = den chi h T
-        num, den, h = r.numerator, r.denominator, self.codec.hunit
-        lhs = self.difference
-        if num:
-            lhs = {key: den * c for key, c in lhs.items()}
-            _add_scaled(lhs, self.cycle.items(), ((1, num),), h)
-            lhs = {key: c for key, c in lhs.items() if c}
+        h = self.codec.hunit
+        lhs, den = _affine(self.difference, self.cycle, (0, r.numerator), r.denominator, h)
         ratio = _ratio(lhs, self.diagonal, h)
         return None if ratio is None else ratio / den
 
@@ -1149,15 +1138,9 @@ class IdealDecomposition:
     verified = property(lambda self: self.chi_value is not None)
 
     def _element(self, top: dict, low=None, coeffs=()) -> WeylElement:
-        """The element of ``top`` plus sum_j coeffs[j] h^j times ``low``,
-        the rationals ``coeffs`` put over one denominator first."""
-        den = 1
-        if any(coeffs):
-            nums, den = numerators(coeffs)
-            top = {key: den * c for key, c in top.items()}
-            _add_scaled(top, low.items(), enumerate(nums), self.codec.hunit)
-            top, den = lowest_terms(top, den)
-        return WeylElement._from_packed(self.quiver, self.dim, self.codec, top, den, self.v + 2)
+        """The element of ``top`` plus sum_j coeffs[j] h^j times ``low``."""
+        packed = _affine(top, low, *numerators(coeffs), self.codec.hunit)
+        return WeylElement._from_packed(self.quiver, self.dim, self.codec, *packed, self.v + 2)
 
     @cached_property
     def target(self) -> WeylElement:
@@ -1207,7 +1190,7 @@ def _image_parts(quiver: Quiver, dim: tuple, vertex: int, word: tuple) -> tuple:
     G, P = (_closed_sum(quiver, dim, codec, part, True) for part in items[:2])
     T, E = (_closed_sum(quiver, dim, codec, part, True, keep=False) for part in items[2:])
     kept_T = _flat(T)
-    return _flat(parts[0]), kept_T if P == T else _flat(P), kept_T, _flat(_minus(G, E))
+    return _flat(parts[0]), kept_T if P == T else _flat(P), kept_T, _flat(_affine(G, E, (-1,), 1, codec.hunit)[0])
 
 
 def ideal_image(quiver: Quiver, dim: tuple, vertex: int, word: tuple, r=0, lam=0) -> IdealDecomposition:
@@ -1259,11 +1242,10 @@ def _moment_block(quiver: Quiver, dim, codec, i: int, r=None) -> dict:
     ends = range(1, dim[i] + 1)
     chains = [(((_code(pair),), ((1, 2),), ()), ((0, sign),)) for sign, *pair in moment_pairs(quiver, i)]
     block = contracted(quiver, dim, chains, True, (ends, ends), codec)
-    for p in ends if r is not None and r[i] else ():
-        ri = as_fraction(r[i])
-        diagonal = {key: ri.denominator * c for key, c in block[p, p]._packed.items()}
-        diagonal[codec.hunit] = diagonal.get(codec.hunit, 0) + ri.numerator
-        block[p, p] = WeylElement._from_packed(quiver, dim, codec, *lowest_terms(diagonal, ri.denominator), 2)
+    ri = as_fraction(r[i]) if r is not None else 0
+    for p in ends if ri else ():
+        diagonal = _affine(block[p, p]._packed, {0: 1}, (0, ri.numerator), ri.denominator, codec.hunit)
+        block[p, p] = WeylElement._from_packed(quiver, dim, codec, *diagonal, 2)
     return block
 
 
@@ -1316,12 +1298,10 @@ def moment_differences(quiver: Quiver, dim, blocks: dict, chi):
     dim = tuple(dim)
     for i in range(len(quiver.vertices)):
         codec, c = _codec(quiver, dim, _arrows_at(quiver, {i}), _width(2)), as_fraction(chi[i])
+        diagonal = (0, c.numerator), c.denominator
         for p, q in itertools.product(range(1, dim[i] + 1), repeat=2):
-            packed, den = _tau_terms(quiver, dim, [((i, p, q), -1)], codec), 1
-            if p == q and c:
-                packed = {key: c.denominator * m for key, m in packed.items()}
-                packed[codec.hunit] = c.numerator
-                packed, den = lowest_terms(packed, c.denominator)
+            packed = _tau_terms(quiver, dim, [((i, p, q), -1)], codec)
+            packed, den = _affine(packed, {0: 1}, *diagonal if p == q else ((), 1), codec.hunit)
             entry = blocks[i][q, p]
             if entry._codec is codec and entry._den == den and entry._packed == packed:
                 continue

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import DimensionError, _in_range
+
 
 def as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -102,8 +104,12 @@ class HBarPolynomial:
         return len(self.coeffs) - 1
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
+        """The coefficient of h^k, 0 for every int k past the degree or
+        below 0; a k that is not an ``int``, a ``bool`` too, is refused."""
+        if _in_range(k, len(self.coeffs) - 1, 0):
             return Fraction(self.coeffs[k])
+        if type(k) is not int:
+            raise DimensionError(f"power {k!r} of h is not an integer")
         return Fraction(0)
 
     def constant_term(self) -> Fraction:

@@ -83,11 +83,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import inf, lcm
 from sys import intern
 
 from . import work
-from .errors import CompositionError
+from .errors import CompositionError, _in_range
 from .linear import _PackedSums, bilinear, from_ints, int_terms, rekeyed
 from .necklace import (
     HH0Element,
@@ -204,7 +204,7 @@ def make_configuration(quiver: Quiver, components, idempotents=()) -> HeightConf
             raise CompositionError("empty component")
         n = len(comp)
         for k, (letter, h) in enumerate(comp):
-            if not isinstance(h, int) or h < 1:
+            if not _in_range(h, inf):
                 raise CompositionError(f"height {h!r} is not a positive integer")
             if h in seen:
                 raise CompositionError(f"duplicate height {h}")
@@ -215,7 +215,7 @@ def make_configuration(quiver: Quiver, components, idempotents=()) -> HeightConf
                     f"component word is not cyclically composable at height {h}"
                 )
     for v in idempotents:
-        if not (0 <= v < len(quiver.vertices)):
+        if not _in_range(v, len(quiver.vertices) - 1, 0):
             raise CompositionError(f"unknown vertex index {v} in idempotent factor")
     cfg = HeightConfiguration(comps, idempotents)
     return _config(_normalize(cfg.codes, cfg.heights, cfg.idempotents))
@@ -683,12 +683,14 @@ def make_params(quiver: Quiver, r=None, lam=None) -> ReductionParameters:
 
 def marked_word(quiver: Quiver, p: Necklace, vertex: int, mark: int):
     """Rotate p so the marked visit to ``vertex`` sits at the end of the word."""
+    if not _in_range(vertex, len(quiver.vertices) - 1, 0):
+        raise CompositionError(f"unknown vertex index {vertex!r}")
     if p.is_idempotent:
         if p.vertex != vertex:
             raise CompositionError("idempotent generator must be marked at its own vertex")
         return ()
     letters = p.letters
-    if not (0 <= mark < len(letters)):
+    if not _in_range(mark, len(letters) - 1, 0):
         raise CompositionError(f"mark {mark} out of range for a {len(letters)}-letter cycle")
     if letters[mark].source(quiver) != vertex:
         raise CompositionError(

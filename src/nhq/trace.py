@@ -34,7 +34,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionError
+from .errors import DimensionError, _in_range
 from .expr import format_element, format_hbar
 from .linear import int_terms
 from .necklace import HH0Element, Necklace, canonical_necklace, idempotent_class, necklace_key
@@ -123,7 +123,7 @@ def path_matrix_entry(quiver: Quiver, dim, path: Path, row: int, col: int) -> Po
     """The (row, col) coordinate of the matrix-valued function of a path."""
     dim = make_dimension_vector(quiver, dim)
     rmax, cmax = dim[path.target(quiver)], dim[path.source(quiver)]
-    if not (1 <= row <= rmax and 1 <= col <= cmax):
+    if not (_in_range(row, rmax) and _in_range(col, cmax)):
         raise DimensionError(f"path entry ({row},{col}) out of range for block {rmax}x{cmax}")
     word = _open_word(_code(path.letters))
     return contracted(quiver, dim, [(word, ((0, 1),))], False, ((row,), (col,)))[row, col]

@@ -68,13 +68,20 @@ it with ``get`` and stores with ``put``, and the tests decode keys.  Nor
 is the module-level rewrite budget (``_rewrites_left``): each top-level
 straightening call makes its own and passes it down with the memo.  Nor
 is a keyed element's store of a constructor's pairs until its first packed
-operation (``_given``): the constructor packs them.
+operation (``_given``): the constructor packs them.  Nor is the
+subtraction of two packed int dicts (``_minus``): every "packed dict plus
+a rational multiple of h^j times another" of the reduction and moment
+checks is one ``repspace._affine``.
 
 Every bound the package chooses is assigned in ``nhq.work`` alone, and
 read as an attribute of that module when it is checked, so no module
 imports one by name.  The two bounds of ``quiver`` are the capacity of the
 ``chr`` letter code, fixed by ``sys.maxunicode``, not chosen, and stay
 there.
+
+Every index, vertex, height or dimension is checked by one helper,
+``errors._in_range``, which refuses a ``bool``: no module compares one
+with a bare chained ``a <= x <= b`` or ``a <= x < b``.
 
 No private name is test-only code: every single-underscore function, class
 or module-level name defined in the package is read somewhere in it.
@@ -116,7 +123,7 @@ TUPLE_KERNEL = {"_weyl_mono_mul", "_merge_exponents", "poly_partial"}
 FRONT_ENDS = {"_contract_letters", "trace_configurations", "_traced", "_check_traces", "_boundary_entries"}
 IMAGE_ROUTE = {"kept_image", "_kept_parts", "_made_image", "clear_packed_traces", "IdealImage", "generator_image"}
 CACHE_CALL = {"_split", "_Memo", "_trace_pairs"}
-RETIRED = TUPLE_KERNEL | {"_times_tau", "_drop_pair", "_rewrites_left", "_given"} | FRONT_ENDS | IMAGE_ROUTE | CACHE_CALL
+RETIRED = TUPLE_KERNEL | {"_times_tau", "_drop_pair", "_rewrites_left", "_given", "_minus"} | FRONT_ENDS | IMAGE_ROUTE | CACHE_CALL
 LIMITS = {
     "MAX_NESTING",
     "MAX_EXPONENT",
@@ -180,6 +187,7 @@ def test_the_check_sees_both_forms():
     assert names_anywhere("_rewrites_left[0] = MAX_REWRITES\n", RETIRED) == {"_rewrites_left"}
     assert names_anywhere("return IdealImage(q, d, v, w)\n", RETIRED) == {"IdealImage"}
     assert names_anywhere("from .trace import generator_image\n", RETIRED) == {"generator_image"}
+    assert names_anywhere("return _flat(_minus(G, E))\n", RETIRED) == {"_minus"}
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "repspace.py"])
@@ -217,6 +225,41 @@ def test_one_class_holds_a_generator_decomposition():
     assert defining == {"repspace.py"}
     assert nhq.IdealDecomposition is repspace.IdealDecomposition
     assert not hasattr(repspace.IdealDecomposition, "report")
+
+
+def chained_index_comparisons(source: str) -> list:
+    """The chained comparisons ``a <= x <= b`` and ``a <= x < b`` of
+    ``source`` outside a function named ``_in_range``, as source text."""
+    tree = ast.parse(source)
+    helper = {
+        id(node)
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef) and f.name == "_in_range"
+        for node in ast.walk(f)
+    }
+    return [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and id(node) not in helper
+        and [type(op) for op in node.ops] in ([ast.LtE, ast.LtE], [ast.LtE, ast.Lt])
+    ]
+
+
+def test_the_index_comparison_scan_sees_both_forms():
+    source = "def f(row, k, n):\n    return 1 <= row <= n or 0 <= k < n\n"
+    assert chained_index_comparisons(source) == ["1 <= row <= n", "0 <= k < n"]
+    assert chained_index_comparisons("class C:\n    def g(self, k):\n        return 0 <= k < len(self.c)\n") == [
+        "0 <= k < len(self.c)"
+    ]
+    assert chained_index_comparisons("def _in_range(value, top, low=1):\n    return low <= value <= top\n") == []
+    assert chained_index_comparisons("ok = 0 < a < b or a <= b or a < b <= c\n") == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_index_is_compared_outside_the_one_check(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert chained_index_comparisons(fh.read()) == []
 
 
 def module_level_names(tree) -> set:

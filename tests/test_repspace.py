@@ -5,6 +5,7 @@ import pytest
 
 from nhq import (
     Character,
+    CompositionError,
     DimensionError,
     GlElement,
     HBarPolynomial,
@@ -31,7 +32,9 @@ from nhq import (
     weyl_commutator,
     weyl_mul,
 )
+from nhq.necklace import Necklace, canonical_necklace
 from nhq.quiver import make_quiver
+from nhq.schedler import marked_word
 from nhq.repspace import rational_nullspace
 from nhq.sampling import all_dimension_vectors, random_gl, random_quiver, random_dimension
 
@@ -132,6 +135,42 @@ def test_a_bad_context_is_refused_at_every_public_entry(J, A2, make):
     is out of range raises ``DimensionError`` where it is given, never an
     ``IndexError`` or a silently different, valid one."""
     with pytest.raises(DimensionError):
+        make(J, A2)
+
+
+_X = Letter(0, False)
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        # True would be read as row or column 1
+        (lambda J, A2: path_matrix_entry(J, (2,), Path((_X,)), True, 1), DimensionError),
+        (lambda J, A2: path_matrix_entry(J, (2,), Path((_X,)), 1, True), DimensionError),
+        # True would be read as mark 1, or as vertex 1
+        (lambda J, A2: marked_word(J, canonical_necklace(J, (_X, _X.star())), 0, True), CompositionError),
+        (lambda J, A2: marked_word(A2, Necklace(1, ()), True, 0), CompositionError),
+        # True would be kept as an idempotent factor, or taken as height 1
+        (lambda J, A2: make_configuration(A2, (), (True,)), CompositionError),
+        (lambda J, A2: make_configuration(J, [[(_X, True)]]), CompositionError),
+        # True would be kept as a dimension, which every caller then accepts
+        (lambda J, A2: make_dimension_vector(J, (True,)), DimensionError),
+        (lambda J, A2: make_dimension_vector(A2, {"1": 1, "2": True}), DimensionError),
+        # True would read the coefficient of h^1
+        (lambda J, A2: HBarPolynomial((1, 2)).coefficient(True), DimensionError),
+    ],
+    ids=[
+        "path-entry-row", "path-entry-col", "marked-word-mark", "marked-word-vertex",
+        "configuration-idempotent", "configuration-height", "dimension-tuple", "dimension-dict",
+        "hbar-power",
+    ],
+)
+def test_a_bool_index_is_refused_at_every_public_entry(J, A2, make, error):
+    """A ``bool`` is an ``int`` to Python, but no entry reads one as an
+    index, a vertex, a height or a dimension: each refuses it through the
+    one check ``errors._in_range``, with the error it raises for any other
+    index out of range."""
+    with pytest.raises(error):
         make(J, A2)
 
 
@@ -519,6 +558,29 @@ def test_quantum_moment_r_shift(J):
             assert diff == WeylElement.constant(J, d, HBarPolynomial((0, Fraction(5))))
         else:
             assert diff.is_zero()
+
+
+@pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(2), Fraction(-3, 2)])
+def test_a_fractional_shift_meets_the_diagonal_as_the_public_sum_does(J, r):
+    # h r is added to each diagonal entry on packed numerators over the
+    # denominator of r: it equals the public sum of the entry and h r, and
+    # at r = 2 it cancels the entry's -2 h; 2 e^0_{1,1} cancels the
+    # denominator 2 of r = 1/2 or -3/2 in the quantum moment, and chi = r - 2
+    # is what the packed right-hand sides -tau + h chi then read
+    from nhq import repspace
+
+    d = (2,)
+    plain, shifted = moment_block_matrix(J, d)[0], moment_block_matrix(J, d, (r,))
+    for p in (1, 2):
+        for k in (1, 2):
+            public = plain[p, k] + WeylElement.constant(J, d, H * r if p == k else 0)
+            assert shifted[0][p, k] == public
+    assert (((), ()) in shifted[0][1, 1].terms) == (r != 2)
+    moment = quantum_moment(J, d, GlElement.elementary(J, d, 0, 1, 1, 2), (r,))
+    assert moment == (plain[1, 1] + WeylElement.constant(J, d, H * r)).scale(2)
+    assert all(type(c) is int for poly in moment.terms.values() for c in poly.coeffs)
+    assert list(repspace.moment_differences(J, d, shifted, (r - 2,))) == []
+    assert len(list(repspace.moment_differences(J, d, shifted, (r,)))) == 2
 
 
 def test_gl_invariance_of_quantum_traces(J):

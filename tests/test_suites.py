@@ -140,7 +140,7 @@ def test_poisson_with_a_broken_double_bracket_side_names_the_first_pair(monkeypa
 
 def test_gauge_with_a_broken_tau_side_names_the_first_pair(monkeypatch):
     # tau(e) + [a]_{1,1}: the extra position fails against the first starred coordinate
-    monkeypatch.setattr(suites, "tau", lambda q, d, v, c=0, _f=suites.tau: _f(q, d, v, c) + WeylElement.position(q, d, 0, 1, 1))
+    monkeypatch.setattr(suites, "tau", lambda q, d, v, _f=suites.tau: _f(q, d, v) + WeylElement.position(q, d, 0, 1, 1))
     (report,) = suites.suite_gauge(a2(), (1, 2))
     assert report.to_text() == "gauge[0]: failed\n  residual: -1\n  note: e^1_{1,1} on (a')_{1,1}"
 

@@ -381,7 +381,8 @@ def test_quantum_moment_reports(J, A2):
 
 def test_the_quantum_moment_check_repacks_no_term(monkeypatch):
     # each right-hand side -tau(e) + h chi is packed in tau's codec, the
-    # blocks' layout, so neither the constant nor a compared side is re-packed
+    # blocks' layout, so neither h chi nor a compared side is re-packed; a
+    # public tau plus a public constant holds tau's terms and the constant
     from nhq import repspace, tau
 
     repacks = []
@@ -396,8 +397,9 @@ def test_the_quantum_moment_check_repacks_no_term(monkeypatch):
     q, dim = a3p(), (2, 2, 2, 1)
     for i, p, k in ((0, 1, 1), (1, 2, 1), (3, 1, 1)):
         e = GlElement.elementary(q, dim, i, p, k, Fraction(-1, 3))
-        for c in (0, 5, H * Fraction(7, 2), HBarPolynomial((1, 0, -2))):
-            assert tau(q, dim, e, c) == tau(q, dim, e) + WeylElement.constant(q, dim, c)
+        for c in (5, H * Fraction(7, 2), HBarPolynomial((1, 0, -2))):
+            total = tau(q, dim, e) + WeylElement.constant(q, dim, c)
+            assert total.terms == {**tau(q, dim, e).terms, ((), ()): HBarPolynomial.coerce(c)}
 
 
 def test_the_packed_right_hand_sides_equal_the_public_tau():
@@ -411,8 +413,8 @@ def test_the_packed_right_hand_sides_equal_the_public_tau():
         for d in all_dimension_vectors(q, 2):
 
             def public(chi):
-                rhs = lambda i, p, k: tau(
-                    q, d, GlElement.elementary(q, d, i, p, k, -1), HBarPolynomial((0, chi[i])) if p == k else 0
+                rhs = lambda i, p, k: tau(q, d, GlElement.elementary(q, d, i, p, k, -1)) + WeylElement.constant(
+                    q, d, HBarPolynomial((0, chi[i])) if p == k else 0
                 )
                 ends = lambda i: range(1, d[i] + 1)
                 # entry (k, p) of block i against e^i_{p,k}
