@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import work
-from .errors import CompositionError, DimensionError, MismatchError
+from .errors import CompositionError, DimensionError, MismatchError, _in_range
 from .linear import _PackedSums, bilinear, from_ints, int_terms, rekeyed
 from .quiver import (
     _LETTER,
@@ -203,9 +203,9 @@ class HH0Element(_PackedSums):
     Its coded key (``linear._PackedSums``) is a necklace's code, or its
     vertex for an idempotent class, so the two never collide.  Coding a
     public constructor's necklace checks that its word is cyclically
-    composable (``_check_cyclic``), once, when the constructor packs it;
-    the bracket and ``natural_projection`` make only composable words and
-    check nothing.
+    composable (``_check_cyclic``), or its vertex one of the quiver's,
+    once, when the constructor packs it; the bracket and
+    ``natural_projection`` make only composable words and check nothing.
     """
 
     __slots__ = ("quiver",)
@@ -217,6 +217,8 @@ class HH0Element(_PackedSums):
     def _code_key(self, necklace: Necklace):
         if necklace._code:
             _check_cyclic(self.quiver, necklace._code)
+        elif not _in_range(necklace._vertex, len(self.quiver.vertices) - 1, 0):
+            raise CompositionError(f"unknown vertex index {necklace._vertex!r}")
         return necklace._code or necklace._vertex
 
     _public_key = staticmethod(_coded)

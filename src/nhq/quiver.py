@@ -184,16 +184,26 @@ class Path:
 
 def make_path(quiver: Quiver, letters) -> Path:
     """Build a nonempty path, checking right-to-left composability."""
-    letters = tuple(letters)
-    if not letters:
+    path = Path(tuple(letters))
+    if not path.letters:
         raise CompositionError("a word path needs at least one letter")
-    for k in range(len(letters) - 1):
-        if letters[k].source(quiver) != letters[k + 1].target(quiver):
-            raise CompositionError(
-                f"letters {letters[k].name(quiver)} and {letters[k + 1].name(quiver)} "
-                "do not compose"
-            )
-    return Path(letters)
+    _check_path(quiver, path)
+    return path
+
+
+def _check_path(quiver: Quiver, path: Path) -> None:
+    """Raise CompositionError unless ``path`` is a path of ``quiver``: a
+    word of its letters that compose right to left, or a trivial path at
+    one of its vertices."""
+    letters = path.letters
+    if not letters and not _in_range(path.vertex, len(quiver.vertices) - 1, 0):
+        raise CompositionError(f"unknown vertex index {path.vertex!r}")
+    for letter in letters:
+        if not _in_range(letter.arrow, len(quiver.arrows) - 1, 0):
+            raise CompositionError(f"unknown arrow index {letter.arrow!r}")
+    for left, right in zip(letters, letters[1:]):
+        if left.source(quiver) != right.target(quiver):
+            raise CompositionError(f"letters {left.name(quiver)} and {right.name(quiver)} do not compose")
 
 
 def moment_pairs(quiver: Quiver, vertex: int):
@@ -266,11 +276,15 @@ def _compose(ends: dict, p, q):
 
 class PathAlgebraElement(_PackedSums):
     """Element of the path algebra of the doubled quiver over Q[h], keyed
-    by coded paths (``_code_path``)."""
+    by coded paths (``_code_path``).  Coding a public constructor's path
+    checks it (``_check_path``), once, when the constructor packs it."""
 
     __slots__ = ("quiver",)
 
-    _code_key = staticmethod(_code_path)
+    def _code_key(self, path: Path):
+        _check_path(self.quiver, path)
+        return _code_path(path)
+
     _public_key = staticmethod(_decode_path)
 
     @classmethod

@@ -27,6 +27,7 @@ from .errors import DimensionError, MismatchError, _in_range
 from .linear import (
     LinearCombination,
     _PackedSums,
+    _pack as _pack_sums,
     bilinear,
     from_ints,
     int_terms,
@@ -228,7 +229,9 @@ def _pack(x: _PackedOperator, terms) -> tuple:
     """(codec, numerators, den, top) of a public constructor's ``terms`` (a
     dict or (monomial, coefficient) pairs) for ``x``, in a codec with fields
     for their arrows as wide as their largest exponent needs, in canonical
-    form; zero coefficients are dropped first."""
+    form; zero coefficients are dropped first.  The monomials' int keys and
+    coefficients are packed as the keyed store packs its pairs
+    (``linear._pack``), and each power of h then moves onto the h field."""
     items = terms.items() if isinstance(terms, dict) else terms or ()
     items = [(mono, coeffs) for mono, c in items if any(coeffs := x._scalars(c))]
     if x._rational:  # a polynomial's (a')_{r,c} to the field of d(a)_{c,r}
@@ -245,21 +248,24 @@ def _pack(x: _PackedOperator, terms) -> tuple:
     exps = [(var, exp) for (pos, der), _ in items for var, exp in pos + der]
     top = max([exp for _, exp in exps], default=0)
     codec = _codec(x.quiver, x.dim, tuple(sorted({var[0] for var, _ in exps})), _width(top))
-    keyed = []
-    for (pos, der), coeffs in items:
-        key = sum([e * codec.position(v)[0] for v, e in pos] + [e * codec.derivative(v)[0] for v, e in der])
-        keyed += [(key + j * codec.hunit, a) for j, a in enumerate(coeffs) if a]
-    nums, den = numerators([a for _, a in keyed])
-    packed: dict = {}
-    for (key, _), m in zip(keyed, nums):
-        packed[key] = packed.get(key, 0) + m
-    return codec, *lowest_terms(packed, den), top
+    keyed = [
+        (sum([e * codec.position(v)[0] for v, e in pos] + [e * codec.derivative(v)[0] for v, e in der]), coeffs)
+        for (pos, der), coeffs in items
+    ]
+    sums, den = _pack_sums(keyed)  # the keyed store's packing, one dict per power of h
+    hunit = codec.hunit
+    return codec, {key + j * hunit: m for j, sums_j in enumerate(sums) for key, m in sums_j.items()}, den, top
 
 
 def _join(x: _PackedOperator, y: _PackedOperator, product: bool) -> tuple:
     """(codec, top, x's packed terms, y's) in the join of their layouts:
     the union of their arrows, fields as wide as the wider one's and, for
-    a ``product``, wide enough for the sum of their tops."""
+    a ``product``, wide enough for the sum of their tops.  A product of
+    more than ``work.MAX_INDEX_ASSIGNMENTS`` monomial pairs is refused
+    first, before any re-packing or pair."""
+    if product:
+        message = "product has {amount} monomial pairs, above the limit {limit}"
+        work.check(len(x._packed) * len(y._packed), work.MAX_INDEX_ASSIGNMENTS, message)
     cx, cy = x._codec, y._codec
     top = x._top + y._top if product else max(x._top, y._top)
     width = max(cx.width, cy.width, top.bit_length())

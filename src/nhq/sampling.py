@@ -65,65 +65,40 @@ def random_quiver(rng: random.Random, max_vertices: int = 3, max_arrows: int = 4
 
 
 def random_closed_word(rng: random.Random, quiver: Quiver, max_len: int, min_len: int = 1):
-    """A uniformly chosen closed word of a random admissible length <= max_len."""
+    """A uniformly chosen closed word of a random admissible length <= max_len.
+
+    One ``randrange`` over every closed word is unranked in order: into a
+    (length, basepoint) pair, then letter by letter, each letter weighted
+    by the closed words that go on with it."""
     letters = list(quiver.letters())
     nv = len(quiver.vertices)
     # walks[k][u][w]: number of composable words y_1..y_k with target(y_1)=u, source(y_k)=w
     step = [[0] * nv for _ in range(nv)]
     for letter in letters:
         step[letter.target(quiver)][letter.source(quiver)] += 1
-    powers = [None, step]
-    for _ in range(2, max_len + 1):
-        last = powers[-1]
-        nxt = [[0] * nv for _ in range(nv)]
-        for u in range(nv):
-            for m in range(nv):
-                if last[u][m]:
-                    for w in range(nv):
-                        nxt[u][w] += last[u][m] * step[m][w]
-        powers.append(nxt)
-    weights = [
-        sum(powers[k][v][v] for v in range(nv)) for k in range(min_len, max_len + 1)
-    ]
-    total = sum(weights)
+    walks = [[[int(u == w) for w in range(nv)] for u in range(nv)]]
+    for _ in range(max_len):
+        last = walks[-1]
+        walks.append([[sum([last[u][m] * step[m][w] for m in range(nv)]) for w in range(nv)] for u in range(nv)])
+    starts = [(k, v) for k in range(min_len, max_len + 1) for v in range(nv)]
+    total = sum([walks[k][v][v] for k, v in starts])
     if total == 0:
         raise ValueError("quiver admits no closed words in the requested range")
     pick = rng.randrange(total)
-    for k, w in zip(range(min_len, max_len + 1), weights):
-        if pick < w:
-            length = k
+    for length, start in starts:
+        if pick < walks[length][start][start]:
             break
-        pick -= w
-    # choose the basepoint, then the letters one by one with exact suffix counts
-    for v in range(nv):
-        c = powers[length][v][v]
-        if pick < c:
-            start = v
-            break
-        pick -= c
-    word = []
-    current = start  # target of the next letter to choose
-    remaining = length
-    while remaining:
+        pick -= walks[length][start][start]
+    word, current = [], start  # current: the target of the next letter
+    for remaining in range(length - 1, -1, -1):
         for letter in letters:
-            if letter.target(quiver) != current:
-                continue
-            rest = letter.source(quiver)
-            c = (
-                1
-                if remaining == 1 and rest == start
-                else 0
-                if remaining == 1
-                else powers[remaining - 1][rest][start]
-            )
-            if pick < c:
-                word.append(letter)
-                current = rest
-                remaining -= 1
-                break
-            pick -= c
-        else:
-            raise AssertionError("walk sampling ran out of letters")
+            if letter.target(quiver) == current:
+                c = walks[remaining][letter.source(quiver)][start]
+                if pick < c:
+                    break
+                pick -= c
+        word.append(letter)
+        current = letter.source(quiver)
     return tuple(word)
 
 

@@ -18,9 +18,9 @@ its two arcs as a symmetric product (same component), empty pieces turning
 into idempotent factors.  Each swap lowers the inversion count against the
 normal-form height order and each correction has two fewer letters, so the
 recursion terminates; confluence is a tested invariant, not an assumption.
-The default strategy swaps the lowest inverted pair, which is insertion
-sort: it moves each letter down in one run, and only the swaps with the
-letter's partner contract anything.
+A strategy picks a descent (by default the lowest: insertion sort), and the
+letter above it walks down past each letter whose normal-form position lies
+above its own; only the swaps with its partner contract anything.
 
 Every correction costs one factor +-h and exactly two letters, so in the
 expansion of an N-letter configuration the coefficient of an n-letter term
@@ -79,7 +79,6 @@ and is refused past ``work.MAX_REWRITES``: a long word can take minutes.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -367,14 +366,13 @@ def _rewrite(head, word, succ, idems, pick, rng, memo, budget):
     stored with ``put``.  The height swaps each form computes are added to
     ``budget[0]``, which the top-level call shares with every form.
 
-    A pick moves the letter above a descent down past ``top - low``
-    letters, one height swap each.  The pickers swap once per pick, except
-    the default ``_PICKERS["first"]``: it always swaps the lowest descent,
-    which is insertion sort, so the letter's whole run down to its
-    insertion point is one pick.  On that route the contracting swaps of a
-    run are found by searching it for the moving letter's partner, and only
-    they call ``bracket_sign``; the other pickers call it at every swap.
-    Each contracting swap costs a correction.
+    The picker only chooses a descent: the default ``_PICKERS["first"]``
+    the lowest, scanning on from the last one as insertion sort does, the
+    others ``pick(inverted, rng)``.  The letter above it walks down past
+    each letter whose target lies above its own, ``top - low`` height
+    swaps.  The run's contracting swaps are found by searching it for the
+    letter's partner, and only they call ``bracket_sign``; each costs a
+    correction.
 
     Letters move in ``word`` and ``order`` only; ``succ`` stays the form's
     own.  A correction does not depend on which swap of a run makes it, as
@@ -392,7 +390,7 @@ def _rewrite(head, word, succ, idems, pick, rng, memo, budget):
     seq, necklaces = _canonical_targets(word, succ)
     n_letters = len(seq)
     order = list(range(n_letters))
-    runs = pick is _PICKERS["first"]
+    lowest = pick is _PICKERS["first"]
     read, store = memo.get, memo.put
     out: dict = {}  # zeros are dropped at the end
     get = out.get
@@ -400,41 +398,38 @@ def _rewrite(head, word, succ, idems, pick, rng, memo, budget):
     top = 1  # on the default route, seq[:top] is sorted
 
     while True:
-        if runs:
+        if lowest:
             while top < n_letters and seq[top - 1] < seq[top]:
                 top += 1
             if top >= n_letters:
                 break
-            low = bisect_left(seq, seq[top], 0, top)
         else:
             inverted = [h for h in range(1, n_letters) if seq[h - 1] > seq[h]]
             if not inverted:
                 break
             top = pick(inverted, rng)
-            low = top - 1
-        # the letter v at position top swaps with the letter u below it, at
-        # positions top - 1, top - 2, ..., low in turn
-        v = word[top]
+        # the letter v at position top walks down past each letter whose
+        # target lies above its own, one height swap each, to position low
+        v, target = word[top], seq[top]
+        low = top - 1
+        while low and seq[low - 1] > target:
+            low -= 1
         swaps += top - low
-        if runs:
-            u = chr(ord(v) ^ 1)  # v's partner, the only letter it contracts with
-            i = word.rfind(u, low, top)
-        else:
-            u, i = word[low], low
+        u = chr(ord(v) ^ 1)  # v's partner, the only letter it contracts with
+        i = word.rfind(u, low, top)
         while i >= 0:
+            # Correction: it costs one factor -sign*h and two letters,
+            # which is what keeps every coefficient a bare int.
             sign = bracket_sign(_LETTER[u], _LETTER[v])
-            if sign:
-                # Correction: it costs one factor -sign*h and two letters,
-                # which is what keeps every coefficient a bare int.
-                key, form = _contracted(head, word, succ, order, idems, i, top)
-                entry = read(key)
-                if entry is None:
-                    entry = _rewrite(*form, pick, rng, memo, budget)
-                    store(key, entry)
-                it = iter(entry)
-                for cfg, c in zip(it, it):
-                    out[cfg] = get(cfg, 0) - sign * c
-            i = word.rfind(u, low, i) if runs else -1
+            key, form = _contracted(head, word, succ, order, idems, i, top)
+            entry = read(key)
+            if entry is None:
+                entry = _rewrite(*form, pick, rng, memo, budget)
+                store(key, entry)
+            it = iter(entry)
+            for cfg, c in zip(it, it):
+                out[cfg] = get(cfg, 0) - sign * c
+            i = word.rfind(u, low, i)
         # v lands at position low, its target with it
         word = word[:low] + v + word[low:top] + word[top + 1 :]
         order.insert(low, order.pop(top))

@@ -38,7 +38,7 @@ from .errors import DimensionError, _in_range
 from .expr import format_element, format_hbar
 from .linear import int_terms
 from .necklace import HH0Element, Necklace, canonical_necklace, idempotent_class, necklace_key
-from .quiver import Path, PathAlgebraElement, Quiver, _code, _ends
+from .quiver import Path, PathAlgebraElement, Quiver, _check_path, _code, _ends
 from .repspace import (
     BlockMatrix,
     GlElement,
@@ -122,6 +122,7 @@ def _open_word(key) -> tuple:
 def path_matrix_entry(quiver: Quiver, dim, path: Path, row: int, col: int) -> PolyElement:
     """The (row, col) coordinate of the matrix-valued function of a path."""
     dim = make_dimension_vector(quiver, dim)
+    _check_path(quiver, path)
     rmax, cmax = dim[path.target(quiver)], dim[path.source(quiver)]
     if not (_in_range(row, rmax) and _in_range(col, cmax)):
         raise DimensionError(f"path entry ({row},{col}) out of range for block {rmax}x{cmax}")

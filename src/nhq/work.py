@@ -33,7 +33,10 @@ MAX_MERGE_LETTERS = 1 << 24
 #: terms grow with this count, not with the O(m d^3) triples of its plan
 #: (``repspace._plan``), so a larger contraction is refused with
 #: ``WorkLimitError`` (a ``DimensionError``) before any plan or product.
-#: It also bounds the term pairs of each product a parsed power forms.
+#: It also bounds the term pairs of each product a parsed power forms, and
+#: the monomial pairs of each operator or polynomial product (``weyl_mul``,
+#: ``weyl_commutator``, ``poly_mul`` and ``poisson``), which is refused
+#: before any pair (``repspace._join``).
 MAX_INDEX_ASSIGNMENTS = 1 << 20
 
 #: Most bits a packed monomial key of ``repspace`` may take, counted as the

@@ -27,8 +27,9 @@ Every element keyed by combinatorial data (``HH0Element``,
 per power of h over one denominator (``_sums``, ``_den``), packed by its
 public constructor at once, made by ``_from_sums``
 and put in and out of canonical form by ``_canonical``, ``_pack`` and
-``_view`` (``_pack`` is not checked: ``repspace`` names its own packing
-so).  Only ``linear`` may know that form, but for ``_den``: a packed
+``_view`` (``_pack`` is not checked: ``repspace`` packs an operator
+constructor's terms with it too, then moves each power of h onto its h
+field).  Only ``linear`` may know that form, but for ``_den``: a packed
 operator holds ``int`` numerators over one denominator too and names it
 so, and ``repspace`` reads its operators' (a keyed element's only
 through ``int_terms``: ``_sums`` stays out of it); the kernels of the other

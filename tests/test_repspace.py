@@ -9,18 +9,21 @@ from nhq import (
     DimensionError,
     GlElement,
     HBarPolynomial,
+    HH0Element,
     Letter,
     Path,
     PathAlgebraElement,
     PolyElement,
     QPAElement,
     WeylElement,
+    WorkLimitError,
     block_matrix,
     chi_sign_variants,
     classical_symbol,
     gauge_act,
     gl_basis,
     gl_commutator,
+    idempotent_class,
     make_configuration,
     make_dimension_vector,
     moment_block_matrix,
@@ -33,9 +36,10 @@ from nhq import (
     weyl_mul,
 )
 from nhq.necklace import Necklace, canonical_necklace
+from nhq import work
 from nhq.quiver import make_quiver
 from nhq.schedler import marked_word
-from nhq.repspace import rational_nullspace
+from nhq.repspace import poly_mul, rational_nullspace
 from nhq.sampling import all_dimension_vectors, random_gl, random_quiver, random_dimension
 
 H = HBarPolynomial.h()
@@ -158,11 +162,15 @@ _X = Letter(0, False)
         (lambda J, A2: make_dimension_vector(A2, {"1": 1, "2": True}), DimensionError),
         # True would read the coefficient of h^1
         (lambda J, A2: HBarPolynomial((1, 2)).coefficient(True), DimensionError),
+        # True would be kept as the idempotent class, or the trivial path, at vertex 1
+        (lambda J, A2: HH0Element.of(A2, idempotent_class(True)), CompositionError),
+        (lambda J, A2: PathAlgebraElement.of_path(A2, Path((), True)), CompositionError),
+        (lambda J, A2: path_matrix_entry(A2, (1, 2), Path((), True), 1, 1), CompositionError),
     ],
     ids=[
         "path-entry-row", "path-entry-col", "marked-word-mark", "marked-word-vertex",
         "configuration-idempotent", "configuration-height", "dimension-tuple", "dimension-dict",
-        "hbar-power",
+        "hbar-power", "idempotent-class", "trivial-path", "path-entry-trivial-path",
     ],
 )
 def test_a_bool_index_is_refused_at_every_public_entry(J, A2, make, error):
@@ -172,6 +180,58 @@ def test_a_bool_index_is_refused_at_every_public_entry(J, A2, make, error):
     index out of range."""
     with pytest.raises(error):
         make(J, A2)
+
+
+_A = Letter(0, False)  # the arrow a: 1 -> 2 of A2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda A2: HH0Element.of(A2, idempotent_class(7)),
+        lambda A2: HH0Element.of(A2, idempotent_class(-1)),
+        lambda A2: PathAlgebraElement.of_path(A2, Path((_A, _A))),
+        lambda A2: PathAlgebraElement.of_path(A2, Path((Letter(5, False),))),
+        lambda A2: PathAlgebraElement.of_path(A2, Path((), 5)),
+        lambda A2: PathAlgebraElement.trivial(A2, 2),
+        lambda A2: path_matrix_entry(A2, (1, 2), Path((_A, _A)), 1, 1),
+        lambda A2: path_matrix_entry(A2, (1, 2), Path((), 5), 1, 1),
+    ],
+    ids=[
+        "idempotent-class-past-end", "idempotent-class-negative", "path-not-composable", "path-unknown-arrow",
+        "trivial-path-past-end", "trivial-past-end", "path-entry-not-composable", "path-entry-trivial-past-end",
+    ],
+)
+def test_a_keyed_element_refuses_a_bad_vertex_or_path(A2, make):
+    """An idempotent class at no vertex of the quiver, a word of letters
+    that are not the quiver's or do not compose right to left, and a
+    trivial path at no vertex raise ``CompositionError`` where they are
+    given, as ``make_path`` and ``make_configuration`` do, never a
+    ``KeyError`` or ``IndexError`` when the element is printed or traced,
+    or a silently wrong product."""
+    with pytest.raises(CompositionError):
+        make(A2)
+
+
+@pytest.mark.parametrize("kernel", [weyl_mul, weyl_commutator, poly_mul, poisson])
+def test_a_product_is_charged_its_monomial_pairs_before_any_pair(J, monkeypatch, kernel):
+    """Each operator and polynomial product counts |x| * |y| monomial pairs
+    against ``work.MAX_INDEX_ASSIGNMENTS`` before it forms any: refused one
+    below the count, with ``WorkLimitError``, and formed at it."""
+    d = (2,)
+    if kernel in (weyl_mul, weyl_commutator):
+        xs = [_pos(J, d, 0, r, c) for r in (1, 2) for c in (1, 2)][:3]
+        ys = [_der(J, d, 0, r, c) for r in (1, 2) for c in (1, 2)]
+    else:
+        xs = [PolyElement.coordinate(J, d, 0, False, r, c) for r in (1, 2) for c in (1, 2)][:3]
+        ys = [PolyElement.coordinate(J, d, 0, True, r, c) for r in (1, 2) for c in (1, 2)]
+    x, y = sum(xs[1:], xs[0]), sum(ys[1:], ys[0])
+    pairs = 3 * 4
+    monkeypatch.setattr(work, "MAX_INDEX_ASSIGNMENTS", pairs - 1)
+    with pytest.raises(WorkLimitError, match=f"product has {pairs} monomial pairs, above the limit {pairs - 1}"):
+        kernel(x, y)
+    monkeypatch.setattr(work, "MAX_INDEX_ASSIGNMENTS", pairs)
+    assert kernel(x, y)
 
 
 # -- Weyl products -----------------------------------------------------------

@@ -146,23 +146,25 @@ def _inversions(seq) -> int:
 
 def test_straighten_measure_strictly_decreases(monkeypatch):
     """(letters, inversions) falls on every swap edge and every correction
-    edge of the full rewrite tree.  The wrapped ``_rewrite`` expands every
-    correction unmemoized (its memo stores nothing), and the straighten
-    cache is cleared first, so no edge hides behind a cache.  The kernel
-    expands a correction through the module's ``_rewrite``, so the wrapper
-    sees every form, and each one's parent is the form expanded around it.
+    edge of the full rewrite tree, for every picker.  The wrapped
+    ``_rewrite`` expands every correction unmemoized (its memo stores
+    nothing), and the straighten cache is cleared first, so no edge hides
+    behind a cache.  The kernel expands a correction through the module's
+    ``_rewrite``, so the wrapper sees every form, and each one's parent is
+    the form expanded around it.
 
-    A one-swap picker ("last") is followed through the picker it is handed,
-    which checks that the kernel's inverted pairs are the descents of the
-    tracked target sequence.  The default picker moves each letter in one
-    insertion run, which no picker sees; there every swap removes exactly
-    one inversion, so a form's own swaps (the budget it charges, less what
-    its corrections charge) equal the inversions it starts from, and every
-    correction has two letters fewer than its parent."""
+    Every picker moves a letter in one run, down past each letter whose
+    target lies above its own, and each of those swaps removes exactly one
+    inversion: a form's own swaps (the budget it charges, less what its
+    corrections charge) equal the inversions it starts from, and every
+    correction has two letters fewer than its parent and a measure below
+    the parent's starting one.  A non-default picker is also followed
+    through the picker it is handed, which replays each run on the tracked
+    target sequence and checks that the kernel's descents are its."""
     rewrite = schedler._rewrite
     first = schedler._PICKERS["first"]
-    edges = {(route, kind): 0 for route in ("runs", "picks") for kind in ("swap", "correction")}
-    parents = []  # [measure, charged by its corrections] of each form being expanded, innermost last
+    edges = {(route, kind): 0 for route in ("lowest", "picked") for kind in ("swap", "correction")}
+    parents = []  # [starting measure, charged by its corrections] of each form being expanded, innermost last
 
     class Unmemoized:
         get = staticmethod(lambda key: None)
@@ -171,43 +173,40 @@ def test_straighten_measure_strictly_decreases(monkeypatch):
     def watched(head, word, succ, idems, pick, rng, memo, budget):
         pick = getattr(pick, "followed", pick)  # a parent's tracking picker hands on the one it follows
         seq = schedler._canonical_targets(word, succ)[0]
-        route = "runs" if pick is first else "picks"
+        route = "lowest" if pick is first else "picked"
+        measure = (len(seq), _inversions(seq))
         if parents:
-            # a correction: on the one-swap route the parent's measure is
-            # that of the pick that makes it, as it is made between a pick
-            # and its swap; on the runs route it is the parent's starting
-            # measure, which bounds every parent's
-            parent = parents[-1][0][0]
-            assert (len(seq), _inversions(seq)) < parent
+            parent = parents[-1][0]
+            assert measure < parent
             assert len(seq) == parent[0] - 2
             edges[route, "correction"] += 1
-        measure = [(len(seq), _inversions(seq))]
 
         def tracking_pick(inverted, rng):
             assert inverted == [h for h in range(1, len(seq)) if seq[h - 1] > seq[h]]
             h = pick(inverted, rng)
-            parent = (len(seq), _inversions(seq))
-            measure[0] = parent
-            seq[h - 1], seq[h] = seq[h], seq[h - 1]
-            child = (len(seq), _inversions(seq))
-            assert child < parent
-            edges["picks", "swap"] += 1
+            before = _inversions(seq)
+            target = seq.pop(h)
+            low = h - 1
+            while low and seq[low - 1] > target:
+                low -= 1
+            seq.insert(low, target)
+            assert _inversions(seq) == before - (h - low)
             return h
 
         tracking_pick.followed = pick
         used = budget[0]
         parents.append([measure, 0])
         try:
-            out = rewrite(head, word, succ, idems, tracking_pick if route == "picks" else pick, rng, Unmemoized, budget)
+            out = rewrite(head, word, succ, idems, pick if pick is first else tracking_pick, rng, Unmemoized, budget)
         finally:
             nested = parents.pop()[1]
         charged = budget[0] - used
         if parents:
             parents[-1][1] += charged
-        if route == "runs":
-            own = charged - nested
-            assert own == measure[0][1]
-            edges["runs", "swap"] += own
+        assert charged - nested == measure[1]
+        edges[route, "swap"] += measure[1]
+        if route == "picked":
+            assert seq == sorted(seq)
         return out
 
     monkeypatch.setattr(schedler, "_rewrite", watched)
@@ -216,7 +215,7 @@ def test_straighten_measure_strictly_decreases(monkeypatch):
     for _ in range(15):
         q = random_quiver(rng)
         cfg = random_configuration(rng, q, max_letters=7)
-        for strategy in ("first", "last"):
+        for strategy in ("first", "last", "middle"):
             straighten(q, cfg, strategy=strategy)
     assert all(edges.values()), edges
 

@@ -10,8 +10,9 @@ height form (the letter code at each height as one str, and the height of
 each letter's successor in its component), accumulates plain ints, cuts a
 correction as the cycles of the successor permutation times one
 transposition, and restores h^((N - n)/2) once, at the boundary.
-Both must agree exactly on every public entry point, and both must take
-the same rewrite tree: the same height swaps, in the same order.
+Both must agree exactly on every public entry point, and on the default
+strategy both must take the same rewrite tree: the same height swaps, in
+the same order.
 """
 
 import random
@@ -33,7 +34,6 @@ from nhq import (
     straighten,
 )
 import nhq.schedler as schedler
-from nhq import work
 from linear_oracle import add_into
 from nhq.necklace import Necklace, bracket_sign, minimal_rotation_offset, necklace_key
 from nhq.quiver import _LETTER, MAX_ARROWS, Arrow, Quiver, _code
@@ -448,14 +448,14 @@ def test_height_form_round_trips(seed):
 @given(seeds)
 def test_coded_route_takes_the_tuple_oracles_rewrite_tree(seed):
     """For every strategy, the coded kernel's normal form equals the tuple
-    oracle's, and so do its height swaps, letter pair by letter pair.  The
-    one-swap strategies ("last", "middle" and "random") call schedler's
-    ``bracket_sign`` once per swap, so the spy sees every swap; the first
-    strategy moves each
-    letter in one insertion run and calls it only at a contracting swap, so
-    the spy sees the oracle's swaps of nonzero sign, in order, and the
-    budget charged is the oracle's swap count.  The shared cache is cleared
-    first, so the first strategy computes every normal form it needs."""
+    oracle's, and schedler's ``bracket_sign`` is called only at a
+    contracting swap: every strategy moves a letter in one run and
+    searches it for the letter's partner.  The default strategy picks the
+    lowest descent, as the oracle's first strategy does one swap at a
+    time, so there the spy sees the oracle's swaps of nonzero sign, in
+    order, and the budget charged is the oracle's swap count.  The shared
+    cache is cleared first, so the first strategy computes every normal
+    form it needs."""
     for quiver in QUIVERS:
         rng = random.Random(seed)
         cfg = random_configuration(rng, quiver, max_letters=8, max_idempotents=2)
@@ -480,42 +480,10 @@ def test_coded_route_takes_the_tuple_oracles_rewrite_tree(seed):
                 schedler.bracket_sign = bracket_sign
                 schedler._expanded = expanded
             assert got == expected, strategy
+            assert all(bracket_sign(u, v) for u, v in swaps), strategy
             if strategy == "first":
                 assert swaps == [(u, v) for u, v in expected_swaps if bracket_sign(u, v)]
                 assert budgets == [[len(expected_swaps)]]
-            else:
-                assert swaps == expected_swaps, strategy
-
-
-def _one_swap_first(invs, rng):
-    """The first picker, but not the registered one: one swap per pick."""
-    return invs[0]
-
-
-def _expanded(quiver, coded, pick):
-    """``_rewrite`` of a coded configuration, handed over in height form,
-    with ``pick`` at every level, memoized for this call only, and the
-    height swaps it charged."""
-    codes, heights, idems = coded
-    word, succ = _height_form(codes, heights)
-    memo, budget = work.GenerationalCache(work.CACHE_SIZE), [0]
-    out = schedler._rewrite(_quiver_key(quiver), word, succ, "".join(map(chr, idems)), pick, None, memo, budget)
-    return out, budget[0]
-
-
-@SETTINGS
-@given(seeds)
-def test_insertion_runs_take_the_one_swap_route(seed):
-    """The default picker's insertion run makes, in one step, the swaps a
-    first-descent picker makes one pick at a time: the same flat tuple of
-    coded cfgs and coefficients, in the same order, for the same number of
-    height swaps."""
-    for quiver in QUIVERS:
-        rng = random.Random(seed)
-        cfg = random_configuration(rng, quiver, max_letters=9, max_idempotents=2)
-        coded = (cfg.codes, cfg.heights, cfg.idempotents)
-        runs = _expanded(quiver, coded, _PICKERS["first"])
-        assert runs == _expanded(quiver, coded, _one_swap_first)
 
 
 def test_forms_past_256_letters_key_by_chr_and_straighten_alike(J):
